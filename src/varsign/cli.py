@@ -129,6 +129,8 @@ def _order_fail_code(rep) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.nonstrict and args.property != "kpos":
+        raise InputFileError(f"--nonstrict applies to --property kpos only, not {args.property}")
     sf = load_system_file(args.file, _backend(args))
     if sf.A is None:
         raise InputFileError("certify needs a system file with A")

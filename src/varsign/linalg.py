@@ -60,9 +60,7 @@ class SingularMatrixError(LinalgError):
 def parse_scalar(value, backend: Backend) -> Num:
     """Coerce ``value`` (number or decimal string) into the backend's scalar type."""
     if backend is Backend.EXACT:
-        if isinstance(value, float):
-            # exact binary value of the float; decimal strings are the lossless path
-            return Fraction(value)
+        # a float converts to its exact binary value; decimal strings are the lossless path
         return Fraction(value)
     return float(value)
 
@@ -265,9 +263,6 @@ class Matrix:
         if len(v) != self.rows:
             raise SizeMismatchError("vector length mismatch")
         return tuple(_dot(v, col) for col in zip(*self.data))
-
-    def scale(self, s: Num) -> "Matrix":
-        return Matrix([[x * s for x in row] for row in self.data], self.backend)
 
     def power(self, p: int) -> "Matrix":
         if not self.is_square():

@@ -5,7 +5,9 @@ certificate.
 A verdict separates two kinds of evidence: the sampled impulse response over
 a finite horizon, and an analytic tail bound derived from a floating-point
 eigen-decomposition.  The bound establishes the sign of every sample beyond
-``tail_start``, which makes a finite sample check conclusive.
+``tail_start``, which makes a finite sample check conclusive.  ``analyse``
+gathers both once per system; ``judge`` reads a strict or a non-strict
+verdict off the analysis.
 """
 
 from __future__ import annotations
@@ -106,9 +108,6 @@ class OrderedSpectrum:
 
     def __len__(self):
         return len(self.eigenvalues)
-
-    def moduli(self) -> tuple[float, ...]:
-        return tuple(abs(l) for l in self.eigenvalues)
 
 
 def _order_spectrum(values, tie_tol: float) -> tuple[complex, ...]:
@@ -301,15 +300,28 @@ class ExtPosVerdict:
         }.get(self.status)
 
 
-def external_positivity(sys: LtiSystem, strict: bool = True, horizon: int | None = None,
-                        tol: float = DEFAULT_TOL) -> ExtPosVerdict:
-    """Classify the sign of the impulse response over all t >= 1.
+@dataclass(frozen=True)
+class ExtPosAnalysis:
+    """The costly, requirement-independent half of external positivity.
 
-    Samples cover t in 1..horizon; a tail certificate (when one exists)
-    covers t >= tail_start analytically.  Exact samples are decided exactly;
-    float samples inside the tolerance band are decisive for nothing, and are
-    acceptable only where the tail bound already applies.
+    Holds the samples g(1)..g(horizon), their sign classes (``sign_of``), the
+    tail certificate (eigen or minimal-recurrence route; dropped when its
+    sign disagrees with the decisive samples) and the notes explaining it.
+    ``judge`` turns one analysis into a strict or a non-strict verdict.
     """
+
+    n: int
+    backend: Backend
+    horizon: int
+    samples: tuple[Num, ...]
+    signs: tuple[int | None, ...]
+    tail: TailCertificate | None
+    notes: tuple[str, ...]
+
+
+def analyse(sys: LtiSystem, horizon: int | None = None,
+            tol: float = DEFAULT_TOL) -> ExtPosAnalysis:
+    """Sample the impulse response and certify its tail."""
     horizon = horizon if horizon is not None else default_horizon(sys.n)
     g = impulse_response(sys, horizon)
     backend = sys.backend
@@ -327,7 +339,25 @@ def external_positivity(sys: LtiSystem, strict: bool = True, horizon: int | None
                 tail_note = f"{tail_note}; after reduction to order {reduced.n}: {note2}"
     if tail_note:
         notes.append(tail_note)
-    signs = [sign_of(x, backend, tol) for x in g]
+    signs = tuple(sign_of(x, backend, tol) for x in g)
+    decisive = {s for s in signs if s}
+    if tail and len(decisive) == 1 and tail.sign not in decisive:
+        notes.append("tail certificate sign disagrees with decisive samples; tail discarded")
+        tail = None
+    return ExtPosAnalysis(sys.n, backend, horizon, g, signs, tail, tuple(notes))
+
+
+def judge(analysis: ExtPosAnalysis, strict: bool = True) -> ExtPosVerdict:
+    """Classify the sign of the impulse response over all t >= 1.
+
+    Samples cover t in 1..horizon; a tail certificate (when one exists)
+    covers t >= tail_start analytically.  Exact samples are decided exactly;
+    float samples inside the tolerance band are decisive for nothing, and are
+    acceptable only where the tail bound already applies.
+    """
+    horizon, g, signs, tail = analysis.horizon, analysis.samples, analysis.signs, analysis.tail
+    backend = analysis.backend
+    notes = list(analysis.notes)
     first_pos = next((t for t, s in enumerate(signs, 1) if s == 1), None)
     first_neg = next((t for t, s in enumerate(signs, 1) if s == -1), None)
     suspects = tuple(t for t, s in enumerate(signs, 1) if s is None)
@@ -341,7 +371,7 @@ def external_positivity(sys: LtiSystem, strict: bool = True, horizon: int | None
     s_star = 1 if first_pos else (-1 if first_neg else None)
     if s_star is None:
         # no decisive sample at all
-        if backend is Backend.EXACT and horizon >= sys.n:
+        if backend is Backend.EXACT and horizon >= analysis.n:
             # n consecutive zeros of the order-n recurrence force g identically zero
             if strict:
                 return ExtPosVerdict(ExtPosStatus.VIOLATED, horizon, g, None, (1, g[0]),
@@ -350,10 +380,6 @@ def external_positivity(sys: LtiSystem, strict: bool = True, horizon: int | None
                                  tuple(notes + ["impulse response is identically zero"]))
         return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, None, None, suspects,
                              tuple(notes + ["no decisive sample over the horizon"]))
-
-    if tail and tail.sign != s_star:
-        notes.append("tail certificate sign disagrees with decisive samples; tail discarded")
-        tail = None
 
     zero_times = tuple(t for t, s in enumerate(signs, 1) if s == 0)
     cover = tail.start if tail else None
@@ -396,7 +422,7 @@ def external_positivity(sys: LtiSystem, strict: bool = True, horizon: int | None
             if s != 0:
                 break
             trailing += 1
-        if trailing >= sys.n:
+        if trailing >= analysis.n:
             # n consecutive zeros of the order-n recurrence keep the tail zero
             notes.append("trailing zeros persist beyond the horizon "
                          "(impulse response obeys a linear recurrence of the system order)")
@@ -407,3 +433,9 @@ def external_positivity(sys: LtiSystem, strict: bool = True, horizon: int | None
         notes.append(f"tail bound starts at t={tail.start} beyond the horizon")
     return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, suspects, tuple(notes),
                          sample_sign=s_star)
+
+
+def external_positivity(sys: LtiSystem, strict: bool = True, horizon: int | None = None,
+                        tol: float = DEFAULT_TOL) -> ExtPosVerdict:
+    """Strict or non-strict external-positivity verdict of one system."""
+    return judge(analyse(sys, horizon, tol), strict)

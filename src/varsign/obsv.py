@@ -9,9 +9,14 @@ positivity of a family of compound LTI systems: the impulse response of the
     det(O[alpha, beta]),  alpha = {1..k-r} U (k-r+t : k+t-1),
 
 of the stacked observability matrix O.  Certifying the family therefore
-certifies the operator.  Controllability certificates run the same pipeline
-on the transposed pair, and a Hankel operator inherits a sufficient
-certificate from its two factors.
+certifies the operator.
+
+One engine serves every property: the pair's ``_OperatorContext`` analyses
+each compound system once (``lti.analyse``), and ``_certify`` judges the
+analyses under a property's requirement list (``_rules``), also across the
+orders of ``certify_vd`` and ``impulse_variation_bound``.  Controllability
+certificates run the same engine on the transposed pair, and a Hankel
+operator inherits a sufficient certificate from its two factors.
 """
 
 from __future__ import annotations
@@ -35,18 +40,19 @@ from .linalg import (
     lex_tuples,
     minor,
     rank,
-    sign_of,
 )
 from .lti import (
+    ExtPosAnalysis,
     ExtPosStatus,
     ExtPosVerdict,
     LtiSystem,
     OrderedSpectrum,
+    analyse,
     default_horizon,
     dominant_tail,
     eigen_sorted,
-    external_positivity,
     impulse_response,
+    judge,
     observability_matrix,
 )
 from .variation import v_minus
@@ -68,24 +74,22 @@ class CompoundSystem:
     r: int
     k: int
     beta: IndexTuple | None  # None for the full-order family
-    relaxed: bool = False    # non-strict external positivity may suffice
-
-    def label(self) -> str:
-        beta = str(self.beta) if self.beta is not None else "-"
-        return f"(r={self.r}, beta={beta})"
 
 
 class _OperatorContext:
-    """Shared pieces for one observable pair (A, c): O_n, its inverse, and
-    the compounds of A and of the leading observability blocks."""
+    """Shared pieces for one observable pair (A, c) at one horizon: O_n, its
+    inverse, the compounds of A and of the leading observability blocks, and
+    one analysis per (k, r, beta) compound system, which is built only there."""
 
-    def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL):
+    def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
+                 horizon: int | None = None):
         if not A.is_square():
             raise LinalgError("state matrix must be square")
         self.A = A
         self.c = tuple(c)
         self.n = A.rows
         self.tol = tol
+        self.horizon = horizon if horizon is not None else default_horizon(self.n)
         self.obs_n = observability_matrix(A, c, self.n)
         if rank(self.obs_n, tol) < self.n:
             raise NotObservableError(
@@ -94,6 +98,7 @@ class _OperatorContext:
         self._a_r = {}
         self._c_r = {}
         self._a_pow = {0: Matrix.identity(self.n, A.backend)}
+        self._analyses = {}
 
     def a_compound(self, r: int) -> Matrix:
         if r not in self._a_r:
@@ -110,6 +115,17 @@ class _OperatorContext:
         if p not in self._a_pow:
             self._a_pow[p] = self.A @ self.a_power(p - 1)
         return self._a_pow[p]
+
+    def system(self, k: int, r: int, beta: IndexTuple | None) -> LtiSystem:
+        """The (k, r, beta) compound system; beta None is the full-order family."""
+        b = _full_order_input(self, r) if beta is None else _minor_trace_input(self, k, r, beta)
+        return LtiSystem(self.a_compound(r), b, self.c_compound(r))
+
+    def analysis(self, k: int, r: int, beta: IndexTuple | None) -> ExtPosAnalysis:
+        key = (k, r, beta)
+        if key not in self._analyses:
+            self._analyses[key] = analyse(self.system(k, r, beta), self.horizon, self.tol)
+        return self._analyses[key]
 
 
 def _full_order_input(ctx: _OperatorContext, r: int) -> tuple[Num, ...]:
@@ -129,11 +145,8 @@ def full_compound_systems(A: Matrix, c: Sequence[Num],
     positive for every r.
     """
     ctx = _OperatorContext(A, c, tol)
-    out = []
-    for r in range(1, ctx.n + 1):
-        sys = LtiSystem(ctx.a_compound(r), _full_order_input(ctx, r), ctx.c_compound(r))
-        out.append(CompoundSystem(sys, r, ctx.n, None))
-    return out
+    return [CompoundSystem(ctx.system(ctx.n, r, None), r, ctx.n, None)
+            for r in range(1, ctx.n + 1)]
 
 
 def _minor_trace_input(ctx: _OperatorContext, k: int, r: int, beta: IndexTuple) -> tuple[Num, ...]:
@@ -164,9 +177,9 @@ def _minor_trace_input(ctx: _OperatorContext, k: int, r: int, beta: IndexTuple) 
 
 
 def compound_system(A: Matrix, c: Sequence[Num], k: int, r: int, beta,
-                    tol: float = DEFAULT_TOL, _ctx: _OperatorContext | None = None) -> CompoundSystem:
+                    tol: float = DEFAULT_TOL) -> CompoundSystem:
     """Build the (k, r, beta) compound system for an observable pair (A, c)."""
-    ctx = _ctx if _ctx is not None else _OperatorContext(A, c, tol)
+    ctx = _OperatorContext(A, c, tol)
     n = ctx.n
     if not (1 <= r <= k <= n):
         raise RankOutOfRangeError(f"need 1 <= r <= k <= n, got r={r}, k={k}, n={n}")
@@ -174,8 +187,7 @@ def compound_system(A: Matrix, c: Sequence[Num], k: int, r: int, beta,
         beta = IndexTuple(n, tuple(beta))
     if beta.n != n or len(beta) != k:
         raise BadIndicesError(f"beta must be a k-subset of 1..{n}, got {beta}")
-    sys = LtiSystem(ctx.a_compound(r), _minor_trace_input(ctx, k, r, beta), ctx.c_compound(r))
-    return CompoundSystem(sys, r, k, beta)
+    return CompoundSystem(ctx.system(k, r, beta), r, k, beta)
 
 
 @dataclass(frozen=True)
@@ -185,7 +197,8 @@ class BetaEntry:
 
 
 def beta_family(n: int, k: int, strict: bool = True) -> list[BetaEntry]:
-    """Column index family: sets {1..k-r} U (t : t+r-1), deduplicated.
+    """Column index family: sets {1..k-r} U (t : t+r-1), deduplicated, in
+    lexicographic order.
 
     In non-strict mode, the fully consecutive sets starting beyond k are the
     ones whose r = k systems may be non-strictly signed.
@@ -215,6 +228,10 @@ class SystemVerdict:
     relaxed: bool
     verdict: ExtPosVerdict
 
+    def label(self) -> str:
+        beta = str(self.beta) if self.beta is not None else "-"
+        return f"(r={self.r}, beta={beta})"
+
 
 @dataclass
 class Certificate:
@@ -232,8 +249,95 @@ class Certificate:
         return self.conclusion is Conclusion.CERTIFIED
 
 
-def _sorted_systems(systems: list[CompoundSystem]) -> list[CompoundSystem]:
-    return sorted(systems, key=lambda s: (s.r, s.beta.lex_rank() if s.beta else 0))
+_STRICT_SIGN = {ExtPosStatus.STRICT_POSITIVE: 1, ExtPosStatus.STRICT_NEGATIVE: -1}
+
+
+def _rules(prop: str, n: int, k: int, strict: bool = True):
+    """(name, requirements, forced sign, may refute) of svb, vb or kpos at order k.
+
+    A requirement (k, r, beta, strict, lead) asks the (k, r, beta) system to
+    be strictly (or non-strictly) externally positive with the family sign,
+    its first ``lead`` samples strictly so; the list runs in report order.
+    """
+    if prop == "kpos":
+        requirements = [(j, j, entry.beta, strict or j < k, 0)
+                        for j in range(1, k + 1) for entry in beta_family(n, j)]
+        return f"{'strictly ' if strict else ''}{k}-positive", requirements, 1, True
+    name, relax = f"{prop.upper()}_{k - 1}", prop == "vb"
+    if k == n:
+        requirements = [(n, r, None, not (relax and r == n), n - 1 if relax and r == n else 0)
+                        for r in range(1, n + 1)]
+        return name, requirements, 1, not relax
+    requirements = []
+    for r in range(1, k + 1):
+        for entry in beta_family(n, k, strict=not relax):
+            relaxed = r == k and entry.relaxed
+            requirements.append((k, r, entry.beta, not relaxed, k if relaxed else 0))
+    return name, requirements, None, not relax
+
+
+def _witness(rows, forced_sign: int | None) -> str | None:
+    """Note on the first system whose trace refutes: a decisive sample against
+    the forced sign or the sign seen first, else a violated trace."""
+    ref = forced_sign
+    for sv, signs, _ in rows:
+        v = sv.verdict
+        ref = ref or v.sample_sign
+        if ref and -ref in signs:
+            t = signs.index(-ref) + 1
+            return (f"system {sv.label()}: {v.status.value}, g({t}) = {v.samples[t - 1]} "
+                    f"against the {'forced ' if forced_sign else ''}family sign {ref:+d}")
+        if v.status is ExtPosStatus.VIOLATED:
+            return f"system {sv.label()}: violated at t={v.first_violation[0]} ({v.notes[-1]})"
+    return None
+
+
+def _shortfall(sv: SystemVerdict, signs, lead: int, eps: int | None) -> str | None:
+    """Why one system misses its requirement under family sign eps, or None."""
+    v = sv.verdict
+    if eps is None or v.sign != eps or (not sv.relaxed and v.status not in _STRICT_SIGN):
+        return f"system {sv.label()}: {v.status.value}" + (f" ({v.notes[-1]})" if v.notes else "")
+    if len(signs) < lead or any(s != eps for s in signs[:lead]):
+        return f"system {sv.label()}: first {lead} samples not strictly signed"
+    return None
+
+
+def _certify(ctx: _OperatorContext, prop: str, k: int, target: str,
+             strict: bool = True) -> Certificate:
+    """Judge every system the property requires and fold the verdicts.
+
+    The family sign is the forced sign or, without one, the sign of the first
+    strictly required system with a strict verdict.  A refuting property
+    refutes on the first witness; otherwise the operator is certified when
+    every system meets its requirement and inconclusive when one does not.
+    """
+    name, requirements, forced_sign, may_refute = _rules(prop, ctx.n, k, strict)
+    rows = []
+    for j, r, beta, want_strict, lead in requirements:
+        analysis = ctx.analysis(j, r, beta)
+        sv = SystemVerdict(r, j, beta, not want_strict, judge(analysis, want_strict))
+        rows.append((sv, analysis.signs, lead))
+    per = [sv for sv, _, _ in rows]
+    witness = _witness(rows, forced_sign) if may_refute else None
+    if witness:
+        return Certificate(name, target, Conclusion.REFUTED, None, per, ctx.horizon, [witness])
+    eps = forced_sign
+    if eps is None:
+        eps = next((_STRICT_SIGN[sv.verdict.status] for sv in per
+                    if not sv.relaxed and sv.verdict.status in _STRICT_SIGN), None)
+    problem = next(filter(None, (_shortfall(sv, signs, lead, eps) for sv, signs, lead in rows)),
+                   None)
+    if problem:
+        return Certificate(name, target, Conclusion.INCONCLUSIVE, eps, per, ctx.horizon, [problem])
+    return Certificate(name, target, Conclusion.CERTIFIED, eps, per, ctx.horizon)
+
+
+def _context(A: Matrix, c: Sequence[Num], k: int, horizon: int | None,
+             tol: float) -> _OperatorContext:
+    n = A.rows
+    if not 1 <= k <= n:
+        raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return _OperatorContext(A, c, tol, horizon)
 
 
 def certify_svb(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
@@ -245,71 +349,7 @@ def certify_svb(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
     one common sign; for k = n the sign is forced positive.  A decisive
     wrong-signed or zero minor refutes.
     """
-    n = A.rows
-    if not 1 <= k <= n:
-        raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
-    horizon = horizon if horizon is not None else default_horizon(n)
-    name = f"SVB_{k - 1}"
-    notes = []
-    if k == n:
-        systems = full_compound_systems(A, c, tol)
-        forced_sign = 1
-        notes.append("full-order family; sign forced positive")
-    else:
-        ctx = _OperatorContext(A, c, tol)
-        systems = _sorted_systems([
-            compound_system(A, c, k, r, entry.beta, tol, _ctx=ctx)
-            for r in range(1, k + 1)
-            for entry in beta_family(n, k, strict=True)
-        ])
-        forced_sign = None
-
-    per = []
-    eps = forced_sign
-    signs_seen = set()
-    refuted = None
-    inconclusive = None
-    for cs in systems:
-        v = external_positivity(cs.system, strict=True, horizon=horizon, tol=tol)
-        per.append(SystemVerdict(cs.r, cs.k, cs.beta, cs.relaxed, v))
-        if v.sample_sign is not None:
-            signs_seen.add(v.sample_sign)
-        if v.status is ExtPosStatus.VIOLATED:
-            # a mixed trace or a zero minor falsifies strict sign consistency
-            refuted = refuted or f"system {cs.label()} violated at t={v.first_violation[0]}"
-            continue
-        if v.status in (ExtPosStatus.STRICT_POSITIVE, ExtPosStatus.STRICT_NEGATIVE):
-            if eps is None:
-                eps = 1 if v.status is ExtPosStatus.STRICT_POSITIVE else -1
-            continue
-        inconclusive = inconclusive or (
-            f"system {cs.label()}: {v.status.value}" + (f" ({v.notes[-1]})" if v.notes else ""))
-
-    # decisive samples of opposite signs are hard witnesses even when some
-    # trace lacks a tail certificate
-    if forced_sign is not None:
-        conflict = signs_seen - {forced_sign}
-    else:
-        conflict = signs_seen if len(signs_seen) > 1 else set()
-    if conflict:
-        refuted = refuted or (
-            f"family carries opposite strict signs {sorted(signs_seen)}"
-            if forced_sign is None
-            else f"family sign is forced positive but a trace is decisively negative")
-    if refuted:
-        notes.append(refuted)
-        return Certificate(name, target, Conclusion.REFUTED, None, per, horizon, notes)
-    if inconclusive:
-        notes.append(inconclusive)
-        return Certificate(name, target, Conclusion.INCONCLUSIVE, eps, per, horizon, notes)
-    return Certificate(name, target, Conclusion.CERTIFIED, eps, per, horizon, notes)
-
-
-def _first_samples_strict(v: ExtPosVerdict, count: int, eps: int,
-                          backend: Backend, tol: float) -> bool:
-    if len(v.samples) < count:
-        return False
-    return all(sign_of(x, backend, tol) == eps for x in v.samples[:count])
+    return _certify(_context(A, c, k, horizon, tol), "svb", k, target)
 
 
 def certify_vb(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
@@ -321,86 +361,7 @@ def certify_vb(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
     the r = k systems) may be non-strictly signed provided their first k
     samples carry the family sign strictly.  This route never refutes.
     """
-    n = A.rows
-    if not 1 <= k <= n:
-        raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
-    horizon = horizon if horizon is not None else default_horizon(n)
-    name = f"VB_{k - 1}"
-    backend = A.backend
-    notes = []
-
-    if k == n:
-        # full-order route: strict for r < n; the r = n system may be
-        # non-strict when its first n-1 samples are strictly positive
-        systems = full_compound_systems(A, c, tol)
-        per = []
-        problem = None
-        for cs in systems:
-            relaxed = cs.r == n
-            v = external_positivity(cs.system, strict=not relaxed, horizon=horizon, tol=tol)
-            per.append(SystemVerdict(cs.r, cs.k, cs.beta, relaxed, v))
-            if not relaxed:
-                if v.status is not ExtPosStatus.STRICT_POSITIVE:
-                    problem = problem or f"system {cs.label()}: {v.status.value}"
-            else:
-                if v.status not in (ExtPosStatus.STRICT_POSITIVE, ExtPosStatus.NONNEGATIVE):
-                    problem = problem or f"system {cs.label()}: {v.status.value}"
-                elif n > 1 and not _first_samples_strict(v, n - 1, 1, backend, tol):
-                    problem = problem or (
-                        f"system {cs.label()}: first {n - 1} samples not strictly positive")
-        if problem:
-            notes.append(problem)
-            return Certificate(name, target, Conclusion.INCONCLUSIVE, 1, per, horizon, notes)
-        return Certificate(name, target, Conclusion.CERTIFIED, 1, per, horizon, notes)
-
-    ctx = _OperatorContext(A, c, tol)
-    entries = beta_family(n, k, strict=False)
-    systems = _sorted_systems([
-        CompoundSystem(
-            compound_system(A, c, k, r, entry.beta, tol, _ctx=ctx).system,
-            r, k, entry.beta, relaxed=(r == k and entry.relaxed))
-        for r in range(1, k + 1)
-        for entry in entries
-    ])
-    per = []
-    strict_required = []
-    relaxed_list = []
-    for cs in systems:
-        v = external_positivity(cs.system, strict=not cs.relaxed, horizon=horizon, tol=tol)
-        sv = SystemVerdict(cs.r, cs.k, cs.beta, cs.relaxed, v)
-        per.append(sv)
-        (relaxed_list if cs.relaxed else strict_required).append(sv)
-
-    eps = None
-    problem = None
-    for sv in strict_required:
-        st = sv.verdict.status
-        if st in (ExtPosStatus.STRICT_POSITIVE, ExtPosStatus.STRICT_NEGATIVE):
-            s = 1 if st is ExtPosStatus.STRICT_POSITIVE else -1
-            if eps is None:
-                eps = s
-            elif s != eps:
-                problem = problem or "opposite strict signs inside the family"
-        else:
-            problem = problem or f"system (r={sv.r}, beta={sv.beta}): {st.value}"
-    if eps is None and problem is None:
-        problem = "no decisive system to set the family sign"
-    for sv in relaxed_list:
-        st = sv.verdict.status
-        ok_status = {
-            1: (ExtPosStatus.STRICT_POSITIVE, ExtPosStatus.NONNEGATIVE),
-            -1: (ExtPosStatus.STRICT_NEGATIVE, ExtPosStatus.NONPOSITIVE),
-        }.get(eps, ())
-        if st not in ok_status:
-            problem = problem or f"relaxed system (r={sv.r}, beta={sv.beta}): {st.value}"
-        elif not _first_samples_strict(sv.verdict, k, eps, backend, tol):
-            # side condition: the first k samples must carry the family sign
-            problem = problem or (
-                f"relaxed system (r={sv.r}, beta={sv.beta}): first {k} samples not strictly signed")
-    if problem:
-        notes.append(problem)
-        return Certificate(name, target, Conclusion.INCONCLUSIVE, eps, per, horizon, notes)
-    return Certificate(name, target, Conclusion.CERTIFIED, eps, per, horizon, notes)
+    return _certify(_context(A, c, k, horizon, tol), "vb", k, target)
 
 
 def certify_k_positive(A: Matrix, c: Sequence[Num], k: int, strict: bool = True,
@@ -414,75 +375,35 @@ def certify_k_positive(A: Matrix, c: Sequence[Num], k: int, strict: bool = True,
     unless ``strict``.  A decisively negative minor refutes; so does a zero
     minor in strict mode.
     """
-    n = A.rows
-    if not 1 <= k <= n:
-        raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
-    horizon = horizon if horizon is not None else default_horizon(n)
-    name = f"{'strictly ' if strict else ''}{k}-positive"
-    ctx = _OperatorContext(A, c, tol)
-    backend = A.backend
-    per = []
-    refuted = None
-    inconclusive = None
+    cert = _certify(_context(A, c, k, horizon, tol), "kpos", k, target, strict)
+    if cert.passed():
+        cert.notes.append(f"operator is order-preserving variation diminishing of order {k - 1}")
+    return cert
+
+
+def _order_certificates(ctx: _OperatorContext, k: int, target: str) -> list[Certificate]:
+    """For each order j <= k, the SVB_{j-1} certificate when it holds, else
+    the VB_{j-1} one; every order reuses the context's analyses."""
+    certs = []
     for j in range(1, k + 1):
-        want_strict = strict or j < k
-        for entry in beta_family(n, j, strict=True):
-            cs = compound_system(A, c, j, j, entry.beta, tol, _ctx=ctx)
-            v = external_positivity(cs.system, strict=want_strict, horizon=horizon, tol=tol)
-            per.append(SystemVerdict(j, j, entry.beta, not want_strict, v))
-            st = v.status
-            if v.sample_sign == -1 or st in (ExtPosStatus.STRICT_NEGATIVE,
-                                             ExtPosStatus.NONPOSITIVE):
-                refuted = refuted or f"order {j} trace {entry.beta} is negative"
-            elif st is ExtPosStatus.VIOLATED:
-                # a violated trace holds a decisive negative minor, or a zero
-                # one under a strict requirement; both refute positivity
-                witness = next(
-                    ((t, x) for t, x in enumerate(v.samples, 1)
-                     if sign_of(x, backend, tol) == -1),
-                    v.first_violation)
-                refuted = refuted or (
-                    f"order {j} minor at t={witness[0]}, beta={entry.beta} equals {witness[1]}")
-            elif want_strict and st is not ExtPosStatus.STRICT_POSITIVE:
-                inconclusive = inconclusive or f"order {j} trace {entry.beta}: {st.value}"
-            elif not want_strict and st not in (ExtPosStatus.STRICT_POSITIVE,
-                                                ExtPosStatus.NONNEGATIVE):
-                inconclusive = inconclusive or f"order {j} trace {entry.beta}: {st.value}"
-    notes = []
-    if refuted:
-        notes.append(refuted)
-        return Certificate(name, target, Conclusion.REFUTED, None, per, horizon, notes)
-    if inconclusive:
-        notes.append(inconclusive)
-        return Certificate(name, target, Conclusion.INCONCLUSIVE, 1, per, horizon, notes)
-    notes.append(f"operator is order-preserving variation diminishing of order {k - 1}")
-    return Certificate(name, target, Conclusion.CERTIFIED, 1, per, horizon, notes)
+        cert = _certify(ctx, "svb", j, target)
+        certs.append(cert if cert.passed() else _certify(ctx, "vb", j, target))
+    return certs
 
 
 def certify_vd(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
                tol: float = DEFAULT_TOL, target: str = "observability") -> Certificate:
     """Certify that the operator is (k-1)-variation diminishing by certifying
     variation bounding at every order j <= k (strictly where possible)."""
-    n = A.rows
-    if not 1 <= k <= n:
-        raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
-    horizon = horizon if horizon is not None else default_horizon(n)
-    name = f"VD_{k - 1}"
-    per = []
-    notes = []
-    all_ok = True
-    for j in range(1, k + 1):
-        cert = certify_svb(A, c, j, horizon, tol, target)
-        if cert.conclusion is not Conclusion.CERTIFIED:
-            cert = certify_vb(A, c, j, horizon, tol, target)
-        per.extend(cert.per_system)
-        if cert.conclusion is Conclusion.CERTIFIED:
-            notes.append(f"order {j}: {cert.property_name} certified")
-        else:
-            all_ok = False
-            notes.append(f"order {j}: not certified ({cert.notes[-1] if cert.notes else ''})")
-    conclusion = Conclusion.CERTIFIED if all_ok else Conclusion.INCONCLUSIVE
-    return Certificate(name, target, conclusion, None, per, horizon, notes)
+    ctx = _context(A, c, k, horizon, tol)
+    certs = _order_certificates(ctx, k, target)
+    notes = [f"order {j}: {cert.property_name} certified" if cert.passed()
+             else f"order {j}: not certified ({cert.notes[-1] if cert.notes else ''})"
+             for j, cert in enumerate(certs, 1)]
+    conclusion = (Conclusion.CERTIFIED if all(cert.passed() for cert in certs)
+                  else Conclusion.INCONCLUSIVE)
+    per = [sv for cert in certs for sv in cert.per_system]
+    return Certificate(f"VD_{k - 1}", target, conclusion, None, per, ctx.horizon, notes)
 
 
 @dataclass
@@ -567,18 +488,12 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     from the dominant-mode tail (no further sign changes can occur once the
     tail bound holds).
     """
-    n = A.rows
-    horizon = horizon if horizon is not None else default_horizon(n)
+    ctx = _OperatorContext(A, c, tol, horizon)
+    horizon = ctx.horizon
     vb_in = v_minus(b)
-    levels = {}
-    for k in range(1, n + 1):
-        cert = certify_svb(A, c, k, horizon, tol)
-        if cert.conclusion is Conclusion.CERTIFIED:
-            levels[k - 1] = "strict"
-            continue
-        cert = certify_vb(A, c, k, horizon, tol)
-        if cert.conclusion is Conclusion.CERTIFIED:
-            levels[k - 1] = "nonstrict"
+    levels = {j - 1: "strict" if cert.property_name == f"SVB_{j - 1}" else "nonstrict"
+              for j, cert in enumerate(_order_certificates(ctx, ctx.n, "observability"), 1)
+              if cert.passed()}
     applicable = [level for level in levels if level >= vb_in]
     bound = min(applicable) if applicable else None
     sys = LtiSystem(A, tuple(b), tuple(c))
@@ -592,31 +507,24 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     return VariationBoundReport(vb_in, levels, bound, measured, complete, horizon, notes)
 
 
-_CERTIFIERS = {
-    "svb": certify_svb,
-    "vb": certify_vb,
-    "vd": certify_vd,
-}
-
-
 def certify_observability(A: Matrix, c: Sequence[Num], k: int, prop: str = "svb",
                           horizon: int | None = None, tol: float = DEFAULT_TOL,
-                          strict: bool = True) -> Certificate:
+                          strict: bool = True, target: str = "observability") -> Certificate:
+    """Certify svb, vb, kpos or vd; ``strict=False`` exists for kpos only."""
     if prop == "kpos":
-        return certify_k_positive(A, c, k, strict, horizon, tol)
-    return _CERTIFIERS[prop](A, c, k, horizon, tol)
+        return certify_k_positive(A, c, k, strict, horizon, tol, target)
+    if not strict:
+        raise ValueError(f"strict=False applies to kpos only, not to {prop}")
+    certifier = {"svb": certify_svb, "vb": certify_vb, "vd": certify_vd}[prop]
+    return certifier(A, c, k, horizon, tol, target)
 
 
 def certify_controllability(A: Matrix, b: Sequence[Num], k: int, prop: str = "svb",
                             horizon: int | None = None, tol: float = DEFAULT_TOL,
                             strict: bool = True) -> Certificate:
     """Controllability certificates via the transposed pair (A^T, b^T)."""
-    if prop == "kpos":
-        cert = certify_k_positive(A.transpose(), b, k, strict, horizon, tol,
-                                  target="controllability")
-    else:
-        cert = _CERTIFIERS[prop](A.transpose(), b, k, horizon, tol, target="controllability")
-    return cert
+    return certify_observability(A.transpose(), b, k, prop, horizon, tol, strict,
+                                 target="controllability")
 
 
 @dataclass

@@ -123,5 +123,9 @@ def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int = 50,
 
 
 def replay_trial(m: int, k: int, seed: int, trial: int) -> tuple[float, ...]:
-    """Reproduce the sampled input of a given trial (for witness replay)."""
-    return sample_bounded_variation(m, k, _trial_rng(seed, trial))
+    """Reproduce the sampled input of a given trial (for witness replay).
+
+    ``k`` is the order an ``OracleReport`` carries: the trial's input has at
+    most k-1 sign changes.
+    """
+    return sample_bounded_variation(m, k - 1, _trial_rng(seed, trial))

@@ -100,6 +100,16 @@ def test_certify_missing_vector_is_input_error(tmp_path, capsys):
                  "hankel", "--out", str(tmp_path / "out2")]) == 3
 
 
+def test_certify_nonstrict_is_input_error_outside_kpos(tmp_path, capsys):
+    for prop in ("svb", "vb", "vd"):
+        # rejected before the file is read: the path does not exist
+        code = main(["certify", str(tmp_path / "absent.json"), "--property", prop,
+                     "--k", "1", "--nonstrict", "--out", str(tmp_path / prop)])
+        assert code == 3
+        assert "--nonstrict applies to --property kpos only" in capsys.readouterr().err
+        assert not (tmp_path / prop).exists()
+
+
 def test_certify_hankel_target(tmp_path, capsys):
     f = write_json(tmp_path, "pos.json", {
         "A": [["0.5", "0"], ["0.25", "0.2"]], "b": ["1", "1"], "c": ["1", "1"]})

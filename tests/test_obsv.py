@@ -6,6 +6,7 @@ import pytest
 
 from varsign.linalg import IndexTuple, Matrix, det, inverse, lex_tuples, minor
 from varsign.lti import ExtPosStatus, LtiSystem, impulse_response, observability_matrix
+import varsign.obsv as obsv
 from varsign.obsv import (
     Conclusion,
     NotObservableError,
@@ -13,6 +14,7 @@ from varsign.obsv import (
     certify_controllability,
     certify_hankel,
     certify_k_positive,
+    certify_observability,
     certify_svb,
     certify_vb,
     certify_vd,
@@ -198,6 +200,65 @@ def test_certify_vd_levels():
     cert = certify_vd(A, c, 2)
     assert cert.property_name == "VD_1"
     assert cert.conclusion in (Conclusion.CERTIFIED, Conclusion.INCONCLUSIVE)
+
+
+def test_strict_changes_only_the_kpos_requirements():
+    for n in (2, 3, 4):
+        for k in range(1, n + 1):
+            for prop in ("svb", "vb"):
+                assert obsv._rules(prop, n, k, strict=False) == obsv._rules(prop, n, k)
+            _, strict_reqs, _, _ = obsv._rules("kpos", n, k)
+            _, relaxed_reqs, _, _ = obsv._rules("kpos", n, k, strict=False)
+            changed = [a for a, b in zip(strict_reqs, relaxed_reqs) if a != b]
+            assert changed and all(req[0] == k and req[3] for req in changed)
+
+
+@pytest.mark.parametrize("prop", ["svb", "vb", "vd"])
+def test_nonstrict_rejected_outside_kpos(prop):
+    A, c = example2()
+    b = (1, 1, 1)
+    with pytest.raises(ValueError, match="kpos only"):
+        certify_observability(A, c, 2, prop, strict=False)
+    with pytest.raises(ValueError, match="kpos only"):
+        certify_controllability(A, b, 2, prop, strict=False)
+    with pytest.raises(ValueError, match="kpos only"):
+        certify_hankel(A, b, c, 2, prop, strict=False)
+
+
+def _count_engine_work(monkeypatch):
+    contexts, analysed = [], []
+    init, analyse = obsv._OperatorContext.__init__, obsv.analyse
+
+    def counting_init(self, *args, **kwargs):
+        contexts.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_analyse(sys, *args, **kwargs):
+        analysed.append(sys)
+        return analyse(sys, *args, **kwargs)
+
+    monkeypatch.setattr(obsv._OperatorContext, "__init__", counting_init)
+    monkeypatch.setattr(obsv, "analyse", counting_analyse)
+    return contexts, analysed
+
+
+def test_engine_analyses_each_system_once(monkeypatch):
+    contexts, analysed = _count_engine_work(monkeypatch)
+    A, c = example2()
+    cert = certify_vd(A, c, 3)
+    # svb and vb share their family at every order, so the final systems of
+    # each order are all the systems there are
+    assert len(contexts) == 1
+    assert len(analysed) == len({(sv.k, sv.r, sv.beta) for sv in cert.per_system})
+
+    contexts.clear()
+    analysed.clear()
+    A, c = example1()
+    impulse_variation_bound(A, c, c)
+    n = A.rows
+    keys = n + sum(k * len(beta_family(n, k)) for k in range(1, n))
+    assert len(contexts) == 1
+    assert 0 < len(analysed) <= keys
 
 
 def test_example3_hankel_route():

@@ -77,7 +77,7 @@ def test_reports_reproducible():
     assert [v.trial for v in r1.violations] == [v.trial for v in r2.violations]
     # every violation replays from (seed, trial)
     for v in r1.violations[:5]:
-        assert replay_trial(2, 0, 7, v.trial) == v.u
+        assert replay_trial(2, r1.k, 7, v.trial) == v.u
 
 
 def test_falsify_operator_example_systems():

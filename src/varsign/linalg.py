@@ -60,6 +60,8 @@ class SingularMatrixError(LinalgError):
 def parse_scalar(value, backend: Backend) -> Num:
     """Coerce ``value`` (number or decimal string) into the backend's scalar type."""
     if backend is Backend.EXACT:
+        if type(value) is Fraction:
+            return value
         # a float converts to its exact binary value; decimal strings are the lossless path
         return Fraction(value)
     return float(value)

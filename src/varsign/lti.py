@@ -70,9 +70,27 @@ def default_horizon(n: int) -> int:
 
 
 def impulse_response(sys: LtiSystem, N: int) -> tuple[Num, ...]:
-    """Samples g(1)..g(N) of g(t) = c A^(t-1) b by iterated state propagation."""
+    """Samples g(1)..g(N) of g(t) = c A^(t-1) b by iterated state propagation.
+
+    The exact backend propagates integers: with D_A, D_b, D_c the lcm of the
+    denominators of A, b and c, x(t) = (D_A A)^(t-1) (D_b b) is integral and
+    g(t) = (D_c c) x(t) / (D_b D_c D_A^(t-1)).  The samples are the same
+    Fractions, reduced once each instead of at every multiply-add.
+    """
     if N < 1:
         raise ValueError("horizon must be >= 1")
+    if sys.backend is Backend.EXACT:
+        dA, db, dc = (math.lcm(*(x.denominator for x in v))
+                      for v in ([x for row in sys.A.data for x in row], sys.b, sys.c))
+        A = [[x.numerator * (dA // x.denominator) for x in row] for row in sys.A.data]
+        x = [v.numerator * (db // v.denominator) for v in sys.b]
+        c = [v.numerator * (dc // v.denominator) for v in sys.c]
+        den, out = db * dc, []
+        for _ in range(N):
+            out.append(Fraction(sum(ci * xi for ci, xi in zip(c, x)), den))
+            x = [sum(a * xi for a, xi in zip(row, x)) for row in A]
+            den *= dA
+        return tuple(out)
     x = sys.b
     out = []
     for _ in range(N):
@@ -246,14 +264,16 @@ def _solve_exact_consistent(rows_in, rhs, width):
 def minimal_recurrence_system(sys: LtiSystem, samples: Sequence[Num]) -> LtiSystem | None:
     """Exact reduced realization of the sampled impulse response.
 
-    Fits the minimal d with g(t+d) = sum_i a_i g(t+i) over the whole sample
-    window and returns the order-d companion realization.  The fit is
-    conclusive, not heuristic: q(S)g vanishes on a window of length
-    >= system order and obeys the order-n recurrence of the full system, so
-    q(S)g vanishes everywhere and the companion system reproduces g exactly.
-    The companion modes are precisely the active ones, which unblocks the
-    dominance analysis when an inactive mode of the full state matrix
-    dominates its spectrum.  Exact backend only.
+    Fits the minimal d with g(t+d) = sum_i a_i g(t+i) on the first
+    max(n, d) rows of the sample window and returns the order-d companion
+    realization.  The fit is conclusive, not heuristic: q(S)g vanishes on
+    max(n, d) >= n consecutive t and obeys the order-n recurrence of the full
+    system, so q(S)g vanishes everywhere and the companion system reproduces
+    g exactly; later rows are combinations of these and add no constraint.
+    At the minimal d the leading d x d Hankel block [g(i+j)] is nonsingular
+    (g = 0 aside), so a is unique.  The companion modes are precisely the
+    active ones, which unblocks the dominance analysis when an inactive mode
+    of the full state matrix dominates its spectrum.  Exact backend only.
     """
     if sys.backend is not Backend.EXACT:
         return None
@@ -262,8 +282,8 @@ def minimal_recurrence_system(sys: LtiSystem, samples: Sequence[Num]) -> LtiSyst
     for d in range(1, n + 1):
         if H - d < max(n, d):
             return None
-        rows = [samples[t:t + d] for t in range(H - d)]
-        rhs = [samples[t + d] for t in range(H - d)]
+        rows = [samples[t:t + d] for t in range(max(n, d))]
+        rhs = [samples[t + d] for t in range(max(n, d))]
         a = _solve_exact_consistent(rows, rhs, d)
         if a is None:
             continue

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varsign.linalg import (
+    Backend,
     IndexOutOfRangeError,
     IndexTuple,
     Matrix,
@@ -19,6 +20,7 @@ from varsign.linalg import (
     inverse,
     lex_tuples,
     minor,
+    parse_scalar,
     rank,
 )
 from varsign.lti import observability_matrix
@@ -26,6 +28,14 @@ from varsign.lti import observability_matrix
 from conftest import cofactor_det, minor_by_cofactor, random_exact
 
 PENA = Matrix.exact([[1, 1], [1, 2], [1, 3], [1, 4]])
+
+
+def test_parse_scalar_passes_exact_fraction_through():
+    x = Fraction(-5, 6)
+    assert parse_scalar(x, Backend.EXACT) is x
+    assert parse_scalar("0.25", Backend.EXACT) == Fraction(1, 4)
+    assert parse_scalar(3, Backend.EXACT) == 3 and type(parse_scalar(3, Backend.EXACT)) is Fraction
+    assert parse_scalar(x, Backend.FLOAT) == -5 / 6
 
 
 def test_det_2x2():

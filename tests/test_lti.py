@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from varsign.linalg import Matrix, NonSquareError
 from varsign.lti import (
     ExtPosStatus,
     LtiSystem,
+    _solve_exact_consistent,
     default_horizon,
     dominant_tail,
     eigen_sorted,
@@ -189,3 +191,109 @@ def test_lti_system_validation():
         LtiSystem(Matrix.exact([[1, 2]]), (1,), (1,))
     with pytest.raises(ValueError):
         LtiSystem(Matrix.identity(2), (1,), (1, 2))
+
+
+# ---------------------------------------------------- exact hot-path references
+
+def _power_reference(sys, N):
+    """g(t) = c A^(t-1) b from explicit matrix powers."""
+    return tuple(sum(ci * xi for ci, xi in zip(sys.c, sys.A.power(t - 1).matvec(sys.b)))
+                 for t in range(1, N + 1))
+
+
+def _float_loop_reference(sys, N):
+    """Float impulse response by the plain state-propagation loop."""
+    x, out = sys.b, []
+    for _ in range(N):
+        out.append(sum(ci * xi for ci, xi in zip(sys.c, x)))
+        x = sys.A.matvec(x)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("A, b, c, N", [
+    ([["1/3", "2/7", 0], ["-5/6", "1/2", "-2/7"], [1, "-1/3", "5/6"]],
+     ("2/7", "-1/3", 1), ("5/6", "1/2", "-3/7"), 12),
+    ([["1/3", "2/7"], ["-5/6", "1/2"]], (0, 0), ("1/3", 1), 6),
+    ([["1/3", "2/7"], ["-5/6", "1/2"]], ("1/3", 1), (0, 0), 6),
+    ([["1/3", "2/7"], ["-5/6", "1/2"]], ("1/3", "-2/7"), ("5/6", 1), 1),
+    ([["-5/6"]], ("2/7",), ("-1/3",), 9),
+    ([[2, -1, 0], [1, 0, 3], [0, -2, 1]], ("1/3", "-5/6", "2/7"), (1, "1/2", -1), 10),
+    ([[2, -1], [1, 3]], (1, -2), (3, 1), 8),
+])
+def test_exact_impulse_matches_matrix_powers(A, b, c, N):
+    sys = LtiSystem(Matrix.exact(A), b, c)
+    g = impulse_response(sys, N)
+    assert g == _power_reference(sys, N)
+    assert all(type(x) is Fraction for x in g)
+
+
+def test_float_impulse_is_bit_identical_to_loop_reference():
+    rng = random.Random(11)
+    for n in range(1, 6):
+        A = Matrix.floating([[rng.uniform(-1.2, 1.2) for _ in range(n)] for _ in range(n)])
+        b = tuple(rng.uniform(-1, 1) for _ in range(n))
+        c = tuple(rng.uniform(-1, 1) for _ in range(n))
+        sys = LtiSystem(A, b, c)
+        assert impulse_response(sys, 40) == _float_loop_reference(sys, 40)
+    assert impulse_response(example3_system(), 30) == _float_loop_reference(example3_system(), 30)
+
+
+def _full_window_recurrence(sys, samples):
+    """Minimal recurrence fitted on every row of the sample window."""
+    H, n = len(samples), sys.n
+    for d in range(1, n + 1):
+        if H - d < max(n, d):
+            return None
+        a = _solve_exact_consistent([samples[t:t + d] for t in range(H - d)],
+                                    [samples[t + d] for t in range(H - d)], d)
+        if a is not None:
+            return d, tuple(a), tuple(samples[:d])
+    return None
+
+
+def _random_exact_system(rng, n, kind):
+    def entry(p_zero):
+        if rng.random() < p_zero:
+            return Fraction(0)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    if kind == "block" and n >= 2:
+        n1 = rng.randint(1, n - 1)
+        A = [[entry(0.2) if (i < n1) == (j < n1) else Fraction(0) for j in range(n)]
+             for i in range(n)]
+        b = [entry(0.1) for _ in range(n)]
+        c = [entry(0.1) for _ in range(n)]
+        # one block inactive: no input reaches it, or no output sees it
+        lo, hi = (0, n1) if rng.random() < 0.5 else (n1, n)
+        target = b if rng.random() < 0.5 else c
+        for i in range(lo, hi):
+            target[i] = Fraction(0)
+    else:
+        p_zero = 0.6 if kind == "sparse" else 0.15
+        A = [[entry(p_zero) for _ in range(n)] for _ in range(n)]
+        b = [entry(0.1) for _ in range(n)]
+        c = [entry(0.1) for _ in range(n)]
+    return LtiSystem(Matrix.exact(A), tuple(b), tuple(c))
+
+
+def test_windowed_recurrence_matches_full_window_solve():
+    rng = random.Random(2024)
+    kinds = ("dense", "sparse", "block")
+    cases = reduced = 0
+    for i in range(330):
+        n = 1 + i % 5
+        sys = _random_exact_system(rng, n, kinds[i % 3])
+        H = (n + 1, 2 * n, 2 * n + 1, 50)[(i // 5) % 4]
+        g = impulse_response(sys, H)
+        want = _full_window_recurrence(sys, g)
+        got = minimal_recurrence_system(sys, g)
+        if want is None:
+            assert got is None
+        else:
+            d, a, b0 = want
+            assert got is not None and got.n == d
+            assert got.A.row(d - 1) == a and got.b == b0
+            reduced += d < n
+        cases += 1
+    assert cases >= 300
+    assert reduced >= 100

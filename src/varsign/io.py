@@ -105,10 +105,9 @@ def render_value(x) -> str:
     """Full-precision text for one scalar; exact decimals when they terminate."""
     if isinstance(x, Fraction):
         den = x.denominator
-        twos = fives = 0
-        while den % 2 == 0:
-            den //= 2
-            twos += 1
+        twos = (den & -den).bit_length() - 1  # trailing zero bits: the factors 2
+        den >>= twos
+        fives = 0
         while den % 5 == 0:
             den //= 5
             fives += 1

@@ -298,22 +298,34 @@ def _dot(a: Sequence[Num], b: Sequence[Num]) -> Num:
 
 
 def det(X: Matrix) -> Num:
-    """Determinant; Bareiss fraction-free elimination on the exact backend."""
+    """Determinant; exact: integer Bareiss on rows lifted by the lcm d_i of their
+    denominators, normalised once as ``Fraction(bareiss, prod(d_i))``."""
     if not X.is_square():
         raise NonSquareError(f"determinant of non-square {X.shape}")
     n = X.rows
     if n == 1:
         return X.data[0][0]
     if X.backend is Backend.EXACT:
-        return _det_bareiss(X)
+        m, scales = _lift_rows(X.data)
+        return Fraction(_bareiss(m), math.prod(scales))
     return _det_partial_pivot(X)
 
 
-def _det_bareiss(X: Matrix) -> Fraction:
-    m = [list(row) for row in X.data]
+def _lift_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Scale each Fraction row by the lcm d_i of its denominators: integer rows and the d_i."""
+    ints, scales = [], []
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return ints, scales
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination; ``m`` is overwritten."""
     n = len(m)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -322,16 +334,15 @@ def _det_bareiss(X: Matrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        pivot = m[k][k]
+                return 0
+        row_k = m[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = m[i]
             factor = row_i[k]
-            row_k = m[k]
             for j in range(k + 1, n):
                 # Bareiss update: division by the previous pivot is exact
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) / prev
-            row_i[k] = Fraction(0)
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
         prev = pivot
     return sign * m[n - 1][n - 1]
 
@@ -369,13 +380,22 @@ def compound(X: Matrix, r: int) -> Matrix:
     """r-th multiplicative compound: all r-minors in lexicographic order.
 
     Computed minor by minor; at desk scale C(n,r)^2 small determinants are
-    cheap and there is no need for a fast compound algorithm.
+    cheap and there is no need for a fast compound algorithm.  Exact X is lifted
+    to integer rows once; each minor is one integer Bareiss over its row scales.
     """
     if not 1 <= r <= min(X.rows, X.cols):
         raise RankOutOfRangeError(f"compound order {r} invalid for shape {X.shape}")
+    out = []
+    if X.backend is Backend.EXACT:
+        m, scales = _lift_rows(X.data)
+        col_sets = list(combinations(range(X.cols), r))
+        for I in combinations(range(X.rows), r):
+            scale = math.prod(scales[i] for i in I)
+            out.append([Fraction(_bareiss([[m[i][j] for j in J] for i in I]), scale)
+                        for J in col_sets])
+        return Matrix(out, X.backend)
     row_sets = lex_tuples(X.rows, r)
     col_sets = lex_tuples(X.cols, r)
-    out = []
     for I in row_sets:
         block = X.submatrix(I, range(1, X.cols + 1))  # rows fixed once per I
         out.append([det(block.submatrix(range(1, r + 1), J)) for J in col_sets])
@@ -412,10 +432,11 @@ def inverse(X: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
 
 
 def rank(X: Matrix, tol: float = DEFAULT_TOL) -> int:
-    """Rank by Gaussian elimination; float pivots must exceed ``tol``."""
-    m = [list(row) for row in X.data]
-    nr, nc = X.rows, X.cols
+    """Rank by Gaussian elimination; float pivots must exceed ``tol``.  Exact rows
+    are lifted to integers (rank unchanged) and eliminated by cross-multiplication."""
     exact = X.backend is Backend.EXACT
+    m = _lift_rows(X.data)[0] if exact else [list(row) for row in X.data]
+    nr, nc = X.rows, X.cols
     r = 0
     for j in range(nc):
         p = None
@@ -431,8 +452,11 @@ def rank(X: Matrix, tol: float = DEFAULT_TOL) -> int:
         m[r], m[p] = m[p], m[r]
         pivot = m[r][j]
         for i in range(r + 1, nr):
-            if m[i][j] != 0:
-                f = m[i][j] / pivot
+            f = m[i][j]
+            if f != 0 and exact:
+                m[i] = [pivot * x - f * y for x, y in zip(m[i], m[r])]
+            elif f != 0:
+                f = f / pivot
                 for jj in range(j, nc):
                     m[i][jj] -= f * m[r][jj]
         r += 1

@@ -516,12 +516,12 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             f"order-preserving VD_{k - 1} established")
     rk = rank(X, tol)
     if rk > k and _all_k_columns_independent(X, k, tol):
-        sr = sign_regular(X, k, strict=False, tol=tol)
+        # sign regularity of orders 1..k, judged on the summaries k_positive built
+        sr = OrderedVerdicts(kp.orders, False, all(s.passes(False) for s in kp.orders.values()))
         if sr.passed:
             return MatrixPropertyCheck(
                 name, CheckStatus.CERTIFIED, "sign regularity with independent columns")
-        bad = next(
-            (j for j, s in sr.orders.items() if s.verdict is SignVerdict.MIXED), None)
+        bad = next((j for j, s in sr.orders.items() if s.verdict is SignVerdict.MIXED), None)
         if bad is not None:
             return MatrixPropertyCheck(
                 name, CheckStatus.REFUTED, "sign regularity with independent columns",

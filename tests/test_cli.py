@@ -1,11 +1,16 @@
 import csv
 import json
+import random
 from fractions import Fraction
 
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file, render_value
+from varsign.linalg import Matrix
+from varsign.lti import LtiSystem, impulse_response
 from varsign.obsv import certify_k_positive
+
+from conftest import observable_pair
 
 
 def write_json(tmp_path, name, payload):
@@ -158,6 +163,58 @@ def test_render_value_decimals():
     assert render_value(Fraction(3)) == "3"
     assert render_value(Fraction(1, 3)) == "1/3"
     assert render_value(0.5) == "0.5"
+
+
+def _render_value_reference(x) -> str:
+    """render_value as it was when it stripped each factor 2 by a division."""
+    if isinstance(x, Fraction):
+        den = x.denominator
+        twos = fives = 0
+        while den % 2 == 0:
+            den //= 2
+            twos += 1
+        while den % 5 == 0:
+            den //= 5
+            fives += 1
+        if den == 1:
+            digits = max(twos, fives)
+            if digits == 0:
+                return str(x.numerator)
+            scaled = x.numerator * 10 ** digits // x.denominator
+            sign = "-" if scaled < 0 else ""
+            body = str(abs(scaled)).rjust(digits + 1, "0")
+            return f"{sign}{body[:-digits]}.{body[-digits:]}"
+        return f"{x.numerator}/{x.denominator}"
+    return repr(x)
+
+
+def test_render_value_matches_division_reference_on_exact_samples():
+    rng = random.Random(9201)
+    values = []
+    for _ in range(6):  # denominators with only 2s, from p/q entries with q <= 2
+        A, c = observable_pair(rng, 3)
+        b = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3))
+        values += impulse_response(LtiSystem(A, b, c), 50)
+    fifths = Matrix.exact([["0.2", "-0.4", "0"], ["0.6", "0.2", "-0.8"], ["0", "0.4", "0.2"]])
+    values += impulse_response(LtiSystem(fifths, ("1", "-0.2", "3"), ("0.4", "1", "-1")), 70)
+    decimal = Matrix.exact([["0.7", "0.6", "-2"], ["0.15", "0.15", "-0.25"], ["0", "0.03", "0.1"]])
+    values += impulse_response(LtiSystem(decimal, ("1", "-0.5", "0.25"), ("1.1", "0.1", "-5.5")), 70)
+    values += [Fraction(0), Fraction(-7), Fraction(1, 3), Fraction(-5, 12), Fraction(7, 30),
+               Fraction(-3, 1 << 40), Fraction(9, 5 ** 30), 0.1, -2.5]
+
+    def only(den, primes):
+        for p in primes:
+            while den % p == 0:
+                den //= p
+        return den == 1
+    dens = [v.denominator for v in values if isinstance(v, Fraction)]
+    assert any(v < 0 for v in values) and any(d == 1 for d in dens)
+    assert any(d > 1 and only(d, (2,)) for d in dens)
+    assert any(d > 1 and only(d, (5,)) for d in dens)
+    assert any(d % 10 == 0 and only(d, (2, 5)) for d in dens)
+    assert any(not only(d, (2, 5)) for d in dens)
+    for v in values:
+        assert render_value(v) == _render_value_reference(v), v
 
 
 def test_report_environment_round_trip(tmp_path):

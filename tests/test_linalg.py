@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from varsign.linalg import (
 )
 from varsign.lti import observability_matrix
 
-from conftest import cofactor_det, minor_by_cofactor, random_exact
+from conftest import cauchy_exact, cofactor_det, minor_by_cofactor, random_exact
 
 PENA = Matrix.exact([[1, 1], [1, 2], [1, 3], [1, 4]])
 
@@ -213,3 +215,169 @@ def test_matrix_validation():
         Matrix([[1, 2], [3]])
     with pytest.raises(SizeMismatchError):
         Matrix.exact([[1]]) @ Matrix.exact([[1, 2], [3, 4]])
+
+
+# --- exact kernel on lifted integer rows, differential against independent references ---
+
+_MIXED = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 6), Fraction(-1, 3), Fraction(-2, 7),
+          Fraction(-5, 6), Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2)]
+
+
+def _mixed(rng, n, m):
+    return Matrix.exact([[rng.choice(_MIXED) for _ in range(m)] for _ in range(n)])
+
+
+def _low_rank(rng, n, m, k):
+    """n x m product of an n x k and a k x m mixed-denominator factor (rank <= k)."""
+    return _mixed(rng, n, k) @ _mixed(rng, k, m)
+
+
+def _square_corpus():
+    rng = random.Random(7001)
+    f = Fraction
+    cases = [
+        Matrix.exact([[f(-5, 6)]]),
+        Matrix.exact([[0]]),
+        # zero leading pivot: the first step swaps rows
+        Matrix.exact([[0, f(1, 3), f(2, 7)], [f(5, 6), -1, 1], [f(2, 7), f(1, 3), 0]]),
+        # zero pivot at a later step: a swap after the first elimination
+        Matrix.exact([[1, 1, f(1, 3)], [1, 1, f(2, 7)], [f(5, 6), f(-1, 3), 1]]),
+        # all-zero first column: det = 0 before any elimination
+        Matrix.exact([[0, f(1, 3), 1], [0, f(2, 7), f(5, 6)], [0, -1, f(1, 3)]]),
+        # column 2 = 2 * column 1: the second pivot column is all zero after one step
+        Matrix.exact([[f(1, 3), f(2, 3), f(1, 7)], [f(2, 7), f(4, 7), f(5, 6)], [-1, -2, 3]]),
+        # two equal rows
+        Matrix.exact([[f(1, 3), f(2, 7), 1], [f(5, 6), -2, f(1, 3)], [f(1, 3), f(2, 7), 1]]),
+    ]
+    for n in range(1, 7):
+        cases += [_mixed(rng, n, n) for _ in range(4)]
+        cases.append(cauchy_exact(rng, n, n))
+    for n, k in [(3, 1), (4, 2), (5, 3), (5, 2), (6, 4)]:
+        cases.append(_low_rank(rng, n, n, k))
+    return cases
+
+
+def _rect_corpus():
+    rng = random.Random(7002)
+    cases = []
+    for n, m in [(1, 3), (3, 1), (3, 3), (4, 2), (2, 5), (5, 3), (6, 4)]:
+        cases += [_mixed(rng, n, m), random_exact(rng, n, m), cauchy_exact(rng, n, m)]
+    cases += [_mixed(rng, 7, 5), cauchy_exact(rng, 7, 5), random_exact(rng, 8, 6),
+              cauchy_exact(rng, 8, 6)]
+    for n, m, k in [(5, 3, 2), (6, 4, 2), (7, 5, 3), (4, 6, 1)]:
+        cases.append(_low_rank(rng, n, m, k))
+    cases.append(Matrix.exact([[0] * 4 for _ in range(3)]))
+    cases.append(Matrix.exact([[1, 2, 3], [0, 0, 0], [Fraction(1, 3), Fraction(2, 7), 0]]))
+    return cases
+
+
+def test_exact_det_matches_cofactor_oracle_on_mixed_denominators():
+    corpus = _square_corpus()
+    assert any(det(X) == 0 for X in corpus) and any(det(X) != 0 for X in corpus)
+    for X in corpus:
+        d = det(X)
+        assert type(d) is Fraction
+        assert d == cofactor_det([list(r) for r in X.data]), X
+
+
+def test_exact_compound_matches_cofactor_minors():
+    for X in _rect_corpus():
+        for r in range(1, min(X.shape) + 1):
+            C = compound(X, r)
+            want = [[minor_by_cofactor(X, I, J) for J in combinations(range(1, X.cols + 1), r)]
+                    for I in combinations(range(1, X.rows + 1), r)]
+            assert C.backend is Backend.EXACT
+            assert all(type(v) is Fraction for row in C.data for v in row)
+            assert [list(row) for row in C.data] == want, (X, r)
+
+
+def _fraction_rank_reference(X):
+    """Row echelon form over Fraction, column by column."""
+    m = [list(row) for row in X.data]
+    r = 0
+    for j in range(X.cols):
+        p = next((i for i in range(r, X.rows) if m[i][j] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        for i in range(r + 1, X.rows):
+            f = m[i][j] / m[r][j]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def test_exact_rank_matches_fraction_elimination():
+    ranks = []
+    for X in _square_corpus() + _rect_corpus():
+        ranks.append((rank(X), min(X.shape)))
+        assert rank(X) == _fraction_rank_reference(X), X
+        assert rank(X.transpose()) == rank(X)
+    assert any(r < full for r, full in ranks) and any(r == full for r, full in ranks)
+
+
+# the float kernel as it was before the exact path moved to integers, kept verbatim
+def _float_det_reference(rows):
+    m = [list(row) for row in rows]
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    detval = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if m[p][k] == 0.0:
+            return 0.0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            detval = -detval
+        pivot = m[k][k]
+        detval *= pivot
+        for i in range(k + 1, n):
+            f = m[i][k] / pivot
+            for j in range(k + 1, n):
+                m[i][j] -= f * m[k][j]
+    return detval
+
+
+def _float_rank_reference(rows, tol=1e-9):
+    m = [list(row) for row in rows]
+    nr, nc = len(m), len(m[0])
+    r = 0
+    for j in range(nc):
+        p = None
+        best = 0
+        for i in range(r, nr):
+            mag = abs(m[i][j])
+            if mag > max(best, tol):
+                p, best = i, mag
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pivot = m[r][j]
+        for i in range(r + 1, nr):
+            if m[i][j] != 0:
+                f = m[i][j] / pivot
+                for jj in range(j, nc):
+                    m[i][jj] -= f * m[r][jj]
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
+def test_float_det_compound_and_rank_are_bit_identical_to_reference():
+    rng = random.Random(7003)
+    corpus = [X.to_float() for X in _rect_corpus()]
+    corpus += [Matrix.floating([[rng.uniform(-2, 2) for _ in range(m)] for _ in range(n)])
+               for n, m in [(3, 3), (5, 5), (6, 6), (7, 4), (8, 6)]]
+    for X in corpus:
+        assert rank(X) == _float_rank_reference(X.data)
+        if X.is_square():
+            assert det(X) == _float_det_reference(X.data)
+        for r in range(1, min(X.shape) + 1):
+            want = [[_float_det_reference([[X[i - 1, j - 1] for j in J] for i in I])
+                     for J in combinations(range(1, X.cols + 1), r)]
+                    for I in combinations(range(1, X.rows + 1), r)]
+            C = compound(X, r)
+            assert C.backend is Backend.FLOAT
+            assert [list(row) for row in C.data] == want

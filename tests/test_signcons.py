@@ -7,6 +7,7 @@ from varsign.linalg import Matrix, compound, det, lex_tuples, minor, rank
 from varsign.lti import observability_matrix
 from varsign.signcons import (
     CheckStatus,
+    MatrixPropertyCheck,
     PreconditionError,
     SignVerdict,
     SingularLeadingBlockError,
@@ -20,6 +21,7 @@ from varsign.signcons import (
     sign_regular,
     vb_matrix_check,
     vd_matrix_check,
+    _all_k_columns_independent,
 )
 
 from conftest import cauchy_exact, random_exact
@@ -283,3 +285,63 @@ def test_vd_matrix_check_examples(rng):
     res = vd_matrix_check(X, 2)
     assert res.status is CheckStatus.CERTIFIED
     assert res.rule == "sign regularity with independent columns"
+
+
+def _vd_reference(X, k, tol=1e-9):
+    """vd_matrix_check as it was when it recomputed sign regularity via sign_regular."""
+    name = f"VD_{k - 1}"
+    kp = k_positive(X, k, strict=False, tol=tol)
+    if kp.passed:
+        return MatrixPropertyCheck(
+            name, CheckStatus.CERTIFIED, "total positivity",
+            f"order-preserving VD_{k - 1} established")
+    rk = rank(X, tol)
+    if rk > k and _all_k_columns_independent(X, k, tol):
+        sr = sign_regular(X, k, strict=False, tol=tol)
+        if sr.passed:
+            return MatrixPropertyCheck(
+                name, CheckStatus.CERTIFIED, "sign regularity with independent columns")
+        bad = next((j for j, s in sr.orders.items() if s.verdict is SignVerdict.MIXED), None)
+        if bad is not None:
+            return MatrixPropertyCheck(
+                name, CheckStatus.REFUTED, "sign regularity with independent columns",
+                f"order {bad} minors are mixed: {sr.orders[bad].witness}")
+        return MatrixPropertyCheck(
+            name, CheckStatus.UNDECIDABLE, "sign regularity with independent columns",
+            "minor signs inside tolerance")
+    return MatrixPropertyCheck(
+        name, CheckStatus.UNDECIDABLE, "hypothesis not met",
+        f"rank={rk}; need rank > k with every {k} columns independent, "
+        "and the total-positivity route did not apply")
+
+
+def _tn_band(rng, n, m):
+    """Totally nonnegative n x m matrix with zero minors: lower times upper positive bidiagonal."""
+    L = Matrix.exact([[rng.randint(1, 3) if i - j in (0, 1) else 0 for j in range(n)]
+                      for i in range(n)])
+    U = Matrix.exact([[rng.randint(1, 3) if j - i in (0, 1) else 0 for j in range(m)]
+                      for i in range(n)])
+    return L @ U
+
+
+def test_vd_matrix_check_matches_sign_regular_reference():
+    rng = random.Random(8101)
+    corpus = []
+    for n, m in [(5, 3), (6, 4), (7, 5)]:
+        corpus += [random_exact(rng, n, m), random_exact(rng, n, m, 0, 3, 2),
+                   cauchy_exact(rng, n, m), cauchy_exact(rng, n, m).reverse_columns(),
+                   _tn_band(rng, n, m).reverse_columns()]
+    corpus += [X.to_float() for X in corpus[:6]]
+    outcomes = set()
+    for X in corpus:
+        for k in range(1, X.cols + 1):
+            got = vd_matrix_check(X, k)
+            assert got == _vd_reference(X, k), (X, k)
+            outcomes.add((got.status, got.rule))
+    assert (CheckStatus.CERTIFIED, "total positivity") in outcomes
+    assert (CheckStatus.CERTIFIED, "sign regularity with independent columns") in outcomes
+    assert (CheckStatus.REFUTED, "sign regularity with independent columns") in outcomes
+    # sign regular with exact zero minors: certified only under the non-strict judgement
+    banded = _tn_band(rng, 5, 3).reverse_columns()
+    assert vd_matrix_check(banded, 2).rule == "sign regularity with independent columns"
+    assert vd_matrix_check(banded, 2).status is CheckStatus.CERTIFIED

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -45,6 +46,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+
+_CHECK_EXIT = {CheckStatus.CERTIFIED: EXIT_PASS,
+               CheckStatus.REFUTED: EXIT_FAIL,
+               CheckStatus.UNDECIDABLE: EXIT_INCONCLUSIVE}
 
 
 def _backend(args) -> Backend:
@@ -87,30 +92,16 @@ def cmd_check_matrix(args) -> int:
             code = (EXIT_PASS if passed
                     else EXIT_INCONCLUSIVE if summary.verdict is SignVerdict.INCONCLUSIVE
                     else EXIT_FAIL)
-        elif prop == "sr":
-            rep = sign_regular(X, args.k, strict, args.tol)
+        elif prop in ("sr", "tp", "stp"):
+            rep = (sign_regular if prop == "sr" else k_positive)(X, args.k, strict, args.tol)
             out["orders"] = {j: s.verdict.value for j, s in rep.orders.items()}
             code = EXIT_PASS if rep.passed else _order_fail_code(rep)
-        elif prop in ("tp", "stp"):
-            rep = k_positive(X, args.k, strict, args.tol)
-            out["orders"] = {j: s.verdict.value for j, s in rep.orders.items()}
-            code = EXIT_PASS if rep.passed else _order_fail_code(rep)
-        elif prop == "vb":
-            check = vb_matrix_check(X, args.k, args.tol)
+        elif prop in ("vb", "vd"):
+            check = (vb_matrix_check if prop == "vb" else vd_matrix_check)(X, args.k, args.tol)
             out["verdict"] = check.status.value
             out["rule"] = check.rule
             out["detail"] = check.detail
-            code = {CheckStatus.CERTIFIED: EXIT_PASS,
-                    CheckStatus.REFUTED: EXIT_FAIL,
-                    CheckStatus.UNDECIDABLE: EXIT_INCONCLUSIVE}[check.status]
-        elif prop == "vd":
-            check = vd_matrix_check(X, args.k, args.tol)
-            out["verdict"] = check.status.value
-            out["rule"] = check.rule
-            out["detail"] = check.detail
-            code = {CheckStatus.CERTIFIED: EXIT_PASS,
-                    CheckStatus.REFUTED: EXIT_FAIL,
-                    CheckStatus.UNDECIDABLE: EXIT_INCONCLUSIVE}[check.status]
+            code = _CHECK_EXIT[check.status]
         else:  # pragma: no cover - argparse restricts choices
             raise InputFileError(f"unknown property {prop}")
     except (RankOutOfRangeError, PreconditionError) as exc:
@@ -179,13 +170,17 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle(args) -> int:
     sf = load_system_file(args.file, Backend.FLOAT)
-    if sf.A is not None and sf.c is not None:
-        report = falsify_operator_vb(sf.A, sf.c, args.k, args.horizon or 50,
+    operator = sf.A is not None and sf.c is not None
+    X = sf.A if operator else _matrix_from_file(sf)
+    if not 1 <= args.k <= X.cols:
+        print(f"error: --k must lie in 1..{X.cols}, got {args.k}", file=sys.stderr)
+        return EXIT_INPUT
+    if operator:
+        report = falsify_operator_vb(X, sf.c, args.k, args.horizon or 50,
                                      args.trials, args.seed, args.tol)
         kind = "operator"
     else:
-        report = falsify_matrix_vb(_matrix_from_file(sf), args.k,
-                                   args.trials, args.seed, args.tol)
+        report = falsify_matrix_vb(X, args.k, args.trials, args.seed, args.tol)
         kind = "matrix"
     payload = {
         "kind": kind,
@@ -244,9 +239,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _argument_error(args) -> str | None:
+    """What is out of range among the numeric options, or None.  Checked here
+    rather than by argparse, whose exit status 2 means inconclusive."""
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        return f"--tol must be finite and >= 0, got {args.tol}"
+    if getattr(args, "horizon", None) is not None and args.horizon < 1:
+        return f"--horizon must be >= 1, got {args.horizon}"
+    if getattr(args, "trials", 1) < 1:
+        return f"--trials must be >= 1, got {args.trials}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _argument_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_INPUT
     if getattr(args, "out", None) is None and args.command == "certify":
         args.out = Path("varsign_out")
     try:

@@ -9,7 +9,12 @@ positivity of a family of compound LTI systems: the impulse response of the
     det(O[alpha, beta]),  alpha = {1..k-r} U (k-r+t : k+t-1),
 
 of the stacked observability matrix O.  Certifying the family therefore
-certifies the operator.
+certifies the operator.  The system's input vector is the contraction
+
+    b_q = sum over S = {1..k-r} U T of C_r(L)[q, T] * C_k(O_n)[S, beta],
+
+L = A^(k-r) O_n^{-1}, read off two compounds; at k = n the last column of
+C_r(A^(n-r) O_n^{-1}) drives the full-order family.
 
 One engine serves every property: the pair's ``_OperatorContext`` analyses
 each compound system once (``lti.analyse``), and ``_certify`` judges the
@@ -21,6 +26,7 @@ operator inherits a sufficient certificate from its two factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -37,8 +43,6 @@ from .linalg import (
     RankOutOfRangeError,
     compound,
     inverse,
-    lex_tuples,
-    minor,
     rank,
 )
 from .lti import (
@@ -78,8 +82,8 @@ class CompoundSystem:
 
 class _OperatorContext:
     """Shared pieces for one observable pair (A, c) at one horizon: O_n, its
-    inverse, the compounds of A and of the leading observability blocks, and
-    one analysis per (k, r, beta) compound system, which is built only there."""
+    inverse, and one memo of the powers of A, each compound once per (matrix,
+    order), and one analysis per (k, r, beta) compound system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
@@ -95,26 +99,30 @@ class _OperatorContext:
             raise NotObservableError(
                 f"observability matrix has rank {rank(self.obs_n, tol)} < {self.n}")
         self.obs_n_inv = inverse(self.obs_n, tol)
-        self._a_r = {}
-        self._c_r = {}
-        self._a_pow = {0: Matrix.identity(self.n, A.backend)}
-        self._analyses = {}
+        self._memo = {("A^p", 0): Matrix.identity(self.n, A.backend)}
+
+    def _cached(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def a_compound(self, r: int) -> Matrix:
-        if r not in self._a_r:
-            self._a_r[r] = compound(self.A, r)
-        return self._a_r[r]
+        return self._cached(("C_r(A)", r), lambda: compound(self.A, r))
 
     def c_compound(self, r: int) -> tuple[Num, ...]:
-        if r not in self._c_r:
-            obs_r = observability_matrix(self.A, self.c, r)
-            self._c_r[r] = compound(obs_r, r).row(0)
-        return self._c_r[r]
+        return self._cached(("C_r(O_r)", r), lambda: compound(
+            observability_matrix(self.A, self.c, r), r).row(0))
 
     def a_power(self, p: int) -> Matrix:
-        if p not in self._a_pow:
-            self._a_pow[p] = self.A @ self.a_power(p - 1)
-        return self._a_pow[p]
+        return self._cached(("A^p", p), lambda: self.A @ self.a_power(p - 1))
+
+    def left_compound(self, p: int, r: int) -> Matrix:
+        """C_r(A^p O_n^{-1}), the product formed in that order."""
+        return self._cached(("C_r(A^p O_n^-1)", p, r),
+                            lambda: compound(self.a_power(p) @ self.obs_n_inv, r))
+
+    def obs_compound(self, k: int) -> Matrix:
+        return self._cached(("C_k(O_n)", k), lambda: compound(self.obs_n, k))
 
     def system(self, k: int, r: int, beta: IndexTuple | None) -> LtiSystem:
         """The (k, r, beta) compound system; beta None is the full-order family."""
@@ -122,18 +130,13 @@ class _OperatorContext:
         return LtiSystem(self.a_compound(r), b, self.c_compound(r))
 
     def analysis(self, k: int, r: int, beta: IndexTuple | None) -> ExtPosAnalysis:
-        key = (k, r, beta)
-        if key not in self._analyses:
-            self._analyses[key] = analyse(self.system(k, r, beta), self.horizon, self.tol)
-        return self._analyses[key]
+        return self._cached(("analysis", k, r, beta), lambda: analyse(
+            self.system(k, r, beta), self.horizon, self.tol))
 
 
 def _full_order_input(ctx: _OperatorContext, r: int) -> tuple[Num, ...]:
-    # r-th compound of the last r columns of A^(n-r) O_n^{-1}; a column vector
-    n = ctx.n
-    tall = (ctx.a_power(n - r) @ ctx.obs_n_inv).submatrix(
-        range(1, n + 1), range(n - r + 1, n + 1))
-    return compound(tall, r).col(0)
+    # the r-minors of A^(n-r) O_n^{-1} on its last r columns
+    return ctx.left_compound(ctx.n - r, r).col(-1)
 
 
 def full_compound_systems(A: Matrix, c: Sequence[Num],
@@ -150,30 +153,20 @@ def full_compound_systems(A: Matrix, c: Sequence[Num],
 
 
 def _minor_trace_input(ctx: _OperatorContext, k: int, r: int, beta: IndexTuple) -> tuple[Num, ...]:
-    """Input vector of the (k, r, beta) system, assembled by subset indexing.
+    """Input vector of the (k, r, beta) system, the contraction
 
-    The driving identity pairs each lexicographic k-subset S of the rows with
-    the coordinate det(O_n[S, beta]); a coordinate contributes only when S
-    contains the anchor 1..k-r, with the remaining r-subset of S selecting
-    columns of A^(k-r) O_n^{-1}.  Subset membership rather than positional
-    zero-padding keeps the pairing immune to ordering mistakes.
+        b_q = sum over S = {1..k-r} U T of C_r(L)[q, T] * C_k(O_n)[S, beta]
+
+    with L = A^(k-r) O_n^{-1} and T running over the r-subsets of
+    {k-r+1..n}.  The k-subsets S that contain the anchor 1..k-r are the
+    first C(n-k+r, r) rows of C_k(O_n), and their parts T are the last as
+    many columns of C_r(L), both in lexicographic order, so the terms are
+    summed in lexicographic order of S.
     """
-    n = ctx.n
-    left = ctx.a_power(k - r) @ ctx.obs_n_inv
-    anchor = frozenset(range(1, k - r + 1))
-    coords = []
-    for S in lex_tuples(n, k):
-        if anchor <= set(S.elems):
-            cols = tuple(sorted(set(S.elems) - anchor))
-            coords.append((cols, minor(ctx.obs_n, S, beta)))
-    b = []
-    for q in lex_tuples(n, r):
-        total = None
-        for cols, weight in coords:
-            term = minor(left, q, cols) * weight
-            total = term if total is None else total + term
-        b.append(total)
-    return tuple(b)
+    left = ctx.left_compound(k - r, r)
+    m = math.comb(ctx.n - k + r, r)
+    weights = ctx.obs_compound(k).col(beta.lex_rank() - 1)[:m]
+    return Matrix([row[-m:] for row in left.data], left.backend).matvec(weights)
 
 
 def compound_system(A: Matrix, c: Sequence[Num], k: int, r: int, beta,

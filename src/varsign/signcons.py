@@ -42,6 +42,7 @@ class SignVerdict(Enum):
 
 
 _STRICT_OK = {SignVerdict.STRICTLY_POSITIVE, SignVerdict.STRICTLY_NEGATIVE}
+_POSITIVE_OK = {SignVerdict.STRICTLY_POSITIVE, SignVerdict.NONNEGATIVE, SignVerdict.ZERO}
 _NONSTRICT_OK = _STRICT_OK | {
     SignVerdict.NONNEGATIVE,
     SignVerdict.NONPOSITIVE,
@@ -104,12 +105,14 @@ def classify_family(labeled_values, backend: Backend, tol: float = DEFAULT_TOL) 
 
 def sign_consistent(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> SignSummary:
     """Reference check: classify every entry of the k-th compound of X."""
-    C = compound(X, k)
-    labels = [
-        ((I.elems, J.elems), C[i, j])
-        for i, I in enumerate(lex_tuples(X.rows, k))
-        for j, J in enumerate(lex_tuples(X.cols, k))
-    ]
+    return _compound_summary(X, compound(X, k), k, tol)
+
+
+def _compound_summary(X: Matrix, C: Matrix, k: int, tol: float) -> SignSummary:
+    """Classify the k-th compound C of X, each entry labelled by its (I, J)."""
+    cols = [J.elems for J in lex_tuples(X.cols, k)]
+    labels = [((I.elems, J), v)
+              for I, row in zip(lex_tuples(X.rows, k), C.data) for J, v in zip(cols, row)]
     return classify_family(labels, X.backend, tol)
 
 
@@ -132,14 +135,8 @@ def sign_regular(X: Matrix, k: int, strict: bool, tol: float = DEFAULT_TOL) -> O
 def k_positive(X: Matrix, k: int, strict: bool, tol: float = DEFAULT_TOL) -> OrderedVerdicts:
     """All minors of order <= k nonnegative (positive when strict)."""
     orders = {j: sign_consistent(X, j, tol) for j in range(1, k + 1)}
-    if strict:
-        passed = all(s.verdict is SignVerdict.STRICTLY_POSITIVE for s in orders.values())
-    else:
-        passed = all(
-            s.verdict in (SignVerdict.STRICTLY_POSITIVE, SignVerdict.NONNEGATIVE, SignVerdict.ZERO)
-            for s in orders.values()
-        )
-    return OrderedVerdicts(orders, strict, passed)
+    ok = {SignVerdict.STRICTLY_POSITIVE} if strict else _POSITIVE_OK
+    return OrderedVerdicts(orders, strict, all(s.verdict in ok for s in orders.values()))
 
 
 @dataclass
@@ -156,6 +153,24 @@ def _consecutive_minors(X: Matrix, r: int):
             yield (rows, tuple(range(j, j + r))), minor(X, rows, tuple(range(j, j + r)))
 
 
+def _positive_orders(X: Matrix, top: int, strict_top: bool, minors, kind: str,
+                     tol: float) -> CertificateResult | None:
+    """First order 1..top whose ``minors(X, r)`` are not positive (nonnegative at
+    the top order unless ``strict_top``) as a failed certificate, else None."""
+    for r in range(1, top + 1):
+        summary = classify_family(minors(X, r), X.backend, tol)
+        want_strict = strict_top or r < top
+        ok = (summary.verdict is SignVerdict.STRICTLY_POSITIVE if want_strict
+              else summary.verdict in _POSITIVE_OK)
+        if not ok:
+            return CertificateResult(
+                False,
+                f"{kind} {r}-minors are not {'positive' if want_strict else 'nonnegative'}",
+                summary.witness,
+            )
+    return None
+
+
 def consecutive_certificate(X: Matrix, k: int, strict_top: bool = True,
                             tol: float = DEFAULT_TOL) -> CertificateResult:
     """Consecutive-minor certificate for (strict) total positivity up to order k.
@@ -166,23 +181,9 @@ def consecutive_certificate(X: Matrix, k: int, strict_top: bool = True,
     """
     if not 1 <= k <= min(X.rows, X.cols):
         raise RankOutOfRangeError(f"order {k} invalid for shape {X.shape}")
-    for r in range(1, k + 1):
-        summary = classify_family(_consecutive_minors(X, r), X.backend, tol)
-        want_strict = strict_top or r < k
-        ok = (
-            summary.verdict is SignVerdict.STRICTLY_POSITIVE
-            if want_strict
-            else summary.verdict
-            in (SignVerdict.STRICTLY_POSITIVE, SignVerdict.NONNEGATIVE, SignVerdict.ZERO)
-        )
-        if not ok:
-            return CertificateResult(
-                False,
-                f"consecutive {r}-minors are not {'positive' if want_strict else 'nonnegative'}",
-                summary.witness,
-            )
     qualifier = "strictly " if strict_top else ""
-    return CertificateResult(True, f"{qualifier}{k}-positive via consecutive minors")
+    return (_positive_orders(X, k, strict_top, _consecutive_minors, "consecutive", tol)
+            or CertificateResult(True, f"{qualifier}{k}-positive via consecutive minors"))
 
 
 def _initial_minors(X: Matrix, r: int):
@@ -205,24 +206,9 @@ def initial_minor_certificate(X: Matrix, strict_top: bool = True,
     min(rows, cols) may be nonnegative; the matrix is then totally positive
     with all lower-order minors positive.
     """
-    top = min(X.rows, X.cols)
-    for r in range(1, top + 1):
-        summary = classify_family(_initial_minors(X, r), X.backend, tol)
-        want_strict = strict_top or r < top
-        ok = (
-            summary.verdict is SignVerdict.STRICTLY_POSITIVE
-            if want_strict
-            else summary.verdict
-            in (SignVerdict.STRICTLY_POSITIVE, SignVerdict.NONNEGATIVE, SignVerdict.ZERO)
-        )
-        if not ok:
-            return CertificateResult(
-                False,
-                f"initial {r}-minors are not {'positive' if want_strict else 'nonnegative'}",
-                summary.witness,
-            )
     conclusion = "strictly totally positive" if strict_top else "totally positive"
-    return CertificateResult(True, conclusion)
+    return (_positive_orders(X, min(X.rows, X.cols), strict_top, _initial_minors, "initial", tol)
+            or CertificateResult(True, conclusion))
 
 
 class SingularLeadingBlockError(LinalgError):
@@ -419,12 +405,11 @@ class MatrixPropertyCheck:
     strict: bool = False  # True when the strict variant was established
 
 
-def _all_k_columns_independent(X: Matrix, k: int, tol: float) -> bool:
-    """Every k-column subset has rank k; checked exhaustively at desk scale."""
-    C = compound(X, k)
+def _all_k_columns_independent(X: Matrix, C: Matrix, k: int, tol: float) -> bool:
+    """Every k-column subset of X has rank k; C is the k-th compound of X.  The
+    rank loop stays: under ``tol`` float rank is stricter than a nonzero column."""
     for j in range(C.cols):
-        col = C.col(j)
-        if all(sign_of(v, X.backend, tol) in (0, None) for v in col):
+        if all(sign_of(v, X.backend, tol) in (0, None) for v in C.col(j)):
             return False
     for J in lex_tuples(X.cols, k):
         if rank(X.submatrix(range(1, X.rows + 1), J), tol) != k:
@@ -464,10 +449,10 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             f"rank={rk}, verdict={s.verdict.value}")
     if rk == k:
         C = compound(X, k)
+        rows = [I.elems for I in lex_tuples(n, k)]
         for j, J in enumerate(lex_tuples(m, k)):
-            col = classify_family(
-                (((I.elems, J.elems), C[i, j]) for i, I in enumerate(lex_tuples(n, k))),
-                X.backend, tol)
+            col = classify_family((((I, J.elems), C[i, j]) for i, I in enumerate(rows)),
+                                  X.backend, tol)
             if col.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(
                     name, CheckStatus.REFUTED, "rank-k compound column sign test",
@@ -480,8 +465,9 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             name, CheckStatus.CERTIFIED, "rank-k compound column sign test",
             "every compound column is one-signed; bound holds for every input")
     if k < rk:
-        if _all_k_columns_independent(X, k, tol):
-            s = sign_consistent(X, k, tol)
+        C = compound(X, k)
+        if _all_k_columns_independent(X, C, k, tol):
+            s = _compound_summary(X, C, k, tol)
             if s.passes(strict=False):
                 return MatrixPropertyCheck(
                     name, CheckStatus.CERTIFIED, "sign consistency with independent columns",
@@ -509,23 +495,23 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     if not 1 <= k <= m:
         raise RankOutOfRangeError(f"order {k} invalid for {X.shape}")
     name = f"VD_{k - 1}"
-    kp = k_positive(X, k, strict=False, tol=tol)
-    if kp.passed:
+    compounds = {j: compound(X, j) for j in range(1, k + 1)}
+    orders = {j: _compound_summary(X, C, j, tol) for j, C in compounds.items()}
+    if all(s.verdict in _POSITIVE_OK for s in orders.values()):
         return MatrixPropertyCheck(
             name, CheckStatus.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
     rk = rank(X, tol)
-    if rk > k and _all_k_columns_independent(X, k, tol):
-        # sign regularity of orders 1..k, judged on the summaries k_positive built
-        sr = OrderedVerdicts(kp.orders, False, all(s.passes(False) for s in kp.orders.values()))
-        if sr.passed:
+    if rk > k and _all_k_columns_independent(X, compounds[k], k, tol):
+        # sign regularity of orders 1..k, judged on the same summaries
+        if all(s.passes(strict=False) for s in orders.values()):
             return MatrixPropertyCheck(
                 name, CheckStatus.CERTIFIED, "sign regularity with independent columns")
-        bad = next((j for j, s in sr.orders.items() if s.verdict is SignVerdict.MIXED), None)
+        bad = next((j for j, s in orders.items() if s.verdict is SignVerdict.MIXED), None)
         if bad is not None:
             return MatrixPropertyCheck(
                 name, CheckStatus.REFUTED, "sign regularity with independent columns",
-                f"order {bad} minors are mixed: {sr.orders[bad].witness}")
+                f"order {bad} minors are mixed: {orders[bad].witness}")
         return MatrixPropertyCheck(
             name, CheckStatus.UNDECIDABLE, "sign regularity with independent columns",
             "minor signs inside tolerance")

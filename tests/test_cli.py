@@ -3,6 +3,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file, render_value
@@ -149,6 +151,37 @@ def test_oracle_cli_matrix_file(tmp_path, capsys):
     f = write_json(tmp_path, "m.json",
                    {"matrix": [["1", "-1"], ["-1", "1"], ["1", "-1"]]})
     assert main(["oracle", str(f), "--k", "1", "--trials", "300", "--seed", "0"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--property", "svb", "--k", "2", "--horizon", "0"],
+    ["certify", "--property", "vd", "--k", "2", "--horizon", "-3"],
+    ["certify", "--property", "svb", "--k", "2", "--tol=-1e-9"],
+    ["certify", "--property", "svb", "--k", "2", "--tol", "nan"],
+    ["oracle", "--k", "2", "--horizon", "0"],
+    ["oracle", "--k", "2", "--horizon", "-3"],
+    ["oracle", "--k", "0"],
+    ["oracle", "--k", "4"],
+    ["oracle", "--k", "2", "--trials", "0"],
+    ["oracle", "--k", "2", "--trials", "-5"],
+    ["oracle", "--k", "2", "--tol", "inf"],
+    ["check-matrix", "--property", "sc", "--k", "1", "--tol=-1"],
+    ["check-matrix", "--property", "vb", "--k", "1", "--tol=-inf"],
+])
+def test_out_of_range_arguments_are_input_errors(tmp_path, capsys, argv):
+    command, *options = argv
+    code = main([command, str(fixture_path("example2")), *options, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k, code", [(0, 3), (3, 3), (1, 1), (2, 1)])
+def test_oracle_matrix_order_ranges_over_columns(tmp_path, capsys, k, code):
+    f = write_json(tmp_path, "m.json",
+                   {"matrix": [["1", "-1"], ["-1", "1"], ["1", "-1"]]})
+    assert main(["oracle", str(f), "--k", str(k), "--trials", "50"]) == code
 
 
 def test_float_entries_warn(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from varsign.linalg import IndexTuple, Matrix, det, inverse, lex_tuples, minor
+from varsign.linalg import IndexTuple, Matrix, compound, det, inverse, lex_tuples, minor
 from varsign.lti import ExtPosStatus, LtiSystem, impulse_response, observability_matrix
 import varsign.obsv as obsv
 from varsign.obsv import (
@@ -93,6 +93,61 @@ def test_compound_system_defining_identity_exact(rng):
                     for t in range(1, 7):
                         alpha = tuple(range(1, k - r + 1)) + tuple(range(k - r + t, k + t))
                         assert g[t - 1] == minor(ON, alpha, beta)
+
+
+def _reference_trace_input(ctx, k, r, beta):
+    # minor-by-minor assembly: each anchored k-subset S of the rows weighs the
+    # r-minors of A^(k-r) O_n^{-1} on the columns S minus the anchor
+    left = ctx.a_power(k - r) @ ctx.obs_n_inv
+    anchor = frozenset(range(1, k - r + 1))
+    coords = []
+    for S in lex_tuples(ctx.n, k):
+        if anchor <= set(S.elems):
+            cols = tuple(sorted(set(S.elems) - anchor))
+            coords.append((cols, minor(ctx.obs_n, S, beta)))
+    b = []
+    for q in lex_tuples(ctx.n, r):
+        total = None
+        for cols, weight in coords:
+            term = minor(left, q, cols) * weight
+            total = term if total is None else total + term
+        b.append(total)
+    return tuple(b)
+
+
+def _reference_full_order_input(ctx, r):
+    n = ctx.n
+    tall = (ctx.a_power(n - r) @ ctx.obs_n_inv).submatrix(
+        range(1, n + 1), range(n - r + 1, n + 1))
+    return compound(tall, r).col(0)
+
+
+def _same_scalars(got, want):
+    return got == want and [(type(x), repr(x)) for x in got] == \
+        [(type(x), repr(x)) for x in want]
+
+
+@pytest.mark.parametrize("arith", ["exact", "float"])
+def test_compound_trace_inputs_match_minor_reference(arith):
+    rng = random.Random(7)
+    checked = 0
+    for n in range(2, 6):
+        for _ in range(3):
+            A, c = observable_pair(rng, n)
+            if arith == "float":
+                A, c = A.to_float(), tuple(float(x) for x in c)
+            ctx = obsv._OperatorContext(A, c)
+            for k in range(1, n + 1):
+                for r in range(1, k + 1):
+                    for entry in beta_family(n, k):
+                        got = obsv._minor_trace_input(ctx, k, r, entry.beta)
+                        want = _reference_trace_input(ctx, k, r, entry.beta)
+                        assert _same_scalars(got, want), (n, k, r, entry.beta)
+                        checked += 1
+            for r in range(1, n + 1):
+                got = obsv._full_order_input(ctx, r)
+                assert _same_scalars(got, _reference_full_order_input(ctx, r)), (n, r)
+    assert checked > 300
 
 
 def test_compound_system_r_equals_k_first_sample(rng):
@@ -244,6 +299,13 @@ def _count_engine_work(monkeypatch):
 
 def test_engine_analyses_each_system_once(monkeypatch):
     contexts, analysed = _count_engine_work(monkeypatch)
+    compounds = []
+
+    def counting_compound(X, r):
+        compounds.append((X, r))
+        return compound(X, r)
+
+    monkeypatch.setattr(obsv, "compound", counting_compound)
     A, c = example2()
     cert = certify_vd(A, c, 3)
     # svb and vb share their family at every order, so the final systems of
@@ -259,6 +321,8 @@ def test_engine_analyses_each_system_once(monkeypatch):
     keys = n + sum(k * len(beta_family(n, k)) for k in range(1, n))
     assert len(contexts) == 1
     assert 0 < len(analysed) <= keys
+    # each context builds one compound per (matrix, order)
+    assert compounds and len(set(compounds)) == len(compounds)
 
 
 def test_example3_hankel_route():

@@ -5,6 +5,7 @@ import pytest
 
 from varsign.linalg import Matrix, compound, det, lex_tuples, minor, rank
 from varsign.lti import observability_matrix
+import varsign.signcons as signcons
 from varsign.signcons import (
     CheckStatus,
     MatrixPropertyCheck,
@@ -53,6 +54,10 @@ def test_k_positive_examples():
     assert not k_positive(Matrix.exact([[1, -1], [1, 1]]), 1, strict=False).passed
     assert k_positive(Matrix.identity(3), 3, strict=False).passed
     assert not k_positive(Matrix.identity(3), 3, strict=True).passed
+    # an all-zero top order is nonnegative
+    ones = Matrix.exact([[1, 1], [1, 1], [1, 1]])
+    assert k_positive(ones, 2, strict=False).passed
+    assert vd_matrix_check(ones, 2).rule == "total positivity"
 
 
 def test_sign_regular_allows_per_order_signs(rng):
@@ -296,7 +301,7 @@ def _vd_reference(X, k, tol=1e-9):
             name, CheckStatus.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
     rk = rank(X, tol)
-    if rk > k and _all_k_columns_independent(X, k, tol):
+    if rk > k and _all_k_columns_independent(X, compound(X, k), k, tol):
         sr = sign_regular(X, k, strict=False, tol=tol)
         if sr.passed:
             return MatrixPropertyCheck(
@@ -345,3 +350,23 @@ def test_vd_matrix_check_matches_sign_regular_reference():
     banded = _tn_band(rng, 5, 3).reverse_columns()
     assert vd_matrix_check(banded, 2).rule == "sign regularity with independent columns"
     assert vd_matrix_check(banded, 2).status is CheckStatus.CERTIFIED
+
+
+@pytest.mark.parametrize("check", [vb_matrix_check, vd_matrix_check])
+def test_vb_and_vd_checks_build_each_compound_once(monkeypatch, check):
+    orders = []
+
+    def counting_compound(X, r):
+        orders.append(r)
+        return compound(X, r)
+
+    monkeypatch.setattr(signcons, "compound", counting_compound)
+    rng = random.Random(3)
+    # both below the rank with every k columns independent; neither totally positive
+    cases = [(random_exact(rng, 8, 6), 3), (cauchy_exact(rng, 6, 4).reverse_columns(), 2)]
+    for X, k in cases:
+        orders.clear()
+        res = check(X, k)
+        assert k < rank(X) and res.rule != "total positivity"
+        assert "independent columns" in res.rule
+        assert orders and len(orders) == len(set(orders)), (check.__name__, orders)

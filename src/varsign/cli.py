@@ -14,6 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .linalg import Backend, LinalgError, RankOutOfRangeError
+from .lti import default_horizon
 from .io import (
     InputFileError,
     SystemFile,
@@ -176,10 +177,12 @@ def cmd_oracle(args) -> int:
         print(f"error: --k must lie in 1..{X.cols}, got {args.k}", file=sys.stderr)
         return EXIT_INPUT
     if operator:
-        report = falsify_operator_vb(X, sf.c, args.k, args.horizon or 50,
+        horizon = args.horizon or default_horizon(X.rows)
+        report = falsify_operator_vb(X, sf.c, args.k, horizon,
                                      args.trials, args.seed, args.tol)
         kind = "operator"
     else:
+        horizon = None
         report = falsify_matrix_vb(X, args.k, args.trials, args.seed, args.tol)
         kind = "matrix"
     payload = {
@@ -191,7 +194,9 @@ def cmd_oracle(args) -> int:
         "suspect_trials": report.suspects,
     }
     if args.out:
-        write_report(args.out, payload, [], _environment(args, trials=args.trials))
+        # the oracle samples in float whatever --arith says
+        env = _environment(args, arith="float", horizon=horizon, trials=args.trials)
+        write_report(args.out, payload, [], env)
     print(json.dumps(payload))
     return EXIT_PASS if report.clean else EXIT_FAIL
 

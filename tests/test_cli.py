@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from varsign.io import load_system_file, render_value
 from varsign.linalg import Matrix
 from varsign.lti import LtiSystem, impulse_response
 from varsign.obsv import certify_k_positive
+from varsign.oracle import falsify_operator_vb
 
 from conftest import observable_pair
 
@@ -151,6 +153,31 @@ def test_oracle_cli_matrix_file(tmp_path, capsys):
     f = write_json(tmp_path, "m.json",
                    {"matrix": [["1", "-1"], ["-1", "1"], ["1", "-1"]]})
     assert main(["oracle", str(f), "--k", "1", "--trials", "300", "--seed", "0"]) == 1
+
+
+def test_oracle_default_horizon_follows_state_dimension(tmp_path, capsys):
+    # y(t) = x1 - 0.9^(t-1) x2 changes sign late when x2 >> x1 > 0; some
+    # sampled states only do so between t = 51 and t = 60
+    diag = ["1", "0.9", "0.5", "0.5", "0.5", "0.5"]
+    f = write_json(tmp_path, "six.json", {
+        "A": [[diag[i] if i == j else "0" for j in range(6)] for i in range(6)],
+        "c": ["1", "-1", "0", "0", "0", "0"]})
+    out = tmp_path / "out"
+    assert main(["oracle", str(f), "--k", "1", "--trials", "200", "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    sf = load_system_file(f)
+    sampled = [asdict(v) for v in falsify_operator_vb(sf.A, sf.c, 1, 60, 200).violations]
+    assert payload["violations"] == json.loads(json.dumps(sampled))
+    assert len(falsify_operator_vb(sf.A, sf.c, 1, 50, 200).violations) < len(sampled)
+    assert json.loads((out / "report.json").read_text())["environment"]["horizon"] == 60
+
+
+def test_oracle_report_records_float_arithmetic(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["oracle", str(fixture_path("example1")), "--k", "2", "--trials", "20",
+                 "--arith", "exact", "--out", str(out)]) == 0
+    env = json.loads((out / "report.json").read_text())["environment"]
+    assert env["arith"] == "float" and env["horizon"] == 50 and env["trials"] == 20
 
 
 @pytest.mark.parametrize("argv", [

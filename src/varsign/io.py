@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .linalg import Backend, Matrix
+from .linalg import Backend, Matrix, int_text
 from .obsv import Certificate, HankelCertificate, SystemVerdict
 
 
@@ -41,13 +42,21 @@ def _parse_entry(value, backend: Backend, warned: list[bool]):
             x = Fraction(value)
         except ValueError as exc:
             raise InputFileError(f"cannot parse entry {value!r} as a decimal") from exc
-        return x if backend is Backend.EXACT else float(x)
+        if backend is Backend.EXACT:
+            return x
+        try:
+            return float(x)
+        except OverflowError as exc:
+            raise InputFileError(f"entry {value!r} is beyond float range") from exc
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFileError(f"entry {value!r} is not a number or decimal string")
-    if isinstance(value, float) and not warned[0]:
-        print("warning: float entries in input file; decimal strings are exact",
-              file=sys.stderr)
-        warned[0] = True
+    if isinstance(value, float):
+        if not math.isfinite(value):  # json.loads accepts NaN and Infinity
+            raise InputFileError(f"entry {value!r} is not a finite number")
+        if not warned[0]:
+            print("warning: float entries in input file; decimal strings are exact",
+                  file=sys.stderr)
+            warned[0] = True
     return Fraction(value) if backend is Backend.EXACT else float(value)
 
 
@@ -101,25 +110,42 @@ def load_system_file(path, backend: Backend = Backend.EXACT) -> SystemFile:
     return SystemFile(str(name), A, b, c, matrix, str(raw.get("notes", "")))
 
 
+_LOG2_5 = math.log2(5)
+
+
 def render_value(x) -> str:
-    """Full-precision text for one scalar; exact decimals when they terminate."""
+    """Full-precision text for one scalar; exact decimals when they terminate.
+
+    A denominator 2^a 5^f renders with d = max(a, f) digits as the integer
+    num 5^(d-f) 2^(d-a).  f is read off the bit length of the odd part: the
+    only power of 5 with bit length L is 5^f with f = ceil((L-1) / log2 5),
+    and one comparison with it confirms or rules out a power of 5.
+    """
     if isinstance(x, Fraction):
-        den = x.denominator
+        num, den = x.numerator, x.denominator
         twos = (den & -den).bit_length() - 1  # trailing zero bits: the factors 2
-        den >>= twos
+        odd = den >> twos
         fives = 0
-        while den % 5 == 0:
-            den //= 5
-            fives += 1
-        if den == 1:
-            digits = max(twos, fives)
-            if digits == 0:
-                return str(x.numerator)
-            scaled = x.numerator * 10 ** digits // x.denominator
-            sign = "-" if scaled < 0 else ""
-            body = str(abs(scaled)).rjust(digits + 1, "0")
-            return f"{sign}{body[:-digits]}.{body[-digits:]}"
-        return f"{x.numerator}/{x.denominator}"
+        if odd > 1:
+            if odd % 5:
+                return f"{int_text(num)}/{int_text(den)}"
+            bits = odd.bit_length()
+            fives = math.ceil((bits - 1) / _LOG2_5)
+            power = 5 ** fives
+            # these run only if float rounding put the estimate off
+            while power.bit_length() < bits:
+                power, fives = power * 5, fives + 1
+            while power.bit_length() > bits:
+                power, fives = power // 5, fives - 1
+            if power != odd:
+                return f"{int_text(num)}/{int_text(den)}"
+        digits = max(twos, fives)
+        if digits == 0:
+            return int_text(num)
+        scaled = num * 5 ** (digits - fives) << (digits - twos)
+        sign = "-" if scaled < 0 else ""
+        body = int_text(abs(scaled)).rjust(digits + 1, "0")
+        return f"{sign}{body[:-digits]}.{body[-digits:]}"
     return repr(x)
 
 
@@ -135,10 +161,8 @@ def write_traces(out_dir, per_system: list[SystemVerdict]) -> list[str]:
     for sv in per_system:
         fname = trace_filename(sv.r, sv.beta.elems if sv.beta is not None else None)
         with open(out_dir / fname, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "g"])
-            for t, value in enumerate(sv.verdict.samples, 1):
-                writer.writerow([t, render_value(value)])
+            csv.writer(fh).writerows([("t", "g"), *(
+                (t, render_value(value)) for t, value in enumerate(sv.verdict.samples, 1))])
         out.append(fname)
     return out
 

@@ -67,6 +67,31 @@ def parse_scalar(value, backend: Backend) -> Num:
     return float(value)
 
 
+def int_text(n: int) -> str:
+    """``str(n)`` for an int of any size.
+
+    ``str`` refuses ints longer than ``sys.get_int_max_str_digits()``
+    decimal digits (4300 by default, never below 640), which exact samples
+    of a system with large entries exceed; longer ints are split in halves
+    by a power of 10.
+    """
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    if n < 0:
+        return "-" + int_text(-n)
+    half = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    hi, lo = divmod(n, 10 ** half)
+    return int_text(hi) + int_text(lo).rjust(half, "0")
+
+
+def scalar_text(x: Num) -> str:
+    """``str(x)`` for a scalar, with ``int_text`` for the parts of a Fraction."""
+    if isinstance(x, Fraction):
+        num = int_text(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{int_text(x.denominator)}"
+    return str(x)
+
+
 def sign_of(x: Num, backend: Backend, tol: float = DEFAULT_TOL):
     """Sign classification: +1, -1, 0 (exact backend only) or None (inconclusive).
 

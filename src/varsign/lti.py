@@ -7,7 +7,9 @@ a finite horizon, and an analytic tail bound derived from a floating-point
 eigen-decomposition.  The bound establishes the sign of every sample beyond
 ``tail_start``, which makes a finite sample check conclusive.  ``analyse``
 gathers both once per system; ``judge`` reads a strict or a non-strict
-verdict off the analysis.
+verdict off the analysis.  Systems on one pair (A, c) that differ only in b
+can share the exact output rows (``output_rows``) and the eigen-
+decomposition (``dominant_modes``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -69,28 +72,55 @@ def default_horizon(n: int) -> int:
     return max(50, 10 * n)
 
 
-def impulse_response(sys: LtiSystem, N: int) -> tuple[Num, ...]:
-    """Samples g(1)..g(N) of g(t) = c A^(t-1) b by iterated state propagation.
+@dataclass(frozen=True)
+class OutputRows:
+    """Integer output rows of one exact pair (A, c), shared by every input b.
 
-    The exact backend propagates integers: with D_A, D_b, D_c the lcm of the
-    denominators of A, b and c, x(t) = (D_A A)^(t-1) (D_b b) is integral and
-    g(t) = (D_c c) x(t) / (D_b D_c D_A^(t-1)).  The samples are the same
-    Fractions, reduced once each instead of at every multiply-add.
+    With D_A and D_c the lcm of the denominators of A and c, ``rows[t-1]``
+    is the integer vector w_t = (D_c c)(D_A A)^(t-1) and ``dens[t-1]`` is
+    D_c D_A^(t-1), so that c A^(t-1) = w_t / dens[t-1].
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
+
+
+def output_rows(A: Matrix, c: Sequence[Fraction], N: int) -> OutputRows:
+    """The rows w_1..w_N of an exact pair (A, c)."""
+    if N < 1:
+        raise ValueError("horizon must be >= 1")
+    dA = math.lcm(*(x.denominator for row in A.data for x in row))
+    dc = math.lcm(*(x.denominator for x in c))
+    cols = list(zip(*([x.numerator * (dA // x.denominator) for x in row] for row in A.data)))
+    w = tuple(x.numerator * (dc // x.denominator) for x in c)
+    rows, dens = [w], [dc]
+    for _ in range(N - 1):
+        w = tuple(sum(map(mul, w, col)) for col in cols)
+        rows.append(w)
+        dens.append(dens[-1] * dA)
+    return OutputRows(tuple(rows), tuple(dens))
+
+
+def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None) -> tuple[Num, ...]:
+    """Samples g(1)..g(N) of g(t) = c A^(t-1) b.
+
+    The exact backend reads them off the integer output rows of (A, c)
+    (``output_rows``; ``rows`` passes ones built earlier for the same A, c
+    and at least N samples): with D_b the lcm of the denominators of b,
+    g(t) = w_t (D_b b) / (D_b dens[t-1]), one reduction per sample.  The
+    float backend propagates the state.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
     if sys.backend is Backend.EXACT:
-        dA, db, dc = (math.lcm(*(x.denominator for x in v))
-                      for v in ([x for row in sys.A.data for x in row], sys.b, sys.c))
-        A = [[x.numerator * (dA // x.denominator) for x in row] for row in sys.A.data]
-        x = [v.numerator * (db // v.denominator) for v in sys.b]
-        c = [v.numerator * (dc // v.denominator) for v in sys.c]
-        den, out = db * dc, []
-        for _ in range(N):
-            out.append(Fraction(sum(ci * xi for ci, xi in zip(c, x)), den))
-            x = [sum(a * xi for a, xi in zip(row, x)) for row in A]
-            den *= dA
-        return tuple(out)
+        if rows is None:
+            rows = output_rows(sys.A, sys.c, N)
+        elif len(rows.dens) < N:
+            raise ValueError("output rows are shorter than the horizon")
+        db = math.lcm(*(x.denominator for x in sys.b))
+        b = [x.numerator * (db // x.denominator) for x in sys.b]
+        return tuple(Fraction(sum(map(mul, w, b)), den * db)
+                     for w, den in zip(rows.rows[:N], rows.dens))
     x = sys.b
     out = []
     for _ in range(N):
@@ -186,40 +216,77 @@ class TailCertificate:
         return abs(self.residue) * ratio ** (t - 1) - self.residual_sum
 
 
-def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL) -> tuple[TailCertificate | None, str]:
+@dataclass(frozen=True)
+class DominantModes:
+    """One float eigen-decomposition of a state matrix A, with the output
+    row c, shared by every input b of the pair (A, c).
+
+    ``note`` is set when no input can have an eigen tail and says why;
+    otherwise ``V`` holds the eigenvectors, ``y`` = c V, ``lead`` the index
+    of the dominant eigenvalue ``lam1`` and ``sub`` the largest modulus
+    below it.
+    """
+
+    note: str
+    V: np.ndarray | None = None
+    y: np.ndarray | None = None
+    lead: int = 0
+    lam1: complex = 0j
+    sub: float = 0.0
+
+
+def dominant_modes(A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL) -> DominantModes:
+    """The decomposition ``dominant_tail`` needs, up to the input vector."""
+    n = A.rows
+    try:
+        Af = np.array(A.to_float().data, dtype=float)
+        cf = np.array([float(x) for x in c], dtype=float)
+    except OverflowError:
+        return DominantModes("state matrix or output row exceeds float range; no eigen tail")
+    try:
+        lam, V = np.linalg.eig(Af)
+    except np.linalg.LinAlgError as exc:
+        return DominantModes(f"eigen-decomposition failed: {exc}")
+    order = sorted(range(n), key=lambda i: (-abs(lam[i]), -lam[i].real, -lam[i].imag))
+    lam1 = lam[order[0]]
+    if abs(lam1.imag) > tol * max(1.0, abs(lam1)) or lam1.real <= tol:
+        return DominantModes("dominant eigenvalue is not decisively real positive")
+    sub = max((abs(lam[i]) for i in order[1:]), default=0.0)
+    if abs(lam1) - sub <= tol * max(1.0, abs(lam1)):
+        return DominantModes("no modulus gap below the dominant eigenvalue (repeated or defective)")
+    return DominantModes("", V, cf.astype(complex) @ V, order[0], lam1, sub)
+
+
+def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL,
+                  modes: DominantModes | None = None) -> tuple[TailCertificate | None, str]:
     """Tail certificate from a simple, real, positive dominant eigenvalue.
 
     Returns (certificate, note); the note explains a missing certificate.
     Requires a strict modulus gap (which excludes defective dominant
     eigenvalues) and a decisively nonzero dominant residue c v w b.
+    ``modes`` passes ``dominant_modes(sys.A, sys.c, tol)`` built earlier,
+    so that only the residues are solved for here.
     """
-    n = sys.n
-    Af = np.array(sys.A.to_float().data, dtype=float)
-    bf = np.array([float(x) for x in sys.b], dtype=float)
-    cf = np.array([float(x) for x in sys.c], dtype=float)
+    if modes is None:
+        modes = dominant_modes(sys.A, sys.c, tol)
+    if modes.note:
+        return None, modes.note
     try:
-        lam, V = np.linalg.eig(Af)
-    except np.linalg.LinAlgError as exc:
-        return None, f"eigen-decomposition failed: {exc}"
-    order = sorted(range(n), key=lambda i: (-abs(lam[i]), -lam[i].real, -lam[i].imag))
-    lam1 = lam[order[0]]
-    if abs(lam1.imag) > tol * max(1.0, abs(lam1)) or lam1.real <= tol:
-        return None, "dominant eigenvalue is not decisively real positive"
-    sub = max((abs(lam[i]) for i in order[1:]), default=0.0)
-    if abs(lam1) - sub <= tol * max(1.0, abs(lam1)):
-        return None, "no modulus gap below the dominant eigenvalue (repeated or defective)"
+        bf = np.array([float(x) for x in sys.b], dtype=float)
+    except OverflowError:
+        return None, "input vector exceeds float range; no eigen tail"
     try:
-        x = np.linalg.solve(V, bf.astype(complex))
+        x = np.linalg.solve(modes.V, bf.astype(complex))
     except np.linalg.LinAlgError:
         return None, "eigenvector matrix is singular to working precision"
-    y = cf.astype(complex) @ V
-    residues = y * x
+    residues = modes.y * x
     scale = float(np.abs(residues).sum())
-    rho1 = residues[order[0]]
+    rho1 = residues[modes.lead]
     if abs(rho1) <= tol * max(1.0, scale):
         return None, "dominant mode has negligible residue (unobservable or uncontrollable)"
     rest = scale - abs(rho1)
     sign = 1 if rho1.real > 0 else -1
+    lam1, sub = modes.lam1, modes.sub
     # safety factor absorbs eigen-solver rounding in the bound itself
     guard = 1.0 + 1e-9
     if sub == 0.0:
@@ -344,14 +411,16 @@ class ExtPosAnalysis:
     notes: tuple[str, ...]
 
 
-def analyse(sys: LtiSystem, horizon: int | None = None,
-            tol: float = DEFAULT_TOL) -> ExtPosAnalysis:
-    """Sample the impulse response and certify its tail."""
+def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL,
+            rows: OutputRows | None = None,
+            modes: DominantModes | None = None) -> ExtPosAnalysis:
+    """Sample the impulse response and certify its tail; ``rows`` and
+    ``modes`` pass what the systems on one pair (A, c) share."""
     horizon = horizon if horizon is not None else default_horizon(sys.n)
-    g = impulse_response(sys, horizon)
+    g = impulse_response(sys, horizon, rows)
     backend = sys.backend
     notes = []
-    tail, tail_note = dominant_tail(sys, tol)
+    tail, tail_note = dominant_tail(sys, tol, modes)
     if tail is None and backend is Backend.EXACT:
         reduced = minimal_recurrence_system(sys, g)
         if reduced is not None:

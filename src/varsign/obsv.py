@@ -44,20 +44,25 @@ from .linalg import (
     compound,
     inverse,
     rank,
+    scalar_text,
 )
 from .lti import (
+    DominantModes,
     ExtPosAnalysis,
     ExtPosStatus,
     ExtPosVerdict,
     LtiSystem,
     OrderedSpectrum,
+    OutputRows,
     analyse,
     default_horizon,
+    dominant_modes,
     dominant_tail,
     eigen_sorted,
     impulse_response,
     judge,
     observability_matrix,
+    output_rows,
 )
 from .variation import v_minus
 
@@ -83,7 +88,9 @@ class CompoundSystem:
 class _OperatorContext:
     """Shared pieces for one observable pair (A, c) at one horizon: O_n, its
     inverse, and one memo of the powers of A, each compound once per (matrix,
-    order), and one analysis per (k, r, beta) compound system."""
+    order), the integer output rows and the eigen-decomposition of each
+    order's pair (C_r(A), c_r), which all systems of that order share, and
+    one analysis per (k, r, beta) compound system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
@@ -129,9 +136,21 @@ class _OperatorContext:
         b = _full_order_input(self, r) if beta is None else _minor_trace_input(self, k, r, beta)
         return LtiSystem(self.a_compound(r), b, self.c_compound(r))
 
+    def output_rows(self, r: int) -> OutputRows | None:
+        """Integer output rows of (C_r(A), c_r), exact backend only."""
+        if self.A.backend is not Backend.EXACT:
+            return None
+        return self._cached(("rows", r), lambda: output_rows(
+            self.a_compound(r), self.c_compound(r), self.horizon))
+
+    def modes(self, r: int) -> DominantModes:
+        return self._cached(("modes", r), lambda: dominant_modes(
+            self.a_compound(r), self.c_compound(r), self.tol))
+
     def analysis(self, k: int, r: int, beta: IndexTuple | None) -> ExtPosAnalysis:
         return self._cached(("analysis", k, r, beta), lambda: analyse(
-            self.system(k, r, beta), self.horizon, self.tol))
+            self.system(k, r, beta), self.horizon, self.tol,
+            self.output_rows(r), self.modes(r)))
 
 
 def _full_order_input(ctx: _OperatorContext, r: int) -> tuple[Num, ...]:
@@ -278,7 +297,8 @@ def _witness(rows, forced_sign: int | None) -> str | None:
         ref = ref or v.sample_sign
         if ref and -ref in signs:
             t = signs.index(-ref) + 1
-            return (f"system {sv.label()}: {v.status.value}, g({t}) = {v.samples[t - 1]} "
+            return (f"system {sv.label()}: {v.status.value}, "
+                    f"g({t}) = {scalar_text(v.samples[t - 1])} "
                     f"against the {'forced ' if forced_sign else ''}family sign {ref:+d}")
         if v.status is ExtPosStatus.VIOLATED:
             return f"system {sv.label()}: violated at t={v.first_violation[0]} ({v.notes[-1]})"

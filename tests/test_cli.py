@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import varsign.io
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file, render_value
@@ -248,7 +249,7 @@ def _render_value_reference(x) -> str:
     return repr(x)
 
 
-def test_render_value_matches_division_reference_on_exact_samples():
+def test_render_value_matches_division_reference_on_exact_samples(monkeypatch):
     rng = random.Random(9201)
     values = []
     for _ in range(6):  # denominators with only 2s, from p/q entries with q <= 2
@@ -273,8 +274,71 @@ def test_render_value_matches_division_reference_on_exact_samples():
     assert any(d > 1 and only(d, (5,)) for d in dens)
     assert any(d % 10 == 0 and only(d, (2, 5)) for d in dens)
     assert any(not only(d, (2, 5)) for d in dens)
+    # edge cases of reading the power of 5 off the bit length of the odd
+    # part: every power up to 5^2000 (each a bit length of its own), the odd
+    # multiples of 5 at both ends of every bit length they reach, mixed
+    # 2^a 5^b, and denominators with other odd factors, which stay p/q
+    for f in range(2001):
+        values.append(Fraction(1 if f % 7 else -3, 5 ** f))
+    for bits in range(3, (5 ** 2000).bit_length() + 2):
+        low = -(-(1 << (bits - 1)) // 5)  # smallest multiple of 5 with this bit length
+        high = ((1 << bits) - 1) // 5
+        values += [Fraction(1, 5 * (low | 1)), Fraction(1, 5 * (high - 1 + high % 2))]
+    for a, b in ((0, 3), (1, 7), (5, 40), (12, 300), (3, 0), (9, 2), (60, 7), (700, 150)):
+        values += [Fraction(7, 2 ** a * 5 ** b), Fraction(-1, 2 ** a * 5 ** b)]
+    for f in (1, 2, 10, 97, 500):
+        values += [Fraction(1, 3 * 5 ** f), Fraction(2, 7 * 2 ** f), Fraction(1, 5 ** f + 2)]
+    values += [Fraction(0), Fraction(-12), Fraction(5 ** 40), Fraction(-(2 ** 90)),
+               0.1, -1e-300, 3.0, 1 / 3]
     for v in values:
         assert render_value(v) == _render_value_reference(v), v
+    assert render_value(Fraction(1, 3 * 5 ** 10)) == f"1/{3 * 5 ** 10}"
+    assert render_value(Fraction(1, 7 * 2 ** 10)) == f"1/{7 * 2 ** 10}"
+    assert render_value(Fraction(1, 5 ** 3)) == "0.008"
+    assert render_value(1 / 3) == repr(1 / 3)
+    # a power of 5 is found even where the estimate from the bit length is off
+    powers = [Fraction(1, 5 ** f) for f in range(0, 2001, 37)]
+    for log2_5 in (2.2, 2.45):
+        monkeypatch.setattr(varsign.io, "_LOG2_5", log2_5)
+        for v in powers:
+            assert render_value(v) == _render_value_reference(v), (log2_5, v)
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", '"1e400"'])
+@pytest.mark.parametrize("command", [
+    ["certify", "--property", "svb", "--k", "1", "--arith", "float"],
+    ["oracle", "--k", "1", "--trials", "5"],
+])
+def test_float_mode_rejects_nonfinite_entries(tmp_path, capsys, entry, command):
+    f = tmp_path / "bad.json"
+    f.write_text('{"A": [["0.5", "0"], ["0", "0.25"]], "b": ["1", "1"], "c": [%s, "1"]}' % entry)
+    assert main(command[:1] + [str(f)] + command[1:] + ["--out", str(tmp_path / "o")]) == 3
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_exact_mode_rejects_nonfinite_entries(tmp_path, capsys, entry):
+    f = tmp_path / "bad.json"
+    f.write_text('{"A": [["0.5", "0"], ["0", "0.25"]], "c": [%s, "1"]}' % entry)
+    assert main(["certify", str(f), "--property", "svb", "--k", "1",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["A", "c"])
+@pytest.mark.parametrize("prop", ["svb", "kpos"])
+def test_exact_mode_handles_entries_beyond_float_range(tmp_path, capsys, where, prop):
+    system = {"A": [["0.5", "0"], ["1", "0.25"]], "c": ["1", "1"]}
+    if where == "A":
+        system["A"][0][0] = "1e400"
+    else:
+        system["c"][0] = "1e400"
+    f = write_json(tmp_path, "big.json", system)
+    code = main(["certify", str(f), "--property", prop, "--k", "2", "--out", str(tmp_path / "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["certificate"]["conclusion"] in ("certified", "refuted", "inconclusive")
 
 
 def test_report_environment_round_trip(tmp_path):

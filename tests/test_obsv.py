@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 
 from varsign.linalg import IndexTuple, Matrix, compound, det, inverse, lex_tuples, minor
-from varsign.lti import ExtPosStatus, LtiSystem, impulse_response, observability_matrix
+from varsign.lti import (
+    ExtPosStatus,
+    LtiSystem,
+    dominant_tail,
+    impulse_response,
+    observability_matrix,
+    output_rows,
+)
+from varsign.fixtures import path as fixture_path
+from varsign.io import load_system_file
 import varsign.obsv as obsv
 from varsign.obsv import (
     Conclusion,
@@ -148,6 +157,77 @@ def test_compound_trace_inputs_match_minor_reference(arith):
                 got = obsv._full_order_input(ctx, r)
                 assert _same_scalars(got, _reference_full_order_input(ctx, r)), (n, r)
     assert checked > 300
+
+
+def _propagated_impulse_reference(sys, N):
+    """Exact samples by per-system integer state propagation, as
+    ``impulse_response`` computed them before it read them off shared
+    output rows."""
+    dA, db, dc = (math.lcm(*(x.denominator for x in v))
+                  for v in ([x for row in sys.A.data for x in row], sys.b, sys.c))
+    A = [[x.numerator * (dA // x.denominator) for x in row] for row in sys.A.data]
+    x = [v.numerator * (db // v.denominator) for v in sys.b]
+    c = [v.numerator * (dc // v.denominator) for v in sys.c]
+    den, out = db * dc, []
+    for _ in range(N):
+        out.append(Fraction(sum(ci * xi for ci, xi in zip(c, x)), den))
+        x = [sum(a * xi for a, xi in zip(row, x)) for row in A]
+        den *= dA
+    return tuple(out)
+
+
+def _shared_sampling_pairs():
+    rng = random.Random(4417)
+    pairs = [observable_pair(rng, n) for n in (2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5)]
+    ex3 = load_system_file(fixture_path("example3"))
+    # example1 and example2 carry no b: drive them along b = c
+    for A, b, c in (example1() + (example1()[1],), example2() + (example2()[1],),
+                    (ex3.A, ex3.b, ex3.c)):
+        pairs += [(A, c), (A.transpose(), b)]  # obsv and ctrb
+    return pairs
+
+
+def test_shared_sampling_matches_per_system_reference():
+    """Samples read off one order's shared output rows equal the old
+    per-system state propagation, and the tail from the order's shared
+    eigen-decomposition equals a per-system ``dominant_tail``."""
+    systems = tails = 0
+    for A, c in _shared_sampling_pairs():
+        n = A.rows
+        keys = [(k, r, e.beta) for k in range(1, n + 1) for r in range(1, k + 1)
+                for e in beta_family(n, k)] + [(n, r, None) for r in range(1, n + 1)]
+        ctx = obsv._OperatorContext(A, c, horizon=50)
+        fctx = obsv._OperatorContext(A.to_float(), tuple(map(float, c)), horizon=50)
+        for key in keys:
+            r = key[1]
+            sys = ctx.system(*key)
+            want = _propagated_impulse_reference(sys, 50)
+            for horizon in (1, n, 50):
+                rows = (ctx.output_rows(r) if horizon == 50 else
+                        output_rows(ctx.a_compound(r), ctx.c_compound(r), horizon))
+                got = impulse_response(sys, horizon, rows)
+                assert got == want[:horizon], (n, horizon, key)
+                assert all(type(x) is Fraction for x in got)
+                assert impulse_response(sys, horizon) == got
+            for context, system in ((ctx, sys), (fctx, fctx.system(*key))):
+                tail = dominant_tail(system, context.tol, context.modes(r))
+                assert tail == dominant_tail(system, context.tol), (n, key)
+                tails += tail[0] is not None
+            systems += 1
+    assert systems > 500 and tails > 200
+
+
+def test_shared_eigen_note_lands_on_every_system():
+    """A note of an order's shared eigen step reaches each of its systems."""
+    cases = [(Matrix.exact([["1e400", "0"], ["1", "0.5"]]), "exceeds float range"),
+             (Matrix.exact([["0", "-1"], ["1", "0"]]), "not decisively real positive"),
+             (Matrix.exact([["1", "0"], ["0", "-1"]]), "no modulus gap")]
+    for A, note in cases:
+        ctx = obsv._OperatorContext(A, (Fraction(1), Fraction(1)), horizon=4)
+        for key in [(1, 1, e.beta) for e in beta_family(2, 1)] + [(2, 1, None)]:
+            system = ctx.system(*key)
+            assert note in dominant_tail(system, ctx.tol, ctx.modes(1))[1], (A, key)
+            assert note in dominant_tail(system, ctx.tol)[1], (A, key)
 
 
 def test_compound_system_r_equals_k_first_sample(rng):

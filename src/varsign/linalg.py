@@ -155,25 +155,6 @@ class IndexTuple:
             prev = v
         return rank + 1
 
-    @classmethod
-    def unrank(cls, n: int, r: int, rank: int) -> "IndexTuple":
-        """Inverse of :meth:`lex_rank` (1-based rank)."""
-        total = math.comb(n, r)
-        if not 1 <= rank <= total:
-            raise IndexOutOfRangeError(f"rank {rank} outside 1..{total}")
-        remaining = rank - 1
-        elems = []
-        prev = 0
-        for i in range(r):
-            for c in range(prev + 1, n + 1):
-                block = math.comb(n - c, r - i - 1)
-                if remaining < block:
-                    elems.append(c)
-                    prev = c
-                    break
-                remaining -= block
-        return cls(n, tuple(elems))
-
 
 def lex_tuples(n: int, r: int) -> list[IndexTuple]:
     """All C(n, r) strictly increasing r-tuples from ``1..n`` in lexicographic order."""
@@ -291,27 +272,10 @@ class Matrix:
             raise SizeMismatchError("vector length mismatch")
         return tuple(_dot(v, col) for col in zip(*self.data))
 
-    def power(self, p: int) -> "Matrix":
-        if not self.is_square():
-            raise NonSquareError("matrix power needs a square matrix")
-        if p < 0:
-            raise LinalgError("negative powers not supported; invert first")
-        result = Matrix.identity(self.rows, self.backend)
-        base = self
-        while p:
-            if p & 1:
-                result = result @ base
-            base = base @ base if p > 1 else base
-            p >>= 1
-        return result
-
     def to_float(self) -> "Matrix":
         if self.backend is Backend.FLOAT:
             return self
         return Matrix([[float(x) for x in row] for row in self.data], Backend.FLOAT)
-
-    def reverse_columns(self) -> "Matrix":
-        return Matrix([tuple(reversed(row)) for row in self.data], self.backend)
 
 
 def _dot(a: Sequence[Num], b: Sequence[Num]) -> Num:
@@ -333,7 +297,7 @@ def det(X: Matrix) -> Num:
     if X.backend is Backend.EXACT:
         m, scales = _lift_rows(X.data)
         return Fraction(_bareiss(m), math.prod(scales))
-    return _det_partial_pivot(X)
+    return _det_partial_pivot([list(row) for row in X.data])
 
 
 def _lift_rows(rows) -> tuple[list[list[int]], list[int]]:
@@ -372,9 +336,12 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_partial_pivot(X: Matrix) -> float:
-    m = [list(row) for row in X.data]
+def _det_partial_pivot(m: list[list[float]]) -> float:
+    """Determinant of a square float matrix by partial pivoting; ``m`` is overwritten.
+    A 1 x 1 matrix is its entry, signed zero included."""
     n = len(m)
+    if n == 1:
+        return m[0][0]
     detval = 1.0
     for k in range(n):
         p = max(range(k, n), key=lambda i: abs(m[i][k]))
@@ -407,23 +374,22 @@ def compound(X: Matrix, r: int) -> Matrix:
     Computed minor by minor; at desk scale C(n,r)^2 small determinants are
     cheap and there is no need for a fast compound algorithm.  Exact X is lifted
     to integer rows once; each minor is one integer Bareiss over its row scales.
+    Float minors run partial pivoting on the rows as they are.
     """
     if not 1 <= r <= min(X.rows, X.cols):
         raise RankOutOfRangeError(f"compound order {r} invalid for shape {X.shape}")
+    exact = X.backend is Backend.EXACT
+    m, scales = _lift_rows(X.data) if exact else (X.data, None)
+    det_of = _bareiss if exact else _det_partial_pivot
+    col_sets = list(combinations(range(X.cols), r))
     out = []
-    if X.backend is Backend.EXACT:
-        m, scales = _lift_rows(X.data)
-        col_sets = list(combinations(range(X.cols), r))
-        for I in combinations(range(X.rows), r):
+    for I in combinations(range(X.rows), r):
+        block = [m[i] for i in I]
+        dets = [det_of([[row[j] for j in J] for row in block]) for J in col_sets]
+        if exact:
             scale = math.prod(scales[i] for i in I)
-            out.append([Fraction(_bareiss([[m[i][j] for j in J] for i in I]), scale)
-                        for J in col_sets])
-        return Matrix(out, X.backend)
-    row_sets = lex_tuples(X.rows, r)
-    col_sets = lex_tuples(X.cols, r)
-    for I in row_sets:
-        block = X.submatrix(I, range(1, X.cols + 1))  # rows fixed once per I
-        out.append([det(block.submatrix(range(1, r + 1), J)) for J in col_sets])
+            dets = [Fraction(d, scale) for d in dets]
+        out.append(dets)
     return Matrix(out, X.backend)
 
 

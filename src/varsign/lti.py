@@ -447,86 +447,58 @@ def judge(analysis: ExtPosAnalysis, strict: bool = True) -> ExtPosVerdict:
     Samples cover t in 1..horizon; a tail certificate (when one exists)
     covers t >= tail_start analytically.  Exact samples are decided exactly;
     float samples inside the tolerance band are decisive for nothing, and are
-    acceptable only where the tail bound already applies.
+    acceptable only where the tail bound already applies.  The verdict keeps
+    the tail and the sample sign exactly when the decisive samples carry one
+    strict sign.
     """
     horizon, g, signs, tail = analysis.horizon, analysis.samples, analysis.signs, analysis.tail
-    backend = analysis.backend
+    exact = analysis.backend is Backend.EXACT
     notes = list(analysis.notes)
     first_pos = next((t for t, s in enumerate(signs, 1) if s == 1), None)
     first_neg = next((t for t, s in enumerate(signs, 1) if s == -1), None)
+    sign = None if first_pos and first_neg else 1 if first_pos else -1 if first_neg else None
     suspects = tuple(t for t, s in enumerate(signs, 1) if s is None)
+    zero_times = [t for t, s in enumerate(signs, 1) if s == 0]
+    early = [t for t in suspects if tail is None or t < tail.start]
+    violation = None
 
     if first_pos and first_neg:
         t_bad = max(first_pos, first_neg)
-        return ExtPosVerdict(ExtPosStatus.VIOLATED, horizon, g, None,
-                             (t_bad, g[t_bad - 1]), suspects,
-                             tuple(notes + ["samples of both strict signs"]))
-
-    s_star = 1 if first_pos else (-1 if first_neg else None)
-    if s_star is None:
-        # no decisive sample at all
-        if backend is Backend.EXACT and horizon >= analysis.n:
-            # n consecutive zeros of the order-n recurrence force g identically zero
-            if strict:
-                return ExtPosVerdict(ExtPosStatus.VIOLATED, horizon, g, None, (1, g[0]),
-                                     (), tuple(notes + ["impulse response is identically zero"]))
-            return ExtPosVerdict(ExtPosStatus.NONNEGATIVE, horizon, g, None, None, (),
-                                 tuple(notes + ["impulse response is identically zero"]))
-        return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, None, None, suspects,
-                             tuple(notes + ["no decisive sample over the horizon"]))
-
-    zero_times = tuple(t for t, s in enumerate(signs, 1) if s == 0)
-    cover = tail.start if tail else None
-
-    if strict:
-        if backend is Backend.EXACT and zero_times:
-            t0 = zero_times[0]
-            return ExtPosVerdict(ExtPosStatus.VIOLATED, horizon, g, tail, (t0, g[t0 - 1]),
-                                 suspects, tuple(notes + ["zero sample under a strict requirement"]),
-                                 sample_sign=s_star)
-        early = [t for t in suspects if cover is None or t < cover]
+        status, violation = ExtPosStatus.VIOLATED, (t_bad, g[t_bad - 1])
+        notes.append("samples of both strict signs")
+    elif sign is None and exact and horizon >= analysis.n:
+        # n consecutive zeros of the order-n recurrence force g identically zero
+        status = ExtPosStatus.VIOLATED if strict else ExtPosStatus.NONNEGATIVE
+        violation = (1, g[0]) if strict else None
+        notes.append("impulse response is identically zero")
+    elif sign is None:
+        status = ExtPosStatus.HORIZON_ONLY
+        notes.append("no decisive sample over the horizon")
+    elif strict and zero_times:
+        status, violation = ExtPosStatus.VIOLATED, (zero_times[0], g[zero_times[0] - 1])
+        notes.append("zero sample under a strict requirement")
+    elif strict and early:
+        status = ExtPosStatus.HORIZON_ONLY
+        notes.append(f"indeterminate sample at t={early[0]} not covered by a tail bound")
+    else:
+        # strict requirements get here only without zero or early samples
         if early:
-            return ExtPosVerdict(
-                ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, suspects,
-                tuple(notes + [f"indeterminate sample at t={early[0]} not covered by a tail bound"]),
-                sample_sign=s_star)
-        if tail and tail.start <= horizon:
-            status = ExtPosStatus.STRICT_POSITIVE if s_star == 1 else ExtPosStatus.STRICT_NEGATIVE
-            return ExtPosVerdict(status, horizon, g, tail, None, suspects, tuple(notes),
-                                 sample_sign=s_star)
-        if tail:
-            notes.append(f"tail bound starts at t={tail.start} beyond the horizon")
-        return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, suspects,
-                             tuple(notes), sample_sign=s_star)
-
-    # non-strict requirement
-    early = [t for t in suspects if cover is None or t < cover]
-    if early:
-        notes.append(f"samples inside tolerance at t={early[0]}; treated as zeros")
-    if tail and tail.start <= horizon:
-        if not zero_times and not early:
-            status = ExtPosStatus.STRICT_POSITIVE if s_star == 1 else ExtPosStatus.STRICT_NEGATIVE
+            notes.append(f"samples inside tolerance at t={early[0]}; treated as zeros")
+        if zero_times or early:
+            status = ExtPosStatus.NONNEGATIVE if sign == 1 else ExtPosStatus.NONPOSITIVE
         else:
-            status = ExtPosStatus.NONNEGATIVE if s_star == 1 else ExtPosStatus.NONPOSITIVE
-        return ExtPosVerdict(status, horizon, g, tail, None, suspects, tuple(notes),
-                             sample_sign=s_star)
-    if backend is Backend.EXACT:
-        trailing = 0
-        for s in reversed(signs):
-            if s != 0:
-                break
-            trailing += 1
-        if trailing >= analysis.n:
-            # n consecutive zeros of the order-n recurrence keep the tail zero
-            notes.append("trailing zeros persist beyond the horizon "
-                         "(impulse response obeys a linear recurrence of the system order)")
-            status = ExtPosStatus.NONNEGATIVE if s_star == 1 else ExtPosStatus.NONPOSITIVE
-            return ExtPosVerdict(status, horizon, g, tail, None, suspects, tuple(notes),
-                                 sample_sign=s_star)
-    if tail:
-        notes.append(f"tail bound starts at t={tail.start} beyond the horizon")
-    return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, suspects, tuple(notes),
-                         sample_sign=s_star)
+            status = ExtPosStatus.STRICT_POSITIVE if sign == 1 else ExtPosStatus.STRICT_NEGATIVE
+        if tail is None or tail.start > horizon:
+            if exact and not any(signs[-analysis.n:]):
+                # n consecutive zeros of the order-n recurrence keep the tail zero
+                notes.append("trailing zeros persist beyond the horizon "
+                             "(impulse response obeys a linear recurrence of the system order)")
+            else:
+                if tail:
+                    notes.append(f"tail bound starts at t={tail.start} beyond the horizon")
+                status = ExtPosStatus.HORIZON_ONLY
+    return ExtPosVerdict(status, horizon, g, tail if sign else None, violation, suspects,
+                         tuple(notes), sign)
 
 
 def external_positivity(sys: LtiSystem, strict: bool = True, horizon: int | None = None,

@@ -41,6 +41,7 @@ from .linalg import (
     Matrix,
     Num,
     RankOutOfRangeError,
+    SingularMatrixError,
     compound,
     inverse,
     rank,
@@ -105,7 +106,11 @@ class _OperatorContext:
         if rank(self.obs_n, tol) < self.n:
             raise NotObservableError(
                 f"observability matrix has rank {rank(self.obs_n, tol)} < {self.n}")
-        self.obs_n_inv = inverse(self.obs_n, tol)
+        try:
+            self.obs_n_inv = inverse(self.obs_n, tol)
+        except SingularMatrixError as exc:
+            # full float rank, yet |det O_n| within tol: not decisively observable
+            raise NotObservableError(f"observability matrix is singular: {exc}") from exc
         self._memo = {("A^p", 0): Matrix.identity(self.n, A.backend)}
 
     def _cached(self, key, build):
@@ -509,10 +514,11 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
               if cert.passed()}
     applicable = [level for level in levels if level >= vb_in]
     bound = min(applicable) if applicable else None
+    # C_1(A) = A and c_1 = c, so the order-1 rows and modes serve (A, b, c)
     sys = LtiSystem(A, tuple(b), tuple(c))
-    g = impulse_response(sys, horizon)
+    g = impulse_response(sys, horizon, ctx.output_rows(1))
     measured = v_minus(g, tol if A.backend is Backend.FLOAT else None)
-    tail, _ = dominant_tail(sys, tol)
+    tail, _ = dominant_tail(sys, tol, ctx.modes(1))
     complete = tail is not None and tail.start <= horizon
     notes = []
     if bound is None:

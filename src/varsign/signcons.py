@@ -23,6 +23,7 @@ from .linalg import (
     RankOutOfRangeError,
     SingularMatrixError,
     compound,
+    int_text,
     inverse,
     lex_tuples,
     minor,
@@ -390,6 +391,17 @@ def reduced_check(X: Matrix, k: int, strict: bool = True,
     return ReducedCheckResult(base.verdict, eps, True, len(family))
 
 
+def _witness_text(x) -> str:
+    """``str(x)`` of a witness tuple, with ``int_text`` for the parts of a Fraction
+    (``repr`` refuses ints longer than ``sys.get_int_max_str_digits()`` digits)."""
+    if isinstance(x, tuple):
+        inner = ", ".join(map(_witness_text, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    if isinstance(x, Fraction):
+        return f"Fraction({int_text(x.numerator)}, {int_text(x.denominator)})"
+    return repr(x)
+
+
 class CheckStatus(Enum):
     CERTIFIED = "certified"
     REFUTED = "refuted"
@@ -443,7 +455,7 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             if s.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(
                     name, CheckStatus.REFUTED, "full-width sign consistency at full column rank",
-                    f"conflicting minors {s.witness}")
+                    f"conflicting minors {_witness_text(s.witness)}")
         return MatrixPropertyCheck(
             name, CheckStatus.UNDECIDABLE, "full-width test needs full column rank",
             f"rank={rk}, verdict={s.verdict.value}")
@@ -456,7 +468,7 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             if col.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(
                     name, CheckStatus.REFUTED, "rank-k compound column sign test",
-                    f"column {J} mixed: {col.witness}")
+                    f"column {J} mixed: {_witness_text(col.witness)}")
             if col.verdict is SignVerdict.INCONCLUSIVE:
                 return MatrixPropertyCheck(
                     name, CheckStatus.UNDECIDABLE, "rank-k compound column sign test",
@@ -475,7 +487,7 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             if s.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(
                     name, CheckStatus.REFUTED, "sign consistency with independent columns",
-                    f"conflicting minors {s.witness}")
+                    f"conflicting minors {_witness_text(s.witness)}")
             return MatrixPropertyCheck(
                 name, CheckStatus.UNDECIDABLE, "sign consistency with independent columns",
                 "compound entries inside tolerance")
@@ -511,7 +523,7 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
         if bad is not None:
             return MatrixPropertyCheck(
                 name, CheckStatus.REFUTED, "sign regularity with independent columns",
-                f"order {bad} minors are mixed: {orders[bad].witness}")
+                f"order {bad} minors are mixed: {_witness_text(orders[bad].witness)}")
         return MatrixPropertyCheck(
             name, CheckStatus.UNDECIDABLE, "sign regularity with independent columns",
             "minor signs inside tolerance")

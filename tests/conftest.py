@@ -26,6 +26,10 @@ def minor_by_cofactor(X, row_idx, col_idx):
     return cofactor_det(rows)
 
 
+def reverse_columns(X):
+    return Matrix([row[::-1] for row in X.data], X.backend)
+
+
 def random_exact(rng, n, m, lo=-3, hi=3, max_den=3):
     return Matrix.exact([
         [Fraction(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(m)]

@@ -26,7 +26,7 @@ from varsign.signcons import (
 )
 from varsign.variation import gauss_smoother
 
-from conftest import observable_pair, random_exact
+from conftest import observable_pair, random_exact, reverse_columns
 
 
 def _report(num, ok, elapsed, limit, detail=""):
@@ -110,7 +110,7 @@ def test_criterion_4_example3_pipeline():
         g2 = g[t - 2] * g[t] - g[t - 1] ** 2
         ok = ok and g2 < 0
     hankel = Matrix.floating([[g[i + j] for j in range(5)] for i in range(6)])
-    reversed_h = hankel.reverse_columns()
+    reversed_h = reverse_columns(hankel)
     ok = ok and consecutive_certificate(reversed_h, 2, strict_top=True).passed
     ok = ok and sign_regular(reversed_h, 2, strict=True).passed
     screen = eigen_necessary_check(Abar, 2)

@@ -341,6 +341,39 @@ def test_exact_mode_handles_entries_beyond_float_range(tmp_path, capsys, where, 
     assert report["certificate"]["conclusion"] in ("certified", "refuted", "inconclusive")
 
 
+def _big_diagonal(exponent):
+    d = f"1e{exponent}"
+    return [[d, "0", "0"], ["0", d, "0"], ["0", "0", d], ["1", "1", "-1"]]
+
+
+@pytest.mark.parametrize("rows, prop, k, detail, digits", [
+    (_big_diagonal(2000), "vb", 3, "conflicting minors", 6000),
+    (_big_diagonal(5000), "vd", 2, "order 1 minors are mixed", 5000),
+    # rank 2 (third column = first + second): the rank-k column test
+    ([["1e2500", "0", "1e2500"], ["0", "1e2500", "1e2500"], ["1", "1", "2"], ["-1", "1", "0"]],
+     "vb", 2, "column {1,2} mixed", 5000),
+])
+def test_check_matrix_renders_witness_minors_of_any_size(tmp_path, capsys, rows, prop, k,
+                                                         detail, digits):
+    f = write_json(tmp_path, "big.json", {"matrix": rows})
+    code = main(["check-matrix", str(f), "--property", prop, "--k", str(k)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["verdict"] == "refuted"
+    assert out["detail"].startswith(detail)
+    assert f"Fraction(1{'0' * digits}, 1)" in out["detail"]
+
+
+def test_float_near_singular_observability_matrix_is_inconclusive(tmp_path, capsys):
+    # example2 with c / 1000: full float rank, but |det O_3| = 4.2e-11 is inside tol
+    system = {"A": [["0.7", "0.6", "-2"], ["0.15", "0.15", "-0.25"], ["0", "0.03", "0.1"]],
+              "c": ["0.0011", "0.0001", "-0.0055"]}
+    f = write_json(tmp_path, "ex2_small_c.json", system)
+    argv = ["certify", str(f), "--property", "svb", "--k", "2", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--arith", "float"]) == 2
+    assert "inconclusive: observability matrix is singular" in capsys.readouterr().err
+    assert main(argv + ["--arith", "exact"]) == 0
+
+
 def test_report_environment_round_trip(tmp_path):
     out = tmp_path / "env"
     main(["certify", str(fixture_path("example2")), "--property", "svb", "--k", "2",

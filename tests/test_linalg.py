@@ -5,8 +5,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from varsign.linalg import (
     Backend,
@@ -125,18 +123,11 @@ def test_lex_tuples_examples():
         lex_tuples(3, 0)
 
 
-@given(st.integers(1, 10), st.data())
-@settings(max_examples=60, deadline=None)
-def test_lex_rank_unrank_roundtrip(n, data):
-    r = data.draw(st.integers(1, n))
-    i = data.draw(st.integers(1, math.comb(n, r)))
-    assert IndexTuple.unrank(n, r, i).lex_rank() == i
-
-
 def test_lex_rank_matches_enumeration_order():
-    for n, r in [(5, 2), (6, 3)]:
-        for pos, t in enumerate(lex_tuples(n, r), 1):
-            assert t.lex_rank() == pos
+    for n in range(1, 11):
+        for r in range(1, n + 1):
+            for pos, t in enumerate(lex_tuples(n, r), 1):
+                assert t.lex_rank() == pos
 
 
 def test_index_tuple_validation():
@@ -370,14 +361,24 @@ def test_float_det_compound_and_rank_are_bit_identical_to_reference():
     corpus = [X.to_float() for X in _rect_corpus()]
     corpus += [Matrix.floating([[rng.uniform(-2, 2) for _ in range(m)] for _ in range(n)])
                for n, m in [(3, 3), (5, 5), (6, 6), (7, 4), (8, 6)]]
+    # signed zeros, ties and products that underflow to a signed zero
+    special = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-200, -1e-200]
+    for _ in range(120):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        corpus.append(Matrix.floating([[rng.choice(special) if rng.random() < 0.6
+                                        else rng.uniform(-3, 3) for _ in range(m)]
+                                       for _ in range(n)]))
+    negative_zeros = 0
     for X in corpus:
         assert rank(X) == _float_rank_reference(X.data)
         if X.is_square():
-            assert det(X) == _float_det_reference(X.data)
+            assert det(X).hex() == _float_det_reference(X.data).hex()
         for r in range(1, min(X.shape) + 1):
-            want = [[_float_det_reference([[X[i - 1, j - 1] for j in J] for i in I])
+            want = [[_float_det_reference([[X[i - 1, j - 1] for j in J] for i in I]).hex()
                      for J in combinations(range(1, X.cols + 1), r)]
                     for I in combinations(range(1, X.rows + 1), r)]
             C = compound(X, r)
             assert C.backend is Backend.FLOAT
-            assert [list(row) for row in C.data] == want
+            assert [[x.hex() for x in row] for row in C.data] == want, (X, r)
+            negative_zeros += sum(x.hex().startswith("-0x0.0") for row in C.data for x in row)
+    assert negative_zeros > 0

@@ -1,23 +1,35 @@
 import math
 import random
+import re
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 import pytest
 
-from varsign.linalg import Matrix, NonSquareError
+from varsign.linalg import Backend, Matrix, NonSquareError, sign_of
 from varsign.lti import (
+    ExtPosAnalysis,
     ExtPosStatus,
+    ExtPosVerdict,
     LtiSystem,
+    TailCertificate,
     _solve_exact_consistent,
+    analyse,
     default_horizon,
     dominant_tail,
     eigen_sorted,
     external_positivity,
     impulse_response,
+    judge,
     minimal_recurrence_system,
     observability_matrix,
 )
+
+
+def _matrix_power(A, p):
+    return reduce(matmul, [A] * p, Matrix.identity(A.rows, A.backend))
 
 
 def example2_pair():
@@ -59,7 +71,8 @@ def test_impulse_equals_explicit_matrix_powers_exact():
     sys = LtiSystem(A, b, c)
     g = impulse_response(sys, 10)
     for t in range(1, 11):
-        assert g[t - 1] == sum(ci * xi for ci, xi in zip(c, A.power(t - 1).matvec(b)))
+        At = _matrix_power(A, t - 1)
+        assert g[t - 1] == sum(ci * xi for ci, xi in zip(c, At.matvec(b)))
 
 
 def test_observability_matrix_example2():
@@ -197,7 +210,7 @@ def test_lti_system_validation():
 
 def _power_reference(sys, N):
     """g(t) = c A^(t-1) b from explicit matrix powers."""
-    return tuple(sum(ci * xi for ci, xi in zip(sys.c, sys.A.power(t - 1).matvec(sys.b)))
+    return tuple(sum(ci * xi for ci, xi in zip(sys.c, _matrix_power(sys.A, t - 1).matvec(sys.b)))
                  for t in range(1, N + 1))
 
 
@@ -297,3 +310,158 @@ def test_windowed_recurrence_matches_full_window_solve():
         cases += 1
     assert cases >= 300
     assert reduced >= 100
+
+
+# ------------------------------------------------------------ judge reference
+
+def _judge_reference(analysis, strict=True):
+    """``judge`` as it was, building its verdict separately at every exit."""
+    horizon, g, signs, tail = analysis.horizon, analysis.samples, analysis.signs, analysis.tail
+    backend = analysis.backend
+    notes = list(analysis.notes)
+    first_pos = next((t for t, s in enumerate(signs, 1) if s == 1), None)
+    first_neg = next((t for t, s in enumerate(signs, 1) if s == -1), None)
+    suspects = tuple(t for t, s in enumerate(signs, 1) if s is None)
+
+    if first_pos and first_neg:
+        t_bad = max(first_pos, first_neg)
+        return ExtPosVerdict(ExtPosStatus.VIOLATED, horizon, g, None,
+                             (t_bad, g[t_bad - 1]), suspects,
+                             tuple(notes + ["samples of both strict signs"]))
+
+    s_star = 1 if first_pos else (-1 if first_neg else None)
+    if s_star is None:
+        if backend is Backend.EXACT and horizon >= analysis.n:
+            if strict:
+                return ExtPosVerdict(ExtPosStatus.VIOLATED, horizon, g, None, (1, g[0]),
+                                     (), tuple(notes + ["impulse response is identically zero"]))
+            return ExtPosVerdict(ExtPosStatus.NONNEGATIVE, horizon, g, None, None, (),
+                                 tuple(notes + ["impulse response is identically zero"]))
+        return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, None, None, suspects,
+                             tuple(notes + ["no decisive sample over the horizon"]))
+
+    zero_times = tuple(t for t, s in enumerate(signs, 1) if s == 0)
+    cover = tail.start if tail else None
+
+    if strict:
+        if backend is Backend.EXACT and zero_times:
+            t0 = zero_times[0]
+            return ExtPosVerdict(ExtPosStatus.VIOLATED, horizon, g, tail, (t0, g[t0 - 1]),
+                                 suspects, tuple(notes + ["zero sample under a strict requirement"]),
+                                 sample_sign=s_star)
+        early = [t for t in suspects if cover is None or t < cover]
+        if early:
+            return ExtPosVerdict(
+                ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, suspects,
+                tuple(notes + [f"indeterminate sample at t={early[0]} not covered by a tail bound"]),
+                sample_sign=s_star)
+        if tail and tail.start <= horizon:
+            status = ExtPosStatus.STRICT_POSITIVE if s_star == 1 else ExtPosStatus.STRICT_NEGATIVE
+            return ExtPosVerdict(status, horizon, g, tail, None, suspects, tuple(notes),
+                                 sample_sign=s_star)
+        if tail:
+            notes.append(f"tail bound starts at t={tail.start} beyond the horizon")
+        return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, suspects,
+                             tuple(notes), sample_sign=s_star)
+
+    early = [t for t in suspects if cover is None or t < cover]
+    if early:
+        notes.append(f"samples inside tolerance at t={early[0]}; treated as zeros")
+    if tail and tail.start <= horizon:
+        if not zero_times and not early:
+            status = ExtPosStatus.STRICT_POSITIVE if s_star == 1 else ExtPosStatus.STRICT_NEGATIVE
+        else:
+            status = ExtPosStatus.NONNEGATIVE if s_star == 1 else ExtPosStatus.NONPOSITIVE
+        return ExtPosVerdict(status, horizon, g, tail, None, suspects, tuple(notes),
+                             sample_sign=s_star)
+    if backend is Backend.EXACT:
+        trailing = 0
+        for s in reversed(signs):
+            if s != 0:
+                break
+            trailing += 1
+        if trailing >= analysis.n:
+            notes.append("trailing zeros persist beyond the horizon "
+                         "(impulse response obeys a linear recurrence of the system order)")
+            status = ExtPosStatus.NONNEGATIVE if s_star == 1 else ExtPosStatus.NONPOSITIVE
+            return ExtPosVerdict(status, horizon, g, tail, None, suspects, tuple(notes),
+                                 sample_sign=s_star)
+    if tail:
+        notes.append(f"tail bound starts at t={tail.start} beyond the horizon")
+    return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, suspects, tuple(notes),
+                         sample_sign=s_star)
+
+
+def _synthetic_analysis(rng, case):
+    """One seeded analysis; ``case`` cycles through random signs, no decisive
+    sample, one sign among zeros or suspects, one sign with trailing zeros
+    or suspects, and one strict sign throughout."""
+    backend = (Backend.EXACT, Backend.FLOAT)[case // 5 % 2]
+    n, horizon, eps = rng.randint(1, 4), rng.randint(1, 9), rng.choice((1, -1))
+    if backend is Backend.EXACT:
+        quiet, loud = [Fraction(0)], [Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                                      for _ in range(3)]
+    else:
+        quiet, loud = [0.0, -0.0, 1e-12, -3e-10], [0.5, 2.0, 7.25]
+    pattern = case % 5
+    cut = rng.randint(0, horizon)
+    samples = []
+    for t in range(horizon):
+        if pattern == 0:
+            x = rng.choice(quiet + loud + [-v for v in loud])
+        elif pattern == 1:
+            x = rng.choice(quiet)
+        elif pattern == 2:
+            x = eps * rng.choice(loud) if rng.random() < 0.6 else rng.choice(quiet)
+        elif pattern == 3:
+            x = eps * rng.choice(loud) if t < cut else rng.choice(quiet)
+        else:
+            x = eps * rng.choice(loud)
+        samples.append(x)
+    tail = None
+    if rng.random() < 0.7:
+        tail = TailCertificate(rng.randint(1, horizon + 3), rng.choice((1, -1)),
+                               1.0, 0.5, 1.0, 0.75)
+    signs = tuple(sign_of(x, backend) for x in samples)
+    return ExtPosAnalysis(n, backend, horizon, tuple(samples), signs, tail, ("analysis note",))
+
+
+def test_judge_matches_per_exit_reference():
+    """Every field of every verdict equals the old judge's, over seeded
+    analyses of both backends under strict and non-strict requirements;
+    every exit of the old judge is reached."""
+    rng = random.Random(1406)
+    analyses = [_synthetic_analysis(rng, case) for case in range(2000)]
+    for n in (2, 3):
+        A, c = example2_pair() if n == 3 else (Matrix.exact([["0.5", "1"], ["0", "0.25"]]),
+                                               (Fraction(1), Fraction(-1)))
+        for M, cc in ((A, c), (A.to_float(), tuple(map(float, c)))):
+            for b in ((1, 0, 0)[:n], (1, -1, 2)[:n], (0, 1, -1)[:n]):
+                for horizon in (1, n, 12):
+                    analyses.append(analyse(LtiSystem(M, b, cc), horizon))
+    exits = set()
+    for a in analyses:
+        for strict in (True, False):
+            want = _judge_reference(a, strict)
+            assert judge(a, strict) == want, (a, strict)
+            exits.add((strict, want.status, re.sub(r"\d+", "#", (want.notes or ("",))[-1])))
+    P, N, NN, NP = (ExtPosStatus.STRICT_POSITIVE, ExtPosStatus.STRICT_NEGATIVE,
+                    ExtPosStatus.NONNEGATIVE, ExtPosStatus.NONPOSITIVE)
+    V, H = ExtPosStatus.VIOLATED, ExtPosStatus.HORIZON_ONLY
+    beyond, trailing = "tail bound starts at t=# beyond the horizon", "trailing zeros persist"
+    required = {
+        (True, V, "samples of both strict signs"),
+        (True, V, "impulse response is identically zero"),
+        (False, NN, "impulse response is identically zero"),
+        (True, H, "no decisive sample over the horizon"),
+        (True, V, "zero sample under a strict requirement"),
+        (True, H, "indeterminate sample at t=# not covered by a tail bound"),
+        (True, P, "analysis note"), (True, N, "analysis note"),
+        (True, H, beyond), (True, H, "analysis note"),
+        (False, P, "analysis note"), (False, NN, "analysis note"),
+        (False, NP, "samples inside tolerance at t=#; treated as zeros"),
+        (False, H, beyond), (False, H, "samples inside tolerance at t=#; treated as zeros"),
+    }
+    assert required <= exits, required - exits
+    assert {(False, NN), (False, NP)} <= {(s, st) for s, st, note in exits
+                                          if note.startswith(trailing)}

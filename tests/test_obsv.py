@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -466,6 +467,29 @@ def test_impulse_variation_bound_zero_input():
     assert report.input_variation == -1
     assert report.measured == -1
     assert report.bound is not None and report.bound >= -1
+
+
+def test_impulse_variation_bound_reads_order_one_rows_and_modes():
+    """The report equals one sampled and tail-certified on (A, b, c) apart
+    from the context, as before it read C_1(A) = A and c_1 = c off it."""
+    rng = random.Random(1408)
+    ex3 = load_system_file(fixture_path("example3"))
+    cases = [example1() + ((1, -1, -1),), example2() + ((1, 1, -2),), example2() + ((0, 0, 0),),
+             (ex3.A, ex3.c, ex3.b)]
+    for n in (2, 3, 3, 4):
+        A, c = observable_pair(rng, n)
+        cases.append((A, c, tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))))
+    complete = 0
+    for A, c, b in cases:
+        for X, cc, bb, tol in ((A, c, b, None), (A.to_float(), c, b, 1e-9)):
+            report = impulse_variation_bound(X, bb, cc)
+            sys = LtiSystem(X, tuple(bb), tuple(cc))
+            tail, _ = dominant_tail(sys)
+            want = replace(report, measured=v_minus(impulse_response(sys, report.horizon), tol),
+                           measurement_complete=tail is not None and tail.start <= report.horizon)
+            assert report == want, (X, bb)
+            complete += report.measurement_complete
+    assert complete > 0
 
 
 def test_controllability_transpose_symmetry():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from varsign.signcons import (
     _all_k_columns_independent,
 )
 
-from conftest import cauchy_exact, random_exact
+from conftest import cauchy_exact, random_exact, reverse_columns
 
 PENA = Matrix.exact([[1, 1], [1, 2], [1, 3], [1, 4]])
 
@@ -62,7 +63,7 @@ def test_k_positive_examples():
 
 def test_sign_regular_allows_per_order_signs(rng):
     # columns reversed: order-1 minors positive, order-2 minors negative
-    X = cauchy_exact(rng, 5, 3).reverse_columns()
+    X = reverse_columns(cauchy_exact(rng, 5, 3))
     rep = sign_regular(X, 2, strict=True)
     assert rep.passed
     assert rep.orders[1].epsilon == 1
@@ -286,7 +287,7 @@ def test_vd_matrix_check_examples(rng):
     res = vd_matrix_check(mixed, 1)
     assert res.status is CheckStatus.REFUTED
     # sign-regular but not positive: certified through the equivalence route
-    X = cauchy_exact(rng, 6, 4).reverse_columns()
+    X = reverse_columns(cauchy_exact(rng, 6, 4))
     res = vd_matrix_check(X, 2)
     assert res.status is CheckStatus.CERTIFIED
     assert res.rule == "sign regularity with independent columns"
@@ -334,8 +335,8 @@ def test_vd_matrix_check_matches_sign_regular_reference():
     corpus = []
     for n, m in [(5, 3), (6, 4), (7, 5)]:
         corpus += [random_exact(rng, n, m), random_exact(rng, n, m, 0, 3, 2),
-                   cauchy_exact(rng, n, m), cauchy_exact(rng, n, m).reverse_columns(),
-                   _tn_band(rng, n, m).reverse_columns()]
+                   cauchy_exact(rng, n, m), reverse_columns(cauchy_exact(rng, n, m)),
+                   reverse_columns(_tn_band(rng, n, m))]
     corpus += [X.to_float() for X in corpus[:6]]
     outcomes = set()
     for X in corpus:
@@ -347,7 +348,7 @@ def test_vd_matrix_check_matches_sign_regular_reference():
     assert (CheckStatus.CERTIFIED, "sign regularity with independent columns") in outcomes
     assert (CheckStatus.REFUTED, "sign regularity with independent columns") in outcomes
     # sign regular with exact zero minors: certified only under the non-strict judgement
-    banded = _tn_band(rng, 5, 3).reverse_columns()
+    banded = reverse_columns(_tn_band(rng, 5, 3))
     assert vd_matrix_check(banded, 2).rule == "sign regularity with independent columns"
     assert vd_matrix_check(banded, 2).status is CheckStatus.CERTIFIED
 
@@ -363,10 +364,34 @@ def test_vb_and_vd_checks_build_each_compound_once(monkeypatch, check):
     monkeypatch.setattr(signcons, "compound", counting_compound)
     rng = random.Random(3)
     # both below the rank with every k columns independent; neither totally positive
-    cases = [(random_exact(rng, 8, 6), 3), (cauchy_exact(rng, 6, 4).reverse_columns(), 2)]
+    cases = [(random_exact(rng, 8, 6), 3), (reverse_columns(cauchy_exact(rng, 6, 4)), 2)]
     for X, k in cases:
         orders.clear()
         res = check(X, k)
         assert k < rank(X) and res.rule != "total positivity"
         assert "independent columns" in res.rule
         assert orders and len(orders) == len(set(orders)), (check.__name__, orders)
+
+
+def test_witness_text_is_str_at_any_size():
+    """Witness details read as ``str(witness)``, also where ``str`` refuses
+    the digits of a minor."""
+    rng = random.Random(1409)
+    witnesses = []
+    for n, m in [(4, 3), (5, 3), (6, 4)]:
+        for X in (random_exact(rng, n, m), random_exact(rng, n, m).to_float(),
+                  reverse_columns(cauchy_exact(rng, n, m))):
+            witnesses += [sign_consistent(X, k).witness for k in range(1, m + 1)]
+    # a zero and a float entry inside tolerance: one-element witnesses
+    witnesses += [sign_consistent(X, 1).witness for X in (PENA, Matrix.identity(3),
+                                                           Matrix.identity(3).to_float())]
+    big = Fraction(10 ** 5000 + 1, 3)
+    witnesses.append(((((1, 2), (1, 3)), big), (((2, 3), (1, 2)), -big)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(w) for w in witnesses]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [signcons._witness_text(w) for w in witnesses] == want
+    assert {len(w) for w in witnesses} == {0, 1, 2}

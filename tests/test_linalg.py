@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varsign.linalg import (
     Backend,
@@ -121,6 +123,30 @@ def test_lex_tuples_examples():
     assert [t.elems for t in lex_tuples(4, 4)] == [(1, 2, 3, 4)]
     with pytest.raises(RankOutOfRangeError):
         lex_tuples(3, 0)
+
+
+def _lex_unrank(n, r, rank):
+    """Reference inverse of ``IndexTuple.lex_rank``, built tuple by tuple from binomial blocks."""
+    remaining = rank - 1
+    elems = []
+    prev = 0
+    for i in range(r):
+        for c in range(prev + 1, n + 1):
+            block = math.comb(n - c, r - i - 1)
+            if remaining < block:
+                elems.append(c)
+                prev = c
+                break
+            remaining -= block
+    return IndexTuple(n, tuple(elems))
+
+
+@given(st.integers(1, 10), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lex_rank_unrank_roundtrip(n, data):
+    r = data.draw(st.integers(1, n))
+    i = data.draw(st.integers(1, math.comb(n, r)))
+    assert _lex_unrank(n, r, i).lex_rank() == i
 
 
 def test_lex_rank_matches_enumeration_order():

@@ -24,12 +24,14 @@ from .io import (
     write_traces,
 )
 from .obsv import (
+    Certificate,
     Conclusion,
     HankelCertificate,
     NotObservableError,
     certify_controllability,
     certify_hankel,
     certify_observability,
+    property_name,
 )
 from .oracle import falsify_matrix_vb, falsify_operator_vb
 from .signcons import (
@@ -145,7 +147,10 @@ def cmd_certify(args) -> int:
                                   args.horizon, args.tol, strict)
     except NotObservableError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        target = {"obsv": "observability", "ctrb": "controllability"}.get(args.target, "hankel")
+        cert = Certificate(property_name(args.property, args.k, strict), target,
+                           Conclusion.INCONCLUSIVE, None, [],
+                           args.horizon or default_horizon(sf.A.rows), [str(exc)])
     except (RankOutOfRangeError, LinalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

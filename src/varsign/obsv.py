@@ -9,12 +9,21 @@ positivity of a family of compound LTI systems: the impulse response of the
     det(O[alpha, beta]),  alpha = {1..k-r} U (k-r+t : k+t-1),
 
 of the stacked observability matrix O.  Certifying the family therefore
-certifies the operator.  The system's input vector is the contraction
+certifies the operator.  Rows (k-r+t : k+t-1) of O are its rows (t : t+r-1)
+times A^(k-r), so Laplace expansion along them and Cauchy-Binet make the
+minors the impulse response of (C_r(A), b, c_r), c_r = C_r(O_r)[1, :], with
 
-    b_q = sum over S = {1..k-r} U T of C_r(L)[q, T] * C_k(O_n)[S, beta],
+    b = C_r(A)^(k-r) w,  w[T] = eps_T det O[1..k-r, beta minus T]
 
-L = A^(k-r) O_n^{-1}, read off two compounds; at k = n the last column of
-C_r(A^(n-r) O_n^{-1}) drives the full-order family.
+on the r-subsets T of beta and 0 elsewhere; eps_T = -1 when moving T's
+positions behind the rest of beta takes an odd number of swaps.  The
+full-order family (k = n, beta = 1..n) divides b by det O_n.  This b is the
+paper's contraction sum over T of C_r(A^(k-r) O_n^{-1})[:, T] C_k(O_n)[S, beta],
+S = {1..k-r} U T: Laplace-expand each C_k(O_n)[S, beta] along its rows T.  A
+T that meets the anchor 1..k-r would add a minor with a repeated row, 0, so
+the sum over the T that miss it is the full Cauchy-Binet sum, C_r(A^(k-r)) w.
+At k = n, Jacobi's complementary-minor identity makes w / det O_n the last
+column of C_r(O_n^{-1}).
 
 One engine serves every property: the pair's ``_OperatorContext`` analyses
 each compound system once (``lti.analyse``), and ``_certify`` judges the
@@ -29,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -41,9 +51,9 @@ from .linalg import (
     Matrix,
     Num,
     RankOutOfRangeError,
-    SingularMatrixError,
     compound,
-    inverse,
+    det,
+    parse_scalar,
     rank,
     scalar_text,
 )
@@ -87,11 +97,11 @@ class CompoundSystem:
 
 
 class _OperatorContext:
-    """Shared pieces for one observable pair (A, c) at one horizon: O_n, its
-    inverse, and one memo of the powers of A, each compound once per (matrix,
-    order), the integer output rows and the eigen-decomposition of each
-    order's pair (C_r(A), c_r), which all systems of that order share, and
-    one analysis per (k, r, beta) compound system."""
+    """Shared pieces for one observable pair (A, c) at one horizon: O_n and
+    its determinant, each compound order's pair (C_r(A), c_r) built once, the
+    integer output rows and the eigen-decomposition of each such pair, which
+    all systems of that order share, and one analysis per (k, r, beta)
+    compound system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
@@ -103,15 +113,15 @@ class _OperatorContext:
         self.tol = tol
         self.horizon = horizon if horizon is not None else default_horizon(self.n)
         self.obs_n = observability_matrix(A, c, self.n)
-        if rank(self.obs_n, tol) < self.n:
-            raise NotObservableError(
-                f"observability matrix has rank {rank(self.obs_n, tol)} < {self.n}")
-        try:
-            self.obs_n_inv = inverse(self.obs_n, tol)
-        except SingularMatrixError as exc:
+        obs_rank = rank(self.obs_n, tol)
+        if obs_rank < self.n:
+            raise NotObservableError(f"observability matrix has rank {obs_rank} < {self.n}")
+        self.det_n = det(self.obs_n)
+        if A.backend is Backend.FLOAT and abs(self.det_n) <= tol:
             # full float rank, yet |det O_n| within tol: not decisively observable
-            raise NotObservableError(f"observability matrix is singular: {exc}") from exc
-        self._memo = {("A^p", 0): Matrix.identity(self.n, A.backend)}
+            raise NotObservableError(f"observability matrix is singular: "
+                                     f"|det| = {abs(self.det_n)} within tolerance {tol}")
+        self._memo = {}
 
     def _cached(self, key, build):
         if key not in self._memo:
@@ -124,17 +134,6 @@ class _OperatorContext:
     def c_compound(self, r: int) -> tuple[Num, ...]:
         return self._cached(("C_r(O_r)", r), lambda: compound(
             observability_matrix(self.A, self.c, r), r).row(0))
-
-    def a_power(self, p: int) -> Matrix:
-        return self._cached(("A^p", p), lambda: self.A @ self.a_power(p - 1))
-
-    def left_compound(self, p: int, r: int) -> Matrix:
-        """C_r(A^p O_n^{-1}), the product formed in that order."""
-        return self._cached(("C_r(A^p O_n^-1)", p, r),
-                            lambda: compound(self.a_power(p) @ self.obs_n_inv, r))
-
-    def obs_compound(self, k: int) -> Matrix:
-        return self._cached(("C_k(O_n)", k), lambda: compound(self.obs_n, k))
 
     def system(self, k: int, r: int, beta: IndexTuple | None) -> LtiSystem:
         """The (k, r, beta) compound system; beta None is the full-order family."""
@@ -159,8 +158,9 @@ class _OperatorContext:
 
 
 def _full_order_input(ctx: _OperatorContext, r: int) -> tuple[Num, ...]:
-    # the r-minors of A^(n-r) O_n^{-1} on its last r columns
-    return ctx.left_compound(ctx.n - r, r).col(-1)
+    """Input of the full-order system: the (n, r, 1..n) input over det O_n."""
+    whole = IndexTuple(ctx.n, tuple(range(1, ctx.n + 1)))
+    return tuple(x / ctx.det_n for x in _minor_trace_input(ctx, ctx.n, r, whole))
 
 
 def full_compound_systems(A: Matrix, c: Sequence[Num],
@@ -177,20 +177,18 @@ def full_compound_systems(A: Matrix, c: Sequence[Num],
 
 
 def _minor_trace_input(ctx: _OperatorContext, k: int, r: int, beta: IndexTuple) -> tuple[Num, ...]:
-    """Input vector of the (k, r, beta) system, the contraction
-
-        b_q = sum over S = {1..k-r} U T of C_r(L)[q, T] * C_k(O_n)[S, beta]
-
-    with L = A^(k-r) O_n^{-1} and T running over the r-subsets of
-    {k-r+1..n}.  The k-subsets S that contain the anchor 1..k-r are the
-    first C(n-k+r, r) rows of C_k(O_n), and their parts T are the last as
-    many columns of C_r(L), both in lexicographic order, so the terms are
-    summed in lexicographic order of S.
-    """
-    left = ctx.left_compound(k - r, r)
-    m = math.comb(ctx.n - k + r, r)
-    weights = ctx.obs_compound(k).col(beta.lex_rank() - 1)[:m]
-    return Matrix([row[-m:] for row in left.data], left.backend).matvec(weights)
+    """Input b = C_r(A)^(k-r) w of the (k, r, beta) system (module docstring)."""
+    n, a = ctx.n, k - r
+    w = [parse_scalar(0, ctx.A.backend)] * math.comb(n, r)
+    for pos in combinations(range(k), r):
+        T = IndexTuple(n, tuple(beta.elems[p] for p in pos))
+        rest = IndexTuple(n, tuple(x for p, x in enumerate(beta.elems) if p not in pos))
+        anchor = ctx.c_compound(a)[rest.lex_rank() - 1] if a else parse_scalar(1, ctx.A.backend)
+        # eps_T: position p_i of T moves past the a + i - p_i entries of rest behind it
+        w[T.lex_rank() - 1] = (-1) ** (r * a + r * (r - 1) // 2 - sum(pos)) * anchor
+    for _ in range(a):
+        w = ctx.a_compound(r).matvec(w)
+    return tuple(w)
 
 
 def compound_system(A: Matrix, c: Sequence[Num], k: int, r: int, beta,
@@ -269,6 +267,13 @@ class Certificate:
 _STRICT_SIGN = {ExtPosStatus.STRICT_POSITIVE: 1, ExtPosStatus.STRICT_NEGATIVE: -1}
 
 
+def property_name(prop: str, k: int, strict: bool = True) -> str:
+    """Report name of property svb, vb, kpos or vd at order k."""
+    if prop == "kpos":
+        return f"{'strictly ' if strict else ''}{k}-positive"
+    return f"{prop.upper()}_{k - 1}"
+
+
 def _rules(prop: str, n: int, k: int, strict: bool = True):
     """(name, requirements, forced sign, may refute) of svb, vb or kpos at order k.
 
@@ -279,8 +284,8 @@ def _rules(prop: str, n: int, k: int, strict: bool = True):
     if prop == "kpos":
         requirements = [(j, j, entry.beta, strict or j < k, 0)
                         for j in range(1, k + 1) for entry in beta_family(n, j)]
-        return f"{'strictly ' if strict else ''}{k}-positive", requirements, 1, True
-    name, relax = f"{prop.upper()}_{k - 1}", prop == "vb"
+        return property_name(prop, k, strict), requirements, 1, True
+    name, relax = property_name(prop, k), prop == "vb"
     if k == n:
         requirements = [(n, r, None, not (relax and r == n), n - 1 if relax and r == n else 0)
                         for r in range(1, n + 1)]
@@ -421,7 +426,7 @@ def certify_vd(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
     conclusion = (Conclusion.CERTIFIED if all(cert.passed() for cert in certs)
                   else Conclusion.INCONCLUSIVE)
     per = [sv for cert in certs for sv in cert.per_system]
-    return Certificate(f"VD_{k - 1}", target, conclusion, None, per, ctx.horizon, notes)
+    return Certificate(property_name("vd", k), target, conclusion, None, per, ctx.horizon, notes)
 
 
 @dataclass
@@ -509,7 +514,7 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     ctx = _OperatorContext(A, c, tol, horizon)
     horizon = ctx.horizon
     vb_in = v_minus(b)
-    levels = {j - 1: "strict" if cert.property_name == f"SVB_{j - 1}" else "nonstrict"
+    levels = {j - 1: "strict" if cert.property_name == property_name("svb", j) else "nonstrict"
               for j, cert in enumerate(_order_certificates(ctx, ctx.n, "observability"), 1)
               if cert.passed()}
     applicable = [level for level in levels if level >= vb_in]

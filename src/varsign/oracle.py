@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Matrix, NonSquareError, SizeMismatchError
+from .lti import default_horizon
 # bound but not called: perfbench/tracing.py reports calls to this name from
 # this module as the oracle.propagate layer, which thus reads 0, not missing
 from .lti import impulse_response  # noqa: F401
@@ -92,9 +93,6 @@ class OracleReport:
     @property
     def clean(self) -> bool:
         return not self.violations
-
-    def nonstrict_violations(self) -> list[Violation]:
-        return [v for v in self.violations if not v.strict_only]
 
 
 def _judge(trial: int, u, y, k: int, tol: float,
@@ -169,12 +167,15 @@ def _propagate_block(A: Matrix, c: tuple[float, ...], x0s: list,
     return Y
 
 
-def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int = 50,
+def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int | None = None,
                         trials: int = 1000, seed: int = 0,
                         tol: float = DEFAULT_TOL) -> OracleReport:
     """Search for initial states with v-(x0) <= k-1 whose output sequence
-    (c A^(t-1) x0) over the horizon has variation >= k."""
+    (c A^(t-1) x0) over the horizon has variation >= k.  The horizon defaults
+    to ``default_horizon(n)``, the one a certificate samples."""
     n = A.rows
+    if horizon is None:
+        horizon = default_horizon(n)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     if not A.is_square():

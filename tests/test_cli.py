@@ -101,6 +101,28 @@ def test_certify_unobservable_pair_inconclusive(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target, name", [("obsv", "observability"),
+                                          ("ctrb", "controllability"), ("hankel", "hankel")])
+def test_certify_unobservable_pair_reports_inconclusive(tmp_path, capsys, target, name):
+    # no compound system exists, yet the run emits its JSON line and report.json
+    f = write_json(tmp_path, "unobs.json",
+                   {"A": [["1", "0"], ["0", "1"]], "b": ["1", "0"], "c": ["1", "0"]})
+    out = tmp_path / "out"
+    code = main(["certify", str(f), "--property", "kpos", "--k", "2", "--target", target,
+                 "--out", str(out)])
+    assert code == 2
+    streams = capsys.readouterr()
+    assert json.loads(streams.out) == {"property": "strictly 2-positive",
+                                       "conclusion": "inconclusive"}
+    assert "inconclusive: observability matrix has rank 1 < 2" in streams.err
+    report = json.loads((out / "report.json").read_text())
+    assert report["certificate"] == {
+        "property": "strictly 2-positive", "target": name, "conclusion": "inconclusive",
+        "common_sign": None, "horizon": 50, "systems": [],
+        "notes": ["observability matrix has rank 1 < 2"]}
+    assert report["traces"] == [] and report["environment"]["target"] == target
+
+
 def test_certify_missing_vector_is_input_error(tmp_path, capsys):
     f = write_json(tmp_path, "noc.json", {"A": [["1"]], "b": ["1"]})
     assert main(["certify", str(f), "--property", "svb", "--k", "1",
@@ -370,7 +392,12 @@ def test_float_near_singular_observability_matrix_is_inconclusive(tmp_path, caps
     f = write_json(tmp_path, "ex2_small_c.json", system)
     argv = ["certify", str(f), "--property", "svb", "--k", "2", "--out", str(tmp_path / "o")]
     assert main(argv + ["--arith", "float"]) == 2
-    assert "inconclusive: observability matrix is singular" in capsys.readouterr().err
+    streams = capsys.readouterr()
+    assert "inconclusive: observability matrix is singular" in streams.err
+    assert json.loads(streams.out) == {"property": "SVB_1", "conclusion": "inconclusive"}
+    (note,) = json.loads((tmp_path / "o" / "report.json").read_text())["certificate"]["notes"]
+    assert note.startswith("observability matrix is singular: |det| = ")
+    assert note.endswith(" within tolerance 1e-09")
     assert main(argv + ["--arith", "exact"]) == 0
 
 

@@ -2,10 +2,20 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from varsign.linalg import IndexTuple, Matrix, compound, det, inverse, lex_tuples, minor
+from varsign.linalg import (
+    Backend,
+    IndexTuple,
+    Matrix,
+    compound,
+    det,
+    inverse,
+    lex_tuples,
+    minor,
+)
 from varsign.lti import (
     ExtPosStatus,
     LtiSystem,
@@ -90,10 +100,22 @@ def test_full_order_systems_trace_anchored_minors(rng):
             assert g[t - 1] * d == minor(ON, alpha, (1, 2, 3))
 
 
+def _diagonal_pair(rng, n):
+    """Observable pair with a diagonal A of distinct entries, one of them 0,
+    and c without zeros.  Equal products of entries (all those with the 0)
+    make its compound pairs (C_r(A), c_r) unobservable for 2 <= r < n,
+    so there the traces alone do not pin the compound inputs."""
+    lam = [Fraction(0)] + [Fraction(x, 2) for x in rng.sample([-4, -2, -1, 1, 2, 3, 4, 6], n - 1)]
+    rng.shuffle(lam)
+    A = Matrix.exact([[lam[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return A, tuple(Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(n))
+
+
 def test_compound_system_defining_identity_exact(rng):
-    for _ in range(6):
-        n = rng.choice([2, 3])
-        A, c = observable_pair(rng, n)
+    pairs = [observable_pair(rng, rng.choice([2, 3])) for _ in range(6)]
+    pairs += [observable_pair(rng, 4), _diagonal_pair(rng, 3), _diagonal_pair(rng, 4)]
+    for A, c in pairs:
+        n = A.rows
         ON = observability_matrix(A, c, n + 6)
         for k in range(1, n + 1):
             for r in range(1, k + 1):
@@ -103,33 +125,58 @@ def test_compound_system_defining_identity_exact(rng):
                     for t in range(1, 7):
                         alpha = tuple(range(1, k - r + 1)) + tuple(range(k - r + t, k + t))
                         assert g[t - 1] == minor(ON, alpha, beta)
+        # full order: g(t) det O_n = det O[alpha_t, 1..n], alpha_t = (t : t+n-1) at r = n
+        d = det(observability_matrix(A, c, n))
+        for cs in full_compound_systems(A, c):
+            g = impulse_response(cs.system, 6)
+            for t in range(1, 7):
+                alpha = tuple(range(1, n - cs.r + 1)) + tuple(range(n - cs.r + t, n + t))
+                assert g[t - 1] * d == minor(ON, alpha, range(1, n + 1))
 
 
-def _reference_trace_input(ctx, k, r, beta):
-    # minor-by-minor assembly: each anchored k-subset S of the rows weighs the
-    # r-minors of A^(k-r) O_n^{-1} on the columns S minus the anchor
-    left = ctx.a_power(k - r) @ ctx.obs_n_inv
+def _contraction_reference(A, c, k, r, beta):
+    """The paper's contraction, minor by minor: each anchored k-subset S of the
+    rows weighs the r-minors of A^(k-r) O_n^{-1} on the columns S minus the
+    anchor by C_k(O_n)[S, beta]."""
+    n = A.rows
+    obs_n = observability_matrix(A, c, n)
+    left = inverse(obs_n)
+    for _ in range(k - r):
+        left = A @ left
     anchor = frozenset(range(1, k - r + 1))
-    coords = []
-    for S in lex_tuples(ctx.n, k):
-        if anchor <= set(S.elems):
-            cols = tuple(sorted(set(S.elems) - anchor))
-            coords.append((cols, minor(ctx.obs_n, S, beta)))
-    b = []
-    for q in lex_tuples(ctx.n, r):
-        total = None
-        for cols, weight in coords:
-            term = minor(left, q, cols) * weight
-            total = term if total is None else total + term
-        b.append(total)
-    return tuple(b)
+    coords = [(tuple(sorted(set(S.elems) - anchor)), minor(obs_n, S, beta))
+              for S in lex_tuples(n, k) if anchor <= set(S.elems)]
+    return tuple(sum((minor(left, q, cols) * weight for cols, weight in coords), Fraction(0))
+                 for q in lex_tuples(n, r))
 
 
-def _reference_full_order_input(ctx, r):
-    n = ctx.n
-    tall = (ctx.a_power(n - r) @ ctx.obs_n_inv).submatrix(
-        range(1, n + 1), range(n - r + 1, n + 1))
-    return compound(tall, r).col(0)
+def _contraction_full_order_reference(A, c, r):
+    """The last column of C_r(A^(n-r) O_n^{-1})."""
+    n = A.rows
+    left = inverse(observability_matrix(A, c, n))
+    for _ in range(n - r):
+        left = A @ left
+    return compound(left.submatrix(range(1, n + 1), range(n - r + 1, n + 1)), r).col(0)
+
+
+def _laplace_reference(A, c, k, r, beta):
+    """b = C_r(A)^(k-r) w by the Laplace expansion, written out again: the
+    anchor minors by ``minor``, eps_T by counting the entries of the rest of
+    beta that each element of T passes, the products by ``compound(A, r)``."""
+    n, a = A.rows, k - r
+    obs_n = observability_matrix(A, c, n)
+    index = {T.elems: i for i, T in enumerate(lex_tuples(n, r))}
+    zero, one = (0.0, 1.0) if A.backend is Backend.FLOAT else (Fraction(0), Fraction(1))
+    w = [zero] * len(index)
+    for T in combinations(beta.elems, r):
+        rest = tuple(x for x in beta.elems if x not in T)
+        weight = minor(obs_n, range(1, a + 1), rest) if a else one
+        passes = sum(x > t for t in T for x in rest)
+        w[index[T]] = -weight if passes % 2 else weight
+    CA = compound(A, r)
+    for _ in range(a):
+        w = CA.matvec(w)
+    return tuple(w)
 
 
 def _same_scalars(got, want):
@@ -137,27 +184,44 @@ def _same_scalars(got, want):
         [(type(x), repr(x)) for x in want]
 
 
+def _differential_pairs():
+    rng = random.Random(7)
+    return [pair for n in range(2, 6)
+            for pair in [observable_pair(rng, n) for _ in range(3)] + [_diagonal_pair(rng, n)]]
+
+
 @pytest.mark.parametrize("arith", ["exact", "float"])
 def test_compound_trace_inputs_match_minor_reference(arith):
-    rng = random.Random(7)
+    """Exact inputs equal the paper's contraction through O_n^{-1} as Fractions.
+    Float inputs equal the Laplace expansion written out again, bit for bit,
+    and lie within 1e-12 of the exact inputs, relative to their largest entry."""
     checked = 0
-    for n in range(2, 6):
-        for _ in range(3):
-            A, c = observable_pair(rng, n)
-            if arith == "float":
-                A, c = A.to_float(), tuple(float(x) for x in c)
-            ctx = obsv._OperatorContext(A, c)
-            for k in range(1, n + 1):
-                for r in range(1, k + 1):
-                    for entry in beta_family(n, k):
-                        got = obsv._minor_trace_input(ctx, k, r, entry.beta)
-                        want = _reference_trace_input(ctx, k, r, entry.beta)
-                        assert _same_scalars(got, want), (n, k, r, entry.beta)
-                        checked += 1
-            for r in range(1, n + 1):
-                got = obsv._full_order_input(ctx, r)
-                assert _same_scalars(got, _reference_full_order_input(ctx, r)), (n, r)
-    assert checked > 300
+    for A, c in _differential_pairs():
+        n = A.rows
+        exact = obsv._OperatorContext(A, c)
+        Af, cf = A.to_float(), tuple(float(x) for x in c)
+        ctx = exact if arith == "exact" else obsv._OperatorContext(Af, cf)
+        whole = IndexTuple(n, tuple(range(1, n + 1)))
+        cases = [(k, r, beta) for k in range(1, n + 1) for r in range(1, k + 1)
+                 for beta in lex_tuples(n, k)] + [(n, r, None) for r in range(1, n + 1)]
+        for k, r, beta in cases:
+            if beta is None:
+                got, want_exact = obsv._full_order_input(ctx, r), obsv._full_order_input(exact, r)
+            else:
+                got = obsv._minor_trace_input(ctx, k, r, beta)
+                want_exact = obsv._minor_trace_input(exact, k, r, beta)
+            if arith == "exact":
+                want = (_contraction_full_order_reference(A, c, r) if beta is None
+                        else _contraction_reference(A, c, k, r, beta))
+                assert all(type(x) is Fraction for x in got) and got == want, (n, k, r, beta)
+            else:
+                want = (tuple(x / det(ctx.obs_n) for x in _laplace_reference(Af, cf, n, r, whole))
+                        if beta is None else _laplace_reference(Af, cf, k, r, beta))
+                assert _same_scalars(got, want), (n, k, r, beta)
+                scale = max(abs(float(x)) for x in want_exact) or 1.0
+                assert max(abs(x - float(y)) for x, y in zip(got, want_exact)) <= 1e-12 * scale
+            checked += 1
+    assert checked >= 300
 
 
 def _propagated_impulse_reference(sys, N):

@@ -6,7 +6,7 @@ import pytest
 
 from varsign import oracle
 from varsign.linalg import DEFAULT_TOL, Matrix, NonSquareError, SizeMismatchError
-from varsign.lti import LtiSystem, impulse_response
+from varsign.lti import LtiSystem, default_horizon, impulse_response
 from varsign.oracle import (
     OracleReport,
     _judge,
@@ -95,6 +95,19 @@ def test_falsify_operator_example_systems():
     assert falsify_operator_vb(A2, c2, 2, horizon=50, trials=500, seed=0).clean
     refutation = falsify_operator_vb(A2, c2, 1, horizon=50, trials=500, seed=0)
     assert not refutation.clean
+
+
+def test_falsify_operator_default_horizon_is_the_certificate_horizon():
+    # y(t) = x1 - 0.9^(t-1) x2 changes sign late when x2 >> x1 > 0; at n = 6
+    # default_horizon gives 60 samples, and some states only turn after t = 50
+    diag = (1.0, 0.9, 0.5, 0.5, 0.5, 0.5)
+    A = Matrix.floating([[diag[i] if i == j else 0.0 for j in range(6)] for i in range(6)])
+    c = (1.0, -1.0, 0.0, 0.0, 0.0, 0.0)
+    assert default_horizon(6) == 60
+    got = falsify_operator_vb(A, c, 1, trials=200, seed=0)
+    assert got == falsify_operator_vb(A, c, 1, horizon=60, trials=200, seed=0)
+    assert len(falsify_operator_vb(A, c, 1, horizon=50, trials=200, seed=0).violations) \
+        < len(got.violations)
 
 
 def test_falsify_operator_rejects_mismatched_shapes():

@@ -6,10 +6,11 @@ A verdict separates two kinds of evidence: the sampled impulse response over
 a finite horizon, and an analytic tail bound derived from a floating-point
 eigen-decomposition.  The bound establishes the sign of every sample beyond
 ``tail_start``, which makes a finite sample check conclusive.  ``analyse``
-gathers both once per system; ``judge`` reads a strict or a non-strict
-verdict off the analysis.  Systems on one pair (A, c) that differ only in b
-can share the exact output rows (``output_rows``) and the eigen-
-decomposition (``dominant_modes``).
+gathers both once per system, the tail only when the samples do not already
+carry both strict signs (which refutes every requirement); ``judge`` reads a
+strict or a non-strict verdict off the analysis.  Systems on one pair (A, c)
+that differ only in b can share the exact output rows (``output_rows``) and
+the eigen-decomposition (``dominant_modes``).
 """
 
 from __future__ import annotations
@@ -399,7 +400,9 @@ class ExtPosAnalysis:
     Holds the samples g(1)..g(horizon), their sign classes (``sign_of``), the
     tail certificate (eigen or minimal-recurrence route; dropped when its
     sign disagrees with the decisive samples) and the notes explaining it.
-    ``judge`` turns one analysis into a strict or a non-strict verdict.
+    Samples of both strict signs already refute, so such an analysis has no
+    tail and no notes.  ``judge`` turns one analysis into a strict or a
+    non-strict verdict.
     """
 
     n: int
@@ -414,11 +417,17 @@ class ExtPosAnalysis:
 def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL,
             rows: OutputRows | None = None,
             modes: DominantModes | None = None) -> ExtPosAnalysis:
-    """Sample the impulse response and certify its tail; ``rows`` and
-    ``modes`` pass what the systems on one pair (A, c) share."""
+    """Sample the impulse response and, unless the samples carry both strict
+    signs, certify its tail; ``rows`` and ``modes`` pass what the systems on
+    one pair (A, c) share."""
     horizon = horizon if horizon is not None else default_horizon(sys.n)
     g = impulse_response(sys, horizon, rows)
     backend = sys.backend
+    signs = tuple(sign_of(x, backend, tol) for x in g)
+    decisive = {s for s in signs if s}
+    if len(decisive) == 2:
+        # samples of both strict signs settle every verdict; no tail is needed
+        return ExtPosAnalysis(sys.n, backend, horizon, g, signs, None, ())
     notes = []
     tail, tail_note = dominant_tail(sys, tol, modes)
     if tail is None and backend is Backend.EXACT:
@@ -433,8 +442,6 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
                 tail_note = f"{tail_note}; after reduction to order {reduced.n}: {note2}"
     if tail_note:
         notes.append(tail_note)
-    signs = tuple(sign_of(x, backend, tol) for x in g)
-    decisive = {s for s in signs if s}
     if tail and len(decisive) == 1 and tail.sign not in decisive:
         notes.append("tail certificate sign disagrees with decisive samples; tail discarded")
         tail = None

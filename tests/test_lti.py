@@ -8,6 +8,7 @@ from operator import matmul
 import numpy as np
 import pytest
 
+import varsign.lti as lti
 from varsign.linalg import Backend, Matrix, NonSquareError, sign_of
 from varsign.lti import (
     ExtPosAnalysis,
@@ -197,6 +198,52 @@ def test_minimal_recurrence_reduction_unblocks_inactive_dominant_mode():
     v = external_positivity(sys, strict=True)
     assert v.status is ExtPosStatus.STRICT_POSITIVE
     assert any("reduction" in n for n in v.notes)
+
+
+def _forbid_tail_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tail work on a system whose samples already refute")
+
+    monkeypatch.setattr(lti, "dominant_tail", refuse)
+    monkeypatch.setattr(lti, "minimal_recurrence_system", refuse)
+
+
+@pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+def test_mixed_samples_skip_the_tail(monkeypatch, backend):
+    # g = (0, 1, -1/4, ...): both strict signs by t = 3
+    A = Matrix.exact([["0.5", "1"], ["0", "-0.75"]])
+    if backend is Backend.FLOAT:
+        A = A.to_float()
+    sys = LtiSystem(A, (0, 1), (1, 0))
+    _forbid_tail_work(monkeypatch)
+    analysis = analyse(sys, 12)
+    assert analysis.tail is None and analysis.notes == ()
+    g, signs = analysis.samples, analysis.signs
+    first_pos, first_neg = signs.index(1) + 1, signs.index(-1) + 1
+    assert (first_pos, first_neg) == (2, 3)
+    for strict in (True, False):
+        v = judge(analysis, strict)
+        assert v.status is ExtPosStatus.VIOLATED
+        t = max(first_pos, first_neg)
+        assert v.first_violation == (t, g[t - 1])
+        assert v.tail is None and v.sample_sign is None
+
+
+def test_one_signed_samples_still_reach_the_tail(monkeypatch):
+    calls = []
+
+    def counting_tail(*args, **kwargs):
+        calls.append(args[0])
+        return dominant_tail(*args, **kwargs)
+
+    monkeypatch.setattr(lti, "dominant_tail", counting_tail)
+    sys = LtiSystem(Matrix.exact([["0.5", "0.1"], ["0", "0.25"]]), (1, 1), (1, 1))
+    analysis = analyse(sys, 12)
+    assert calls == [sys]
+    assert analysis.tail is not None
+    v = judge(analysis)
+    assert v.status is ExtPosStatus.STRICT_POSITIVE
+    assert v.tail_start is not None
 
 
 def test_lti_system_validation():

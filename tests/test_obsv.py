@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import varsign.lti as lti
 from varsign.linalg import (
     Backend,
     IndexTuple,
@@ -468,6 +469,41 @@ def test_engine_analyses_each_system_once(monkeypatch):
     assert 0 < len(analysed) <= keys
     # each context builds one compound per (matrix, order)
     assert compounds and len(set(compounds)) == len(compounds)
+
+
+def _dense_tenths_pair(seed, n):
+    rng = random.Random(seed)
+    A = Matrix.exact([[Fraction(rng.randint(1, 9), 10) for _ in range(n)] for _ in range(n)])
+    return A, tuple(Fraction(rng.randint(1, 9), 10) for _ in range(n))
+
+
+@pytest.mark.parametrize("seed,tails", [(0, 7), (1, 11), (2, 4)])
+def test_tail_work_only_on_systems_not_refuted_by_samples(monkeypatch, seed, tails):
+    """Samples of both strict signs refute a system without a tail: dense
+    pairs at n = 4, k = 3 try the tail of only the 7, 11 and 4 of their 12
+    systems whose samples are one-signed."""
+    tail_calls, fitted = [], []
+    tail, fit = lti.dominant_tail, lti.minimal_recurrence_system
+
+    def counting_tail(*args, **kwargs):
+        tail_calls.append(args[0])
+        return tail(*args, **kwargs)
+
+    def counting_fit(sys, samples):
+        fitted.append(samples)
+        return fit(sys, samples)
+
+    monkeypatch.setattr(lti, "dominant_tail", counting_tail)
+    monkeypatch.setattr(lti, "minimal_recurrence_system", counting_fit)
+    cert = certify_svb(*_dense_tenths_pair(seed, 4), 3)
+    assert cert.conclusion is Conclusion.REFUTED and len(cert.per_system) == 12
+
+    def mixed(samples):
+        return min(samples) < 0 < max(samples)
+
+    one_signed = [sv for sv in cert.per_system if not mixed(sv.verdict.samples)]
+    assert len(tail_calls) == len(one_signed) == tails
+    assert not any(mixed(samples) for samples in fitted)
 
 
 def test_example3_hankel_route():

@@ -1,13 +1,19 @@
 """Golden digests of exact-mode `varsign certify` outputs on the fixtures.
 
 Each case runs the CLI and compares sha256 digests of its `report.json` and
-of every trace CSV against `tests/golden_reports.json`.  Certificate-level
-`notes` (including those of the nested Hankel factor certificates) are
-removed before digesting the report, since they are prose that may be
-reworded; per-system verdicts, statuses, witnesses and traces are pinned
-byte for byte.
+of every trace CSV against `tests/golden_reports.json`.  Two digests cover
+the report:
+- `files["report.json"]` drops only the certificate-level `notes` (including
+  those of the nested Hankel factor certificates), since they are prose that
+  may be reworded; per-system verdicts, notes, statuses and witnesses are
+  pinned byte for byte.
+- `report_notes_free` drops every `notes` key at any depth, per-system notes
+  included, so it pins every field that is not prose.  A change that only
+  rewords or drops notes moves the first digest and leaves this one alone.
 
-Regenerate the table with `python tests/test_reports_golden.py --write`.
+Regenerate the table with `python tests/test_reports_golden.py --write`; it
+prints each case whose digests moved, and whether the move is confined to
+notes.
 """
 
 import hashlib
@@ -22,6 +28,7 @@ from varsign.fixtures import path as fixture_path
 
 TABLE = Path(__file__).with_name("golden_reports.json")
 PROPERTIES = ("svb", "vb", "kpos", "vd")
+NOTES_FREE = "report_notes_free"
 
 
 def _cases():
@@ -45,6 +52,19 @@ def _strip_notes(cert: dict) -> dict:
     return cert
 
 
+def _drop_all_notes(value):
+    """``value`` without any ``notes`` key, at any depth."""
+    if isinstance(value, dict):
+        return {key: _drop_all_notes(item) for key, item in value.items() if key != "notes"}
+    if isinstance(value, list):
+        return [_drop_all_notes(item) for item in value]
+    return value
+
+
+def _digest_json(value) -> str:
+    return _digest(json.dumps(value, indent=2, sort_keys=True).encode())
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -54,11 +74,43 @@ def run_case(out_dir: Path, name: str, target: str, prop: str, k: int) -> dict:
     code = main(["certify", str(fixture_path(name)), "--property", prop, "--k", str(k),
                  "--target", target, "--arith", "exact", "--out", str(out_dir)])
     report = json.loads((out_dir / "report.json").read_text())
+    notes_free = _digest_json(_drop_all_notes(report))
     report["certificate"] = _strip_notes(report["certificate"])
-    files = {"report.json": _digest(json.dumps(report, indent=2, sort_keys=True).encode())}
+    files = {"report.json": _digest_json(report)}
     for trace in sorted(out_dir.rglob("trace_*.csv")):
         files[trace.relative_to(out_dir).as_posix()] = _digest(trace.read_bytes())
-    return {"exit": code, "files": files}
+    return {"exit": code, "files": files, NOTES_FREE: notes_free}
+
+
+def describe_moves(old_table: dict, new_table: dict) -> list[str]:
+    """One line per case whose record differs between two golden tables.
+
+    A line names what moved: the exit code, the report digest, the
+    notes-free report digest and each trace digest.  A case whose report
+    digest alone moved is marked notes-only.
+    """
+    lines = []
+    for case_id in sorted(old_table.keys() | new_table.keys()):
+        old, new = old_table.get(case_id), new_table.get(case_id)
+        if old == new:
+            continue
+        if old is None or new is None:
+            lines.append(f"{case_id}: case {'added' if old is None else 'removed'}")
+            continue
+        moved = []
+        if old["exit"] != new["exit"]:
+            moved.append(f"exit {old['exit']} -> {new['exit']}")
+        if old["files"].get("report.json") != new["files"].get("report.json"):
+            moved.append("report.json")
+        if old.get(NOTES_FREE) != new.get(NOTES_FREE):
+            moved.append("notes-free report.json")
+        traces = sorted(name for name in old["files"].keys() | new["files"].keys()
+                        if name != "report.json" and old["files"].get(name) != new["files"].get(name))
+        moved.extend(f"trace {name}" for name in traces)
+        if moved == ["report.json"]:
+            moved.append("notes only: notes-free and trace digests unchanged")
+        lines.append(f"{case_id}: moved {'; '.join(moved)}")
+    return lines
 
 
 @pytest.mark.parametrize("case_id,name,target,prop,k", CASES, ids=[c[0] for c in CASES])
@@ -67,13 +119,35 @@ def test_report_matches_golden(tmp_path, capsys, case_id, name, target, prop, k)
     assert run_case(tmp_path, name, target, prop, k) == expected
 
 
+def test_describe_moves_tells_notes_only_moves_apart():
+    case = {"exit": 0, "files": {"report.json": "r", "trace_a.csv": "a"}, NOTES_FREE: "f"}
+
+    def moved(**changes):
+        new = dict(case, **changes)
+        return describe_moves({"c": case}, {"c": new})
+
+    assert moved() == []
+    assert moved(files={"report.json": "r2", "trace_a.csv": "a"}) == [
+        "c: moved report.json; notes only: notes-free and trace digests unchanged"]
+    assert moved(files={"report.json": "r2", "trace_a.csv": "a2"}, **{NOTES_FREE: "f2"}) == [
+        "c: moved report.json; notes-free report.json; trace trace_a.csv"]
+    assert moved(exit=1) == ["c: moved exit 0 -> 1"]
+    assert describe_moves({}, {"c": case}) == ["c: case added"]
+
+
 if __name__ == "__main__":
+    import io
     import tempfile
+    from contextlib import redirect_stdout
 
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_reports_golden.py --write")
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     table = {}
     for case_id, name, target, prop, k in CASES:
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
             table[case_id] = run_case(Path(tmp), name, target, prop, k)
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    moves = describe_moves(old, table)
+    print("\n".join(moves) if moves else "no digest moved")
+    print(f"{len(moves)} of {len(table)} cases moved; wrote {TABLE}")

@@ -10,7 +10,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -19,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .linalg import Backend, Matrix, int_text
+from .lti import ExactSamples
 from .obsv import Certificate, HankelCertificate, SystemVerdict
 
 
@@ -113,40 +113,71 @@ def load_system_file(path, backend: Backend = Backend.EXACT) -> SystemFile:
 _LOG2_5 = math.log2(5)
 
 
-def render_value(x) -> str:
-    """Full-precision text for one scalar; exact decimals when they terminate.
+def _decimal_exponents(den: int) -> tuple[int, int] | None:
+    """(a, f) with den = 2^a 5^f, or None when den has another prime factor.
 
-    A denominator 2^a 5^f renders with d = max(a, f) digits as the integer
-    num 5^(d-f) 2^(d-a).  f is read off the bit length of the odd part: the
-    only power of 5 with bit length L is 5^f with f = ceil((L-1) / log2 5),
-    and one comparison with it confirms or rules out a power of 5.
+    f is read off the bit length of the odd part: the only power of 5 with
+    bit length L is 5^f with f = ceil((L-1) / log2 5), and one comparison
+    with it confirms or rules out a power of 5.
     """
+    twos = (den & -den).bit_length() - 1  # trailing zero bits: the factors 2
+    odd = den >> twos
+    if odd == 1:
+        return twos, 0
+    if odd % 5:
+        return None
+    bits = odd.bit_length()
+    fives = math.ceil((bits - 1) / _LOG2_5)
+    power = 5 ** fives
+    # these run only if float rounding put the estimate off
+    while power.bit_length() < bits:
+        power, fives = power * 5, fives + 1
+    while power.bit_length() > bits:
+        power, fives = power // 5, fives - 1
+    return (twos, fives) if power == odd else None
+
+
+def _decimal_text(num: int, twos: int, fives: int) -> str:
+    """The shortest decimal of num / (2^twos 5^fives).
+
+    With d = max(twos, fives) digits the value is the integer
+    num 5^(d-fives) 2^(d-twos); trailing zeros of its fraction are dropped,
+    so an unreduced numerator prints as its reduced value does.
+    """
+    digits = max(twos, fives)
+    if digits == 0:
+        return int_text(num)
+    scaled = num * 5 ** (digits - fives) << (digits - twos)
+    sign = "-" if scaled < 0 else ""
+    body = int_text(abs(scaled)).rjust(digits + 1, "0")
+    frac = body[-digits:].rstrip("0")
+    return f"{sign}{body[:-digits]}.{frac}" if frac else f"{sign}{body[:-digits]}"
+
+
+def render_value(x) -> str:
+    """Full-precision text for one scalar; exact decimals when they terminate."""
     if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-        twos = (den & -den).bit_length() - 1  # trailing zero bits: the factors 2
-        odd = den >> twos
-        fives = 0
-        if odd > 1:
-            if odd % 5:
-                return f"{int_text(num)}/{int_text(den)}"
-            bits = odd.bit_length()
-            fives = math.ceil((bits - 1) / _LOG2_5)
-            power = 5 ** fives
-            # these run only if float rounding put the estimate off
-            while power.bit_length() < bits:
-                power, fives = power * 5, fives + 1
-            while power.bit_length() > bits:
-                power, fives = power // 5, fives - 1
-            if power != odd:
-                return f"{int_text(num)}/{int_text(den)}"
-        digits = max(twos, fives)
-        if digits == 0:
-            return int_text(num)
-        scaled = num * 5 ** (digits - fives) << (digits - twos)
-        sign = "-" if scaled < 0 else ""
-        body = int_text(abs(scaled)).rjust(digits + 1, "0")
-        return f"{sign}{body[:-digits]}.{body[-digits:]}"
+        exponents = _decimal_exponents(x.denominator)
+        if exponents is None:
+            return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
+        return _decimal_text(x.numerator, *exponents)
     return repr(x)
+
+
+def _sample_texts(samples):
+    """``render_value`` of each sample.  Exact samples render from their
+    integer numerators when D_b D_c and D_A (``ExactSamples``) are products
+    of 2s and 5s: sample t has the exponents of D_b D_c plus t-1 times those
+    of D_A."""
+    if isinstance(samples, ExactSamples):
+        dens = samples.dens
+        base = _decimal_exponents(samples.db * dens[0])
+        step = _decimal_exponents(dens[1] // dens[0]) if len(dens) > 1 else (0, 0)
+        if base is not None and step is not None:
+            (a, f), (da, df) = base, step
+            return (_decimal_text(num, a + t * da, f + t * df)
+                    for t, num in enumerate(samples.nums))
+    return map(render_value, samples)
 
 
 def trace_filename(r: int, beta) -> str:
@@ -155,14 +186,16 @@ def trace_filename(r: int, beta) -> str:
 
 
 def write_traces(out_dir, per_system: list[SystemVerdict]) -> list[str]:
+    """One ``t,g`` CSV per system, with the excel dialect's ``\\r\\n`` lines
+    (no rendered value needs quoting)."""
     out = []
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for sv in per_system:
         fname = trace_filename(sv.r, sv.beta.elems if sv.beta is not None else None)
-        with open(out_dir / fname, "w", newline="") as fh:
-            csv.writer(fh).writerows([("t", "g"), *(
-                (t, render_value(value)) for t, value in enumerate(sv.verdict.samples, 1))])
+        rows = "".join(f"{t},{text}\r\n"
+                       for t, text in enumerate(_sample_texts(sv.verdict.samples), 1))
+        (out_dir / fname).write_text("t,g\r\n" + rows, newline="")
         out.append(fname)
     return out
 

@@ -96,13 +96,12 @@ def sign_of(x: Num, backend: Backend, tol: float = DEFAULT_TOL):
     """Sign classification: +1, -1, 0 (exact backend only) or None (inconclusive).
 
     Float values inside ``[-tol, tol]`` are inconclusive, including exact 0.0.
+    Exact values (ints and Fractions) are classified by their numerator,
+    whose sign is the value's: the denominator is positive.
     """
     if backend is Backend.EXACT:
-        if x > 0:
-            return 1
-        if x < 0:
-            return -1
-        return 0
+        num = x.numerator
+        return 1 if num > 0 else -1 if num < 0 else 0
     if x > tol:
         return 1
     if x < -tol:

@@ -1,6 +1,8 @@
 """Discrete-time LTI systems: impulse responses, observability matrices,
 ordered spectra, and external-positivity verdicts with a dominant-mode tail
-certificate.
+certificate.  Exact samples stay integer numerators over the known
+denominators D_b D_c D_A^(t-1) (``ExactSamples``): signs and the recurrence
+fit read the numerators, and a ``Fraction`` is built only to show a value.
 
 A verdict separates two kinds of evidence: the sampled impulse response over
 a finite horizon, and an analytic tail bound derived from a floating-point
@@ -16,11 +18,11 @@ the eigen-decomposition (``dominant_modes``).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 import numpy as np
 
@@ -102,14 +104,42 @@ def output_rows(A: Matrix, c: Sequence[Fraction], N: int) -> OutputRows:
     return OutputRows(tuple(rows), tuple(dens))
 
 
-def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None) -> tuple[Num, ...]:
+class ExactSamples(Sequence):
+    """Samples g(t) = nums[t-1] / (D_b dens[t-1]), nums[t-1] = w_t (D_b b) and
+    dens[t-1] = D_c D_A^(t-1) (``OutputRows``; it may run past N), so each
+    numerator has its sample's sign.  Items, slices and iteration give the
+    reduced Fractions, and the sequence equals the tuple of them."""
+
+    __slots__ = ("nums", "db", "dens")
+
+    def __init__(self, nums: tuple[int, ...], db: int, dens: tuple[int, ...]):
+        self.nums, self.db, self.dens = nums, db, dens
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self.nums))))
+        return Fraction(self.nums[i], self.db * self.dens[i % len(self.nums)])
+
+    def __iter__(self):
+        return map(Fraction, self.nums, (self.db * den for den in self.dens))
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, ExactSamples) else other)
+
+
+def impulse_response(sys: LtiSystem, N: int,
+                     rows: OutputRows | None = None) -> ExactSamples | tuple[float, ...]:
     """Samples g(1)..g(N) of g(t) = c A^(t-1) b.
 
     The exact backend reads them off the integer output rows of (A, c)
     (``output_rows``; ``rows`` passes ones built earlier for the same A, c
     and at least N samples): with D_b the lcm of the denominators of b,
-    g(t) = w_t (D_b b) / (D_b dens[t-1]), one reduction per sample.  The
-    float backend propagates the state.
+    g(t) = w_t (D_b b) / (D_b D_c D_A^(t-1)), kept as the integer numerators
+    (``ExactSamples``), one dot product per sample.  The float backend
+    propagates the state.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -120,8 +150,7 @@ def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None) -> 
             raise ValueError("output rows are shorter than the horizon")
         db = math.lcm(*(x.denominator for x in sys.b))
         b = [x.numerator * (db // x.denominator) for x in sys.b]
-        return tuple(Fraction(sum(map(mul, w, b)), den * db)
-                     for w, den in zip(rows.rows[:N], rows.dens))
+        return ExactSamples(tuple(sum(map(mul, w, b)) for w in rows.rows[:N]), db, rows.dens)
     x = sys.b
     out = []
     for _ in range(N):
@@ -305,74 +334,63 @@ def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL,
     return TailCertificate(start, sign, float(abs(lam1)), float(sub), float(abs(rho1)), float(rest)), ""
 
 
-def _solve_exact_consistent(rows_in, rhs, width):
-    """Particular exact solution of M a = y, or None when inconsistent."""
-    rows = [list(r) + [v] for r, v in zip(rows_in, rhs)]
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
+def _solve_exact_consistent(u: Sequence[int]) -> list[int]:
+    """Berlekamp–Massey, fraction-free: the shortest C = [C_0 != 0, .., C_L]
+    with sum_j C_j u[t-j] = 0 for L <= t < len(u) (C_L may be 0).  An update
+    scales C by the discrepancy b of the saved B instead of dividing by it,
+    C stays primitive, and m + len(B) is the length after each update.
+    (``perfbench/tracing.py`` counts the calls of this name.)"""
+    C, B, m, b = [1], [1], 1, 1
+    for i in range(len(u)):
+        L = len(C) - 1
+        d = sum(map(mul, C, reversed(u[i - L:i + 1])))
+        if d == 0:
+            m += 1
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
-    a = [Fraction(0)] * width
-    for idx, col in enumerate(pivots):
-        a[col] = rows[idx][-1]
-    return a
+        T = [b * x for x in C] + [0] * (m + len(B) - len(C))
+        for j, y in enumerate(B, m):
+            T[j] -= d * y
+        B, b, m = (C, d, 1) if 2 * L <= i else (B, b, m + 1)
+        g = math.gcd(*T)
+        C = [x // g for x in T]
+    return C
 
 
-def minimal_recurrence_system(sys: LtiSystem, samples: Sequence[Num]) -> LtiSystem | None:
-    """Exact reduced realization of the sampled impulse response.
+def minimal_recurrence_system(sys: LtiSystem, samples: ExactSamples) -> LtiSystem | None:
+    """Exact reduced realization of the impulse response ``samples`` of sys.
 
-    Fits the minimal d with g(t+d) = sum_i a_i g(t+i) on the first
-    max(n, d) rows of the sample window and returns the order-d companion
-    realization.  The fit is conclusive, not heuristic: q(S)g vanishes on
-    max(n, d) >= n consecutive t and obeys the order-n recurrence of the full
-    system, so q(S)g vanishes everywhere and the companion system reproduces
-    g exactly; later rows are combinations of these and add no constraint.
-    At the minimal d the leading d x d Hankel block [g(i+j)] is nonsingular
-    (g = 0 aside), so a is unique.  The companion modes are precisely the
-    active ones, which unblocks the dominance analysis when an inactive mode
-    of the full state matrix dominates its spectrum.  Exact backend only.
+    One Berlekamp–Massey pass over the first min(H, 2n) numerators (which
+    obey the recurrence of D_A A) finds the minimal L of g(t+L) = sum_i a_i
+    g(t+i) (L = 1, a = 0 when g = 0); the order-L companion realization,
+    b = g(1..L), is returned when H >= n + L.  g and each q(S)g obey the
+    order-n recurrence of A, so L <= n and a recurrence holding on n
+    consecutive t holds for all t; recurrences of orders L' and L agreeing on
+    L + L' <= n + L' samples agree for all t, so the pass finds the minimal
+    L.  The fit of d = 1..n on the first n rows, inconsistent for d < L,
+    reached L exactly when H >= n + L, where the Hankel block [g(i+j)] is
+    nonsingular (g = 0 aside): same rule, same unique a.  Companion modes
+    are the active ones, which unblocks the dominance analysis when an
+    inactive mode dominates.  Exact backend only.
     """
     if sys.backend is not Backend.EXACT:
         return None
-    H = len(samples)
-    n = sys.n
-    for d in range(1, n + 1):
-        if H - d < max(n, d):
-            return None
-        rows = [samples[t:t + d] for t in range(max(n, d))]
-        rhs = [samples[t + d] for t in range(max(n, d))]
-        a = _solve_exact_consistent(rows, rhs, d)
-        if a is None:
-            continue
-        comp = [[Fraction(1) if j == i + 1 else Fraction(0) for j in range(d)]
-                for i in range(d - 1)]
-        comp.append(list(a))
-        c = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(d))
-        return LtiSystem(Matrix(comp, Backend.EXACT), tuple(samples[:d]), c)
-    return None
+    H, n = len(samples), sys.n
+    C = _solve_exact_consistent(samples.nums[:min(H, 2 * n)]) + [0]  # [1, 0]: g = 0
+    L = max(len(C) - 2, 1)
+    if H < n + L:
+        return None
+    scale = samples.dens[1] // samples.dens[0]
+    comp = [[Fraction(j == i + 1) for j in range(L)] for i in range(L - 1)]
+    comp.append([Fraction(-C[L - i], C[0] * scale ** (L - i)) for i in range(L)])
+    return LtiSystem(Matrix(comp, Backend.EXACT), samples[:L],
+                     tuple(Fraction(i == 0) for i in range(L)))
 
 
 @dataclass
 class ExtPosVerdict:
     status: ExtPosStatus
     horizon: int
-    samples: tuple[Num, ...]
+    samples: Sequence[Num]
     tail: TailCertificate | None = None
     first_violation: tuple[int, Num] | None = None
     suspect_times: tuple[int, ...] = ()
@@ -408,7 +426,7 @@ class ExtPosAnalysis:
     n: int
     backend: Backend
     horizon: int
-    samples: tuple[Num, ...]
+    samples: Sequence[Num]
     signs: tuple[int | None, ...]
     tail: TailCertificate | None
     notes: tuple[str, ...]
@@ -423,7 +441,7 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     horizon = horizon if horizon is not None else default_horizon(sys.n)
     g = impulse_response(sys, horizon, rows)
     backend = sys.backend
-    signs = tuple(sign_of(x, backend, tol) for x in g)
+    signs = tuple(sign_of(x, backend, tol) for x in (g.nums if backend is Backend.EXACT else g))
     decisive = {s for s in signs if s}
     if len(decisive) == 2:
         # samples of both strict signs settle every verdict; no tail is needed

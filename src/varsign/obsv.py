@@ -522,7 +522,8 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     # C_1(A) = A and c_1 = c, so the order-1 rows and modes serve (A, b, c)
     sys = LtiSystem(A, tuple(b), tuple(c))
     g = impulse_response(sys, horizon, ctx.output_rows(1))
-    measured = v_minus(g, tol if A.backend is Backend.FLOAT else None)
+    # exact samples carry their signs in their numerators (``ExactSamples``)
+    measured = v_minus(g, tol) if A.backend is Backend.FLOAT else v_minus(g.nums)
     tail, _ = dominant_tail(sys, tol, ctx.modes(1))
     complete = tail is not None and tail.start <= horizon
     notes = []

@@ -1,15 +1,17 @@
 import csv
 import json
 import random
+import sys
 from dataclasses import asdict
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import varsign.io
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
-from varsign.io import load_system_file, render_value
+from varsign.io import load_system_file, render_value, trace_filename, write_traces
 from varsign.linalg import Matrix
 from varsign.lti import LtiSystem, impulse_response
 from varsign.obsv import certify_k_positive
@@ -324,6 +326,75 @@ def test_render_value_matches_division_reference_on_exact_samples(monkeypatch):
         monkeypatch.setattr(varsign.io, "_LOG2_5", log2_5)
         for v in powers:
             assert render_value(v) == _render_value_reference(v), (log2_5, v)
+
+
+def _write_traces_reference(out_dir, per_system):
+    """write_traces as it was: csv.writer rows of render_value on each
+    reduced sample."""
+    for sv in per_system:
+        with open(out_dir / trace_filename(sv.r, None), "w", newline="") as fh:
+            csv.writer(fh).writerows([("t", "g"), *(
+                (t, render_value(value)) for t, value in enumerate(tuple(sv.verdict.samples), 1))])
+
+
+_TRACE_SYSTEMS = [
+    # decimal denominators: D_A = 100, D_c = 10, D_b = 4
+    ([["0.7", "0.6", "-2"], ["0.15", "0.15", "-0.25"], ["0", "0.03", "0.1"]],
+     ("1", "-0.5", "0.25"), ("1.1", "0.1", "-5.5"), 60),
+    # only 2s, and only 5s
+    ([["1/2", "-3/4"], ["1/8", "1"]], ("1/8", "-1"), ("1", "3/2"), 40),
+    ([["0.2", "-0.4", "0"], ["0.6", "0.2", "-0.8"], ["0", "0.4", "0.2"]],
+     ("1", "-0.04", "3"), ("0.4", "1", "-1"), 40),
+    # 5^3 in D_b and 2 in D_A: fewer 2s than 5s early, more later; and the mirror
+    ([["0.5", "1"], ["0", "-1.5"]], ("0.008", "1"), ("1", "1"), 30),
+    ([["0.2", "1"], ["0", "-1.2"]], ("0.125", "1"), ("1", "1"), 30),
+    # D = 1, with negatives
+    ([[2, -1, 0], [1, 0, 3], [0, -2, 1]], (1, -2, 0), (3, 1, -1), 25),
+    # zero samples: a nilpotent shift with a decimal input, and a zero input
+    ([[0, 0, 0], [1, 0, 0], [0, 1, "-0.5"]], ("0.25", 0, 0), (0, 0, 1), 12),
+    ([["0.5", "1"], ["0", "0.25"]], (0, 0), ("0.1", "1"), 6),
+    # p/q fallbacks from A, b and c
+    ([["1/3", "0.5"], ["0", "0.25"]], ("1", "1"), ("1", "1"), 20),
+    ([["0.5", "1"], ["0", "0.25"]], ("2/7", "1"), ("1", "0.1"), 20),
+    ([["0.5", "1"], ["0", "0.25"]], ("1", "1"), ("1/3", "0.5"), 20),
+    # ints beyond sys.get_int_max_str_digits()
+    ([["1e400", "0"], ["1", "0.25"]], ("1", "1"), ("1", "1"), 50),
+    ([["1e-400", "0"], ["1", "-0.25"]], ("1", "1"), ("1", "1"), 50),
+    # one sample
+    ([["0.5"]], ("0.2",), ("0.25",), 1),
+]
+
+
+def test_write_traces_matches_csv_writer_reference(tmp_path):
+    per_system, texts = [], []
+    for r, (A, b, c, N) in enumerate(_TRACE_SYSTEMS, 1):
+        g = impulse_response(LtiSystem(Matrix.exact(A), b, c), N)
+        per_system.append(SimpleNamespace(r=r, beta=None, verdict=SimpleNamespace(samples=g)))
+        texts += [render_value(x) for x in g]
+    floats = [
+        LtiSystem(Matrix.floating([[1e-5, 0.0], [0.0, -0.5]]), (1.0, 1.0), (1.0, 1.0)),
+        LtiSystem(Matrix.floating([[1e-5, 0.0], [0.0, 0.5]]), (1.0, 0.0), (1.0, 0.0)),
+        LtiSystem(Matrix.floating([[0.5]]), (0.0,), (1.0,)),
+        LtiSystem(Matrix.floating([[-1e30]]), (1.0,), (-3.0,)),
+    ]
+    for r, sys_f in enumerate(floats, len(per_system) + 1):
+        g = impulse_response(sys_f, 8)
+        per_system.append(SimpleNamespace(r=r, beta=None, verdict=SimpleNamespace(samples=g)))
+        texts += [render_value(x) for x in g]
+    # the cases reach every rendering path
+    assert "0" in texts and "0.0" in texts
+    assert any("/" in t for t in texts) and any("e-" in t for t in texts)
+    assert any(t.startswith("-") for t in texts) and any("e+" in t for t in texts)
+    digits = sys.get_int_max_str_digits()
+    assert any(len(t) > digits for t in texts)
+    got, want = tmp_path / "got", tmp_path / "want"
+    want.mkdir()
+    names = write_traces(got, per_system)
+    _write_traces_reference(want, per_system)
+    assert names == [trace_filename(sv.r, None) for sv in per_system]
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+    assert sorted(p.name for p in got.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", '"1e400"'])

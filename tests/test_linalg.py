@@ -24,6 +24,7 @@ from varsign.linalg import (
     minor,
     parse_scalar,
     rank,
+    sign_of,
 )
 from varsign.lti import observability_matrix
 
@@ -38,6 +39,21 @@ def test_parse_scalar_passes_exact_fraction_through():
     assert parse_scalar("0.25", Backend.EXACT) == Fraction(1, 4)
     assert parse_scalar(3, Backend.EXACT) == 3 and type(parse_scalar(3, Backend.EXACT)) is Fraction
     assert parse_scalar(x, Backend.FLOAT) == -5 / 6
+
+
+def test_exact_sign_of_reads_the_numerator():
+    def compare_reference(x):
+        """The exact classification as it was, by comparing the value with 0."""
+        return 1 if x > 0 else -1 if x < 0 else 0
+
+    big = 7 ** 6000  # more than 5000 decimal digits
+    assert big.bit_length() > 5000 * math.log2(10)
+    values = [0, 1, -1, 12, -12, big, -big, Fraction(0), Fraction(-0), Fraction(3, 7),
+              Fraction(-3, 7), Fraction(big, 3), Fraction(-1, big), Fraction(-big, big + 1),
+              Fraction(5, -9), Fraction(-5, -9), Fraction(big, -2)]
+    for x in values:
+        assert sign_of(x, Backend.EXACT) == compare_reference(x), x
+        assert type(sign_of(x, Backend.EXACT)) is int
 
 
 def test_det_2x2():

@@ -3,7 +3,7 @@ import random
 import re
 from fractions import Fraction
 from functools import reduce
-from operator import matmul
+from operator import matmul, mul
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from varsign.lti import (
     ExtPosVerdict,
     LtiSystem,
     TailCertificate,
-    _solve_exact_consistent,
     analyse,
     default_horizon,
     dominant_tail,
@@ -26,6 +25,7 @@ from varsign.lti import (
     judge,
     minimal_recurrence_system,
     observability_matrix,
+    output_rows,
 )
 
 
@@ -298,17 +298,114 @@ def test_float_impulse_is_bit_identical_to_loop_reference():
     assert impulse_response(example3_system(), 30) == _float_loop_reference(example3_system(), 30)
 
 
-def _full_window_recurrence(sys, samples):
-    """Minimal recurrence fitted on every row of the sample window."""
+def _fraction_samples_reference(sys, N):
+    """Exact samples as ``impulse_response`` built them before it kept them
+    as integers: one reduced Fraction(w_t (D_b b), D_b dens[t-1]) each."""
+    rows = output_rows(sys.A, sys.c, N)
+    db = math.lcm(*(x.denominator for x in sys.b))
+    b = [x.numerator * (db // x.denominator) for x in sys.b]
+    return tuple(Fraction(sum(map(mul, w, b)), den * db)
+                 for w, den in zip(rows.rows[:N], rows.dens))
+
+
+@pytest.mark.parametrize("A, b, c, N", [
+    ([["1/3", "2/7", 0], ["-5/6", "1/2", "-2/7"], [1, "-1/3", "5/6"]],
+     ("2/7", "-1/3", 1), ("5/6", "1/2", "-3/7"), 12),
+    ([["1/3", "2/7"], ["-5/6", "1/2"]], (0, 0), ("1/3", 1), 6),
+    ([["0.7", "0.6", "-2"], ["0.15", "0.15", "-0.25"], ["0", "0.03", "0.1"]],
+     ("1", "-0.5", "0.25"), ("1.1", "0.1", "-5.5"), 30),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, "-0.5"]], (1, 0, 0), (0, 0, 1), 9),
+    ([["-5/6"]], ("2/7",), ("-1/3",), 1),
+    ([["1e400", "0"], ["1", "0.25"]], ("1", "-1"), ("1", "1"), 20),
+])
+def test_exact_samples_equal_the_fraction_construction(A, b, c, N):
+    sys = LtiSystem(Matrix.exact(A), b, c)
+    for rows in (None, output_rows(sys.A, sys.c, N + 4)):  # shared rows may run past N
+        g = impulse_response(sys, N, rows)
+        want = _fraction_samples_reference(sys, N)
+        assert len(g) == N and g == want and want == g and tuple(g) == want
+        assert all(type(x) is Fraction for x in g)
+        for i in range(-N, N):
+            assert g[i] == want[i] and type(g[i]) is Fraction
+        for sl in (slice(None), slice(1, 4), slice(None, None, 2), slice(None, None, -1),
+                   slice(5, 2), slice(-3, None), slice(N, N + 3)):
+            got = g[sl]
+            assert type(got) is tuple and got == want[sl]
+            assert all(type(x) is Fraction for x in got)
+        with pytest.raises(IndexError):
+            g[N]
+        with pytest.raises(IndexError):
+            g[-N - 1]
+        assert [sign_of(u, Backend.EXACT) for u in g.nums] == \
+            [sign_of(x, Backend.EXACT) for x in want]
+        assert analyse(sys, N, rows=rows).signs == tuple(sign_of(x, Backend.EXACT) for x in want)
+
+
+def _solve_exact_consistent_reference(rows_in, rhs, width):
+    """Particular exact solution of M a = y by Fraction Gauss–Jordan
+    elimination, or None when inconsistent (the solver of the old fit)."""
+    rows = [list(r) + [v] for r, v in zip(rows_in, rhs)]
+    pivots = []
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    for i in range(r, len(rows)):
+        if rows[i][-1] != 0:
+            return None
+    a = [Fraction(0)] * width
+    for idx, col in enumerate(pivots):
+        a[col] = rows[idx][-1]
+    return a
+
+
+def _recurrence_fit(sys, samples, window):
+    """The d = 1..n fit of ``minimal_recurrence_system`` before it ran
+    Berlekamp–Massey, with rows t < window(H, n, d): (d, a, g(1..d)) or None."""
     H, n = len(samples), sys.n
     for d in range(1, n + 1):
         if H - d < max(n, d):
             return None
-        a = _solve_exact_consistent([samples[t:t + d] for t in range(H - d)],
-                                    [samples[t + d] for t in range(H - d)], d)
+        t_max = window(H, n, d)
+        a = _solve_exact_consistent_reference([samples[t:t + d] for t in range(t_max)],
+                                              [samples[t + d] for t in range(t_max)], d)
         if a is not None:
             return d, tuple(a), tuple(samples[:d])
     return None
+
+
+def _full_window_recurrence(sys, samples):
+    """Minimal recurrence fitted on every row of the sample window."""
+    return _recurrence_fit(sys, samples, lambda H, n, d: H - d)
+
+
+def _first_rows_recurrence(sys, samples):
+    """Minimal recurrence fitted on the first n rows, as the old fit did."""
+    return _recurrence_fit(sys, samples, lambda H, n, d: n)
+
+
+def _assert_same_fit(sys, g, want):
+    got = minimal_recurrence_system(sys, g)
+    if want is None:
+        assert got is None
+        return
+    d, a, b0 = want
+    assert got is not None and got.n == d
+    assert got.A.row(d - 1) == a and got.b == b0
+    assert all(type(x) is Fraction for x in got.A.row(d - 1) + got.b)
+    assert got.c == tuple(Fraction(i == 0) for i in range(d))
 
 
 def _random_exact_system(rng, n, kind):
@@ -346,17 +443,46 @@ def test_windowed_recurrence_matches_full_window_solve():
         H = (n + 1, 2 * n, 2 * n + 1, 50)[(i // 5) % 4]
         g = impulse_response(sys, H)
         want = _full_window_recurrence(sys, g)
-        got = minimal_recurrence_system(sys, g)
-        if want is None:
-            assert got is None
-        else:
-            d, a, b0 = want
-            assert got is not None and got.n == d
-            assert got.A.row(d - 1) == a and got.b == b0
-            reduced += d < n
+        assert _first_rows_recurrence(sys, g) == want
+        _assert_same_fit(sys, g, want)
+        reduced += want is not None and want[0] < n
         cases += 1
     assert cases >= 300
     assert reduced >= 100
+
+
+@pytest.mark.parametrize("A, b, c, d_star", [
+    # all zero: the order-1 system with a = 0
+    ([["0.5", "1"], ["0", "-0.25"]], (0, 0), (1, 1), 1),
+    ([["0.5", "1"], ["0", "-0.25"]], (1, 2), (0, 0), 1),
+    # nilpotent shift: g = 0, 0, 1, 0, ... of order n with a = 0
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], (1, 0, 0), (0, 0, 1), 3),
+    # leading zeros, then a geometric tail: x^2 (x - 1/2)
+    ([[0, 0, 0], [1, 0, 0], [0, 1, "0.5"]], (1, 0, 0), (0, 0, 1), 3),
+    # one leading zero and an inactive mode: x (x - 1/2) below n = 3
+    ([[0, 0, 0], [1, "0.5", 0], [0, 0, 3]], (1, 0, 0), (0, 1, 0), 2),
+    # a single nonzero sample g(1)
+    ([[0, 0], [0, 0]], (1, 2), ("0.5", "1/3"), 1),
+    # dense, d* = n
+    ([["1/3", "2/7", 0], ["-5/6", "1/2", "-2/7"], [1, "-1/3", "5/6"]],
+     ("2/7", "-1/3", 1), ("5/6", "1/2", "-3/7"), 3),
+    ([["0.7", "0.6", "-2", "0.1"], ["0.15", "0.15", "-0.25", "0"],
+      ["0", "0.03", "0.1", "-0.2"], ["0.5", "0", "0", "0.3"]],
+     ("1", "-0.5", "0.25", "2"), ("1.1", "0.1", "-5.5", "0"), 4),
+    ([["-5/6"]], ("2/7",), ("-1/3",), 1),
+])
+def test_recurrence_fit_edges_match_the_old_fit(A, b, c, d_star):
+    sys = LtiSystem(Matrix.exact(A), b, c)
+    n = sys.n
+    g = impulse_response(sys, 50)
+    assert _first_rows_recurrence(sys, g)[0] == d_star
+    for H in (n + d_star - 1, n + d_star, 2 * n, 2 * n + 1, 50):
+        gh = impulse_response(sys, H)
+        want = _first_rows_recurrence(sys, gh)
+        assert (want is None) == (H < n + d_star)
+        _assert_same_fit(sys, gh, want)
+    red = minimal_recurrence_system(sys, g)
+    assert impulse_response(red, 50) == g
 
 
 # ------------------------------------------------------------ judge reference

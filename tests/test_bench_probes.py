@@ -21,3 +21,34 @@ import tracing  # noqa: E402
                          ids=lambda p: f"{p.module}.{p.attr}")
 def test_probe_target_resolves(probe):
     assert tracing._resolve(probe.module, probe.attr) is not None
+
+
+def test_traced_cli_runs_feed_every_hook(tmp_path, capsys):
+    """The real probes, hooks included, around CLI runs of each command:
+    a hook whose argument contract broke would raise or count nothing."""
+    from varsign.cli import main
+    from varsign.fixtures import path as fixture_path
+
+    pena = tmp_path / "pena.json"
+    pena.write_text('{"matrix": [["1", "1"], ["1", "2"], ["1", "3"], ["1", "4"]]}')
+    runs = [
+        ["certify", str(fixture_path("example3")), "--target", "hankel", "--property", "svb",
+         "--k", "1", "--out", str(tmp_path / "hankel")],
+        ["certify", str(fixture_path("example2")), "--property", "vd", "--k", "2",
+         "--out", str(tmp_path / "vd")],
+        ["check-matrix", str(pena), "--property", "vb", "--k", "2"],
+        ["oracle", str(fixture_path("example1")), "--k", "2", "--trials", "50"],
+    ]
+    tracer = tracing.Tracer()
+    assert tracer.missing == []
+    tracer.install()
+    try:
+        for job, argv in enumerate(runs):
+            root = tracer.begin_job(job)
+            assert main(argv) in (0, 1, 2)
+            tracer.end_job(root)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["io.trace_rows"] > 0
+    assert tracer.counts["io.report_bytes"] > 0
+    assert [name for name in tracer.counts if name.endswith(".errors")] == []

@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 certified/pass, 1 refuted/violation, 2 inconclusive or
-undecidable (including unobservable pairs), 3 malformed input.
+`check-matrix` and `certify` exit through one table, conclusion -> code:
+0 certified, 1 refuted, 2 inconclusive (including unobservable pairs;
+check-matrix prints an inconclusive vb/vd check as "undecidable").  `oracle`
+exits 0 when its search is clean and 1 on a violation, since a clean search
+decides nothing.  Malformed input exits 3.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from .io import (
 )
 from .obsv import (
     Certificate,
-    Conclusion,
-    HankelCertificate,
     NotObservableError,
     certify_controllability,
     certify_hankel,
@@ -35,10 +36,10 @@ from .obsv import (
 )
 from .oracle import falsify_matrix_vb, falsify_operator_vb
 from .signcons import (
-    CheckStatus,
+    Conclusion,
     PreconditionError,
-    SignVerdict,
     k_positive,
+    sign_conclusion,
     sign_consistent,
     sign_regular,
     vb_matrix_check,
@@ -50,9 +51,13 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
-_CHECK_EXIT = {CheckStatus.CERTIFIED: EXIT_PASS,
-               CheckStatus.REFUTED: EXIT_FAIL,
-               CheckStatus.UNDECIDABLE: EXIT_INCONCLUSIVE}
+_EXIT = {Conclusion.CERTIFIED: EXIT_PASS,
+         Conclusion.REFUTED: EXIT_FAIL,
+         Conclusion.INCONCLUSIVE: EXIT_INCONCLUSIVE}
+
+# --target -> the target a certificate names; its key is also the trace
+# directory of a Hankel certificate's factor
+_TARGETS = {"obsv": "observability", "ctrb": "controllability", "hankel": "hankel"}
 
 
 def _backend(args) -> Backend:
@@ -72,17 +77,16 @@ def _environment(args, **extra) -> dict:
 
 
 def _matrix_from_file(sf: SystemFile):
-    if sf.matrix is not None:
-        return sf.matrix
-    if sf.A is not None:
-        return sf.A
-    raise InputFileError("no matrix in file")
+    """The bare matrix, else A; ``load_system_file`` rejects a file with neither."""
+    return sf.matrix if sf.matrix is not None else sf.A
 
 
 def cmd_check_matrix(args) -> int:
+    prop = args.property
+    if args.strict and prop in ("vb", "vd"):
+        raise InputFileError(f"--strict applies to --property sc, sr and tp only, not {prop}")
     sf = load_system_file(args.file, _backend(args))
     X = _matrix_from_file(sf)
-    prop = args.property
     strict = args.strict or prop in ("ssc", "stp")
     out = {"file": str(args.file), "name": sf.name, "property": prop, "k": args.k,
            "strict": strict}
@@ -91,35 +95,25 @@ def cmd_check_matrix(args) -> int:
             summary = sign_consistent(X, args.k, args.tol)
             out["verdict"] = summary.verdict.value
             out["epsilon"] = summary.epsilon
-            passed = summary.passes(strict)
-            code = (EXIT_PASS if passed
-                    else EXIT_INCONCLUSIVE if summary.verdict is SignVerdict.INCONCLUSIVE
-                    else EXIT_FAIL)
+            conclusion = sign_conclusion(summary.passes(strict), [summary])
         elif prop in ("sr", "tp", "stp"):
             rep = (sign_regular if prop == "sr" else k_positive)(X, args.k, strict, args.tol)
             out["orders"] = {j: s.verdict.value for j, s in rep.orders.items()}
-            code = EXIT_PASS if rep.passed else _order_fail_code(rep)
-        elif prop in ("vb", "vd"):
+            conclusion = sign_conclusion(rep.passed, rep.orders.values())
+        else:
             check = (vb_matrix_check if prop == "vb" else vd_matrix_check)(X, args.k, args.tol)
-            out["verdict"] = check.status.value
+            conclusion = check.status
+            out["verdict"] = ("undecidable" if conclusion is Conclusion.INCONCLUSIVE
+                              else conclusion.value)
             out["rule"] = check.rule
             out["detail"] = check.detail
-            code = _CHECK_EXIT[check.status]
-        else:  # pragma: no cover - argparse restricts choices
-            raise InputFileError(f"unknown property {prop}")
     except (RankOutOfRangeError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.out:
         write_report(args.out, out, [], _environment(args))
     print(json.dumps(out))
-    return code
-
-
-def _order_fail_code(rep) -> int:
-    if any(s.verdict is SignVerdict.INCONCLUSIVE for s in rep.orders.values()):
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAIL
+    return _EXIT[conclusion]
 
 
 def cmd_certify(args) -> int:
@@ -147,8 +141,7 @@ def cmd_certify(args) -> int:
                                   args.horizon, args.tol, strict)
     except NotObservableError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
-        target = {"obsv": "observability", "ctrb": "controllability"}.get(args.target, "hankel")
-        cert = Certificate(property_name(args.property, args.k, strict), target,
+        cert = Certificate(property_name(args.property, args.k, strict), _TARGETS[args.target],
                            Conclusion.INCONCLUSIVE, None, [],
                            args.horizon or default_horizon(sf.A.rows), [str(exc)])
     except (RankOutOfRangeError, LinalgError) as exc:
@@ -156,22 +149,17 @@ def cmd_certify(args) -> int:
         return EXIT_INPUT
 
     out_dir = Path(args.out)
-    if isinstance(cert, HankelCertificate):
-        traces = write_traces(out_dir / "obsv", cert.observability.per_system)
-        traces += write_traces(out_dir / "ctrb", cert.controllability.per_system)
-    else:
-        traces = write_traces(out_dir, cert.per_system)
+    traces = write_traces(out_dir, cert.per_system)
+    for part in cert.parts:
+        subdir = next(key for key, target in _TARGETS.items() if target == part.target)
+        traces += write_traces(out_dir / subdir, part.per_system)
     env = _environment(args, property=args.property, target=args.target)
     write_report(out_dir, certificate_dict(cert), traces, env)
-    conclusion = cert.conclusion
-    sign = getattr(cert, "common_sign", None)
-    line = {"property": cert.property_name, "conclusion": conclusion.value}
-    if sign is not None:
-        line["common_sign"] = sign
+    line = {"property": cert.property_name, "conclusion": cert.conclusion.value}
+    if cert.common_sign is not None:
+        line["common_sign"] = cert.common_sign
     print(json.dumps(line))
-    return {Conclusion.CERTIFIED: EXIT_PASS,
-            Conclusion.REFUTED: EXIT_FAIL,
-            Conclusion.INCONCLUSIVE: EXIT_INCONCLUSIVE}[conclusion]
+    return _EXIT[cert.conclusion]
 
 
 def cmd_oracle(args) -> int:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .linalg import Backend, Matrix, int_text
 from .lti import ExactSamples
-from .obsv import Certificate, HankelCertificate, SystemVerdict
+from .obsv import Certificate, SystemVerdict
 
 
 class InputFileError(ValueError):
@@ -216,25 +216,16 @@ def _verdict_dict(sv: SystemVerdict) -> dict:
     }
 
 
-def certificate_dict(cert) -> dict:
-    if isinstance(cert, HankelCertificate):
-        return {
-            "property": cert.property_name,
-            "target": "hankel",
-            "conclusion": cert.conclusion.value,
-            "notes": list(cert.notes),
-            "observability": certificate_dict(cert.observability),
-            "controllability": certificate_dict(cert.controllability),
-        }
-    return {
-        "property": cert.property_name,
-        "target": cert.target,
-        "conclusion": cert.conclusion.value,
-        "common_sign": cert.common_sign,
-        "horizon": cert.horizon,
-        "notes": list(cert.notes),
-        "systems": [_verdict_dict(sv) for sv in cert.per_system],
-    }
+def certificate_dict(cert: Certificate) -> dict:
+    """The report's certificate, with its parts keyed by target or else its systems."""
+    out = {"property": cert.property_name, "target": cert.target,
+           "conclusion": cert.conclusion.value, "notes": list(cert.notes)}
+    if cert.parts:
+        out.update((part.target, certificate_dict(part)) for part in cert.parts)
+    else:
+        out.update(common_sign=cert.common_sign, horizon=cert.horizon,
+                   systems=[_verdict_dict(sv) for sv in cert.per_system])
+    return out
 
 
 def write_report(out_dir, payload: dict, traces: list[str], environment: dict) -> Path:

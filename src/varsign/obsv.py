@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import combinations
 from typing import Sequence
 
@@ -75,6 +74,7 @@ from .lti import (
     observability_matrix,
     output_rows,
 )
+from .signcons import Conclusion, _anchored_tuples, _is_consecutive_tail
 from .variation import v_minus
 
 
@@ -220,19 +220,11 @@ def beta_family(n: int, k: int, strict: bool = True) -> list[BetaEntry]:
     """
     if not 1 <= k <= n:
         raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
-    from .signcons import _anchored_tuples, _is_consecutive_tail
-
     out = []
     for beta in _anchored_tuples(n, k):
         relaxed = (not strict) and _is_consecutive_tail(beta, k)
         out.append(BetaEntry(beta, relaxed))
     return out
-
-
-class Conclusion(Enum):
-    CERTIFIED = "certified"
-    REFUTED = "refuted"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
@@ -250,7 +242,8 @@ class SystemVerdict:
 
 @dataclass
 class Certificate:
-    """Outcome of an operator certification run."""
+    """Outcome of an operator certification run; a Hankel certificate's parts are
+    its two factors' certificates."""
 
     property_name: str
     target: str
@@ -259,6 +252,7 @@ class Certificate:
     per_system: list[SystemVerdict]
     horizon: int
     notes: list[str] = field(default_factory=list)
+    parts: tuple[Certificate, ...] = ()
 
     def passed(self) -> bool:
         return self.conclusion is Conclusion.CERTIFIED
@@ -552,36 +546,21 @@ def certify_controllability(A: Matrix, b: Sequence[Num], k: int, prop: str = "sv
                                  target="controllability")
 
 
-@dataclass
-class HankelCertificate:
+def certify_hankel(A: Matrix, b: Sequence[Num], c: Sequence[Num], k: int,
+                   prop: str = "svb", horizon: int | None = None,
+                   tol: float = DEFAULT_TOL, strict: bool = True) -> Certificate:
     """Sufficient Hankel-operator certificate from its two factors.
 
     The Hankel operator factors through the controllability and observability
     operators, so bounded variation of both factors bounds the composition.
     This is sufficiency only; nothing is refuted through this route.
     """
-
-    property_name: str
-    conclusion: Conclusion
-    observability: Certificate
-    controllability: Certificate
-    notes: list[str] = field(default_factory=list)
-
-    def passed(self) -> bool:
-        return self.conclusion is Conclusion.CERTIFIED
-
-
-def certify_hankel(A: Matrix, b: Sequence[Num], c: Sequence[Num], k: int,
-                   prop: str = "svb", horizon: int | None = None,
-                   tol: float = DEFAULT_TOL, strict: bool = True) -> HankelCertificate:
-    obs_cert = certify_observability(A, c, k, prop, horizon, tol, strict)
-    ctr_cert = certify_controllability(A, b, k, prop, horizon, tol, strict)
-    both = obs_cert.passed() and ctr_cert.passed()
-    conclusion = Conclusion.CERTIFIED if both else Conclusion.INCONCLUSIVE
-    notes = [
-        f"observability factor: {obs_cert.conclusion.value}",
-        f"controllability factor: {ctr_cert.conclusion.value}",
-    ]
+    parts = (certify_observability(A, c, k, prop, horizon, tol, strict),
+             certify_controllability(A, b, k, prop, horizon, tol, strict))
+    notes = [f"{part.target} factor: {part.conclusion.value}" for part in parts]
+    both = all(part.passed() for part in parts)
     if both:
         notes.append("both factors certified; the Hankel operator inherits the bound")
-    return HankelCertificate(obs_cert.property_name, conclusion, obs_cert, ctr_cert, notes)
+    return Certificate(parts[0].property_name, "hankel",
+                       Conclusion.CERTIFIED if both else Conclusion.INCONCLUSIVE,
+                       None, [], parts[0].horizon, notes, parts)

@@ -42,6 +42,12 @@ class SignVerdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+class Conclusion(Enum):
+    CERTIFIED = "certified"
+    REFUTED = "refuted"
+    INCONCLUSIVE = "inconclusive"
+
+
 _STRICT_OK = {SignVerdict.STRICTLY_POSITIVE, SignVerdict.STRICTLY_NEGATIVE}
 _POSITIVE_OK = {SignVerdict.STRICTLY_POSITIVE, SignVerdict.NONNEGATIVE, SignVerdict.ZERO}
 _NONSTRICT_OK = _STRICT_OK | {
@@ -126,16 +132,33 @@ class OrderedVerdicts:
     passed: bool
 
 
+def sign_conclusion(passed: bool, summaries) -> Conclusion:
+    """Certified if passed, else inconclusive if a summary is, else refuted."""
+    if passed:
+        return Conclusion.CERTIFIED
+    if any(s.verdict is SignVerdict.INCONCLUSIVE for s in summaries):
+        return Conclusion.INCONCLUSIVE
+    return Conclusion.REFUTED
+
+
+def _orders(X: Matrix, k: int, tol: float) -> dict[int, SignSummary]:
+    """Sign summaries of the compounds of orders 1..k."""
+    top = min(X.rows, X.cols)
+    if not 1 <= k <= top:
+        raise RankOutOfRangeError(f"k={k} lies outside 1..{top} for shape {X.shape}")
+    return {j: sign_consistent(X, j, tol) for j in range(1, k + 1)}
+
+
 def sign_regular(X: Matrix, k: int, strict: bool, tol: float = DEFAULT_TOL) -> OrderedVerdicts:
     """Sign consistency of every order j in 1..k (signs may differ per order)."""
-    orders = {j: sign_consistent(X, j, tol) for j in range(1, k + 1)}
+    orders = _orders(X, k, tol)
     passed = all(s.passes(strict) for s in orders.values())
     return OrderedVerdicts(orders, strict, passed)
 
 
 def k_positive(X: Matrix, k: int, strict: bool, tol: float = DEFAULT_TOL) -> OrderedVerdicts:
     """All minors of order <= k nonnegative (positive when strict)."""
-    orders = {j: sign_consistent(X, j, tol) for j in range(1, k + 1)}
+    orders = _orders(X, k, tol)
     ok = {SignVerdict.STRICTLY_POSITIVE} if strict else _POSITIVE_OK
     return OrderedVerdicts(orders, strict, all(s.verdict in ok for s in orders.values()))
 
@@ -402,16 +425,10 @@ def _witness_text(x) -> str:
     return repr(x)
 
 
-class CheckStatus(Enum):
-    CERTIFIED = "certified"
-    REFUTED = "refuted"
-    UNDECIDABLE = "undecidable"
-
-
 @dataclass
 class MatrixPropertyCheck:
     property_name: str
-    status: CheckStatus
+    status: Conclusion
     rule: str
     detail: str = ""
     strict: bool = False  # True when the strict variant was established
@@ -435,7 +452,7 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     Decision paths: full-width sign consistency when k equals the column
     count; a column-wise sign test on the k-th compound when rank(X) = k;
     sign consistency when k < rank(X) and every k columns are independent.
-    Returns UNDECIDABLE when no hypothesis holds.
+    Returns INCONCLUSIVE when no hypothesis holds.
     """
     n, m = X.rows, X.cols
     if not (n > m >= k >= 1):
@@ -446,18 +463,18 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
         s = sign_consistent(X, m, tol)
         if s.verdict in _STRICT_OK:
             return MatrixPropertyCheck(
-                name, CheckStatus.CERTIFIED, "strict full-width sign consistency",
+                name, Conclusion.CERTIFIED, "strict full-width sign consistency",
                 f"epsilon={s.epsilon:+d}; also strictly variation bounding", strict=True)
         if rk == m:
             if s.verdict in (SignVerdict.NONNEGATIVE, SignVerdict.NONPOSITIVE, SignVerdict.ZERO):
                 return MatrixPropertyCheck(
-                    name, CheckStatus.CERTIFIED, "full-width sign consistency at full column rank")
+                    name, Conclusion.CERTIFIED, "full-width sign consistency at full column rank")
             if s.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(
-                    name, CheckStatus.REFUTED, "full-width sign consistency at full column rank",
+                    name, Conclusion.REFUTED, "full-width sign consistency at full column rank",
                     f"conflicting minors {_witness_text(s.witness)}")
         return MatrixPropertyCheck(
-            name, CheckStatus.UNDECIDABLE, "full-width test needs full column rank",
+            name, Conclusion.INCONCLUSIVE, "full-width test needs full column rank",
             f"rank={rk}, verdict={s.verdict.value}")
     if rk == k:
         C = compound(X, k)
@@ -467,14 +484,14 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
                                   X.backend, tol)
             if col.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(
-                    name, CheckStatus.REFUTED, "rank-k compound column sign test",
+                    name, Conclusion.REFUTED, "rank-k compound column sign test",
                     f"column {J} mixed: {_witness_text(col.witness)}")
             if col.verdict is SignVerdict.INCONCLUSIVE:
                 return MatrixPropertyCheck(
-                    name, CheckStatus.UNDECIDABLE, "rank-k compound column sign test",
+                    name, Conclusion.INCONCLUSIVE, "rank-k compound column sign test",
                     f"column {J} has values inside tolerance")
         return MatrixPropertyCheck(
-            name, CheckStatus.CERTIFIED, "rank-k compound column sign test",
+            name, Conclusion.CERTIFIED, "rank-k compound column sign test",
             "every compound column is one-signed; bound holds for every input")
     if k < rk:
         C = compound(X, k)
@@ -482,20 +499,20 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             s = _compound_summary(X, C, k, tol)
             if s.passes(strict=False):
                 return MatrixPropertyCheck(
-                    name, CheckStatus.CERTIFIED, "sign consistency with independent columns",
+                    name, Conclusion.CERTIFIED, "sign consistency with independent columns",
                     f"epsilon={s.epsilon:+d}" if s.epsilon else "", strict=s.verdict in _STRICT_OK)
             if s.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(
-                    name, CheckStatus.REFUTED, "sign consistency with independent columns",
+                    name, Conclusion.REFUTED, "sign consistency with independent columns",
                     f"conflicting minors {_witness_text(s.witness)}")
             return MatrixPropertyCheck(
-                name, CheckStatus.UNDECIDABLE, "sign consistency with independent columns",
+                name, Conclusion.INCONCLUSIVE, "sign consistency with independent columns",
                 "compound entries inside tolerance")
         return MatrixPropertyCheck(
-            name, CheckStatus.UNDECIDABLE, "dependent k-column subset",
+            name, Conclusion.INCONCLUSIVE, "dependent k-column subset",
             "no characterization applies; defer to the sampling oracle")
     return MatrixPropertyCheck(
-        name, CheckStatus.UNDECIDABLE, "rank below tested order",
+        name, Conclusion.INCONCLUSIVE, "rank below tested order",
         f"rank={rk} < k={k}")
 
 
@@ -511,23 +528,23 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     orders = {j: _compound_summary(X, C, j, tol) for j, C in compounds.items()}
     if all(s.verdict in _POSITIVE_OK for s in orders.values()):
         return MatrixPropertyCheck(
-            name, CheckStatus.CERTIFIED, "total positivity",
+            name, Conclusion.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
     rk = rank(X, tol)
     if rk > k and _all_k_columns_independent(X, compounds[k], k, tol):
         # sign regularity of orders 1..k, judged on the same summaries
         if all(s.passes(strict=False) for s in orders.values()):
             return MatrixPropertyCheck(
-                name, CheckStatus.CERTIFIED, "sign regularity with independent columns")
+                name, Conclusion.CERTIFIED, "sign regularity with independent columns")
         bad = next((j for j, s in orders.items() if s.verdict is SignVerdict.MIXED), None)
         if bad is not None:
             return MatrixPropertyCheck(
-                name, CheckStatus.REFUTED, "sign regularity with independent columns",
+                name, Conclusion.REFUTED, "sign regularity with independent columns",
                 f"order {bad} minors are mixed: {_witness_text(orders[bad].witness)}")
         return MatrixPropertyCheck(
-            name, CheckStatus.UNDECIDABLE, "sign regularity with independent columns",
+            name, Conclusion.INCONCLUSIVE, "sign regularity with independent columns",
             "minor signs inside tolerance")
     return MatrixPropertyCheck(
-        name, CheckStatus.UNDECIDABLE, "hypothesis not met",
+        name, Conclusion.INCONCLUSIVE, "hypothesis not met",
         f"rank={rk}; need rank > k with every {k} columns independent, "
         "and the total-positivity route did not apply")

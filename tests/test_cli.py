@@ -61,6 +61,26 @@ def test_check_matrix_malformed_inputs(tmp_path, capsys):
     assert main(["check-matrix", str(missing), "--property", "sc", "--k", "1"]) == 3
 
 
+@pytest.mark.parametrize("prop", ["sr", "tp", "stp"])
+@pytest.mark.parametrize("k", [0, -2, 5])
+def test_check_matrix_order_outside_the_shape_is_an_input_error(tmp_path, capsys, prop, k):
+    f = write_json(tmp_path, "m.json", {"matrix": [["1", "2"], ["1", "3"], ["1", "4"]]})
+    assert main(["check-matrix", str(f), "--property", prop, "--k", str(k)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"k={k} lies outside 1..2" in captured.err
+
+
+@pytest.mark.parametrize("prop", ["vb", "vd"])
+def test_check_matrix_strict_vb_vd_is_an_input_error(tmp_path, capsys, prop):
+    # the option is refused before the (missing) file is read
+    never_read = tmp_path / "missing.json"
+    code = main(["check-matrix", str(never_read), "--property", prop, "--k", "1", "--strict"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "--strict applies to --property sc, sr and tp only" in captured.err
+
+
 def test_certify_example1_kpos_traces(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["certify", str(fixture_path("example1")), "--property", "kpos",

@@ -44,7 +44,7 @@ from varsign.obsv import (
     full_compound_systems,
     impulse_variation_bound,
 )
-from varsign.signcons import CheckStatus, vd_matrix_check
+from varsign.signcons import vd_matrix_check
 from varsign.variation import v_minus
 
 from conftest import observable_pair
@@ -515,7 +515,7 @@ def test_example3_hankel_route():
     # the truncated Hankel matrix certifies VD_1 through sign regularity
     H = Matrix.floating([[float(g[i + j]) for j in range(5)] for i in range(6)])
     res = vd_matrix_check(H, 2)
-    assert res.status is CheckStatus.CERTIFIED
+    assert res.status is Conclusion.CERTIFIED
     # the operator pipeline stays honest: traces sample positive/negative but
     # the defective dominant eigenvalue leaves the tail uncovered
     cert = certify_svb(A, c, 2, horizon=30)
@@ -608,8 +608,10 @@ def test_hankel_sufficiency_both_factors():
     b = (1, 1)
     c = (1, 1)
     cert = certify_hankel(A, b, c, 1, "svb")
-    assert cert.observability.conclusion is Conclusion.CERTIFIED
-    assert cert.controllability.conclusion is Conclusion.CERTIFIED
+    obs, ctrb = cert.parts
+    assert (obs.target, ctrb.target) == ("observability", "controllability")
+    assert obs.conclusion is ctrb.conclusion is Conclusion.CERTIFIED
+    assert cert.target == "hankel" and cert.per_system == []
     assert cert.conclusion is Conclusion.CERTIFIED
     # a refuted factor leaves the product undecided, never refuted
     A2, c2 = example2()

@@ -4,21 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from varsign.linalg import Matrix, compound, det, lex_tuples, minor, rank
+from varsign.linalg import (
+    Backend, Matrix, RankOutOfRangeError, compound, det, lex_tuples, minor, rank,
+)
 from varsign.lti import observability_matrix
 import varsign.signcons as signcons
 from varsign.signcons import (
-    CheckStatus,
+    Conclusion,
     MatrixPropertyCheck,
     PreconditionError,
     SignVerdict,
     SingularLeadingBlockError,
+    classify_family,
     consecutive_certificate,
     initial_minor_certificate,
     k_positive,
     pena_transform,
     reduced_check,
     reduced_family,
+    sign_conclusion,
     sign_consistent,
     sign_regular,
     vb_matrix_check,
@@ -69,6 +73,24 @@ def test_sign_regular_allows_per_order_signs(rng):
     assert rep.orders[1].epsilon == 1
     assert rep.orders[2].epsilon == -1
     assert not k_positive(X, 2, strict=False).passed
+
+
+@pytest.mark.parametrize("check", [sign_regular, k_positive])
+@pytest.mark.parametrize("k", [0, -2, 3, 5])
+def test_ordered_checks_reject_orders_outside_the_shape(check, k):
+    # PENA is 4 x 2, so the orders run over 1..2; an empty range must not pass
+    with pytest.raises(RankOutOfRangeError, match=f"k={k} lies outside 1..2"):
+        check(PENA, k, strict=False)
+
+
+def test_sign_conclusion_folds_the_summaries():
+    positive = sign_consistent(PENA, 2)
+    mixed = sign_consistent(example2_obs3(), 1)
+    unsure = classify_family([("tiny", 1e-12)], Backend.FLOAT)
+    assert unsure.verdict is SignVerdict.INCONCLUSIVE
+    assert sign_conclusion(True, [unsure]) is Conclusion.CERTIFIED
+    assert sign_conclusion(False, [mixed, unsure]) is Conclusion.INCONCLUSIVE
+    assert sign_conclusion(False, [positive, mixed]) is Conclusion.REFUTED
 
 
 def test_consecutive_certificate():
@@ -247,26 +269,26 @@ def test_reduced_check_nonstrict_with_exact_zero(rng):
 def test_vb_matrix_check_rank_k_column_test():
     X = Matrix.exact([[1, -1], [2, -2], [3, -3]])
     res = vb_matrix_check(X, 1)
-    assert res.status is CheckStatus.CERTIFIED
+    assert res.status is Conclusion.CERTIFIED
     assert "column" in res.rule
     bad = Matrix.exact([[1, -1], [-1, 1], [1, -1]])
     res = vb_matrix_check(bad, 1)
-    assert res.status is CheckStatus.REFUTED
+    assert res.status is Conclusion.REFUTED
 
 
 def test_vb_matrix_check_full_width():
     res = vb_matrix_check(PENA, 2)
-    assert res.status is CheckStatus.CERTIFIED and res.strict
+    assert res.status is Conclusion.CERTIFIED and res.strict
 
 
 def test_vb_matrix_check_independent_columns_route(rng):
     X = cauchy_exact(rng, 6, 4)
     res = vb_matrix_check(X, 2)
-    assert res.status is CheckStatus.CERTIFIED
+    assert res.status is Conclusion.CERTIFIED
     mixed = Matrix.exact([[1, 2, 1], [1, -1, 2], [2, 1, -1], [1, 1, 1]])
     assert rank(mixed) == 3
     res = vb_matrix_check(mixed, 1)
-    assert res.status is CheckStatus.REFUTED
+    assert res.status is Conclusion.REFUTED
 
 
 def test_vb_matrix_check_undecidable_on_dependent_columns():
@@ -274,22 +296,22 @@ def test_vb_matrix_check_undecidable_on_dependent_columns():
     X = Matrix.exact([[1, 0, 2], [2, 0, 3], [1, 0, 1], [3, 0, 5], [1, 0, 2]])
     assert rank(X) == 2
     res = vb_matrix_check(X, 1)
-    assert res.status is CheckStatus.UNDECIDABLE
+    assert res.status is Conclusion.INCONCLUSIVE
     assert "dependent" in res.rule
 
 
 def test_vd_matrix_check_examples(rng):
     res = vd_matrix_check(PENA, 2)
-    assert res.status is CheckStatus.CERTIFIED
+    assert res.status is Conclusion.CERTIFIED
     assert res.rule == "total positivity"
     # mixed entries refute VD_0 through the sign-regularity route
     mixed = Matrix.exact([[1, 2], [-1, 1], [2, 1]])
     res = vd_matrix_check(mixed, 1)
-    assert res.status is CheckStatus.REFUTED
+    assert res.status is Conclusion.REFUTED
     # sign-regular but not positive: certified through the equivalence route
     X = reverse_columns(cauchy_exact(rng, 6, 4))
     res = vd_matrix_check(X, 2)
-    assert res.status is CheckStatus.CERTIFIED
+    assert res.status is Conclusion.CERTIFIED
     assert res.rule == "sign regularity with independent columns"
 
 
@@ -299,24 +321,24 @@ def _vd_reference(X, k, tol=1e-9):
     kp = k_positive(X, k, strict=False, tol=tol)
     if kp.passed:
         return MatrixPropertyCheck(
-            name, CheckStatus.CERTIFIED, "total positivity",
+            name, Conclusion.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
     rk = rank(X, tol)
     if rk > k and _all_k_columns_independent(X, compound(X, k), k, tol):
         sr = sign_regular(X, k, strict=False, tol=tol)
         if sr.passed:
             return MatrixPropertyCheck(
-                name, CheckStatus.CERTIFIED, "sign regularity with independent columns")
+                name, Conclusion.CERTIFIED, "sign regularity with independent columns")
         bad = next((j for j, s in sr.orders.items() if s.verdict is SignVerdict.MIXED), None)
         if bad is not None:
             return MatrixPropertyCheck(
-                name, CheckStatus.REFUTED, "sign regularity with independent columns",
+                name, Conclusion.REFUTED, "sign regularity with independent columns",
                 f"order {bad} minors are mixed: {sr.orders[bad].witness}")
         return MatrixPropertyCheck(
-            name, CheckStatus.UNDECIDABLE, "sign regularity with independent columns",
+            name, Conclusion.INCONCLUSIVE, "sign regularity with independent columns",
             "minor signs inside tolerance")
     return MatrixPropertyCheck(
-        name, CheckStatus.UNDECIDABLE, "hypothesis not met",
+        name, Conclusion.INCONCLUSIVE, "hypothesis not met",
         f"rank={rk}; need rank > k with every {k} columns independent, "
         "and the total-positivity route did not apply")
 
@@ -344,13 +366,13 @@ def test_vd_matrix_check_matches_sign_regular_reference():
             got = vd_matrix_check(X, k)
             assert got == _vd_reference(X, k), (X, k)
             outcomes.add((got.status, got.rule))
-    assert (CheckStatus.CERTIFIED, "total positivity") in outcomes
-    assert (CheckStatus.CERTIFIED, "sign regularity with independent columns") in outcomes
-    assert (CheckStatus.REFUTED, "sign regularity with independent columns") in outcomes
+    assert (Conclusion.CERTIFIED, "total positivity") in outcomes
+    assert (Conclusion.CERTIFIED, "sign regularity with independent columns") in outcomes
+    assert (Conclusion.REFUTED, "sign regularity with independent columns") in outcomes
     # sign regular with exact zero minors: certified only under the non-strict judgement
     banded = reverse_columns(_tn_band(rng, 5, 3))
     assert vd_matrix_check(banded, 2).rule == "sign regularity with independent columns"
-    assert vd_matrix_check(banded, 2).status is CheckStatus.CERTIFIED
+    assert vd_matrix_check(banded, 2).status is Conclusion.CERTIFIED
 
 
 @pytest.mark.parametrize("check", [vb_matrix_check, vd_matrix_check])

@@ -10,6 +10,7 @@ decides nothing.  Malformed input exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -194,7 +195,10 @@ def cmd_oracle(args) -> int:
     return EXIT_PASS if report.clean else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and reused by every later
+    one in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="varsign",
         description="Certify variation-bounding properties of matrices and "

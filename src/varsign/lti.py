@@ -18,7 +18,7 @@ the eigen-decomposition (``dominant_modes``).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -434,10 +434,11 @@ class ExtPosAnalysis:
 
 def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL,
             rows: OutputRows | None = None,
-            modes: DominantModes | None = None) -> ExtPosAnalysis:
+            modes: Callable[[], DominantModes] | None = None) -> ExtPosAnalysis:
     """Sample the impulse response and, unless the samples carry both strict
     signs, certify its tail; ``rows`` and ``modes`` pass what the systems on
-    one pair (A, c) share."""
+    one pair (A, c) share.  ``modes`` is called, once, only when the tail is
+    needed, so samples that already refute build no eigen-decomposition."""
     horizon = horizon if horizon is not None else default_horizon(sys.n)
     g = impulse_response(sys, horizon, rows)
     backend = sys.backend
@@ -447,7 +448,7 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
         # samples of both strict signs settle every verdict; no tail is needed
         return ExtPosAnalysis(sys.n, backend, horizon, g, signs, None, ())
     notes = []
-    tail, tail_note = dominant_tail(sys, tol, modes)
+    tail, tail_note = dominant_tail(sys, tol, modes() if modes is not None else None)
     if tail is None and backend is Backend.EXACT:
         reduced = minimal_recurrence_system(sys, g)
         if reduced is not None:

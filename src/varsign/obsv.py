@@ -100,8 +100,8 @@ class _OperatorContext:
     """Shared pieces for one observable pair (A, c) at one horizon: O_n and
     its determinant, each compound order's pair (C_r(A), c_r) built once, the
     integer output rows and the eigen-decomposition of each such pair, which
-    all systems of that order share, and one analysis per (k, r, beta)
-    compound system."""
+    all systems of that order share (the decomposition only once an analysis
+    needs a tail), and one analysis per (k, r, beta) compound system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
@@ -154,7 +154,7 @@ class _OperatorContext:
     def analysis(self, k: int, r: int, beta: IndexTuple | None) -> ExtPosAnalysis:
         return self._cached(("analysis", k, r, beta), lambda: analyse(
             self.system(k, r, beta), self.horizon, self.tol,
-            self.output_rows(r), self.modes(r)))
+            self.output_rows(r), lambda: self.modes(r)))
 
 
 def _full_order_input(ctx: _OperatorContext, r: int) -> tuple[Num, ...]:

@@ -17,11 +17,10 @@ the same order gives the same floats, so every sample equals the per-trial
 one; a matrix product would be free to fuse or reorder the terms and round
 otherwise.
 
-Only candidate trials reach ``_judge``.  With every entry signed against the
-tolerance, an adjacent pair of entries can add a sign change to v+ only when
-it is not a pair of equal nonzero signs, so the number of such pairs bounds
-v+ from above, and v- <= v+.  A trial with fewer than k of them has v- and v+
-below k: ``_judge`` would record it as neither a violation nor a suspect.
+Each block is judged at once on its int8 matrix of output signs (entries
+inside the float tolerance sign as 0, as ``variation`` signs them): v- and
+v+ of every column are counted with array operations (``_variations``), and
+only the trials whose variation reaches k go to ``_judge``, in trial order.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .lti import default_horizon
 # bound but not called: perfbench/tracing.py reports calls to this name from
 # this module as the oracle.propagate layer, which thus reads 0, not missing
 from .lti import impulse_response  # noqa: F401
-from .variation import v_minus, v_plus
 
 _ZERO_FRACTION = 0.2
 _LOG_MAG_RANGE = (-3.0, 3.0)
@@ -95,14 +93,14 @@ class OracleReport:
         return not self.violations
 
 
-def _judge(trial: int, u, y, k: int, tol: float,
+def _judge(trial: int, u, vm: int, vp: int, k: int, near: bool,
            report: OracleReport) -> None:
-    vm = v_minus(y, tol)
-    vp = v_plus(y, tol)
-    if vm >= k or vp >= k:
-        if any(x != 0.0 and abs(x) <= tol for x in y):
-            report.suspects.append(trial)
-            return
+    """Record a trial whose output variation reaches k, given its output's v-
+    and v+: a suspect when an output entry is nonzero yet inside the
+    tolerance (``near``), else a violation."""
+    if near:
+        report.suspects.append(trial)
+    else:
         report.violations.append(Violation(trial, tuple(u), vm, vp, strict_only=vm < k))
 
 
@@ -113,18 +111,40 @@ def _blocks(m: int, k: int, trials: int, seed: int):
                       for trial in range(first, min(first + _BLOCK, trials))]
 
 
+def _variations(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v-, v+) of every column of a sign matrix, as ``v_minus`` and
+    ``v_plus`` count the column's entries.
+
+    Let consecutive nonzero signs s, s' of a column lie d rows apart.  v-
+    counts the pairs with s s' = -1, and is -1 for a column of zeros.  The
+    greedy fill of ``v_plus`` changes sign at every step between them, the
+    last one excepted when s s' (-1)^d = -1, and at every step before the
+    first and after the last nonzero sign; so v+ is rows - 1 less the number
+    of such pairs.
+    """
+    rows = np.arange(signs.shape[0], dtype=np.int32)[:, None]
+    nonzero = signs != 0
+    # the row of the last nonzero sign at or before each row; -1 for none
+    last = np.maximum.accumulate(np.where(nonzero, rows, -1), axis=0)
+    prev = last[:-1]
+    closes = nonzero[1:] & (prev >= 0)  # a nonzero sign with one before it
+    flip = signs[1:] * np.take_along_axis(signs, np.maximum(prev, 0), axis=0) < 0
+    odd = ((rows[1:] - prev) & 1).astype(bool)
+    vm = np.count_nonzero(closes & flip, axis=0)
+    vm[~nonzero.any(axis=0)] = -1
+    vp = signs.shape[0] - 1 - np.count_nonzero(closes & (flip != odd), axis=0)
+    return vm, vp
+
+
 def _judge_block(first: int, inputs: list, Y: np.ndarray, k: int, tol: float,
                  report: OracleReport) -> None:
-    """Judge, in trial order, the trials of a block that may reach variation k.
-
-    Column j of ``Y`` is the output of trial ``first + j``.  The screen is the
-    v+ bound of the module docstring: the trials it skips are ones ``_judge``
-    would record as nothing.
-    """
+    """Judge, in trial order, the trials of a block whose output variation
+    reaches k; column j of ``Y`` is the output of trial ``first + j``."""
     signs = (Y > tol).astype(np.int8) - (Y < -tol).astype(np.int8)
-    open_pairs = np.count_nonzero((signs[1:] != signs[:-1]) | (signs[1:] == 0), axis=0)
-    for j in np.flatnonzero(open_pairs >= k):
-        _judge(first + int(j), inputs[j], tuple(Y[:, j].tolist()), k, tol, report)
+    vm, vp = _variations(signs)
+    near = np.any((Y != 0.0) & (np.abs(Y) <= tol), axis=0)
+    for j in np.flatnonzero(vp >= k):  # v- <= v+
+        _judge(first + int(j), inputs[j], int(vm[j]), int(vp[j]), k, bool(near[j]), report)
 
 
 def falsify_matrix_vb(X: Matrix, k: int, trials: int = 1000, seed: int = 0,

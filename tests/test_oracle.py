@@ -9,13 +9,13 @@ from varsign.linalg import DEFAULT_TOL, Matrix, NonSquareError, SizeMismatchErro
 from varsign.lti import LtiSystem, default_horizon, impulse_response
 from varsign.oracle import (
     OracleReport,
-    _judge,
+    Violation,
     falsify_matrix_vb,
     falsify_operator_vb,
     replay_trial,
     sample_bounded_variation,
 )
-from varsign.variation import v_minus
+from varsign.variation import v_minus, v_plus
 
 PENA = Matrix.exact([[1, 1], [1, 2], [1, 3], [1, 4]])
 
@@ -125,13 +125,23 @@ def test_zero_violations_is_not_certification():
     assert report.clean and report.trials == 10
 
 
+def _reference_judge(trial, u, y, k, tol, report):
+    """Reference: judge one trial's output with ``v_minus``/``v_plus``."""
+    vm, vp = v_minus(y, tol), v_plus(y, tol)
+    if vm >= k or vp >= k:
+        if any(x != 0.0 and abs(x) <= tol for x in y):
+            report.suspects.append(trial)
+        else:
+            report.violations.append(Violation(trial, tuple(u), vm, vp, strict_only=vm < k))
+
+
 def _per_trial_operator(A, c, k, horizon, trials, seed, tol=DEFAULT_TOL):
     """Reference: the operator oracle as one impulse_response per trial."""
     Af, cf = A.to_float(), tuple(float(x) for x in c)
     report = OracleReport(trials, k, seed)
     for trial in range(trials):
         x0 = sample_bounded_variation(A.rows, k - 1, np.random.default_rng([seed, trial]))
-        _judge(trial, x0, impulse_response(LtiSystem(Af, x0, cf), horizon), k, tol, report)
+        _reference_judge(trial, x0, impulse_response(LtiSystem(Af, x0, cf), horizon), k, tol, report)
     return report
 
 
@@ -141,7 +151,7 @@ def _per_trial_matrix(X, k, trials, seed, tol=DEFAULT_TOL):
     report = OracleReport(trials, k, seed)
     for trial in range(trials):
         u = sample_bounded_variation(X.cols, k - 1, np.random.default_rng([seed, trial]))
-        _judge(trial, u, tuple(float(v) for v in Xf @ np.asarray(u)), k, tol, report)
+        _reference_judge(trial, u, tuple(float(v) for v in Xf @ np.asarray(u)), k, tol, report)
     return report
 
 

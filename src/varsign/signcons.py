@@ -110,8 +110,15 @@ def classify_family(labeled_values, backend: Backend, tol: float = DEFAULT_TOL) 
     return SignSummary(verdict, eps, pos, neg, zero, unk, witness)
 
 
+def _check_order(X: Matrix, k: int) -> None:
+    top = min(X.rows, X.cols)
+    if not 1 <= k <= top:
+        raise RankOutOfRangeError(f"k={k} lies outside 1..{top} for shape {X.shape}")
+
+
 def sign_consistent(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> SignSummary:
     """Reference check: classify every entry of the k-th compound of X."""
+    _check_order(X, k)
     return _compound_summary(X, compound(X, k), k, tol)
 
 
@@ -143,9 +150,7 @@ def sign_conclusion(passed: bool, summaries) -> Conclusion:
 
 def _orders(X: Matrix, k: int, tol: float) -> dict[int, SignSummary]:
     """Sign summaries of the compounds of orders 1..k."""
-    top = min(X.rows, X.cols)
-    if not 1 <= k <= top:
-        raise RankOutOfRangeError(f"k={k} lies outside 1..{top} for shape {X.shape}")
+    _check_order(X, k)
     return {j: sign_consistent(X, j, tol) for j in range(1, k + 1)}
 
 

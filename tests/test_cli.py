@@ -61,8 +61,8 @@ def test_check_matrix_malformed_inputs(tmp_path, capsys):
     assert main(["check-matrix", str(missing), "--property", "sc", "--k", "1"]) == 3
 
 
-@pytest.mark.parametrize("prop", ["sr", "tp", "stp"])
-@pytest.mark.parametrize("k", [0, -2, 5])
+@pytest.mark.parametrize("prop", ["sc", "ssc", "sr", "tp", "stp"])
+@pytest.mark.parametrize("k", [0, -2, 3, 5])
 def test_check_matrix_order_outside_the_shape_is_an_input_error(tmp_path, capsys, prop, k):
     f = write_json(tmp_path, "m.json", {"matrix": [["1", "2"], ["1", "3"], ["1", "4"]]})
     assert main(["check-matrix", str(f), "--property", prop, "--k", str(k)]) == 3

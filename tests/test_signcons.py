@@ -75,7 +75,9 @@ def test_sign_regular_allows_per_order_signs(rng):
     assert not k_positive(X, 2, strict=False).passed
 
 
-@pytest.mark.parametrize("check", [sign_regular, k_positive])
+@pytest.mark.parametrize("check", [
+    sign_regular, k_positive,
+    pytest.param(lambda X, k, strict: sign_consistent(X, k), id="sign_consistent")])
 @pytest.mark.parametrize("k", [0, -2, 3, 5])
 def test_ordered_checks_reject_orders_outside_the_shape(check, k):
     # PENA is 4 x 2, so the orders run over 1..2; an empty range must not pass

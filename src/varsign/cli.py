@@ -153,7 +153,7 @@ def cmd_certify(args) -> int:
     traces = write_traces(out_dir, cert.per_system)
     for part in cert.parts:
         subdir = next(key for key, target in _TARGETS.items() if target == part.target)
-        traces += write_traces(out_dir / subdir, part.per_system)
+        traces += [f"{subdir}/{name}" for name in write_traces(out_dir / subdir, part.per_system)]
     env = _environment(args, property=args.property, target=args.target)
     write_report(out_dir, certificate_dict(cert), traces, env)
     line = {"property": cert.property_name, "conclusion": cert.conclusion.value}

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import varsign.io
+from varsign import cli
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file, render_value, trace_filename, write_traces
@@ -79,6 +80,42 @@ def test_check_matrix_strict_vb_vd_is_an_input_error(tmp_path, capsys, prop):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert "--strict applies to --property sc, sr and tp only" in captured.err
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
+    """Calls on the process's one parser give, call by call, the stdout and
+    exit code of the same call on a freshly built parser."""
+    # the 2x2 minors are 0, 1 and 1e-12: strict and float change the answer
+    f = str(write_json(tmp_path, "m.json", {
+        "matrix": [["1", "1"], ["1", "1"], ["1", "1.000000000001"]]}))
+    calls = [
+        ["check-matrix", f, "--property", "sc", "--k", "2", "--strict"],
+        ["check-matrix", f, "--property", "sc", "--k", "2"],
+        ["check-matrix", f, "--property", "tp", "--k", "2", "--arith", "float"],
+        ["check-matrix", f, "--property", "no-such-property", "--k", "2"],
+        ["check-matrix", f, "--property", "tp", "--k", "2"],
+        ["certify", "--help"],
+        ["check-matrix", f, "--property", "sc", "--k", "2", "--arith", "float"],
+        ["oracle", str(fixture_path("example1")), "--k", "2", "--trials", "30"],
+        ["oracle", str(fixture_path("example1")), "--k", "1", "--seed", "4", "--trials", "30"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        return code, capsys.readouterr().out
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    codes = [code for code, _ in shared]
+    assert codes[:7] == [1, 0, 2, "SystemExit(2)", 0, "SystemExit(0)", 2]
 
 
 def test_certify_example1_kpos_traces(tmp_path, capsys):
@@ -174,6 +211,11 @@ def test_certify_hankel_target(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["certificate"]["target"] == "hankel"
     assert (out / "obsv").is_dir() and (out / "ctrb").is_dir()
+    # each factor's traces are listed by their path under --out
+    traces = report["traces"]
+    assert len(set(traces)) == len(traces) == 4
+    assert {t.split("/")[0] for t in traces} == {"obsv", "ctrb"}
+    assert all((out / t).is_file() for t in traces)
 
 
 def test_oracle_cli_reproducible(tmp_path, capsys):

@@ -111,9 +111,9 @@ def _blocks(m: int, k: int, trials: int, seed: int):
                       for trial in range(first, min(first + _BLOCK, trials))]
 
 
-def _variations(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(v-, v+) of every column of a sign matrix, as ``v_minus`` and
-    ``v_plus`` count the column's entries.
+def _variations(Y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(v-, v+) of every column of ``Y``, as ``v_minus`` and ``v_plus`` with
+    ``tol`` count the column's entries, read off the int8 sign matrix.
 
     Let consecutive nonzero signs s, s' of a column lie d rows apart.  v-
     counts the pairs with s s' = -1, and is -1 for a column of zeros.  The
@@ -122,6 +122,7 @@ def _variations(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first and after the last nonzero sign; so v+ is rows - 1 less the number
     of such pairs.
     """
+    signs = (Y > tol).astype(np.int8) - (Y < -tol).astype(np.int8)
     rows = np.arange(signs.shape[0], dtype=np.int32)[:, None]
     nonzero = signs != 0
     # the row of the last nonzero sign at or before each row; -1 for none
@@ -140,8 +141,7 @@ def _judge_block(first: int, inputs: list, Y: np.ndarray, k: int, tol: float,
                  report: OracleReport) -> None:
     """Judge, in trial order, the trials of a block whose output variation
     reaches k; column j of ``Y`` is the output of trial ``first + j``."""
-    signs = (Y > tol).astype(np.int8) - (Y < -tol).astype(np.int8)
-    vm, vp = _variations(signs)
+    vm, vp = _variations(Y, tol)
     near = np.any((Y != 0.0) & (np.abs(Y) <= tol), axis=0)
     for j in np.flatnonzero(vp >= k):  # v- <= v+
         _judge(first + int(j), inputs[j], int(vm[j]), int(vp[j]), k, bool(near[j]), report)

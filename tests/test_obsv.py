@@ -8,6 +8,7 @@ import pytest
 
 import varsign.lti as lti
 from varsign.linalg import (
+    DEFAULT_TOL,
     Backend,
     IndexTuple,
     Matrix,
@@ -469,6 +470,38 @@ def test_engine_analyses_each_system_once(monkeypatch):
     assert 0 < len(analysed) <= keys
     # each context builds one compound per (matrix, order)
     assert compounds and len(set(compounds)) == len(compounds)
+
+
+def _count_modes(monkeypatch):
+    """The state matrices of every eigen-decomposition the engine builds."""
+    built = []
+    dominant_modes = obsv.dominant_modes
+
+    def counting(A, c, tol=DEFAULT_TOL):
+        built.append(A.data)
+        return dominant_modes(A, c, tol)
+
+    monkeypatch.setattr(obsv, "dominant_modes", counting)
+    return built
+
+
+@pytest.mark.parametrize("prop", ["svb", "vb", "kpos"])
+def test_samples_of_both_signs_build_no_eigen_modes(monkeypatch, prop):
+    # both inputs of k = 1 give g(t) = b_1 (-1/2)^(t-1) + b_2 (-1/3)^(t-1),
+    # whose samples carry both strict signs, so no tail is needed
+    built = _count_modes(monkeypatch)
+    A = Matrix.exact([["-1/2", "0"], ["0", "-1/3"]])
+    cert = certify_observability(A, (1, 1), 1, prop)
+    assert cert.per_system
+    assert all(sv.verdict.status is ExtPosStatus.VIOLATED for sv in cert.per_system)
+    assert built == []
+
+
+def test_eigen_modes_are_built_at_most_once_per_order(monkeypatch):
+    built = _count_modes(monkeypatch)
+    A, c = example2()
+    assert certify_svb(A, c, 2).passed()
+    assert 0 < len(built) == len(set(built)) <= 2
 
 
 def _dense_tenths_pair(seed, n):

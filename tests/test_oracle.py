@@ -232,3 +232,34 @@ def test_batched_operator_oracle_matches_per_trial_loop(monkeypatch):
     got = falsify_operator_vb(A, (1.0, -0.5), 1, 6, trials, 3)
     assert got.violations == ref.violations and got.suspects == ref.suspects
     assert any(v.trial >= oracle._BLOCK for v in got.violations)
+
+
+def test_block_variations_match_per_vector_counts():
+    """The per-block v-/v+ equal ``v_minus``/``v_plus`` with ``tol`` on every
+    column: zero columns, one-row blocks, leading and trailing zero runs,
+    entries inside the tolerance, NaN and infinities."""
+    tol = DEFAULT_TOL
+    nan, inf = math.nan, math.inf
+    columns = [
+        (0.0, 0.0, 0.0, 0.0, 0.0),                  # all zero
+        (0.0, -0.0, tol / 2, -tol, nan),            # all zero after signing
+        (0.0, 0.0, 1.0, -1.0, 1.0),                 # leading zeros
+        (1.0, -2.0, 0.0, 0.0, 0.0),                 # trailing zeros
+        (1.0, 0.0, 1.0, 0.0, 0.0),                  # odd zero run, equal signs
+        (1.0, 0.0, 0.0, 1.0, -1.0),                 # even zero run, equal signs
+        (1.0, 0.0, -1.0, 0.0, 0.0),                 # odd zero run, opposite signs
+        (-1.0, 0.0, 0.0, 1.0, 1.0),                 # even zero run, opposite signs
+        (inf, nan, -inf, nan, inf),
+        (2 * tol, -2 * tol, tol / 3, -inf, 0.0),
+    ]
+    blocks = [np.array(columns).T, np.array([[0.0, 1.0, -1.0, nan, inf, tol]])]
+    rng = np.random.default_rng(19)
+    values = (0.0, -0.0, 1.0, -1.0, tol / 2, -tol / 2, 2 * tol, nan, inf, -inf)
+    for rows, cols in ((1, 1), (1, 30), (2, 50), (5, 200), (13, 300)):
+        blocks.append(rng.choice(values, (rows, cols)))
+        blocks.append(rng.choice(values, (rows, cols), p=[0.6] + [0.4 / 9] * 9))
+    for Y in blocks:
+        vm, vp = oracle._variations(Y, tol)
+        for j in range(Y.shape[1]):
+            y = tuple(Y[:, j].tolist())
+            assert (vm[j], vp[j]) == (v_minus(y, tol), v_plus(y, tol)), y

@@ -178,44 +178,39 @@ def observability_matrix(A: Matrix, c: Sequence[Num], t: int) -> Matrix:
     return Matrix(rows, A.backend)
 
 
-@dataclass(frozen=True)
-class OrderedSpectrum:
-    """Eigenvalues by descending modulus, then descending real part, then
-    descending imaginary part; modulus ties are resolved within a tolerance
-    band so that e.g. |1| and |e^{i theta}| compare equal."""
-
-    eigenvalues: tuple[complex, ...]
-
-    def __iter__(self):
-        return iter(self.eigenvalues)
-
-    def __len__(self):
-        return len(self.eigenvalues)
-
-
-def _order_spectrum(values, tie_tol: float) -> tuple[complex, ...]:
-    vals = sorted(values, key=lambda l: -abs(l))
+def _order_spectrum(values, tie_tol: float) -> list[int]:
+    """Indices of ``values`` by descending modulus, then descending real part,
+    then descending imaginary part.  Moduli within a tolerance band of a
+    band's largest compare equal, so that e.g. |1| and |e^{i theta}| do; with
+    ``tie_tol`` 0 only equal moduli tie."""
+    order = sorted(range(len(values)), key=lambda i: -abs(values[i]))
     out = []
     i = 0
-    while i < len(vals):
+    while i < len(order):
         j = i + 1
-        ref = abs(vals[i])
-        while j < len(vals) and ref - abs(vals[j]) <= tie_tol * max(1.0, ref):
+        ref = abs(values[order[i]])
+        while j < len(order) and ref - abs(values[order[j]]) <= tie_tol * max(1.0, ref):
             j += 1
-        out.extend(sorted(vals[i:j], key=lambda l: (-l.real, -l.imag)))
+        out.extend(sorted(order[i:j], key=lambda m: (-values[m].real, -values[m].imag)))
         i = j
-    return tuple(out)
+    return out
 
 
-def eigen_sorted(A: Matrix, tie_tol: float = 1e-8) -> OrderedSpectrum:
-    """Full spectrum in the ordering above (float computation)."""
+def real_positive(lam: complex, tol: float) -> bool:
+    """Whether lam is decisively real and positive under ``tol``."""
+    return abs(lam.imag) <= tol * max(1.0, abs(lam)) and lam.real > tol
+
+
+def eigen_sorted(A: Matrix, tie_tol: float = 1e-8) -> tuple[complex, ...]:
+    """Full spectrum in ``_order_spectrum``'s order (float computation)."""
     if not A.is_square():
         raise NonSquareError("eigenvalues need a square matrix")
     try:
         vals = np.linalg.eigvals(np.array(A.to_float().data, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise EigenSolveFailedError(str(exc)) from exc
-    return OrderedSpectrum(_order_spectrum([complex(v) for v in vals], tie_tol))
+    vals = [complex(v) for v in vals]
+    return tuple(vals[i] for i in _order_spectrum(vals, tie_tol))
 
 
 class ExtPosStatus(Enum):
@@ -225,6 +220,14 @@ class ExtPosStatus(Enum):
     NONPOSITIVE = "nonpositive"
     VIOLATED = "violated"
     HORIZON_ONLY = "verified up to horizon only"
+
+
+_STATUS_SIGN = {
+    ExtPosStatus.STRICT_POSITIVE: 1,
+    ExtPosStatus.NONNEGATIVE: 1,
+    ExtPosStatus.STRICT_NEGATIVE: -1,
+    ExtPosStatus.NONPOSITIVE: -1,
+}
 
 
 @dataclass(frozen=True)
@@ -267,7 +270,6 @@ class DominantModes:
 
 def dominant_modes(A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL) -> DominantModes:
     """The decomposition ``dominant_tail`` needs, up to the input vector."""
-    n = A.rows
     try:
         Af = np.array(A.to_float().data, dtype=float)
         cf = np.array([float(x) for x in c], dtype=float)
@@ -277,9 +279,9 @@ def dominant_modes(A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL) -> Dom
         lam, V = np.linalg.eig(Af)
     except np.linalg.LinAlgError as exc:
         return DominantModes(f"eigen-decomposition failed: {exc}")
-    order = sorted(range(n), key=lambda i: (-abs(lam[i]), -lam[i].real, -lam[i].imag))
+    order = _order_spectrum(lam, 0.0)
     lam1 = lam[order[0]]
-    if abs(lam1.imag) > tol * max(1.0, abs(lam1)) or lam1.real <= tol:
+    if not real_positive(lam1, tol):
         return DominantModes("dominant eigenvalue is not decisively real positive")
     sub = max((abs(lam[i]) for i in order[1:]), default=0.0)
     if abs(lam1) - sub <= tol * max(1.0, abs(lam1)):
@@ -393,7 +395,6 @@ class ExtPosVerdict:
     samples: Sequence[Num]
     tail: TailCertificate | None = None
     first_violation: tuple[int, Num] | None = None
-    suspect_times: tuple[int, ...] = ()
     notes: tuple[str, ...] = ()
     sample_sign: int | None = None  # strict sign carried by decisive samples
 
@@ -403,12 +404,7 @@ class ExtPosVerdict:
 
     @property
     def sign(self) -> int | None:
-        return {
-            ExtPosStatus.STRICT_POSITIVE: 1,
-            ExtPosStatus.NONNEGATIVE: 1,
-            ExtPosStatus.STRICT_NEGATIVE: -1,
-            ExtPosStatus.NONPOSITIVE: -1,
-        }.get(self.status)
+        return _STATUS_SIGN.get(self.status)
 
 
 @dataclass(frozen=True)
@@ -523,8 +519,7 @@ def judge(analysis: ExtPosAnalysis, strict: bool = True) -> ExtPosVerdict:
                 if tail:
                     notes.append(f"tail bound starts at t={tail.start} beyond the horizon")
                 status = ExtPosStatus.HORIZON_ONLY
-    return ExtPosVerdict(status, horizon, g, tail if sign else None, violation, suspects,
-                         tuple(notes), sign)
+    return ExtPosVerdict(status, horizon, g, tail if sign else None, violation, tuple(notes), sign)
 
 
 def external_positivity(sys: LtiSystem, strict: bool = True, horizon: int | None = None,

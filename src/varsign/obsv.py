@@ -36,7 +36,7 @@ operator inherits a sufficient certificate from its two factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -62,7 +62,6 @@ from .lti import (
     ExtPosStatus,
     ExtPosVerdict,
     LtiSystem,
-    OrderedSpectrum,
     OutputRows,
     analyse,
     default_horizon,
@@ -73,6 +72,7 @@ from .lti import (
     judge,
     observability_matrix,
     output_rows,
+    real_positive,
 )
 from .signcons import Conclusion, _anchored_tuples, _is_consecutive_tail
 from .variation import v_minus
@@ -84,16 +84,6 @@ class NotObservableError(LinalgError):
 
 class BadIndicesError(LinalgError):
     pass
-
-
-@dataclass(frozen=True)
-class CompoundSystem:
-    """LTI system whose impulse response traces a structured minor family."""
-
-    system: LtiSystem
-    r: int
-    k: int
-    beta: IndexTuple | None  # None for the full-order family
 
 
 class _OperatorContext:
@@ -164,16 +154,15 @@ def _full_order_input(ctx: _OperatorContext, r: int) -> tuple[Num, ...]:
 
 
 def full_compound_systems(A: Matrix, c: Sequence[Num],
-                          tol: float = DEFAULT_TOL) -> list[CompoundSystem]:
-    """The n systems certifying the full-order (k = n) case.
+                          tol: float = DEFAULT_TOL) -> list[LtiSystem]:
+    """The n systems certifying the full-order (k = n) case, r = 1..n in order.
 
     Their impulse responses are the full-width anchored minors of the stacked
     observability matrix scaled by 1/det(O_n), so the required sign is
     positive for every r.
     """
     ctx = _OperatorContext(A, c, tol)
-    return [CompoundSystem(ctx.system(ctx.n, r, None), r, ctx.n, None)
-            for r in range(1, ctx.n + 1)]
+    return [ctx.system(ctx.n, r, None) for r in range(1, ctx.n + 1)]
 
 
 def _minor_trace_input(ctx: _OperatorContext, k: int, r: int, beta: IndexTuple) -> tuple[Num, ...]:
@@ -192,7 +181,7 @@ def _minor_trace_input(ctx: _OperatorContext, k: int, r: int, beta: IndexTuple) 
 
 
 def compound_system(A: Matrix, c: Sequence[Num], k: int, r: int, beta,
-                    tol: float = DEFAULT_TOL) -> CompoundSystem:
+                    tol: float = DEFAULT_TOL) -> LtiSystem:
     """Build the (k, r, beta) compound system for an observable pair (A, c)."""
     ctx = _OperatorContext(A, c, tol)
     n = ctx.n
@@ -202,7 +191,7 @@ def compound_system(A: Matrix, c: Sequence[Num], k: int, r: int, beta,
         beta = IndexTuple(n, tuple(beta))
     if beta.n != n or len(beta) != k:
         raise BadIndicesError(f"beta must be a k-subset of 1..{n}, got {beta}")
-    return CompoundSystem(ctx.system(k, r, beta), r, k, beta)
+    return ctx.system(k, r, beta)
 
 
 @dataclass(frozen=True)
@@ -258,9 +247,6 @@ class Certificate:
         return self.conclusion is Conclusion.CERTIFIED
 
 
-_STRICT_SIGN = {ExtPosStatus.STRICT_POSITIVE: 1, ExtPosStatus.STRICT_NEGATIVE: -1}
-
-
 def property_name(prop: str, k: int, strict: bool = True) -> str:
     """Report name of property svb, vb, kpos or vd at order k."""
     if prop == "kpos":
@@ -312,21 +298,21 @@ def _witness(rows, forced_sign: int | None) -> str | None:
 def _shortfall(sv: SystemVerdict, signs, lead: int, eps: int | None) -> str | None:
     """Why one system misses its requirement under family sign eps, or None."""
     v = sv.verdict
-    if eps is None or v.sign != eps or (not sv.relaxed and v.status not in _STRICT_SIGN):
+    if eps is None or v.sign != eps:
         return f"system {sv.label()}: {v.status.value}" + (f" ({v.notes[-1]})" if v.notes else "")
     if len(signs) < lead or any(s != eps for s in signs[:lead]):
         return f"system {sv.label()}: first {lead} samples not strictly signed"
     return None
 
 
-def _certify(ctx: _OperatorContext, prop: str, k: int, target: str,
-             strict: bool = True) -> Certificate:
+def _certify(ctx: _OperatorContext, prop: str, k: int, strict: bool = True) -> Certificate:
     """Judge every system the property requires and fold the verdicts.
 
     The family sign is the forced sign or, without one, the sign of the first
     strictly required system with a strict verdict.  A refuting property
     refutes on the first witness; otherwise the operator is certified when
     every system meets its requirement and inconclusive when one does not.
+    Under a strict requirement ``judge`` gives a sign only to a strict verdict.
     """
     name, requirements, forced_sign, may_refute = _rules(prop, ctx.n, k, strict)
     rows = []
@@ -337,16 +323,17 @@ def _certify(ctx: _OperatorContext, prop: str, k: int, target: str,
     per = [sv for sv, _, _ in rows]
     witness = _witness(rows, forced_sign) if may_refute else None
     if witness:
-        return Certificate(name, target, Conclusion.REFUTED, None, per, ctx.horizon, [witness])
+        return Certificate(name, "observability", Conclusion.REFUTED, None, per, ctx.horizon,
+                           [witness])
     eps = forced_sign
     if eps is None:
-        eps = next((_STRICT_SIGN[sv.verdict.status] for sv in per
-                    if not sv.relaxed and sv.verdict.status in _STRICT_SIGN), None)
+        eps = next((sv.verdict.sign for sv in per if not sv.relaxed and sv.verdict.sign), None)
     problem = next(filter(None, (_shortfall(sv, signs, lead, eps) for sv, signs, lead in rows)),
                    None)
     if problem:
-        return Certificate(name, target, Conclusion.INCONCLUSIVE, eps, per, ctx.horizon, [problem])
-    return Certificate(name, target, Conclusion.CERTIFIED, eps, per, ctx.horizon)
+        return Certificate(name, "observability", Conclusion.INCONCLUSIVE, eps, per, ctx.horizon,
+                           [problem])
+    return Certificate(name, "observability", Conclusion.CERTIFIED, eps, per, ctx.horizon)
 
 
 def _context(A: Matrix, c: Sequence[Num], k: int, horizon: int | None,
@@ -358,7 +345,7 @@ def _context(A: Matrix, c: Sequence[Num], k: int, horizon: int | None,
 
 
 def certify_svb(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
-                tol: float = DEFAULT_TOL, target: str = "observability") -> Certificate:
+                tol: float = DEFAULT_TOL) -> Certificate:
     """Certify that the observability operator of (A, c) is strictly
     (k-1)-variation bounding.
 
@@ -366,11 +353,11 @@ def certify_svb(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
     one common sign; for k = n the sign is forced positive.  A decisive
     wrong-signed or zero minor refutes.
     """
-    return _certify(_context(A, c, k, horizon, tol), "svb", k, target)
+    return _certify(_context(A, c, k, horizon, tol), "svb", k)
 
 
 def certify_vb(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
-               tol: float = DEFAULT_TOL, target: str = "observability") -> Certificate:
+               tol: float = DEFAULT_TOL) -> Certificate:
     """Sufficient certificate that the observability operator is
     (k-1)-variation bounding (non-strict).
 
@@ -378,12 +365,11 @@ def certify_vb(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
     the r = k systems) may be non-strictly signed provided their first k
     samples carry the family sign strictly.  This route never refutes.
     """
-    return _certify(_context(A, c, k, horizon, tol), "vb", k, target)
+    return _certify(_context(A, c, k, horizon, tol), "vb", k)
 
 
 def certify_k_positive(A: Matrix, c: Sequence[Num], k: int, strict: bool = True,
-                       horizon: int | None = None, tol: float = DEFAULT_TOL,
-                       target: str = "observability") -> Certificate:
+                       horizon: int | None = None, tol: float = DEFAULT_TOL) -> Certificate:
     """Certify (strict) k-positivity of the observability operator.
 
     For each order j <= k the r = j systems trace the consecutive j-row
@@ -392,35 +378,36 @@ def certify_k_positive(A: Matrix, c: Sequence[Num], k: int, strict: bool = True,
     unless ``strict``.  A decisively negative minor refutes; so does a zero
     minor in strict mode.
     """
-    cert = _certify(_context(A, c, k, horizon, tol), "kpos", k, target, strict)
+    cert = _certify(_context(A, c, k, horizon, tol), "kpos", k, strict)
     if cert.passed():
         cert.notes.append(f"operator is order-preserving variation diminishing of order {k - 1}")
     return cert
 
 
-def _order_certificates(ctx: _OperatorContext, k: int, target: str) -> list[Certificate]:
+def _order_certificates(ctx: _OperatorContext, k: int) -> list[Certificate]:
     """For each order j <= k, the SVB_{j-1} certificate when it holds, else
     the VB_{j-1} one; every order reuses the context's analyses."""
     certs = []
     for j in range(1, k + 1):
-        cert = _certify(ctx, "svb", j, target)
-        certs.append(cert if cert.passed() else _certify(ctx, "vb", j, target))
+        cert = _certify(ctx, "svb", j)
+        certs.append(cert if cert.passed() else _certify(ctx, "vb", j))
     return certs
 
 
 def certify_vd(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
-               tol: float = DEFAULT_TOL, target: str = "observability") -> Certificate:
+               tol: float = DEFAULT_TOL) -> Certificate:
     """Certify that the operator is (k-1)-variation diminishing by certifying
     variation bounding at every order j <= k (strictly where possible)."""
     ctx = _context(A, c, k, horizon, tol)
-    certs = _order_certificates(ctx, k, target)
+    certs = _order_certificates(ctx, k)
     notes = [f"order {j}: {cert.property_name} certified" if cert.passed()
              else f"order {j}: not certified ({cert.notes[-1] if cert.notes else ''})"
              for j, cert in enumerate(certs, 1)]
     conclusion = (Conclusion.CERTIFIED if all(cert.passed() for cert in certs)
                   else Conclusion.INCONCLUSIVE)
     per = [sv for cert in certs for sv in cert.per_system]
-    return Certificate(property_name("vd", k), target, conclusion, None, per, ctx.horizon, notes)
+    return Certificate(property_name("vd", k), "observability", conclusion, None, per,
+                       ctx.horizon, notes)
 
 
 @dataclass
@@ -438,7 +425,7 @@ class EigenScreen:
     passed: bool
     refutes: bool
     diagonalizable: bool
-    spectrum: OrderedSpectrum
+    spectrum: tuple[complex, ...]
     reason: str = ""
 
 
@@ -447,17 +434,12 @@ def eigen_necessary_check(A: Matrix, k: int, tol: float = DEFAULT_TOL,
     n = A.rows
     if not 1 <= k <= n:
         raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
-    spec = eigen_sorted(A, tie_tol)
-    lams = spec.eigenvalues
+    lams = eigen_sorted(A, tie_tol)
     Af = np.array(A.to_float().data, dtype=float)
-
-    def real_positive(lam: complex) -> bool:
-        return abs(lam.imag) <= tol * max(1.0, abs(lam)) and lam.real > tol
-
-    top_ok = all(real_positive(lam) for lam in lams[:k])
+    top_ok = all(real_positive(lam, tol) for lam in lams[:k])
     shell_floor = abs(lams[k - 1]) - tie_tol * max(1.0, abs(lams[k - 1]))
     shell = [lam for lam in lams if abs(lam) >= shell_floor]
-    shell_ok = all(real_positive(lam) for lam in shell)
+    shell_ok = all(real_positive(lam, tol) for lam in shell)
 
     diagonalizable = True
     seen = []
@@ -473,14 +455,14 @@ def eigen_necessary_check(A: Matrix, k: int, tol: float = DEFAULT_TOL,
 
     passed = top_ok and shell_ok
     if passed:
-        return EigenScreen(True, False, diagonalizable, spec)
+        return EigenScreen(True, False, diagonalizable, lams)
     if not top_ok:
         reason = f"a dominant eigenvalue among the top {k} is not real positive"
-        return EigenScreen(False, diagonalizable, diagonalizable, spec,
+        return EigenScreen(False, diagonalizable, diagonalizable, lams,
                            reason if diagonalizable else reason + " (advisory: not diagonalizable)")
     reason = ("advisory: the modulus shell of the k-th eigenvalue contains "
               "eigenvalues that are not real positive")
-    return EigenScreen(False, False, diagonalizable, spec, reason)
+    return EigenScreen(False, False, diagonalizable, lams, reason)
 
 
 @dataclass
@@ -509,7 +491,7 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     horizon = ctx.horizon
     vb_in = v_minus(b)
     levels = {j - 1: "strict" if cert.property_name == property_name("svb", j) else "nonstrict"
-              for j, cert in enumerate(_order_certificates(ctx, ctx.n, "observability"), 1)
+              for j, cert in enumerate(_order_certificates(ctx, ctx.n), 1)
               if cert.passed()}
     applicable = [level for level in levels if level >= vb_in]
     bound = min(applicable) if applicable else None
@@ -528,22 +510,22 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
 
 def certify_observability(A: Matrix, c: Sequence[Num], k: int, prop: str = "svb",
                           horizon: int | None = None, tol: float = DEFAULT_TOL,
-                          strict: bool = True, target: str = "observability") -> Certificate:
+                          strict: bool = True) -> Certificate:
     """Certify svb, vb, kpos or vd; ``strict=False`` exists for kpos only."""
     if prop == "kpos":
-        return certify_k_positive(A, c, k, strict, horizon, tol, target)
+        return certify_k_positive(A, c, k, strict, horizon, tol)
     if not strict:
         raise ValueError(f"strict=False applies to kpos only, not to {prop}")
     certifier = {"svb": certify_svb, "vb": certify_vb, "vd": certify_vd}[prop]
-    return certifier(A, c, k, horizon, tol, target)
+    return certifier(A, c, k, horizon, tol)
 
 
 def certify_controllability(A: Matrix, b: Sequence[Num], k: int, prop: str = "svb",
                             horizon: int | None = None, tol: float = DEFAULT_TOL,
                             strict: bool = True) -> Certificate:
     """Controllability certificates via the transposed pair (A^T, b^T)."""
-    return certify_observability(A.transpose(), b, k, prop, horizon, tol, strict,
-                                 target="controllability")
+    cert = certify_observability(A.transpose(), b, k, prop, horizon, tol, strict)
+    return replace(cert, target="controllability")
 
 
 def certify_hankel(A: Matrix, b: Sequence[Num], c: Sequence[Num], k: int,

@@ -66,7 +66,6 @@ class SignSummary:
     positives: int = 0
     negatives: int = 0
     zeros: int = 0
-    unknowns: int = 0
     witness: tuple = ()  # first (label, value) per conflicting class, for audit
 
     def passes(self, strict: bool) -> bool:
@@ -107,7 +106,7 @@ def classify_family(labeled_values, backend: Backend, tol: float = DEFAULT_TOL) 
         verdict, eps, witness = SignVerdict.STRICTLY_NEGATIVE, -1, ()
     else:
         verdict, eps, witness = SignVerdict.ZERO, None, ()
-    return SignSummary(verdict, eps, pos, neg, zero, unk, witness)
+    return SignSummary(verdict, eps, pos, neg, zero, witness)
 
 
 def _check_order(X: Matrix, k: int) -> None:
@@ -135,7 +134,6 @@ class OrderedVerdicts:
     """Per-order sign verdicts for orders 1..k plus an overall pass flag."""
 
     orders: dict[int, SignSummary]
-    strict: bool
     passed: bool
 
 
@@ -158,14 +156,14 @@ def sign_regular(X: Matrix, k: int, strict: bool, tol: float = DEFAULT_TOL) -> O
     """Sign consistency of every order j in 1..k (signs may differ per order)."""
     orders = _orders(X, k, tol)
     passed = all(s.passes(strict) for s in orders.values())
-    return OrderedVerdicts(orders, strict, passed)
+    return OrderedVerdicts(orders, passed)
 
 
 def k_positive(X: Matrix, k: int, strict: bool, tol: float = DEFAULT_TOL) -> OrderedVerdicts:
     """All minors of order <= k nonnegative (positive when strict)."""
     orders = _orders(X, k, tol)
     ok = {SignVerdict.STRICTLY_POSITIVE} if strict else _POSITIVE_OK
-    return OrderedVerdicts(orders, strict, all(s.verdict in ok for s in orders.values()))
+    return OrderedVerdicts(orders, all(s.verdict in ok for s in orders.values()))
 
 
 @dataclass
@@ -377,7 +375,6 @@ class ReducedCheckResult:
     verdict: SignVerdict
     epsilon: int | None
     certified: bool
-    pairs_checked: int
     witness: tuple = ()
 
 
@@ -399,24 +396,23 @@ def reduced_check(X: Matrix, k: int, strict: bool = True,
     base = classify_family(strict_vals, X.backend, tol)
     if base.verdict not in _STRICT_OK:
         # strict-required pairs must carry one strict sign in both modes
-        return ReducedCheckResult(base.verdict, base.epsilon, False, len(family), base.witness)
+        return ReducedCheckResult(base.verdict, base.epsilon, False, base.witness)
     eps = base.epsilon
     if not free_vals:
-        return ReducedCheckResult(base.verdict, eps, True, len(family))
+        return ReducedCheckResult(base.verdict, eps, True)
     relaxed = classify_family(free_vals, X.backend, tol)
     if relaxed.verdict is SignVerdict.INCONCLUSIVE:
-        return ReducedCheckResult(
-            SignVerdict.INCONCLUSIVE, None, False, len(family), relaxed.witness)
+        return ReducedCheckResult(SignVerdict.INCONCLUSIVE, None, False, relaxed.witness)
     signs_seen = {1} if relaxed.positives else set()
     if relaxed.negatives:
         signs_seen.add(-1)
     if signs_seen - {eps}:
         # a relaxed-pair minor of strictly opposite sign breaks the family
-        return ReducedCheckResult(SignVerdict.MIXED, None, False, len(family), relaxed.witness)
+        return ReducedCheckResult(SignVerdict.MIXED, None, False, relaxed.witness)
     if relaxed.zeros:
         verdict = SignVerdict.NONNEGATIVE if eps == 1 else SignVerdict.NONPOSITIVE
-        return ReducedCheckResult(verdict, eps, True, len(family), relaxed.witness)
-    return ReducedCheckResult(base.verdict, eps, True, len(family))
+        return ReducedCheckResult(verdict, eps, True, relaxed.witness)
+    return ReducedCheckResult(base.verdict, eps, True)
 
 
 def _witness_text(x) -> str:

@@ -132,7 +132,7 @@ def test_criterion_5_defining_identity_exact():
             for r in range(1, k + 1):
                 for beta in lex_tuples(n, k):
                     cs = compound_system(A, c, k, r, beta)
-                    g = impulse_response(cs.system, 6)
+                    g = impulse_response(cs, 6)
                     for t in range(1, 7):
                         alpha = tuple(range(1, k - r + 1)) + tuple(range(k - r + t, k + t))
                         checks += 1

@@ -101,8 +101,8 @@ def test_eigen_sorted_descending_modulus_then_real():
 
 def test_eigen_sorted_rotation_tiebreak():
     spec = eigen_sorted(Matrix.floating([[0, -1], [1, 0]]))
-    assert abs(spec.eigenvalues[0] - 1j) < 1e-12
-    assert abs(spec.eigenvalues[1] + 1j) < 1e-12
+    assert abs(spec[0] - 1j) < 1e-12
+    assert abs(spec[1] + 1j) < 1e-12
 
 
 def test_eigen_sorted_example3_modulus_shell():
@@ -110,19 +110,19 @@ def test_eigen_sorted_example3_modulus_shell():
     # all moduli equal one; the three real units come first, then the
     # conjugate pair with positive imaginary part first
     assert all(abs(abs(l) - 1) < 1e-9 for l in spec)
-    assert all(abs(l - 1) < 1e-9 for l in spec.eigenvalues[:3])
-    assert spec.eigenvalues[3].imag > 0 > spec.eigenvalues[4].imag
-    assert spec.eigenvalues[3].real < 1
+    assert all(abs(l - 1) < 1e-9 for l in spec[:3])
+    assert spec[3].imag > 0 > spec[4].imag
+    assert spec[3].real < 1
 
 
 def test_eigen_sorted_similarity_invariant():
     A = Matrix.floating([[0.5, 1.0, 0], [0, 0.25, 2.0], [0, 0, -0.75]])
     P = Matrix.floating([[0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]])
     Pinv = Matrix.floating(np.linalg.inv(np.array(P.data)))
-    before = eigen_sorted(A).eigenvalues
-    after = eigen_sorted(P @ A @ Pinv).eigenvalues
+    before = eigen_sorted(A)
+    after = eigen_sorted(P @ A @ Pinv)
     assert all(abs(a - b) < 1e-8 for a, b in zip(before, after))
-    again = eigen_sorted(A).eigenvalues
+    again = eigen_sorted(A)
     assert before == again
 
 
@@ -499,7 +499,7 @@ def _judge_reference(analysis, strict=True):
     if first_pos and first_neg:
         t_bad = max(first_pos, first_neg)
         return ExtPosVerdict(ExtPosStatus.VIOLATED, horizon, g, None,
-                             (t_bad, g[t_bad - 1]), suspects,
+                             (t_bad, g[t_bad - 1]),
                              tuple(notes + ["samples of both strict signs"]))
 
     s_star = 1 if first_pos else (-1 if first_neg else None)
@@ -507,10 +507,10 @@ def _judge_reference(analysis, strict=True):
         if backend is Backend.EXACT and horizon >= analysis.n:
             if strict:
                 return ExtPosVerdict(ExtPosStatus.VIOLATED, horizon, g, None, (1, g[0]),
-                                     (), tuple(notes + ["impulse response is identically zero"]))
-            return ExtPosVerdict(ExtPosStatus.NONNEGATIVE, horizon, g, None, None, (),
+                                     tuple(notes + ["impulse response is identically zero"]))
+            return ExtPosVerdict(ExtPosStatus.NONNEGATIVE, horizon, g, None, None,
                                  tuple(notes + ["impulse response is identically zero"]))
-        return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, None, None, suspects,
+        return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, None, None,
                              tuple(notes + ["no decisive sample over the horizon"]))
 
     zero_times = tuple(t for t, s in enumerate(signs, 1) if s == 0)
@@ -520,21 +520,21 @@ def _judge_reference(analysis, strict=True):
         if backend is Backend.EXACT and zero_times:
             t0 = zero_times[0]
             return ExtPosVerdict(ExtPosStatus.VIOLATED, horizon, g, tail, (t0, g[t0 - 1]),
-                                 suspects, tuple(notes + ["zero sample under a strict requirement"]),
+                                 tuple(notes + ["zero sample under a strict requirement"]),
                                  sample_sign=s_star)
         early = [t for t in suspects if cover is None or t < cover]
         if early:
             return ExtPosVerdict(
-                ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, suspects,
+                ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None,
                 tuple(notes + [f"indeterminate sample at t={early[0]} not covered by a tail bound"]),
                 sample_sign=s_star)
         if tail and tail.start <= horizon:
             status = ExtPosStatus.STRICT_POSITIVE if s_star == 1 else ExtPosStatus.STRICT_NEGATIVE
-            return ExtPosVerdict(status, horizon, g, tail, None, suspects, tuple(notes),
+            return ExtPosVerdict(status, horizon, g, tail, None, tuple(notes),
                                  sample_sign=s_star)
         if tail:
             notes.append(f"tail bound starts at t={tail.start} beyond the horizon")
-        return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, suspects,
+        return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None,
                              tuple(notes), sample_sign=s_star)
 
     early = [t for t in suspects if cover is None or t < cover]
@@ -545,7 +545,7 @@ def _judge_reference(analysis, strict=True):
             status = ExtPosStatus.STRICT_POSITIVE if s_star == 1 else ExtPosStatus.STRICT_NEGATIVE
         else:
             status = ExtPosStatus.NONNEGATIVE if s_star == 1 else ExtPosStatus.NONPOSITIVE
-        return ExtPosVerdict(status, horizon, g, tail, None, suspects, tuple(notes),
+        return ExtPosVerdict(status, horizon, g, tail, None, tuple(notes),
                              sample_sign=s_star)
     if backend is Backend.EXACT:
         trailing = 0
@@ -557,11 +557,11 @@ def _judge_reference(analysis, strict=True):
             notes.append("trailing zeros persist beyond the horizon "
                          "(impulse response obeys a linear recurrence of the system order)")
             status = ExtPosStatus.NONNEGATIVE if s_star == 1 else ExtPosStatus.NONPOSITIVE
-            return ExtPosVerdict(status, horizon, g, tail, None, suspects, tuple(notes),
+            return ExtPosVerdict(status, horizon, g, tail, None, tuple(notes),
                                  sample_sign=s_star)
     if tail:
         notes.append(f"tail bound starts at t={tail.start} beyond the horizon")
-    return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, suspects, tuple(notes),
+    return ExtPosVerdict(ExtPosStatus.HORIZON_ONLY, horizon, g, tail, None, tuple(notes),
                          sample_sign=s_star)
 
 

@@ -85,7 +85,7 @@ def example3_hankel_pair():
 def test_full_order_systems_scalar_case():
     A = Matrix.floating([[0.7]])
     (cs,) = full_compound_systems(A, (1.0,))
-    g = impulse_response(cs.system, 6)
+    g = impulse_response(cs, 6)
     assert all(abs(g[t] - 0.7 ** t) < 1e-12 for t in range(6))
 
 
@@ -95,10 +95,10 @@ def test_full_order_systems_trace_anchored_minors(rng):
     A, c = observable_pair(rng, 3)
     d = det(observability_matrix(A, c, 3))
     ON = observability_matrix(A, c, 12)
-    for cs in full_compound_systems(A, c):
-        g = impulse_response(cs.system, 5)
+    for r, cs in enumerate(full_compound_systems(A, c), 1):
+        g = impulse_response(cs, 5)
         for t in range(1, 6):
-            alpha = tuple(range(1, 3 - cs.r + 1)) + tuple(range(3 - cs.r + t, 3 + t))
+            alpha = tuple(range(1, 3 - r + 1)) + tuple(range(3 - r + t, 3 + t))
             assert g[t - 1] * d == minor(ON, alpha, (1, 2, 3))
 
 
@@ -123,16 +123,16 @@ def test_compound_system_defining_identity_exact(rng):
             for r in range(1, k + 1):
                 for beta in lex_tuples(n, k):
                     cs = compound_system(A, c, k, r, beta)
-                    g = impulse_response(cs.system, 6)
+                    g = impulse_response(cs, 6)
                     for t in range(1, 7):
                         alpha = tuple(range(1, k - r + 1)) + tuple(range(k - r + t, k + t))
                         assert g[t - 1] == minor(ON, alpha, beta)
         # full order: g(t) det O_n = det O[alpha_t, 1..n], alpha_t = (t : t+n-1) at r = n
         d = det(observability_matrix(A, c, n))
-        for cs in full_compound_systems(A, c):
-            g = impulse_response(cs.system, 6)
+        for r, cs in enumerate(full_compound_systems(A, c), 1):
+            g = impulse_response(cs, 6)
             for t in range(1, 7):
-                alpha = tuple(range(1, n - cs.r + 1)) + tuple(range(n - cs.r + t, n + t))
+                alpha = tuple(range(1, n - r + 1)) + tuple(range(n - r + t, n + t))
                 assert g[t - 1] * d == minor(ON, alpha, range(1, n + 1))
 
 
@@ -301,7 +301,7 @@ def test_compound_system_r_equals_k_first_sample(rng):
     A, c = observable_pair(rng, 3)
     for beta in lex_tuples(3, 2):
         cs = compound_system(A, c, 2, 2, beta)
-        g = impulse_response(cs.system, 1)
+        g = impulse_response(cs, 1)
         assert g[0] == minor(observability_matrix(A, c, 2), (1, 2), beta)
 
 

@@ -4,7 +4,7 @@
 0 certified, 1 refuted, 2 inconclusive (including unobservable pairs;
 check-matrix prints an inconclusive vb/vd check as "undecidable").  `oracle`
 exits 0 when its search is clean and 1 on a violation, since a clean search
-decides nothing.  Malformed input exits 3.
+decides nothing.  Malformed input, and an --out that cannot be written, exit 3.
 """
 
 from __future__ import annotations
@@ -266,6 +266,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # reads raise InputFileError, so a file error here is a write under --out
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
 
 

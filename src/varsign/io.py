@@ -57,7 +57,12 @@ def _parse_entry(value, backend: Backend, warned: list[bool]):
             print("warning: float entries in input file; decimal strings are exact",
                   file=sys.stderr)
             warned[0] = True
-    return Fraction(value) if backend is Backend.EXACT else float(value)
+    if backend is Backend.EXACT:
+        return Fraction(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # a bare JSON integer past the float range
+        raise InputFileError(f"entry {value!r} is beyond float range") from exc
 
 
 def _parse_matrix(rows, backend: Backend, warned, what: str) -> Matrix:
@@ -84,7 +89,7 @@ def load_system_file(path, backend: Backend = Backend.EXACT) -> SystemFile:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputFileError("top level must be an object")

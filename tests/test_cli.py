@@ -471,6 +471,46 @@ def test_float_mode_rejects_nonfinite_entries(tmp_path, capsys, entry, command):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["A", "c"])
+@pytest.mark.parametrize("command", [
+    ["certify", "--property", "svb", "--k", "1", "--arith", "float"],
+    ["check-matrix", "--property", "sc", "--k", "1", "--arith", "float"],
+    ["oracle", "--k", "1", "--trials", "5"],
+])
+def test_float_mode_rejects_integers_beyond_float_range(tmp_path, capsys, command, where):
+    system = {"A": [["0.5", "0"], ["0", "0.25"]], "b": ["1", "1"], "c": ["1", "1"]}
+    if where == "A":
+        system["A"][0][0] = 10 ** 400
+    else:
+        system["c"][0] = 10 ** 400
+    f = write_json(tmp_path, "big.json", system)
+    assert main(command[:1] + [str(f)] + command[1:] + ["--out", str(tmp_path / "o")]) == 3
+    assert "beyond float range" in capsys.readouterr().err
+
+
+def test_integers_past_the_digit_limit_are_input_errors(tmp_path, capsys):
+    # json.loads refuses integer literals longer than sys.get_int_max_str_digits()
+    f = tmp_path / "huge.json"
+    f.write_text('{"A": [[%s, "0"], ["0", "1"]], "c": ["1", "1"]}' % ("1" * 5000))
+    assert main(["certify", str(f), "--property", "svb", "--k", "1",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--property", "svb", "--k", "1"],
+    ["check-matrix", "--property", "sc", "--k", "1"],
+    ["oracle", "--k", "1", "--trials", "5"],
+])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("")
+    argv = command[:1] + [str(fixture_path("example2"))] + command[1:] + ["--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
 def test_exact_mode_rejects_nonfinite_entries(tmp_path, capsys, entry):
     f = tmp_path / "bad.json"

@@ -126,6 +126,91 @@ def test_eigen_sorted_similarity_invariant():
     assert before == again
 
 
+def _key_sort_modes_reference(A, tol):
+    """(note, lead, lam1, sub) of ``dominant_modes`` as it ordered the
+    spectrum before, by one (-|lam|, -Re lam, -Im lam) key sort."""
+    lam, _ = np.linalg.eig(np.array(A.to_float().data, dtype=float))
+    order = sorted(range(len(lam)), key=lambda i: (-abs(lam[i]), -lam[i].real, -lam[i].imag))
+    lam1 = lam[order[0]]
+    if abs(lam1.imag) > tol * max(1.0, abs(lam1)) or lam1.real <= tol:
+        return "dominant eigenvalue is not decisively real positive", 0, 0j, 0.0
+    sub = max((abs(lam[i]) for i in order[1:]), default=0.0)
+    if abs(lam1) - sub <= tol * max(1.0, abs(lam1)):
+        return "no modulus gap below the dominant eigenvalue (repeated or defective)", 0, 0j, 0.0
+    return "", order[0], lam1, sub
+
+
+def _banded_sort_reference(values, tie_tol):
+    """``eigen_sorted``'s order as it was: sort by modulus, then sort each
+    band of moduli within tie_tol of its largest by real, then imaginary part."""
+    vals = sorted(values, key=lambda l: -abs(l))
+    out = []
+    i = 0
+    while i < len(vals):
+        j = i + 1
+        ref = abs(vals[i])
+        while j < len(vals) and ref - abs(vals[j]) <= tie_tol * max(1.0, ref):
+            j += 1
+        out.extend(sorted(vals[i:j], key=lambda l: (-l.real, -l.imag)))
+        i = j
+    return tuple(out)
+
+
+def _seeded_spectra(rng, tol=1e-9, tie_tol=1e-8):
+    """Float matrices with chosen spectra, blocks in seeded order: conjugate
+    pairs (rotation-scaling blocks), exact repeats, moduli that tie within and
+    just outside ``tol`` and ``tie_tol``, then seeded dense matrices."""
+    spectra = [
+        [2.0, 2.0, 1.0], [-2.0, 2.0, 0.5], [0.5, 0.5, 0.5], [1.0, -1.0, (1.0, 0.7)],
+        [1.0, 1.0 - tol / 2, 0.3], [1.0, 1.0 - 2 * tol, 0.3], [-1.0, 1.0 - tol / 2],
+        [1.0, -(1.0 - tie_tol / 2), 0.2], [1.0, -(1.0 - 2 * tie_tol), 0.2],
+        [-1.0, 1.0 - tie_tol / 2], [-1.0, 1.0 - 2 * tie_tol], [(1.0, 0.3), 1.0, 0.5],
+        [(1.0, 0.3), (1.0, 2.1), 1.0 - tie_tol / 2], [(0.9, 1.1), 0.9, -0.9, 0.1],
+        [(2.0, 0.4), (2.0, 0.4), 1.0], [1.5, (1.5 - tie_tol / 2, 0.0)], [0.0, 0.0],
+    ]
+    mats = []
+    for spectrum in spectra:
+        blocks = list(spectrum)
+        rng.shuffle(blocks)
+        n = sum(2 if isinstance(x, tuple) else 1 for x in blocks)
+        M = np.zeros((n, n))
+        i = 0
+        for x in blocks:
+            if isinstance(x, tuple):  # r e^{+-i theta}
+                r, th = x
+                M[i:i + 2, i:i + 2] = [[r * math.cos(th), -r * math.sin(th)],
+                                       [r * math.sin(th), r * math.cos(th)]]
+                i += 2
+            else:
+                M[i, i] = x
+                i += 1
+        mats.append(Matrix.floating(M.tolist()))
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        mats.append(Matrix.floating([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)]))
+    return mats
+
+
+def test_dominant_modes_order_matches_the_key_sort():
+    rng = random.Random(2024)
+    notes = set()
+    for A in _seeded_spectra(rng):
+        c = tuple(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0) for _ in range(A.rows))
+        for tol in (1e-9, 1e-6):
+            m = lti.dominant_modes(A, c, tol)
+            assert (m.note, m.lead, m.lam1, m.sub) == _key_sort_modes_reference(A, tol), A.data
+            notes.add(m.note)
+    assert len(notes) == 3
+
+
+def test_eigen_sorted_matches_the_banded_sort():
+    rng = random.Random(2025)
+    for A in _seeded_spectra(rng):
+        vals = [complex(v) for v in np.linalg.eigvals(np.array(A.data))]
+        for tie_tol in (0.0, 1e-8, 1e-3):
+            assert eigen_sorted(A, tie_tol) == _banded_sort_reference(vals, tie_tol), A.data
+
+
 def test_external_positivity_simple_decay():
     v = external_positivity(LtiSystem(Matrix.floating([[0.5]]), (1.0,), (1.0,)))
     assert v.status is ExtPosStatus.STRICT_POSITIVE

@@ -25,7 +25,6 @@ from .io import (
     certificate_dict,
     load_system_file,
     write_report,
-    write_traces,
 )
 from .obsv import (
     Certificate,
@@ -56,8 +55,7 @@ _EXIT = {Conclusion.CERTIFIED: EXIT_PASS,
          Conclusion.REFUTED: EXIT_FAIL,
          Conclusion.INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
-# --target -> the target a certificate names; its key is also the trace
-# directory of a Hankel certificate's factor
+# --target -> the target named by the fallback certificate of an unobservable pair
 _TARGETS = {"obsv": "observability", "ctrb": "controllability", "hankel": "hankel"}
 
 
@@ -112,7 +110,7 @@ def cmd_check_matrix(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.out:
-        write_report(args.out, out, [], _environment(args))
+        write_report(args.out, out, _environment(args))
     print(json.dumps(out))
     return _EXIT[conclusion]
 
@@ -149,13 +147,8 @@ def cmd_certify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    out_dir = Path(args.out)
-    traces = write_traces(out_dir, cert.per_system)
-    for part in cert.parts:
-        subdir = next(key for key, target in _TARGETS.items() if target == part.target)
-        traces += [f"{subdir}/{name}" for name in write_traces(out_dir / subdir, part.per_system)]
     env = _environment(args, property=args.property, target=args.target)
-    write_report(out_dir, certificate_dict(cert), traces, env)
+    write_report(args.out, certificate_dict(cert), env, cert)
     line = {"property": cert.property_name, "conclusion": cert.conclusion.value}
     if cert.common_sign is not None:
         line["common_sign"] = cert.common_sign
@@ -190,7 +183,7 @@ def cmd_oracle(args) -> int:
     if args.out:
         # the oracle samples in float whatever --arith says
         env = _environment(args, arith="float", horizon=horizon, trials=args.trials)
-        write_report(args.out, payload, [], env)
+        write_report(args.out, payload, env)
     print(json.dumps(payload))
     return EXIT_PASS if report.clean else EXIT_FAIL
 

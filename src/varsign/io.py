@@ -1,11 +1,12 @@
-"""JSON system files, certificate reports, and CSV trace emission.
+"""JSON system files, and the evidence a run leaves under ``--out``.
 
 Matrix entries in system files are decimal strings, which parse losslessly
 into the exact backend; bare JSON numbers are accepted with a warning since
-binary floats are not exact decimals.  Reports and traces render exact
-values as decimals whenever the denominator allows a finite expansion, and
-as ``p/q`` literals otherwise, so that exact-mode runs are reproducible
-bit for bit.
+binary floats are not exact decimals.  Every run writes ``report.json``; a
+run with compound systems writes ``traces.csv`` too, and a run without any
+removes the one an earlier run left.  Exact values render as decimals
+whenever the denominator allows a finite expansion, and as ``p/q`` literals
+otherwise, so that exact-mode runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -36,23 +37,35 @@ class SystemFile:
     notes: str = ""
 
 
+_ECHO_CHARS = 40
+
+
+def _echo(value) -> str:
+    """``repr(value)`` for an error message, cut to its first characters and
+    a length count when long: an entry may hold thousands of digits."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def _parse_entry(value, backend: Backend, warned: list[bool]):
     if isinstance(value, str):
         try:
             x = Fraction(value)
         except ValueError as exc:
-            raise InputFileError(f"cannot parse entry {value!r} as a decimal") from exc
+            raise InputFileError(f"cannot parse entry {_echo(value)} as a decimal") from exc
         if backend is Backend.EXACT:
             return x
         try:
             return float(x)
         except OverflowError as exc:
-            raise InputFileError(f"entry {value!r} is beyond float range") from exc
+            raise InputFileError(f"entry {_echo(value)} is beyond float range") from exc
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputFileError(f"entry {value!r} is not a number or decimal string")
+        raise InputFileError(f"entry {_echo(value)} is not a number or decimal string")
     if isinstance(value, float):
         if not math.isfinite(value):  # json.loads accepts NaN and Infinity
-            raise InputFileError(f"entry {value!r} is not a finite number")
+            raise InputFileError(f"entry {_echo(value)} is not a finite number")
         if not warned[0]:
             print("warning: float entries in input file; decimal strings are exact",
                   file=sys.stderr)
@@ -62,7 +75,7 @@ def _parse_entry(value, backend: Backend, warned: list[bool]):
     try:
         return float(value)
     except OverflowError as exc:  # a bare JSON integer past the float range
-        raise InputFileError(f"entry {value!r} is beyond float range") from exc
+        raise InputFileError(f"entry {_echo(value)} is beyond float range") from exc
 
 
 def _parse_matrix(rows, backend: Backend, warned, what: str) -> Matrix:
@@ -185,24 +198,22 @@ def _sample_texts(samples):
     return map(render_value, samples)
 
 
-def trace_filename(r: int, beta) -> str:
-    tag = "".join(str(i) for i in beta) if beta is not None else "full"
-    return f"trace_r{r}_beta{tag}.csv"
-
-
-def write_traces(out_dir, per_system: list[SystemVerdict]) -> list[str]:
-    """One ``t,g`` CSV per system, with the excel dialect's ``\\r\\n`` lines
-    (no rendered value needs quoting)."""
-    out = []
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for sv in per_system:
-        fname = trace_filename(sv.r, sv.beta.elems if sv.beta is not None else None)
-        rows = "".join(f"{t},{text}\r\n"
-                       for t, text in enumerate(_sample_texts(sv.verdict.samples), 1))
-        (out_dir / fname).write_text("t,g\r\n" + rows, newline="")
-        out.append(fname)
-    return out
+def write_traces(out_dir, per_system: list[SystemVerdict], targets: tuple[str, ...]) -> list[str]:
+    """One ``target,r,beta,t,g`` CSV of every system's samples, written whole
+    with ``\\r\\n`` lines, beta as ``1 2`` or ``full``; ``targets[i]`` is the
+    target of ``per_system[i]``.  With no systems, an earlier run's is removed."""
+    path = Path(out_dir) / "traces.csv"
+    if not per_system:
+        path.unlink(missing_ok=True)
+        return []
+    lines = ["target,r,beta,t,g\r\n"]
+    for target, sv in zip(targets, per_system, strict=True):
+        beta = " ".join(map(str, sv.beta.elems)) if sv.beta is not None else "full"
+        head = f"{target},{sv.r},{beta},"
+        lines += (f"{head}{t},{text}\r\n"
+                  for t, text in enumerate(_sample_texts(sv.verdict.samples), 1))
+    path.write_text("".join(lines), newline="")
+    return [path.name]
 
 
 def _verdict_dict(sv: SystemVerdict) -> dict:
@@ -233,9 +244,14 @@ def certificate_dict(cert: Certificate) -> dict:
     return out
 
 
-def write_report(out_dir, payload: dict, traces: list[str], environment: dict) -> Path:
+def write_report(out_dir, payload: dict, environment: dict,
+                 certificate: Certificate | None = None) -> Path:
+    """``report.json``, and the traces of the certificate's systems or its parts'."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    certs = () if certificate is None else certificate.parts or (certificate,)
+    traces = write_traces(out_dir, [sv for cert in certs for sv in cert.per_system],
+                          tuple(cert.target for cert in certs for _ in cert.per_system))
     report = {"certificate": payload, "environment": environment, "traces": traces}
     path = out_dir / "report.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

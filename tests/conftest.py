@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,38 @@ def observable_pair(rng, n, lo=-3, hi=3, max_den=2):
         c = tuple(Fraction(rng.randint(lo, hi)) for _ in range(n))
         if rank(observability_matrix(A, c, n)) == n:
             return A, c
+
+
+def trace_blocks(path) -> dict:
+    """``traces.csv`` as {(target, r, beta): its (t, g) rows}, checking that
+    each label's rows form one block with t = 1, 2, ... in order."""
+    lines = Path(path).read_bytes().decode().split("\r\n")
+    assert lines[0] == "target,r,beta,t,g" and lines[-1] == ""
+    blocks, label = {}, None
+    for line in lines[1:-1]:
+        target, r, beta, t, g = line.split(",")
+        if (target, int(r), beta) != label:
+            label = (target, int(r), beta)
+            assert label not in blocks, f"{label} split over two blocks"
+            blocks[label] = []
+        assert int(t) == len(blocks[label]) + 1
+        blocks[label].append((t, g))
+    return blocks
+
+
+def block_bytes(rows) -> bytes:
+    """One block of ``traces.csv`` in the byte form of a one-system ``t,g`` CSV."""
+    return ("t,g\r\n" + "".join(f"{t},{g}\r\n" for t, g in rows)).encode()
+
+
+def report_trace_labels(report: dict) -> list:
+    """The (target, r, beta) label of every system in a ``report.json``, its
+    Hankel factors' included, with beta rendered as ``traces.csv`` does."""
+    cert = report["certificate"]
+    parts = [cert[t] for t in ("observability", "controllability") if t in cert] or [cert]
+    return [(part["target"], sv["r"],
+             " ".join(map(str, sv["beta"])) if sv["beta"] is not None else "full")
+            for part in parts for sv in part["systems"]]
 
 
 @pytest.fixture

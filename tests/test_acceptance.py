@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 with its runtime against the stated budget."""
 
-import csv
 import json
 import math
 import random
@@ -26,7 +25,7 @@ from varsign.signcons import (
 )
 from varsign.variation import gauss_smoother
 
-from conftest import observable_pair, random_exact, reverse_columns
+from conftest import observable_pair, random_exact, reverse_columns, trace_blocks
 
 
 def _report(num, ok, elapsed, limit, detail=""):
@@ -62,13 +61,13 @@ def test_criterion_2_example1_two_positive(tmp_path, capsys):
                  "--k", "2", "--out", str(out)])
     capsys.readouterr()
     ok = code == 0
-    expected = {"trace_r1_beta1.csv", "trace_r1_beta2.csv", "trace_r1_beta3.csv",
-                "trace_r2_beta12.csv", "trace_r2_beta13.csv", "trace_r2_beta23.csv"}
-    names = {p.name for p in out.glob("trace_*.csv")}
-    ok = ok and names == expected
-    for name in expected:
-        with open(out / name) as fh:
-            rows = list(csv.reader(fh))[1:11]
+    expected = {("observability", 1, "1"), ("observability", 1, "2"), ("observability", 1, "3"),
+                ("observability", 2, "1 2"), ("observability", 2, "1 3"),
+                ("observability", 2, "2 3")}
+    blocks = trace_blocks(out / "traces.csv")
+    ok = ok and set(blocks) == expected
+    for label in expected:
+        rows = blocks.get(label, [])[:10]
         ok = ok and len(rows) == 10
         ok = ok and all(Fraction(g) > 0 for _, g in rows)
     _report(2, ok, time.perf_counter() - start, 5,

@@ -12,13 +12,13 @@ import varsign.io
 from varsign import cli
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
-from varsign.io import load_system_file, render_value, trace_filename, write_traces
+from varsign.io import load_system_file, render_value, write_traces
 from varsign.linalg import Matrix
 from varsign.lti import LtiSystem, impulse_response
 from varsign.obsv import certify_k_positive
 from varsign.oracle import falsify_operator_vb
 
-from conftest import observable_pair
+from conftest import block_bytes, observable_pair, report_trace_labels, trace_blocks
 
 
 def write_json(tmp_path, name, payload):
@@ -125,20 +125,20 @@ def test_certify_example1_kpos_traces(tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["certificate"]["conclusion"] == "certified"
-    traces = sorted(p.name for p in out.glob("trace_*.csv"))
-    assert traces == ["trace_r1_beta1.csv", "trace_r1_beta2.csv", "trace_r1_beta3.csv",
-                      "trace_r2_beta12.csv", "trace_r2_beta13.csv", "trace_r2_beta23.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "traces.csv"]
+    blocks = trace_blocks(out / "traces.csv")
+    assert sorted(blocks) == [("observability", 1, "1"), ("observability", 1, "2"),
+                              ("observability", 1, "3"), ("observability", 2, "1 2"),
+                              ("observability", 2, "1 3"), ("observability", 2, "2 3")]
     # every emitted value equals the library impulse response
     sf = load_system_file(fixture_path("example1"))
     cert = certify_k_positive(sf.A, sf.c, 2, strict=True)
-    by_name = {f"trace_r{sv.r}_beta{''.join(str(i) for i in sv.beta.elems)}.csv": sv
-               for sv in cert.per_system}
-    for name in traces:
-        with open(out / name) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "g"]
-        samples = by_name[name].verdict.samples
-        for t, (ts, gs) in enumerate(rows[1:], 1):
+    by_label = {("observability", sv.r, " ".join(map(str, sv.beta.elems))): sv
+                for sv in cert.per_system}
+    for label, rows in blocks.items():
+        samples = by_label[label].verdict.samples
+        assert len(rows) == len(samples)
+        for t, (ts, gs) in enumerate(rows, 1):
             assert int(ts) == t
             assert Fraction(gs) == samples[t - 1]
             assert Fraction(gs) > 0 or t > 10
@@ -210,12 +210,57 @@ def test_certify_hankel_target(tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["certificate"]["target"] == "hankel"
-    assert (out / "obsv").is_dir() and (out / "ctrb").is_dir()
-    # each factor's traces are listed by their path under --out
-    traces = report["traces"]
-    assert len(set(traces)) == len(traces) == 4
-    assert {t.split("/")[0] for t in traces} == {"obsv", "ctrb"}
-    assert all((out / t).is_file() for t in traces)
+    # both factors' traces share the one file, told apart by their target
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "traces.csv"]
+    assert report["traces"] == ["traces.csv"]
+    blocks = trace_blocks(out / "traces.csv")
+    assert len(blocks) == 4
+    assert {target for target, _, _ in blocks} == {"observability", "controllability"}
+    assert sorted(blocks) == sorted(report_trace_labels(report))
+
+
+def test_traces_hold_one_block_per_system_at_n12(tmp_path, capsys):
+    # beta (12) at order 1 and beta (1, 2) at order 2 once named one file
+    n = 12
+    A = [[f"0.{95 - 7 * i:02d}" if i == j else "0" for j in range(1, n + 1)]
+         for i in range(1, n + 1)]
+    f = write_json(tmp_path, "diag12.json", {"A": A, "c": ["1"] * n})
+    out = tmp_path / "out"
+    assert main(["certify", str(f), "--property", "vd", "--k", "2", "--out", str(out)]) == 0
+    labels = report_trace_labels(json.loads((out / "report.json").read_text()))
+    assert len(labels) == 54
+    blocks = trace_blocks(out / "traces.csv")
+    assert sorted(blocks) == sorted(labels)
+    assert ("observability", 1, "12") in blocks and ("observability", 2, "1 2") in blocks
+
+
+def test_reused_out_holds_only_the_current_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    example1 = str(fixture_path("example1"))
+    unobservable = write_json(tmp_path, "unobs.json",
+                              {"A": [["1", "0"], ["0", "1"]], "c": ["1", "0"]})
+    certify_k1 = (["certify", example1, "--property", "svb", "--k", "1"], 0, True)
+    # every run that has no systems follows one that wrote traces.csv
+    runs = [
+        (["certify", example1, "--property", "svb", "--k", "3"], 1, True),
+        certify_k1,
+        (["check-matrix", example1, "--property", "sc", "--k", "1"], 1, False),
+        certify_k1,
+        (["oracle", example1, "--k", "1", "--trials", "20"], 0, False),
+        certify_k1,
+        (["certify", str(unobservable), "--property", "svb", "--k", "1"], 2, False),
+    ]
+    for argv, code, traced in runs:
+        assert main(argv + ["--out", str(out)]) == code, argv
+        report = json.loads((out / "report.json").read_text())
+        files = sorted(p.name for p in out.iterdir())
+        if traced:
+            assert files == ["report.json", "traces.csv"], argv
+            assert report["traces"] == ["traces.csv"]
+            labels = report_trace_labels(report)
+            assert sorted(trace_blocks(out / "traces.csv")) == sorted(labels), argv
+        else:
+            assert files == ["report.json"] and report["traces"] == [], argv
 
 
 def test_oracle_cli_reproducible(tmp_path, capsys):
@@ -391,10 +436,10 @@ def test_render_value_matches_division_reference_on_exact_samples(monkeypatch):
 
 
 def _write_traces_reference(out_dir, per_system):
-    """write_traces as it was: csv.writer rows of render_value on each
-    reduced sample."""
+    """write_traces as it was: one file per system of csv.writer rows of
+    render_value on each reduced sample."""
     for sv in per_system:
-        with open(out_dir / trace_filename(sv.r, None), "w", newline="") as fh:
+        with open(out_dir / f"trace_r{sv.r}_betafull.csv", "w", newline="") as fh:
             csv.writer(fh).writerows([("t", "g"), *(
                 (t, render_value(value)) for t, value in enumerate(tuple(sv.verdict.samples), 1))])
 
@@ -450,13 +495,17 @@ def test_write_traces_matches_csv_writer_reference(tmp_path):
     digits = sys.get_int_max_str_digits()
     assert any(len(t) > digits for t in texts)
     got, want = tmp_path / "got", tmp_path / "want"
+    got.mkdir()
     want.mkdir()
-    names = write_traces(got, per_system)
+    targets = ("observability",) * len(per_system)
+    assert write_traces(got, per_system, targets) == ["traces.csv"]
+    assert [p.name for p in got.iterdir()] == ["traces.csv"]
     _write_traces_reference(want, per_system)
-    assert names == [trace_filename(sv.r, None) for sv in per_system]
-    for name in names:
-        assert (got / name).read_bytes() == (want / name).read_bytes(), name
-    assert sorted(p.name for p in got.iterdir()) == sorted(names)
+    blocks = trace_blocks(got / "traces.csv")
+    assert list(blocks) == [("observability", sv.r, "full") for sv in per_system]
+    for (_, r, _), rows in blocks.items():
+        name = f"trace_r{r}_betafull.csv"
+        assert block_bytes(rows) == (want / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", '"1e400"'])
@@ -486,6 +535,18 @@ def test_float_mode_rejects_integers_beyond_float_range(tmp_path, capsys, comman
     f = write_json(tmp_path, "big.json", system)
     assert main(command[:1] + [str(f)] + command[1:] + ["--out", str(tmp_path / "o")]) == 3
     assert "beyond float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [str(10 ** 400), '"%s"' % ("7" * 4000)],
+                         ids=["bare_int", "string"])
+def test_long_entries_are_echoed_short(tmp_path, capsys, entry):
+    f = tmp_path / "long.json"
+    f.write_text('{"A": [[%s, "0"], ["0", "0.25"]], "c": ["1", "1"]}' % entry)
+    assert main(["certify", str(f), "--property", "svb", "--k", "1", "--arith", "float",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "beyond float range" in err
+    assert all(len(line) < 200 for line in err.splitlines())
 
 
 def test_integers_past_the_digit_limit_are_input_errors(tmp_path, capsys):
@@ -581,7 +642,7 @@ def test_report_environment_round_trip(tmp_path):
     report = json.loads((out / "report.json").read_text())
     env = report["environment"]
     assert env["arith"] == "exact" and env["k"] == 2 and env["tol"] == 1e-9
-    assert set(report["traces"]) == {p.name for p in out.glob("trace_*.csv")}
+    assert report["traces"] == [p.name for p in out.iterdir() if p.name != "report.json"]
 
 
 def test_exact_mode_reports_bit_identical(tmp_path):
@@ -593,5 +654,4 @@ def test_exact_mode_reports_bit_identical(tmp_path):
         assert code == 0
         outs.append(out)
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
-    for trace in sorted(p.name for p in outs[0].glob("trace_*.csv")):
-        assert (outs[0] / trace).read_bytes() == (outs[1] / trace).read_bytes()
+    assert (outs[0] / "traces.csv").read_bytes() == (outs[1] / "traces.csv").read_bytes()

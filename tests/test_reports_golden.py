@@ -1,8 +1,10 @@
 """Golden digests of exact-mode `varsign certify` outputs on the fixtures.
 
 Each case runs the CLI and compares sha256 digests of its `report.json` and
-of every trace CSV against `tests/golden_reports.json`.  Two digests cover
-the report:
+of every system's trace against `tests/golden_reports.json`.  Each
+(target, r, beta) block of `traces.csv` is digested in the byte form of a
+one-system `t,g` CSV and keyed `trace_r{r}_beta{indices}.csv`, under `obsv/`
+or `ctrb/` for a Hankel factor.  Two digests cover the report:
 - `files["report.json"]` drops only the certificate-level `notes` (including
   those of the nested Hankel factor certificates), since they are prose that
   may be reworded; per-system verdicts, notes, statuses and witnesses are
@@ -26,9 +28,12 @@ import pytest
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
 
+from conftest import block_bytes, trace_blocks
+
 TABLE = Path(__file__).with_name("golden_reports.json")
 PROPERTIES = ("svb", "vb", "kpos", "vd")
 NOTES_FREE = "report_notes_free"
+HANKEL_DIRS = {"observability": "obsv/", "controllability": "ctrb/"}
 
 
 def _cases():
@@ -77,8 +82,12 @@ def run_case(out_dir: Path, name: str, target: str, prop: str, k: int) -> dict:
     notes_free = _digest_json(_drop_all_notes(report))
     report["certificate"] = _strip_notes(report["certificate"])
     files = {"report.json": _digest_json(report)}
-    for trace in sorted(out_dir.rglob("trace_*.csv")):
-        files[trace.relative_to(out_dir).as_posix()] = _digest(trace.read_bytes())
+    if report["traces"]:
+        for (part, r, beta), rows in trace_blocks(out_dir / "traces.csv").items():
+            name = f"trace_r{r}_beta{beta.replace(' ', '')}.csv"
+            if target == "hankel":
+                name = HANKEL_DIRS[part] + name
+            files[name] = _digest(block_bytes(rows))
     return {"exit": code, "files": files, NOTES_FREE: notes_free}
 
 

@@ -367,29 +367,78 @@ def minor(X: Matrix, rows, cols) -> Num:
     return det(X.submatrix(ri, ci))
 
 
+def index_sets(n: int, r: int) -> list[tuple[int, ...]]:
+    """All r-subsets of ``1..n`` as plain tuples, in lexicographic order."""
+    return list(combinations(range(1, n + 1), r))
+
+
+def consecutive_sets(n: int, r: int) -> list[tuple[int, ...]]:
+    """The n-r+1 consecutive r-subsets ``(i, ..., i+r-1)`` of ``1..n``, in order."""
+    return [tuple(range(i, i + r)) for i in range(1, n - r + 2)]
+
+
+class Minors:
+    """The minors of one matrix, each computed when first read and then kept.
+
+    Index sets are 1-based tuples.  Exact rows are lifted to integers once
+    (``_lift_rows``); each minor is one integer Bareiss over the product of its
+    row scales.  Float minors run partial pivoting on the rows as they are.
+    A minor read twice from one instance is computed once.
+    """
+
+    __slots__ = ("matrix", "_rows", "_scales", "_known")
+
+    def __init__(self, X: Matrix):
+        self.matrix = X
+        if X.backend is Backend.EXACT:
+            rows, scales = _lift_rows(X.data)
+            self._scales = [1, *scales]
+        else:
+            rows, self._scales = X.data, None
+        # a leading placeholder row and column make 1-based indices direct
+        self._rows = [None, *([None, *row] for row in rows)]
+        self._known: dict = {}
+
+    def row(self, I, col_sets):
+        """Yield the minor on rows I and each column set of ``col_sets`` in turn,
+        each computed as it is read; nothing is kept."""
+        block = [self._rows[i] for i in I]
+        if self._scales is None:
+            for J in col_sets:
+                yield _det_partial_pivot([[row[j] for j in J] for row in block])
+        else:
+            scale = math.prod([self._scales[i] for i in I])
+            for J in col_sets:
+                yield Fraction(_bareiss([[row[j] for j in J] for row in block]), scale)
+
+    def stream(self, row_sets, col_sets):
+        """Yield ``((I, J), minor)`` for I in ``row_sets`` and J in ``col_sets``,
+        rows outermost; lexicographic sets give lexicographic (I, J) order.
+        Each minor is computed only when it is read, and only if no earlier
+        read of this instance computed it."""
+        known = self._known
+        for I in row_sets:
+            fresh = self.row(I, [J for J in col_sets if (I, J) not in known])
+            for J in col_sets:
+                key = (I, J)
+                value = known.get(key)
+                if value is None:
+                    value = known[key] = next(fresh)
+                yield key, value
+
+
 def compound(X: Matrix, r: int) -> Matrix:
     """r-th multiplicative compound: all r-minors in lexicographic order.
 
-    Computed minor by minor; at desk scale C(n,r)^2 small determinants are
-    cheap and there is no need for a fast compound algorithm.  Exact X is lifted
-    to integer rows once; each minor is one integer Bareiss over its row scales.
-    Float minors run partial pivoting on the rows as they are.
+    Computed minor by minor by ``Minors.row``, the one minor loop that the
+    lazy sign checks read as well; at desk scale C(n,r)^2 small determinants
+    are cheap and there is no need for a fast compound algorithm.
     """
     if not 1 <= r <= min(X.rows, X.cols):
         raise RankOutOfRangeError(f"compound order {r} invalid for shape {X.shape}")
-    exact = X.backend is Backend.EXACT
-    m, scales = _lift_rows(X.data) if exact else (X.data, None)
-    det_of = _bareiss if exact else _det_partial_pivot
-    col_sets = list(combinations(range(X.cols), r))
-    out = []
-    for I in combinations(range(X.rows), r):
-        block = [m[i] for i in I]
-        dets = [det_of([[row[j] for j in J] for row in block]) for J in col_sets]
-        if exact:
-            scale = math.prod(scales[i] for i in I)
-            dets = [Fraction(d, scale) for d in dets]
-        out.append(dets)
-    return Matrix(out, X.backend)
+    minors = Minors(X)
+    col_sets = index_sets(X.cols, r)
+    return Matrix([list(minors.row(I, col_sets)) for I in index_sets(X.rows, r)], X.backend)
 
 
 def inverse(X: Matrix, tol: float = DEFAULT_TOL) -> Matrix:

@@ -1,10 +1,20 @@
 """Recognition of sign-consistent / sign-regular / totally positive matrices.
 
-Implements the full-compound reference checks, the polynomial-size reduced
-minor families (strict and non-strict variants), consecutive and initial
-minor certificates, the tail-block transform whose minors enumerate the
-full-width minors of a tall matrix, and decision procedures for
+Implements the sign checks over all minors of an order, the polynomial-size
+reduced minor families (strict and non-strict variants), consecutive and
+initial minor certificates, the tail-block transform whose minors enumerate
+the full-width minors of a tall matrix, and decision procedures for
 variation-bounding (VB) and variation-diminishing (VD) matrices.
+
+The checks compute only the minors that decide a verdict.  Minors are read
+lazily from ``linalg.Minors`` in lexicographic (I, J) order, and a family
+stops at its first pair of opposite signs.  In exact arithmetic Fekete's
+criterion comes first: when every consecutive minor of orders 1..p is
+positive, every minor of order <= p is (Fallat & Johnson, *Totally
+Nonnegative Matrices*, 2011, ch. 3), and those orders are judged strictly
+positive without reading any other minor.  Float mode skips that scan, since
+a rounded minor proves nothing.  Each check reads its minors from one
+``Minors``, so no minor is computed twice within a check.
 """
 
 from __future__ import annotations
@@ -19,10 +29,12 @@ from .linalg import (
     IndexTuple,
     LinalgError,
     Matrix,
+    Minors,
     Num,
     RankOutOfRangeError,
     SingularMatrixError,
-    compound,
+    consecutive_sets,
+    index_sets,
     int_text,
     inverse,
     lex_tuples,
@@ -63,9 +75,6 @@ class SignSummary:
 
     verdict: SignVerdict
     epsilon: int | None
-    positives: int = 0
-    negatives: int = 0
-    zeros: int = 0
     witness: tuple = ()  # first (label, value) per conflicting class, for audit
 
     def passes(self, strict: bool) -> bool:
@@ -73,40 +82,31 @@ class SignSummary:
 
 
 def classify_family(labeled_values, backend: Backend, tol: float = DEFAULT_TOL) -> SignSummary:
-    """Classify a family of (label, value) pairs into one SignVerdict."""
-    pos = neg = zero = unk = 0
-    first = {}
+    """Classify a family of (label, value) pairs into one SignVerdict.
+
+    Reading stops at the first value whose sign is opposite to an earlier
+    one: MIXED is final, as it takes precedence over INCONCLUSIVE, and its
+    witness (the first positive and the first negative value) is known by
+    then.  A lazy family is evaluated only up to that point.
+    """
+    first = {}  # sign (1, -1, 0, or None inside tolerance) -> first (label, value)
     for label, value in labeled_values:
         s = sign_of(value, backend, tol)
-        if s == 1:
-            pos += 1
-            first.setdefault("pos", (label, value))
-        elif s == -1:
-            neg += 1
-            first.setdefault("neg", (label, value))
-        elif s == 0:
-            zero += 1
-            first.setdefault("zero", (label, value))
-        else:
-            unk += 1
-            first.setdefault("unk", (label, value))
-    if pos and neg:
-        verdict, eps = SignVerdict.MIXED, None
-        witness = (first["pos"], first["neg"])
-    elif unk:
-        verdict, eps = SignVerdict.INCONCLUSIVE, None
-        witness = (first["unk"],)
-    elif pos and zero:
-        verdict, eps, witness = SignVerdict.NONNEGATIVE, 1, (first["zero"],)
-    elif neg and zero:
-        verdict, eps, witness = SignVerdict.NONPOSITIVE, -1, (first["zero"],)
-    elif pos:
-        verdict, eps, witness = SignVerdict.STRICTLY_POSITIVE, 1, ()
-    elif neg:
-        verdict, eps, witness = SignVerdict.STRICTLY_NEGATIVE, -1, ()
-    else:
-        verdict, eps, witness = SignVerdict.ZERO, None, ()
-    return SignSummary(verdict, eps, pos, neg, zero, witness)
+        if s not in first:
+            first[s] = (label, value)
+            if 1 in first and -1 in first:
+                return SignSummary(SignVerdict.MIXED, None, (first[1], first[-1]))
+    if None in first:
+        return SignSummary(SignVerdict.INCONCLUSIVE, None, (first[None],))
+    if 1 in first:
+        if 0 in first:
+            return SignSummary(SignVerdict.NONNEGATIVE, 1, (first[0],))
+        return SignSummary(SignVerdict.STRICTLY_POSITIVE, 1)
+    if -1 in first:
+        if 0 in first:
+            return SignSummary(SignVerdict.NONPOSITIVE, -1, (first[0],))
+        return SignSummary(SignVerdict.STRICTLY_NEGATIVE, -1)
+    return SignSummary(SignVerdict.ZERO, None)
 
 
 def _check_order(X: Matrix, k: int) -> None:
@@ -115,18 +115,46 @@ def _check_order(X: Matrix, k: int) -> None:
         raise RankOutOfRangeError(f"k={k} lies outside 1..{top} for shape {X.shape}")
 
 
+def _consecutive_minors(minors: Minors, r: int):
+    """The consecutive r-minors, labelled by (I, J), rows outermost."""
+    X = minors.matrix
+    return minors.stream(consecutive_sets(X.rows, r), consecutive_sets(X.cols, r))
+
+
+def _fekete_order(minors: Minors, k: int) -> int:
+    """The largest p <= k such that every consecutive minor of orders 1..p is
+    positive, and with it every minor of order <= p (Fekete); the scan stops
+    at the first consecutive minor <= 0.  Always 0 in float arithmetic."""
+    if minors.matrix.backend is not Backend.EXACT:
+        return 0
+    for r in range(1, k + 1):
+        # v <= 0, read off the numerator: a Fraction's denominator is positive
+        if any(v.numerator <= 0 for _, v in _consecutive_minors(minors, r)):
+            return r - 1
+    return k
+
+
+def _order_summary(minors: Minors, r: int, positive_through: int, tol: float) -> SignSummary:
+    """Sign summary of the r-minors: strictly positive when r is at most
+    ``positive_through`` (a Fekete order), else read in lexicographic (I, J)
+    order up to the first pair of opposite signs."""
+    if r <= positive_through:
+        return SignSummary(SignVerdict.STRICTLY_POSITIVE, 1)
+    X = minors.matrix
+    return classify_family(minors.stream(index_sets(X.rows, r), index_sets(X.cols, r)),
+                           X.backend, tol)
+
+
 def sign_consistent(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> SignSummary:
-    """Reference check: classify every entry of the k-th compound of X."""
+    """Sign summary of all k-minors of X, each labelled by its (I, J).
+
+    Exact X first runs Fekete's scan of the consecutive minors of orders
+    1..k; the other minors are read only when that scan finds one <= 0, and
+    then only until two opposite signs are seen.
+    """
     _check_order(X, k)
-    return _compound_summary(X, compound(X, k), k, tol)
-
-
-def _compound_summary(X: Matrix, C: Matrix, k: int, tol: float) -> SignSummary:
-    """Classify the k-th compound C of X, each entry labelled by its (I, J)."""
-    cols = [J.elems for J in lex_tuples(X.cols, k)]
-    labels = [((I.elems, J), v)
-              for I, row in zip(lex_tuples(X.rows, k), C.data) for J, v in zip(cols, row)]
-    return classify_family(labels, X.backend, tol)
+    minors = Minors(X)
+    return _order_summary(minors, k, _fekete_order(minors, k), tol)
 
 
 @dataclass
@@ -147,9 +175,12 @@ def sign_conclusion(passed: bool, summaries) -> Conclusion:
 
 
 def _orders(X: Matrix, k: int, tol: float) -> dict[int, SignSummary]:
-    """Sign summaries of the compounds of orders 1..k."""
+    """Sign summaries of the minors of orders 1..k; orders up to the Fekete
+    order are strictly positive without further minors."""
     _check_order(X, k)
-    return {j: sign_consistent(X, j, tol) for j in range(1, k + 1)}
+    minors = Minors(X)
+    p = _fekete_order(minors, k)
+    return {j: _order_summary(minors, j, p, tol) for j in range(1, k + 1)}
 
 
 def sign_regular(X: Matrix, k: int, strict: bool, tol: float = DEFAULT_TOL) -> OrderedVerdicts:
@@ -173,19 +204,13 @@ class CertificateResult:
     witness: tuple = ()
 
 
-def _consecutive_minors(X: Matrix, r: int):
-    for i in range(1, X.rows - r + 2):
-        rows = tuple(range(i, i + r))
-        for j in range(1, X.cols - r + 2):
-            yield (rows, tuple(range(j, j + r))), minor(X, rows, tuple(range(j, j + r)))
-
-
-def _positive_orders(X: Matrix, top: int, strict_top: bool, minors, kind: str,
+def _positive_orders(X: Matrix, top: int, strict_top: bool, family, kind: str,
                      tol: float) -> CertificateResult | None:
-    """First order 1..top whose ``minors(X, r)`` are not positive (nonnegative at
-    the top order unless ``strict_top``) as a failed certificate, else None."""
+    """First order 1..top whose ``family(minors, r)`` is not positive (nonnegative
+    at the top order unless ``strict_top``) as a failed certificate, else None."""
+    minors = Minors(X)
     for r in range(1, top + 1):
-        summary = classify_family(minors(X, r), X.backend, tol)
+        summary = classify_family(family(minors, r), X.backend, tol)
         want_strict = strict_top or r < top
         ok = (summary.verdict is SignVerdict.STRICTLY_POSITIVE if want_strict
               else summary.verdict in _POSITIVE_OK)
@@ -213,15 +238,12 @@ def consecutive_certificate(X: Matrix, k: int, strict_top: bool = True,
             or CertificateResult(True, f"{qualifier}{k}-positive via consecutive minors"))
 
 
-def _initial_minors(X: Matrix, r: int):
-    rows = tuple(range(1, r + 1))
-    for j in range(1, X.cols - r + 2):  # row-initial: rows 1..r, consecutive cols
-        cols = tuple(range(j, j + r))
-        yield (rows, cols), minor(X, rows, cols)
-    cols = tuple(range(1, r + 1))
-    for i in range(2, X.rows - r + 2):  # column-initial; i=1 already emitted above
-        rws = tuple(range(i, i + r))
-        yield (rws, cols), minor(X, rws, cols)
+def _initial_minors(minors: Minors, r: int):
+    X = minors.matrix
+    head = tuple(range(1, r + 1))
+    # row-initial: rows 1..r, consecutive cols; then column-initial from row 2 on
+    yield from minors.stream([head], consecutive_sets(X.cols, r))
+    yield from minors.stream(consecutive_sets(X.rows, r)[1:], [head])
 
 
 def initial_minor_certificate(X: Matrix, strict_top: bool = True,
@@ -378,6 +400,19 @@ class ReducedCheckResult:
     witness: tuple = ()
 
 
+# the strict signs present in a family of each (conclusive) verdict, and the
+# verdicts of families with a zero
+_SIGNS_SEEN = {
+    SignVerdict.MIXED: {1, -1},
+    SignVerdict.STRICTLY_POSITIVE: {1},
+    SignVerdict.NONNEGATIVE: {1},
+    SignVerdict.STRICTLY_NEGATIVE: {-1},
+    SignVerdict.NONPOSITIVE: {-1},
+    SignVerdict.ZERO: set(),
+}
+_HAS_ZERO = {SignVerdict.NONNEGATIVE, SignVerdict.NONPOSITIVE, SignVerdict.ZERO}
+
+
 def reduced_check(X: Matrix, k: int, strict: bool = True,
                   tol: float = DEFAULT_TOL) -> ReducedCheckResult:
     """Evaluate only the reduced family minors of X.
@@ -403,13 +438,10 @@ def reduced_check(X: Matrix, k: int, strict: bool = True,
     relaxed = classify_family(free_vals, X.backend, tol)
     if relaxed.verdict is SignVerdict.INCONCLUSIVE:
         return ReducedCheckResult(SignVerdict.INCONCLUSIVE, None, False, relaxed.witness)
-    signs_seen = {1} if relaxed.positives else set()
-    if relaxed.negatives:
-        signs_seen.add(-1)
-    if signs_seen - {eps}:
+    if _SIGNS_SEEN[relaxed.verdict] - {eps}:
         # a relaxed-pair minor of strictly opposite sign breaks the family
         return ReducedCheckResult(SignVerdict.MIXED, None, False, relaxed.witness)
-    if relaxed.zeros:
+    if relaxed.verdict in _HAS_ZERO:
         verdict = SignVerdict.NONNEGATIVE if eps == 1 else SignVerdict.NONPOSITIVE
         return ReducedCheckResult(verdict, eps, True, relaxed.witness)
     return ReducedCheckResult(base.verdict, eps, True)
@@ -435,16 +467,22 @@ class MatrixPropertyCheck:
     strict: bool = False  # True when the strict variant was established
 
 
-def _all_k_columns_independent(X: Matrix, C: Matrix, k: int, tol: float) -> bool:
-    """Every k-column subset of X has rank k; C is the k-th compound of X.  The
-    rank loop stays: under ``tol`` float rank is stricter than a nonzero column."""
-    for j in range(C.cols):
-        if all(sign_of(v, X.backend, tol) in (0, None) for v in C.col(j)):
+def _all_k_columns_independent(minors: Minors, k: int, tol: float) -> bool:
+    """Every k-column subset of X has rank k.
+
+    Each column set reads its k-minors only up to the first nonzero one
+    (outside ``tol`` in float).  In exact arithmetic that minor proves rank k,
+    so the rank loop runs only in float, where it stays: under ``tol`` float
+    rank is stricter than a minor outside the band.
+    """
+    X = minors.matrix
+    rows, col_sets = index_sets(X.rows, k), index_sets(X.cols, k)
+    for J in col_sets:
+        if not any(sign_of(v, X.backend, tol) for _, v in minors.stream(rows, [J])):
             return False
-    for J in lex_tuples(X.cols, k):
-        if rank(X.submatrix(range(1, X.rows + 1), J), tol) != k:
-            return False
-    return True
+    if X.backend is Backend.EXACT:
+        return True
+    return all(rank(X.submatrix(range(1, X.rows + 1), J), tol) == k for J in col_sets)
 
 
 def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixPropertyCheck:
@@ -453,15 +491,19 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     Decision paths: full-width sign consistency when k equals the column
     count; a column-wise sign test on the k-th compound when rank(X) = k;
     sign consistency when k < rank(X) and every k columns are independent.
-    Returns INCONCLUSIVE when no hypothesis holds.
+    Returns INCONCLUSIVE when no hypothesis holds.  In exact arithmetic a
+    Fekete order of k (every k-minor positive) decides the last two paths
+    without reading any further minor.
     """
     n, m = X.rows, X.cols
     if not (n > m >= k >= 1):
         raise RankOutOfRangeError(f"need rows > cols >= k >= 1, got shape {X.shape}, k={k}")
     name = f"VB_{k - 1}"
     rk = rank(X, tol)
+    minors = Minors(X)
+    p = _fekete_order(minors, k)
     if k == m:
-        s = sign_consistent(X, m, tol)
+        s = _order_summary(minors, m, p, tol)
         if s.verdict in _STRICT_OK:
             return MatrixPropertyCheck(
                 name, Conclusion.CERTIFIED, "strict full-width sign consistency",
@@ -478,11 +520,11 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             name, Conclusion.INCONCLUSIVE, "full-width test needs full column rank",
             f"rank={rk}, verdict={s.verdict.value}")
     if rk == k:
-        C = compound(X, k)
-        rows = [I.elems for I in lex_tuples(n, k)]
-        for j, J in enumerate(lex_tuples(m, k)):
-            col = classify_family((((I, J.elems), C[i, j]) for i, I in enumerate(rows)),
-                                  X.backend, tol)
+        rows = index_sets(n, k)
+        # a Fekete order of k leaves every compound column positive
+        col_sets = lex_tuples(m, k) if p < k else []
+        for J in col_sets:
+            col = classify_family(minors.stream(rows, [J.elems]), X.backend, tol)
             if col.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(
                     name, Conclusion.REFUTED, "rank-k compound column sign test",
@@ -495,9 +537,9 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             name, Conclusion.CERTIFIED, "rank-k compound column sign test",
             "every compound column is one-signed; bound holds for every input")
     if k < rk:
-        C = compound(X, k)
-        if _all_k_columns_independent(X, C, k, tol):
-            s = _compound_summary(X, C, k, tol)
+        # every k-minor positive: each k-column set has a nonzero minor
+        if p == k or _all_k_columns_independent(minors, k, tol):
+            s = _order_summary(minors, k, p, tol)
             if s.passes(strict=False):
                 return MatrixPropertyCheck(
                     name, Conclusion.CERTIFIED, "sign consistency with independent columns",
@@ -525,15 +567,23 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     if not 1 <= k <= m:
         raise RankOutOfRangeError(f"order {k} invalid for {X.shape}")
     name = f"VD_{k - 1}"
-    compounds = {j: compound(X, j) for j in range(1, k + 1)}
-    orders = {j: _compound_summary(X, C, j, tol) for j, C in compounds.items()}
-    if all(s.verdict in _POSITIVE_OK for s in orders.values()):
+    minors = Minors(X)
+    p = _fekete_order(minors, k)
+    orders = {}
+    for j in range(1, k + 1):
+        orders[j] = _order_summary(minors, j, p, tol)
+        if orders[j].verdict not in _POSITIVE_OK:
+            break
+    else:
         return MatrixPropertyCheck(
             name, Conclusion.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
     rk = rank(X, tol)
-    if rk > k and _all_k_columns_independent(X, compounds[k], k, tol):
-        # sign regularity of orders 1..k, judged on the same summaries
+    if rk > k and _all_k_columns_independent(minors, k, tol):
+        # sign regularity of orders 1..k: the orders the positivity route
+        # judged, then the rest
+        for j in range(len(orders) + 1, k + 1):
+            orders[j] = _order_summary(minors, j, p, tol)
         if all(s.passes(strict=False) for s in orders.values()):
             return MatrixPropertyCheck(
                 name, Conclusion.CERTIFIED, "sign regularity with independent columns")

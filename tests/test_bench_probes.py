@@ -4,6 +4,8 @@ A renamed or removed hot function would otherwise turn its per-layer metric
 into ``null`` without failing anything.
 """
 
+import json
+import random
 import sys
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import varsign.cli  # noqa: E402,F401  (the probes patch the loaded modules)
 import varsign.oracle  # noqa: E402,F401
 import varsign.signcons  # noqa: E402,F401
 import tracing  # noqa: E402
+from conftest import cauchy_exact, random_exact  # noqa: E402
 
 
 @pytest.mark.parametrize("probe", tracing.PROBES,
@@ -52,3 +55,31 @@ def test_traced_cli_runs_feed_every_hook(tmp_path, capsys):
     assert tracer.counts["io.trace_rows"] > 0
     assert tracer.counts["io.report_bytes"] > 0
     assert [name for name in tracer.counts if name.endswith(".errors")] == []
+
+
+@pytest.mark.parametrize("matrix, prop, k, span", [
+    ("random", "vb", 2, "signcons.col_independence"),
+    ("random", "vd", 2, "signcons.col_independence"),
+    ("cauchy", "stp", 3, "signcons.sign_consistent"),
+])
+def test_traced_check_matrix_books_the_signcons_layers(tmp_path, capsys, matrix, prop, k, span):
+    """A traced exact ``check-matrix`` run books time to the span that its
+    decision runs in.  A probe whose target no longer does the work would
+    read 0 without failing anything else."""
+    from varsign.cli import main
+
+    rng = random.Random(2204)
+    X = random_exact(rng, 6, 4) if matrix == "random" else cauchy_exact(rng, 6, 4)
+    path = tmp_path / f"{matrix}.json"
+    path.write_text(json.dumps({"matrix": [[str(x) for x in row] for row in X.data]}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        root = tracer.begin_job(0)
+        assert main(["check-matrix", str(path), "--arith", "exact", "--property", prop,
+                     "--k", str(k)]) in (0, 1, 2)
+        tracer.end_job(root)
+    finally:
+        tracer.uninstall()
+    totals, calls = tracer.self_times()
+    assert calls.get(span, 0) > 0 and totals[span] > 0, (span, calls)

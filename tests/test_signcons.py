@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from varsign.linalg import (
-    Backend, Matrix, RankOutOfRangeError, compound, det, lex_tuples, minor, rank,
+    Backend, Matrix, Minors, RankOutOfRangeError, compound, det, lex_tuples, minor, rank,
+    sign_of,
 )
 from varsign.lti import observability_matrix
 import varsign.signcons as signcons
@@ -13,6 +14,7 @@ from varsign.signcons import (
     Conclusion,
     MatrixPropertyCheck,
     PreconditionError,
+    SignSummary,
     SignVerdict,
     SingularLeadingBlockError,
     classify_family,
@@ -27,7 +29,6 @@ from varsign.signcons import (
     sign_regular,
     vb_matrix_check,
     vd_matrix_check,
-    _all_k_columns_independent,
 )
 
 from conftest import cauchy_exact, random_exact, reverse_columns
@@ -326,7 +327,7 @@ def _vd_reference(X, k, tol=1e-9):
             name, Conclusion.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
     rk = rank(X, tol)
-    if rk > k and _all_k_columns_independent(X, compound(X, k), k, tol):
+    if rk > k and _ref_columns_independent(X, compound(X, k), k, tol):
         sr = sign_regular(X, k, strict=False, tol=tol)
         if sr.passed:
             return MatrixPropertyCheck(
@@ -378,23 +379,31 @@ def test_vd_matrix_check_matches_sign_regular_reference():
 
 
 @pytest.mark.parametrize("check", [vb_matrix_check, vd_matrix_check])
-def test_vb_and_vd_checks_build_each_compound_once(monkeypatch, check):
-    orders = []
+def test_vb_and_vd_checks_evaluate_each_minor_once(monkeypatch, check):
+    evaluated = []
+    row = Minors.row
 
-    def counting_compound(X, r):
-        orders.append(r)
-        return compound(X, r)
+    def counting_row(self, I, col_sets):
+        for J, value in zip(col_sets, row(self, I, col_sets)):
+            evaluated.append((len(I), I, J))
+            yield value
 
-    monkeypatch.setattr(signcons, "compound", counting_compound)
+    monkeypatch.setattr(Minors, "row", counting_row)
     rng = random.Random(3)
-    # both below the rank with every k columns independent; neither totally positive
-    cases = [(random_exact(rng, 8, 6), 3), (reverse_columns(cauchy_exact(rng, 6, 4)), 2)]
+    cases = [(random_exact(rng, 8, 6), 3), (reverse_columns(cauchy_exact(rng, 6, 4)), 2),
+             (cauchy_exact(rng, 7, 5), 3)]
+    rules = []
     for X, k in cases:
-        orders.clear()
+        evaluated.clear()
         res = check(X, k)
-        assert k < rank(X) and res.rule != "total positivity"
-        assert "independent columns" in res.rule
-        assert orders and len(orders) == len(set(orders)), (check.__name__, orders)
+        assert k < rank(X)
+        rules.append(res.rule)
+        assert evaluated and len(evaluated) == len(set(evaluated)), (check.__name__, evaluated)
+    # the first two have every k columns independent and are not totally positive
+    assert all("independent columns" in rule for rule in rules[:2])
+    # the Cauchy matrix is strictly totally positive: only consecutive minors are read
+    assert rules[2] in ("sign consistency with independent columns", "total positivity")
+    assert all(I[-1] - I[0] == J[-1] - J[0] == r - 1 for r, I, J in evaluated)
 
 
 def test_witness_text_is_str_at_any_size():
@@ -419,3 +428,247 @@ def test_witness_text_is_str_at_any_size():
         sys.set_int_max_str_digits(limit)
     assert [signcons._witness_text(w) for w in witnesses] == want
     assert {len(w) for w in witnesses} == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# Reference: the full-compound checks, which build every minor of every order
+# before judging one sign.  The lazy checks must agree with them on verdict,
+# epsilon, witness, rule, detail and the strict flag.
+
+_REF_STRICT = {SignVerdict.STRICTLY_POSITIVE, SignVerdict.STRICTLY_NEGATIVE}
+_REF_POSITIVE = {SignVerdict.STRICTLY_POSITIVE, SignVerdict.NONNEGATIVE, SignVerdict.ZERO}
+
+
+def _ref_classify(labeled_values, backend, tol=1e-9):
+    pos = neg = zero = unk = 0
+    first = {}
+    for label, value in labeled_values:
+        s = sign_of(value, backend, tol)
+        if s == 1:
+            pos += 1
+            first.setdefault("pos", (label, value))
+        elif s == -1:
+            neg += 1
+            first.setdefault("neg", (label, value))
+        elif s == 0:
+            zero += 1
+            first.setdefault("zero", (label, value))
+        else:
+            unk += 1
+            first.setdefault("unk", (label, value))
+    if pos and neg:
+        return SignSummary(SignVerdict.MIXED, None, (first["pos"], first["neg"]))
+    if unk:
+        return SignSummary(SignVerdict.INCONCLUSIVE, None, (first["unk"],))
+    if pos and zero:
+        return SignSummary(SignVerdict.NONNEGATIVE, 1, (first["zero"],))
+    if neg and zero:
+        return SignSummary(SignVerdict.NONPOSITIVE, -1, (first["zero"],))
+    if pos:
+        return SignSummary(SignVerdict.STRICTLY_POSITIVE, 1)
+    if neg:
+        return SignSummary(SignVerdict.STRICTLY_NEGATIVE, -1)
+    return SignSummary(SignVerdict.ZERO, None)
+
+
+def _ref_compound_summary(X, C, k, tol=1e-9):
+    cols = [J.elems for J in lex_tuples(X.cols, k)]
+    labels = [((I.elems, J), v)
+              for I, row in zip(lex_tuples(X.rows, k), C.data) for J, v in zip(cols, row)]
+    return _ref_classify(labels, X.backend, tol)
+
+
+def _ref_orders(X, k, tol=1e-9):
+    return {j: _ref_compound_summary(X, compound(X, j), j, tol) for j in range(1, k + 1)}
+
+
+def _ref_columns_independent(X, C, k, tol):
+    for j in range(C.cols):
+        if all(sign_of(v, X.backend, tol) in (0, None) for v in C.col(j)):
+            return False
+    for J in lex_tuples(X.cols, k):
+        if rank(X.submatrix(range(1, X.rows + 1), J), tol) != k:
+            return False
+    return True
+
+
+def _ref_vb(X, k, tol=1e-9):
+    n, m = X.rows, X.cols
+    name = f"VB_{k - 1}"
+    rk = rank(X, tol)
+    text = signcons._witness_text
+    if k == m:
+        s = _ref_compound_summary(X, compound(X, m), m, tol)
+        if s.verdict in _REF_STRICT:
+            return MatrixPropertyCheck(
+                name, Conclusion.CERTIFIED, "strict full-width sign consistency",
+                f"epsilon={s.epsilon:+d}; also strictly variation bounding", strict=True)
+        if rk == m:
+            if s.verdict in (SignVerdict.NONNEGATIVE, SignVerdict.NONPOSITIVE, SignVerdict.ZERO):
+                return MatrixPropertyCheck(
+                    name, Conclusion.CERTIFIED, "full-width sign consistency at full column rank")
+            if s.verdict is SignVerdict.MIXED:
+                return MatrixPropertyCheck(
+                    name, Conclusion.REFUTED, "full-width sign consistency at full column rank",
+                    f"conflicting minors {text(s.witness)}")
+        return MatrixPropertyCheck(
+            name, Conclusion.INCONCLUSIVE, "full-width test needs full column rank",
+            f"rank={rk}, verdict={s.verdict.value}")
+    if rk == k:
+        C = compound(X, k)
+        rows = [I.elems for I in lex_tuples(n, k)]
+        for j, J in enumerate(lex_tuples(m, k)):
+            col = _ref_classify((((I, J.elems), C[i, j]) for i, I in enumerate(rows)),
+                                X.backend, tol)
+            if col.verdict is SignVerdict.MIXED:
+                return MatrixPropertyCheck(
+                    name, Conclusion.REFUTED, "rank-k compound column sign test",
+                    f"column {J} mixed: {text(col.witness)}")
+            if col.verdict is SignVerdict.INCONCLUSIVE:
+                return MatrixPropertyCheck(
+                    name, Conclusion.INCONCLUSIVE, "rank-k compound column sign test",
+                    f"column {J} has values inside tolerance")
+        return MatrixPropertyCheck(
+            name, Conclusion.CERTIFIED, "rank-k compound column sign test",
+            "every compound column is one-signed; bound holds for every input")
+    if k < rk:
+        C = compound(X, k)
+        if _ref_columns_independent(X, C, k, tol):
+            s = _ref_compound_summary(X, C, k, tol)
+            if s.passes(strict=False):
+                return MatrixPropertyCheck(
+                    name, Conclusion.CERTIFIED, "sign consistency with independent columns",
+                    f"epsilon={s.epsilon:+d}" if s.epsilon else "",
+                    strict=s.verdict in _REF_STRICT)
+            if s.verdict is SignVerdict.MIXED:
+                return MatrixPropertyCheck(
+                    name, Conclusion.REFUTED, "sign consistency with independent columns",
+                    f"conflicting minors {text(s.witness)}")
+            return MatrixPropertyCheck(
+                name, Conclusion.INCONCLUSIVE, "sign consistency with independent columns",
+                "compound entries inside tolerance")
+        return MatrixPropertyCheck(
+            name, Conclusion.INCONCLUSIVE, "dependent k-column subset",
+            "no characterization applies; defer to the sampling oracle")
+    return MatrixPropertyCheck(
+        name, Conclusion.INCONCLUSIVE, "rank below tested order", f"rank={rk} < k={k}")
+
+
+def _ref_vd(X, k, tol=1e-9):
+    name = f"VD_{k - 1}"
+    orders = _ref_orders(X, k, tol)
+    if all(s.verdict in _REF_POSITIVE for s in orders.values()):
+        return MatrixPropertyCheck(
+            name, Conclusion.CERTIFIED, "total positivity",
+            f"order-preserving VD_{k - 1} established")
+    rk = rank(X, tol)
+    if rk > k and _ref_columns_independent(X, compound(X, k), k, tol):
+        if all(s.passes(strict=False) for s in orders.values()):
+            return MatrixPropertyCheck(
+                name, Conclusion.CERTIFIED, "sign regularity with independent columns")
+        bad = next((j for j, s in orders.items() if s.verdict is SignVerdict.MIXED), None)
+        if bad is not None:
+            return MatrixPropertyCheck(
+                name, Conclusion.REFUTED, "sign regularity with independent columns",
+                f"order {bad} minors are mixed: {signcons._witness_text(orders[bad].witness)}")
+        return MatrixPropertyCheck(
+            name, Conclusion.INCONCLUSIVE, "sign regularity with independent columns",
+            "minor signs inside tolerance")
+    return MatrixPropertyCheck(
+        name, Conclusion.INCONCLUSIVE, "hypothesis not met",
+        f"rank={rk}; need rank > k with every {k} columns independent, "
+        "and the total-positivity route did not apply")
+
+
+def _consecutive_positive(X, r):
+    return all(minor(X, I, J) > 0 for I in lex_tuples(X.rows, r) for J in lex_tuples(X.cols, r)
+               if I.is_consecutive() and J.is_consecutive())
+
+
+def _almost_stp(rng, n, m, k, negative):
+    """Cauchy matrix whose trailing k x k consecutive minor is made 0 (or negative)
+    by lowering its corner entry; None unless every consecutive minor of the
+    orders below k stays positive."""
+    X = cauchy_exact(rng, n, m)
+    rows = [list(r) for r in X.data]
+    I, J = tuple(range(n - k + 1, n + 1)), tuple(range(m - k + 1, m + 1))
+    inner = minor(X, I[:-1], J[:-1]) if k > 1 else 1
+    # the minor is affine in the corner entry with slope `inner` > 0
+    rows[-1][-1] -= minor(X, I, J) / inner * (Fraction(11, 10) if negative else 1)
+    Y = Matrix.exact(rows)
+    assert (minor(Y, I, J) < 0) if negative else (minor(Y, I, J) == 0)
+    return Y if all(_consecutive_positive(Y, r) for r in range(1, k)) else None
+
+
+def _differential_corpus():
+    """(family, matrix) pairs: exact matrices of every family, then their float copies."""
+    rng = random.Random(2211)
+    corpus = []
+    for n, m in [(4, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (7, 4)]:
+        corpus.append(("cauchy", cauchy_exact(rng, n, m)))
+        corpus.append(("band", _tn_band(rng, n, m)))
+        corpus.append(("reversed", reverse_columns(cauchy_exact(rng, n, m))))
+        corpus.append(("random", random_exact(rng, n, m)))
+        corpus.append(("random", random_exact(rng, n, m, 0, 3, 2)))
+        two = random_exact(rng, n, 2)
+        corpus.append(("rankdef", Matrix.exact(
+            [list(r) + [r[0] + r[1]] * (m - 2) for r in two.data])))
+        cols = [list(r) for r in random_exact(rng, n, m).data]
+        z = rng.randrange(m)
+        corpus.append(("zerocol", Matrix.exact([r[:z] + [0] + r[z + 1:] for r in cols])))
+        for k in range(2, m + 1):
+            for negative in (False, True):
+                Y = _almost_stp(rng, n, m, k, negative)
+                if Y is not None:
+                    corpus.append(("almost", Y))
+    return corpus + [(family, X.to_float()) for family, X in corpus]
+
+
+def _summary_key(s):
+    return (s.verdict, s.epsilon, s.witness)
+
+
+def test_lazy_checks_match_the_full_compound_reference():
+    """sc/ssc, sr/tp/stp, vb and vd against the full-compound reference on
+    seeded exact and float matrices: Cauchy, banded totally nonnegative with
+    zero minors, almost strictly totally positive (Fekete's scan passes the
+    orders below k and finds a zero or negative minor at k), column-reversed
+    Cauchy, random, rank-deficient and zero-column."""
+    cases = 0
+    families = set()
+    outcomes = set()
+    for family, X in _differential_corpus():
+        for k in range(1, X.cols + 1):
+            cases += 1
+            families.add((family, X.backend))
+            ref = _ref_orders(X, k)
+            assert _summary_key(sign_consistent(X, k)) == _summary_key(ref[k]), (X, k)
+            want = {j: _summary_key(s) for j, s in ref.items()}
+            strict = k % 2 == 1  # sr strict and tp at odd k, sr and stp at even k
+            sr = sign_regular(X, k, strict)
+            assert {j: _summary_key(s) for j, s in sr.orders.items()} == want, (X, k)
+            assert sr.passed == all(s.passes(strict) for s in ref.values())
+            kp = k_positive(X, k, not strict)
+            assert {j: _summary_key(s) for j, s in kp.orders.items()} == want, (X, k)
+            ok = _REF_POSITIVE if strict else {SignVerdict.STRICTLY_POSITIVE}
+            assert kp.passed == all(s.verdict in ok for s in ref.values())
+            for check, reference in ((vb_matrix_check, _ref_vb), (vd_matrix_check, _ref_vd)):
+                got = check(X, k)
+                assert got == reference(X, k), (check.__name__, X, k)
+                outcomes.add((check.__name__, got.status, got.rule))
+            outcomes.add(("sc", ref[k].verdict))
+    assert cases >= 400
+    assert {f for f, _ in families} == {"cauchy", "band", "reversed", "random", "rankdef",
+                                        "zerocol", "almost"}
+    assert {b for _, b in families} == {Backend.EXACT, Backend.FLOAT}
+    for outcome in [("sc", SignVerdict.STRICTLY_POSITIVE), ("sc", SignVerdict.NONNEGATIVE),
+                    ("sc", SignVerdict.MIXED), ("sc", SignVerdict.INCONCLUSIVE),
+                    ("sc", SignVerdict.STRICTLY_NEGATIVE), ("sc", SignVerdict.ZERO),
+                    ("vb_matrix_check", Conclusion.CERTIFIED, "rank-k compound column sign test"),
+                    ("vb_matrix_check", Conclusion.REFUTED,
+                     "sign consistency with independent columns"),
+                    ("vb_matrix_check", Conclusion.INCONCLUSIVE, "dependent k-column subset"),
+                    ("vd_matrix_check", Conclusion.CERTIFIED, "total positivity"),
+                    ("vd_matrix_check", Conclusion.REFUTED,
+                     "sign regularity with independent columns")]:
+        assert outcome in outcomes, outcome

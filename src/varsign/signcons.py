@@ -516,6 +516,9 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
                 return MatrixPropertyCheck(
                     name, Conclusion.REFUTED, "full-width sign consistency at full column rank",
                     f"conflicting minors {_witness_text(s.witness)}")
+            return MatrixPropertyCheck(
+                name, Conclusion.INCONCLUSIVE, "full-width sign consistency at full column rank",
+                "compound entries inside tolerance")
         return MatrixPropertyCheck(
             name, Conclusion.INCONCLUSIVE, "full-width test needs full column rank",
             f"rank={rk}, verdict={s.verdict.value}")

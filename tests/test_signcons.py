@@ -284,6 +284,21 @@ def test_vb_matrix_check_full_width():
     assert res.status is Conclusion.CERTIFIED and res.strict
 
 
+def test_vb_matrix_check_full_width_inside_tolerance_at_full_rank():
+    # full column rank, but the 2-minors 1e-12, 2e-12 and 2 - 1e-12 are not all
+    # outside the float tolerance: the full-width rule applies and cannot decide
+    X = Matrix.floating([[1, 1], [1, 1 + 1e-12], [1, 3]])
+    assert rank(X) == 2
+    res = vb_matrix_check(X, 2)
+    assert res.status is Conclusion.INCONCLUSIVE
+    assert res.rule == "full-width sign consistency at full column rank"
+    assert res.detail == "compound entries inside tolerance"
+    # below full rank the rule still names the missing hypothesis
+    flat = vb_matrix_check(Matrix.floating([[1, 1], [1, 1 + 1e-12], [1, 1 - 1e-12]]), 2)
+    assert flat.status is Conclusion.INCONCLUSIVE
+    assert flat.rule == "full-width test needs full column rank"
+
+
 def test_vb_matrix_check_independent_columns_route(rng):
     X = cauchy_exact(rng, 6, 4)
     res = vb_matrix_check(X, 2)
@@ -511,6 +526,9 @@ def _ref_vb(X, k, tol=1e-9):
                 return MatrixPropertyCheck(
                     name, Conclusion.REFUTED, "full-width sign consistency at full column rank",
                     f"conflicting minors {text(s.witness)}")
+            return MatrixPropertyCheck(
+                name, Conclusion.INCONCLUSIVE, "full-width sign consistency at full column rank",
+                "compound entries inside tolerance")
         return MatrixPropertyCheck(
             name, Conclusion.INCONCLUSIVE, "full-width test needs full column rank",
             f"rank={rk}, verdict={s.verdict.value}")

@@ -155,11 +155,21 @@ class IndexTuple:
         return rank + 1
 
 
+def index_sets(n: int, r: int) -> list[tuple[int, ...]]:
+    """All r-subsets of ``1..n`` as plain tuples, in lexicographic order."""
+    return list(combinations(range(1, n + 1), r))
+
+
+def consecutive_sets(n: int, r: int) -> list[tuple[int, ...]]:
+    """The n-r+1 consecutive r-subsets ``(i, ..., i+r-1)`` of ``1..n``, in order."""
+    return [tuple(range(i, i + r)) for i in range(1, n - r + 2)]
+
+
 def lex_tuples(n: int, r: int) -> list[IndexTuple]:
     """All C(n, r) strictly increasing r-tuples from ``1..n`` in lexicographic order."""
     if not 0 < r <= n:
         raise RankOutOfRangeError(f"need 0 < r <= n, got r={r}, n={n}")
-    return [IndexTuple(n, combo) for combo in combinations(range(1, n + 1), r)]
+    return [IndexTuple(n, combo) for combo in index_sets(n, r)]
 
 
 def _as_indices(idx, n: int) -> tuple[int, ...]:
@@ -365,16 +375,6 @@ def minor(X: Matrix, rows, cols) -> Num:
     if len(ri) != len(ci):
         raise SizeMismatchError(f"minor needs equally many rows and columns, got {len(ri)}x{len(ci)}")
     return det(X.submatrix(ri, ci))
-
-
-def index_sets(n: int, r: int) -> list[tuple[int, ...]]:
-    """All r-subsets of ``1..n`` as plain tuples, in lexicographic order."""
-    return list(combinations(range(1, n + 1), r))
-
-
-def consecutive_sets(n: int, r: int) -> list[tuple[int, ...]]:
-    """The n-r+1 consecutive r-subsets ``(i, ..., i+r-1)`` of ``1..n``, in order."""
-    return [tuple(range(i, i + r)) for i in range(1, n - r + 2)]
 
 
 class Minors:

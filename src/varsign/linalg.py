@@ -415,7 +415,9 @@ class Minors:
         """Yield ``((I, J), minor)`` for I in ``row_sets`` and J in ``col_sets``,
         rows outermost; lexicographic sets give lexicographic (I, J) order.
         Each minor is computed only when it is read, and only if no earlier
-        read of this instance computed it."""
+        read of this instance computed it.  Each row's pending minors are
+        fixed when the row starts, so a stream must not be resumed after
+        another stream of the same instance has been read."""
         known = self._known
         for I in row_sets:
             fresh = self.row(I, [J for J in col_sets if (I, J) not in known])

@@ -285,8 +285,8 @@ def test_vb_matrix_check_full_width():
 
 
 def test_vb_matrix_check_full_width_inside_tolerance_at_full_rank():
-    # full column rank, but the 2-minors 1e-12, 2e-12 and 2 - 1e-12 are not all
-    # outside the float tolerance: the full-width rule applies and cannot decide
+    # full column rank, but of the 2-minors 1e-12, 2 and 2 - 1e-12 the first lies
+    # inside the float tolerance: the full-width rule applies and cannot decide
     X = Matrix.floating([[1, 1], [1, 1 + 1e-12], [1, 3]])
     assert rank(X) == 2
     res = vb_matrix_check(X, 2)

@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .linalg import Backend, LinalgError, RankOutOfRangeError
@@ -177,7 +176,9 @@ def cmd_oracle(args) -> int:
         "k": args.k,
         "trials": report.trials,
         "seed": report.seed,
-        "violations": [asdict(v) for v in report.violations],
+        "violations": [{"trial": v.trial, "u": v.u, "output_v_minus": v.output_v_minus,
+                        "output_v_plus": v.output_v_plus, "strict_only": v.strict_only}
+                       for v in report.violations],
         "suspect_trials": report.suspects,
     }
     if args.out:

@@ -3,13 +3,18 @@
 Inputs of bounded variation are sampled with log-uniform magnitudes (the
 hard cases sit near sign cancellations), pushed through the matrix or the
 observability operator, and the output variation is measured.  Violations
-replay deterministically from (seed, trial index); output entries inside the
-float tolerance make a trial Suspect instead of a Violation.  Zero violations
-never certify anything; this module only refutes or corroborates.
+replay deterministically from (seed, trial index) at a given block size;
+output entries inside the float tolerance make a trial Suspect instead of a
+Violation.  Zero violations never certify anything; this module only refutes
+or corroborates.
 
-Trials run in blocks of ``_BLOCK``.  Each trial is sampled alone, from its own
-generator, so ``replay_trial`` rebuilds it whatever the block size.  The
-operator outputs of a block are propagated together, one numpy column per
+Trials run in blocks of ``_BLOCK``.  Block b is drawn at once, as arrays,
+from one generator seeded with (seed, b), and trial j of the block is row j
+of that draw; the last block is drawn whole and sliced, so a trial's input
+does not depend on the trial count.  ``replay_trial`` regenerates the block
+and reads the row.
+
+The operator outputs of a block are propagated together, one numpy column per
 trial, with the multiply-adds of ``impulse_response`` in its order: an output
 is 0 + c_0 x_0 + c_1 x_1 + ... left to right and a new state entry is
 A[i][0] x_0 + A[i][1] x_1 + ... left to right.  Elementwise IEEE arithmetic in
@@ -41,34 +46,35 @@ _LOG_MAG_RANGE = (-3.0, 3.0)
 _BLOCK = 1024  # trials held in memory at once, whatever the trial count
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
+def sample_bounded_variation(m: int, k: int, rng: np.random.Generator,
+                             size: int) -> np.ndarray:
+    """A (size, m) array whose rows are nonzero vectors with at most k sign
+    changes, drawn independently.
 
-
-def sample_bounded_variation(m: int, k: int, rng: np.random.Generator) -> tuple[float, ...]:
-    """Nonzero vector of length m with at most k sign changes.
-
-    Chooses up to k breakpoints, alternates segment signs, draws magnitudes
-    log-uniformly over [1e-3, 1e3], and zeroes a fixed fraction of entries to
-    exercise zero handling.
+    Each row takes a breakpoint count uniform on 0..k and that many cut
+    positions among 1..m-1, uniformly without replacement (the positions
+    whose random keys rank lowest); its segments alternate in sign from a
+    random one.  Magnitudes are log-uniform over [1e-3, 1e3], and a fixed
+    fraction of entries is zeroed to exercise zero handling; a row left all
+    zero gets its first segment's sign and first magnitude at a random
+    position.
     """
     if not 0 <= k <= m - 1:
         raise ValueError(f"need 0 <= k <= m-1, got m={m}, k={k}")
-    breaks = int(rng.integers(0, k + 1))
-    cuts = sorted(rng.choice(np.arange(1, m), size=breaks, replace=False)) if breaks else []
-    sign = -1 if rng.integers(0, 2) else 1
-    signs = np.empty(m)
-    prev = 0
-    for cut in list(cuts) + [m]:
-        signs[prev:cut] = sign
-        sign = -sign
-        prev = cut
-    mags = 10.0 ** rng.uniform(*_LOG_MAG_RANGE, size=m)
+    breaks = rng.integers(0, k + 1, size)
+    ranks = rng.random((size, m - 1)).argsort(axis=1).argsort(axis=1)
+    cuts = ranks < breaks[:, None]  # column i: a cut before entry i + 1
+    first = np.where(rng.integers(0, 2, size) == 1, -1.0, 1.0)
+    flips = np.zeros((size, m), dtype=np.int64)
+    np.cumsum(cuts, axis=1, out=flips[:, 1:])
+    signs = np.where(flips & 1, -first[:, None], first[:, None])
+    mags = 10.0 ** rng.uniform(*_LOG_MAG_RANGE, size=(size, m))
     u = signs * mags
-    u[rng.random(m) < _ZERO_FRACTION] = 0.0  # exercise zero handling
-    if not u.any():
-        u[int(rng.integers(0, m))] = float(signs[0] * mags[0])
-    return tuple(float(x) for x in u)
+    u[rng.random((size, m)) < _ZERO_FRACTION] = 0.0  # exercise zero handling
+    fallback = rng.integers(0, m, size)
+    empty = np.flatnonzero(~u.any(axis=1))
+    u[empty, fallback[empty]] = first[empty] * mags[empty, 0]
+    return u
 
 
 @dataclass
@@ -101,14 +107,20 @@ def _judge(trial: int, u, vm: int, vp: int, k: int, near: bool,
     if near:
         report.suspects.append(trial)
     else:
-        report.violations.append(Violation(trial, tuple(u), vm, vp, strict_only=vm < k))
+        report.violations.append(Violation(trial, tuple(u.tolist()), vm, vp,
+                                           strict_only=vm < k))
+
+
+def _draw_block(m: int, k: int, seed: int, block: int) -> np.ndarray:
+    """The inputs of every trial of block ``block``, one row each: at most
+    k-1 sign changes, ``_BLOCK`` rows whatever the trial count."""
+    return sample_bounded_variation(m, k - 1, np.random.default_rng([seed, block]), _BLOCK)
 
 
 def _blocks(m: int, k: int, trials: int, seed: int):
     """(first trial, inputs) for consecutive blocks of at most ``_BLOCK`` trials."""
-    for first in range(0, trials, _BLOCK):
-        yield first, [sample_bounded_variation(m, k - 1, _trial_rng(seed, trial))
-                      for trial in range(first, min(first + _BLOCK, trials))]
+    for block, first in enumerate(range(0, trials, _BLOCK)):
+        yield first, _draw_block(m, k, seed, block)[:trials - first]
 
 
 def _variations(Y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +149,7 @@ def _variations(Y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return vm, vp
 
 
-def _judge_block(first: int, inputs: list, Y: np.ndarray, k: int, tol: float,
+def _judge_block(first: int, inputs: np.ndarray, Y: np.ndarray, k: int, tol: float,
                  report: OracleReport) -> None:
     """Judge, in trial order, the trials of a block whose output variation
     reaches k; column j of ``Y`` is the output of trial ``first + j``."""
@@ -156,15 +168,15 @@ def falsify_matrix_vb(X: Matrix, k: int, trials: int = 1000, seed: int = 0,
     report = OracleReport(trials, k, seed)
     for first, us in _blocks(X.cols, k, trials, seed):
         # one product per trial: a batched product may round differently
-        Y = np.array([Xf @ np.asarray(u) for u in us]).T
+        Y = np.array([Xf @ u for u in us]).T
         _judge_block(first, us, Y, k, tol, report)
     return report
 
 
-def _propagate_block(A: Matrix, c: tuple[float, ...], x0s: list,
+def _propagate_block(A: Matrix, c: tuple[float, ...], x0s: np.ndarray,
                      horizon: int) -> np.ndarray:
     """Outputs of ``impulse_response(LtiSystem(A, x0, c), horizon)`` for every
-    x0 of ``x0s``: a (horizon, len(x0s)) array whose column j holds exactly
+    row x0 of ``x0s``: a (horizon, len(x0s)) array whose column j holds exactly
     the floats the reference gives for ``x0s[j]``.
 
     Row 0 of ``M`` is c and rows 1..n are A, so one elementwise pass over the
@@ -174,7 +186,7 @@ def _propagate_block(A: Matrix, c: tuple[float, ...], x0s: list,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     M = np.array((c,) + A.data, dtype=float)
-    x = np.array(x0s, dtype=float).T
+    x = x0s.T
     Y = np.empty((horizon, x.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give
         for t in range(horizon):
@@ -211,9 +223,11 @@ def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int | None = No
 
 
 def replay_trial(m: int, k: int, seed: int, trial: int) -> tuple[float, ...]:
-    """Reproduce the sampled input of a given trial (for witness replay).
+    """Reproduce the sampled input of a given trial (for witness replay) by
+    regenerating its block.
 
     ``k`` is the order an ``OracleReport`` carries: the trial's input has at
     most k-1 sign changes.
     """
-    return sample_bounded_variation(m, k - 1, _trial_rng(seed, trial))
+    block, row = divmod(trial, _BLOCK)
+    return tuple(_draw_block(m, k, seed, block)[row].tolist())

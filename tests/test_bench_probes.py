@@ -83,3 +83,26 @@ def test_traced_check_matrix_books_the_signcons_layers(tmp_path, capsys, matrix,
         tracer.uninstall()
     totals, calls = tracer.self_times()
     assert calls.get(span, 0) > 0 and totals[span] > 0, (span, calls)
+
+
+@pytest.mark.parametrize("target", ["matrix", "operator"])
+def test_traced_oracle_books_the_sample_span(tmp_path, capsys, target):
+    """A traced ``oracle`` run, on a bare matrix and on an operator, books
+    time to ``oracle.sample``: the probe follows the block sampler."""
+    from varsign.cli import main
+    from varsign.fixtures import path as fixture_path
+
+    path = fixture_path("example2")
+    if target == "matrix":
+        path = tmp_path / "matrix.json"
+        path.write_text('{"matrix": [["1", "-1"], ["-1", "1"], ["1", "-1"]]}')
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        root = tracer.begin_job(0)
+        assert main(["oracle", str(path), "--k", "1", "--trials", "1000"]) == 1
+        tracer.end_job(root)
+    finally:
+        tracer.uninstall()
+    totals, calls = tracer.self_times()
+    assert calls.get("oracle.sample", 0) > 0 and totals["oracle.sample"] > 0, calls

@@ -13,10 +13,10 @@ from varsign import cli
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file, render_value, write_traces
-from varsign.linalg import Matrix
+from varsign.linalg import Backend, Matrix
 from varsign.lti import LtiSystem, impulse_response
 from varsign.obsv import certify_k_positive
-from varsign.oracle import falsify_operator_vb
+from varsign.oracle import falsify_matrix_vb, falsify_operator_vb
 
 from conftest import block_bytes, observable_pair, report_trace_labels, trace_blocks
 
@@ -302,6 +302,29 @@ def test_oracle_default_horizon_follows_state_dimension(tmp_path, capsys):
     assert payload["violations"] == json.loads(json.dumps(sampled))
     assert len(falsify_operator_vb(sf.A, sf.c, 1, 50, 200).violations) < len(sampled)
     assert json.loads((out / "report.json").read_text())["environment"]["horizon"] == 60
+
+
+@pytest.mark.parametrize("kind", ["operator", "matrix"])
+def test_oracle_payload_bytes_match_asdict_reference(tmp_path, capsys, kind):
+    """stdout and report.json of a run with many violations are the bytes
+    that the payload built with ``dataclasses.asdict`` gives."""
+    f = fixture_path("example2")
+    if kind == "matrix":  # a zero column: strict-only violations
+        f = write_json(tmp_path, "zero.json", {"matrix": [["1", "0"], ["1", "0"], ["1", "0"]]})
+    out = tmp_path / "out"
+    assert main(["oracle", str(f), "--k", "1", "--seed", "3", "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    env = json.loads((out / "report.json").read_text())["environment"]
+    sf = load_system_file(f, Backend.FLOAT)
+    report = (falsify_operator_vb(sf.A, sf.c, 1, env["horizon"], 1000, 3) if kind == "operator"
+              else falsify_matrix_vb(sf.matrix, 1, 1000, 3))
+    assert len(report.violations) >= 50
+    reference = {"kind": kind, "k": 1, "trials": 1000, "seed": 3,
+                 "violations": [asdict(v) for v in report.violations],
+                 "suspect_trials": report.suspects}
+    assert stdout == json.dumps(reference) + "\n"
+    written = varsign.io.write_report(tmp_path / "reference", reference, env)
+    assert (out / "report.json").read_bytes() == written.read_bytes()
 
 
 def test_oracle_report_records_float_arithmetic(tmp_path, capsys):

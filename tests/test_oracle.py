@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from varsign import oracle
-from varsign.linalg import DEFAULT_TOL, Matrix, NonSquareError, SizeMismatchError
+from varsign.fixtures import path as fixture_path
+from varsign.io import load_system_file
+from varsign.linalg import Backend, DEFAULT_TOL, Matrix, NonSquareError, SizeMismatchError
 from varsign.lti import LtiSystem, default_horizon, impulse_response
 from varsign.oracle import (
     OracleReport,
@@ -15,6 +17,7 @@ from varsign.oracle import (
     replay_trial,
     sample_bounded_variation,
 )
+from varsign.signcons import SignVerdict, sign_consistent
 from varsign.variation import v_minus, v_plus
 
 PENA = Matrix.exact([[1, 1], [1, 2], [1, 3], [1, 4]])
@@ -22,30 +25,58 @@ PENA = Matrix.exact([[1, 1], [1, 2], [1, 3], [1, 4]])
 
 def test_sampler_respects_variation_budget():
     for k in (0, 1, 2):
-        for trial in range(300):
-            u = sample_bounded_variation(5, k, np.random.default_rng([1, trial]))
+        block = sample_bounded_variation(5, k, np.random.default_rng([1, k]), 300)
+        assert block.shape == (300, 5)
+        for u in block.tolist():
             assert any(x != 0 for x in u)
             assert v_minus(u) <= k
 
 
 def test_sampler_k0_single_sign():
-    for trial in range(100):
-        u = sample_bounded_variation(6, 0, np.random.default_rng([2, trial]))
+    for u in sample_bounded_variation(6, 0, np.random.default_rng([2, 0]), 100).tolist():
         signs = {1 if x > 0 else -1 for x in u if x != 0}
         assert len(signs) == 1
 
 
 def test_sampler_reaches_unconstrained_patterns():
-    seen = set()
-    for trial in range(400):
-        u = sample_bounded_variation(4, 3, np.random.default_rng([3, trial]))
-        seen.add(v_minus(u))
-    assert {0, 1, 2, 3} <= seen
+    block = sample_bounded_variation(4, 3, np.random.default_rng([3, 0]), 400)
+    assert {0, 1, 2, 3} <= {v_minus(u) for u in block.tolist()}
 
 
 def test_sampler_validation():
     with pytest.raises(ValueError):
-        sample_bounded_variation(4, 4, np.random.default_rng(0))
+        sample_bounded_variation(4, 4, np.random.default_rng(0), 1)
+
+
+def test_sampler_block_distribution(monkeypatch):
+    """One seeded block per (m, k): nonzero rows within the budget, breakpoint
+    counts near uniform on 0..k, every cut position in use, the zero fraction
+    and the magnitude range.  With no entry zeroed, the signs of a row show
+    its breakpoints and cuts."""
+    size = 4096
+    for m in range(2, 9):
+        for k in range(m):
+            u = sample_bounded_variation(m, k, np.random.default_rng([5, m, k]), size)
+            assert u.shape == (size, m)
+            assert u.any(axis=1).all()
+            assert max(v_minus(row) for row in u.tolist()) <= k
+            assert 0.17 <= np.mean(u == 0.0) <= 0.23, (m, k)
+            mags = np.abs(u[u != 0.0])
+            assert mags.min() >= 1e-3 and mags.max() <= 1e3
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_ZERO_FRACTION", 0.0)
+                unzeroed = sample_bounded_variation(m, k, np.random.default_rng([5, m, k]), size)
+            # the zero mask is drawn whatever the fraction: the same signs where
+            # nonzero, but in a row left with one entry by the fallback
+            drawn = (u != 0.0) & (np.count_nonzero(u, axis=1) > 1)[:, None]
+            assert (np.sign(unzeroed) == np.sign(u))[drawn].all()
+            cuts = np.sign(unzeroed[:, 1:]) != np.sign(unzeroed[:, :-1])
+            counts = np.bincount(cuts.sum(axis=1), minlength=k + 1)
+            share = size / (k + 1)
+            spread = 5 * math.sqrt(share * (1 - 1 / (k + 1)))
+            assert len(counts) == k + 1 and np.all(np.abs(counts - share) <= spread), (m, k, counts)
+            if k:
+                assert cuts.any(axis=0).all(), (m, k)
 
 
 def test_falsify_matrix_pena_clean():
@@ -125,6 +156,46 @@ def test_zero_violations_is_not_certification():
     assert report.clean and report.trials == 10
 
 
+# (alpha, beta, D): the benchmark's fixture twins (alpha A, beta c), or
+# (D^-1 A D, c D) when D is given
+_TWINS = ((1, 1, None), (2, 3, None), (Fraction(1, 2), Fraction(1, 1000), None),
+          (1, Fraction(1, 10**6), None), (1, 1, (1, 2, 3)))
+# cases of _detection_cases refuted within 1000 trials when every trial drew
+# from its own generator, default_rng([seed, trial])
+_DETECTION_FLOOR = 63
+
+
+def _detection_cases():
+    """(matrix or A, c or None, k, seed): the mixed 5x3 matrices of acceptance
+    criterion 7 at every k (its sign-consistent ones cannot be refuted), and
+    example1, example2 and their twins at k = 1..3 with the CLI's default
+    seed."""
+    npr = np.random.default_rng(71)
+    for i in range(20):
+        X = Matrix.floating(npr.normal(size=(5, 3)))
+        if sign_consistent(X, 1).verdict is SignVerdict.MIXED:
+            for k in (1, 2, 3):
+                yield X, None, k, i
+    for name in ("example1", "example2"):
+        sf = load_system_file(fixture_path(name), Backend.EXACT)
+        for alpha, beta, D in _TWINS:
+            D = D or (1, 1, 1)
+            A = Matrix.exact([[alpha * a * D[j] / D[i] for j, a in enumerate(row)]
+                              for i, row in enumerate(sf.A.data)])
+            c = tuple(beta * x * d for x, d in zip(sf.c, D))
+            for k in (1, 2, 3):
+                yield A, c, k, 0
+
+
+def test_detection_does_not_drop():
+    refuted = 0
+    for X, c, k, seed in _detection_cases():
+        report = (falsify_matrix_vb(X, k, 1000, seed) if c is None
+                  else falsify_operator_vb(X, c, k, trials=1000, seed=seed))
+        refuted += not report.clean
+    assert refuted >= _DETECTION_FLOOR, refuted
+
+
 def _reference_judge(trial, u, y, k, tol, report):
     """Reference: judge one trial's output with ``v_minus``/``v_plus``."""
     vm, vp = v_minus(y, tol), v_plus(y, tol)
@@ -140,7 +211,7 @@ def _per_trial_operator(A, c, k, horizon, trials, seed, tol=DEFAULT_TOL):
     Af, cf = A.to_float(), tuple(float(x) for x in c)
     report = OracleReport(trials, k, seed)
     for trial in range(trials):
-        x0 = sample_bounded_variation(A.rows, k - 1, np.random.default_rng([seed, trial]))
+        x0 = replay_trial(A.rows, k, seed, trial)
         _reference_judge(trial, x0, impulse_response(LtiSystem(Af, x0, cf), horizon), k, tol, report)
     return report
 
@@ -150,7 +221,7 @@ def _per_trial_matrix(X, k, trials, seed, tol=DEFAULT_TOL):
     Xf = np.array(X.to_float().data, dtype=float)
     report = OracleReport(trials, k, seed)
     for trial in range(trials):
-        u = sample_bounded_variation(X.cols, k - 1, np.random.default_rng([seed, trial]))
+        u = replay_trial(X.cols, k, seed, trial)
         _reference_judge(trial, u, tuple(float(v) for v in Xf @ np.asarray(u)), k, tol, report)
     return report
 
@@ -193,18 +264,18 @@ def test_batched_operator_oracle_matches_per_trial_loop(monkeypatch):
     totals = {"violations": 0, "suspects": 0, "nonfinite": 0}
     for A, c, horizon, trials, seed in _operator_cases():
         for k in range(1, A.rows + 1):
-            ref = _per_trial_operator(A, c, k, horizon, trials, seed)
             for block in (oracle._BLOCK, 7):
                 monkeypatch.setattr(oracle, "_BLOCK", block)
+                ref = _per_trial_operator(A, c, k, horizon, trials, seed)
                 got = falsify_operator_vb(A, c, k, horizon, trials, seed)
                 assert got.violations == ref.violations, (A.rows, k, seed, block)
                 assert got.suspects == ref.suspects, (A.rows, k, seed, block)
-            for v in got.violations:
-                assert replay_trial(A.rows, k, seed, v.trial) == v.u
-            totals["violations"] += len(ref.violations)
-            totals["suspects"] += len(ref.suspects)
+                for v in got.violations:
+                    assert replay_trial(A.rows, k, seed, v.trial) == v.u
+                totals["violations"] += len(ref.violations)
+                totals["suspects"] += len(ref.suspects)
         # bit for bit, the sign of zero included
-        x0s = [replay_trial(A.rows, A.rows, seed, t) for t in range(4)]
+        x0s = np.array([replay_trial(A.rows, A.rows, seed, t) for t in range(4)])
         Y = oracle._propagate_block(A, tuple(c), x0s, horizon)
         for j, x0 in enumerate(x0s):
             g = impulse_response(LtiSystem(A, x0, c), horizon)
@@ -212,16 +283,16 @@ def test_batched_operator_oracle_matches_per_trial_loop(monkeypatch):
             totals["nonfinite"] += not all(math.isfinite(y) for y in g)
     for X, trials, seed in _matrix_cases():
         for k in range(1, X.cols + 1):
-            ref = _per_trial_matrix(X, k, trials, seed)
             for block in (oracle._BLOCK, 7):
                 monkeypatch.setattr(oracle, "_BLOCK", block)
+                ref = _per_trial_matrix(X, k, trials, seed)
                 got = falsify_matrix_vb(X, k, trials, seed)
                 assert got.violations == ref.violations, (X.rows, X.cols, k, seed, block)
                 assert got.suspects == ref.suspects, (X.rows, X.cols, k, seed, block)
-            for v in got.violations:
-                assert replay_trial(X.cols, k, seed, v.trial) == v.u
-            totals["violations"] += len(ref.violations)
-            totals["suspects"] += len(ref.suspects)
+                for v in got.violations:
+                    assert replay_trial(X.cols, k, seed, v.trial) == v.u
+                totals["violations"] += len(ref.violations)
+                totals["suspects"] += len(ref.suspects)
     # the cases reach every branch of the judgement
     assert all(totals.values()), totals
     # a trial count across the real block boundary
@@ -232,6 +303,8 @@ def test_batched_operator_oracle_matches_per_trial_loop(monkeypatch):
     got = falsify_operator_vb(A, (1.0, -0.5), 1, 6, trials, 3)
     assert got.violations == ref.violations and got.suspects == ref.suspects
     assert any(v.trial >= oracle._BLOCK for v in got.violations)
+    for v in got.violations:
+        assert replay_trial(2, 1, 3, v.trial) == v.u
 
 
 def test_block_variations_match_per_vector_counts():

@@ -9,6 +9,12 @@ backends are supported:
   comparison tolerance and values inside the tolerance band are never
   silently treated as zero.
 
+Each backend has one elimination, which yields both rank and determinant:
+fraction-free Bareiss elimination on integer-lifted rows (``_bareiss``) and
+partial pivoting on floats (``_partial_pivot``).  Determinants, minors,
+compounds and ranks all run it; ``inverse`` is the adjugate, read from the
+(n-1)-th compound, over the determinant.
+
 Index tuples follow the 1-based mathematical convention; raw matrix element
 access via ``Matrix[i, j]`` is 0-based like everything else in Python.
 """
@@ -296,76 +302,77 @@ def _dot(a: Sequence[Num], b: Sequence[Num]) -> Num:
 
 
 def det(X: Matrix) -> Num:
-    """Determinant; exact: integer Bareiss on rows lifted by the lcm d_i of their
-    denominators, normalised once as ``Fraction(bareiss, prod(d_i))``."""
+    """Determinant: the full-size minor read from ``Minors`` (exact: integer
+    Bareiss on the lifted rows over the product of their scales)."""
     if not X.is_square():
         raise NonSquareError(f"determinant of non-square {X.shape}")
-    n = X.rows
-    if n == 1:
-        return X.data[0][0]
-    if X.backend is Backend.EXACT:
-        m, scales = _lift_rows(X.data)
-        return Fraction(_bareiss(m), math.prod(scales))
-    return _det_partial_pivot([list(row) for row in X.data])
+    full = tuple(range(1, X.rows + 1))
+    return next(Minors(X).row(full, [full]))
 
 
-def _lift_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Scale each Fraction row by the lcm d_i of its denominators: integer rows and the d_i."""
-    ints, scales = [], []
-    for row in rows:
-        d = math.lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (d // x.denominator) for x in row])
-        scales.append(d)
-    return ints, scales
-
-
-def _bareiss(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination; ``m`` is overwritten."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix by fraction-free (Bareiss)
+    elimination; ``m`` is overwritten.  A column without a nonzero entry
+    below the pivots is skipped: every entry stays a minor of ``m``, so each
+    division by the previous pivot is exact (Bareiss 1968).  The determinant
+    is the signed last pivot at full square rank, else 0."""
+    nr, nc = len(m), len(m[0])
+    sign, prev, r = 1, 1, 0
+    for j in range(nc):
+        if not m[r][j]:
+            for i in range(r + 1, nr):
+                if m[i][j]:
+                    m[r], m[i] = m[i], m[r]
                     sign = -sign
                     break
             else:
-                return 0
-        row_k = m[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
+                continue
+        row_r = m[r]
+        pivot = row_r[j]
+        for i in range(r + 1, nr):
             row_i = m[i]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                # Bareiss update: division by the previous pivot is exact
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            factor = row_i[j]
+            for jj in range(j + 1, nc):
+                row_i[jj] = (row_i[jj] * pivot - factor * row_r[jj]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+        r += 1
+        if r == nr:
+            break
+    return r, sign * prev if r == nr == nc else 0
 
 
-def _det_partial_pivot(m: list[list[float]]) -> float:
-    """Determinant of a square float matrix by partial pivoting; ``m`` is overwritten.
-    A 1 x 1 matrix is its entry, signed zero included."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    detval = 1.0
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(m[i][k]))
-        if m[p][k] == 0.0:
-            return 0.0
-        if p != k:
-            m[k], m[p] = m[p], m[k]
+def _partial_pivot(m: list[list[float]], tol: float = 0.0) -> tuple[int, float]:
+    """Rank and determinant of a float matrix by partial pivoting; ``m`` is
+    overwritten.  A pivot is the first entry of largest modulus below the
+    pivots in its column and must exceed ``tol``, else the column is skipped.
+    The determinant is the running signed product of the pivots at full
+    square rank, else 0.0; a 1 x 1 matrix is its entry, signed zero included."""
+    nr, nc = len(m), len(m[0])
+    if nr == nc == 1:
+        x = m[0][0]
+        return int(abs(x) > tol), x
+    detval, r = 1.0, 0
+    for j in range(nc):
+        p, best = None, tol
+        for i in range(r, nr):
+            mag = abs(m[i][j])
+            if mag > best:
+                p, best = i, mag
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
             detval = -detval
-        pivot = m[k][k]
+        row_r = m[r]
+        pivot = row_r[j]
         detval *= pivot
-        for i in range(k + 1, n):
-            f = m[i][k] / pivot
-            for j in range(k + 1, n):
-                m[i][j] -= f * m[k][j]
-    return detval
+        for i in range(r + 1, nr):
+            row_i = m[i]
+            f = row_i[j] / pivot
+            for jj in range(j + 1, nc):
+                row_i[jj] -= f * row_r[jj]
+        r += 1
+    return r, detval if r == nr == nc else 0.0
 
 
 def minor(X: Matrix, rows, cols) -> Num:
@@ -380,10 +387,11 @@ def minor(X: Matrix, rows, cols) -> Num:
 class Minors:
     """The minors of one matrix, each computed when first read and then kept.
 
-    Index sets are 1-based tuples.  Exact rows are lifted to integers once
-    (``_lift_rows``); each minor is one integer Bareiss over the product of its
-    row scales.  Float minors run partial pivoting on the rows as they are.
-    A minor read twice from one instance is computed once.
+    Index sets are 1-based tuples.  Exact rows are lifted to integers once,
+    each scaled by the lcm of its denominators; each minor is one integer
+    Bareiss over the product of its row scales.  Float minors run partial
+    pivoting on the rows as they are.  A minor read twice from one instance
+    is computed once.  ``rank`` runs the same elimination on all the rows.
     """
 
     __slots__ = ("matrix", "_rows", "_scales", "_known")
@@ -391,8 +399,11 @@ class Minors:
     def __init__(self, X: Matrix):
         self.matrix = X
         if X.backend is Backend.EXACT:
-            rows, scales = _lift_rows(X.data)
-            self._scales = [1, *scales]
+            rows, self._scales = [], [1]
+            for row in X.data:
+                d = math.lcm(*(x.denominator for x in row))
+                rows.append([x.numerator * (d // x.denominator) for x in row])
+                self._scales.append(d)
         else:
             rows, self._scales = X.data, None
         # a leading placeholder row and column make 1-based indices direct
@@ -405,11 +416,17 @@ class Minors:
         block = [self._rows[i] for i in I]
         if self._scales is None:
             for J in col_sets:
-                yield _det_partial_pivot([[row[j] for j in J] for row in block])
+                yield _partial_pivot([[row[j] for j in J] for row in block])[1]
         else:
             scale = math.prod([self._scales[i] for i in I])
             for J in col_sets:
-                yield Fraction(_bareiss([[row[j] for j in J] for row in block]), scale)
+                yield Fraction(_bareiss([[row[j] for j in J] for row in block])[1], scale)
+
+    def rank(self, tol: float = DEFAULT_TOL) -> int:
+        """Rank of the matrix; float pivots must exceed ``tol``.  Exact rows
+        are eliminated as lifted, which leaves the rank unchanged."""
+        rows = [row[1:] for row in self._rows[1:]]
+        return _partial_pivot(rows, tol)[0] if self._scales is None else _bareiss(rows)[0]
 
     def stream(self, row_sets, col_sets):
         """Yield ``((I, J), minor)`` for I in ``row_sets`` and J in ``col_sets``,
@@ -444,7 +461,10 @@ def compound(X: Matrix, r: int) -> Matrix:
 
 
 def inverse(X: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
-    """Matrix inverse via Gauss-Jordan; raises SingularMatrixError."""
+    """Matrix inverse as the adjugate over the determinant; raises
+    SingularMatrixError when the determinant is zero (exact) or within
+    ``tol`` (float).  Entry (i, j) is (-1)^(i+j) times the minor without row
+    j and column i, read from the (n-1)-th compound, over det(X)."""
     if not X.is_square():
         raise NonSquareError(f"inverse of non-square {X.shape}")
     d = det(X)
@@ -454,53 +474,14 @@ def inverse(X: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     elif abs(d) <= tol:
         raise SingularMatrixError(f"|det| = {abs(d)} within tolerance {tol}")
     n = X.rows
-    one = Fraction(1) if X.backend is Backend.EXACT else 1.0
-    zero = Fraction(0) if X.backend is Backend.EXACT else 0.0
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(X.data)]
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(aug[i][k]))
-        if aug[p][k] == 0:
-            raise SingularMatrixError("zero pivot during elimination")
-        if p != k:
-            aug[k], aug[p] = aug[p], aug[k]
-        pivot = aug[k][k]
-        aug[k] = [x / pivot for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return Matrix([row[n:] for row in aug], X.backend)
+    if n == 1:
+        return Matrix([[1 / d]], X.backend)
+    # the (n-1)-subset without index i + 1 sits at lexicographic position n - 1 - i
+    C = compound(X, n - 1).data
+    return Matrix([[(-1) ** (i + j) * C[n - 1 - j][n - 1 - i] / d for j in range(n)]
+                   for i in range(n)], X.backend)
 
 
 def rank(X: Matrix, tol: float = DEFAULT_TOL) -> int:
-    """Rank by Gaussian elimination; float pivots must exceed ``tol``.  Exact rows
-    are lifted to integers (rank unchanged) and eliminated by cross-multiplication."""
-    exact = X.backend is Backend.EXACT
-    m = _lift_rows(X.data)[0] if exact else [list(row) for row in X.data]
-    nr, nc = X.rows, X.cols
-    r = 0
-    for j in range(nc):
-        p = None
-        best = 0
-        for i in range(r, nr):
-            mag = abs(m[i][j])
-            if (exact and mag > 0) or (not exact and mag > max(best, tol)):
-                p, best = i, mag
-                if exact:
-                    break
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        pivot = m[r][j]
-        for i in range(r + 1, nr):
-            f = m[i][j]
-            if f != 0 and exact:
-                m[i] = [pivot * x - f * y for x, y in zip(m[i], m[r])]
-            elif f != 0:
-                f = f / pivot
-                for jj in range(j, nc):
-                    m[i][jj] -= f * m[r][jj]
-        r += 1
-        if r == nr:
-            break
-    return r
+    """Rank by the elimination of ``Minors.rank``; float pivots must exceed ``tol``."""
+    return Minors(X).rank(tol)

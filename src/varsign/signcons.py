@@ -1,9 +1,9 @@
 """Recognition of sign-consistent / sign-regular / totally positive matrices.
 
 Implements the sign checks over all minors of an order, the polynomial-size
-reduced minor families (strict and non-strict variants), consecutive and
-initial minor certificates, the tail-block transform whose minors enumerate
-the full-width minors of a tall matrix, and decision procedures for
+reduced minor families (strict and non-strict variants), the consecutive
+minor certificate, the tail-block transform whose minors enumerate the
+full-width minors of a tall matrix, and decision procedures for
 variation-bounding (VB) and variation-diminishing (VD) matrices.
 
 The checks compute only the minors that decide a verdict.  Minors are read
@@ -13,8 +13,9 @@ criterion comes first: when every consecutive minor of orders 1..p is
 positive, every minor of order <= p is (Fallat & Johnson, *Totally
 Nonnegative Matrices*, 2011, ch. 3), and those orders are judged strictly
 positive without reading any other minor.  Float mode skips that scan, since
-a rounded minor proves nothing.  Each check reads its minors from one
-``Minors``, so no minor is computed twice within a check.
+a rounded minor proves nothing.  Each check reads its minors, and the VB
+and VD checks their rank, from one ``Minors``: the exact rows are lifted to
+integers once per check, and no minor is computed twice within a check.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from .linalg import (
     RankOutOfRangeError,
     SingularMatrixError,
     consecutive_sets,
+    det,
     index_sets,
     int_text,
     inverse,
     lex_tuples,
-    minor,
     rank,
     sign_of,
 )
@@ -204,25 +205,6 @@ class CertificateResult:
     witness: tuple = ()
 
 
-def _positive_orders(X: Matrix, top: int, strict_top: bool, family, kind: str,
-                     tol: float) -> CertificateResult | None:
-    """First order 1..top whose ``family(minors, r)`` is not positive (nonnegative
-    at the top order unless ``strict_top``) as a failed certificate, else None."""
-    minors = Minors(X)
-    for r in range(1, top + 1):
-        summary = classify_family(family(minors, r), X.backend, tol)
-        want_strict = strict_top or r < top
-        ok = (summary.verdict is SignVerdict.STRICTLY_POSITIVE if want_strict
-              else summary.verdict in _POSITIVE_OK)
-        if not ok:
-            return CertificateResult(
-                False,
-                f"{kind} {r}-minors are not {'positive' if want_strict else 'nonnegative'}",
-                summary.witness,
-            )
-    return None
-
-
 def consecutive_certificate(X: Matrix, k: int, strict_top: bool = True,
                             tol: float = DEFAULT_TOL) -> CertificateResult:
     """Consecutive-minor certificate for (strict) total positivity up to order k.
@@ -233,31 +215,20 @@ def consecutive_certificate(X: Matrix, k: int, strict_top: bool = True,
     """
     if not 1 <= k <= min(X.rows, X.cols):
         raise RankOutOfRangeError(f"order {k} invalid for shape {X.shape}")
+    minors = Minors(X)
+    for r in range(1, k + 1):
+        summary = classify_family(_consecutive_minors(minors, r), X.backend, tol)
+        want_strict = strict_top or r < k
+        ok = (summary.verdict is SignVerdict.STRICTLY_POSITIVE if want_strict
+              else summary.verdict in _POSITIVE_OK)
+        if not ok:
+            return CertificateResult(
+                False,
+                f"consecutive {r}-minors are not {'positive' if want_strict else 'nonnegative'}",
+                summary.witness,
+            )
     qualifier = "strictly " if strict_top else ""
-    return (_positive_orders(X, k, strict_top, _consecutive_minors, "consecutive", tol)
-            or CertificateResult(True, f"{qualifier}{k}-positive via consecutive minors"))
-
-
-def _initial_minors(minors: Minors, r: int):
-    X = minors.matrix
-    head = tuple(range(1, r + 1))
-    # row-initial: rows 1..r, consecutive cols; then column-initial from row 2 on
-    yield from minors.stream([head], consecutive_sets(X.cols, r))
-    yield from minors.stream(consecutive_sets(X.rows, r)[1:], [head])
-
-
-def initial_minor_certificate(X: Matrix, strict_top: bool = True,
-                              tol: float = DEFAULT_TOL) -> CertificateResult:
-    """Row/column initial-minor certificate for (strict) total positivity.
-
-    Strict mode: every initial minor positive, which is equivalent to strict
-    total positivity.  Non-strict mode: initial minors of the top order
-    min(rows, cols) may be nonnegative; the matrix is then totally positive
-    with all lower-order minors positive.
-    """
-    conclusion = "strictly totally positive" if strict_top else "totally positive"
-    return (_positive_orders(X, min(X.rows, X.cols), strict_top, _initial_minors, "initial", tol)
-            or CertificateResult(True, conclusion))
+    return CertificateResult(True, f"{qualifier}{k}-positive via consecutive minors")
 
 
 class SingularLeadingBlockError(LinalgError):
@@ -313,7 +284,7 @@ def pena_transform(X: Matrix) -> TailBlockTransform:
     if n <= m:
         raise PreconditionError(f"need more rows than columns, got {X.shape}")
     head = X.submatrix(range(1, m + 1), range(1, m + 1))
-    d = minor(X, tuple(range(1, m + 1)), tuple(range(1, m + 1)))
+    d = det(head)
     s = sign_of(d, X.backend, DEFAULT_TOL)
     if s in (0, None):
         raise SingularLeadingBlockError("leading block is singular (or inside tolerance)")
@@ -423,11 +394,12 @@ def reduced_check(X: Matrix, k: int, strict: bool = True,
     compatible); ``verdict`` describes the observed value family.
     """
     family = reduced_family(X.rows, X.cols, k, strict)
+    # the family is the product of the anchored row and column sets, rows outermost
+    rows = [t.elems for t in _anchored_tuples(X.rows, k)]
+    cols = [t.elems for t in _anchored_tuples(X.cols, k)]
     strict_vals, free_vals = [], []
-    for pair in family:
-        label = (pair.alpha.elems, pair.beta.elems)
-        value = minor(X, pair.alpha, pair.beta)
-        (strict_vals if pair.strict_required else free_vals).append((label, value))
+    for pair, labeled in zip(family, Minors(X).stream(rows, cols)):
+        (strict_vals if pair.strict_required else free_vals).append(labeled)
     base = classify_family(strict_vals, X.backend, tol)
     if base.verdict not in _STRICT_OK:
         # strict-required pairs must carry one strict sign in both modes
@@ -499,8 +471,8 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     if not (n > m >= k >= 1):
         raise RankOutOfRangeError(f"need rows > cols >= k >= 1, got shape {X.shape}, k={k}")
     name = f"VB_{k - 1}"
-    rk = rank(X, tol)
     minors = Minors(X)
+    rk = minors.rank(tol)
     p = _fekete_order(minors, k)
     if k == m:
         s = _order_summary(minors, m, p, tol)
@@ -581,7 +553,7 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
         return MatrixPropertyCheck(
             name, Conclusion.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
-    rk = rank(X, tol)
+    rk = minors.rank(tol)
     if rk > k and _all_k_columns_independent(minors, k, tol):
         # sign regularity of orders 1..k: the orders the positivity route
         # judged, then the rest

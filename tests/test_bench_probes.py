@@ -59,6 +59,7 @@ def test_traced_cli_runs_feed_every_hook(tmp_path, capsys):
 
 @pytest.mark.parametrize("matrix, prop, k, span", [
     ("random", "vb", 2, "signcons.col_independence"),
+    ("random", "vb", 2, "signcons.vb_check"),  # the rank runs inside this span
     ("random", "vd", 2, "signcons.col_independence"),
     ("cauchy", "stp", 3, "signcons.sign_consistent"),
 ])

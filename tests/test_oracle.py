@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -206,12 +207,26 @@ def _reference_judge(trial, u, y, k, tol, report):
             report.violations.append(Violation(trial, tuple(u), vm, vp, strict_only=vm < k))
 
 
+@functools.lru_cache(maxsize=8)
+def _memo_block(m, k, seed, block, size):
+    """``oracle._draw_block``, kept per (m, k, seed, block, ``_BLOCK``)."""
+    assert size == oracle._BLOCK
+    return oracle._draw_block(m, k, seed, block)
+
+
+def _reference_input(m, k, seed, trial):
+    """A trial's input as ``replay_trial`` gives it, from a memo of its block:
+    redrawing the block for every trial would dominate the per-trial loops."""
+    block, row = divmod(trial, oracle._BLOCK)
+    return tuple(_memo_block(m, k, seed, block, oracle._BLOCK)[row].tolist())
+
+
 def _per_trial_operator(A, c, k, horizon, trials, seed, tol=DEFAULT_TOL):
     """Reference: the operator oracle as one impulse_response per trial."""
     Af, cf = A.to_float(), tuple(float(x) for x in c)
     report = OracleReport(trials, k, seed)
     for trial in range(trials):
-        x0 = replay_trial(A.rows, k, seed, trial)
+        x0 = _reference_input(A.rows, k, seed, trial)
         _reference_judge(trial, x0, impulse_response(LtiSystem(Af, x0, cf), horizon), k, tol, report)
     return report
 
@@ -221,7 +236,7 @@ def _per_trial_matrix(X, k, trials, seed, tol=DEFAULT_TOL):
     Xf = np.array(X.to_float().data, dtype=float)
     report = OracleReport(trials, k, seed)
     for trial in range(trials):
-        u = replay_trial(X.cols, k, seed, trial)
+        u = _reference_input(X.cols, k, seed, trial)
         _reference_judge(trial, u, tuple(float(v) for v in Xf @ np.asarray(u)), k, tol, report)
     return report
 

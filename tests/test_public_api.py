@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "compound", "compound_system", "consecutive_certificate", "default_horizon", "det",
     "dominant_tail", "eigen_necessary_check", "eigen_sorted", "external_positivity",
     "falsify_matrix_vb", "falsify_operator_vb", "full_compound_systems", "gauss_smoother",
-    "impulse_response", "impulse_variation_bound", "initial_minor_certificate", "inverse",
+    "impulse_response", "impulse_variation_bound", "inverse",
     "k_positive", "lex_tuples", "minimal_recurrence_system", "minor", "observability_matrix",
     "pena_transform", "rank", "reduced_check", "reduced_family", "sample_bounded_variation",
     "sign_conclusion", "sign_consistent", "sign_of", "sign_regular", "v_minus", "v_plus",

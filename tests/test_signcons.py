@@ -19,7 +19,6 @@ from varsign.signcons import (
     SingularLeadingBlockError,
     classify_family,
     consecutive_certificate,
-    initial_minor_certificate,
     k_positive,
     pena_transform,
     reduced_check,
@@ -111,34 +110,6 @@ def test_consecutive_certificate_certifies_total_positivity(rng):
     assert res.passed
     for r in range(1, 4):
         assert sign_consistent(X, r).verdict is SignVerdict.STRICTLY_POSITIVE
-
-
-def test_initial_minor_certificate_strict():
-    res = initial_minor_certificate(PENA, strict_top=True)
-    assert res.passed and res.conclusion == "strictly totally positive"
-    assert not initial_minor_certificate(Matrix.identity(2), strict_top=True).passed
-    bad = Matrix.exact([[1, 1], [-1, 2], [1, 3]])
-    assert not initial_minor_certificate(bad, strict_top=True).passed
-
-
-def test_initial_minor_pass_implies_every_minor_positive(rng):
-    X = cauchy_exact(rng, 4, 4)
-    assert initial_minor_certificate(X, strict_top=True).passed
-    for r in range(1, 5):
-        for I in lex_tuples(4, r):
-            for J in lex_tuples(4, r):
-                assert minor(X, I, J) > 0
-
-
-def test_initial_minor_nonstrict_top():
-    # a zero initial minor below the top order blocks even the relaxed form
-    X = Matrix.exact([[1, 1, 1], [1, 2, 2], [1, 2, 2], [1, 3, 3]])
-    assert not initial_minor_certificate(X, strict_top=True).passed
-    assert not initial_minor_certificate(X, strict_top=False).passed
-    # zero at the top order only: relaxed form passes, strict form does not
-    Y = Matrix.exact([[1, 1], [1, 1], [1, 2]])
-    assert not initial_minor_certificate(Y, strict_top=True).passed
-    assert initial_minor_certificate(Y, strict_top=False).passed
 
 
 def test_pena_transform_hand_values():

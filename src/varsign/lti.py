@@ -1,8 +1,10 @@
 """Discrete-time LTI systems: impulse responses, observability matrices,
 ordered spectra, and external-positivity verdicts with a dominant-mode tail
-certificate.  Exact samples stay integer numerators over the known
-denominators D_b D_c D_A^(t-1) (``ExactSamples``): signs and the recurrence
-fit read the numerators, and a ``Fraction`` is built only to show a value.
+certificate.  Both backends sample g(t) = c A^(t-1) b as one dot product of
+b with the output row c A^(t-1) (``output_rows``).  Exact samples stay
+integer numerators over the known denominators D_b D_c D_A^(t-1)
+(``ExactSamples``): signs and the recurrence fit read the numerators, and a
+``Fraction`` is built only to show a value.
 
 A verdict separates two kinds of evidence: the sampled impulse response over
 a finite horizon, and an analytic tail bound derived from a floating-point
@@ -11,8 +13,8 @@ eigen-decomposition.  The bound establishes the sign of every sample beyond
 gathers both once per system, the tail only when the samples do not already
 carry both strict signs (which refutes every requirement); ``judge`` reads a
 strict or a non-strict verdict off the analysis.  Systems on one pair (A, c)
-that differ only in b can share the exact output rows (``output_rows``) and
-the eigen-decomposition (``dominant_modes``).
+that differ only in b can share the output rows and the eigen-decomposition
+(``dominant_modes``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -77,21 +80,25 @@ def default_horizon(n: int) -> int:
 
 @dataclass(frozen=True)
 class OutputRows:
-    """Integer output rows of one exact pair (A, c), shared by every input b.
+    """Output rows of one pair (A, c), shared by every input b.
 
-    With D_A and D_c the lcm of the denominators of A and c, ``rows[t-1]``
-    is the integer vector w_t = (D_c c)(D_A A)^(t-1) and ``dens[t-1]`` is
-    D_c D_A^(t-1), so that c A^(t-1) = w_t / dens[t-1].
+    Float rows are c A^(t-1) themselves, each row ``Matrix.vecmat`` of the
+    one before, and ``dens`` is None.  Exact rows are integer: with D_A and
+    D_c the lcm of the denominators of A and c, ``rows[t-1]`` is
+    w_t = (D_c c)(D_A A)^(t-1) and ``dens[t-1]`` is D_c D_A^(t-1), so that
+    c A^(t-1) = w_t / dens[t-1].
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    dens: tuple[int, ...]
+    rows: tuple[tuple[Num, ...], ...]
+    dens: tuple[int, ...] | None
 
 
-def output_rows(A: Matrix, c: Sequence[Fraction], N: int) -> OutputRows:
-    """The rows w_1..w_N of an exact pair (A, c)."""
+def output_rows(A: Matrix, c: Sequence[Num], N: int) -> OutputRows:
+    """The rows w_1..w_N of a pair (A, c)."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
+    if A.backend is Backend.FLOAT:
+        return OutputRows(observability_matrix(A, c, N).data, None)
     dA = math.lcm(*(x.denominator for row in A.data for x in row))
     dc = math.lcm(*(x.denominator for x in c))
     cols = list(zip(*([x.numerator * (dA // x.denominator) for x in row] for row in A.data)))
@@ -132,36 +139,27 @@ class ExactSamples(Sequence):
 
 def impulse_response(sys: LtiSystem, N: int,
                      rows: OutputRows | None = None) -> ExactSamples | tuple[float, ...]:
-    """Samples g(1)..g(N) of g(t) = c A^(t-1) b.
+    """Samples g(1)..g(N) of g(t) = c A^(t-1) b, one dot product with b per
+    output row of (A, c) (``output_rows``; ``rows`` passes ones built earlier
+    for the same A, c and at least N samples).
 
-    The exact backend reads them off the integer output rows of (A, c)
-    (``output_rows``; ``rows`` passes ones built earlier for the same A, c
-    and at least N samples): with D_b the lcm of the denominators of b,
-    g(t) = w_t (D_b b) / (D_b D_c D_A^(t-1)), kept as the integer numerators
-    (``ExactSamples``), one dot product per sample.  The float backend
-    propagates the state.
+    A float sample is summed left to right from integer 0 (``sum`` compensates
+    float sums from Python 3.12 on), so -0.0 comes out as 0.0.
+    An exact sample is kept as its integer numerator (``ExactSamples``): with
+    D_b the lcm of the denominators of b, g(t) = w_t (D_b b) / (D_b D_c
+    D_A^(t-1)).
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    if sys.backend is Backend.EXACT:
-        if rows is None:
-            rows = output_rows(sys.A, sys.c, N)
-        elif len(rows.dens) < N:
-            raise ValueError("output rows are shorter than the horizon")
-        db = math.lcm(*(x.denominator for x in sys.b))
-        b = [x.numerator * (db // x.denominator) for x in sys.b]
-        return ExactSamples(tuple(sum(map(mul, w, b)) for w in rows.rows[:N]), db, rows.dens)
-    x = sys.b
-    out = []
-    for _ in range(N):
-        # left to right from integer 0, as sum() adds floats before Python
-        # 3.12 (which compensates); -0.0 still comes out as 0.0
-        y = 0
-        for ci, xi in zip(sys.c, x):
-            y = y + ci * xi
-        out.append(y)
-        x = sys.A.matvec(x)
-    return tuple(out)
+    if rows is None:
+        rows = output_rows(sys.A, sys.c, N)
+    elif len(rows.rows) < N:
+        raise ValueError("output rows are shorter than the horizon")
+    if sys.backend is Backend.FLOAT:
+        return tuple(reduce(add, map(mul, w, sys.b), 0) for w in rows.rows[:N])
+    db = math.lcm(*(x.denominator for x in sys.b))
+    b = [x.numerator * (db // x.denominator) for x in sys.b]
+    return ExactSamples(tuple(sum(map(mul, w, b)) for w in rows.rows[:N]), db, rows.dens)
 
 
 def observability_matrix(A: Matrix, c: Sequence[Num], t: int) -> Matrix:

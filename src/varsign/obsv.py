@@ -48,12 +48,11 @@ from .linalg import (
     IndexTuple,
     LinalgError,
     Matrix,
+    Minors,
     Num,
     RankOutOfRangeError,
     compound,
-    det,
     parse_scalar,
-    rank,
     scalar_text,
 )
 from .lti import (
@@ -87,11 +86,12 @@ class BadIndicesError(LinalgError):
 
 
 class _OperatorContext:
-    """Shared pieces for one observable pair (A, c) at one horizon: O_n and
-    its determinant, each compound order's pair (C_r(A), c_r) built once, the
-    integer output rows and the eigen-decomposition of each such pair, which
-    all systems of that order share (the decomposition only once an analysis
-    needs a tail), and one analysis per (k, r, beta) compound system."""
+    """Shared pieces for one observable pair (A, c) at one horizon: O_n, with
+    its rank and determinant from one elimination, each compound order's pair
+    (C_r(A), c_r) built once, the output rows and the eigen-decomposition of
+    each such pair, which all systems of that order share (the decomposition
+    only once an analysis needs a tail), and one analysis per (k, r, beta)
+    compound system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
@@ -103,10 +103,12 @@ class _OperatorContext:
         self.tol = tol
         self.horizon = horizon if horizon is not None else default_horizon(self.n)
         self.obs_n = observability_matrix(A, c, self.n)
-        obs_rank = rank(self.obs_n, tol)
+        minors = Minors(self.obs_n)
+        obs_rank = minors.rank(tol)
         if obs_rank < self.n:
             raise NotObservableError(f"observability matrix has rank {obs_rank} < {self.n}")
-        self.det_n = det(self.obs_n)
+        full = tuple(range(1, self.n + 1))
+        self.det_n = next(minors.row(full, [full]))
         if A.backend is Backend.FLOAT and abs(self.det_n) <= tol:
             # full float rank, yet |det O_n| within tol: not decisively observable
             raise NotObservableError(f"observability matrix is singular: "
@@ -130,10 +132,8 @@ class _OperatorContext:
         b = _full_order_input(self, r) if beta is None else _minor_trace_input(self, k, r, beta)
         return LtiSystem(self.a_compound(r), b, self.c_compound(r))
 
-    def output_rows(self, r: int) -> OutputRows | None:
-        """Integer output rows of (C_r(A), c_r), exact backend only."""
-        if self.A.backend is not Backend.EXACT:
-            return None
+    def output_rows(self, r: int) -> OutputRows:
+        """Output rows of (C_r(A), c_r)."""
         return self._cached(("rows", r), lambda: output_rows(
             self.a_compound(r), self.c_compound(r), self.horizon))
 

@@ -14,13 +14,15 @@ of that draw; the last block is drawn whole and sliced, so a trial's input
 does not depend on the trial count.  ``replay_trial`` regenerates the block
 and reads the row.
 
-The operator outputs of a block are propagated together, one numpy column per
-trial, with the multiply-adds of ``impulse_response`` in its order: an output
-is 0 + c_0 x_0 + c_1 x_1 + ... left to right and a new state entry is
-A[i][0] x_0 + A[i][1] x_1 + ... left to right.  Elementwise IEEE arithmetic in
-the same order gives the same floats, so every sample equals the per-trial
-one; a matrix product would be free to fuse or reorder the terms and round
-otherwise.
+Both searches are one ``_search`` on a matrix M: the bare matrix X, or for
+the operator O_H = ``observability_matrix(A, c, horizon)``, whose rows
+c A^(t-1) are the output rows ``impulse_response`` samples.  The outputs of a
+block are M u for every input u of the block at once (``_outputs``), each
+summed 0 + M[i][0] u_0 + M[i][1] u_1 + ... left to right with one numpy
+operation per column of M.  Elementwise IEEE arithmetic in a fixed order gives
+the same floats on every BLAS build, and an operator output equals the
+sample ``impulse_response`` gives for that initial state; a matrix product
+would be free to fuse or reorder the terms and round otherwise.
 
 Each block is judged at once on its int8 matrix of output signs (entries
 inside the float tolerance sign as 0, as ``variation`` signs them): v- and
@@ -35,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Matrix, NonSquareError, SizeMismatchError
-from .lti import default_horizon
+from .linalg import DEFAULT_TOL, Matrix, NonSquareError
+from .lti import default_horizon, observability_matrix
 # bound but not called: perfbench/tracing.py reports calls to this name from
 # this module as the oracle.propagate layer, which thus reads 0, not missing
 from .lti import impulse_response  # noqa: F401
@@ -117,12 +119,6 @@ def _draw_block(m: int, k: int, seed: int, block: int) -> np.ndarray:
     return sample_bounded_variation(m, k - 1, np.random.default_rng([seed, block]), _BLOCK)
 
 
-def _blocks(m: int, k: int, trials: int, seed: int):
-    """(first trial, inputs) for consecutive blocks of at most ``_BLOCK`` trials."""
-    for block, first in enumerate(range(0, trials, _BLOCK)):
-        yield first, _draw_block(m, k, seed, block)[:trials - first]
-
-
 def _variations(Y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(v-, v+) of every column of ``Y``, as ``v_minus`` and ``v_plus`` with
     ``tol`` count the column's entries, read off the int8 sign matrix.
@@ -149,14 +145,29 @@ def _variations(Y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return vm, vp
 
 
-def _judge_block(first: int, inputs: np.ndarray, Y: np.ndarray, k: int, tol: float,
-                 report: OracleReport) -> None:
-    """Judge, in trial order, the trials of a block whose output variation
-    reaches k; column j of ``Y`` is the output of trial ``first + j``."""
-    vm, vp = _variations(Y, tol)
-    near = np.any((Y != 0.0) & (np.abs(Y) <= tol), axis=0)
-    for j in np.flatnonzero(vp >= k):  # v- <= v+
-        _judge(first + int(j), inputs[j], int(vm[j]), int(vp[j]), k, bool(near[j]), report)
+def _outputs(M: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """M u for every row u of ``us``, one column each, summed left to right
+    from 0 one column of M at a time; -0.0 comes out as 0.0."""
+    Y = np.zeros((M.shape[0], len(us)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give
+        for j in range(M.shape[1]):
+            Y += M[:, j:j + 1] * us[:, j]
+    return Y
+
+
+def _search(M: np.ndarray, k: int, trials: int, seed: int, tol: float) -> OracleReport:
+    """Judge M u for ``trials`` inputs u with at most k-1 sign changes,
+    ``_BLOCK`` at a time; a block's trials whose output variation reaches k
+    go to ``_judge`` in trial order."""
+    report = OracleReport(trials, k, seed)
+    for block, first in enumerate(range(0, trials, _BLOCK)):
+        us = _draw_block(M.shape[1], k, seed, block)[:trials - first]
+        Y = _outputs(M, us)
+        vm, vp = _variations(Y, tol)
+        near = np.any((Y != 0.0) & (np.abs(Y) <= tol), axis=0)
+        for j in np.flatnonzero(vp >= k):  # v- <= v+
+            _judge(first + int(j), us[j], int(vm[j]), int(vp[j]), k, bool(near[j]), report)
+    return report
 
 
 def falsify_matrix_vb(X: Matrix, k: int, trials: int = 1000, seed: int = 0,
@@ -164,39 +175,7 @@ def falsify_matrix_vb(X: Matrix, k: int, trials: int = 1000, seed: int = 0,
     """Search for inputs with v-(u) <= k-1 whose image has variation >= k."""
     if not 1 <= k <= X.cols:
         raise ValueError(f"need 1 <= k <= cols, got k={k}")
-    Xf = np.array(X.to_float().data, dtype=float)
-    report = OracleReport(trials, k, seed)
-    for first, us in _blocks(X.cols, k, trials, seed):
-        # one product per trial: a batched product may round differently
-        Y = np.array([Xf @ u for u in us]).T
-        _judge_block(first, us, Y, k, tol, report)
-    return report
-
-
-def _propagate_block(A: Matrix, c: tuple[float, ...], x0s: np.ndarray,
-                     horizon: int) -> np.ndarray:
-    """Outputs of ``impulse_response(LtiSystem(A, x0, c), horizon)`` for every
-    row x0 of ``x0s``: a (horizon, len(x0s)) array whose column j holds exactly
-    the floats the reference gives for ``x0s[j]``.
-
-    Row 0 of ``M`` is c and rows 1..n are A, so one elementwise pass over the
-    columns of the state gives the output and the next state, each entry
-    summed left to right as ``impulse_response`` and ``Matrix.matvec`` do.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    M = np.array((c,) + A.data, dtype=float)
-    x = x0s.T
-    Y = np.empty((horizon, x.shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give
-        for t in range(horizon):
-            z = M[:, :1] * x[0]
-            z[0] += 0.0  # the output sum starts from 0, which turns -0.0 into 0.0
-            for j in range(1, len(c)):
-                z += M[:, j:j + 1] * x[j]
-            Y[t] = z[0]
-            x = z[1:]
-    return Y
+    return _search(np.array(X.to_float().data, dtype=float), k, trials, seed, tol)
 
 
 def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int | None = None,
@@ -212,14 +191,11 @@ def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int | None = No
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     if not A.is_square():
         raise NonSquareError("state matrix must be square")
-    cf = tuple(float(x) for x in c)
-    if len(cf) != n:
-        raise SizeMismatchError("c must have the state dimension")
-    Af = A.to_float()
-    report = OracleReport(trials, k, seed)
-    for first, x0s in _blocks(n, k, trials, seed):
-        _judge_block(first, x0s, _propagate_block(Af, cf, x0s, horizon), k, tol, report)
-    return report
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    # raises SizeMismatchError unless c has the state dimension
+    obs = observability_matrix(A.to_float(), c, horizon)
+    return _search(np.array(obs.data, dtype=float), k, trials, seed, tol)
 
 
 def replay_trial(m: int, k: int, seed: int, trial: int) -> tuple[float, ...]:

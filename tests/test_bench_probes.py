@@ -39,6 +39,8 @@ def test_traced_cli_runs_feed_every_hook(tmp_path, capsys):
          "--k", "1", "--out", str(tmp_path / "hankel")],
         ["certify", str(fixture_path("example2")), "--property", "vd", "--k", "2",
          "--out", str(tmp_path / "vd")],
+        ["certify", str(fixture_path("example2")), "--property", "vd", "--k", "2",
+         "--arith", "float", "--out", str(tmp_path / "vd_float")],
         ["check-matrix", str(pena), "--property", "vb", "--k", "2"],
         ["oracle", str(fixture_path("example1")), "--k", "2", "--trials", "50"],
     ]

@@ -355,6 +355,20 @@ def _float_loop_reference(sys, N):
     return tuple(out)
 
 
+def _float_rows_reference(sys, N):
+    """Float impulse response read off the rows c A^(t-1), each row
+    ``Matrix.vecmat`` of the one before, one sample summed left to right from
+    integer 0 per row."""
+    w, out = sys.c, []
+    for _ in range(N):
+        y = 0
+        for wi, bi in zip(w, sys.b):
+            y = y + wi * bi
+        out.append(y)
+        w = sys.A.vecmat(w)
+    return tuple(out)
+
+
 @pytest.mark.parametrize("A, b, c, N", [
     ([["1/3", "2/7", 0], ["-5/6", "1/2", "-2/7"], [1, "-1/3", "5/6"]],
      ("2/7", "-1/3", 1), ("5/6", "1/2", "-3/7"), 12),
@@ -373,14 +387,25 @@ def test_exact_impulse_matches_matrix_powers(A, b, c, N):
 
 
 def test_float_impulse_is_bit_identical_to_loop_reference():
+    """Bit for bit (the sign of zero included) the samples of the row
+    reference, and within 1e-12 of the largest |g| those of the state loop."""
     rng = random.Random(11)
+    # every product of the second system is -0.0, every sample 0.0
+    systems = [example3_system(), LtiSystem(Matrix.floating([[0.5]]), (0.0,), (-1.0,))]
     for n in range(1, 6):
         A = Matrix.floating([[rng.uniform(-1.2, 1.2) for _ in range(n)] for _ in range(n)])
         b = tuple(rng.uniform(-1, 1) for _ in range(n))
         c = tuple(rng.uniform(-1, 1) for _ in range(n))
-        sys = LtiSystem(A, b, c)
-        assert impulse_response(sys, 40) == _float_loop_reference(sys, 40)
-    assert impulse_response(example3_system(), 30) == _float_loop_reference(example3_system(), 30)
+        systems.append(LtiSystem(A, b, c))
+        systems.append(LtiSystem(A, (0.0,) * n, c))  # every product +-0.0
+    for sys in systems:
+        for rows in (None, output_rows(sys.A, sys.c, 44)):
+            g = impulse_response(sys, 40, rows)
+            assert all(type(x) is float for x in g)
+            assert [repr(x) for x in g] == [repr(x) for x in _float_rows_reference(sys, 40)]
+            scale = max(abs(x) for x in g)
+            assert all(abs(x - y) <= 1e-12 * scale
+                       for x, y in zip(g, _float_loop_reference(sys, 40)))
 
 
 def _fraction_samples_reference(sys, N):

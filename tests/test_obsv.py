@@ -256,8 +256,9 @@ def _shared_sampling_pairs():
 
 def test_shared_sampling_matches_per_system_reference():
     """Samples read off one order's shared output rows equal the old
-    per-system state propagation, and the tail from the order's shared
-    eigen-decomposition equals a per-system ``dominant_tail``."""
+    per-system state propagation (exact) and rows built per system (float),
+    and the tail from the order's shared eigen-decomposition equals a
+    per-system ``dominant_tail``."""
     systems = tails = 0
     for A, c in _shared_sampling_pairs():
         n = A.rows
@@ -276,7 +277,11 @@ def test_shared_sampling_matches_per_system_reference():
                 assert got == want[:horizon], (n, horizon, key)
                 assert all(type(x) is Fraction for x in got)
                 assert impulse_response(sys, horizon) == got
-            for context, system in ((ctx, sys), (fctx, fctx.system(*key))):
+            # float samples read off the order's shared rows, bit for bit
+            fsys = fctx.system(*key)
+            shared = impulse_response(fsys, 50, fctx.output_rows(r))
+            assert [repr(x) for x in shared] == [repr(x) for x in impulse_response(fsys, 50)]
+            for context, system in ((ctx, sys), (fctx, fsys)):
                 tail = dominant_tail(system, context.tol, context.modes(r))
                 assert tail == dominant_tail(system, context.tol), (n, key)
                 tails += tail[0] is not None

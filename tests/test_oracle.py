@@ -9,7 +9,7 @@ from varsign import oracle
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file
 from varsign.linalg import Backend, DEFAULT_TOL, Matrix, NonSquareError, SizeMismatchError
-from varsign.lti import LtiSystem, default_horizon, impulse_response
+from varsign.lti import LtiSystem, default_horizon, impulse_response, observability_matrix
 from varsign.oracle import (
     OracleReport,
     Violation,
@@ -147,6 +147,9 @@ def test_falsify_operator_rejects_mismatched_shapes():
         falsify_operator_vb(Matrix.floating([[0.5, 1.0]]), (1.0, 1.0), 1, trials=5)
     with pytest.raises(SizeMismatchError):
         falsify_operator_vb(Matrix.floating([[0.5, 0.0], [0.0, 0.5]]), (1.0,), 1, trials=5)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        falsify_operator_vb(Matrix.floating([[0.5, 0.0], [0.0, 0.5]]), (1.0, 1.0), 1,
+                            horizon=0, trials=5)
 
 
 def test_zero_violations_is_not_certification():
@@ -289,9 +292,11 @@ def test_batched_operator_oracle_matches_per_trial_loop(monkeypatch):
                     assert replay_trial(A.rows, k, seed, v.trial) == v.u
                 totals["violations"] += len(ref.violations)
                 totals["suspects"] += len(ref.suspects)
-        # bit for bit, the sign of zero included
+        # bit for bit, the sign of zero included; c as Python floats, since
+        # numpy scalars in ``Matrix.vecmat`` warn on overflow
         x0s = np.array([replay_trial(A.rows, A.rows, seed, t) for t in range(4)])
-        Y = oracle._propagate_block(A, tuple(c), x0s, horizon)
+        O = observability_matrix(A, tuple(float(x) for x in c), horizon)
+        Y = oracle._outputs(np.array(O.data, dtype=float), x0s)
         for j, x0 in enumerate(x0s):
             g = impulse_response(LtiSystem(A, x0, c), horizon)
             assert [repr(y) for y in Y[:, j].tolist()] == [repr(y) for y in g]

@@ -13,9 +13,12 @@ or `ctrb/` for a Hankel factor.  Two digests cover the report:
   included, so it pins every field that is not prose.  A change that only
   rewords or drops notes moves the first digest and leaves this one alone.
 
-Regenerate the table with `python tests/test_reports_golden.py --write`; it
-prints each case whose digests moved, and whether the move is confined to
-notes.
+`FLOAT_CONCLUSIONS` pins the exit code and conclusion of every case under
+`--arith float`, whose sample values may move in their last bits.
+
+Regenerate the digest table with `python tests/test_reports_golden.py
+--write`; it prints each case whose digests moved, and whether the move is
+confined to notes.
 """
 
 import hashlib
@@ -126,6 +129,53 @@ def describe_moves(old_table: dict, new_table: dict) -> list[str]:
 def test_report_matches_golden(tmp_path, capsys, case_id, name, target, prop, k):
     expected = json.loads(TABLE.read_text())[case_id]
     assert run_case(tmp_path, name, target, prop, k) == expected
+
+
+# (exit code, conclusion) of every case under --arith float, recorded with
+# the state-propagation float sampler, so that a change of sampler cannot
+# move a float conclusion unseen
+FLOAT_CONCLUSIONS = {
+    "example1/obsv/svb/k1": (0, "certified"),
+    "example1/obsv/vb/k1": (0, "certified"),
+    "example1/obsv/kpos/k1": (0, "certified"),
+    "example1/obsv/vd/k1": (0, "certified"),
+    "example1/obsv/svb/k2": (0, "certified"),
+    "example1/obsv/vb/k2": (0, "certified"),
+    "example1/obsv/kpos/k2": (0, "certified"),
+    "example1/obsv/vd/k2": (0, "certified"),
+    "example1/obsv/svb/k3": (1, "refuted"),
+    "example1/obsv/vb/k3": (2, "inconclusive"),
+    "example1/obsv/kpos/k3": (1, "refuted"),
+    "example1/obsv/vd/k3": (2, "inconclusive"),
+    "example2/obsv/svb/k1": (1, "refuted"),
+    "example2/obsv/vb/k1": (2, "inconclusive"),
+    "example2/obsv/kpos/k1": (1, "refuted"),
+    "example2/obsv/vd/k1": (2, "inconclusive"),
+    "example2/obsv/svb/k2": (0, "certified"),
+    "example2/obsv/vb/k2": (0, "certified"),
+    "example2/obsv/kpos/k2": (1, "refuted"),
+    "example2/obsv/vd/k2": (2, "inconclusive"),
+    "example2/obsv/svb/k3": (1, "refuted"),
+    "example2/obsv/vb/k3": (2, "inconclusive"),
+    "example2/obsv/kpos/k3": (1, "refuted"),
+    "example2/obsv/vd/k3": (2, "inconclusive"),
+    "example3/ctrb/svb/k1": (1, "refuted"),
+    "example3/ctrb/vb/k1": (2, "inconclusive"),
+    "example3/ctrb/kpos/k1": (1, "refuted"),
+    "example3/ctrb/vd/k1": (2, "inconclusive"),
+    "example3/hankel/svb/k1": (2, "inconclusive"),
+    "example3/hankel/vb/k1": (2, "inconclusive"),
+    "example3/hankel/kpos/k1": (2, "inconclusive"),
+    "example3/hankel/vd/k1": (2, "inconclusive"),
+}
+
+
+@pytest.mark.parametrize("case_id,name,target,prop,k", CASES, ids=[c[0] for c in CASES])
+def test_float_conclusion_matches_table(tmp_path, capsys, case_id, name, target, prop, k):
+    code = main(["certify", str(fixture_path(name)), "--property", prop, "--k", str(k),
+                 "--target", target, "--arith", "float", "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (code, report["certificate"]["conclusion"]) == FLOAT_CONCLUSIONS[case_id]
 
 
 def test_describe_moves_tells_notes_only_moves_apart():

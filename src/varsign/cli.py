@@ -244,6 +244,8 @@ def _argument_error(args) -> str | None:
         return f"--horizon must be >= 1, got {args.horizon}"
     if getattr(args, "trials", 1) < 1:
         return f"--trials must be >= 1, got {args.trials}"
+    if getattr(args, "seed", 0) < 0:
+        return f"--seed must be >= 0, got {args.seed}"
     return None
 
 

@@ -82,11 +82,11 @@ def default_horizon(n: int) -> int:
 class OutputRows:
     """Output rows of one pair (A, c), shared by every input b.
 
-    Float rows are c A^(t-1) themselves, each row ``Matrix.vecmat`` of the
-    one before, and ``dens`` is None.  Exact rows are integer: with D_A and
-    D_c the lcm of the denominators of A and c, ``rows[t-1]`` is
-    w_t = (D_c c)(D_A A)^(t-1) and ``dens[t-1]`` is D_c D_A^(t-1), so that
-    c A^(t-1) = w_t / dens[t-1].
+    Each row is the one before times A, each entry summed left to right from
+    0 as a sample is (``impulse_response``).  Float rows are c A^(t-1) and
+    ``dens`` is None.  Exact rows are integer: with D_A and D_c the lcm of the
+    denominators of A and c, ``rows[t-1]`` is w_t = (D_c c)(D_A A)^(t-1) and
+    ``dens[t-1]`` is D_c D_A^(t-1), so that c A^(t-1) = w_t / dens[t-1].
     """
 
     rows: tuple[tuple[Num, ...], ...]
@@ -94,21 +94,25 @@ class OutputRows:
 
 
 def output_rows(A: Matrix, c: Sequence[Num], N: int) -> OutputRows:
-    """The rows w_1..w_N of a pair (A, c)."""
+    """The rows w_1..w_N of a pair (A, c): the one place c A^(t-1) is computed."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
+    c = [parse_scalar(x, A.backend) for x in c]
+    if len(c) != A.cols or N > 1 and not A.is_square():
+        raise SizeMismatchError("c must have the state dimension of a square A")
     if A.backend is Backend.FLOAT:
-        return OutputRows(observability_matrix(A, c, N).data, None)
-    dA = math.lcm(*(x.denominator for row in A.data for x in row))
-    dc = math.lcm(*(x.denominator for x in c))
-    cols = list(zip(*([x.numerator * (dA // x.denominator) for x in row] for row in A.data)))
-    w = tuple(x.numerator * (dc // x.denominator) for x in c)
-    rows, dens = [w], [dc]
+        cols, w = list(zip(*A.data)), tuple(c)
+    else:
+        dA = math.lcm(*(x.denominator for row in A.data for x in row))
+        dc = math.lcm(*(x.denominator for x in c))
+        cols = list(zip(*([x.numerator * (dA // x.denominator) for x in row] for row in A.data)))
+        w = tuple(x.numerator * (dc // x.denominator) for x in c)
+    total = sum if A.backend is Backend.EXACT else lambda terms: reduce(add, terms, 0)
+    rows = [w]
     for _ in range(N - 1):
-        w = tuple(sum(map(mul, w, col)) for col in cols)
-        rows.append(w)
-        dens.append(dens[-1] * dA)
-    return OutputRows(tuple(rows), tuple(dens))
+        rows.append(tuple(total(map(mul, rows[-1], col)) for col in cols))
+    dens = None if A.backend is Backend.FLOAT else tuple(dc * dA ** i for i in range(N))
+    return OutputRows(tuple(rows), dens)
 
 
 class ExactSamples(Sequence):
@@ -163,17 +167,12 @@ def impulse_response(sys: LtiSystem, N: int,
 
 
 def observability_matrix(A: Matrix, c: Sequence[Num], t: int) -> Matrix:
-    """t x n matrix whose i-th row is c A^(i-1)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    row = tuple(parse_scalar(x, A.backend) for x in c)
-    if len(row) != A.cols:
-        raise SizeMismatchError("c must have the state dimension")
-    rows = [row]
-    for _ in range(t - 1):
-        row = A.vecmat(row)
-        rows.append(row)
-    return Matrix(rows, A.backend)
+    """t x n matrix whose i-th row is c A^(i-1): the ``output_rows`` of (A, c)."""
+    out = output_rows(A, c, t)
+    if out.dens is None:
+        return Matrix(out.rows, A.backend)
+    return Matrix([[Fraction(x, den) for x in w] for w, den in zip(out.rows, out.dens)],
+                  A.backend)
 
 
 def _order_spectrum(values, tie_tol: float) -> list[int]:

@@ -35,7 +35,6 @@ operator inherits a sufficient certificate from its two factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Sequence
@@ -52,6 +51,7 @@ from .linalg import (
     Num,
     RankOutOfRangeError,
     compound,
+    index_sets,
     parse_scalar,
     scalar_text,
 )
@@ -86,24 +86,23 @@ class BadIndicesError(LinalgError):
 
 
 class _OperatorContext:
-    """Shared pieces for one observable pair (A, c) at one horizon: O_n, with
-    its rank and determinant from one elimination, each compound order's pair
-    (C_r(A), c_r) built once, the output rows and the eigen-decomposition of
-    each such pair, which all systems of that order share (the decomposition
-    only once an analysis needs a tail), and one analysis per (k, r, beta)
-    compound system."""
+    """Shared pieces for one observable pair (A, c) at one horizon: one
+    ``Minors`` of O_n, which gives its rank, its determinant and each c_r (the
+    r-minors on rows 1..r); each order's C_r(A); the output rows and the
+    eigen-decomposition of each pair (C_r(A), c_r), which all systems of that
+    order share (the decomposition only once an analysis needs a tail); and
+    one analysis per (k, r, beta) compound system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
         if not A.is_square():
             raise LinalgError("state matrix must be square")
         self.A = A
-        self.c = tuple(c)
         self.n = A.rows
         self.tol = tol
         self.horizon = horizon if horizon is not None else default_horizon(self.n)
         self.obs_n = observability_matrix(A, c, self.n)
-        minors = Minors(self.obs_n)
+        self._minors = minors = Minors(self.obs_n)
         obs_rank = minors.rank(tol)
         if obs_rank < self.n:
             raise NotObservableError(f"observability matrix has rank {obs_rank} < {self.n}")
@@ -124,8 +123,8 @@ class _OperatorContext:
         return self._cached(("C_r(A)", r), lambda: compound(self.A, r))
 
     def c_compound(self, r: int) -> tuple[Num, ...]:
-        return self._cached(("C_r(O_r)", r), lambda: compound(
-            observability_matrix(self.A, self.c, r), r).row(0))
+        return self._cached(("c_r", r), lambda: tuple(self._minors.row(
+            tuple(range(1, r + 1)), index_sets(self.n, r))))
 
     def system(self, k: int, r: int, beta: IndexTuple | None) -> LtiSystem:
         """The (k, r, beta) compound system; beta None is the full-order family."""
@@ -167,14 +166,16 @@ def full_compound_systems(A: Matrix, c: Sequence[Num],
 
 def _minor_trace_input(ctx: _OperatorContext, k: int, r: int, beta: IndexTuple) -> tuple[Num, ...]:
     """Input b = C_r(A)^(k-r) w of the (k, r, beta) system (module docstring)."""
-    n, a = ctx.n, k - r
-    w = [parse_scalar(0, ctx.A.backend)] * math.comb(n, r)
+    n, a, elems = ctx.n, k - r, beta.elems
+    zero, one = (parse_scalar(x, ctx.A.backend) for x in (0, 1))
+    anchors = dict(zip(index_sets(n, a), ctx.c_compound(a) if a else [one]))
+    terms = {}
     for pos in combinations(range(k), r):
-        T = IndexTuple(n, tuple(beta.elems[p] for p in pos))
-        rest = IndexTuple(n, tuple(x for p, x in enumerate(beta.elems) if p not in pos))
-        anchor = ctx.c_compound(a)[rest.lex_rank() - 1] if a else parse_scalar(1, ctx.A.backend)
+        rest = tuple(x for p, x in enumerate(elems) if p not in pos)
         # eps_T: position p_i of T moves past the a + i - p_i entries of rest behind it
-        w[T.lex_rank() - 1] = (-1) ** (r * a + r * (r - 1) // 2 - sum(pos)) * anchor
+        eps = (-1) ** (r * a + r * (r - 1) // 2 - sum(pos))
+        terms[tuple(elems[p] for p in pos)] = eps * anchors[rest]
+    w = [terms.get(T, zero) for T in index_sets(n, r)]
     for _ in range(a):
         w = ctx.a_compound(r).matvec(w)
     return tuple(w)

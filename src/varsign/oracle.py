@@ -4,9 +4,9 @@ Inputs of bounded variation are sampled with log-uniform magnitudes (the
 hard cases sit near sign cancellations), pushed through the matrix or the
 observability operator, and the output variation is measured.  Violations
 replay deterministically from (seed, trial index) at a given block size;
-output entries inside the float tolerance make a trial Suspect instead of a
-Violation.  Zero violations never certify anything; this module only refutes
-or corroborates.
+output entries inside the float tolerance, or NaN (``linalg.sign_of`` signs
+neither), make a trial Suspect instead of a Violation.  Zero violations
+never certify anything; this module only refutes or corroborates.
 
 Trials run in blocks of ``_BLOCK``.  Block b is drawn at once, as arrays,
 from one generator seeded with (seed, b), and trial j of the block is row j
@@ -16,7 +16,7 @@ and reads the row.
 
 Both searches are one ``_search`` on a matrix M: the bare matrix X, or for
 the operator O_H = ``observability_matrix(A, c, horizon)``, whose rows
-c A^(t-1) are the output rows ``impulse_response`` samples.  The outputs of a
+c A^(t-1) are the ``output_rows`` of ``impulse_response``.  The outputs of a
 block are M u for every input u of the block at once (``_outputs``), each
 summed 0 + M[i][0] u_0 + M[i][1] u_1 + ... left to right with one numpy
 operation per column of M.  Elementwise IEEE arithmetic in a fixed order gives
@@ -25,9 +25,9 @@ sample ``impulse_response`` gives for that initial state; a matrix product
 would be free to fuse or reorder the terms and round otherwise.
 
 Each block is judged at once on its int8 matrix of output signs (entries
-inside the float tolerance sign as 0, as ``variation`` signs them): v- and
-v+ of every column are counted with array operations (``_variations``), and
-only the trials whose variation reaches k go to ``_judge``, in trial order.
+inside the float tolerance and NaN sign as 0, as ``variation`` signs them):
+v- and v+ of every column are counted with array operations (``_variations``),
+and only the trials whose variation reaches k go to ``_judge``, in order.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class OracleReport:
 def _judge(trial: int, u, vm: int, vp: int, k: int, near: bool,
            report: OracleReport) -> None:
     """Record a trial whose output variation reaches k, given its output's v-
-    and v+: a suspect when an output entry is nonzero yet inside the
+    and v+: a suspect when an output entry is NaN, or nonzero yet inside the
     tolerance (``near``), else a violation."""
     if near:
         report.suspects.append(trial)
@@ -164,7 +164,7 @@ def _search(M: np.ndarray, k: int, trials: int, seed: int, tol: float) -> Oracle
         us = _draw_block(M.shape[1], k, seed, block)[:trials - first]
         Y = _outputs(M, us)
         vm, vp = _variations(Y, tol)
-        near = np.any((Y != 0.0) & (np.abs(Y) <= tol), axis=0)
+        near = np.any(np.isnan(Y) | (Y != 0.0) & (np.abs(Y) <= tol), axis=0)
         for j in np.flatnonzero(vp >= k):  # v- <= v+
             _judge(first + int(j), us[j], int(vm[j]), int(vp[j]), k, bool(near[j]), report)
     return report
@@ -191,9 +191,7 @@ def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int | None = No
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     if not A.is_square():
         raise NonSquareError("state matrix must be square")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    # raises SizeMismatchError unless c has the state dimension
+    # output_rows rejects a horizon below 1 and a c of the wrong length
     obs = observability_matrix(A.to_float(), c, horizon)
     return _search(np.array(obs.data, dtype=float), k, trials, seed, tol)
 

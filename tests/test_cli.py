@@ -346,6 +346,7 @@ def test_oracle_report_records_float_arithmetic(tmp_path, capsys):
     ["oracle", "--k", "4"],
     ["oracle", "--k", "2", "--trials", "0"],
     ["oracle", "--k", "2", "--trials", "-5"],
+    ["oracle", "--k", "1", "--seed", "-1"],
     ["oracle", "--k", "2", "--tol", "inf"],
     ["check-matrix", "--property", "sc", "--k", "1", "--tol=-1"],
     ["check-matrix", "--property", "vb", "--k", "1", "--tol=-inf"],

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import varsign.lti as lti
-from varsign.linalg import Backend, Matrix, NonSquareError, sign_of
+from varsign.linalg import Backend, Matrix, NonSquareError, SizeMismatchError, sign_of
 from varsign.lti import (
     ExtPosAnalysis,
     ExtPosStatus,
@@ -92,6 +92,80 @@ def test_observability_matrix_validation():
     assert observability_matrix(A, c, 1).row(0) == c
     with pytest.raises(ValueError):
         observability_matrix(A, c, 0)
+    with pytest.raises(SizeMismatchError):
+        observability_matrix(A, c[:2], 3)
+    wide = Matrix.exact([[1, 2, 3], [4, 5, 6]])
+    for t in (2, 5):
+        with pytest.raises(SizeMismatchError):
+            observability_matrix(wide, c, t)
+    # one row needs no power of A, so a non-square A still gives [c]
+    assert observability_matrix(wide, c, 1) == Matrix.exact([c])
+
+
+def _vecmat_chain(A, c, N):
+    """Reference: the rows c A^(t-1) as observability_matrix built them
+    before ``output_rows``, each ``Matrix.vecmat`` of the one before."""
+    rows = [tuple(c)]
+    for _ in range(N - 1):
+        rows.append(A.vecmat(rows[-1]))
+    return rows
+
+
+def _float_chain_pairs():
+    """Float pairs whose rows hold every product sign of zero, infinities and
+    NaN, and plain random ones."""
+    rng = np.random.default_rng(26)
+    dyadic = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0)
+    yield Matrix.floating([[-1.0]]), (0.0,)  # the chain's second row is -0.0
+    for n in range(1, 6):
+        yield Matrix.floating(rng.choice(dyadic, (n, n))), tuple(rng.choice(dyadic, n).tolist())
+        yield Matrix.floating(rng.uniform(-1, 1, (n, n)) * 1.5 / n), tuple(rng.uniform(-2, 2, n))
+        yield Matrix.floating(rng.uniform(-1, 1, (n, n)) * 1e80), tuple(rng.uniform(-1, 1, n))
+
+
+def test_float_output_rows_match_the_vecmat_chain():
+    """Entry for entry the chain's values, and by ``repr`` too, except that a
+    -0.0 the chain computed comes out as 0.0: each entry is summed from 0.
+    The first row is c as given, -0.0 included."""
+    seen = {"-0.0": 0, "nan": 0, "inf": 0}
+    for A, c in _float_chain_pairs():
+        got = output_rows(A, c, 30)
+        want = _vecmat_chain(A, tuple(map(float, c)), 30)
+        assert got.dens is None and len(got.rows) == 30
+        for t, (row, ref) in enumerate(zip(got.rows, want)):
+            for x, y in zip(row, ref):
+                assert type(x) is float
+                assert x == y or math.isnan(x) and math.isnan(y)
+                summed_negative_zero = t > 0 and repr(y) == "-0.0"
+                assert repr(x) == ("0.0" if summed_negative_zero else repr(y))
+                seen["-0.0"] += summed_negative_zero
+                seen["nan"] += math.isnan(y)
+                seen["inf"] += math.isinf(y)
+        assert repr(observability_matrix(A, c, 30).data) == repr(got.rows)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("A, c", [
+    ([["0.7", "0.6", "-2"], ["0.15", "0.15", "-0.25"], ["0", "0.03", "0.1"]],
+     ("1.1", "0.1", "-5.5")),
+    ([["1/3", "2/7", 0], ["-5/6", "1/2", "-2/7"], [1, "-1/3", "5/6"]], ("5/6", "1/2", "-3/7")),
+    ([["-5/6"]], ("-1/3",)),
+    ([[2, -1], [1, 3]], (3, 1)),
+    ([["1/3", "2/7"], ["-5/6", "1/2"]], (0, 0)),
+    ([["1e400", "0"], ["1", "0.25"]], ("1", "1")),
+])
+def test_exact_output_rows_match_the_fraction_chain(A, c):
+    A = Matrix.exact(A)
+    c = tuple(Fraction(x) for x in c)
+    dA = math.lcm(*(x.denominator for row in A.data for x in row))
+    dc = math.lcm(*(x.denominator for x in c))
+    got = output_rows(A, c, 12)
+    assert got.dens == tuple(dc * dA ** t for t in range(12))
+    want = _vecmat_chain(A, c, 12)
+    for row, den, ref in zip(got.rows, got.dens, want):
+        assert all(type(x) is int for x in row)
+        assert tuple(Fraction(x, den) for x in row) == ref
+    assert observability_matrix(A, c, 12) == Matrix.exact(want)
 
 
 def test_eigen_sorted_descending_modulus_then_real():

@@ -226,6 +226,20 @@ def test_compound_trace_inputs_match_minor_reference(arith):
     assert checked >= 300
 
 
+def test_context_c_compound_reads_the_minors_of_o_n():
+    """c_r read off the context's O_n equals the first row of C_r(O_r) built
+    per order, type and ``repr`` included."""
+    checked = 0
+    for A, c in _differential_pairs():
+        for pair in ((A, c), (A.to_float(), tuple(float(x) for x in c))):
+            ctx = obsv._OperatorContext(*pair)
+            for r in range(1, A.rows + 1):
+                want = compound(observability_matrix(*pair, r), r).row(0)
+                assert _same_scalars(ctx.c_compound(r), want), (A.rows, r, pair[0].backend)
+                checked += 1
+    assert checked == 2 * 4 * (2 + 3 + 4 + 5)
+
+
 def _propagated_impulse_reference(sys, N):
     """Exact samples by per-system integer state propagation, as
     ``impulse_response`` computed them before it read them off shared

@@ -152,6 +152,18 @@ def test_falsify_operator_rejects_mismatched_shapes():
                             horizon=0, trials=5)
 
 
+def test_nan_outputs_make_suspects_not_violations():
+    # the outputs overflow to inf and then meet 0 * inf = nan; every finite
+    # output of a trial has one sign, so only the NaN ones could make v+ reach k
+    A = Matrix.floating([[1e300, 0], [0, 1e300]])
+    report = falsify_operator_vb(A, (1.0, 1.0), 2, 50, 20, 0)
+    assert report.violations == [] and report.suspects == list(range(20))
+    u = replay_trial(2, 2, 0, 0)
+    y = impulse_response(LtiSystem(A, u, (1.0, 1.0)), 50)
+    assert any(math.isnan(x) for x in y)
+    assert {x > 0 for x in y if math.isfinite(x) and x != 0.0} == {True}
+
+
 def test_zero_violations_is_not_certification():
     # the report is evidence, not a certificate: the clean flag merely means
     # no counterexample was sampled
@@ -201,10 +213,11 @@ def test_detection_does_not_drop():
 
 
 def _reference_judge(trial, u, y, k, tol, report):
-    """Reference: judge one trial's output with ``v_minus``/``v_plus``."""
+    """Reference: judge one trial's output with ``v_minus``/``v_plus``; a NaN
+    output, like one inside the tolerance, makes the trial a suspect."""
     vm, vp = v_minus(y, tol), v_plus(y, tol)
     if vm >= k or vp >= k:
-        if any(x != 0.0 and abs(x) <= tol for x in y):
+        if any(math.isnan(x) or x != 0.0 and abs(x) <= tol for x in y):
             report.suspects.append(trial)
         else:
             report.violations.append(Violation(trial, tuple(u), vm, vp, strict_only=vm < k))
@@ -292,10 +305,10 @@ def test_batched_operator_oracle_matches_per_trial_loop(monkeypatch):
                     assert replay_trial(A.rows, k, seed, v.trial) == v.u
                 totals["violations"] += len(ref.violations)
                 totals["suspects"] += len(ref.suspects)
-        # bit for bit, the sign of zero included; c as Python floats, since
-        # numpy scalars in ``Matrix.vecmat`` warn on overflow
+        # bit for bit, the sign of zero included; ``output_rows`` turns the
+        # numpy scalars of c into Python floats, so overflow raises no warning
         x0s = np.array([replay_trial(A.rows, A.rows, seed, t) for t in range(4)])
-        O = observability_matrix(A, tuple(float(x) for x in c), horizon)
+        O = observability_matrix(A, c, horizon)
         Y = oracle._outputs(np.array(O.data, dtype=float), x0s)
         for j, x0 in enumerate(x0s):
             g = impulse_response(LtiSystem(A, x0, c), horizon)

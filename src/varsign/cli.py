@@ -4,7 +4,8 @@
 0 certified, 1 refuted, 2 inconclusive (including unobservable pairs;
 check-matrix prints an inconclusive vb/vd check as "undecidable").  `oracle`
 exits 0 when its search is clean and 1 on a violation, since a clean search
-decides nothing.  Malformed input, and an --out that cannot be written, exit 3.
+decides nothing.  Malformed input, a usage error among them, and an --out
+that cannot be written exit 3.
 """
 
 from __future__ import annotations
@@ -189,11 +190,20 @@ def cmd_oracle(args) -> int:
     return EXIT_PASS if report.clean else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit ``EXIT_INPUT``, not
+    argparse's 2, which here means inconclusive; subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built at the first call and reused by every later
     one in the process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="varsign",
         description="Certify variation-bounding properties of matrices and "
                     "LTI observability/controllability operators.")
@@ -236,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _argument_error(args) -> str | None:
-    """What is out of range among the numeric options, or None.  Checked here
-    rather than by argparse, whose exit status 2 means inconclusive."""
+    """What is out of range among the numeric options, or None; argparse
+    checks only their types."""
     if not (math.isfinite(args.tol) and args.tol >= 0):
         return f"--tol must be finite and >= 0, got {args.tol}"
     if getattr(args, "horizon", None) is not None and args.horizon < 1:

@@ -199,9 +199,11 @@ def _sample_texts(samples):
 
 
 def write_traces(out_dir, per_system: list[SystemVerdict], targets: tuple[str, ...]) -> list[str]:
-    """One ``target,r,beta,t,g`` CSV of every system's samples, written whole
-    with ``\\r\\n`` lines, beta as ``1 2`` or ``full``; ``targets[i]`` is the
-    target of ``per_system[i]``.  With no systems, an earlier run's is removed."""
+    """One ``target,r,beta,t,g`` CSV of the samples each system's analysis
+    holds, written whole with ``\\r\\n`` lines, beta as ``1 2`` or ``full``;
+    ``targets[i]`` is the target of ``per_system[i]``.  A block runs to the
+    horizon, or to t_bad for a system whose samples carry both strict signs
+    (``lti.analyse``).  With no systems, an earlier run's is removed."""
     path = Path(out_dir) / "traces.csv"
     if not per_system:
         path.unlink(missing_ok=True)

@@ -10,11 +10,12 @@ A verdict separates two kinds of evidence: the sampled impulse response over
 a finite horizon, and an analytic tail bound derived from a floating-point
 eigen-decomposition.  The bound establishes the sign of every sample beyond
 ``tail_start``, which makes a finite sample check conclusive.  ``analyse``
-gathers both once per system, the tail only when the samples do not already
-carry both strict signs (which refutes every requirement); ``judge`` reads a
+gathers both once per system; samples that carry both strict signs refute
+every requirement, so they end the sampling at the later of their first
+positive and first negative sample and need no tail.  ``judge`` reads a
 strict or a non-strict verdict off the analysis.  Systems on one pair (A, c)
-that differ only in b can share the output rows and the eigen-decomposition
-(``dominant_modes``).
+that differ only in b can share the output rows, grown as far as their
+samples reach, and the eigen-decomposition (``dominant_modes``).
 """
 
 from __future__ import annotations
@@ -78,9 +79,13 @@ def default_horizon(n: int) -> int:
     return max(50, 10 * n)
 
 
-@dataclass(frozen=True)
+_SQUARE = "c must have the state dimension of a square A"
+
+
 class OutputRows:
-    """Output rows of one pair (A, c), shared by every input b.
+    """Output rows of one pair (A, c), shared by every input b and grown on
+    demand: ``extend`` appends rows in place, and never rebuilds the earlier
+    ones nor lifts A again.
 
     Each row is the one before times A, each entry summed left to right from
     0 as a sample is (``impulse_response``).  Float rows are c A^(t-1) and
@@ -89,37 +94,49 @@ class OutputRows:
     ``dens[t-1]`` is D_c D_A^(t-1), so that c A^(t-1) = w_t / dens[t-1].
     """
 
-    rows: tuple[tuple[Num, ...], ...]
-    dens: tuple[int, ...] | None
+    __slots__ = ("rows", "dens", "_cols", "_step")
+
+    def __init__(self, w: tuple[Num, ...], cols: list | None, dc: int | None, dA: int):
+        # cols: the columns of A (of D_A A when exact), None when A is not square
+        self.rows, self._cols, self._step = [w], cols, dA
+        self.dens = None if dc is None else [dc]
+
+    def extend(self, N: int) -> OutputRows:
+        """Grow to at least N rows; the one place c A^(t-1) is computed."""
+        rows, cols, dens = self.rows, self._cols, self.dens
+        if len(rows) < N and cols is None:
+            raise SizeMismatchError(_SQUARE)
+        while len(rows) < N:
+            if dens is None:
+                rows.append(tuple(reduce(add, map(mul, rows[-1], col), 0) for col in cols))
+            else:
+                rows.append(tuple(sum(map(mul, rows[-1], col)) for col in cols))
+                dens.append(dens[-1] * self._step)
+        return self
 
 
 def output_rows(A: Matrix, c: Sequence[Num], N: int) -> OutputRows:
-    """The rows w_1..w_N of a pair (A, c): the one place c A^(t-1) is computed."""
+    """The rows w_1..w_N of a pair (A, c), extendable past N (``OutputRows``)."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
     c = [parse_scalar(x, A.backend) for x in c]
-    if len(c) != A.cols or N > 1 and not A.is_square():
-        raise SizeMismatchError("c must have the state dimension of a square A")
+    if len(c) != A.cols:
+        raise SizeMismatchError(_SQUARE)
     if A.backend is Backend.FLOAT:
-        cols, w = list(zip(*A.data)), tuple(c)
+        cols, w, dc, dA = list(zip(*A.data)), tuple(c), None, 1
     else:
         dA = math.lcm(*(x.denominator for row in A.data for x in row))
         dc = math.lcm(*(x.denominator for x in c))
         cols = list(zip(*([x.numerator * (dA // x.denominator) for x in row] for row in A.data)))
         w = tuple(x.numerator * (dc // x.denominator) for x in c)
-    total = sum if A.backend is Backend.EXACT else lambda terms: reduce(add, terms, 0)
-    rows = [w]
-    for _ in range(N - 1):
-        rows.append(tuple(total(map(mul, rows[-1], col)) for col in cols))
-    dens = None if A.backend is Backend.FLOAT else tuple(dc * dA ** i for i in range(N))
-    return OutputRows(tuple(rows), dens)
+    return OutputRows(w, cols if A.is_square() else None, dc, dA).extend(N)
 
 
 class ExactSamples(Sequence):
     """Samples g(t) = nums[t-1] / (D_b dens[t-1]), nums[t-1] = w_t (D_b b) and
-    dens[t-1] = D_c D_A^(t-1) (``OutputRows``; it may run past N), so each
-    numerator has its sample's sign.  Items, slices and iteration give the
-    reduced Fractions, and the sequence equals the tuple of them."""
+    dens[t-1] = D_c D_A^(t-1) (``OutputRows``; ``dens`` may run past nums),
+    so each numerator has its sample's sign.  Items, slices and iteration
+    give the reduced Fractions, and the sequence equals the tuple of them."""
 
     __slots__ = ("nums", "db", "dens")
 
@@ -141,11 +158,11 @@ class ExactSamples(Sequence):
         return tuple(self) == (tuple(other) if isinstance(other, ExactSamples) else other)
 
 
-def impulse_response(sys: LtiSystem, N: int,
-                     rows: OutputRows | None = None) -> ExactSamples | tuple[float, ...]:
-    """Samples g(1)..g(N) of g(t) = c A^(t-1) b, one dot product with b per
-    output row of (A, c) (``output_rows``; ``rows`` passes ones built earlier
-    for the same A, c and at least N samples).
+def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None,
+                     start: int = 0) -> ExactSamples | tuple[float, ...]:
+    """Samples g(start+1)..g(N) of g(t) = c A^(t-1) b, one dot product with b
+    per output row of (A, c) (``output_rows``; ``rows`` passes ones built
+    earlier for the same A, c, which are extended to N rows in place).
 
     A float sample is summed left to right from integer 0 (``sum`` compensates
     float sums from Python 3.12 on), so -0.0 comes out as 0.0.
@@ -155,15 +172,13 @@ def impulse_response(sys: LtiSystem, N: int,
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    if rows is None:
-        rows = output_rows(sys.A, sys.c, N)
-    elif len(rows.rows) < N:
-        raise ValueError("output rows are shorter than the horizon")
+    rows = output_rows(sys.A, sys.c, N) if rows is None else rows.extend(N)
     if sys.backend is Backend.FLOAT:
-        return tuple(reduce(add, map(mul, w, sys.b), 0) for w in rows.rows[:N])
+        return tuple(reduce(add, map(mul, w, sys.b), 0) for w in rows.rows[start:N])
     db = math.lcm(*(x.denominator for x in sys.b))
     b = [x.numerator * (db // x.denominator) for x in sys.b]
-    return ExactSamples(tuple(sum(map(mul, w, b)) for w in rows.rows[:N]), db, rows.dens)
+    return ExactSamples(tuple(sum(map(mul, w, b)) for w in rows.rows[start:N]), db,
+                        rows.dens[start:N])
 
 
 def observability_matrix(A: Matrix, c: Sequence[Num], t: int) -> Matrix:
@@ -411,9 +426,10 @@ class ExtPosAnalysis:
     Holds the samples g(1)..g(horizon), their sign classes (``sign_of``), the
     tail certificate (eigen or minimal-recurrence route; dropped when its
     sign disagrees with the decisive samples) and the notes explaining it.
-    Samples of both strict signs already refute, so such an analysis has no
-    tail and no notes.  ``judge`` turns one analysis into a strict or a
-    non-strict verdict.
+    Samples of both strict signs already refute every requirement, so such an
+    analysis stops at t_bad = max(first positive, first negative): it holds
+    g(1)..g(t_bad) and their signs, no tail and no notes.  ``judge`` turns
+    one analysis into a strict or a non-strict verdict.
     """
 
     n: int
@@ -425,21 +441,51 @@ class ExtPosAnalysis:
     notes: tuple[str, ...]
 
 
+# The first sampling block ends at t = _BLOCK and each later one at _BLOCK
+# times the last end, or at the horizon.  Most systems that stop do so within
+# the first block, and each block costs a fixed set-up (an exact call lifts b
+# to integers), which a system sampled to the horizon pays once per block.
+_BLOCK = 8
+
+
 def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL,
             rows: OutputRows | None = None,
             modes: Callable[[], DominantModes] | None = None) -> ExtPosAnalysis:
     """Sample the impulse response and, unless the samples carry both strict
     signs, certify its tail; ``rows`` and ``modes`` pass what the systems on
     one pair (A, c) share.  ``modes`` is called, once, only when the tail is
-    needed, so samples that already refute build no eigen-decomposition."""
+    needed, so samples that already refute build no eigen-decomposition.
+
+    Samples come in blocks ending at t = 8, 64, 512, ... or the horizon, one
+    ``impulse_response`` call each, and each sample is computed once.  Once
+    both strict signs have shown up the analysis stops at t_bad; every other
+    analysis (zero, identically zero or one-signed samples) runs to the
+    horizon, since its verdict depends on the requirement or on the tail.
+    The output rows are extended only as far as the samples taken.
+    """
     horizon = horizon if horizon is not None else default_horizon(sys.n)
-    g = impulse_response(sys, horizon, rows)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     backend = sys.backend
-    signs = tuple(sign_of(x, backend, tol) for x in (g.nums if backend is Backend.EXACT else g))
-    decisive = {s for s in signs if s}
-    if len(decisive) == 2:
+    exact = backend is Backend.EXACT
+    if rows is None:
+        rows = output_rows(sys.A, sys.c, 1)
+    values, signs, end, both = (), (), 0, False
+    while end < horizon and not both:
+        start, end = end, min(horizon, _BLOCK * end or _BLOCK)
+        block = impulse_response(sys, end, rows, start)
+        block_values = block.nums if exact else block
+        values += block_values
+        signs += tuple(sign_of(x, backend, tol) for x in block_values)
+        both = 1 in signs and -1 in signs
+    if both:
+        t_bad = max(signs.index(1), signs.index(-1)) + 1
+        values, signs = values[:t_bad], signs[:t_bad]
+    g = ExactSamples(values, block.db, rows.dens) if exact else values
+    if both:
         # samples of both strict signs settle every verdict; no tail is needed
         return ExtPosAnalysis(sys.n, backend, horizon, g, signs, None, ())
+    decisive = {s for s in signs if s}
     notes = []
     tail, tail_note = dominant_tail(sys, tol, modes() if modes is not None else None)
     if tail is None and backend is Backend.EXACT:

@@ -90,8 +90,9 @@ class _OperatorContext:
     ``Minors`` of O_n, which gives its rank, its determinant and each c_r (the
     r-minors on rows 1..r); each order's C_r(A); the output rows and the
     eigen-decomposition of each pair (C_r(A), c_r), which all systems of that
-    order share (the decomposition only once an analysis needs a tail); and
-    one analysis per (k, r, beta) compound system."""
+    order share (the rows only as far as an analysis of that order samples,
+    the decomposition only once an analysis needs a tail); and one analysis
+    per (k, r, beta) compound system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
@@ -131,10 +132,10 @@ class _OperatorContext:
         b = _full_order_input(self, r) if beta is None else _minor_trace_input(self, k, r, beta)
         return LtiSystem(self.a_compound(r), b, self.c_compound(r))
 
-    def output_rows(self, r: int) -> OutputRows:
-        """Output rows of (C_r(A), c_r)."""
+    def output_rows(self, r: int, N: int) -> OutputRows:
+        """At least N output rows of (C_r(A), c_r), extended in place."""
         return self._cached(("rows", r), lambda: output_rows(
-            self.a_compound(r), self.c_compound(r), self.horizon))
+            self.a_compound(r), self.c_compound(r), N)).extend(N)
 
     def modes(self, r: int) -> DominantModes:
         return self._cached(("modes", r), lambda: dominant_modes(
@@ -143,7 +144,7 @@ class _OperatorContext:
     def analysis(self, k: int, r: int, beta: IndexTuple | None) -> ExtPosAnalysis:
         return self._cached(("analysis", k, r, beta), lambda: analyse(
             self.system(k, r, beta), self.horizon, self.tol,
-            self.output_rows(r), lambda: self.modes(r)))
+            self.output_rows(r, 1), lambda: self.modes(r)))
 
 
 def _full_order_input(ctx: _OperatorContext, r: int) -> tuple[Num, ...]:
@@ -498,7 +499,7 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     bound = min(applicable) if applicable else None
     # C_1(A) = A and c_1 = c, so the order-1 rows and modes serve (A, b, c)
     sys = LtiSystem(A, tuple(b), tuple(c))
-    g = impulse_response(sys, horizon, ctx.output_rows(1))
+    g = impulse_response(sys, horizon, ctx.output_rows(1, horizon))
     # exact samples carry their signs in their numerators (``ExactSamples``)
     measured = v_minus(g, tol) if A.backend is Backend.FLOAT else v_minus(g.nums)
     tail, _ = dominant_tail(sys, tol, ctx.modes(1))

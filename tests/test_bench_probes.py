@@ -55,6 +55,8 @@ def test_traced_cli_runs_feed_every_hook(tmp_path, capsys):
     finally:
         tracer.uninstall()
     assert tracer.counts["io.trace_rows"] > 0
+    # samples taken outside impulse_response would read 0 here
+    assert tracer.counts["lti.impulse.samples"] > 0
     assert tracer.counts["io.report_bytes"] > 0
     assert [name for name in tracer.counts if name.endswith(".errors")] == []
 

@@ -115,7 +115,7 @@ def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
         fresh.append(run(argv))
     assert shared == fresh
     codes = [code for code, _ in shared]
-    assert codes[:7] == [1, 0, 2, "SystemExit(2)", 0, "SystemExit(0)", 2]
+    assert codes[:7] == [1, 0, 2, "SystemExit(3)", 0, "SystemExit(0)", 2]
 
 
 def test_certify_example1_kpos_traces(tmp_path, capsys):
@@ -358,6 +358,24 @@ def test_out_of_range_arguments_are_input_errors(tmp_path, capsys, argv):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--property", "svb", "--k", "abc"],
+    ["check-matrix", "--property", "zz", "--k", "2"],
+    ["certify", "--k", "2"],
+    ["oracle", "--k", "1.5"],
+])
+def test_usage_errors_are_input_errors(tmp_path, capsys, argv):
+    """argparse's usage errors exit 3, not its own 2, which means inconclusive."""
+    command, *options = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(fixture_path("example2")), *options, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: varsign {command}")
+    assert f"varsign {command}: error: " in captured.err
 
 
 @pytest.mark.parametrize("k, code", [(0, 3), (3, 3), (1, 1), (2, 1)])

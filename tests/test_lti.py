@@ -100,6 +100,8 @@ def test_observability_matrix_validation():
             observability_matrix(wide, c, t)
     # one row needs no power of A, so a non-square A still gives [c]
     assert observability_matrix(wide, c, 1) == Matrix.exact([c])
+    with pytest.raises(SizeMismatchError):
+        output_rows(wide, c, 1).extend(2)
 
 
 def _vecmat_chain(A, c, N):
@@ -141,8 +143,18 @@ def test_float_output_rows_match_the_vecmat_chain():
                 seen["-0.0"] += summed_negative_zero
                 seen["nan"] += math.isnan(y)
                 seen["inf"] += math.isinf(y)
-        assert repr(observability_matrix(A, c, 30).data) == repr(got.rows)
+        assert repr(observability_matrix(A, c, 30).data) == repr(tuple(got.rows))
+        assert repr(_grown_rows(A, c, 30).rows) == repr(got.rows)
     assert all(seen.values()), seen
+
+
+def _grown_rows(A, c, N):
+    """``output_rows`` grown to N rows in uneven steps, as shared rows are."""
+    rows, length = output_rows(A, c, 1), 1
+    for step in (1, 3, 2, 8, N - 1, N):
+        length = max(length, step)
+        assert rows.extend(step) is rows and len(rows.rows) == length
+    return rows
 
 
 @pytest.mark.parametrize("A, c", [
@@ -160,7 +172,9 @@ def test_exact_output_rows_match_the_fraction_chain(A, c):
     dA = math.lcm(*(x.denominator for row in A.data for x in row))
     dc = math.lcm(*(x.denominator for x in c))
     got = output_rows(A, c, 12)
-    assert got.dens == tuple(dc * dA ** t for t in range(12))
+    assert got.dens == [dc * dA ** t for t in range(12)]
+    grown = _grown_rows(A, c, 12)
+    assert grown.rows == got.rows and grown.dens == got.dens
     want = _vecmat_chain(A, c, 12)
     for row, den, ref in zip(got.rows, got.dens, want):
         assert all(type(x) is int for x in row)
@@ -520,9 +534,13 @@ def test_exact_samples_equal_the_fraction_construction(A, b, c, N):
             g[N]
         with pytest.raises(IndexError):
             g[-N - 1]
-        assert [sign_of(u, Backend.EXACT) for u in g.nums] == \
-            [sign_of(x, Backend.EXACT) for x in want]
-        assert analyse(sys, N, rows=rows).signs == tuple(sign_of(x, Backend.EXACT) for x in want)
+        signs = tuple(sign_of(x, Backend.EXACT) for x in want)
+        assert [sign_of(u, Backend.EXACT) for u in g.nums] == list(signs)
+        # the analysis keeps a prefix: up to t_bad when both strict signs occur
+        both = 1 in signs and -1 in signs
+        stop = max(signs.index(1), signs.index(-1)) + 1 if both else N
+        analysis = analyse(sys, N, rows=rows)
+        assert analysis.signs == signs[:stop] and analysis.samples == want[:stop]
 
 
 def _solve_exact_consistent_reference(rows_in, rhs, width):

@@ -17,6 +17,7 @@ from varsign.linalg import (
     inverse,
     lex_tuples,
     minor,
+    sign_of,
 )
 from varsign.lti import (
     ExtPosStatus,
@@ -285,7 +286,7 @@ def test_shared_sampling_matches_per_system_reference():
             sys = ctx.system(*key)
             want = _propagated_impulse_reference(sys, 50)
             for horizon in (1, n, 50):
-                rows = (ctx.output_rows(r) if horizon == 50 else
+                rows = (ctx.output_rows(r, 50) if horizon == 50 else
                         output_rows(ctx.a_compound(r), ctx.c_compound(r), horizon))
                 got = impulse_response(sys, horizon, rows)
                 assert got == want[:horizon], (n, horizon, key)
@@ -293,7 +294,7 @@ def test_shared_sampling_matches_per_system_reference():
                 assert impulse_response(sys, horizon) == got
             # float samples read off the order's shared rows, bit for bit
             fsys = fctx.system(*key)
-            shared = impulse_response(fsys, 50, fctx.output_rows(r))
+            shared = impulse_response(fsys, 50, fctx.output_rows(r, 50))
             assert [repr(x) for x in shared] == [repr(x) for x in impulse_response(fsys, 50)]
             for context, system in ((ctx, sys), (fctx, fsys)):
                 tail = dominant_tail(system, context.tol, context.modes(r))
@@ -301,6 +302,86 @@ def test_shared_sampling_matches_per_system_reference():
                 tails += tail[0] is not None
             systems += 1
     assert systems > 500 and tails > 200
+
+
+def _early_stop_pairs():
+    """Seeded pairs at n = 2..4 and the fixtures' pairs (example3 on both
+    sides), each in exact and in float arithmetic."""
+    rng = random.Random(2710)
+    pairs = [observable_pair(rng, n) for n in (2, 2, 3, 3, 4, 4)]
+    for name in ("example1", "example2", "example3"):
+        sf = load_system_file(fixture_path(name))
+        pairs.append((sf.A, sf.c))
+    pairs.append((sf.A.transpose(), sf.b))
+    for A, c in pairs:
+        yield A, c
+        yield A.to_float(), tuple(map(float, c))
+
+
+def _block_end(t, horizon):
+    """Where the sampling block holding sample t ends: 8, 64, 512, ... or the horizon."""
+    end = 8
+    while end < t:
+        end *= 8
+    return min(end, horizon)
+
+
+def _without_samples(cert):
+    return replace(cert, per_system=[replace(sv, verdict=replace(sv.verdict, samples=None))
+                                     for sv in cert.per_system])
+
+
+@pytest.mark.parametrize("horizon", [5, 50])
+def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
+    """Every analysis holds a prefix of the full-horizon samples, bit for bit:
+    up to t_bad = max(first positive, first negative) when both strict signs
+    occur, else up to the horizon.  Judged strictly or not, and folded into
+    every property at every order, it gives what the full-horizon analysis
+    gives; an order's shared rows end at the block of the last sample taken."""
+    stopped = short_orders = 0
+    for A, c in _early_stop_pairs():
+        n, exact = A.rows, A.backend is Backend.EXACT
+        ctx, ref = (obsv._OperatorContext(A, c, horizon=horizon) for _ in range(2))
+        keys = [(k, r, e.beta) for k in range(1, n + 1) for r in range(1, k + 1)
+                for e in beta_family(n, k)] + [(n, r, None) for r in range(1, n + 1)]
+        taken = {}
+        for key in keys:
+            analysis, sys = ctx.analysis(*key), ctx.system(*key)
+            full = impulse_response(sys, horizon)
+            signs = tuple(sign_of(x, A.backend, ctx.tol) for x in full)
+            t = len(analysis.samples)
+            if exact:
+                assert analysis.samples == full[:t] and analysis.samples.nums == full.nums[:t]
+            else:
+                assert list(map(repr, analysis.samples)) == list(map(repr, full[:t]))
+            assert analysis.signs == signs[:t] and analysis.horizon == horizon
+            if 1 in signs and -1 in signs:
+                assert t == max(signs.index(1), signs.index(-1)) + 1, (A, key)
+                assert analysis.tail is None and analysis.notes == ()
+                reference = replace(analysis, samples=full, signs=signs)
+                stopped += t < horizon
+            else:
+                assert t == horizon, (A, key)
+                reference = analysis
+            for strict in (True, False):
+                got, want = lti.judge(analysis, strict), lti.judge(reference, strict)
+                assert replace(got, samples=None) == replace(want, samples=None)
+                assert got.samples == want.samples[:t]
+            ref._memo[("analysis", *key)] = reference
+            taken.setdefault(key[1], []).append(t)
+        for r, lengths in taken.items():
+            rows = ctx.output_rows(r, 1).rows
+            assert len(rows) == max(_block_end(t, horizon) for t in lengths)
+            short_orders += len(rows) < horizon
+        for k in range(1, n + 1):
+            for prop, strict in (("svb", True), ("vb", True), ("kpos", True), ("kpos", False)):
+                got, want = (obsv._certify(context, prop, k, strict) for context in (ctx, ref))
+                assert _without_samples(got) == _without_samples(want), (A, prop, k)
+            # vd folds the svb or vb certificate of every order j <= k
+            got, want = (obsv._order_certificates(context, k) for context in (ctx, ref))
+            assert list(map(_without_samples, got)) == list(map(_without_samples, want))
+    # a horizon inside the first block leaves no order's rows short of it
+    assert stopped > 250 and (short_orders > 10 if horizon > 8 else short_orders == 0)
 
 
 def test_shared_eigen_note_lands_on_every_system():

@@ -50,31 +50,30 @@ def _echo(value) -> str:
 
 
 def _parse_entry(value, backend: Backend, warned: list[bool]):
+    """A decimal string, int or finite float entry: its exact value as a
+    Fraction, or in float mode that value rounded to a float."""
     if isinstance(value, str):
         try:
             x = Fraction(value)
         except ValueError as exc:
             raise InputFileError(f"cannot parse entry {_echo(value)} as a decimal") from exc
-        if backend is Backend.EXACT:
-            return x
-        try:
-            return float(x)
-        except OverflowError as exc:
-            raise InputFileError(f"entry {_echo(value)} is beyond float range") from exc
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFileError(f"entry {_echo(value)} is not a number or decimal string")
-    if isinstance(value, float):
-        if not math.isfinite(value):  # json.loads accepts NaN and Infinity
-            raise InputFileError(f"entry {_echo(value)} is not a finite number")
-        if not warned[0]:
-            print("warning: float entries in input file; decimal strings are exact",
-                  file=sys.stderr)
-            warned[0] = True
+    else:
+        if isinstance(value, float):
+            if not math.isfinite(value):  # json.loads accepts NaN and Infinity
+                raise InputFileError(f"entry {_echo(value)} is not a finite number")
+            if not warned[0]:
+                print("warning: float entries in input file; decimal strings are exact",
+                      file=sys.stderr)
+                warned[0] = True
+        x = Fraction(value)
     if backend is Backend.EXACT:
-        return Fraction(value)
+        return x
     try:
-        return float(value)
-    except OverflowError as exc:  # a bare JSON integer past the float range
+        # a float's Fraction rounds back to it, except that -0.0 loses its sign
+        return value if type(value) is float else float(x)
+    except OverflowError as exc:  # a string or a bare JSON integer past the float range
         raise InputFileError(f"entry {_echo(value)} is beyond float range") from exc
 
 

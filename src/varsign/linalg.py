@@ -149,17 +149,6 @@ class IndexTuple:
         e = self.elems
         return all(e[i + 1] == e[i] + 1 for i in range(len(e) - 1))
 
-    def lex_rank(self) -> int:
-        """1-based position of this tuple in the lexicographic order of I_{n,r}."""
-        r = len(self.elems)
-        rank = 0
-        prev = 0
-        for i, v in enumerate(self.elems):
-            for c in range(prev + 1, v):
-                rank += math.comb(self.n - c, r - i - 1)
-            prev = v
-        return rank + 1
-
 
 def index_sets(n: int, r: int) -> list[tuple[int, ...]]:
     """All r-subsets of ``1..n`` as plain tuples, in lexicographic order."""
@@ -390,8 +379,10 @@ class Minors:
     Index sets are 1-based tuples.  Exact rows are lifted to integers once,
     each scaled by the lcm of its denominators; each minor is one integer
     Bareiss over the product of its row scales.  Float minors run partial
-    pivoting on the rows as they are.  A minor read twice from one instance
-    is computed once.  ``rank`` runs the same elimination on all the rows.
+    pivoting on the rows as they are.  Every minor is computed by the reader
+    of its row set, so reads may come in any order, from any number of
+    streams at once; a minor that ``stream`` has read is computed once per
+    instance.  ``rank`` runs the same elimination on all the rows.
     """
 
     __slots__ = ("matrix", "_rows", "_scales", "_known")
@@ -410,17 +401,20 @@ class Minors:
         self._rows = [None, *([None, *row] for row in rows)]
         self._known: dict = {}
 
-    def row(self, I, col_sets):
-        """Yield the minor on rows I and each column set of ``col_sets`` in turn,
-        each computed as it is read; nothing is kept."""
+    def _reader(self, I):
+        """The minor on rows I as a function of the column set J; the row
+        block, and in exact arithmetic the product of its scales, is built
+        once."""
         block = [self._rows[i] for i in I]
         if self._scales is None:
-            for J in col_sets:
-                yield _partial_pivot([[row[j] for j in J] for row in block])[1]
-        else:
-            scale = math.prod([self._scales[i] for i in I])
-            for J in col_sets:
-                yield Fraction(_bareiss([[row[j] for j in J] for row in block])[1], scale)
+            return lambda J: _partial_pivot([[row[j] for j in J] for row in block])[1]
+        scale = math.prod([self._scales[i] for i in I])
+        return lambda J: Fraction(_bareiss([[row[j] for j in J] for row in block])[1], scale)
+
+    def row(self, I, col_sets):
+        """The minor on rows I and each column set of ``col_sets`` in turn,
+        each computed as it is read; nothing is kept."""
+        return map(self._reader(I), col_sets)
 
     def rank(self, tol: float = DEFAULT_TOL) -> int:
         """Rank of the matrix; float pivots must exceed ``tol``.  Exact rows
@@ -432,26 +426,24 @@ class Minors:
         """Yield ``((I, J), minor)`` for I in ``row_sets`` and J in ``col_sets``,
         rows outermost; lexicographic sets give lexicographic (I, J) order.
         Each minor is computed only when it is read, and only if no earlier
-        read of this instance computed it.  Each row's pending minors are
-        fixed when the row starts, so a stream must not be resumed after
-        another stream of the same instance has been read."""
+        stream of this instance computed it."""
         known = self._known
         for I in row_sets:
-            fresh = self.row(I, [J for J in col_sets if (I, J) not in known])
+            read = self._reader(I)
             for J in col_sets:
                 key = (I, J)
                 value = known.get(key)
                 if value is None:
-                    value = known[key] = next(fresh)
+                    value = known[key] = read(J)
                 yield key, value
 
 
 def compound(X: Matrix, r: int) -> Matrix:
     """r-th multiplicative compound: all r-minors in lexicographic order.
 
-    Computed minor by minor by ``Minors.row``, the one minor loop that the
-    lazy sign checks read as well; at desk scale C(n,r)^2 small determinants
-    are cheap and there is no need for a fast compound algorithm.
+    Computed minor by minor by ``Minors.row``, through the row reader that
+    the lazy sign checks read as well; at desk scale C(n,r)^2 small
+    determinants are cheap and there is no need for a fast compound algorithm.
     """
     if not 1 <= r <= min(X.rows, X.cols):
         raise RankOutOfRangeError(f"compound order {r} invalid for shape {X.shape}")

@@ -6,16 +6,18 @@ minor certificate, the tail-block transform whose minors enumerate the
 full-width minors of a tall matrix, and decision procedures for
 variation-bounding (VB) and variation-diminishing (VD) matrices.
 
-The checks compute only the minors that decide a verdict.  Minors are read
-lazily from ``linalg.Minors`` in lexicographic (I, J) order, and a family
-stops at its first pair of opposite signs.  In exact arithmetic Fekete's
-criterion comes first: when every consecutive minor of orders 1..p is
-positive, every minor of order <= p is (Fallat & Johnson, *Totally
-Nonnegative Matrices*, 2011, ch. 3), and those orders are judged strictly
-positive without reading any other minor.  Float mode skips that scan, since
-a rounded minor proves nothing.  Each check reads its minors, and the VB
-and VD checks their rank, from one ``Minors``: the exact rows are lifted to
-integers once per check, and no minor is computed twice within a check.
+The checks compute only the minors that decide a verdict.  Each check reads
+its minors, and the VB and VD checks their rank, from one ``linalg.Minors``,
+in any order: its exact rows are lifted once, and no minor is computed twice.
+A family is read in lexicographic (I, J) order and stops at its first pair of
+opposite signs.  In exact arithmetic Fekete's criterion comes first: when
+every consecutive minor of orders 1..p is positive, every minor of order
+<= p is (Fallat & Johnson, *Totally Nonnegative Matrices*, 2011, ch. 3), and
+those orders are judged strictly positive without reading any other minor.
+Float mode skips that scan, since a rounded minor proves nothing.  The VB and
+VD checks return at the first route that decides, and a sign-consistency
+route certifies a one-signed summary, refutes a mixed one by its witness, and
+is otherwise inside tolerance.
 """
 
 from __future__ import annotations
@@ -213,15 +215,13 @@ def consecutive_certificate(X: Matrix, k: int, strict_top: bool = True,
     nonnegative, or positive when ``strict_top``.  Passing certifies that X
     is (strictly) k-positive.
     """
-    if not 1 <= k <= min(X.rows, X.cols):
-        raise RankOutOfRangeError(f"order {k} invalid for shape {X.shape}")
+    _check_order(X, k)
     minors = Minors(X)
     for r in range(1, k + 1):
         summary = classify_family(_consecutive_minors(minors, r), X.backend, tol)
         want_strict = strict_top or r < k
-        ok = (summary.verdict is SignVerdict.STRICTLY_POSITIVE if want_strict
-              else summary.verdict in _POSITIVE_OK)
-        if not ok:
+        ok = {SignVerdict.STRICTLY_POSITIVE} if want_strict else _POSITIVE_OK
+        if summary.verdict not in ok:
             return CertificateResult(
                 False,
                 f"consecutive {r}-minors are not {'positive' if want_strict else 'nonnegative'}",
@@ -371,19 +371,6 @@ class ReducedCheckResult:
     witness: tuple = ()
 
 
-# the strict signs present in a family of each (conclusive) verdict, and the
-# verdicts of families with a zero
-_SIGNS_SEEN = {
-    SignVerdict.MIXED: {1, -1},
-    SignVerdict.STRICTLY_POSITIVE: {1},
-    SignVerdict.NONNEGATIVE: {1},
-    SignVerdict.STRICTLY_NEGATIVE: {-1},
-    SignVerdict.NONPOSITIVE: {-1},
-    SignVerdict.ZERO: set(),
-}
-_HAS_ZERO = {SignVerdict.NONNEGATIVE, SignVerdict.NONPOSITIVE, SignVerdict.ZERO}
-
-
 def reduced_check(X: Matrix, k: int, strict: bool = True,
                   tol: float = DEFAULT_TOL) -> ReducedCheckResult:
     """Evaluate only the reduced family minors of X.
@@ -410,13 +397,13 @@ def reduced_check(X: Matrix, k: int, strict: bool = True,
     relaxed = classify_family(free_vals, X.backend, tol)
     if relaxed.verdict is SignVerdict.INCONCLUSIVE:
         return ReducedCheckResult(SignVerdict.INCONCLUSIVE, None, False, relaxed.witness)
-    if _SIGNS_SEEN[relaxed.verdict] - {eps}:
+    if relaxed.verdict is SignVerdict.MIXED or relaxed.epsilon == -eps:
         # a relaxed-pair minor of strictly opposite sign breaks the family
         return ReducedCheckResult(SignVerdict.MIXED, None, False, relaxed.witness)
-    if relaxed.verdict in _HAS_ZERO:
-        verdict = SignVerdict.NONNEGATIVE if eps == 1 else SignVerdict.NONPOSITIVE
-        return ReducedCheckResult(verdict, eps, True, relaxed.witness)
-    return ReducedCheckResult(base.verdict, eps, True)
+    if relaxed.verdict in _STRICT_OK:
+        return ReducedCheckResult(base.verdict, eps, True)
+    verdict = SignVerdict.NONNEGATIVE if eps == 1 else SignVerdict.NONPOSITIVE
+    return ReducedCheckResult(verdict, eps, True, relaxed.witness)
 
 
 def _witness_text(x) -> str:
@@ -457,6 +444,19 @@ def _all_k_columns_independent(minors: Minors, k: int, tol: float) -> bool:
     return all(rank(X.submatrix(range(1, X.rows + 1), J), tol) == k for J in col_sets)
 
 
+def _route_verdict(name: str, rule: str, s: SignSummary, detail: str = "") -> MatrixPropertyCheck:
+    """A sign-consistency route judged on the summary ``s`` of its minors: one-signed
+    certifies with ``detail``, mixed refutes with its witness, else inside tolerance."""
+    if s.passes(strict=False):
+        return MatrixPropertyCheck(name, Conclusion.CERTIFIED, rule, detail,
+                                   strict=s.verdict in _STRICT_OK)
+    if s.verdict is SignVerdict.MIXED:
+        return MatrixPropertyCheck(name, Conclusion.REFUTED, rule,
+                                   f"conflicting minors {_witness_text(s.witness)}")
+    return MatrixPropertyCheck(name, Conclusion.INCONCLUSIVE, rule,
+                               "compound entries inside tolerance")
+
+
 def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixPropertyCheck:
     """Decide whether X is (k-1)-variation bounding, when a characterization applies.
 
@@ -473,6 +473,9 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     name = f"VB_{k - 1}"
     minors = Minors(X)
     rk = minors.rank(tol)
+    if rk < k < m:  # at k = m the full-width route reports a short rank itself
+        return MatrixPropertyCheck(
+            name, Conclusion.INCONCLUSIVE, "rank below tested order", f"rank={rk} < k={k}")
     p = _fekete_order(minors, k)
     if k == m:
         s = _order_summary(minors, m, p, tol)
@@ -480,67 +483,41 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             return MatrixPropertyCheck(
                 name, Conclusion.CERTIFIED, "strict full-width sign consistency",
                 f"epsilon={s.epsilon:+d}; also strictly variation bounding", strict=True)
-        if rk == m:
-            if s.verdict in (SignVerdict.NONNEGATIVE, SignVerdict.NONPOSITIVE, SignVerdict.ZERO):
-                return MatrixPropertyCheck(
-                    name, Conclusion.CERTIFIED, "full-width sign consistency at full column rank")
-            if s.verdict is SignVerdict.MIXED:
-                return MatrixPropertyCheck(
-                    name, Conclusion.REFUTED, "full-width sign consistency at full column rank",
-                    f"conflicting minors {_witness_text(s.witness)}")
+        if rk < m:
             return MatrixPropertyCheck(
-                name, Conclusion.INCONCLUSIVE, "full-width sign consistency at full column rank",
-                "compound entries inside tolerance")
-        return MatrixPropertyCheck(
-            name, Conclusion.INCONCLUSIVE, "full-width test needs full column rank",
-            f"rank={rk}, verdict={s.verdict.value}")
+                name, Conclusion.INCONCLUSIVE, "full-width test needs full column rank",
+                f"rank={rk}, verdict={s.verdict.value}")
+        return _route_verdict(name, "full-width sign consistency at full column rank", s)
     if rk == k:
+        rule = "rank-k compound column sign test"
         rows = index_sets(n, k)
         # a Fekete order of k leaves every compound column positive
-        col_sets = lex_tuples(m, k) if p < k else []
-        for J in col_sets:
+        for J in lex_tuples(m, k) if p < k else []:
             col = classify_family(minors.stream(rows, [J.elems]), X.backend, tol)
             if col.verdict is SignVerdict.MIXED:
-                return MatrixPropertyCheck(
-                    name, Conclusion.REFUTED, "rank-k compound column sign test",
-                    f"column {J} mixed: {_witness_text(col.witness)}")
+                return MatrixPropertyCheck(name, Conclusion.REFUTED, rule,
+                                           f"column {J} mixed: {_witness_text(col.witness)}")
             if col.verdict is SignVerdict.INCONCLUSIVE:
-                return MatrixPropertyCheck(
-                    name, Conclusion.INCONCLUSIVE, "rank-k compound column sign test",
-                    f"column {J} has values inside tolerance")
+                return MatrixPropertyCheck(name, Conclusion.INCONCLUSIVE, rule,
+                                           f"column {J} has values inside tolerance")
         return MatrixPropertyCheck(
-            name, Conclusion.CERTIFIED, "rank-k compound column sign test",
+            name, Conclusion.CERTIFIED, rule,
             "every compound column is one-signed; bound holds for every input")
-    if k < rk:
-        # every k-minor positive: each k-column set has a nonzero minor
-        if p == k or _all_k_columns_independent(minors, k, tol):
-            s = _order_summary(minors, k, p, tol)
-            if s.passes(strict=False):
-                return MatrixPropertyCheck(
-                    name, Conclusion.CERTIFIED, "sign consistency with independent columns",
-                    f"epsilon={s.epsilon:+d}" if s.epsilon else "", strict=s.verdict in _STRICT_OK)
-            if s.verdict is SignVerdict.MIXED:
-                return MatrixPropertyCheck(
-                    name, Conclusion.REFUTED, "sign consistency with independent columns",
-                    f"conflicting minors {_witness_text(s.witness)}")
-            return MatrixPropertyCheck(
-                name, Conclusion.INCONCLUSIVE, "sign consistency with independent columns",
-                "compound entries inside tolerance")
+    # every k-minor positive: each k-column set has a nonzero minor
+    if p < k and not _all_k_columns_independent(minors, k, tol):
         return MatrixPropertyCheck(
             name, Conclusion.INCONCLUSIVE, "dependent k-column subset",
             "no characterization applies; defer to the sampling oracle")
-    return MatrixPropertyCheck(
-        name, Conclusion.INCONCLUSIVE, "rank below tested order",
-        f"rank={rk} < k={k}")
+    s = _order_summary(minors, k, p, tol)
+    return _route_verdict(name, "sign consistency with independent columns", s,
+                          f"epsilon={s.epsilon:+d}" if s.epsilon else "")
 
 
 def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixPropertyCheck:
     """Decide whether X is (k-1)-variation diminishing where a characterization applies."""
-    n, m = X.rows, X.cols
-    if n < m:
+    if X.rows < X.cols:
         raise RankOutOfRangeError(f"need rows >= cols, got shape {X.shape}")
-    if not 1 <= k <= m:
-        raise RankOutOfRangeError(f"order {k} invalid for {X.shape}")
+    _check_order(X, k)
     name = f"VD_{k - 1}"
     minors = Minors(X)
     p = _fekete_order(minors, k)
@@ -554,23 +531,20 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             name, Conclusion.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
     rk = minors.rank(tol)
-    if rk > k and _all_k_columns_independent(minors, k, tol):
-        # sign regularity of orders 1..k: the orders the positivity route
-        # judged, then the rest
-        for j in range(len(orders) + 1, k + 1):
-            orders[j] = _order_summary(minors, j, p, tol)
-        if all(s.passes(strict=False) for s in orders.values()):
-            return MatrixPropertyCheck(
-                name, Conclusion.CERTIFIED, "sign regularity with independent columns")
-        bad = next((j for j, s in orders.items() if s.verdict is SignVerdict.MIXED), None)
-        if bad is not None:
-            return MatrixPropertyCheck(
-                name, Conclusion.REFUTED, "sign regularity with independent columns",
-                f"order {bad} minors are mixed: {_witness_text(orders[bad].witness)}")
+    if rk <= k or not _all_k_columns_independent(minors, k, tol):
         return MatrixPropertyCheck(
-            name, Conclusion.INCONCLUSIVE, "sign regularity with independent columns",
-            "minor signs inside tolerance")
-    return MatrixPropertyCheck(
-        name, Conclusion.INCONCLUSIVE, "hypothesis not met",
-        f"rank={rk}; need rank > k with every {k} columns independent, "
-        "and the total-positivity route did not apply")
+            name, Conclusion.INCONCLUSIVE, "hypothesis not met",
+            f"rank={rk}; need rank > k with every {k} columns independent, "
+            "and the total-positivity route did not apply")
+    # sign regularity of orders 1..k: the orders the positivity route read, then the rest
+    rule = "sign regularity with independent columns"
+    for j in range(len(orders) + 1, k + 1):
+        orders[j] = _order_summary(minors, j, p, tol)
+    bad = next((j for j, s in orders.items() if s.verdict is SignVerdict.MIXED), None)
+    if bad is not None:
+        return MatrixPropertyCheck(
+            name, Conclusion.REFUTED, rule,
+            f"order {bad} minors are mixed: {_witness_text(orders[bad].witness)}")
+    if all(s.passes(strict=False) for s in orders.values()):
+        return MatrixPropertyCheck(name, Conclusion.CERTIFIED, rule)
+    return MatrixPropertyCheck(name, Conclusion.INCONCLUSIVE, rule, "minor signs inside tolerance")

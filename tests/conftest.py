@@ -54,6 +54,15 @@ def cauchy_exact(rng, n, m):
     return Matrix.exact([[1 / (xi + yj) for yj in y] for xi in x])
 
 
+def tn_band(rng, n, m):
+    """Totally nonnegative n x m matrix with zero minors: lower times upper positive bidiagonal."""
+    L = Matrix.exact([[rng.randint(1, 3) if i - j in (0, 1) else 0 for j in range(n)]
+                      for i in range(n)])
+    U = Matrix.exact([[rng.randint(1, 3) if j - i in (0, 1) else 0 for j in range(m)]
+                      for i in range(n)])
+    return L @ U
+
+
 def observable_pair(rng, n, lo=-3, hi=3, max_den=2):
     while True:
         A = random_exact(rng, n, n, lo, hi, max_den)

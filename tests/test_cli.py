@@ -391,6 +391,51 @@ def test_float_entries_warn(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+_FLOAT_WARNING = "warning: float entries in input file; decimal strings are exact\n"
+
+
+def test_entries_convert_exactly_and_round_once(tmp_path, capsys):
+    """String, int and float entries: their exact values in exact mode, and in
+    float mode the float the value rounds to, bit for bit; a float entry keeps
+    its own bits, -0.0 included.  The float warning is printed once per file."""
+    entries = ["0.1", "-7/3", "9007199254740993", "1e-320", 3, 2 ** 53 + 1, -(10 ** 30),
+               0.1, -2.5e-300, -0.0, 1e308]
+    want = [float("0.1"), -7 / 3, 2.0 ** 53, 1e-320, 3.0, 2.0 ** 53, -1e30,
+            0.1, -2.5e-300, -0.0, 1e308]
+    f = write_json(tmp_path, "m.json", {"matrix": [entries], "c": [1.5] * len(entries)})
+    exact = load_system_file(f, Backend.EXACT).matrix.data[0]
+    assert capsys.readouterr().err == _FLOAT_WARNING
+    assert exact == tuple(Fraction(e) for e in entries)
+    assert {type(x) for x in exact} == {Fraction}
+    floats = load_system_file(f, Backend.FLOAT).matrix.data[0]
+    assert capsys.readouterr().err == _FLOAT_WARNING
+    assert [x.hex() for x in floats] == [x.hex() for x in want]
+    f = write_json(tmp_path, "m.json", {"matrix": [entries[:7]]})
+    load_system_file(f, Backend.FLOAT)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("entry, backend, message", [
+    ("'0.1.2'", Backend.EXACT, "cannot parse entry '0.1.2' as a decimal"),
+    ("'nan'", Backend.FLOAT, "cannot parse entry 'nan' as a decimal"),
+    ("true", Backend.EXACT, "entry True is not a number or decimal string"),
+    ("null", Backend.FLOAT, "entry None is not a number or decimal string"),
+    ("[1]", Backend.EXACT, "entry [1] is not a number or decimal string"),
+    ("NaN", Backend.EXACT, "entry nan is not a finite number"),
+    ("-Infinity", Backend.FLOAT, "entry -inf is not a finite number"),
+    ("'1e400'", Backend.FLOAT, "entry '1e400' is beyond float range"),
+    ("1" + "0" * 400, Backend.FLOAT,
+     "entry 1000000000000000000000000000000000000000... (401 characters) is beyond float range"),
+])
+def test_entry_errors_name_the_entry(tmp_path, capsys, entry, backend, message):
+    f = tmp_path / "bad.json"
+    f.write_text('{"matrix": [["1", %s]]}' % entry.replace("'", '"'))
+    with pytest.raises(varsign.io.InputFileError) as err:
+        load_system_file(f, backend)
+    assert str(err.value) == message
+    assert capsys.readouterr().err == ""
+
+
 def test_render_value_decimals():
     assert render_value(Fraction(157, 200)) == "0.785"
     assert render_value(Fraction(-79, 40)) == "-1.975"

@@ -1,24 +1,24 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from varsign.linalg import (
     Backend,
     IndexOutOfRangeError,
     IndexTuple,
     Matrix,
+    Minors,
     NonSquareError,
     RankOutOfRangeError,
     SingularMatrixError,
     SizeMismatchError,
     compound,
     det,
+    index_sets,
     inverse,
     lex_tuples,
     minor,
@@ -141,35 +141,32 @@ def test_lex_tuples_examples():
         lex_tuples(3, 0)
 
 
-def _lex_unrank(n, r, rank):
-    """Reference inverse of ``IndexTuple.lex_rank``, built tuple by tuple from binomial blocks."""
-    remaining = rank - 1
-    elems = []
-    prev = 0
-    for i in range(r):
-        for c in range(prev + 1, n + 1):
-            block = math.comb(n - c, r - i - 1)
-            if remaining < block:
-                elems.append(c)
-                prev = c
-                break
-            remaining -= block
-    return IndexTuple(n, tuple(elems))
-
-
-@given(st.integers(1, 10), st.data())
-@settings(max_examples=60, deadline=None)
-def test_lex_rank_unrank_roundtrip(n, data):
-    r = data.draw(st.integers(1, n))
-    i = data.draw(st.integers(1, math.comb(n, r)))
-    assert _lex_unrank(n, r, i).lex_rank() == i
-
-
-def test_lex_rank_matches_enumeration_order():
-    for n in range(1, 11):
-        for r in range(1, n + 1):
-            for pos, t in enumerate(lex_tuples(n, r), 1):
-                assert t.lex_rank() == pos
+def test_minor_reads_may_interleave_in_any_order():
+    """Two streams read in turn, with a ``row`` call after each pair of reads,
+    all on one ``Minors``, read every minor as ``minor`` does, exact and float."""
+    X = Matrix.exact([[1, 2, 3], [4, 5, 7], [2, 9, 1], [3, 1, 8]])
+    minors = Minors(X)
+    first = minors.stream([(1, 2)], index_sets(3, 2))
+    assert next(first) == (((1, 2), (1, 2)), -3)
+    assert list(minors.stream([(1, 2)], [(1, 3)])) == [(((1, 2), (1, 3)), -5)]
+    assert list(first) == [(((1, 2), (1, 3)), -5), (((1, 2), (2, 3)), -1)]
+    rng = random.Random(2808)
+    corpus = [X, random_exact(rng, 5, 4), random_exact(rng, 4, 6, 0, 3, 2)]
+    for Y in corpus + [Z.to_float() for Z in corpus]:
+        minors = Minors(Y)
+        for r in range(1, min(Y.shape) + 1):
+            rows, cols = index_sets(Y.rows, r), index_sets(Y.cols, r)
+            # the second stream reads every other column set, so it runs ahead
+            # of the first within each row
+            both = zip_longest(minors.stream(rows, cols), minors.stream(rows, cols[1::2]))
+            reads = []
+            for n, pair in enumerate(both):
+                reads += [read for read in pair if read is not None]
+                I, some = rows[n % len(rows)], cols[n % 2::2]
+                reads += [((I, J), v) for J, v in zip(some, minors.row(I, some))]
+            assert len(reads) > len(rows) * len(cols)
+            for (I, J), v in reads:
+                assert v == minor(Y, I, J), (Y, I, J)
 
 
 def test_index_tuple_validation():

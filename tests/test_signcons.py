@@ -30,7 +30,7 @@ from varsign.signcons import (
     vd_matrix_check,
 )
 
-from conftest import cauchy_exact, random_exact, reverse_columns
+from conftest import cauchy_exact, random_exact, reverse_columns, tn_band
 
 PENA = Matrix.exact([[1, 1], [1, 2], [1, 3], [1, 4]])
 
@@ -332,22 +332,13 @@ def _vd_reference(X, k, tol=1e-9):
         "and the total-positivity route did not apply")
 
 
-def _tn_band(rng, n, m):
-    """Totally nonnegative n x m matrix with zero minors: lower times upper positive bidiagonal."""
-    L = Matrix.exact([[rng.randint(1, 3) if i - j in (0, 1) else 0 for j in range(n)]
-                      for i in range(n)])
-    U = Matrix.exact([[rng.randint(1, 3) if j - i in (0, 1) else 0 for j in range(m)]
-                      for i in range(n)])
-    return L @ U
-
-
 def test_vd_matrix_check_matches_sign_regular_reference():
     rng = random.Random(8101)
     corpus = []
     for n, m in [(5, 3), (6, 4), (7, 5)]:
         corpus += [random_exact(rng, n, m), random_exact(rng, n, m, 0, 3, 2),
                    cauchy_exact(rng, n, m), reverse_columns(cauchy_exact(rng, n, m)),
-                   reverse_columns(_tn_band(rng, n, m))]
+                   reverse_columns(tn_band(rng, n, m))]
     corpus += [X.to_float() for X in corpus[:6]]
     outcomes = set()
     for X in corpus:
@@ -359,7 +350,7 @@ def test_vd_matrix_check_matches_sign_regular_reference():
     assert (Conclusion.CERTIFIED, "sign regularity with independent columns") in outcomes
     assert (Conclusion.REFUTED, "sign regularity with independent columns") in outcomes
     # sign regular with exact zero minors: certified only under the non-strict judgement
-    banded = reverse_columns(_tn_band(rng, 5, 3))
+    banded = reverse_columns(tn_band(rng, 5, 3))
     assert vd_matrix_check(banded, 2).rule == "sign regularity with independent columns"
     assert vd_matrix_check(banded, 2).status is Conclusion.CERTIFIED
 
@@ -367,14 +358,17 @@ def test_vd_matrix_check_matches_sign_regular_reference():
 @pytest.mark.parametrize("check", [vb_matrix_check, vd_matrix_check])
 def test_vb_and_vd_checks_evaluate_each_minor_once(monkeypatch, check):
     evaluated = []
-    row = Minors.row
+    reader = Minors._reader  # the one place a minor is computed
 
-    def counting_row(self, I, col_sets):
-        for J, value in zip(col_sets, row(self, I, col_sets)):
+    def counting_reader(self, I):
+        read = reader(self, I)
+
+        def counted(J):
             evaluated.append((len(I), I, J))
-            yield value
+            return read(J)
+        return counted
 
-    monkeypatch.setattr(Minors, "row", counting_row)
+    monkeypatch.setattr(Minors, "_reader", counting_reader)
     rng = random.Random(3)
     cases = [(random_exact(rng, 8, 6), 3), (reverse_columns(cauchy_exact(rng, 6, 4)), 2),
              (cauchy_exact(rng, 7, 5), 3)]
@@ -595,7 +589,7 @@ def _differential_corpus():
     corpus = []
     for n, m in [(4, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (7, 4)]:
         corpus.append(("cauchy", cauchy_exact(rng, n, m)))
-        corpus.append(("band", _tn_band(rng, n, m)))
+        corpus.append(("band", tn_band(rng, n, m)))
         corpus.append(("reversed", reverse_columns(cauchy_exact(rng, n, m))))
         corpus.append(("random", random_exact(rng, n, m)))
         corpus.append(("random", random_exact(rng, n, m, 0, 3, 2)))

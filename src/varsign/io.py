@@ -158,13 +158,18 @@ def _decimal_text(num: int, twos: int, fives: int) -> str:
     """The shortest decimal of num / (2^twos 5^fives).
 
     With d = max(twos, fives) digits the value is the integer
-    num 5^(d-fives) 2^(d-twos); trailing zeros of its fraction are dropped,
-    so an unreduced numerator prints as its reduced value does.
+    num 5^(d-fives) 2^(d-twos) over 10^d (``_scaled_text``).
     """
     digits = max(twos, fives)
+    return _scaled_text(num * 5 ** (digits - fives) << (digits - twos), digits)
+
+
+def _scaled_text(scaled: int, digits: int) -> str:
+    """The shortest decimal of scaled / 10^digits: trailing zeros of its
+    fraction are dropped, so an unreduced numerator prints as its reduced
+    value does."""
     if digits == 0:
-        return int_text(num)
-    scaled = num * 5 ** (digits - fives) << (digits - twos)
+        return int_text(scaled)
     sign = "-" if scaled < 0 else ""
     body = int_text(abs(scaled)).rjust(digits + 1, "0")
     frac = body[-digits:].rstrip("0")
@@ -182,19 +187,36 @@ def render_value(x) -> str:
 
 
 def _sample_texts(samples):
-    """``render_value`` of each sample.  Exact samples render from their
-    integer numerators when D_b D_c and D_A (``ExactSamples``) are products
-    of 2s and 5s: sample t has the exponents of D_b D_c plus t-1 times those
-    of D_A."""
-    if isinstance(samples, ExactSamples):
-        dens = samples.dens
-        base = _decimal_exponents(samples.db * dens[0])
-        step = _decimal_exponents(dens[1] // dens[0]) if len(dens) > 1 else (0, 0)
-        if base is not None and step is not None:
-            (a, f), (da, df) = base, step
-            return (_decimal_text(num, a + t * da, f + t * df)
-                    for t, num in enumerate(samples.nums))
-    return map(render_value, samples)
+    """``render_value`` of each sample.  Float samples are their ``repr``.
+    Exact samples render from their integer numerators when D_b D_c and D_A
+    (``ExactSamples``) are products of 2s and 5s: sample t has the exponents
+    of D_b D_c plus t-1 times those of D_A (``_decimal_texts``)."""
+    if not isinstance(samples, ExactSamples):
+        return map(repr, samples)
+    dens = samples.dens
+    base = _decimal_exponents(samples.db * dens[0])
+    step = _decimal_exponents(dens[1] // dens[0]) if len(dens) > 1 else (0, 0)
+    if base is None or step is None:
+        return map(render_value, samples)
+    return _decimal_texts(samples.nums, *base, *step)
+
+
+def _decimal_texts(nums, twos: int, fives: int, dtwos: int, dfives: int):
+    """``_decimal_text(num, twos + t dtwos, fives + t dfives)`` of the t-th
+    numerator (from t = 0), with the power of 5 of its scale carried from
+    row to row instead of raised afresh."""
+    power, have = 1, 0  # power = 5^have
+    for num in nums:
+        digits = max(twos, fives)
+        need = digits - fives
+        if need > have:
+            power *= 5 ** (need - have)
+        elif need < have:
+            power //= 5 ** (have - need)
+        have = need
+        yield _scaled_text(num * power << (digits - twos), digits)
+        twos += dtwos
+        fives += dfives
 
 
 def write_traces(out_dir, per_system: list[SystemVerdict], targets: tuple[str, ...]) -> list[str]:

@@ -16,6 +16,9 @@ positive and first negative sample and need no tail.  ``judge`` reads a
 strict or a non-strict verdict off the analysis.  Systems on one pair (A, c)
 that differ only in b can share the output rows, grown as far as their
 samples reach, and the eigen-decomposition (``dominant_modes``).
+
+numpy is imported inside the eigen routes, so a run that takes none of them
+never loads it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
-
-import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
@@ -215,6 +216,8 @@ def real_positive(lam: complex, tol: float) -> bool:
 
 def eigen_sorted(A: Matrix, tie_tol: float = 1e-8) -> tuple[complex, ...]:
     """Full spectrum in ``_order_spectrum``'s order (float computation)."""
+    import numpy as np
+
     if not A.is_square():
         raise NonSquareError("eigenvalues need a square matrix")
     try:
@@ -282,6 +285,8 @@ class DominantModes:
 
 def dominant_modes(A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL) -> DominantModes:
     """The decomposition ``dominant_tail`` needs, up to the input vector."""
+    import numpy as np
+
     try:
         Af = np.array(A.to_float().data, dtype=float)
         cf = np.array([float(x) for x in c], dtype=float)
@@ -311,6 +316,8 @@ def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL,
     ``modes`` passes ``dominant_modes(sys.A, sys.c, tol)`` built earlier,
     so that only the residues are solved for here.
     """
+    import numpy as np
+
     if modes is None:
         modes = dominant_modes(sys.A, sys.c, tol)
     if modes.note:

@@ -39,8 +39,6 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from .linalg import (
     DEFAULT_TOL,
     Backend,
@@ -433,6 +431,8 @@ class EigenScreen:
 
 def eigen_necessary_check(A: Matrix, k: int, tol: float = DEFAULT_TOL,
                           tie_tol: float = 1e-8) -> EigenScreen:
+    import numpy as np  # here, not at the top: only this screen uses it
+
     n = A.rows
     if not 1 <= k <= n:
         raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")

@@ -11,8 +11,9 @@ never certify anything; this module only refutes or corroborates.
 Trials run in blocks of ``_BLOCK``.  Block b is drawn at once, as arrays,
 from one generator seeded with (seed, b), and trial j of the block is row j
 of that draw; the last block is drawn whole and sliced, so a trial's input
-does not depend on the trial count.  ``replay_trial`` regenerates the block
-and reads the row.
+does not depend on the trial count.  ``replay_trial`` regenerates the block,
+or reuses the one it replayed last, and reads the row; a search always draws
+afresh.
 
 Both searches are one ``_search`` on a matrix M: the bare matrix X, or for
 the operator O_H = ``observability_matrix(A, c, horizon)``, whose rows
@@ -28,14 +29,16 @@ Each block is judged at once on its int8 matrix of output signs (entries
 inside the float tolerance and NaN sign as 0, as ``variation`` signs them):
 v- and v+ of every column are counted with array operations (``_variations``),
 and only the trials whose variation reaches k go to ``_judge``, in order.
+
+The package imports this module eagerly, so numpy is imported inside the
+functions that use it: a run that searches nothing never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .linalg import DEFAULT_TOL, Matrix, NonSquareError
 from .lti import default_horizon, observability_matrix
@@ -61,6 +64,8 @@ def sample_bounded_variation(m: int, k: int, rng: np.random.Generator,
     zero gets its first segment's sign and first magnitude at a random
     position.
     """
+    import numpy as np
+
     if not 0 <= k <= m - 1:
         raise ValueError(f"need 0 <= k <= m-1, got m={m}, k={k}")
     breaks = rng.integers(0, k + 1, size)
@@ -116,6 +121,8 @@ def _judge(trial: int, u, vm: int, vp: int, k: int, near: bool,
 def _draw_block(m: int, k: int, seed: int, block: int) -> np.ndarray:
     """The inputs of every trial of block ``block``, one row each: at most
     k-1 sign changes, ``_BLOCK`` rows whatever the trial count."""
+    import numpy as np
+
     return sample_bounded_variation(m, k - 1, np.random.default_rng([seed, block]), _BLOCK)
 
 
@@ -130,6 +137,8 @@ def _variations(Y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     first and after the last nonzero sign; so v+ is rows - 1 less the number
     of such pairs.
     """
+    import numpy as np
+
     signs = (Y > tol).astype(np.int8) - (Y < -tol).astype(np.int8)
     rows = np.arange(signs.shape[0], dtype=np.int32)[:, None]
     nonzero = signs != 0
@@ -148,6 +157,8 @@ def _variations(Y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 def _outputs(M: np.ndarray, us: np.ndarray) -> np.ndarray:
     """M u for every row u of ``us``, one column each, summed left to right
     from 0 one column of M at a time; -0.0 comes out as 0.0."""
+    import numpy as np
+
     Y = np.zeros((M.shape[0], len(us)))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give
         for j in range(M.shape[1]):
@@ -159,6 +170,8 @@ def _search(M: np.ndarray, k: int, trials: int, seed: int, tol: float) -> Oracle
     """Judge M u for ``trials`` inputs u with at most k-1 sign changes,
     ``_BLOCK`` at a time; a block's trials whose output variation reaches k
     go to ``_judge`` in trial order."""
+    import numpy as np
+
     report = OracleReport(trials, k, seed)
     for block, first in enumerate(range(0, trials, _BLOCK)):
         us = _draw_block(M.shape[1], k, seed, block)[:trials - first]
@@ -173,6 +186,8 @@ def _search(M: np.ndarray, k: int, trials: int, seed: int, tol: float) -> Oracle
 def falsify_matrix_vb(X: Matrix, k: int, trials: int = 1000, seed: int = 0,
                       tol: float = DEFAULT_TOL) -> OracleReport:
     """Search for inputs with v-(u) <= k-1 whose image has variation >= k."""
+    import numpy as np
+
     if not 1 <= k <= X.cols:
         raise ValueError(f"need 1 <= k <= cols, got k={k}")
     return _search(np.array(X.to_float().data, dtype=float), k, trials, seed, tol)
@@ -184,6 +199,8 @@ def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int | None = No
     """Search for initial states with v-(x0) <= k-1 whose output sequence
     (c A^(t-1) x0) over the horizon has variation >= k.  The horizon defaults
     to ``default_horizon(n)``, the one a certificate samples."""
+    import numpy as np
+
     n = A.rows
     if horizon is None:
         horizon = default_horizon(n)
@@ -201,7 +218,15 @@ def replay_trial(m: int, k: int, seed: int, trial: int) -> tuple[float, ...]:
     regenerating its block.
 
     ``k`` is the order an ``OracleReport`` carries: the trial's input has at
-    most k-1 sign changes.
+    most k-1 sign changes.  The last block replayed is kept, so replaying the
+    trials of one block in turn draws it once.
     """
     block, row = divmod(trial, _BLOCK)
-    return tuple(_draw_block(m, k, seed, block)[row].tolist())
+    return tuple(_replayed_block(m, k, seed, block, _BLOCK)[row].tolist())
+
+
+@lru_cache(maxsize=1)
+def _replayed_block(m: int, k: int, seed: int, block: int, size: int) -> np.ndarray:
+    """``_draw_block(m, k, seed, block)``, kept for the last key; ``size`` is
+    ``_BLOCK`` at the call, so a block of another size is drawn afresh."""
+    return _draw_block(m, k, seed, block)

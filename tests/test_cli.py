@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import random
 import sys
 from dataclasses import asdict
@@ -14,7 +15,7 @@ from varsign.cli import main
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file, render_value, write_traces
 from varsign.linalg import Backend, Matrix
-from varsign.lti import LtiSystem, impulse_response
+from varsign.lti import ExactSamples, LtiSystem, impulse_response
 from varsign.obsv import certify_k_positive
 from varsign.oracle import falsify_matrix_vb, falsify_operator_vb
 
@@ -593,6 +594,33 @@ def test_write_traces_matches_csv_writer_reference(tmp_path):
     for (_, r, _), rows in blocks.items():
         name = f"trace_r{r}_betafull.csv"
         assert block_bytes(rows) == (want / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("step", [(0, 0), (1, 1), (2, 1), (1, 2), (0, 3)])
+@pytest.mark.parametrize("base", [(0, 0), (3, 0), (0, 3), (2, 5), (6, 1)])
+def test_sample_texts_match_render_value(step, base):
+    """The carried-scale rendering of exact samples equals ``render_value``
+    on each reduced sample: numerators zero, negative, unreduced and longer
+    than ``int_text``'s 2000-bit split, denominators 2^a 5^f D_A^(t-1) with
+    D_A = 2^da 5^df."""
+    rng = random.Random(f"{step}{base}")
+    (da, df), (a, f) = step, base
+    nums = [0, 1, -1, 10 ** 6, -(5 ** 40), 2 ** 2100 + 1, -(3 ** 1400), 7 * 10 ** 700]
+    nums += [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 60, 2500))) for _ in range(40)]
+    dens = tuple(2 ** (a + t * da) * 5 ** (f + t * df) for t in range(len(nums) + 3))
+    for db in (1, 2 ** a, 5 ** f):
+        samples = ExactSamples(tuple(nums), db, tuple(d // db for d in dens))
+        texts = list(varsign.io._sample_texts(samples))
+        assert texts == [render_value(x) for x in samples]
+    # a factor 3 in D_A falls back to render_value, p/q literals included
+    odd = ExactSamples(tuple(nums), 1, tuple(3 ** t * d for t, d in enumerate(dens)))
+    assert list(varsign.io._sample_texts(odd)) == [render_value(x) for x in odd]
+
+
+def test_sample_texts_of_floats_are_their_repr():
+    g = (-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300, -2.5e300, 0.1, 1.0)
+    assert list(varsign.io._sample_texts(g)) == [render_value(x) for x in g]
+    assert list(varsign.io._sample_texts(g))[:5] == ["-0.0", "0.0", "inf", "-inf", "nan"]
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", '"1e400"'])

@@ -1,0 +1,89 @@
+"""A cold call loads numpy only where an eigen route or the oracle runs.
+
+One fresh interpreter, with ``src`` on ``PYTHONPATH``, imports varsign,
+resolves every public name and runs exact and float ``check-matrix``
+without loading numpy; the same process then runs an exact ``certify``
+that needs an eigen tail, and an ``oracle`` search, which load it and must
+give what they give in this process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from varsign.cli import main
+from varsign.fixtures import path as fixture_path
+
+from test_public_api import PUBLIC_NAMES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHECK_MATRIX = [
+    ["check-matrix", str(fixture_path(name)), "--property", prop, "--k", "2", "--arith", arith]
+    for name, props in (("pena", ("ssc", "vb", "vd")), ("example2", ("sc", "sr", "tp")))
+    for prop in props for arith in ("exact", "float")
+]
+# example2 certifies svb at k = 2 through eigen tails; the oracle refutes k = 1
+LOADING = [
+    ["certify", str(fixture_path("example2")), "--property", "svb", "--k", "2"],
+    ["oracle", str(fixture_path("example2")), "--k", "1", "--trials", "1000", "--seed", "0"],
+]
+
+_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+names, check_matrix, loading, out = json.loads(sys.argv[1])
+loaded = {}
+
+def step(label):
+    loaded[label] = "numpy" in sys.modules
+
+def run(argv, i):
+    target = str(Path(out) / str(i))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = varsign.cli.main(argv + ["--out", target])
+    report = (Path(target) / "report.json").read_text()
+    return [code, buf.getvalue(), report]
+
+import varsign
+step("import varsign")
+for name in names:
+    getattr(varsign, name)
+step("public names")
+import varsign.cli
+step("import varsign.cli")
+cold = [run(argv, i) for i, argv in enumerate(check_matrix)]
+step("check-matrix")
+warm = []
+for i, argv in enumerate(loading):
+    warm.append(run(argv, len(check_matrix) + i))
+    step(argv[0])
+print(json.dumps({"loaded": loaded, "cold": cold, "warm": warm}))
+"""
+
+
+def _in_process(argv, out, capsys):
+    capsys.readouterr()
+    code = main(argv + ["--out", str(out)])
+    return [code, capsys.readouterr().out, (out / "report.json").read_text()]
+
+
+def test_cold_path_loads_no_numpy(tmp_path, capsys):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    payload = json.dumps([PUBLIC_NAMES, CHECK_MATRIX, LOADING, str(tmp_path / "fresh")])
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, payload], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["loaded"] == {"import varsign": False, "public names": False,
+                             "import varsign.cli": False, "check-matrix": False,
+                             "certify": True, "oracle": True}
+    runs = CHECK_MATRIX + LOADING
+    want = [_in_process(argv, tmp_path / "here" / str(i), capsys) for i, argv in enumerate(runs)]
+    assert got["cold"] + got["warm"] == want
+    assert [code for code, _, _ in want[-2:]] == [0, 1]

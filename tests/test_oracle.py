@@ -1,4 +1,3 @@
-import functools
 import math
 from fractions import Fraction
 
@@ -116,6 +115,32 @@ def test_reports_reproducible():
         assert replay_trial(2, r1.k, 7, v.trial) == v.u
 
 
+def test_replay_draws_a_block_once(monkeypatch):
+    """Replaying every trial of one block draws it once and gives its rows;
+    a search, another block and another block size draw afresh."""
+    m, k, seed = 3, 2, 11
+    expected = [tuple(row) for row in oracle._draw_block(m, k, seed, 1).tolist()]
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return sample_bounded_variation(*args)
+
+    monkeypatch.setattr(oracle, "sample_bounded_variation", counted)
+    oracle._replayed_block.cache_clear()
+    first = oracle._BLOCK
+    assert [replay_trial(m, k, seed, first + j) for j in range(first)] == expected
+    assert len(draws) == 1
+    falsify_matrix_vb(Matrix.floating([[1.0, 2.0, 3.0]] * 4), k, trials=first, seed=seed)
+    assert len(draws) == 2
+    assert replay_trial(m, k, seed, first + 5) == expected[5] and len(draws) == 2
+    replay_trial(m, k, seed, 0)
+    assert len(draws) == 3
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    replay_trial(m, k, seed, 0)
+    assert len(draws) == 4
+
+
 def test_falsify_operator_example_systems():
     A1 = Matrix.exact([["-1.20", "-1.50", "-1.88"], ["1.51", "1.75", "1.88"],
                        ["-0.16", "-0.01", "0.40"]])
@@ -223,26 +248,12 @@ def _reference_judge(trial, u, y, k, tol, report):
             report.violations.append(Violation(trial, tuple(u), vm, vp, strict_only=vm < k))
 
 
-@functools.lru_cache(maxsize=8)
-def _memo_block(m, k, seed, block, size):
-    """``oracle._draw_block``, kept per (m, k, seed, block, ``_BLOCK``)."""
-    assert size == oracle._BLOCK
-    return oracle._draw_block(m, k, seed, block)
-
-
-def _reference_input(m, k, seed, trial):
-    """A trial's input as ``replay_trial`` gives it, from a memo of its block:
-    redrawing the block for every trial would dominate the per-trial loops."""
-    block, row = divmod(trial, oracle._BLOCK)
-    return tuple(_memo_block(m, k, seed, block, oracle._BLOCK)[row].tolist())
-
-
 def _per_trial_operator(A, c, k, horizon, trials, seed, tol=DEFAULT_TOL):
     """Reference: the operator oracle as one impulse_response per trial."""
     Af, cf = A.to_float(), tuple(float(x) for x in c)
     report = OracleReport(trials, k, seed)
     for trial in range(trials):
-        x0 = _reference_input(A.rows, k, seed, trial)
+        x0 = replay_trial(A.rows, k, seed, trial)
         _reference_judge(trial, x0, impulse_response(LtiSystem(Af, x0, cf), horizon), k, tol, report)
     return report
 
@@ -252,7 +263,7 @@ def _per_trial_matrix(X, k, trials, seed, tol=DEFAULT_TOL):
     Xf = np.array(X.to_float().data, dtype=float)
     report = OracleReport(trials, k, seed)
     for trial in range(trials):
-        u = _reference_input(X.cols, k, seed, trial)
+        u = replay_trial(X.cols, k, seed, trial)
         _reference_judge(trial, u, tuple(float(v) for v in Xf @ np.asarray(u)), k, tol, report)
     return report
 

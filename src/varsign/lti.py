@@ -28,7 +28,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add, mul
 
 from .linalg import (
@@ -74,6 +74,18 @@ class LtiSystem:
     @property
     def backend(self) -> Backend:
         return self.A.backend
+
+    @cached_property
+    def _lifted_b(self) -> tuple[int, tuple[int, ...]]:
+        """(D_b, D_b b) of an exact system, lifted once however many blocks
+        ``impulse_response`` samples it in."""
+        return _lift(self.b)
+
+
+def _lift(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(D, D x) for exact x, D the lcm of the denominators of its entries."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
 def default_horizon(n: int) -> int:
@@ -127,9 +139,8 @@ def output_rows(A: Matrix, c: Sequence[Num], N: int) -> OutputRows:
         cols, w, dc, dA = list(zip(*A.data)), tuple(c), None, 1
     else:
         dA = math.lcm(*(x.denominator for row in A.data for x in row))
-        dc = math.lcm(*(x.denominator for x in c))
+        dc, w = _lift(c)
         cols = list(zip(*([x.numerator * (dA // x.denominator) for x in row] for row in A.data)))
-        w = tuple(x.numerator * (dc // x.denominator) for x in c)
     return OutputRows(w, cols if A.is_square() else None, dc, dA).extend(N)
 
 
@@ -169,15 +180,14 @@ def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None,
     float sums from Python 3.12 on), so -0.0 comes out as 0.0.
     An exact sample is kept as its integer numerator (``ExactSamples``): with
     D_b the lcm of the denominators of b, g(t) = w_t (D_b b) / (D_b D_c
-    D_A^(t-1)).
+    D_A^(t-1)); D_b b is computed once per system.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
     rows = output_rows(sys.A, sys.c, N) if rows is None else rows.extend(N)
     if sys.backend is Backend.FLOAT:
         return tuple(reduce(add, map(mul, w, sys.b), 0) for w in rows.rows[start:N])
-    db = math.lcm(*(x.denominator for x in sys.b))
-    b = [x.numerator * (db // x.denominator) for x in sys.b]
+    db, b = sys._lifted_b
     return ExactSamples(tuple(sum(map(mul, w, b)) for w in rows.rows[start:N]), db,
                         rows.dens[start:N])
 
@@ -450,8 +460,8 @@ class ExtPosAnalysis:
 
 # The first sampling block ends at t = _BLOCK and each later one at _BLOCK
 # times the last end, or at the horizon.  Most systems that stop do so within
-# the first block, and each block costs a fixed set-up (an exact call lifts b
-# to integers), which a system sampled to the horizon pays once per block.
+# the first block, and each block costs a fixed set-up, which a system sampled
+# to the horizon pays once per block.
 _BLOCK = 8
 
 

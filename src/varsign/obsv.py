@@ -28,7 +28,9 @@ column of C_r(O_n^{-1}).
 One engine serves every property: the pair's ``_OperatorContext`` analyses
 each compound system once (``lti.analyse``), and ``_certify`` judges the
 analyses under a property's requirement list (``_rules``), also across the
-orders of ``certify_vd`` and ``impulse_variation_bound``.  Controllability
+orders of ``certify_vd`` and ``impulse_variation_bound``, which keep svb
+only where it passes.  A refuted certificate ends at its witness, the first
+system in report order whose samples break the family sign.  Controllability
 certificates run the same engine on the transposed pair, and a Hankel
 operator inherits a sufficient certificate from its two factors.
 """
@@ -278,20 +280,17 @@ def _rules(prop: str, n: int, k: int, strict: bool = True):
     return name, requirements, None, not relax
 
 
-def _witness(rows, forced_sign: int | None) -> str | None:
-    """Note on the first system whose trace refutes: a decisive sample against
-    the forced sign or the sign seen first, else a violated trace."""
-    ref = forced_sign
-    for sv, signs, _ in rows:
-        v = sv.verdict
-        ref = ref or v.sample_sign
-        if ref and -ref in signs:
-            t = signs.index(-ref) + 1
-            return (f"system {sv.label()}: {v.status.value}, "
-                    f"g({t}) = {scalar_text(v.samples[t - 1])} "
-                    f"against the {'forced ' if forced_sign else ''}family sign {ref:+d}")
-        if v.status is ExtPosStatus.VIOLATED:
-            return f"system {sv.label()}: violated at t={v.first_violation[0]} ({v.notes[-1]})"
+def _witness(sv: SystemVerdict, signs, ref: int | None, forced: int | None) -> str | None:
+    """Note when one system's trace refutes under the running family sign ref:
+    a decisive sample against ref, else a violated trace."""
+    v = sv.verdict
+    if ref and -ref in signs:
+        t = signs.index(-ref) + 1
+        return (f"system {sv.label()}: {v.status.value}, "
+                f"g({t}) = {scalar_text(v.samples[t - 1])} "
+                f"against the {'forced ' if forced else ''}family sign {ref:+d}")
+    if v.status is ExtPosStatus.VIOLATED:
+        return f"system {sv.label()}: violated at t={v.first_violation[0]} ({v.notes[-1]})"
     return None
 
 
@@ -306,25 +305,26 @@ def _shortfall(sv: SystemVerdict, signs, lead: int, eps: int | None) -> str | No
 
 
 def _certify(ctx: _OperatorContext, prop: str, k: int, strict: bool = True) -> Certificate:
-    """Judge every system the property requires and fold the verdicts.
+    """Judge the required systems in report order and fold their verdicts.
 
     The family sign is the forced sign or, without one, the sign of the first
-    strictly required system with a strict verdict.  A refuting property
-    refutes on the first witness; otherwise the operator is certified when
-    every system meets its requirement and inconclusive when one does not.
-    Under a strict requirement ``judge`` gives a sign only to a strict verdict.
+    strictly required system with a strict verdict.  A refuting property stops
+    at the first witness, so a refuted certificate lists and analyses only the
+    systems up to it.  Otherwise the operator is certified when every system
+    meets its requirement and inconclusive when one does not.  Under a strict
+    requirement ``judge`` gives a sign only to a strict verdict.
     """
     name, requirements, forced_sign, may_refute = _rules(prop, ctx.n, k, strict)
-    rows = []
+    rows, ref = [], forced_sign
     for j, r, beta, want_strict, lead in requirements:
         analysis = ctx.analysis(j, r, beta)
         sv = SystemVerdict(r, j, beta, not want_strict, judge(analysis, want_strict))
         rows.append((sv, analysis.signs, lead))
+        ref = ref or sv.verdict.sample_sign
+        if may_refute and (witness := _witness(sv, analysis.signs, ref, forced_sign)):
+            return Certificate(name, "observability", Conclusion.REFUTED, None,
+                               [sv for sv, _, _ in rows], ctx.horizon, [witness])
     per = [sv for sv, _, _ in rows]
-    witness = _witness(rows, forced_sign) if may_refute else None
-    if witness:
-        return Certificate(name, "observability", Conclusion.REFUTED, None, per, ctx.horizon,
-                           [witness])
     eps = forced_sign
     if eps is None:
         eps = next((sv.verdict.sign for sv in per if not sv.relaxed and sv.verdict.sign), None)

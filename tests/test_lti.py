@@ -543,6 +543,30 @@ def test_exact_samples_equal_the_fraction_construction(A, b, c, N):
         assert analysis.signs == signs[:stop] and analysis.samples == want[:stop]
 
 
+def test_exact_input_is_lifted_once_per_system(monkeypatch):
+    """Samples taken in blocks hold the numerators, D_b and denominators of one
+    call's samples, and a system lifts b to D_b b once however many blocks
+    sample it: here two blocks by hand, then ``analyse``, whose one-signed
+    samples run to the horizon in blocks ending at t = 8 and 50."""
+    A, c = Matrix.exact([["1/2", "1/10"], ["0", "1/4"]]), ("1/3", 1)
+    inputs = [("1/3", "2/7"), ("5/6", "1/9"), (1, 0)]
+    want = [impulse_response(LtiSystem(A, b, c), 50) for b in inputs]
+    lifts, lift = [], lti._lift
+    monkeypatch.setattr(lti, "_lift", lambda xs: lifts.append(tuple(xs)) or lift(xs))
+    rows = output_rows(A, c, 1)
+    assert lifts == [(Fraction(1, 3), 1)]  # c, once for the pair
+    lifts.clear()
+    for b, one in zip(inputs, want):
+        sys = LtiSystem(A, b, c)
+        blocks = [impulse_response(sys, end, rows, start) for start, end in ((0, 8), (8, 50))]
+        assert tuple(x for block in blocks for x in block.nums) == one.nums
+        assert [block.db for block in blocks] == [one.db] * 2
+        assert [d for block in blocks for d in block.dens] == one.dens
+        g = analyse(LtiSystem(A, b, c), 50, rows=rows).samples
+        assert len(g) == 50 and (g.nums, g.db, g.dens) == (one.nums, one.db, one.dens)
+    assert lifts == [LtiSystem(A, b, c).b for b in inputs for _ in range(2)]
+
+
 def _solve_exact_consistent_reference(rows_in, rhs, width):
     """Particular exact solution of M a = y by Fraction Gauss–Jordan
     elimination, or None when inconsistent (the solver of the old fit)."""

@@ -17,6 +17,7 @@ from varsign.linalg import (
     inverse,
     lex_tuples,
     minor,
+    rank,
     sign_of,
 )
 from varsign.lti import (
@@ -31,8 +32,10 @@ from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file
 import varsign.obsv as obsv
 from varsign.obsv import (
+    Certificate,
     Conclusion,
     NotObservableError,
+    SystemVerdict,
     beta_family,
     certify_controllability,
     certify_hankel,
@@ -384,6 +387,115 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
     assert stopped > 250 and (short_orders > 10 if horizon > 8 else short_orders == 0)
 
 
+def _witness_full_scan(rows, forced_sign):
+    """(note, index) of the first refuting system of a fully judged list: the
+    witness search as it ran before ``_certify`` stopped at the witness."""
+    ref = forced_sign
+    for at, (sv, signs, _) in enumerate(rows):
+        v = sv.verdict
+        ref = ref or v.sample_sign
+        if ref and -ref in signs:
+            t = signs.index(-ref) + 1
+            return (f"system {sv.label()}: {v.status.value}, "
+                    f"g({t}) = {obsv.scalar_text(v.samples[t - 1])} "
+                    f"against the {'forced ' if forced_sign else ''}family sign {ref:+d}"), at
+        if v.status is ExtPosStatus.VIOLATED:
+            return (f"system {sv.label()}: violated at t={v.first_violation[0]} "
+                    f"({v.notes[-1]})"), at
+    return None, None
+
+
+def _certify_full_scan(ctx, prop, k, strict):
+    """``_certify`` as it ran before refutations stopped at their witness:
+    every required system is analysed and judged before the witness search.
+    Returns the certificate, the witness index (None without one) and the
+    number of required systems."""
+    name, requirements, forced_sign, may_refute = obsv._rules(prop, ctx.n, k, strict)
+    rows = []
+    for j, r, beta, want_strict, lead in requirements:
+        analysis = ctx.analysis(j, r, beta)
+        sv = SystemVerdict(r, j, beta, not want_strict, lti.judge(analysis, want_strict))
+        rows.append((sv, analysis.signs, lead))
+    per = [sv for sv, _, _ in rows]
+    witness, at = _witness_full_scan(rows, forced_sign) if may_refute else (None, None)
+    if witness:
+        return (Certificate(name, "observability", Conclusion.REFUTED, None, per, ctx.horizon,
+                            [witness]), at, len(rows))
+    eps = forced_sign
+    if eps is None:
+        eps = next((sv.verdict.sign for sv in per if not sv.relaxed and sv.verdict.sign), None)
+    problem = next(filter(None, (obsv._shortfall(sv, signs, lead, eps)
+                                 for sv, signs, lead in rows)), None)
+    conclusion = Conclusion.INCONCLUSIVE if problem else Conclusion.CERTIFIED
+    return (Certificate(name, "observability", conclusion, eps, per, ctx.horizon,
+                        [problem] if problem else []), None, len(rows))
+
+
+def _refute_stop_triples():
+    """(A, b, c) with both (A, c) and (A^T, b) observable: seeded exact
+    triples at n = 3 and 4 with p/q entries, and the fixtures (b = c on
+    example1 and example2), each in exact and in float arithmetic."""
+    rng = random.Random(3003)
+    triples = []
+    for n in (3, 3, 3, 4, 4):
+        while True:
+            A, c = observable_pair(rng, n)
+            b = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+            if rank(observability_matrix(A.transpose(), b, n)) == n:
+                break
+        triples.append((A, b, c))
+    for name in ("example1", "example2", "example3"):
+        sf = load_system_file(fixture_path(name))
+        triples.append((sf.A, sf.b if sf.b is not None else sf.c, sf.c))
+    for A, b, c in triples:
+        yield A, b, c
+        yield A.to_float(), tuple(map(float, b)), tuple(map(float, c))
+
+
+def test_refuting_certificates_stop_at_the_full_scan_witness(monkeypatch):
+    """Against the full scan, the fold that stops at its witness reaches the
+    same conclusion, notes and family sign for svb and kpos (strict and
+    non-strict) at every order, on the obsv and ctrb sides and on both
+    Hankel factors; ``per_system`` is the full scan's list up to and
+    including the witness, and no system after it is analysed."""
+    analysed = []
+    analyse = obsv.analyse
+    monkeypatch.setattr(obsv, "analyse", lambda sys, *args: analysed.append(sys) or
+                        analyse(sys, *args))
+    seen = {"refuted": 0, "last": 0, "sample sign": 0, "violated": 0, "certified": 0}
+
+    def check(got, A, c, prop, k, strict):
+        """The number of systems ``got`` lists, checked against the full scan."""
+        want, at, required = _certify_full_scan(obsv._OperatorContext(A, c), prop, k, strict)
+        if prop == "kpos" and want.passed():
+            want.notes.append("operator is order-preserving variation diminishing "
+                              f"of order {k - 1}")
+        assert (got.property_name, got.conclusion, got.notes, got.common_sign, got.horizon) == \
+            (want.property_name, want.conclusion, want.notes, want.common_sign, want.horizon)
+        listed = required if at is None else at + 1
+        assert got.per_system == want.per_system[:listed], (A, prop, k, strict)
+        if at is not None:
+            seen["refuted"] += 1
+            seen["last"] += at == required - 1
+            seen["sample sign"] += "against the family sign" in got.notes[0]
+            seen["violated"] += "violated at t=" in got.notes[0]
+        seen["certified"] += got.passed()
+        return listed
+
+    for A, b, c in _refute_stop_triples():
+        for k in range(1, A.rows + 1):
+            for prop, strict in (("svb", True), ("kpos", True), ("kpos", False)):
+                for A_side, c_side in ((A, c), (A.transpose(), b)):
+                    analysed.clear()
+                    cert = certify_observability(A_side, c_side, k, prop, strict=strict)
+                    assert len(analysed) == check(cert, A_side, c_side, prop, k, strict)
+                analysed.clear()
+                obs, ctrb = certify_hankel(A, b, c, k, prop, strict=strict).parts
+                assert len(analysed) == (check(obs, A, c, prop, k, strict) + check(
+                    replace(ctrb, target="observability"), A.transpose(), b, prop, k, strict))
+    assert all(count > 0 for count in seen.values()), seen
+
+
 def test_shared_eigen_note_lands_on_every_system():
     """A note of an order's shared eigen step reaches each of its systems."""
     cases = [(Matrix.exact([["1e400", "0"], ["1", "0.5"]]), "exceeds float range"),
@@ -610,11 +722,13 @@ def _dense_tenths_pair(seed, n):
     return A, tuple(Fraction(rng.randint(1, 9), 10) for _ in range(n))
 
 
-@pytest.mark.parametrize("seed,tails", [(0, 7), (1, 11), (2, 4)])
-def test_tail_work_only_on_systems_not_refuted_by_samples(monkeypatch, seed, tails):
+@pytest.mark.parametrize("seed,witness,tails", [(0, 2, 7), (1, 2, 11), (2, 3, 4)])
+def test_tail_work_only_on_systems_not_refuted_by_samples(monkeypatch, seed, witness, tails):
     """Samples of both strict signs refute a system without a tail: dense
-    pairs at n = 4, k = 3 try the tail of only the 7, 11 and 4 of their 12
-    systems whose samples are one-signed."""
+    pairs at n = 4, k = 3 refute SVB_2 at their 2nd, 2nd and 3rd system,
+    analysing none after it, and try the tail of each listed one-signed
+    system; VB_2, which never refutes, analyses all 12 and tries the tail of
+    only the 7, 11 and 4 whose samples are one-signed."""
     tail_calls, fitted = [], []
     tail, fit = lti.dominant_tail, lti.minimal_recurrence_system
 
@@ -626,16 +740,19 @@ def test_tail_work_only_on_systems_not_refuted_by_samples(monkeypatch, seed, tai
         fitted.append(samples)
         return fit(sys, samples)
 
-    monkeypatch.setattr(lti, "dominant_tail", counting_tail)
-    monkeypatch.setattr(lti, "minimal_recurrence_system", counting_fit)
-    cert = certify_svb(*_dense_tenths_pair(seed, 4), 3)
-    assert cert.conclusion is Conclusion.REFUTED and len(cert.per_system) == 12
-
     def mixed(samples):
         return min(samples) < 0 < max(samples)
 
-    one_signed = [sv for sv in cert.per_system if not mixed(sv.verdict.samples)]
-    assert len(tail_calls) == len(one_signed) == tails
+    monkeypatch.setattr(lti, "dominant_tail", counting_tail)
+    monkeypatch.setattr(lti, "minimal_recurrence_system", counting_fit)
+    cases = ((certify_svb, Conclusion.REFUTED, witness, witness),
+             (certify_vb, Conclusion.INCONCLUSIVE, 12, tails))
+    for certifier, conclusion, systems, want in cases:
+        tail_calls.clear()
+        cert = certifier(*_dense_tenths_pair(seed, 4), 3)
+        assert cert.conclusion is conclusion and len(cert.per_system) == systems
+        one_signed = [sv for sv in cert.per_system if not mixed(sv.verdict.samples)]
+        assert len(tail_calls) == len(one_signed) == want
     assert not any(mixed(samples) for samples in fitted)
 
 

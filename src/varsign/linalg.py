@@ -377,28 +377,43 @@ class Minors:
     """The minors of one matrix, each computed when first read and then kept.
 
     Index sets are 1-based tuples.  Exact rows are lifted to integers once,
-    each scaled by the lcm of its denominators; each minor is one integer
-    Bareiss over the product of its row scales.  Float minors run partial
+    each scaled by the lcm of its denominators (``of_rows`` takes integer rows
+    and their scales as they are); each minor is one integer Bareiss over the
+    product of its row scales.  Float minors run partial
     pivoting on the rows as they are.  Every minor is computed by the reader
     of its row set, so reads may come in any order, from any number of
     streams at once; a minor that ``stream`` has read is computed once per
     instance.  ``rank`` runs the same elimination on all the rows.
     """
 
-    __slots__ = ("matrix", "_rows", "_scales", "_known")
+    __slots__ = ("shape", "backend", "_rows", "_scales", "_known")
 
     def __init__(self, X: Matrix):
-        self.matrix = X
         if X.backend is Backend.EXACT:
-            rows, self._scales = [], [1]
+            rows, scales = [], []
             for row in X.data:
                 d = math.lcm(*(x.denominator for x in row))
                 rows.append([x.numerator * (d // x.denominator) for x in row])
-                self._scales.append(d)
+                scales.append(d)
         else:
-            rows, self._scales = X.data, None
+            rows, scales = X.data, None
+        self._fill(rows, scales)
+
+    @classmethod
+    def of_rows(cls, rows, dens) -> "Minors":
+        """The minors of the matrix whose i-th row is rows[i] / dens[i], read
+        without building it: integer rows over positive integers, or float
+        rows when ``dens`` is None (the form of ``lti.OutputRows``)."""
+        minors = cls.__new__(cls)
+        minors._fill(rows, dens)
+        return minors
+
+    def _fill(self, rows, scales) -> None:
+        self.shape = (len(rows), len(rows[0]))
+        self.backend = Backend.FLOAT if scales is None else Backend.EXACT
         # a leading placeholder row and column make 1-based indices direct
         self._rows = [None, *([None, *row] for row in rows)]
+        self._scales = None if scales is None else [1, *scales]
         self._known: dict = {}
 
     def _reader(self, I):
@@ -416,10 +431,14 @@ class Minors:
         each computed as it is read; nothing is kept."""
         return map(self._reader(I), col_sets)
 
-    def rank(self, tol: float = DEFAULT_TOL) -> int:
-        """Rank of the matrix; float pivots must exceed ``tol``.  Exact rows
-        are eliminated as lifted, which leaves the rank unchanged."""
-        rows = [row[1:] for row in self._rows[1:]]
+    def rank(self, tol: float = DEFAULT_TOL, cols=None) -> int:
+        """Rank of the matrix, or of its columns ``cols``; float pivots must
+        exceed ``tol``.  Exact rows are eliminated as lifted, which leaves the
+        rank unchanged."""
+        if cols is None:
+            rows = [row[1:] for row in self._rows[1:]]
+        else:
+            rows = [[row[j] for j in cols] for row in self._rows[1:]]
         return _partial_pivot(rows, tol)[0] if self._scales is None else _bareiss(rows)[0]
 
     def stream(self, row_sets, col_sets):

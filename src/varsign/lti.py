@@ -387,6 +387,13 @@ def _solve_exact_consistent(u: Sequence[int]) -> list[int]:
     return C
 
 
+def _recurrence(sys: LtiSystem, samples: ExactSamples) -> tuple[list[int], int]:
+    """(C, L): the Berlekamp–Massey recurrence of ``minimal_recurrence_system``
+    and its order L (L = 1 when the samples read are 0)."""
+    C = _solve_exact_consistent(samples.nums[:2 * sys.n]) + [0]  # [1, 0]: g = 0
+    return C, max(len(C) - 2, 1)
+
+
 def minimal_recurrence_system(sys: LtiSystem, samples: ExactSamples) -> LtiSystem | None:
     """Exact reduced realization of the impulse response ``samples`` of sys.
 
@@ -405,10 +412,8 @@ def minimal_recurrence_system(sys: LtiSystem, samples: ExactSamples) -> LtiSyste
     """
     if sys.backend is not Backend.EXACT:
         return None
-    H, n = len(samples), sys.n
-    C = _solve_exact_consistent(samples.nums[:min(H, 2 * n)]) + [0]  # [1, 0]: g = 0
-    L = max(len(C) - 2, 1)
-    if H < n + L:
+    C, L = _recurrence(sys, samples)
+    if len(samples) < sys.n + L:
         return None
     scale = samples.dens[1] // samples.dens[0]
     comp = [[Fraction(j == i + 1) for j in range(L)] for i in range(L - 1)]
@@ -515,6 +520,10 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
                     f"tail bound via exact minimal-recurrence reduction to order {reduced.n}")
             elif note2:
                 tail_note = f"{tail_note}; after reduction to order {reduced.n}: {note2}"
+        else:
+            _, L = _recurrence(sys, g)
+            tail_note = (f"{tail_note}; no recurrence fit: the horizon {horizon} is shorter "
+                         f"than the n + L = {sys.n + L} samples it needs")
     if tail_note:
         notes.append(tail_note)
     if tail and len(decisive) == 1 and tail.sign not in decisive:

@@ -33,6 +33,16 @@ only where it passes.  A refuted certificate ends at its witness, the first
 system in report order whose samples break the family sign.  Controllability
 certificates run the same engine on the transposed pair, and a Hankel
 operator inherits a sufficient certificate from its two factors.
+
+In exact arithmetic vb and vd first judge a finite section, O_(n+1), whose
+rows c A^(t-1), t = 1..n+1, are the order-1 output rows the context holds.
+A violation by the section is one by the operator: for an input x0 with
+S-(x0) <= k-1 and S-(O_(n+1) x0) >= k, the output O x0 has O_(n+1) x0 as
+its prefix, and S- of a prefix never exceeds S- of the whole sequence.  (An
+input of a section of an operator on sequences, such as a Hankel operator,
+is the operator's input cut off, and zero-padding it back keeps its S-.)
+So ``signcons``' VB check refuting the section refutes the operator, before
+any system is analysed.  A silent check leaves the engine to decide.
 """
 
 from __future__ import annotations
@@ -69,11 +79,10 @@ from .lti import (
     eigen_sorted,
     impulse_response,
     judge,
-    observability_matrix,
     output_rows,
     real_positive,
 )
-from .signcons import Conclusion, _anchored_tuples, _is_consecutive_tail
+from .signcons import Conclusion, _anchored_tuples, _is_consecutive_tail, _vb_check
 from .variation import v_minus
 
 
@@ -87,12 +96,14 @@ class BadIndicesError(LinalgError):
 
 class _OperatorContext:
     """Shared pieces for one observable pair (A, c) at one horizon: one
-    ``Minors`` of O_n, which gives its rank, its determinant and each c_r (the
-    r-minors on rows 1..r); each order's C_r(A); the output rows and the
-    eigen-decomposition of each pair (C_r(A), c_r), which all systems of that
-    order share (the rows only as far as an analysis of that order samples,
-    the decomposition only once an analysis needs a tail); and one analysis
-    per (k, r, beta) compound system."""
+    ``Minors`` of O_n, read off the first n order-1 output rows c A^(t-1) as
+    they are (integer rows over their ``dens`` when exact), which gives its
+    rank, its determinant and each c_r (the r-minors on rows 1..r); each
+    order's C_r(A); the output rows and the eigen-decomposition of each pair
+    (C_r(A), c_r), which all systems of that order share (the rows only as far
+    as an analysis of that order samples, the decomposition only once an
+    analysis needs a tail); and one analysis per (k, r, beta) compound
+    system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
@@ -102,8 +113,10 @@ class _OperatorContext:
         self.n = A.rows
         self.tol = tol
         self.horizon = horizon if horizon is not None else default_horizon(self.n)
-        self.obs_n = observability_matrix(A, c, self.n)
-        self._minors = minors = Minors(self.obs_n)
+        # C_1(A) = A and c_1 = c: the order-1 output rows are the rows of O
+        rows = output_rows(A, c, self.n)
+        self._memo = {("rows", 1): rows}
+        self._minors = minors = Minors.of_rows(rows.rows, rows.dens)
         obs_rank = minors.rank(tol)
         if obs_rank < self.n:
             raise NotObservableError(f"observability matrix has rank {obs_rank} < {self.n}")
@@ -113,7 +126,6 @@ class _OperatorContext:
             # full float rank, yet |det O_n| within tol: not decisively observable
             raise NotObservableError(f"observability matrix is singular: "
                                      f"|det| = {abs(self.det_n)} within tolerance {tol}")
-        self._memo = {}
 
     def _cached(self, key, build):
         if key not in self._memo:
@@ -336,6 +348,26 @@ def _certify(ctx: _OperatorContext, prop: str, k: int, strict: bool = True) -> C
     return Certificate(name, "observability", Conclusion.CERTIFIED, eps, per, ctx.horizon)
 
 
+def _section_refutation(ctx: _OperatorContext, name: str, orders) -> Certificate | None:
+    """The refuted certificate ``name`` when the section O_(n+1) is not
+    VB_(j-1) at one of ``orders``, tried in turn on one ``Minors`` of the
+    context's order-1 output rows; its note names the section, the rule and
+    the witness minors.  None when every check is silent, and always in float
+    arithmetic, whose minors are classed against an absolute tolerance."""
+    if ctx.A.backend is not Backend.EXACT:
+        return None
+    T = ctx.n + 1
+    rows = ctx.output_rows(1, T)
+    section = Minors.of_rows(rows.rows[:T], rows.dens[:T])
+    for j in orders:
+        check = _vb_check(section, j, ctx.tol)
+        if check.status is Conclusion.REFUTED:
+            note = f"section O_{T} is not {check.property_name} ({check.rule}): {check.detail}"
+            return Certificate(name, "observability", Conclusion.REFUTED, None, [], ctx.horizon,
+                               [note])
+    return None
+
+
 def _context(A: Matrix, c: Sequence[Num], k: int, horizon: int | None,
              tol: float) -> _OperatorContext:
     n = A.rows
@@ -363,9 +395,13 @@ def certify_vb(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
 
     Relaxed family members (fully consecutive column sets beyond k, traced by
     the r = k systems) may be non-strictly signed provided their first k
-    samples carry the family sign strictly.  This route never refutes.
+    samples carry the family sign strictly.  The systems never refute.  In
+    exact arithmetic the section O_(n+1) is checked first (module docstring):
+    if it is not VB_(k-1), the operator is refuted, and the certificate lists
+    no systems.
     """
-    return _certify(_context(A, c, k, horizon, tol), "vb", k)
+    ctx = _context(A, c, k, horizon, tol)
+    return _section_refutation(ctx, property_name("vb", k), [k]) or _certify(ctx, "vb", k)
 
 
 def certify_k_positive(A: Matrix, c: Sequence[Num], k: int, strict: bool = True,
@@ -397,8 +433,17 @@ def _order_certificates(ctx: _OperatorContext, k: int) -> list[Certificate]:
 def certify_vd(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
                tol: float = DEFAULT_TOL) -> Certificate:
     """Certify that the operator is (k-1)-variation diminishing by certifying
-    variation bounding at every order j <= k (strictly where possible)."""
+    variation bounding at every order j <= k (strictly where possible).
+
+    In exact arithmetic the section O_(n+1) is checked first at each order
+    j <= k in turn: the first j at which it is not VB_(j-1) refutes the
+    operator, and the certificate lists no systems.  Otherwise the orders'
+    certificates fold to certified or inconclusive.
+    """
     ctx = _context(A, c, k, horizon, tol)
+    refuted = _section_refutation(ctx, property_name("vd", k), range(1, k + 1))
+    if refuted:
+        return refuted
     certs = _order_certificates(ctx, k)
     notes = [f"order {j}: {cert.property_name} certified" if cert.passed()
              else f"order {j}: not certified ({cert.notes[-1] if cert.notes else ''})"

@@ -42,7 +42,6 @@ from .linalg import (
     int_text,
     inverse,
     lex_tuples,
-    rank,
     sign_of,
 )
 
@@ -120,15 +119,15 @@ def _check_order(X: Matrix, k: int) -> None:
 
 def _consecutive_minors(minors: Minors, r: int):
     """The consecutive r-minors, labelled by (I, J), rows outermost."""
-    X = minors.matrix
-    return minors.stream(consecutive_sets(X.rows, r), consecutive_sets(X.cols, r))
+    rows, cols = minors.shape
+    return minors.stream(consecutive_sets(rows, r), consecutive_sets(cols, r))
 
 
 def _fekete_order(minors: Minors, k: int) -> int:
     """The largest p <= k such that every consecutive minor of orders 1..p is
     positive, and with it every minor of order <= p (Fekete); the scan stops
     at the first consecutive minor <= 0.  Always 0 in float arithmetic."""
-    if minors.matrix.backend is not Backend.EXACT:
+    if minors.backend is not Backend.EXACT:
         return 0
     for r in range(1, k + 1):
         # v <= 0, read off the numerator: a Fraction's denominator is positive
@@ -143,9 +142,9 @@ def _order_summary(minors: Minors, r: int, positive_through: int, tol: float) ->
     order up to the first pair of opposite signs."""
     if r <= positive_through:
         return SignSummary(SignVerdict.STRICTLY_POSITIVE, 1)
-    X = minors.matrix
-    return classify_family(minors.stream(index_sets(X.rows, r), index_sets(X.cols, r)),
-                           X.backend, tol)
+    rows, cols = minors.shape
+    return classify_family(minors.stream(index_sets(rows, r), index_sets(cols, r)),
+                           minors.backend, tol)
 
 
 def sign_consistent(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> SignSummary:
@@ -434,14 +433,13 @@ def _all_k_columns_independent(minors: Minors, k: int, tol: float) -> bool:
     so the rank loop runs only in float, where it stays: under ``tol`` float
     rank is stricter than a minor outside the band.
     """
-    X = minors.matrix
-    rows, col_sets = index_sets(X.rows, k), index_sets(X.cols, k)
+    rows, col_sets = (index_sets(m, k) for m in minors.shape)
     for J in col_sets:
-        if not any(sign_of(v, X.backend, tol) for _, v in minors.stream(rows, [J])):
+        if not any(sign_of(v, minors.backend, tol) for _, v in minors.stream(rows, [J])):
             return False
-    if X.backend is Backend.EXACT:
+    if minors.backend is Backend.EXACT:
         return True
-    return all(rank(X.submatrix(range(1, X.rows + 1), J), tol) == k for J in col_sets)
+    return all(minors.rank(tol, J) == k for J in col_sets)
 
 
 def _route_verdict(name: str, rule: str, s: SignSummary, detail: str = "") -> MatrixPropertyCheck:
@@ -467,11 +465,16 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     Fekete order of k (every k-minor positive) decides the last two paths
     without reading any further minor.
     """
-    n, m = X.rows, X.cols
-    if not (n > m >= k >= 1):
+    if not (X.rows > X.cols >= k >= 1):
         raise RankOutOfRangeError(f"need rows > cols >= k >= 1, got shape {X.shape}, k={k}")
+    return _vb_check(Minors(X), k, tol)
+
+
+def _vb_check(minors: Minors, k: int, tol: float = DEFAULT_TOL) -> MatrixPropertyCheck:
+    """``vb_matrix_check`` on the matrix of ``minors``, which must have more
+    rows than columns and at least k columns; reads share its minors."""
+    (n, m), backend = minors.shape, minors.backend
     name = f"VB_{k - 1}"
-    minors = Minors(X)
     rk = minors.rank(tol)
     if rk < k < m:  # at k = m the full-width route reports a short rank itself
         return MatrixPropertyCheck(
@@ -493,7 +496,7 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
         rows = index_sets(n, k)
         # a Fekete order of k leaves every compound column positive
         for J in lex_tuples(m, k) if p < k else []:
-            col = classify_family(minors.stream(rows, [J.elems]), X.backend, tol)
+            col = classify_family(minors.stream(rows, [J.elems]), backend, tol)
             if col.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(name, Conclusion.REFUTED, rule,
                                            f"column {J} mixed: {_witness_text(col.witness)}")

@@ -183,6 +183,40 @@ def test_certify_unobservable_pair_reports_inconclusive(tmp_path, capsys, target
     assert report["traces"] == [] and report["environment"]["target"] == target
 
 
+def test_section_refuted_vb_report_lists_no_systems(tmp_path, capsys):
+    """Exact vb refuted by its section O_4 reports no systems and removes the
+    traces.csv of an earlier run; float mode judges no section."""
+    out = tmp_path / "out"
+    example2 = str(fixture_path("example2"))
+    assert main(["certify", example2, "--property", "svb", "--k", "2", "--out", str(out)]) == 0
+    assert (out / "traces.csv").exists()
+    assert main(["certify", example2, "--property", "vb", "--k", "1", "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    cert = report["certificate"]
+    assert (cert["conclusion"], cert["systems"], cert["common_sign"]) == ("refuted", [], None)
+    assert len(cert["notes"]) == 1 and cert["notes"][0].startswith("section O_4 is not VB_0 ")
+    assert report["traces"] == [] and sorted(p.name for p in out.iterdir()) == ["report.json"]
+    assert main(["certify", example2, "--property", "vb", "--k", "1", "--arith", "float",
+                 "--out", str(out)]) == 2
+    assert json.loads((out / "report.json").read_text())["traces"] == ["traces.csv"]
+
+
+def test_inactive_mode_note_names_a_horizon_too_short_for_the_recurrence(tmp_path, capsys):
+    """beta = {2} of diag(1/2, 1/4) traces (1/4)^(t-1): the dominant mode has
+    zero residue, and the recurrence fit needs n + L = 3 samples, which a
+    horizon of 2 does not give; a horizon of 3 certifies by the fit."""
+    f = write_json(tmp_path, "inactive.json", {"A": [["0.5", "0"], ["0", "0.25"]],
+                                               "c": ["1", "1"]})
+    out = tmp_path / "out"
+    argv = ["certify", str(f), "--property", "svb", "--k", "1", "--out", str(out), "--horizon"]
+    assert main(argv + ["2"]) == 2
+    system = json.loads((out / "report.json").read_text())["certificate"]["systems"][1]
+    assert system["beta"] == [2] and system["notes"] == [
+        "dominant mode has negligible residue (unobservable or uncontrollable); no recurrence "
+        "fit: the horizon 2 is shorter than the n + L = 3 samples it needs"]
+    assert main(argv + ["3"]) == 0
+
+
 def test_certify_missing_vector_is_input_error(tmp_path, capsys):
     f = write_json(tmp_path, "noc.json", {"A": [["1"]], "b": ["1"]})
     assert main(["certify", str(f), "--property", "svb", "--k", "1",

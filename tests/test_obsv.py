@@ -221,7 +221,8 @@ def test_compound_trace_inputs_match_minor_reference(arith):
                         else _contraction_reference(A, c, k, r, beta))
                 assert all(type(x) is Fraction for x in got) and got == want, (n, k, r, beta)
             else:
-                want = (tuple(x / det(ctx.obs_n) for x in _laplace_reference(Af, cf, n, r, whole))
+                want = (tuple(x / det(observability_matrix(Af, cf, n))
+                              for x in _laplace_reference(Af, cf, n, r, whole))
                         if beta is None else _laplace_reference(Af, cf, k, r, beta))
                 assert _same_scalars(got, want), (n, k, r, beta)
                 scale = max(abs(float(x)) for x in want_exact) or 1.0
@@ -585,10 +586,19 @@ def test_certify_vb_exempt_trace_touching_zero():
     assert relaxed[0].verdict.status is ExtPosStatus.NONNEGATIVE
 
 
-def test_certify_vb_never_refutes():
+def test_certify_vb_refutes_only_by_its_exact_section():
+    """The systems never refute vb: example2's VB_0 family is mixed, so they
+    leave float mode undecided.  In exact mode the section O_4 refutes it
+    first: c = (1.1, 0.1, -5.5) has entries of both signs."""
     A, c = example2()
-    cert = certify_vb(A, c, 1)  # the strict family is mixed, so no decision
-    assert cert.conclusion is Conclusion.INCONCLUSIVE
+    cert = certify_vb(A, c, 1)
+    assert cert.conclusion is Conclusion.REFUTED
+    assert cert.per_system == [] and cert.common_sign is None
+    assert cert.notes == ["section O_4 is not VB_0 (sign consistency with independent columns): "
+                          "conflicting minors ((((1,), (1,)), Fraction(11, 10)), "
+                          "(((1,), (3,)), Fraction(-11, 2)))"]
+    cert = certify_vb(A.to_float(), tuple(float(x) for x in c), 1)
+    assert cert.conclusion is Conclusion.INCONCLUSIVE and cert.per_system
 
 
 def test_certify_k_positive_example1():
@@ -699,11 +709,13 @@ def _count_modes(monkeypatch):
 
 @pytest.mark.parametrize("prop", ["svb", "vb", "kpos"])
 def test_samples_of_both_signs_build_no_eigen_modes(monkeypatch, prop):
-    # both inputs of k = 1 give g(t) = b_1 (-1/2)^(t-1) + b_2 (-1/3)^(t-1),
-    # whose samples carry both strict signs, so no tail is needed
+    # A turns by atan(1/3) per step: both inputs of k = 1 give samples that
+    # start positive and turn negative at t = 10 and t = 5, so no tail is
+    # needed; the rows c, cA, cA^2 are positive, so the section O_3 leaves
+    # vb to the systems
     built = _count_modes(monkeypatch)
-    A = Matrix.exact([["-1/2", "0"], ["0", "-1/3"]])
-    cert = certify_observability(A, (1, 1), 1, prop)
+    A = Matrix.exact([["9/10", "-3/10"], ["3/10", "9/10"]])
+    cert = certify_observability(A, (1, 2), 1, prop)
     assert cert.per_system
     assert all(sv.verdict.status is ExtPosStatus.VIOLATED for sv in cert.per_system)
     assert built == []
@@ -722,13 +734,12 @@ def _dense_tenths_pair(seed, n):
     return A, tuple(Fraction(rng.randint(1, 9), 10) for _ in range(n))
 
 
-@pytest.mark.parametrize("seed,witness,tails", [(0, 2, 7), (1, 2, 11), (2, 3, 4)])
-def test_tail_work_only_on_systems_not_refuted_by_samples(monkeypatch, seed, witness, tails):
-    """Samples of both strict signs refute a system without a tail: dense
-    pairs at n = 4, k = 3 refute SVB_2 at their 2nd, 2nd and 3rd system,
-    analysing none after it, and try the tail of each listed one-signed
-    system; VB_2, which never refutes, analyses all 12 and tries the tail of
-    only the 7, 11 and 4 whose samples are one-signed."""
+def _mixed(samples):
+    return min(samples) < 0 < max(samples)
+
+
+def _count_tail_work(monkeypatch):
+    """The systems given a tail, and the samples given a recurrence fit."""
     tail_calls, fitted = [], []
     tail, fit = lti.dominant_tail, lti.minimal_recurrence_system
 
@@ -740,20 +751,51 @@ def test_tail_work_only_on_systems_not_refuted_by_samples(monkeypatch, seed, wit
         fitted.append(samples)
         return fit(sys, samples)
 
-    def mixed(samples):
-        return min(samples) < 0 < max(samples)
-
     monkeypatch.setattr(lti, "dominant_tail", counting_tail)
     monkeypatch.setattr(lti, "minimal_recurrence_system", counting_fit)
+    return tail_calls, fitted
+
+
+def _vb_engine(A, c, k):
+    """What ``certify_vb`` runs when its section refutes nothing."""
+    return obsv._certify(obsv._OperatorContext(A, c), "vb", k)
+
+
+@pytest.mark.parametrize("seed,witness,tails", [(0, 2, 7), (1, 2, 11), (2, 3, 4)])
+def test_tail_work_only_on_systems_not_refuted_by_samples(monkeypatch, seed, witness, tails):
+    """Samples of both strict signs refute a system without a tail: dense
+    pairs at n = 4, k = 3 refute SVB_2 at their 2nd, 2nd and 3rd system,
+    analysing none after it, and try the tail of each listed one-signed
+    system.  Their section O_5 refutes VB_2 before any system is analysed;
+    the systems, which never refute vb, are all 12 analysed and try the tail
+    of only the 7, 11 and 4 whose samples are one-signed."""
+    tail_calls, fitted = _count_tail_work(monkeypatch)
     cases = ((certify_svb, Conclusion.REFUTED, witness, witness),
-             (certify_vb, Conclusion.INCONCLUSIVE, 12, tails))
+             (certify_vb, Conclusion.REFUTED, 0, 0),
+             (_vb_engine, Conclusion.INCONCLUSIVE, 12, tails))
     for certifier, conclusion, systems, want in cases:
         tail_calls.clear()
         cert = certifier(*_dense_tenths_pair(seed, 4), 3)
         assert cert.conclusion is conclusion and len(cert.per_system) == systems
-        one_signed = [sv for sv in cert.per_system if not mixed(sv.verdict.samples)]
+        one_signed = [sv for sv in cert.per_system if not _mixed(sv.verdict.samples)]
         assert len(tail_calls) == len(one_signed) == want
-    assert not any(mixed(samples) for samples in fitted)
+    assert not any(_mixed(samples) for samples in fitted)
+
+
+def test_silent_section_leaves_vb_to_systems_that_tail_only_when_one_signed(monkeypatch):
+    """Every 3-minor of this pair's section O_5 is positive, so certify_vb
+    analyses all 12 systems of VB_2, as the engine alone does, and tries the
+    tail of only the 8 whose samples are one-signed."""
+    tail_calls, fitted = _count_tail_work(monkeypatch)
+    A = Matrix.exact([[1, 2, -2, 1], [-1, 1, 3, -1], [-1, -1, 3, 1], [1, -1, 2, 1]])
+    c = (2, 3, 0, 2)
+    cert = certify_vb(A, c, 3)
+    assert cert.conclusion is Conclusion.INCONCLUSIVE and len(cert.per_system) == 12
+    one_signed = [sv for sv in cert.per_system if not _mixed(sv.verdict.samples)]
+    assert len(tail_calls) == len(one_signed) == 8
+    assert not any(_mixed(samples) for samples in fitted)
+    tail_calls.clear()
+    assert _vb_engine(A, c, 3) == cert and len(tail_calls) == 8
 
 
 def test_example3_hankel_route():

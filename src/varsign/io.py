@@ -188,9 +188,10 @@ def render_value(x) -> str:
 
 def _sample_texts(samples):
     """``render_value`` of each sample.  Float samples are their ``repr``.
-    Exact samples render from their integer numerators when D_b D_c and D_A
-    (``ExactSamples``) are products of 2s and 5s: sample t has the exponents
-    of D_b D_c plus t-1 times those of D_A (``_decimal_texts``)."""
+    Exact samples render from their integer numerators when D_b dens[0] and
+    D_A (``ExactSamples``) are products of 2s and 5s: sample t has the
+    exponents of D_b dens[0] plus t-1 times those of D_A (``_decimal_texts``);
+    dens[0] is D_c, or D_c D_A^s for samples read s rows late."""
     if not isinstance(samples, ExactSamples):
         return map(repr, samples)
     dens = samples.dens

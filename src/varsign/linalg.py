@@ -381,12 +381,13 @@ class Minors:
     and their scales as they are); each minor is one integer Bareiss over the
     product of its row scales.  Float minors run partial
     pivoting on the rows as they are.  Every minor is computed by the reader
-    of its row set, so reads may come in any order, from any number of
-    streams at once; a minor that ``stream`` has read is computed once per
-    instance.  ``rank`` runs the same elimination on all the rows.
+    of its row set, built once per instance, so reads may come in any order,
+    from any number of streams at once; a minor that ``stream`` has read is
+    computed once per instance.  ``rank`` runs the same elimination on all
+    the rows.
     """
 
-    __slots__ = ("shape", "backend", "_rows", "_scales", "_known")
+    __slots__ = ("shape", "backend", "_rows", "_scales", "_known", "_readers")
 
     def __init__(self, X: Matrix):
         if X.backend is Backend.EXACT:
@@ -415,16 +416,23 @@ class Minors:
         self._rows = [None, *([None, *row] for row in rows)]
         self._scales = None if scales is None else [1, *scales]
         self._known: dict = {}
+        self._readers: dict = {}
 
     def _reader(self, I):
         """The minor on rows I as a function of the column set J; the row
         block, and in exact arithmetic the product of its scales, is built
-        once."""
+        once per row set and instance."""
+        read = self._readers.get(I)
+        if read is not None:
+            return read
         block = [self._rows[i] for i in I]
         if self._scales is None:
-            return lambda J: _partial_pivot([[row[j] for j in J] for row in block])[1]
-        scale = math.prod([self._scales[i] for i in I])
-        return lambda J: Fraction(_bareiss([[row[j] for j in J] for row in block])[1], scale)
+            read = lambda J: _partial_pivot([[row[j] for j in J] for row in block])[1]
+        else:
+            scale = math.prod([self._scales[i] for i in I])
+            read = lambda J: Fraction(_bareiss([[row[j] for j in J] for row in block])[1], scale)
+        self._readers[I] = read
+        return read
 
     def row(self, I, col_sets):
         """The minor on rows I and each column set of ``col_sets`` in turn,

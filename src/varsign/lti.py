@@ -1,7 +1,9 @@
 """Discrete-time LTI systems: impulse responses, observability matrices,
 ordered spectra, and external-positivity verdicts with a dominant-mode tail
 certificate.  Both backends sample g(t) = c A^(t-1) b as one dot product of
-b with the output row c A^(t-1) (``output_rows``).  Exact samples stay
+b with the output row c A^(t-1) (``output_rows``); with a shift s, the
+response of (A, A^s b, c) is read from row t + s on, so A^s b is never
+formed (``impulse_response``, ``analyse``).  Exact samples stay
 integer numerators over the known denominators D_b D_c D_A^(t-1)
 (``ExactSamples``): signs and the recurrence fit read the numerators, and a
 ``Fraction`` is built only to show a value.
@@ -145,8 +147,9 @@ def output_rows(A: Matrix, c: Sequence[Num], N: int) -> OutputRows:
 
 
 class ExactSamples(Sequence):
-    """Samples g(t) = nums[t-1] / (D_b dens[t-1]), nums[t-1] = w_t (D_b b) and
-    dens[t-1] = D_c D_A^(t-1) (``OutputRows``; ``dens`` may run past nums),
+    """Samples g(t) = nums[t-1] / (D_b dens[t-1]), nums[t-1] = w_(t+s) (D_b b)
+    and dens[t-1] = D_c D_A^(t-1+s) for samples read s rows late
+    (``OutputRows``, ``impulse_response``; ``dens`` may run past nums),
     so each numerator has its sample's sign.  Items, slices and iteration
     give the reduced Fractions, and the sequence equals the tuple of them."""
 
@@ -171,25 +174,29 @@ class ExactSamples(Sequence):
 
 
 def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None,
-                     start: int = 0) -> ExactSamples | tuple[float, ...]:
-    """Samples g(start+1)..g(N) of g(t) = c A^(t-1) b, one dot product with b
-    per output row of (A, c) (``output_rows``; ``rows`` passes ones built
-    earlier for the same A, c, which are extended to N rows in place).
+                     start: int = 0, shift: int = 0) -> ExactSamples | tuple[float, ...]:
+    """Samples g(start+1)..g(N) of g(t) = c A^(t-1+shift) b, the impulse
+    response of (A, A^shift b, c): sample t is one dot product of b with
+    output row t + shift of (A, c) (``output_rows``; ``rows`` passes ones
+    built earlier for the same A, c, which are extended to N + shift rows in
+    place).  So A^shift b is never formed.
 
     A float sample is summed left to right from integer 0 (``sum`` compensates
     float sums from Python 3.12 on), so -0.0 comes out as 0.0.
     An exact sample is kept as its integer numerator (``ExactSamples``): with
-    D_b the lcm of the denominators of b, g(t) = w_t (D_b b) / (D_b D_c
-    D_A^(t-1)); D_b b is computed once per system.
+    D_b the lcm of the denominators of b, g(t) = w_(t+shift) (D_b b) /
+    (D_b D_c D_A^(t-1+shift)); D_b b is computed once per system.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    rows = output_rows(sys.A, sys.c, N) if rows is None else rows.extend(N)
+    end = N + shift
+    rows = output_rows(sys.A, sys.c, end) if rows is None else rows.extend(end)
+    window = rows.rows[start + shift:end]
     if sys.backend is Backend.FLOAT:
-        return tuple(reduce(add, map(mul, w, sys.b), 0) for w in rows.rows[start:N])
+        return tuple(reduce(add, map(mul, w, sys.b), 0) for w in window)
     db, b = sys._lifted_b
-    return ExactSamples(tuple(sum(map(mul, w, b)) for w in rows.rows[start:N]), db,
-                        rows.dens[start:N])
+    return ExactSamples(tuple(sum(map(mul, w, b)) for w in window), db,
+                        rows.dens[start + shift:end])
 
 
 def observability_matrix(A: Matrix, c: Sequence[Num], t: int) -> Matrix:
@@ -280,14 +287,15 @@ class DominantModes:
     row c, shared by every input b of the pair (A, c).
 
     ``note`` is set when no input can have an eigen tail and says why;
-    otherwise ``V`` holds the eigenvectors, ``y`` = c V, ``lead`` the index
-    of the dominant eigenvalue ``lam1`` and ``sub`` the largest modulus
-    below it.
+    otherwise ``V`` holds the eigenvectors, ``y`` = c V, ``lam`` the
+    eigenvalues, ``lead`` the index of the dominant eigenvalue ``lam1`` and
+    ``sub`` the largest modulus below it.
     """
 
     note: str
     V: np.ndarray | None = None
     y: np.ndarray | None = None
+    lam: np.ndarray | None = None
     lead: int = 0
     lam1: complex = 0j
     sub: float = 0.0
@@ -313,18 +321,22 @@ def dominant_modes(A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL) -> Dom
     sub = max((abs(lam[i]) for i in order[1:]), default=0.0)
     if abs(lam1) - sub <= tol * max(1.0, abs(lam1)):
         return DominantModes("no modulus gap below the dominant eigenvalue (repeated or defective)")
-    return DominantModes("", V, cf.astype(complex) @ V, order[0], lam1, sub)
+    return DominantModes("", V, cf.astype(complex) @ V, lam, order[0], lam1, sub)
 
 
 def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL,
-                  modes: DominantModes | None = None) -> tuple[TailCertificate | None, str]:
+                  modes: DominantModes | None = None,
+                  shift: int = 0) -> tuple[TailCertificate | None, str]:
     """Tail certificate from a simple, real, positive dominant eigenvalue.
 
     Returns (certificate, note); the note explains a missing certificate.
     Requires a strict modulus gap (which excludes defective dominant
     eigenvalues) and a decisively nonzero dominant residue c v w b.
     ``modes`` passes ``dominant_modes(sys.A, sys.c, tol)`` built earlier,
-    so that only the residues are solved for here.
+    so that only the residues are solved for here.  With ``shift`` the
+    certificate is that of (A, A^shift b, c), whose samples
+    ``impulse_response(sys, N, shift=shift)`` reads: the residues of b are
+    scaled by lam^shift, which gives the residues of A^shift b.
     """
     import numpy as np
 
@@ -340,6 +352,8 @@ def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL,
         x = np.linalg.solve(modes.V, bf.astype(complex))
     except np.linalg.LinAlgError:
         return None, "eigenvector matrix is singular to working precision"
+    if shift:
+        x = x * modes.lam ** shift
     residues = modes.y * x
     scale = float(np.abs(residues).sum())
     rho1 = residues[modes.lead]
@@ -472,11 +486,16 @@ _BLOCK = 8
 
 def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL,
             rows: OutputRows | None = None,
-            modes: Callable[[], DominantModes] | None = None) -> ExtPosAnalysis:
+            modes: Callable[[], DominantModes] | None = None,
+            shift: int = 0) -> ExtPosAnalysis:
     """Sample the impulse response and, unless the samples carry both strict
     signs, certify its tail; ``rows`` and ``modes`` pass what the systems on
     one pair (A, c) share.  ``modes`` is called, once, only when the tail is
     needed, so samples that already refute build no eigen-decomposition.
+    With ``shift`` the system analysed is (A, A^shift b, c): its samples are
+    read from output row t + shift on (``impulse_response``) and its eigen
+    tail scales the residues of b by lam^shift (``dominant_tail``), so
+    A^shift b is never formed; the recurrence fit reads those same samples.
 
     Samples come in blocks ending at t = 8, 64, 512, ... or the horizon, one
     ``impulse_response`` call each, and each sample is computed once.  Once
@@ -495,7 +514,7 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     values, signs, end, both = (), (), 0, False
     while end < horizon and not both:
         start, end = end, min(horizon, _BLOCK * end or _BLOCK)
-        block = impulse_response(sys, end, rows, start)
+        block = impulse_response(sys, end, rows, start, shift)
         block_values = block.nums if exact else block
         values += block_values
         signs += tuple(sign_of(x, backend, tol) for x in block_values)
@@ -503,13 +522,13 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     if both:
         t_bad = max(signs.index(1), signs.index(-1)) + 1
         values, signs = values[:t_bad], signs[:t_bad]
-    g = ExactSamples(values, block.db, rows.dens) if exact else values
+    g = ExactSamples(values, block.db, rows.dens[shift:]) if exact else values
     if both:
         # samples of both strict signs settle every verdict; no tail is needed
         return ExtPosAnalysis(sys.n, backend, horizon, g, signs, None, ())
     decisive = {s for s in signs if s}
     notes = []
-    tail, tail_note = dominant_tail(sys, tol, modes() if modes is not None else None)
+    tail, tail_note = dominant_tail(sys, tol, modes() if modes is not None else None, shift)
     if tail is None and backend is Backend.EXACT:
         reduced = minimal_recurrence_system(sys, g)
         if reduced is not None:

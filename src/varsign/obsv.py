@@ -25,6 +25,12 @@ the sum over the T that miss it is the full Cauchy-Binet sum, C_r(A^(k-r)) w.
 At k = n, Jacobi's complementary-minor identity makes w / det O_n the last
 column of C_r(O_n^{-1}).
 
+The certificates never form b: with s = k - r, g(t) = c_r C_r(A)^(t-1+s) w
+is row t + s of the output rows c_r C_r(A)^(t-1) that the systems of order r
+share, times w.  So each system is analysed as (C_r(A), w, c_r) read s rows
+late (``lti.analyse``), a full-order one with w / det O_n and s = n - r;
+only ``compound_system`` and ``full_compound_systems`` form b.
+
 One engine serves every property: the pair's ``_OperatorContext`` analyses
 each compound system once (``lti.analyse``), and ``_certify`` judges the
 analyses under a property's requirement list (``_rules``), also across the
@@ -48,7 +54,7 @@ any system is analysed.  A silent check leaves the engine to decide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence
 
 from .linalg import (
@@ -100,18 +106,15 @@ class _OperatorContext:
     they are (integer rows over their ``dens`` when exact), which gives its
     rank, its determinant and each c_r (the r-minors on rows 1..r); each
     order's C_r(A); the output rows and the eigen-decomposition of each pair
-    (C_r(A), c_r), which all systems of that order share (the rows only as far
-    as an analysis of that order samples, the decomposition only once an
-    analysis needs a tail); and one analysis per (k, r, beta) compound
-    system."""
+    (C_r(A), c_r), which all systems of that order share (the rows as far as
+    its analyses read, the decomposition once one needs a tail); and one
+    analysis per (k, r, beta) compound system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
         if not A.is_square():
             raise LinalgError("state matrix must be square")
-        self.A = A
-        self.n = A.rows
-        self.tol = tol
+        self.A, self.n, self.tol = A, A.rows, tol
         self.horizon = horizon if horizon is not None else default_horizon(self.n)
         # C_1(A) = A and c_1 = c: the order-1 output rows are the rows of O
         rows = output_rows(A, c, self.n)
@@ -139,10 +142,20 @@ class _OperatorContext:
         return self._cached(("c_r", r), lambda: tuple(self._minors.row(
             tuple(range(1, r + 1)), index_sets(self.n, r))))
 
+    def shifted(self, k: int, r: int, beta: IndexTuple | None) -> tuple[LtiSystem, int]:
+        """(C_r(A), w, c_r) and the shift s of the (k, r, beta) system, beta None
+        for the full-order family: s = k - r, or n - r with w / det O_n."""
+        w, s = ((_full_order_input(self, r), self.n - r) if beta is None
+                else (_minor_trace_input(self, k, r, beta), k - r))
+        return LtiSystem(self.a_compound(r), w, self.c_compound(r)), s
+
     def system(self, k: int, r: int, beta: IndexTuple | None) -> LtiSystem:
-        """The (k, r, beta) compound system; beta None is the full-order family."""
-        b = _full_order_input(self, r) if beta is None else _minor_trace_input(self, k, r, beta)
-        return LtiSystem(self.a_compound(r), b, self.c_compound(r))
+        """The (k, r, beta) system with its input b = C_r(A)^s w formed, which
+        no certificate does."""
+        sys, s = self.shifted(k, r, beta)
+        for _ in range(s):
+            sys = replace(sys, b=sys.A.matvec(sys.b))
+        return sys
 
     def output_rows(self, r: int, N: int) -> OutputRows:
         """At least N output rows of (C_r(A), c_r), extended in place."""
@@ -154,13 +167,17 @@ class _OperatorContext:
             self.a_compound(r), self.c_compound(r), self.tol))
 
     def analysis(self, k: int, r: int, beta: IndexTuple | None) -> ExtPosAnalysis:
-        return self._cached(("analysis", k, r, beta), lambda: analyse(
-            self.system(k, r, beta), self.horizon, self.tol,
-            self.output_rows(r, 1), lambda: self.modes(r)))
+        """The analysis of the ``shifted`` system, read s rows late."""
+        key = ("analysis", k, r, beta)
+        if key not in self._memo:
+            sys, s = self.shifted(k, r, beta)
+            self._memo[key] = analyse(sys, self.horizon, self.tol, self.output_rows(r, 1),
+                                      lambda: self.modes(r), s)
+        return self._memo[key]
 
 
 def _full_order_input(ctx: _OperatorContext, r: int) -> tuple[Num, ...]:
-    """Input of the full-order system: the (n, r, 1..n) input over det O_n."""
+    """Input w of the full-order system, the (n, r, 1..n) one over det O_n."""
     whole = IndexTuple(ctx.n, tuple(range(1, ctx.n + 1)))
     return tuple(x / ctx.det_n for x in _minor_trace_input(ctx, ctx.n, r, whole))
 
@@ -178,7 +195,7 @@ def full_compound_systems(A: Matrix, c: Sequence[Num],
 
 
 def _minor_trace_input(ctx: _OperatorContext, k: int, r: int, beta: IndexTuple) -> tuple[Num, ...]:
-    """Input b = C_r(A)^(k-r) w of the (k, r, beta) system (module docstring)."""
+    """Input w of the (k, r, beta) system, read k - r rows late (module docstring)."""
     n, a, elems = ctx.n, k - r, beta.elems
     zero, one = (parse_scalar(x, ctx.A.backend) for x in (0, 1))
     anchors = dict(zip(index_sets(n, a), ctx.c_compound(a) if a else [one]))
@@ -188,10 +205,7 @@ def _minor_trace_input(ctx: _OperatorContext, k: int, r: int, beta: IndexTuple) 
         # eps_T: position p_i of T moves past the a + i - p_i entries of rest behind it
         eps = (-1) ** (r * a + r * (r - 1) // 2 - sum(pos))
         terms[tuple(elems[p] for p in pos)] = eps * anchors[rest]
-    w = [terms.get(T, zero) for T in index_sets(n, r)]
-    for _ in range(a):
-        w = ctx.a_compound(r).matvec(w)
-    return tuple(w)
+    return tuple(terms.get(T, zero) for T in index_sets(n, r))
 
 
 def compound_system(A: Matrix, c: Sequence[Num], k: int, r: int, beta,
@@ -223,11 +237,8 @@ def beta_family(n: int, k: int, strict: bool = True) -> list[BetaEntry]:
     """
     if not 1 <= k <= n:
         raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
-    out = []
-    for beta in _anchored_tuples(n, k):
-        relaxed = (not strict) and _is_consecutive_tail(beta, k)
-        out.append(BetaEntry(beta, relaxed))
-    return out
+    return [BetaEntry(beta, not strict and _is_consecutive_tail(beta, k))
+            for beta in _anchored_tuples(n, k)]
 
 
 @dataclass
@@ -239,8 +250,7 @@ class SystemVerdict:
     verdict: ExtPosVerdict
 
     def label(self) -> str:
-        beta = str(self.beta) if self.beta is not None else "-"
-        return f"(r={self.r}, beta={beta})"
+        return f"(r={self.r}, beta={self.beta if self.beta is not None else '-'})"
 
 
 @dataclass
@@ -284,11 +294,8 @@ def _rules(prop: str, n: int, k: int, strict: bool = True):
         requirements = [(n, r, None, not (relax and r == n), n - 1 if relax and r == n else 0)
                         for r in range(1, n + 1)]
         return name, requirements, 1, not relax
-    requirements = []
-    for r in range(1, k + 1):
-        for entry in beta_family(n, k, strict=not relax):
-            relaxed = r == k and entry.relaxed
-            requirements.append((k, r, entry.beta, not relaxed, k if relaxed else 0))
+    requirements = [(k, r, e.beta, not (r == k and e.relaxed), k if r == k and e.relaxed else 0)
+                    for r in range(1, k + 1) for e in beta_family(n, k, strict=not relax)]
     return name, requirements, None, not relax
 
 
@@ -340,12 +347,10 @@ def _certify(ctx: _OperatorContext, prop: str, k: int, strict: bool = True) -> C
     eps = forced_sign
     if eps is None:
         eps = next((sv.verdict.sign for sv in per if not sv.relaxed and sv.verdict.sign), None)
-    problem = next(filter(None, (_shortfall(sv, signs, lead, eps) for sv, signs, lead in rows)),
-                   None)
-    if problem:
-        return Certificate(name, "observability", Conclusion.INCONCLUSIVE, eps, per, ctx.horizon,
-                           [problem])
-    return Certificate(name, "observability", Conclusion.CERTIFIED, eps, per, ctx.horizon)
+    shortfalls = filter(None, (_shortfall(sv, signs, lead, eps) for sv, signs, lead in rows))
+    notes = list(islice(shortfalls, 1))  # the first shortfall, if any
+    conclusion = Conclusion.INCONCLUSIVE if notes else Conclusion.CERTIFIED
+    return Certificate(name, "observability", conclusion, eps, per, ctx.horizon, notes)
 
 
 def _section_refutation(ctx: _OperatorContext, name: str, orders) -> Certificate | None:
@@ -362,17 +367,15 @@ def _section_refutation(ctx: _OperatorContext, name: str, orders) -> Certificate
     for j in orders:
         check = _vb_check(section, j, ctx.tol)
         if check.status is Conclusion.REFUTED:
-            note = f"section O_{T} is not {check.property_name} ({check.rule}): {check.detail}"
-            return Certificate(name, "observability", Conclusion.REFUTED, None, [], ctx.horizon,
-                               [note])
+            return Certificate(name, "observability", Conclusion.REFUTED, None, [], ctx.horizon, [
+                f"section O_{T} is not {check.property_name} ({check.rule}): {check.detail}"])
     return None
 
 
 def _context(A: Matrix, c: Sequence[Num], k: int, horizon: int | None,
              tol: float) -> _OperatorContext:
-    n = A.rows
-    if not 1 <= k <= n:
-        raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if not 1 <= k <= A.rows:
+        raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={A.rows}")
     return _OperatorContext(A, c, tol, horizon)
 
 
@@ -441,8 +444,7 @@ def certify_vd(A: Matrix, c: Sequence[Num], k: int, horizon: int | None = None,
     certificates fold to certified or inconclusive.
     """
     ctx = _context(A, c, k, horizon, tol)
-    refuted = _section_refutation(ctx, property_name("vd", k), range(1, k + 1))
-    if refuted:
+    if refuted := _section_refutation(ctx, property_name("vd", k), range(1, k + 1)):
         return refuted
     certs = _order_certificates(ctx, k)
     notes = [f"order {j}: {cert.property_name} certified" if cert.passed()
@@ -485,8 +487,7 @@ def eigen_necessary_check(A: Matrix, k: int, tol: float = DEFAULT_TOL,
     Af = np.array(A.to_float().data, dtype=float)
     top_ok = all(real_positive(lam, tol) for lam in lams[:k])
     shell_floor = abs(lams[k - 1]) - tie_tol * max(1.0, abs(lams[k - 1]))
-    shell = [lam for lam in lams if abs(lam) >= shell_floor]
-    shell_ok = all(real_positive(lam, tol) for lam in shell)
+    shell_ok = all(real_positive(lam, tol) for lam in lams if abs(lam) >= shell_floor)
 
     diagonalizable = True
     seen = []
@@ -495,13 +496,10 @@ def eigen_necessary_check(A: Matrix, k: int, tol: float = DEFAULT_TOL,
             continue
         seen.append(lam)
         alg = sum(1 for m in lams if abs(m - lam) <= tie_tol * max(1.0, abs(lam)))
-        if alg > 1:
-            geo = n - np.linalg.matrix_rank(Af - lam * np.eye(n), tol=1e-8)
-            if geo < alg:
-                diagonalizable = False
+        if alg > 1 and n - np.linalg.matrix_rank(Af - lam * np.eye(n), tol=1e-8) < alg:
+            diagonalizable = False
 
-    passed = top_ok and shell_ok
-    if passed:
+    if top_ok and shell_ok:
         return EigenScreen(True, False, diagonalizable, lams)
     if not top_ok:
         reason = f"a dominant eigenvalue among the top {k} is not real positive"
@@ -540,8 +538,7 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     levels = {j - 1: "strict" if cert.property_name == property_name("svb", j) else "nonstrict"
               for j, cert in enumerate(_order_certificates(ctx, ctx.n), 1)
               if cert.passed()}
-    applicable = [level for level in levels if level >= vb_in]
-    bound = min(applicable) if applicable else None
+    bound = min((level for level in levels if level >= vb_in), default=None)
     # C_1(A) = A and c_1 = c, so the order-1 rows and modes serve (A, b, c)
     sys = LtiSystem(A, tuple(b), tuple(c))
     g = impulse_response(sys, horizon, ctx.output_rows(1, horizon))
@@ -549,9 +546,7 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     measured = v_minus(g, tol) if A.backend is Backend.FLOAT else v_minus(g.nums)
     tail, _ = dominant_tail(sys, tol, ctx.modes(1))
     complete = tail is not None and tail.start <= horizon
-    notes = []
-    if bound is None:
-        notes.append("no certified level covers the input variation")
+    notes = ["no certified level covers the input variation"] if bound is None else []
     return VariationBoundReport(vb_in, levels, bound, measured, complete, horizon, notes)
 
 
@@ -570,9 +565,13 @@ def certify_observability(A: Matrix, c: Sequence[Num], k: int, prop: str = "svb"
 def certify_controllability(A: Matrix, b: Sequence[Num], k: int, prop: str = "svb",
                             horizon: int | None = None, tol: float = DEFAULT_TOL,
                             strict: bool = True) -> Certificate:
-    """Controllability certificates via the transposed pair (A^T, b^T)."""
+    """Controllability certificates via the transposed pair (A^T, b^T), whose
+    section O_(n+1) is C_(n+1)^T, the transposed controllability section
+    [b, A b, ..., A^n b] of (A, b): a section refutation's note names it so."""
     cert = certify_observability(A.transpose(), b, k, prop, horizon, tol, strict)
-    return replace(cert, target="controllability")
+    section, name = (f"section {x}_{A.rows + 1}" for x in ("O", "C"))
+    notes = [note.replace(section, name + "^T", 1) for note in cert.notes]
+    return replace(cert, target="controllability", notes=notes)
 
 
 def certify_hankel(A: Matrix, b: Sequence[Num], c: Sequence[Num], k: int,

@@ -201,6 +201,27 @@ def test_section_refuted_vb_report_lists_no_systems(tmp_path, capsys):
     assert json.loads((out / "report.json").read_text())["traces"] == ["traces.csv"]
 
 
+def test_section_refuted_controllability_note_names_c_n_plus_1(tmp_path, capsys):
+    """A controllability certificate judges the section O_(n+1) of (A^T, b),
+    which is C_(n+1)^T of (A, b): its note names C_6^T on example3 (n = 5),
+    alone and as the Hankel factor, while the observability factor keeps
+    O_6."""
+    out = tmp_path / "out"
+    argv = ["certify", str(fixture_path("example3")), "--property", "vb", "--k", "1",
+            "--out", str(out), "--target"]
+    assert main(argv + ["ctrb"]) == 1
+    report = json.loads((out / "report.json").read_text())
+    cert = report["certificate"]
+    assert (cert["target"], cert["conclusion"], cert["systems"]) == \
+        ("controllability", "refuted", [])
+    assert len(cert["notes"]) == 1 and cert["notes"][0].startswith("section C_6^T is not VB_0 ")
+    assert report["traces"] == [] and sorted(p.name for p in out.iterdir()) == ["report.json"]
+    assert main(argv + ["hankel"]) == 2
+    cert = json.loads((out / "report.json").read_text())["certificate"]
+    assert cert["controllability"]["notes"][0].startswith("section C_6^T is not VB_0 ")
+    assert cert["observability"]["notes"][0].startswith("section O_6 is not VB_0 ")
+
+
 def test_inactive_mode_note_names_a_horizon_too_short_for_the_recurrence(tmp_path, capsys):
     """beta = {2} of diag(1/2, 1/4) traces (1/4)^(t-1): the dominant mode has
     zero residue, and the recurrence fit needs n + L = 3 samples, which a

@@ -165,10 +165,11 @@ def _contraction_full_order_reference(A, c, r):
     return compound(left.submatrix(range(1, n + 1), range(n - r + 1, n + 1)), r).col(0)
 
 
-def _laplace_reference(A, c, k, r, beta):
+def _laplace_reference(A, c, k, r, beta, det_n=None):
     """b = C_r(A)^(k-r) w by the Laplace expansion, written out again: the
     anchor minors by ``minor``, eps_T by counting the entries of the rest of
-    beta that each element of T passes, the products by ``compound(A, r)``."""
+    beta that each element of T passes, the products by ``compound(A, r)``;
+    w / det_n in place of w when det_n is given (the full-order family)."""
     n, a = A.rows, k - r
     obs_n = observability_matrix(A, c, n)
     index = {T.elems: i for i, T in enumerate(lex_tuples(n, r))}
@@ -179,6 +180,8 @@ def _laplace_reference(A, c, k, r, beta):
         weight = minor(obs_n, range(1, a + 1), rest) if a else one
         passes = sum(x > t for t in T for x in rest)
         w[index[T]] = -weight if passes % 2 else weight
+    if det_n is not None:
+        w = [x / det_n for x in w]
     CA = compound(A, r)
     for _ in range(a):
         w = CA.matvec(w)
@@ -198,32 +201,29 @@ def _differential_pairs():
 
 @pytest.mark.parametrize("arith", ["exact", "float"])
 def test_compound_trace_inputs_match_minor_reference(arith):
-    """Exact inputs equal the paper's contraction through O_n^{-1} as Fractions.
-    Float inputs equal the Laplace expansion written out again, bit for bit,
-    and lie within 1e-12 of the exact inputs, relative to their largest entry."""
+    """The inputs b of ``_OperatorContext.system`` (those of ``compound_system``
+    and ``full_compound_systems``): exact inputs equal the paper's contraction
+    through O_n^{-1} as Fractions.  Float inputs equal the Laplace expansion
+    written out again, bit for bit, and lie within 1e-12 of the exact inputs,
+    relative to their largest entry."""
     checked = 0
     for A, c in _differential_pairs():
         n = A.rows
         exact = obsv._OperatorContext(A, c)
         Af, cf = A.to_float(), tuple(float(x) for x in c)
         ctx = exact if arith == "exact" else obsv._OperatorContext(Af, cf)
-        whole = IndexTuple(n, tuple(range(1, n + 1)))
+        whole, det_n = IndexTuple(n, tuple(range(1, n + 1))), det(observability_matrix(Af, cf, n))
         cases = [(k, r, beta) for k in range(1, n + 1) for r in range(1, k + 1)
                  for beta in lex_tuples(n, k)] + [(n, r, None) for r in range(1, n + 1)]
         for k, r, beta in cases:
-            if beta is None:
-                got, want_exact = obsv._full_order_input(ctx, r), obsv._full_order_input(exact, r)
-            else:
-                got = obsv._minor_trace_input(ctx, k, r, beta)
-                want_exact = obsv._minor_trace_input(exact, k, r, beta)
+            got, want_exact = ctx.system(k, r, beta).b, exact.system(k, r, beta).b
             if arith == "exact":
                 want = (_contraction_full_order_reference(A, c, r) if beta is None
                         else _contraction_reference(A, c, k, r, beta))
                 assert all(type(x) is Fraction for x in got) and got == want, (n, k, r, beta)
             else:
-                want = (tuple(x / det(observability_matrix(Af, cf, n))
-                              for x in _laplace_reference(Af, cf, n, r, whole))
-                        if beta is None else _laplace_reference(Af, cf, k, r, beta))
+                want = (_laplace_reference(Af, cf, n, r, whole, det_n) if beta is None
+                        else _laplace_reference(Af, cf, k, r, beta))
                 assert _same_scalars(got, want), (n, k, r, beta)
                 scale = max(abs(float(x)) for x in want_exact) or 1.0
                 assert max(abs(x - float(y)) for x, y in zip(got, want_exact)) <= 1e-12 * scale
@@ -337,11 +337,13 @@ def _without_samples(cert):
 
 @pytest.mark.parametrize("horizon", [5, 50])
 def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
-    """Every analysis holds a prefix of the full-horizon samples, bit for bit:
-    up to t_bad = max(first positive, first negative) when both strict signs
-    occur, else up to the horizon.  Judged strictly or not, and folded into
-    every property at every order, it gives what the full-horizon analysis
-    gives; an order's shared rows end at the block of the last sample taken."""
+    """Every analysis holds a prefix of the full-horizon samples of its
+    shifted system, bit for bit: up to t_bad = max(first positive, first
+    negative) when both strict signs occur, else up to the horizon.  Exact
+    values and signs are those of the system with its input b formed.  Judged
+    strictly or not, and folded into every property at every order, it gives
+    what the full-horizon analysis gives; an order's shared rows end at the
+    block of the last sample taken, read s rows late."""
     stopped = short_orders = 0
     for A, c in _early_stop_pairs():
         n, exact = A.rows, A.backend is Backend.EXACT
@@ -350,12 +352,14 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
                 for e in beta_family(n, k)] + [(n, r, None) for r in range(1, n + 1)]
         taken = {}
         for key in keys:
-            analysis, sys = ctx.analysis(*key), ctx.system(*key)
-            full = impulse_response(sys, horizon)
+            analysis, (sys, s) = ctx.analysis(*key), ctx.shifted(*key)
+            full = impulse_response(sys, horizon, shift=s)
             signs = tuple(sign_of(x, A.backend, ctx.tol) for x in full)
             t = len(analysis.samples)
             if exact:
                 assert analysis.samples == full[:t] and analysis.samples.nums == full.nums[:t]
+                formed = impulse_response(ctx.system(*key), horizon)
+                assert full == formed and signs == tuple(sign_of(x, A.backend) for x in formed)
             else:
                 assert list(map(repr, analysis.samples)) == list(map(repr, full[:t]))
             assert analysis.signs == signs[:t] and analysis.horizon == horizon
@@ -372,10 +376,10 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
                 assert replace(got, samples=None) == replace(want, samples=None)
                 assert got.samples == want.samples[:t]
             ref._memo[("analysis", *key)] = reference
-            taken.setdefault(key[1], []).append(t)
-        for r, lengths in taken.items():
+            taken.setdefault(key[1], []).append(_block_end(t, horizon) + s)
+        for r, ends in taken.items():
             rows = ctx.output_rows(r, 1).rows
-            assert len(rows) == max(_block_end(t, horizon) for t in lengths)
+            assert len(rows) == max(ends)
             short_orders += len(rows) < horizon
         for k in range(1, n + 1):
             for prop, strict in (("svb", True), ("vb", True), ("kpos", True), ("kpos", False)):
@@ -508,6 +512,82 @@ def test_shared_eigen_note_lands_on_every_system():
             system = ctx.system(*key)
             assert note in dominant_tail(system, ctx.tol, ctx.modes(1))[1], (A, key)
             assert note in dominant_tail(system, ctx.tol)[1], (A, key)
+
+
+def _tail_route(analysis):
+    """(route, tail_start) of an analysis's tail; (None, None) without one."""
+    if analysis.tail is None:
+        return None, None
+    route = "recurrence" if any("minimal-recurrence" in n for n in analysis.notes) else "eigen"
+    return route, analysis.tail.start
+
+
+def _shift_differential_pairs():
+    rng = random.Random(3202)
+    return [pair for n in (3, 4, 5)
+            for pair in (observable_pair(rng, n), observable_pair(rng, n), _diagonal_pair(rng, n))]
+
+
+@pytest.mark.parametrize("arith", ["exact", "float"])
+def test_shifted_analyses_match_the_systems_with_b_formed(arith):
+    """Each analysis of the context reads (C_r(A), w, c_r) s rows late; it
+    matches ``analyse`` and ``impulse_response`` of the system with its input
+    b formed (``compound_system``, ``full_compound_systems``) at every k, r
+    and beta and on the full-order family: equal tail route and
+    ``tail_start``; exact, equal sample values, signs and notes; float,
+    equal decisive signs and samples within 1e-12 of the system's largest
+    |g|."""
+    systems = routes = 0
+    for A, c in _shift_differential_pairs():
+        if arith == "float":
+            A, c = A.to_float(), tuple(map(float, c))
+        n = A.rows
+        ctx = obsv._OperatorContext(A, c)
+        H = ctx.horizon
+        cases = [((k, r, beta), compound_system(A, c, k, r, beta)) for k in range(1, n + 1)
+                 for r in range(1, k + 1) for beta in lex_tuples(n, k)]
+        cases += [((n, r, None), sys) for r, sys in enumerate(full_compound_systems(A, c), 1)]
+        for key, sys in cases:
+            got, want = ctx.analysis(*key), lti.analyse(sys, H)
+            full = impulse_response(sys, H)
+            t = len(got.samples)
+            if arith == "exact":
+                assert got.samples == want.samples == full[:t], (A, key)
+                assert got.signs == want.signs and got.notes == want.notes, (A, key)
+            else:
+                scale = max(map(abs, full)) or 1.0
+                assert max(abs(x - y) for x, y in zip(got.samples, full)) <= 1e-12 * scale
+                signs = [sign_of(x, A.backend, ctx.tol) for x in full[:t]]
+                assert all(a == b for a, b in zip(got.signs, signs) if a is not None
+                           and b is not None), (A, key)
+            # the residues of w scaled by lam^s are those of b: the same tail
+            assert _tail_route(got) == _tail_route(want), (A, key)
+            routes += got.tail is not None
+            systems += 1
+    assert systems > 400 and routes > 100, (systems, routes)
+
+
+def test_certificates_form_no_compound_input(monkeypatch):
+    """No certifier multiplies by C_r(A): on the fixtures, exact and float,
+    every property and target at k = 1..3 (example3 at k = 1) runs without
+    ``Matrix.matvec``."""
+    def refuse(self, v):
+        raise AssertionError("Matrix.matvec called on a certify path")
+
+    monkeypatch.setattr(Matrix, "matvec", refuse)
+    runs = 0
+    for name, orders in (("example1", (1, 2, 3)), ("example2", (1, 2, 3)), ("example3", (1,))):
+        sf = load_system_file(fixture_path(name))
+        b = sf.b if sf.b is not None else sf.c
+        for A, b_, c in ((sf.A, b, sf.c), (sf.A.to_float(), tuple(map(float, b)),
+                                          tuple(map(float, sf.c)))):
+            for k in orders:
+                for prop in ("svb", "vb", "kpos", "vd"):
+                    certify_observability(A, c, k, prop)
+                    certify_controllability(A, b_, k, prop)
+                    certify_hankel(A, b_, c, k, prop)
+                    runs += 3
+    assert runs == 2 * 4 * 3 * 7
 
 
 def test_compound_system_r_equals_k_first_sample(rng):

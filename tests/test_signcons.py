@@ -386,6 +386,46 @@ def test_vb_and_vd_checks_evaluate_each_minor_once(monkeypatch, check):
     assert all(I[-1] - I[0] == J[-1] - J[0] == r - 1 for r, I, J in evaluated)
 
 
+def test_vb_and_vd_checks_build_one_reader_per_row_set(monkeypatch):
+    """On seeded exact 8 x 6 matrices at k = 2..4, a ``Minors`` builds the
+    reader of each row set once, however many streams read it; verdicts,
+    rules, witness texts and strict flags equal those of checks whose every
+    read builds its reader afresh, as ``stream`` did once per row."""
+    reader = Minors._reader
+    handed = []  # (instance, I, reader) of every reader handed out, kept alive
+
+    def recording(self, I):
+        read = reader(self, I)
+        handed.append((self, I, read))
+        return read
+
+    def afresh(self, I):
+        self._readers.pop(I, None)
+        return recording(self, I)
+
+    rng = random.Random(1604)
+    counts = {"afresh": 0, "kept": 0, "row sets": 0}
+    for _ in range(20):
+        X = random_exact(rng, 8, 6)
+        for k in (2, 3, 4):
+            for check in (vb_matrix_check, vd_matrix_check):
+                monkeypatch.setattr(Minors, "_reader", afresh)
+                handed.clear()
+                want = check(X, k)
+                counts["afresh"] += len({id(read) for _, _, read in handed})
+                monkeypatch.setattr(Minors, "_reader", recording)
+                handed.clear()
+                got = check(X, k)
+                assert got == want, (X, k, check.__name__)
+                row_sets = {(id(m), I) for m, I, _ in handed}
+                built = len({id(read) for _, _, read in handed})
+                assert built == len(row_sets), (X, k, check.__name__)
+                counts["kept"] += built
+                counts["row sets"] += len(row_sets)
+    # the column-wise reads of the independence scan once built a reader per minor
+    assert counts["afresh"] > 2 * counts["kept"], counts
+
+
 def test_witness_text_is_str_at_any_size():
     """Witness details read as ``str(witness)``, also where ``str`` refuses
     the digits of a minor."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,14 +50,42 @@ def _echo(value) -> str:
     return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
 
 
+# the digits of the exponent of a decimal string as ``Fraction`` reads it: e
+# or E, an optional sign and digits, possibly grouped by underscores, at the end
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# An exponent may reach this many times the int-string digit limit: values
+# of 10^5000 and more, whose samples and minors ``linalg.int_text`` renders,
+# stay readable, while 10^43000 (at the default limit of 4300) takes about
+# a second to check and print, and 10^(10^9) would not finish in minutes.
+_EXPONENT_FACTOR = 10
+
+
+def _exponent_beyond(value: str, limit: int) -> bool:
+    """Whether the decimal exponent of ``value`` exceeds ``limit`` in
+    magnitude; ``Fraction`` would raise 10 to it."""
+    match = _EXPONENT.search(value)
+    if match is None:
+        return False
+    digits = match[1].replace("_", "").lstrip("0")
+    return len(digits) > len(str(limit)) or int(digits or "0") > limit
+
+
 def _parse_entry(value, backend: Backend, warned: list[bool]):
     """A decimal string, int or finite float entry: its exact value as a
     Fraction, or in float mode that value rounded to a float."""
     if isinstance(value, str):
+        # the digits of a numerator or denominator are held to the int-string
+        # limit, and an exponent to ten times it, unless the limit is off (0)
+        bound = _EXPONENT_FACTOR * sys.get_int_max_str_digits()
+        if bound and _exponent_beyond(value, bound):
+            raise InputFileError(f"cannot parse entry {_echo(value)}: its decimal exponent "
+                                 f"exceeds {bound} in magnitude")
         try:
             x = Fraction(value)
         except ValueError as exc:
             raise InputFileError(f"cannot parse entry {_echo(value)} as a decimal") from exc
+        except ZeroDivisionError as exc:
+            raise InputFileError(f"cannot parse entry {_echo(value)}: zero denominator") from exc
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFileError(f"entry {_echo(value)} is not a number or decimal string")
     else:

@@ -373,23 +373,28 @@ def minor(X: Matrix, rows, cols) -> Num:
     return det(X.submatrix(ri, ci))
 
 
+_ZERO = Fraction(0)
+
+
 class Minors:
     """The minors of one matrix, each computed when first read and then kept.
 
     Index sets are 1-based tuples.  Exact rows are lifted to integers once,
     each scaled by the lcm of its denominators (``of_rows`` takes integer rows
     and their scales as they are); each minor is one integer Bareiss over the
-    product of its row scales.  Float minors run partial
-    pivoting on the rows as they are.  Every minor is computed by the reader
-    of its row set, built once per instance, so reads may come in any order,
-    from any number of streams at once; a minor that ``stream`` has read is
-    computed once per instance.  ``rank`` runs the same elimination on all
-    the rows.
+    product of its row scales.  With ``sparse`` (``compound``'s reads), an
+    exact minor with a row that has no nonzero entry in its columns is 0
+    without one; the test costs more than it saves on dense matrices.  Float
+    minors run partial pivoting on the rows as they are.  Every minor is
+    computed by the reader of its row set, built once per instance, so reads
+    may come in any order, from any number of streams at once; a minor that
+    ``stream`` has read is computed once per instance.  ``rank`` runs the
+    same elimination on all the rows.
     """
 
-    __slots__ = ("shape", "backend", "_rows", "_scales", "_known", "_readers")
+    __slots__ = ("shape", "backend", "_rows", "_scales", "_sparse", "_known", "_readers")
 
-    def __init__(self, X: Matrix):
+    def __init__(self, X: Matrix, sparse: bool = False):
         if X.backend is Backend.EXACT:
             rows, scales = [], []
             for row in X.data:
@@ -398,7 +403,7 @@ class Minors:
                 scales.append(d)
         else:
             rows, scales = X.data, None
-        self._fill(rows, scales)
+        self._fill(rows, scales, sparse)
 
     @classmethod
     def of_rows(cls, rows, dens) -> "Minors":
@@ -409,12 +414,13 @@ class Minors:
         minors._fill(rows, dens)
         return minors
 
-    def _fill(self, rows, scales) -> None:
+    def _fill(self, rows, scales, sparse: bool = False) -> None:
         self.shape = (len(rows), len(rows[0]))
         self.backend = Backend.FLOAT if scales is None else Backend.EXACT
         # a leading placeholder row and column make 1-based indices direct
         self._rows = [None, *([None, *row] for row in rows)]
         self._scales = None if scales is None else [1, *scales]
+        self._sparse = sparse
         self._known: dict = {}
         self._readers: dict = {}
 
@@ -430,7 +436,14 @@ class Minors:
             read = lambda J: _partial_pivot([[row[j] for j in J] for row in block])[1]
         else:
             scale = math.prod([self._scales[i] for i in I])
-            read = lambda J: Fraction(_bareiss([[row[j] for j in J] for row in block])[1], scale)
+            bareiss = lambda J: Fraction(_bareiss([[row[j] for j in J] for row in block])[1], scale)
+            # the nonzero columns of each row of the block that has a zero: a
+            # row with none in J makes the minor 0 (a float 1 x 1 minor keeps
+            # its signed zero, so only exact minors skip the elimination)
+            nonzero = self._sparse and [{j for j, x in enumerate(row) if x}
+                                        for row in block if 0 in row]
+            read = bareiss if not nonzero else (
+                lambda J: _ZERO if any(nz.isdisjoint(J) for nz in nonzero) else bareiss(J))
         self._readers[I] = read
         return read
 
@@ -471,10 +484,13 @@ def compound(X: Matrix, r: int) -> Matrix:
     Computed minor by minor by ``Minors.row``, through the row reader that
     the lazy sign checks read as well; at desk scale C(n,r)^2 small
     determinants are cheap and there is no need for a fast compound algorithm.
+    An exact minor with a row that is zero on its columns is 0 without an
+    elimination (``Minors`` with ``sparse``): C_r(A) of a diagonal A runs
+    C(n, r) eliminations, one per diagonal entry.
     """
     if not 1 <= r <= min(X.rows, X.cols):
         raise RankOutOfRangeError(f"compound order {r} invalid for shape {X.shape}")
-    minors = Minors(X)
+    minors = Minors(X, sparse=True)
     col_sets = index_sets(X.cols, r)
     return Matrix([list(minors.row(I, col_sets)) for I in index_sets(X.rows, r)], X.backend)
 

@@ -6,7 +6,11 @@ response of (A, A^s b, c) is read from row t + s on, so A^s b is never
 formed (``impulse_response``, ``analyse``).  Exact samples stay
 integer numerators over the known denominators D_b D_c D_A^(t-1)
 (``ExactSamples``): signs and the recurrence fit read the numerators, and a
-``Fraction`` is built only to show a value.
+``Fraction`` is built only to show a value.  Exact sums run over the nonzero
+products only: each output row is the one before times the nonzero entries
+of each column of D_A A, and each sample its row times the nonzero entries
+of D_b b, so a diagonal or sparse A and a sparse input cost one product per
+nonzero entry.  Float sums keep every product (``OutputRows``).
 
 A verdict separates two kinds of evidence: the sampled impulse response over
 a finite horizon, and an analytic tail bound derived from a floating-point
@@ -20,7 +24,8 @@ that differ only in b can share the output rows, grown as far as their
 samples reach, and the eigen-decomposition (``dominant_modes``).
 
 numpy is imported inside the eigen routes, so a run that takes none of them
-never loads it.
+never loads it.  A 1 x 1 exact system takes none: its eigenvalue is its
+entry, with eigenvector [1] (``dominant_modes``).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .linalg import (
     DEFAULT_TOL,
@@ -78,16 +83,31 @@ class LtiSystem:
         return self.A.backend
 
     @cached_property
-    def _lifted_b(self) -> tuple[int, tuple[int, ...]]:
-        """(D_b, D_b b) of an exact system, lifted once however many blocks
-        ``impulse_response`` samples it in."""
-        return _lift(self.b)
+    def _lifted_b(self) -> tuple[int, Callable[[Sequence[int]], int]]:
+        """(D_b, w -> w (D_b b)) of an exact system (``_sparse_dot``), lifted
+        once however many blocks ``impulse_response`` samples it in."""
+        db, b = _lift(self.b)
+        return db, _sparse_dot(b)
 
 
 def _lift(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """(D, D x) for exact x, D the lcm of the denominators of its entries."""
     d = math.lcm(*(x.denominator for x in xs))
     return d, tuple(x.numerator * (d // x.denominator) for x in xs)
+
+
+def _sparse_dot(x: Sequence[int]) -> Callable[[Sequence[int]], int]:
+    """w -> the integer dot product w x, summed over the nonzero entries of x
+    only: integer sums do not depend on the terms left out, which are 0."""
+    idx = [i for i, v in enumerate(x) if v]
+    vals = [x[i] for i in idx]
+    if len(idx) > 1:
+        get = itemgetter(*idx)
+        return lambda w: sum(map(mul, get(w), vals))
+    if idx:
+        (i,), (v,) = idx, vals
+        return lambda w: w[i] * v
+    return lambda w: 0
 
 
 def default_horizon(n: int) -> int:
@@ -102,17 +122,21 @@ class OutputRows:
     demand: ``extend`` appends rows in place, and never rebuilds the earlier
     ones nor lifts A again.
 
-    Each row is the one before times A, each entry summed left to right from
-    0 as a sample is (``impulse_response``).  Float rows are c A^(t-1) and
-    ``dens`` is None.  Exact rows are integer: with D_A and D_c the lcm of the
-    denominators of A and c, ``rows[t-1]`` is w_t = (D_c c)(D_A A)^(t-1) and
-    ``dens[t-1]`` is D_c D_A^(t-1), so that c A^(t-1) = w_t / dens[t-1].
+    Each row is the one before times A.  Float rows are c A^(t-1), each entry
+    summed left to right from 0 over every product, as a float sample is
+    (``impulse_response``), and ``dens`` is None.  Exact rows are integer:
+    with D_A and D_c the lcm of the denominators of A and c, ``rows[t-1]`` is
+    w_t = (D_c c)(D_A A)^(t-1) and ``dens[t-1]`` is D_c D_A^(t-1), so that
+    c A^(t-1) = w_t / dens[t-1].  An exact entry sums only the products with
+    the nonzero entries of its column of D_A A, which integer sums allow: a
+    diagonal A costs one product per entry.
     """
 
     __slots__ = ("rows", "dens", "_cols", "_step")
 
     def __init__(self, w: tuple[Num, ...], cols: list | None, dc: int | None, dA: int):
-        # cols: the columns of A (of D_A A when exact), None when A is not square
+        # cols: the columns of A, or when exact the products with those of
+        # D_A A (``_sparse_dot``); None when A is not square
         self.rows, self._cols, self._step = [w], cols, dA
         self.dens = None if dc is None else [dc]
 
@@ -122,10 +146,11 @@ class OutputRows:
         if len(rows) < N and cols is None:
             raise SizeMismatchError(_SQUARE)
         while len(rows) < N:
+            w = rows[-1]
             if dens is None:
-                rows.append(tuple(reduce(add, map(mul, rows[-1], col), 0) for col in cols))
+                rows.append(tuple(reduce(add, map(mul, w, col), 0) for col in cols))
             else:
-                rows.append(tuple(sum(map(mul, rows[-1], col)) for col in cols))
+                rows.append(tuple([dot(w) for dot in cols]))
                 dens.append(dens[-1] * self._step)
         return self
 
@@ -142,7 +167,8 @@ def output_rows(A: Matrix, c: Sequence[Num], N: int) -> OutputRows:
     else:
         dA = math.lcm(*(x.denominator for row in A.data for x in row))
         dc, w = _lift(c)
-        cols = list(zip(*([x.numerator * (dA // x.denominator) for x in row] for row in A.data)))
+        cols = [_sparse_dot(col) for col in
+                zip(*([x.numerator * (dA // x.denominator) for x in row] for row in A.data))]
     return OutputRows(w, cols if A.is_square() else None, dc, dA).extend(N)
 
 
@@ -181,11 +207,13 @@ def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None,
     built earlier for the same A, c, which are extended to N + shift rows in
     place).  So A^shift b is never formed.
 
-    A float sample is summed left to right from integer 0 (``sum`` compensates
-    float sums from Python 3.12 on), so -0.0 comes out as 0.0.
+    A float sample is summed left to right from integer 0 over every product
+    (``sum`` compensates float sums from Python 3.12 on), so -0.0 comes out
+    as 0.0, and an inf entry of the row times a zero of b gives nan.
     An exact sample is kept as its integer numerator (``ExactSamples``): with
     D_b the lcm of the denominators of b, g(t) = w_(t+shift) (D_b b) /
-    (D_b D_c D_A^(t-1+shift)); D_b b is computed once per system.
+    (D_b D_c D_A^(t-1+shift)), the numerator summed over the nonzero entries
+    of D_b b only; D_b b and its support are computed once per system.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -194,9 +222,8 @@ def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None,
     window = rows.rows[start + shift:end]
     if sys.backend is Backend.FLOAT:
         return tuple(reduce(add, map(mul, w, sys.b), 0) for w in window)
-    db, b = sys._lifted_b
-    return ExactSamples(tuple(sum(map(mul, w, b)) for w in window), db,
-                        rows.dens[start + shift:end])
+    db, dot = sys._lifted_b
+    return ExactSamples(tuple(map(dot, window)), db, rows.dens[start + shift:end])
 
 
 def observability_matrix(A: Matrix, c: Sequence[Num], t: int) -> Matrix:
@@ -289,31 +316,47 @@ class DominantModes:
     ``note`` is set when no input can have an eigen tail and says why;
     otherwise ``V`` holds the eigenvectors, ``y`` = c V, ``lam`` the
     eigenvalues, ``lead`` the index of the dominant eigenvalue ``lam1`` and
-    ``sub`` the largest modulus below it.
+    ``sub`` the largest modulus below it.  A 1 x 1 exact A has ``V`` None:
+    its eigenvector is [1], so ``y`` and ``lam`` are its c and its entry, as
+    Python floats.
     """
 
     note: str
     V: np.ndarray | None = None
-    y: np.ndarray | None = None
-    lam: np.ndarray | None = None
+    y: np.ndarray | tuple[float] | None = None
+    lam: np.ndarray | tuple[float] | None = None
     lead: int = 0
     lam1: complex = 0j
     sub: float = 0.0
 
 
 def dominant_modes(A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL) -> DominantModes:
-    """The decomposition ``dominant_tail`` needs, up to the input vector."""
+    """The decomposition ``dominant_tail`` needs, up to the input vector.
+
+    A 1 x 1 exact A needs no eigen-solve (its eigenvalue is its entry, its
+    eigenvector [1]) and loads no numpy; every other A runs numpy's ``eig``.
+    Both pass the same gates: a decisively real positive dominant eigenvalue
+    and a modulus gap below it.
+    """
+    try:
+        Af = A.to_float().data
+        cf = [float(x) for x in c]
+    except OverflowError:
+        return DominantModes("state matrix or output row exceeds float range; no eigen tail")
+    if A.backend is Backend.EXACT and A.rows == 1:
+        return _gated_modes(Af[0], None, tuple(cf), tol)
     import numpy as np
 
     try:
-        Af = np.array(A.to_float().data, dtype=float)
-        cf = np.array([float(x) for x in c], dtype=float)
-    except OverflowError:
-        return DominantModes("state matrix or output row exceeds float range; no eigen tail")
-    try:
-        lam, V = np.linalg.eig(Af)
+        lam, V = np.linalg.eig(np.array(Af, dtype=float))
     except np.linalg.LinAlgError as exc:
         return DominantModes(f"eigen-decomposition failed: {exc}")
+    return _gated_modes(lam, V, np.array(cf, dtype=complex) @ V, tol)
+
+
+def _gated_modes(lam, V, y, tol: float) -> DominantModes:
+    """The modes of eigenvalues ``lam``, eigenvectors ``V`` and ``y`` = c V,
+    or the note of the first gate they fail."""
     order = _order_spectrum(lam, 0.0)
     lam1 = lam[order[0]]
     if not real_positive(lam1, tol):
@@ -321,7 +364,7 @@ def dominant_modes(A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL) -> Dom
     sub = max((abs(lam[i]) for i in order[1:]), default=0.0)
     if abs(lam1) - sub <= tol * max(1.0, abs(lam1)):
         return DominantModes("no modulus gap below the dominant eigenvalue (repeated or defective)")
-    return DominantModes("", V, cf.astype(complex) @ V, lam, order[0], lam1, sub)
+    return DominantModes("", V, y, lam, order[0], lam1, sub)
 
 
 def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL,
@@ -336,27 +379,40 @@ def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL,
     so that only the residues are solved for here.  With ``shift`` the
     certificate is that of (A, A^shift b, c), whose samples
     ``impulse_response(sys, N, shift=shift)`` reads: the residues of b are
-    scaled by lam^shift, which gives the residues of A^shift b.
+    scaled by lam^shift, which gives the residues of A^shift b.  A 1 x 1
+    exact system without a shift solves nothing: its one residue is c b, on
+    Python floats.
     """
-    import numpy as np
-
     if modes is None:
         modes = dominant_modes(sys.A, sys.c, tol)
     if modes.note:
         return None, modes.note
     try:
-        bf = np.array([float(x) for x in sys.b], dtype=float)
+        bf = [float(x) for x in sys.b]
     except OverflowError:
         return None, "input vector exceeds float range; no eigen tail"
+    if modes.V is None and not shift:
+        rho1 = modes.y[0] * bf[0]
+        return _tail_certificate(rho1, abs(rho1), modes, tol)
+    import numpy as np
+
+    V, y, lam = modes.V, modes.y, modes.lam
+    if V is None:  # a shifted 1 x 1 system: lam^shift is numpy's, as at every other order
+        V, y, lam = np.ones((1, 1)), np.array(y, dtype=complex), np.array(lam)
     try:
-        x = np.linalg.solve(modes.V, bf.astype(complex))
+        x = np.linalg.solve(V, np.array(bf, dtype=complex))
     except np.linalg.LinAlgError:
         return None, "eigenvector matrix is singular to working precision"
     if shift:
-        x = x * modes.lam ** shift
-    residues = modes.y * x
-    scale = float(np.abs(residues).sum())
-    rho1 = residues[modes.lead]
+        x = x * lam ** shift
+    residues = y * x
+    return _tail_certificate(residues[modes.lead], float(np.abs(residues).sum()), modes, tol)
+
+
+def _tail_certificate(rho1, scale: float, modes: DominantModes,
+                      tol: float) -> tuple[TailCertificate | None, str]:
+    """The certificate of dominant residue ``rho1`` against the residues'
+    total modulus ``scale``, or the note of the gate it fails."""
     if abs(rho1) <= tol * max(1.0, scale):
         return None, "dominant mode has negligible residue (unobservable or uncontrollable)"
     rest = scale - abs(rho1)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import time
 from dataclasses import asdict
 from fractions import Fraction
 from types import SimpleNamespace
@@ -726,6 +727,53 @@ def test_integers_past_the_digit_limit_are_input_errors(tmp_path, capsys):
     assert main(["certify", str(f), "--property", "svb", "--k", "1",
                  "--out", str(tmp_path / "o")]) == 3
     assert "is not valid JSON" in capsys.readouterr().err
+
+
+_ENTRY_COMMANDS = [
+    ["check-matrix", "--property", "sc", "--k", "1"],
+    ["certify", "--property", "svb", "--k", "1"],
+    ["oracle", "--k", "1", "--trials", "5"],
+]
+
+
+def _run_with_entry(tmp_path, command, arith, entry):
+    """main's exit code on a 2 x 2 system whose A[0][0] is ``entry``."""
+    f = write_json(tmp_path, "entry.json",
+                   {"A": [[entry, "0"], ["1", "0.5"]], "b": ["1", "1"], "c": ["1", "1"]})
+    return main(command[:1] + [str(f)] + command[1:]
+                + ["--arith", arith, "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("arith", ["exact", "float"])
+@pytest.mark.parametrize("command", _ENTRY_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("entry", ["1/0", "-3/0", " 0/0 "])
+def test_zero_denominators_are_input_errors(tmp_path, capsys, command, arith, entry):
+    assert _run_with_entry(tmp_path, command, arith, entry) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot parse entry {entry!r}: zero denominator"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("arith", ["exact", "float"])
+@pytest.mark.parametrize("command", _ENTRY_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("entry", ["1e999999999", "-1e999999999", "-1e-999999999",
+                                   "1E+999_999_999", "1e" + "9" * 5000])
+def test_decimal_exponents_past_ten_times_the_digit_limit_are_input_errors(
+        tmp_path, capsys, command, arith, entry):
+    t = time.perf_counter()
+    assert _run_with_entry(tmp_path, command, arith, entry) == 3
+    assert time.perf_counter() - t < 1.0
+    bound = 10 * sys.get_int_max_str_digits()
+    assert (f"its decimal exponent exceeds {bound} in magnitude"
+            in capsys.readouterr().err)
+
+
+def test_decimal_exponents_up_to_ten_times_the_digit_limit_are_read(tmp_path, capsys):
+    bound = 10 * sys.get_int_max_str_digits()
+    for entry in ("1e400", "1e5000", f"1e{bound}", f"1e-{bound}", f"1e00{bound}"):
+        assert _run_with_entry(tmp_path, _ENTRY_COMMANDS[0], "exact", entry) == 0, entry
+    assert "input error" not in capsys.readouterr().err
+    assert _run_with_entry(tmp_path, _ENTRY_COMMANDS[0], "exact", f"1e{bound + 1}") == 3
 
 
 @pytest.mark.parametrize("command", [

@@ -864,3 +864,101 @@ def test_judge_matches_per_exit_reference():
     assert required <= exits, required - exits
     assert {(False, NN), (False, NP)} <= {(s, st) for s, st, note in exits
                                           if note.startswith(trailing)}
+
+
+def _eigen_tail_reference(sys: LtiSystem, tol: float = 1e-9, shift: int = 0):
+    """(certificate, note) of a 1 x 1 system by the eigen route: numpy
+    ``eig`` of A, the dominance gates, ``solve`` for the residue of b, the
+    residue gate and the start rule, written out here as one function."""
+    try:
+        Af = np.array(sys.A.to_float().data, dtype=float)
+        cf = np.array([float(x) for x in sys.c], dtype=float)
+    except OverflowError:
+        return None, "state matrix or output row exceeds float range; no eigen tail"
+    lam, V = np.linalg.eig(Af)
+    lam1 = lam[0]
+    if not (abs(lam1.imag) <= tol * max(1.0, abs(lam1)) and lam1.real > tol):
+        return None, "dominant eigenvalue is not decisively real positive"
+    if abs(lam1) <= tol * max(1.0, abs(lam1)):
+        return None, "no modulus gap below the dominant eigenvalue (repeated or defective)"
+    try:
+        bf = np.array([float(x) for x in sys.b], dtype=float)
+    except OverflowError:
+        return None, "input vector exceeds float range; no eigen tail"
+    x = np.linalg.solve(V, bf.astype(complex))
+    if shift:
+        x = x * lam ** shift
+    residues = (cf.astype(complex) @ V) * x
+    scale = float(np.abs(residues).sum())
+    rho1 = residues[0]
+    if abs(rho1) <= tol * max(1.0, scale):
+        return None, "dominant mode has negligible residue (unobservable or uncontrollable)"
+    rest = scale - abs(rho1)
+    start = 1 if abs(rho1) > rest * (1.0 + 1e-9) else 2
+    return TailCertificate(start, 1 if rho1.real > 0 else -1, float(abs(lam1)), 0.0,
+                           abs(rho1), rest), ""
+
+
+_SCALAR_A = ("-2", "-1/3", "0", "1e-10", "1e-9", "2e-9", "1/2", "7", "1e400")
+_SCALAR_G1 = ("0", "1e-10", "-1e-10", "1e-9", "-1e-9", "3/7", "-3/7", "1e400")
+_SCALAR_GRID = [(a, g1, c) for a in _SCALAR_A for g1 in _SCALAR_G1 for c in ("1", "-5/2")]
+
+
+def _scalar_system(a, g1, c) -> LtiSystem:
+    return LtiSystem(Matrix.exact([[a]]), (g1,), (c,))
+
+
+def _fields(result):
+    """A tail result as text, each certificate field by its float ``repr``
+    (nan included), so that equal texts mean bit-identical fields."""
+    tail, note = result
+    return (None if tail is None else [repr(float(x)) for x in vars(tail).values()]), note
+
+
+@pytest.mark.parametrize("a, g1, c", _SCALAR_GRID)
+def test_scalar_exact_tail_matches_the_eigen_route(a, g1, c):
+    """A 1 x 1 exact system (an order-1 recurrence companion when c = 1, or
+    C_n(A) = [det A]) gives the certificate and note of the eigen route,
+    field for field, without an eigen-solve."""
+    sys = _scalar_system(a, g1, c)
+    want = _fields(_eigen_tail_reference(sys))
+    assert _fields(dominant_tail(sys)) == want
+    modes = lti.dominant_modes(sys.A, sys.c)
+    assert modes.V is None or modes.note
+    assert _fields(dominant_tail(sys, modes=modes)) == want
+
+
+@pytest.mark.parametrize("shift", [1, 2, 5, 400])
+def test_shifted_scalar_exact_tail_matches_the_eigen_route(shift):
+    """A shifted 1 x 1 system scales its residue by numpy's lam^shift, as
+    every other order does (an overflow included)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, g1, c in _SCALAR_GRID:
+            sys = _scalar_system(a, g1, c)
+            got = dominant_tail(sys, modes=lti.dominant_modes(sys.A, sys.c), shift=shift)
+            assert _fields(got) == _fields(_eigen_tail_reference(sys, shift=shift)), (a, g1, c)
+
+
+def test_scalar_exact_systems_need_no_eigen_solve(monkeypatch):
+    """With numpy's ``eig`` and ``solve`` refusing, every 1 x 1 exact tail,
+    that of an order-1 recurrence companion included, comes out as before;
+    a float 1 x 1 system still runs ``eig``."""
+    want = {case: _fields(_eigen_tail_reference(_scalar_system(*case))) for case in _SCALAR_GRID}
+    # the only active mode (1/5) of this diagonal system is not its dominant one
+    A = Matrix.exact([[Fraction(6 - i, 5) if i == j else 0 for j in range(5)] for i in range(5)])
+    sys = LtiSystem(A, (0, 0, 0, 0, 1), (1,) * 5)
+    companion = minimal_recurrence_system(sys, impulse_response(sys, 40))
+    assert companion.n == 1
+    companion_want = _fields(_eigen_tail_reference(companion))
+    assert companion_want[0] is not None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solve called")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for case, result in want.items():
+        assert _fields(dominant_tail(_scalar_system(*case))) == result, case
+    assert _fields(dominant_tail(companion)) == companion_want
+    with pytest.raises(AssertionError, match="eigen-solve"):
+        lti.dominant_modes(Matrix.floating([[0.5]]), (1.0,))

@@ -1,0 +1,185 @@
+"""The exact kernels that sum over nonzero entries only (output rows, samples)
+or skip a minor with a zero row in its columns (``Minors``) against dense
+test-local references, on pairs whose zeros sit in every pattern the
+certifiers meet: dense random, diagonal, upper-triangular, companion and
+example3's block form (a Jordan chain beside a rotation), n = 2..6."""
+
+import math
+import random
+from fractions import Fraction
+from itertools import zip_longest
+
+import pytest
+
+from varsign import linalg
+from varsign.linalg import Backend, Matrix, Minors, compound, index_sets
+from varsign.lti import LtiSystem, impulse_response, output_rows
+
+KINDS = ("dense", "diagonal", "upper", "companion", "block")
+
+
+def _entry(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+
+def _state_matrix(kind: str, n: int, rng) -> list[list[Fraction]]:
+    zero = Fraction(0)
+    if kind == "dense":
+        return [[_entry(rng) for _ in range(n)] for _ in range(n)]
+    if kind == "diagonal":
+        return [[_entry(rng) if i == j else zero for j in range(n)] for i in range(n)]
+    if kind == "upper":
+        return [[_entry(rng) if i <= j else zero for j in range(n)] for i in range(n)]
+    if kind == "companion":
+        A = [[Fraction(j == i + 1) for j in range(n)] for i in range(n - 1)]
+        return A + [[_entry(rng) for _ in range(n)]]
+    # example3's form: a Jordan chain (ones on and below the diagonal) beside
+    # a rotation block [[a, -s], [s, a]]
+    m = n - 2
+    a, s = _entry(rng), _entry(rng) or Fraction(1)
+    A = [[Fraction(i == j or i == j + 1) if i < m and j < m else zero for j in range(n)]
+         for i in range(n)]
+    A[m][m], A[m][m + 1], A[m + 1][m], A[m + 1][m + 1] = a, -s, s, a
+    return A
+
+
+def _vector(rng, n, zeros: float):
+    return tuple(Fraction(0) if rng.random() < zeros else _entry(rng) for _ in range(n))
+
+
+def _cases():
+    rng = random.Random(20261019)
+    for n in range(2, 7):
+        for kind in KINDS:
+            A = Matrix.exact(_state_matrix(kind, n, rng))
+            c = _vector(rng, n, 0.3)
+            inputs = [_vector(rng, n, 0.5), tuple(Fraction(i == n - 1) for i in range(n)),
+                      (Fraction(0),) * n, _vector(rng, n, 0.0)]
+            yield pytest.param(A, c, inputs, id=f"{kind}-{n}")
+
+
+CASES = list(_cases())
+
+
+def _lift(xs):
+    d = math.lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _dense_rows(A: Matrix, c, N: int):
+    """(rows, dens): every product of each row with each column of D_A A summed."""
+    dA = math.lcm(*(x.denominator for row in A.data for x in row))
+    M = [[x.numerator * (dA // x.denominator) for x in row] for row in A.data]
+    dc, w = _lift(c)
+    rows, dens = [tuple(w)], [dc]
+    for _ in range(N - 1):
+        w = rows[-1]
+        rows.append(tuple(sum(w[i] * M[i][j] for i in range(A.rows)) for j in range(A.cols)))
+        dens.append(dens[-1] * dA)
+    return rows, dens
+
+
+def _bareiss_minor(X: Matrix, I, J) -> Fraction:
+    """One minor by the integer Bareiss elimination, on rows lifted afresh."""
+    rows, scale = [], 1
+    for i in I:
+        d, row = _lift([X.data[i - 1][j - 1] for j in J])
+        rows.append(row)
+        scale *= d
+    return Fraction(linalg._bareiss(rows)[1], scale)
+
+
+@pytest.mark.parametrize("A, c, inputs", CASES)
+def test_exact_output_rows_match_the_dense_chain(A, c, inputs):
+    want_rows, want_dens = _dense_rows(A, c, 16)
+    rows = output_rows(A, c, 3).extend(9).extend(16)
+    assert rows.rows == want_rows and rows.dens == want_dens
+    assert all(type(x) is int for row in rows.rows for x in row)
+
+
+@pytest.mark.parametrize("A, c, inputs", CASES)
+def test_exact_samples_match_dense_dot_products_at_every_shift(A, c, inputs):
+    want_rows, want_dens = _dense_rows(A, c, 20 + A.rows)
+    rows = output_rows(A, c, 1)  # shared by every input and shift, grown on demand
+    for b in inputs:
+        sys = LtiSystem(A, b, c)
+        db, lifted = _lift(b)
+        for shift in range(A.rows + 1):
+            for start, N in ((0, 8), (8, 12), (3, 20)):
+                got = impulse_response(sys, N, rows, start, shift)
+                window = want_rows[start + shift:N + shift]
+                assert got.nums == tuple(sum(w[i] * lifted[i] for i in range(A.rows))
+                                         for w in window)
+                assert all(type(x) is int for x in got.nums)
+                assert got.db == db and list(got.dens) == want_dens[start + shift:N + shift]
+
+
+@pytest.mark.parametrize("A, c, inputs", CASES)
+def test_exact_compound_matches_per_minor_bareiss(A, c, inputs):
+    for r in range(1, A.rows + 1):
+        sets = index_sets(A.rows, r)
+        assert compound(A, r).data == tuple(tuple(_bareiss_minor(A, I, J) for J in sets)
+                                            for I in sets)
+
+
+@pytest.mark.parametrize("A, c, inputs", CASES)
+def test_exact_minor_reads_interleave_with_structural_zeros(A, c, inputs):
+    """``row`` and ``stream`` calls on one ``Minors`` of A stacked on its
+    first two output rows (zero rows and zero columns included) read in turn
+    give the per-minor Bareiss values, whichever call reads a minor first,
+    with and without the zero-row test of ``sparse``."""
+    rows, dens = _dense_rows(A, c, 2)
+    X = Matrix.exact([*A.data, *([Fraction(x, d) for x in w] for w, d in zip(rows, dens))])
+    orders = [(index_sets(X.rows, r), index_sets(X.cols, r)) for r in range(1, A.rows + 1)]
+    want = {(I, J): _bareiss_minor(X, I, J)
+            for row_sets, col_sets in orders for I in row_sets for J in col_sets}
+    for sparse in (False, True):
+        minors = Minors(X, sparse)
+        for row_sets, col_sets in orders:
+            ahead = minors.stream(row_sets[::-1], col_sets)
+            behind = minors.stream(row_sets, col_sets[::2])
+            for k, (one, two) in enumerate(zip_longest(ahead, behind)):
+                for item in (one, two):
+                    if item is not None:
+                        assert item[1] == want[item[0]]
+                I = row_sets[k % len(row_sets)]
+                assert list(minors.row(I, col_sets[::-1])) == [want[I, J] for J in col_sets[::-1]]
+
+
+def test_compound_of_a_diagonal_eliminates_only_its_diagonal(monkeypatch):
+    """Every off-diagonal minor of a diagonal matrix has a row with no
+    nonzero entry in its columns, so ``compound`` reads it as 0 without an
+    elimination; a ``Minors`` without ``sparse`` eliminates every minor."""
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    n = 6
+    D = Matrix.exact([[Fraction(i + 1, 7) if i == j else 0 for j in range(n)] for i in range(n)])
+    for r in range(1, n + 1):
+        calls.clear()
+        C = compound(D, r).data
+        assert calls == [r] * math.comb(n, r)
+        sets = index_sets(n, r)
+        assert all(C[a][b] == (math.prod(Fraction(i, 7) for i in I) if a == b else 0)
+                   for a, I in enumerate(sets) for b in range(len(sets)))
+    first = compound(D, 2).data[0]
+    calls.clear()
+    assert tuple(Minors(D).row((1, 2), index_sets(n, 2))) == first
+    assert len(calls) == math.comb(n, 2)
+
+
+def test_float_minors_keep_their_signed_zeros():
+    X = Matrix.floating([[-0.0, 0.0], [0.0, -0.0]])
+    minors = list(Minors(X).row((1,), [(1,), (2,)]))
+    assert [math.copysign(1.0, x) for x in minors] == [-1.0, 1.0]
+    assert all(x == 0.0 for x in compound(X, 1).data[1])
+
+
+def test_float_samples_keep_every_product():
+    """A float sample sums every product, so an inf entry of a row against a
+    zero of b gives nan, as the dense left-to-right sum does."""
+    A = Matrix.floating([[1e300, 0.0], [0.0, 0.5]])
+    sys = LtiSystem(A, (0.0, 1.0), (1e300, 1.0))
+    g = impulse_response(sys, 3)
+    assert g[0] == 1.0 and all(math.isnan(x) for x in g[1:])
+    assert sys.backend is Backend.FLOAT

@@ -299,6 +299,13 @@ def det(X: Matrix) -> Num:
     return next(Minors(X).row(full, [full]))
 
 
+def lift(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(D, D x) for exact x, D the lcm of the denominators of its entries:
+    the integer form of every exact row, block and vector."""
+    d = math.lcm(*[x.denominator for x in xs])
+    return d, tuple([x.numerator * (d // x.denominator) for x in xs])
+
+
 def _bareiss(m: list[list[int]]) -> tuple[int, int]:
     """Rank and determinant of an integer matrix by fraction-free (Bareiss)
     elimination; ``m`` is overwritten.  A column without a nonzero entry
@@ -380,11 +387,11 @@ class Minors:
     """The minors of one matrix, each computed when first read and then kept.
 
     Index sets are 1-based tuples.  Exact rows are lifted to integers once,
-    each scaled by the lcm of its denominators (``of_rows`` takes integer rows
-    and their scales as they are); each minor is one integer Bareiss over the
-    product of its row scales.  With ``sparse`` (``compound``'s reads), an
-    exact minor with a row that has no nonzero entry in its columns is 0
-    without one; the test costs more than it saves on dense matrices.  Float
+    each by ``lift`` (``of_rows`` takes integer rows and their scales as they
+    are); each minor is one integer Bareiss over the product of its row
+    scales, except that a minor with a row that has no nonzero entry in its
+    columns is 0 without one.  That test is armed only on row sets with a
+    zero entry; the others run Bareiss alone.  Float
     minors run partial pivoting on the rows as they are.  Every minor is
     computed by the reader of its row set, built once per instance, so reads
     may come in any order, from any number of streams at once; a minor that
@@ -392,18 +399,14 @@ class Minors:
     same elimination on all the rows.
     """
 
-    __slots__ = ("shape", "backend", "_rows", "_scales", "_sparse", "_known", "_readers")
+    __slots__ = ("shape", "backend", "_rows", "_scales", "_known", "_readers")
 
-    def __init__(self, X: Matrix, sparse: bool = False):
+    def __init__(self, X: Matrix):
         if X.backend is Backend.EXACT:
-            rows, scales = [], []
-            for row in X.data:
-                d = math.lcm(*(x.denominator for x in row))
-                rows.append([x.numerator * (d // x.denominator) for x in row])
-                scales.append(d)
+            scales, rows = zip(*map(lift, X.data))
         else:
             rows, scales = X.data, None
-        self._fill(rows, scales, sparse)
+        self._fill(rows, scales)
 
     @classmethod
     def of_rows(cls, rows, dens) -> "Minors":
@@ -414,13 +417,12 @@ class Minors:
         minors._fill(rows, dens)
         return minors
 
-    def _fill(self, rows, scales, sparse: bool = False) -> None:
+    def _fill(self, rows, scales) -> None:
         self.shape = (len(rows), len(rows[0]))
         self.backend = Backend.FLOAT if scales is None else Backend.EXACT
         # a leading placeholder row and column make 1-based indices direct
         self._rows = [None, *([None, *row] for row in rows)]
         self._scales = None if scales is None else [1, *scales]
-        self._sparse = sparse
         self._known: dict = {}
         self._readers: dict = {}
 
@@ -440,8 +442,7 @@ class Minors:
             # the nonzero columns of each row of the block that has a zero: a
             # row with none in J makes the minor 0 (a float 1 x 1 minor keeps
             # its signed zero, so only exact minors skip the elimination)
-            nonzero = self._sparse and [{j for j, x in enumerate(row) if x}
-                                        for row in block if 0 in row]
+            nonzero = [{j for j, x in enumerate(row) if x} for row in block if 0 in row]
             read = bareiss if not nonzero else (
                 lambda J: _ZERO if any(nz.isdisjoint(J) for nz in nonzero) else bareiss(J))
         self._readers[I] = read
@@ -485,12 +486,12 @@ def compound(X: Matrix, r: int) -> Matrix:
     the lazy sign checks read as well; at desk scale C(n,r)^2 small
     determinants are cheap and there is no need for a fast compound algorithm.
     An exact minor with a row that is zero on its columns is 0 without an
-    elimination (``Minors`` with ``sparse``): C_r(A) of a diagonal A runs
-    C(n, r) eliminations, one per diagonal entry.
+    elimination (``Minors``): C_r(A) of a diagonal A runs C(n, r)
+    eliminations, one per diagonal entry.
     """
     if not 1 <= r <= min(X.rows, X.cols):
         raise RankOutOfRangeError(f"compound order {r} invalid for shape {X.shape}")
-    minors = Minors(X, sparse=True)
+    minors = Minors(X)
     col_sets = index_sets(X.cols, r)
     return Matrix([list(minors.row(I, col_sets)) for I in index_sets(X.rows, r)], X.backend)
 

@@ -3,14 +3,16 @@ ordered spectra, and external-positivity verdicts with a dominant-mode tail
 certificate.  Both backends sample g(t) = c A^(t-1) b as one dot product of
 b with the output row c A^(t-1) (``output_rows``); with a shift s, the
 response of (A, A^s b, c) is read from row t + s on, so A^s b is never
-formed (``impulse_response``, ``analyse``).  Exact samples stay
-integer numerators over the known denominators D_b D_c D_A^(t-1)
-(``ExactSamples``): signs and the recurrence fit read the numerators, and a
-``Fraction`` is built only to show a value.  Exact sums run over the nonzero
-products only: each output row is the one before times the nonzero entries
-of each column of D_A A, and each sample its row times the nonzero entries
-of D_b b, so a diagonal or sparse A and a sparse input cost one product per
-nonzero entry.  Float sums keep every product (``OutputRows``).
+formed (``impulse_response``, ``analyse``).  A (as one block), b and c are
+each lifted to integers over the lcm of their denominators (``linalg.lift``),
+so exact samples stay integer numerators over the known denominators
+D_b D_c D_A^(t-1) (``ExactSamples``): signs and the recurrence fit read the
+numerators, and a ``Fraction`` is built only to show a value.  Exact sums
+run over the nonzero products only: each output row is the one before times
+the nonzero entries of each column of D_A A, and each sample its row times
+the nonzero entries of D_b b, so a diagonal or sparse A and a sparse input
+cost one product per nonzero entry.  Float sums keep every product
+(``OutputRows``).
 
 A verdict separates two kinds of evidence: the sampled impulse response over
 a finite horizon, and an analytic tail bound derived from a floating-point
@@ -46,6 +48,7 @@ from .linalg import (
     Num,
     NonSquareError,
     SizeMismatchError,
+    lift,
     parse_scalar,
     sign_of,
 )
@@ -86,14 +89,8 @@ class LtiSystem:
     def _lifted_b(self) -> tuple[int, Callable[[Sequence[int]], int]]:
         """(D_b, w -> w (D_b b)) of an exact system (``_sparse_dot``), lifted
         once however many blocks ``impulse_response`` samples it in."""
-        db, b = _lift(self.b)
+        db, b = lift(self.b)
         return db, _sparse_dot(b)
-
-
-def _lift(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """(D, D x) for exact x, D the lcm of the denominators of its entries."""
-    d = math.lcm(*(x.denominator for x in xs))
-    return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
 def _sparse_dot(x: Sequence[int]) -> Callable[[Sequence[int]], int]:
@@ -125,11 +122,11 @@ class OutputRows:
     Each row is the one before times A.  Float rows are c A^(t-1), each entry
     summed left to right from 0 over every product, as a float sample is
     (``impulse_response``), and ``dens`` is None.  Exact rows are integer:
-    with D_A and D_c the lcm of the denominators of A and c, ``rows[t-1]`` is
-    w_t = (D_c c)(D_A A)^(t-1) and ``dens[t-1]`` is D_c D_A^(t-1), so that
-    c A^(t-1) = w_t / dens[t-1].  An exact entry sums only the products with
-    the nonzero entries of its column of D_A A, which integer sums allow: a
-    diagonal A costs one product per entry.
+    with D_A and D_c the lcm of the denominators of A and c (``lift``),
+    ``rows[t-1]`` is w_t = (D_c c)(D_A A)^(t-1) and ``dens[t-1]`` is
+    D_c D_A^(t-1), so that c A^(t-1) = w_t / dens[t-1].  An exact entry sums
+    only the products with the nonzero entries of its column of D_A A, which
+    integer sums allow: a diagonal A costs one product per entry.
     """
 
     __slots__ = ("rows", "dens", "_cols", "_step")
@@ -165,10 +162,9 @@ def output_rows(A: Matrix, c: Sequence[Num], N: int) -> OutputRows:
     if A.backend is Backend.FLOAT:
         cols, w, dc, dA = list(zip(*A.data)), tuple(c), None, 1
     else:
-        dA = math.lcm(*(x.denominator for row in A.data for x in row))
-        dc, w = _lift(c)
-        cols = [_sparse_dot(col) for col in
-                zip(*([x.numerator * (dA // x.denominator) for x in row] for row in A.data))]
+        dA, M = lift([x for row in A.data for x in row])  # D_A A, row-major
+        dc, w = lift(c)
+        cols = [_sparse_dot(M[j::A.cols]) for j in range(A.cols)]
     return OutputRows(w, cols if A.is_square() else None, dc, dA).extend(N)
 
 
@@ -413,6 +409,8 @@ def _tail_certificate(rho1, scale: float, modes: DominantModes,
                       tol: float) -> tuple[TailCertificate | None, str]:
     """The certificate of dominant residue ``rho1`` against the residues'
     total modulus ``scale``, or the note of the gate it fails."""
+    if not math.isfinite(scale):  # lam^shift overflowed, or c b did
+        return None, "residues exceed float range; no eigen tail"
     if abs(rho1) <= tol * max(1.0, scale):
         return None, "dominant mode has negligible residue (unobservable or uncontrollable)"
     rest = scale - abs(rho1)

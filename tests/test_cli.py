@@ -815,6 +815,31 @@ def test_exact_mode_handles_entries_beyond_float_range(tmp_path, capsys, where, 
     assert report["certificate"]["conclusion"] in ("certified", "refuted", "inconclusive")
 
 
+_OVERFLOW_SYSTEM = {"A": [["1e200", "0", "0"], ["0", "1e100", "0"], ["0", "0", "1"]],
+                    "c": ["1", "1", "1"]}
+
+
+@pytest.mark.parametrize("arith", ["exact", "float"])
+@pytest.mark.parametrize("prop, want", [("svb", 2), ("vb", 2), ("vd", 2), ("kpos", 1)])
+def test_residues_past_float_range_leave_the_tail_unproved(tmp_path, capsys, arith, prop, want):
+    """At k = 3 the order-1 systems are read s = 2 rows late, so their eigen
+    residues are scaled by (1e200)^2, past the float range: those systems
+    have no eigen tail and the certificate is inconclusive (exit 2), in both
+    modes; kpos is refuted by its samples (exit 1)."""
+    f = write_json(tmp_path, "overflow.json", _OVERFLOW_SYSTEM)
+    out = tmp_path / "o"
+    code = main(["certify", str(f), "--property", prop, "--k", "3", "--arith", arith,
+                 "--out", str(out)])
+    assert code == want
+    assert "Traceback" not in capsys.readouterr().err
+    cert = json.loads((out / "report.json").read_text())["certificate"]
+    if want == 2:
+        assert cert["conclusion"] == "inconclusive"
+        notes = [note for system in cert["systems"] for note in system["notes"]]
+        assert any(note.startswith("residues exceed float range; no eigen tail")
+                   for note in notes), notes
+
+
 def _big_diagonal(exponent):
     d = f"1e{exponent}"
     return [[d, "0", "0"], ["0", d, "0"], ["0", "0", d], ["1", "1", "-1"]]

@@ -551,10 +551,11 @@ def test_exact_input_is_lifted_once_per_system(monkeypatch):
     A, c = Matrix.exact([["1/2", "1/10"], ["0", "1/4"]]), ("1/3", 1)
     inputs = [("1/3", "2/7"), ("5/6", "1/9"), (1, 0)]
     want = [impulse_response(LtiSystem(A, b, c), 50) for b in inputs]
-    lifts, lift = [], lti._lift
-    monkeypatch.setattr(lti, "_lift", lambda xs: lifts.append(tuple(xs)) or lift(xs))
+    lifts, lift = [], lti.lift
+    monkeypatch.setattr(lti, "lift", lambda xs: lifts.append(tuple(xs)) or lift(xs))
     rows = output_rows(A, c, 1)
-    assert lifts == [(Fraction(1, 3), 1)]  # c, once for the pair
+    # A as one block, then c, once for the pair
+    assert lifts == [tuple(x for row in A.data for x in row), (Fraction(1, 3), 1)]
     lifts.clear()
     for b, one in zip(inputs, want):
         sys = LtiSystem(A, b, c)
@@ -891,6 +892,8 @@ def _eigen_tail_reference(sys: LtiSystem, tol: float = 1e-9, shift: int = 0):
     residues = (cf.astype(complex) @ V) * x
     scale = float(np.abs(residues).sum())
     rho1 = residues[0]
+    if not math.isfinite(scale):
+        return None, "residues exceed float range; no eigen tail"
     if abs(rho1) <= tol * max(1.0, scale):
         return None, "dominant mode has negligible residue (unobservable or uncontrollable)"
     rest = scale - abs(rho1)
@@ -937,6 +940,19 @@ def test_shifted_scalar_exact_tail_matches_the_eigen_route(shift):
             sys = _scalar_system(a, g1, c)
             got = dominant_tail(sys, modes=lti.dominant_modes(sys.A, sys.c), shift=shift)
             assert _fields(got) == _fields(_eigen_tail_reference(sys, shift=shift)), (a, g1, c)
+
+
+@pytest.mark.parametrize("A", [
+    [["1e200", "0", "0"], ["0", "1e100", "0"], ["0", "0", "1"]],  # sub > 0
+    [["1e200", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]],  # sub = 0: a nilpotent block
+], ids=["diagonal", "nilpotent"])
+@pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+def test_residues_past_float_range_give_no_tail(A, backend):
+    """lam^2 = 1e400 overflows, so the residues of A^2 b are not finite:
+    no certificate, and a note that says why."""
+    sys = LtiSystem(Matrix(A, backend), (1, 1, 1), (1, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert dominant_tail(sys, shift=2) == (None, "residues exceed float range; no eigen tail")
 
 
 def test_scalar_exact_systems_need_no_eigen_solve(monkeypatch):

@@ -126,30 +126,28 @@ def test_exact_compound_matches_per_minor_bareiss(A, c, inputs):
 def test_exact_minor_reads_interleave_with_structural_zeros(A, c, inputs):
     """``row`` and ``stream`` calls on one ``Minors`` of A stacked on its
     first two output rows (zero rows and zero columns included) read in turn
-    give the per-minor Bareiss values, whichever call reads a minor first,
-    with and without the zero-row test of ``sparse``."""
+    give the per-minor Bareiss values, whichever call reads a minor first."""
     rows, dens = _dense_rows(A, c, 2)
     X = Matrix.exact([*A.data, *([Fraction(x, d) for x in w] for w, d in zip(rows, dens))])
     orders = [(index_sets(X.rows, r), index_sets(X.cols, r)) for r in range(1, A.rows + 1)]
     want = {(I, J): _bareiss_minor(X, I, J)
             for row_sets, col_sets in orders for I in row_sets for J in col_sets}
-    for sparse in (False, True):
-        minors = Minors(X, sparse)
-        for row_sets, col_sets in orders:
-            ahead = minors.stream(row_sets[::-1], col_sets)
-            behind = minors.stream(row_sets, col_sets[::2])
-            for k, (one, two) in enumerate(zip_longest(ahead, behind)):
-                for item in (one, two):
-                    if item is not None:
-                        assert item[1] == want[item[0]]
-                I = row_sets[k % len(row_sets)]
-                assert list(minors.row(I, col_sets[::-1])) == [want[I, J] for J in col_sets[::-1]]
+    minors = Minors(X)
+    for row_sets, col_sets in orders:
+        ahead = minors.stream(row_sets[::-1], col_sets)
+        behind = minors.stream(row_sets, col_sets[::2])
+        for k, (one, two) in enumerate(zip_longest(ahead, behind)):
+            for item in (one, two):
+                if item is not None:
+                    assert item[1] == want[item[0]]
+            I = row_sets[k % len(row_sets)]
+            assert list(minors.row(I, col_sets[::-1])) == [want[I, J] for J in col_sets[::-1]]
 
 
 def test_compound_of_a_diagonal_eliminates_only_its_diagonal(monkeypatch):
     """Every off-diagonal minor of a diagonal matrix has a row with no
     nonzero entry in its columns, so ``compound`` reads it as 0 without an
-    elimination; a ``Minors`` without ``sparse`` eliminates every minor."""
+    elimination, and so does a plain ``Minors``."""
     calls = []
     bareiss = linalg._bareiss
     monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
@@ -165,7 +163,36 @@ def test_compound_of_a_diagonal_eliminates_only_its_diagonal(monkeypatch):
     first = compound(D, 2).data[0]
     calls.clear()
     assert tuple(Minors(D).row((1, 2), index_sets(n, 2))) == first
-    assert len(calls) == math.comb(n, 2)
+    assert calls == [2]  # the one nonzero minor of rows {1, 2}, on columns {1, 2}
+
+
+def test_minors_without_zero_entries_eliminate_every_minor_once(monkeypatch):
+    """The zero-row test arms only on a row set with a zero entry: on an
+    exact matrix without one, every minor read runs one elimination."""
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    rng = random.Random(7)
+    X = Matrix.exact([[Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+                       for _ in range(4)] for _ in range(5)])
+    for r in range(1, 5):
+        rows, cols = index_sets(5, r), index_sets(4, r)
+        want = [_bareiss_minor(X, I, J) for I in rows for J in cols]
+        calls.clear()
+        assert [value for _, value in Minors(X).stream(rows, cols)] == want
+        assert calls == [r] * len(want)
+
+
+def test_lift_scales_by_the_lcm_of_the_denominators():
+    F = Fraction
+    assert linalg.lift((1, 0, -3)) == (1, (1, 0, -3))
+    assert linalg.lift((F(1, 3), F(-2, 7), F(5, 6), 0)) == (42, (14, -12, 35, 0))
+    assert linalg.lift((F(-3, 4),)) == (4, (-3,))
+    assert linalg.lift((F(0), F(0), F(0))) == (1, (0, 0, 0))
+    for xs in ([F(1, 3), F(-2, 7), F(5, 6), F(0), 4], [F(-9, 10), F(3, 4)]):
+        d, lifted = linalg.lift(xs)
+        assert all(type(v) is int for v in lifted)
+        assert [F(v, d) for v in lifted] == xs
 
 
 def test_float_minors_keep_their_signed_zeros():

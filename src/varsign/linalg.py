@@ -311,8 +311,17 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
     elimination; ``m`` is overwritten.  A column without a nonzero entry
     below the pivots is skipped: every entry stays a minor of ``m``, so each
     division by the previous pivot is exact (Bareiss 1968).  The determinant
-    is the signed last pivot at full square rank, else 0."""
+    is the signed last pivot at full square rank, else 0.  A 1 x 1 or 2 x 2
+    matrix, the most common minor blocks, is read off directly: its entry, or
+    ad - bc, the integers the elimination gives."""
     nr, nc = len(m), len(m[0])
+    if nr == nc == 1:
+        x = m[0][0]
+        return int(x != 0), x
+    if nr == nc == 2:
+        (a, b), (c, d) = m
+        x = a * d - b * c
+        return 2 if x else int(bool(a or b or c or d)), x
     sign, prev, r = 1, 1, 0
     for j in range(nc):
         if not m[r][j]:
@@ -384,19 +393,22 @@ _ZERO = Fraction(0)
 
 
 class Minors:
-    """The minors of one matrix, each computed when first read and then kept.
+    """The minors of one matrix, each computed when first read.
 
     Index sets are 1-based tuples.  Exact rows are lifted to integers once,
     each by ``lift`` (``of_rows`` takes integer rows and their scales as they
-    are); each minor is one integer Bareiss over the product of its row
-    scales, except that a minor with a row that has no nonzero entry in its
-    columns is 0 without one.  That test is armed only on row sets with a
-    zero entry; the others run Bareiss alone.  Float
-    minors run partial pivoting on the rows as they are.  Every minor is
-    computed by the reader of its row set, built once per instance, so reads
-    may come in any order, from any number of streams at once; a minor that
-    ``stream`` has read is computed once per instance.  ``rank`` runs the
-    same elimination on all the rows.
+    are); each exact minor is one integer Bareiss on its lifted rows, except
+    that a minor with a row that has no nonzero entry in its columns is 0
+    without one.  That test is armed only on row sets with a zero entry; the
+    others run Bareiss alone.  The Bareiss integer is the minor times the
+    positive product of its row scales, so it has the minor's sign: ``stream``
+    yields it as it is, and ``value`` and ``row`` divide it by that product,
+    so a ``Fraction`` is built only for a minor whose value is wanted.  Float
+    minors run partial pivoting on the rows as they are, and are their own
+    values.  Every minor is computed by the reader of its row set, built once
+    per instance, so reads may come in any order, from any number of streams
+    at once; a minor that ``stream`` has read is computed once per instance
+    and kept.  ``rank`` runs the same elimination on all the rows.
     """
 
     __slots__ = ("shape", "backend", "_rows", "_scales", "_known", "_readers")
@@ -427,9 +439,9 @@ class Minors:
         self._readers: dict = {}
 
     def _reader(self, I):
-        """The minor on rows I as a function of the column set J; the row
-        block, and in exact arithmetic the product of its scales, is built
-        once per row set and instance."""
+        """The minor on rows I as a function of the column set J, in the form
+        ``stream`` yields (the Bareiss integer when exact); the row block is
+        built once per row set and instance."""
         read = self._readers.get(I)
         if read is not None:
             return read
@@ -437,21 +449,37 @@ class Minors:
         if self._scales is None:
             read = lambda J: _partial_pivot([[row[j] for j in J] for row in block])[1]
         else:
-            scale = math.prod([self._scales[i] for i in I])
-            bareiss = lambda J: Fraction(_bareiss([[row[j] for j in J] for row in block])[1], scale)
+            bareiss = lambda J: _bareiss([[row[j] for j in J] for row in block])[1]
             # the nonzero columns of each row of the block that has a zero: a
             # row with none in J makes the minor 0 (a float 1 x 1 minor keeps
             # its signed zero, so only exact minors skip the elimination)
             nonzero = [{j for j, x in enumerate(row) if x} for row in block if 0 in row]
             read = bareiss if not nonzero else (
-                lambda J: _ZERO if any(nz.isdisjoint(J) for nz in nonzero) else bareiss(J))
+                lambda J: 0 if any(nz.isdisjoint(J) for nz in nonzero) else bareiss(J))
         self._readers[I] = read
         return read
 
+    def _scale(self, I) -> int:
+        """The product of the scales of the rows I (exact only)."""
+        return math.prod([self._scales[i] for i in I])
+
     def row(self, I, col_sets):
-        """The minor on rows I and each column set of ``col_sets`` in turn,
-        each computed as it is read; nothing is kept."""
-        return map(self._reader(I), col_sets)
+        """The value of the minor on rows I and each column set of
+        ``col_sets`` in turn, each computed as it is read; nothing is kept."""
+        read = self._reader(I)
+        if self._scales is None:
+            return map(read, col_sets)
+        scale = self._scale(I)
+        return (Fraction(v, scale) if v else _ZERO for v in map(read, col_sets))
+
+    def value(self, key) -> Num:
+        """The value of the minor ``key`` = (I, J) that ``stream`` yielded,
+        from what ``stream`` kept, without a second elimination: exact, its
+        integer over the product of the row scales of I."""
+        v = self._known[key]
+        if self._scales is None:
+            return v
+        return Fraction(v, self._scale(key[0])) if v else _ZERO
 
     def rank(self, tol: float = DEFAULT_TOL, cols=None) -> int:
         """Rank of the matrix, or of its columns ``cols``; float pivots must
@@ -466,8 +494,9 @@ class Minors:
     def stream(self, row_sets, col_sets):
         """Yield ``((I, J), minor)`` for I in ``row_sets`` and J in ``col_sets``,
         rows outermost; lexicographic sets give lexicographic (I, J) order.
-        Each minor is computed only when it is read, and only if no earlier
-        stream of this instance computed it."""
+        An exact minor is yielded as its Bareiss integer, which has its sign
+        (``value`` gives the value).  Each minor is computed only when it is
+        read, and only if no earlier stream of this instance computed it."""
         known = self._known
         for I in row_sets:
             read = self._reader(I)

@@ -347,7 +347,9 @@ def dominant_modes(A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL) -> Dom
         lam, V = np.linalg.eig(np.array(Af, dtype=float))
     except np.linalg.LinAlgError as exc:
         return DominantModes(f"eigen-decomposition failed: {exc}")
-    return _gated_modes(lam, V, np.array(cf, dtype=complex) @ V, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan reach the gates' notes
+        y = np.array(cf, dtype=complex) @ V
+    return _gated_modes(lam, V, y, tol)
 
 
 def _gated_modes(lam, V, y, tol: float) -> DominantModes:
@@ -400,7 +402,10 @@ def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL,
     except np.linalg.LinAlgError:
         return None, "eigenvector matrix is singular to working precision"
     if shift:
-        x = x * lam ** shift
+        # lam^shift past the float range gives inf and nan residues, which
+        # ``_tail_certificate`` turns into its note
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x * lam ** shift
     residues = y * x
     return _tail_certificate(residues[modes.lead], float(np.abs(residues).sum()), modes, tol)
 

@@ -9,6 +9,9 @@ variation-bounding (VB) and variation-diminishing (VD) matrices.
 The checks compute only the minors that decide a verdict.  Each check reads
 its minors, and the VB and VD checks their rank, from one ``linalg.Minors``,
 in any order: its exact rows are lifted once, and no minor is computed twice.
+Signs are read off the streamed minors, which in exact arithmetic are Bareiss
+integers with the minors' signs; only a witness minor that a result returns or
+reports is turned into its value (``Minors.value``).
 A family is read in lexicographic (I, J) order and stops at its first pair of
 opposite signs.  In exact arithmetic Fekete's criterion comes first: when
 every consecutive minor of orders 1..p is positive, every minor of order
@@ -130,16 +133,28 @@ def _fekete_order(minors: Minors, k: int) -> int:
     if minors.backend is not Backend.EXACT:
         return 0
     for r in range(1, k + 1):
-        # v <= 0, read off the numerator: a Fraction's denominator is positive
-        if any(v.numerator <= 0 for _, v in _consecutive_minors(minors, r)):
+        # each exact minor streams as an integer with the minor's sign
+        if any(v <= 0 for _, v in _consecutive_minors(minors, r)):
             return r - 1
     return k
+
+
+def _valued(minors: Minors, witness: tuple) -> tuple:
+    """The (label, minor) pairs of a streamed ``witness`` with each minor
+    turned into its value."""
+    return tuple((label, minors.value(label)) for label, _ in witness)
+
+
+def _with_values(minors: Minors, s: SignSummary) -> SignSummary:
+    """``s`` with its witness minors turned into their values."""
+    return SignSummary(s.verdict, s.epsilon, _valued(minors, s.witness)) if s.witness else s
 
 
 def _order_summary(minors: Minors, r: int, positive_through: int, tol: float) -> SignSummary:
     """Sign summary of the r-minors: strictly positive when r is at most
     ``positive_through`` (a Fekete order), else read in lexicographic (I, J)
-    order up to the first pair of opposite signs."""
+    order up to the first pair of opposite signs.  Its witness holds the
+    minors as streamed (``_with_values`` gives their values)."""
     if r <= positive_through:
         return SignSummary(SignVerdict.STRICTLY_POSITIVE, 1)
     rows, cols = minors.shape
@@ -156,7 +171,7 @@ def sign_consistent(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> SignSummary:
     """
     _check_order(X, k)
     minors = Minors(X)
-    return _order_summary(minors, k, _fekete_order(minors, k), tol)
+    return _with_values(minors, _order_summary(minors, k, _fekete_order(minors, k), tol))
 
 
 @dataclass
@@ -182,7 +197,7 @@ def _orders(X: Matrix, k: int, tol: float) -> dict[int, SignSummary]:
     _check_order(X, k)
     minors = Minors(X)
     p = _fekete_order(minors, k)
-    return {j: _order_summary(minors, j, p, tol) for j in range(1, k + 1)}
+    return {j: _with_values(minors, _order_summary(minors, j, p, tol)) for j in range(1, k + 1)}
 
 
 def sign_regular(X: Matrix, k: int, strict: bool, tol: float = DEFAULT_TOL) -> OrderedVerdicts:
@@ -224,7 +239,7 @@ def consecutive_certificate(X: Matrix, k: int, strict_top: bool = True,
             return CertificateResult(
                 False,
                 f"consecutive {r}-minors are not {'positive' if want_strict else 'nonnegative'}",
-                summary.witness,
+                _valued(minors, summary.witness),
             )
     qualifier = "strictly " if strict_top else ""
     return CertificateResult(True, f"{qualifier}{k}-positive via consecutive minors")
@@ -383,26 +398,28 @@ def reduced_check(X: Matrix, k: int, strict: bool = True,
     # the family is the product of the anchored row and column sets, rows outermost
     rows = [t.elems for t in _anchored_tuples(X.rows, k)]
     cols = [t.elems for t in _anchored_tuples(X.cols, k)]
+    minors = Minors(X)
     strict_vals, free_vals = [], []
-    for pair, labeled in zip(family, Minors(X).stream(rows, cols)):
+    for pair, labeled in zip(family, minors.stream(rows, cols)):
         (strict_vals if pair.strict_required else free_vals).append(labeled)
     base = classify_family(strict_vals, X.backend, tol)
     if base.verdict not in _STRICT_OK:
         # strict-required pairs must carry one strict sign in both modes
-        return ReducedCheckResult(base.verdict, base.epsilon, False, base.witness)
+        return ReducedCheckResult(base.verdict, base.epsilon, False, _valued(minors, base.witness))
     eps = base.epsilon
     if not free_vals:
         return ReducedCheckResult(base.verdict, eps, True)
     relaxed = classify_family(free_vals, X.backend, tol)
+    witness = _valued(minors, relaxed.witness)
     if relaxed.verdict is SignVerdict.INCONCLUSIVE:
-        return ReducedCheckResult(SignVerdict.INCONCLUSIVE, None, False, relaxed.witness)
+        return ReducedCheckResult(SignVerdict.INCONCLUSIVE, None, False, witness)
     if relaxed.verdict is SignVerdict.MIXED or relaxed.epsilon == -eps:
         # a relaxed-pair minor of strictly opposite sign breaks the family
-        return ReducedCheckResult(SignVerdict.MIXED, None, False, relaxed.witness)
+        return ReducedCheckResult(SignVerdict.MIXED, None, False, witness)
     if relaxed.verdict in _STRICT_OK:
         return ReducedCheckResult(base.verdict, eps, True)
     verdict = SignVerdict.NONNEGATIVE if eps == 1 else SignVerdict.NONPOSITIVE
-    return ReducedCheckResult(verdict, eps, True, relaxed.witness)
+    return ReducedCheckResult(verdict, eps, True, witness)
 
 
 def _witness_text(x) -> str:
@@ -414,6 +431,12 @@ def _witness_text(x) -> str:
     if isinstance(x, Fraction):
         return f"Fraction({int_text(x.numerator)}, {int_text(x.denominator)})"
     return repr(x)
+
+
+def _shown(minors: Minors, witness: tuple) -> str:
+    """``_witness_text`` of a streamed witness of ``minors``, its minors
+    turned into their values."""
+    return _witness_text(_valued(minors, witness))
 
 
 @dataclass
@@ -442,15 +465,16 @@ def _all_k_columns_independent(minors: Minors, k: int, tol: float) -> bool:
     return all(minors.rank(tol, J) == k for J in col_sets)
 
 
-def _route_verdict(name: str, rule: str, s: SignSummary, detail: str = "") -> MatrixPropertyCheck:
-    """A sign-consistency route judged on the summary ``s`` of its minors: one-signed
+def _route_verdict(name: str, rule: str, minors: Minors, s: SignSummary,
+                   detail: str = "") -> MatrixPropertyCheck:
+    """A sign-consistency route judged on the summary ``s`` of its ``minors``: one-signed
     certifies with ``detail``, mixed refutes with its witness, else inside tolerance."""
     if s.passes(strict=False):
         return MatrixPropertyCheck(name, Conclusion.CERTIFIED, rule, detail,
                                    strict=s.verdict in _STRICT_OK)
     if s.verdict is SignVerdict.MIXED:
         return MatrixPropertyCheck(name, Conclusion.REFUTED, rule,
-                                   f"conflicting minors {_witness_text(s.witness)}")
+                                   f"conflicting minors {_shown(minors, s.witness)}")
     return MatrixPropertyCheck(name, Conclusion.INCONCLUSIVE, rule,
                                "compound entries inside tolerance")
 
@@ -490,7 +514,7 @@ def _vb_check(minors: Minors, k: int, tol: float = DEFAULT_TOL) -> MatrixPropert
             return MatrixPropertyCheck(
                 name, Conclusion.INCONCLUSIVE, "full-width test needs full column rank",
                 f"rank={rk}, verdict={s.verdict.value}")
-        return _route_verdict(name, "full-width sign consistency at full column rank", s)
+        return _route_verdict(name, "full-width sign consistency at full column rank", minors, s)
     if rk == k:
         rule = "rank-k compound column sign test"
         rows = index_sets(n, k)
@@ -499,7 +523,7 @@ def _vb_check(minors: Minors, k: int, tol: float = DEFAULT_TOL) -> MatrixPropert
             col = classify_family(minors.stream(rows, [J.elems]), backend, tol)
             if col.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(name, Conclusion.REFUTED, rule,
-                                           f"column {J} mixed: {_witness_text(col.witness)}")
+                                           f"column {J} mixed: {_shown(minors, col.witness)}")
             if col.verdict is SignVerdict.INCONCLUSIVE:
                 return MatrixPropertyCheck(name, Conclusion.INCONCLUSIVE, rule,
                                            f"column {J} has values inside tolerance")
@@ -512,7 +536,7 @@ def _vb_check(minors: Minors, k: int, tol: float = DEFAULT_TOL) -> MatrixPropert
             name, Conclusion.INCONCLUSIVE, "dependent k-column subset",
             "no characterization applies; defer to the sampling oracle")
     s = _order_summary(minors, k, p, tol)
-    return _route_verdict(name, "sign consistency with independent columns", s,
+    return _route_verdict(name, "sign consistency with independent columns", minors, s,
                           f"epsilon={s.epsilon:+d}" if s.epsilon else "")
 
 
@@ -547,7 +571,7 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     if bad is not None:
         return MatrixPropertyCheck(
             name, Conclusion.REFUTED, rule,
-            f"order {bad} minors are mixed: {_witness_text(orders[bad].witness)}")
+            f"order {bad} minors are mixed: {_shown(minors, orders[bad].witness)}")
     if all(s.passes(strict=False) for s in orders.values()):
         return MatrixPropertyCheck(name, Conclusion.CERTIFIED, rule)
     return MatrixPropertyCheck(name, Conclusion.INCONCLUSIVE, rule, "minor signs inside tolerance")

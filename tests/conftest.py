@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from varsign.linalg import Matrix, rank
+from varsign.linalg import Backend, Matrix, minor, rank
 from varsign.lti import observability_matrix
 
 
@@ -25,6 +26,24 @@ def minor_by_cofactor(X, row_idx, col_idx):
     """Minor via the cofactor oracle; indices 1-based."""
     rows = [[X[i - 1, j - 1] for j in col_idx] for i in row_idx]
     return cofactor_det(rows)
+
+
+def row_scales(X):
+    """The scale of each row of exact X as ``Minors`` lifts it: the lcm of the
+    denominators of its entries."""
+    return [math.lcm(*(x.denominator for x in row)) for row in X.data]
+
+
+def streamed_minor(X, I, J):
+    """What ``Minors(X).stream`` yields for the minor on rows I, columns J:
+    exact, ``minor(X, I, J)`` times the product of the row scales of I, an
+    int; float, the minor itself."""
+    m = minor(X, I, J)
+    if X.backend is Backend.FLOAT:
+        return m
+    v = m * math.prod(row_scales(X)[i - 1] for i in I)
+    assert v.denominator == 1
+    return v.numerator
 
 
 def reverse_columns(X):

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 from types import SimpleNamespace
@@ -838,6 +839,21 @@ def test_residues_past_float_range_leave_the_tail_unproved(tmp_path, capsys, ari
         notes = [note for system in cert["systems"] for note in system["notes"]]
         assert any(note.startswith("residues exceed float range; no eigen tail")
                    for note in notes), notes
+
+
+@pytest.mark.parametrize("arith", ["exact", "float"])
+def test_residues_past_float_range_raise_no_warning(tmp_path, capsys, arith):
+    """The overflowing residues and the nan they leave in c V are notes, not
+    numpy ``RuntimeWarning``s: with every warning an error, svb, vb and vd
+    at k = 3 still exit 2 and kpos 1, and stderr names no warning."""
+    f = write_json(tmp_path, "overflow.json", _OVERFLOW_SYSTEM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for prop, want in [("svb", 2), ("vb", 2), ("vd", 2), ("kpos", 1)]:
+            code = main(["certify", str(f), "--property", prop, "--k", "3", "--arith", arith,
+                         "--out", str(tmp_path / prop)])
+            assert code == want, prop
+    assert "Warning" not in capsys.readouterr().err
 
 
 def _big_diagonal(exponent):

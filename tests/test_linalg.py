@@ -28,7 +28,7 @@ from varsign.linalg import (
 )
 from varsign.lti import observability_matrix
 
-from conftest import cauchy_exact, cofactor_det, minor_by_cofactor, random_exact
+from conftest import cauchy_exact, cofactor_det, minor_by_cofactor, random_exact, streamed_minor
 
 PENA = Matrix.exact([[1, 1], [1, 2], [1, 3], [1, 4]])
 
@@ -143,7 +143,9 @@ def test_lex_tuples_examples():
 
 def test_minor_reads_may_interleave_in_any_order():
     """Two streams read in turn, with a ``row`` call after each pair of reads,
-    all on one ``Minors``, read every minor as ``minor`` does, exact and float."""
+    all on one ``Minors``: each ``row`` read and the ``value`` of each streamed
+    read is the minor as ``minor`` gives it, and each streamed read is what
+    ``streamed_minor`` gives (exact: an int), exact and float."""
     X = Matrix.exact([[1, 2, 3], [4, 5, 7], [2, 9, 1], [3, 1, 8]])
     minors = Minors(X)
     first = minors.stream([(1, 2)], index_sets(3, 2))
@@ -159,14 +161,19 @@ def test_minor_reads_may_interleave_in_any_order():
             # the second stream reads every other column set, so it runs ahead
             # of the first within each row
             both = zip_longest(minors.stream(rows, cols), minors.stream(rows, cols[1::2]))
-            reads = []
+            streamed, valued = [], []
             for n, pair in enumerate(both):
-                reads += [read for read in pair if read is not None]
+                streamed += [read for read in pair if read is not None]
                 I, some = rows[n % len(rows)], cols[n % 2::2]
-                reads += [((I, J), v) for J, v in zip(some, minors.row(I, some))]
-            assert len(reads) > len(rows) * len(cols)
-            for (I, J), v in reads:
+                valued += [((I, J), v) for J, v in zip(some, minors.row(I, some))]
+            assert len(streamed) + len(valued) > len(rows) * len(cols)
+            for (I, J), v in streamed:
+                assert v == streamed_minor(Y, I, J), (Y, I, J)
+                assert type(v) is (int if Y.backend is Backend.EXACT else float)
+                valued.append(((I, J), minors.value((I, J))))
+            for (I, J), v in valued:
                 assert v == minor(Y, I, J), (Y, I, J)
+                assert type(v) is (Fraction if Y.backend is Backend.EXACT else float)
 
 
 def test_index_tuple_validation():

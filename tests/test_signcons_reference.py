@@ -4,7 +4,9 @@
 sign summaries through one rule each.  The references below are the checks as
 they stood before that rule, one branch per (route, verdict) pair, kept
 verbatim; every field of every result must agree on seeded exact and float
-matrices at every valid order.
+matrices at every valid order.  The references read each minor's value
+(``Minors.value``) as it is streamed, as the checks did before they read signs
+off the streamed Bareiss integers, so their witnesses hold values.
 """
 
 import random
@@ -18,11 +20,11 @@ from varsign.signcons import (
     Conclusion,
     MatrixPropertyCheck,
     ReducedCheckResult,
+    SignSummary,
     SignVerdict,
     _all_k_columns_independent,
     _anchored_tuples,
     _fekete_order,
-    _order_summary,
     _witness_text,
     classify_family,
     reduced_check,
@@ -44,12 +46,25 @@ _SIGNS_SEEN = {
 _HAS_ZERO = {SignVerdict.NONNEGATIVE, SignVerdict.NONPOSITIVE, SignVerdict.ZERO}
 
 
+def _valued_stream(minors, rows, cols):
+    """``minors.stream(rows, cols)`` with each minor read as its value."""
+    return ((key, minors.value(key)) for key, _ in minors.stream(rows, cols))
+
+
+def _order_summary(minors, r, positive_through, tol):
+    if r <= positive_through:
+        return SignSummary(SignVerdict.STRICTLY_POSITIVE, 1)
+    rows, cols = minors.shape
+    return classify_family(_valued_stream(minors, index_sets(rows, r), index_sets(cols, r)),
+                           minors.backend, tol)
+
+
 def _reference_reduced(X, k, strict=True, tol=DEFAULT_TOL):
     family = reduced_family(X.rows, X.cols, k, strict)
     rows = [t.elems for t in _anchored_tuples(X.rows, k)]
     cols = [t.elems for t in _anchored_tuples(X.cols, k)]
     strict_vals, free_vals = [], []
-    for pair, labeled in zip(family, Minors(X).stream(rows, cols)):
+    for pair, labeled in zip(family, _valued_stream(Minors(X), rows, cols)):
         (strict_vals if pair.strict_required else free_vals).append(labeled)
     base = classify_family(strict_vals, X.backend, tol)
     if base.verdict not in _STRICT_OK:
@@ -100,7 +115,7 @@ def _reference_vb(X, k, tol=DEFAULT_TOL):
         rows = index_sets(n, k)
         col_sets = lex_tuples(m, k) if p < k else []
         for J in col_sets:
-            col = classify_family(minors.stream(rows, [J.elems]), X.backend, tol)
+            col = classify_family(_valued_stream(minors, rows, [J.elems]), X.backend, tol)
             if col.verdict is SignVerdict.MIXED:
                 return MatrixPropertyCheck(
                     name, Conclusion.REFUTED, "rank-k compound column sign test",

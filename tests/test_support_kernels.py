@@ -15,6 +15,8 @@ from varsign import linalg
 from varsign.linalg import Backend, Matrix, Minors, compound, index_sets
 from varsign.lti import LtiSystem, impulse_response, output_rows
 
+from conftest import row_scales, streamed_minor
+
 KINDS = ("dense", "diagonal", "upper", "companion", "block")
 
 
@@ -126,12 +128,15 @@ def test_exact_compound_matches_per_minor_bareiss(A, c, inputs):
 def test_exact_minor_reads_interleave_with_structural_zeros(A, c, inputs):
     """``row`` and ``stream`` calls on one ``Minors`` of A stacked on its
     first two output rows (zero rows and zero columns included) read in turn
-    give the per-minor Bareiss values, whichever call reads a minor first."""
+    give the per-minor Bareiss values, whichever call reads a minor first:
+    ``row`` and ``value`` as ``Fraction``s, ``stream`` as ints, each the
+    value times the product of its row scales."""
     rows, dens = _dense_rows(A, c, 2)
     X = Matrix.exact([*A.data, *([Fraction(x, d) for x in w] for w, d in zip(rows, dens))])
     orders = [(index_sets(X.rows, r), index_sets(X.cols, r)) for r in range(1, A.rows + 1)]
     want = {(I, J): _bareiss_minor(X, I, J)
             for row_sets, col_sets in orders for I in row_sets for J in col_sets}
+    scales = row_scales(X)
     minors = Minors(X)
     for row_sets, col_sets in orders:
         ahead = minors.stream(row_sets[::-1], col_sets)
@@ -139,7 +144,10 @@ def test_exact_minor_reads_interleave_with_structural_zeros(A, c, inputs):
         for k, (one, two) in enumerate(zip_longest(ahead, behind)):
             for item in (one, two):
                 if item is not None:
-                    assert item[1] == want[item[0]]
+                    (I, J), v = item
+                    assert type(v) is int
+                    assert v == want[I, J] * math.prod(scales[i - 1] for i in I)
+                    assert minors.value((I, J)) == want[I, J]
             I = row_sets[k % len(row_sets)]
             assert list(minors.row(I, col_sets[::-1])) == [want[I, J] for J in col_sets[::-1]]
 
@@ -178,8 +186,12 @@ def test_minors_without_zero_entries_eliminate_every_minor_once(monkeypatch):
     for r in range(1, 5):
         rows, cols = index_sets(5, r), index_sets(4, r)
         want = [_bareiss_minor(X, I, J) for I in rows for J in cols]
+        ints = [streamed_minor(X, I, J) for I in rows for J in cols]
         calls.clear()
-        assert [value for _, value in Minors(X).stream(rows, cols)] == want
+        minors = Minors(X)
+        reads = list(minors.stream(rows, cols))
+        assert [v for _, v in reads] == ints
+        assert [minors.value(key) for key, _ in reads] == want
         assert calls == [r] * len(want)
 
 

@@ -32,12 +32,9 @@ from .signcons import (
     ReducedCheckResult,
     SignSummary,
     SignVerdict,
-    SingularLeadingBlockError,
-    TailBlockTransform,
     classify_family,
     consecutive_certificate,
     k_positive,
-    pena_transform,
     reduced_check,
     reduced_family,
     sign_conclusion,

@@ -183,16 +183,6 @@ def _decimal_exponents(den: int) -> tuple[int, int] | None:
     return (twos, fives) if power == odd else None
 
 
-def _decimal_text(num: int, twos: int, fives: int) -> str:
-    """The shortest decimal of num / (2^twos 5^fives).
-
-    With d = max(twos, fives) digits the value is the integer
-    num 5^(d-fives) 2^(d-twos) over 10^d (``_scaled_text``).
-    """
-    digits = max(twos, fives)
-    return _scaled_text(num * 5 ** (digits - fives) << (digits - twos), digits)
-
-
 def _scaled_text(scaled: int, digits: int) -> str:
     """The shortest decimal of scaled / 10^digits: trailing zeros of its
     fraction are dropped, so an unreduced numerator prints as its reduced
@@ -211,7 +201,7 @@ def render_value(x) -> str:
         exponents = _decimal_exponents(x.denominator)
         if exponents is None:
             return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
-        return _decimal_text(x.numerator, *exponents)
+        return next(_decimal_texts((x.numerator,), *exponents, 0, 0))
     return repr(x)
 
 
@@ -232,9 +222,13 @@ def _sample_texts(samples):
 
 
 def _decimal_texts(nums, twos: int, fives: int, dtwos: int, dfives: int):
-    """``_decimal_text(num, twos + t dtwos, fives + t dfives)`` of the t-th
-    numerator (from t = 0), with the power of 5 of its scale carried from
-    row to row instead of raised afresh."""
+    """The shortest decimal of num / (2^(twos + t dtwos) 5^(fives + t dfives))
+    for the t-th numerator (from t = 0).
+
+    With d = max of the two exponents, the value is the integer
+    num 5^(d-fives) 2^(d-twos) over 10^d (``_scaled_text``); the power of 5
+    is carried from row to row instead of raised afresh.
+    """
     power, have = 1, 0  # power = 5^have
     for num in nums:
         digits = max(twos, fives)

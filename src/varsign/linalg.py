@@ -141,10 +141,6 @@ class IndexTuple:
     def __str__(self):
         return "{" + ",".join(map(str, self.elems)) + "}"
 
-    def complement(self) -> "IndexTuple":
-        inside = set(self.elems)
-        return IndexTuple(self.n, tuple(i for i in range(1, self.n + 1) if i not in inside))
-
     def is_consecutive(self) -> bool:
         e = self.elems
         return all(e[i + 1] == e[i] + 1 for i in range(len(e) - 1))

@@ -534,13 +534,14 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     """
     ctx = _OperatorContext(A, c, tol, horizon)
     horizon = ctx.horizon
-    vb_in = v_minus(b)
+    # parses and size-checks b before any order is certified
+    sys = LtiSystem(A, tuple(b), tuple(c))
+    vb_in = v_minus(sys.b)
     levels = {j - 1: "strict" if cert.property_name == property_name("svb", j) else "nonstrict"
               for j, cert in enumerate(_order_certificates(ctx, ctx.n), 1)
               if cert.passed()}
     bound = min((level for level in levels if level >= vb_in), default=None)
     # C_1(A) = A and c_1 = c, so the order-1 rows and modes serve (A, b, c)
-    sys = LtiSystem(A, tuple(b), tuple(c))
     g = impulse_response(sys, horizon, ctx.output_rows(1, horizon))
     # exact samples carry their signs in their numerators (``ExactSamples``)
     measured = v_minus(g, tol) if A.backend is Backend.FLOAT else v_minus(g.nums)

@@ -2,9 +2,8 @@
 
 Implements the sign checks over all minors of an order, the polynomial-size
 reduced minor families (strict and non-strict variants), the consecutive
-minor certificate, the tail-block transform whose minors enumerate the
-full-width minors of a tall matrix, and decision procedures for
-variation-bounding (VB) and variation-diminishing (VD) matrices.
+minor certificate, and decision procedures for variation-bounding (VB) and
+variation-diminishing (VD) matrices.
 
 The checks compute only the minors that decide a verdict.  Each check reads
 its minors, and the VB and VD checks their rank, from one ``linalg.Minors``,
@@ -36,14 +35,10 @@ from .linalg import (
     LinalgError,
     Matrix,
     Minors,
-    Num,
     RankOutOfRangeError,
-    SingularMatrixError,
     consecutive_sets,
-    det,
     index_sets,
     int_text,
-    inverse,
     lex_tuples,
     sign_of,
 )
@@ -245,75 +240,8 @@ def consecutive_certificate(X: Matrix, k: int, strict_top: bool = True,
     return CertificateResult(True, f"{qualifier}{k}-positive via consecutive minors")
 
 
-class SingularLeadingBlockError(LinalgError):
-    pass
-
-
 class PreconditionError(LinalgError):
     pass
-
-
-@dataclass
-class TailBlockTransform:
-    """Transform whose minors enumerate the full-width minors of a tall matrix.
-
-    For X with n rows and m < n columns and nonsingular leading m x m block H,
-    ``matrix`` is the (n-m) x m matrix C = X[(m+1:n), (1:m)] * H^{-1} * K with
-    K the signed antidiagonal.  Every full-width minor det(X[gamma, (1:m)])
-    with gamma != (1:m) equals ``head_det`` times a unique minor of C (so the
-    signs agree up to ``sign`` = sign(head_det)); the index map is
-    :meth:`gamma_for`.
-    """
-
-    matrix: Matrix
-    sign: int
-    head_det: Num
-    n: int
-    m: int
-
-    def gamma_for(self, alpha: IndexTuple, beta: IndexTuple) -> IndexTuple:
-        """Row set of X matched to the C-minor with rows alpha, columns beta."""
-        r = len(alpha)
-        if len(beta) != r:
-            raise RankOutOfRangeError("alpha and beta must have equal length")
-        comp = beta.complement().elems  # m - r elements
-        gamma = [0] * self.m
-        for j in range(1, self.m - r + 1):
-            gamma[self.m - r - j] = self.m + 1 - comp[j - 1]
-        for i in range(1, r + 1):
-            gamma[self.m - r + i - 1] = self.m + alpha.elems[i - 1]
-        return IndexTuple(self.n, tuple(gamma))
-
-    def pairs(self):
-        """All (r, alpha, beta, gamma) quadruples of the bijection."""
-        for r in range(1, min(self.m, self.n - self.m) + 1):
-            for alpha in lex_tuples(self.n - self.m, r):
-                for beta in lex_tuples(self.m, r):
-                    yield r, alpha, beta, self.gamma_for(alpha, beta)
-
-
-def pena_transform(X: Matrix) -> TailBlockTransform:
-    """Build the tail-block transform of a tall matrix (n rows > m columns)."""
-    n, m = X.rows, X.cols
-    if n <= m:
-        raise PreconditionError(f"need more rows than columns, got {X.shape}")
-    head = X.submatrix(range(1, m + 1), range(1, m + 1))
-    d = det(head)
-    s = sign_of(d, X.backend, DEFAULT_TOL)
-    if s in (0, None):
-        raise SingularLeadingBlockError("leading block is singular (or inside tolerance)")
-    tail = X.submatrix(range(m + 1, n + 1), range(1, m + 1))
-    zero = Fraction(0) if X.backend is Backend.EXACT else 0.0
-    K = [[zero] * m for _ in range(m)]
-    for j in range(1, m + 1):  # antidiagonal i + j = m + 1, sign (-1)^(j-1)
-        val = (-1) ** (j - 1)
-        K[m - j][j - 1] = Fraction(val) if X.backend is Backend.EXACT else float(val)
-    try:
-        head_inv = inverse(head)
-    except SingularMatrixError as exc:
-        raise SingularLeadingBlockError(str(exc)) from exc
-    C = tail @ head_inv @ Matrix(K, X.backend)
-    return TailBlockTransform(C, s, d, n, m)
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,6 @@ def test_index_tuple_validation():
         IndexTuple(4, (2, 2))
     with pytest.raises(IndexOutOfRangeError):
         IndexTuple(4, (1, 5))
-    assert IndexTuple(5, (1, 4)).complement().elems == (2, 3, 5)
 
 
 def test_inverse_examples():

@@ -12,6 +12,7 @@ from varsign.linalg import (
     Backend,
     IndexTuple,
     Matrix,
+    SizeMismatchError,
     compound,
     det,
     inverse,
@@ -939,6 +940,21 @@ def test_impulse_variation_bound_zero_input():
     assert report.input_variation == -1
     assert report.measured == -1
     assert report.bound is not None and report.bound >= -1
+
+
+def test_impulse_variation_bound_parses_b_before_certifying(monkeypatch):
+    """Decimal-string entries of b read as the Fractions they denote, and a
+    b of the wrong length is refused before any order is certified."""
+    A = Matrix.exact([["0.5", "0"], ["0", "0.25"]])
+    c = ("1", "1")
+    report = impulse_variation_bound(A, ["1", "-1"], c)
+    assert repr(report) == repr(impulse_variation_bound(A, (Fraction(1), Fraction(-1)), c))
+    calls = []
+    certify = obsv._certify
+    monkeypatch.setattr(obsv, "_certify", lambda *args: calls.append(args) or certify(*args))
+    with pytest.raises(SizeMismatchError):
+        impulse_variation_bound(A, [1], c)
+    assert calls == []
 
 
 def test_impulse_variation_bound_reads_order_one_rows_and_modes():

@@ -14,8 +14,8 @@ PUBLIC_NAMES = [
     "ExtPosVerdict", "FamilyPair", "IndexOutOfRangeError", "IndexTuple", "LinalgError",
     "LtiSystem", "Matrix", "MatrixPropertyCheck", "NonSquareError", "NotObservableError",
     "OracleReport", "OrderedVerdicts", "PreconditionError", "RankOutOfRangeError",
-    "ReducedCheckResult", "SignSummary", "SignVerdict", "SingularLeadingBlockError",
-    "SingularMatrixError", "SizeMismatchError", "SystemVerdict", "TailBlockTransform",
+    "ReducedCheckResult", "SignSummary", "SignVerdict",
+    "SingularMatrixError", "SizeMismatchError", "SystemVerdict",
     "TailCertificate", "VariationBoundReport", "Violation", "beta_family",
     "certify_controllability", "certify_hankel", "certify_k_positive",
     "certify_observability", "certify_svb", "certify_vb", "certify_vd", "classify_family",
@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
     "falsify_matrix_vb", "falsify_operator_vb", "full_compound_systems", "gauss_smoother",
     "impulse_response", "impulse_variation_bound", "inverse",
     "k_positive", "lex_tuples", "minimal_recurrence_system", "minor", "observability_matrix",
-    "pena_transform", "rank", "reduced_check", "reduced_family", "sample_bounded_variation",
+    "rank", "reduced_check", "reduced_family", "sample_bounded_variation",
     "sign_conclusion", "sign_consistent", "sign_of", "sign_regular", "v_minus", "v_plus",
     "vb_matrix_check", "vd_matrix_check",
 ]

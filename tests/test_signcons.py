@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from varsign.linalg import (
-    Backend, Matrix, Minors, RankOutOfRangeError, compound, det, lex_tuples, minor, rank,
+    Backend, Matrix, Minors, RankOutOfRangeError, compound, lex_tuples, minor, rank,
     sign_of,
 )
 from varsign.lti import observability_matrix
@@ -16,11 +16,9 @@ from varsign.signcons import (
     PreconditionError,
     SignSummary,
     SignVerdict,
-    SingularLeadingBlockError,
     classify_family,
     consecutive_certificate,
     k_positive,
-    pena_transform,
     reduced_check,
     reduced_family,
     sign_conclusion,
@@ -110,47 +108,6 @@ def test_consecutive_certificate_certifies_total_positivity(rng):
     assert res.passed
     for r in range(1, 4):
         assert sign_consistent(X, r).verdict is SignVerdict.STRICTLY_POSITIVE
-
-
-def test_pena_transform_hand_values():
-    out = pena_transform(PENA)
-    assert out.sign == 1
-    assert out.matrix == Matrix.exact([[2, 1], [3, 2]])
-    assert det(out.matrix) == 1
-    with pytest.raises(SingularLeadingBlockError):
-        pena_transform(Matrix.exact([[1, 1], [1, 1], [1, 2]]))
-
-
-def test_pena_transform_identity_head(rng):
-    # with identity leading block, C is just the tail block times the
-    # signed antidiagonal
-    tail = random_exact(rng, 2, 2)
-    X = Matrix.exact([[1, 0], [0, 1]] + [list(r) for r in tail.data])
-    K = Matrix.exact([[0, -1], [1, 0]])
-    assert pena_transform(X).matrix == tail @ K
-
-
-def test_pena_bijection_exact(rng):
-    for _ in range(10):
-        X = random_exact(rng, 5, 2)
-        try:
-            out = pena_transform(X)
-        except SingularLeadingBlockError:
-            continue
-        assert out.matrix.shape == (3, 2)
-        seen = set()
-        for r, alpha, beta, gamma in out.pairs():
-            assert gamma.elems not in seen
-            seen.add(gamma.elems)
-            lhs = minor(X, gamma, (1, 2))
-            rhs = minor(out.matrix, alpha, beta)
-            assert lhs == out.head_det * rhs
-            # in particular the signs agree up to the head-block sign
-            if rhs != 0:
-                assert (lhs > 0) == ((out.sign > 0) == (rhs > 0))
-        # the map hits every full-width minor other than the head block
-        expect = {t.elems for t in lex_tuples(5, 2)} - {(1, 2)}
-        assert seen == expect
 
 
 def test_reduced_family_pena_shape():

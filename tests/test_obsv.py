@@ -957,6 +957,16 @@ def test_impulse_variation_bound_parses_b_before_certifying(monkeypatch):
     assert calls == []
 
 
+def test_impulse_variation_bound_parses_string_b_on_float_backend():
+    """On a float A, decimal-string entries of b read as the floats they
+    denote, so the report equals the one given those floats."""
+    A = Matrix.exact([["0.5", "0"], ["0", "0.25"]]).to_float()
+    c = ("1", "1")
+    report = impulse_variation_bound(A, ["1.5", "-1"], c)
+    assert report.input_variation == 1
+    assert repr(report) == repr(impulse_variation_bound(A, (1.5, -1.0), c))
+
+
 def test_impulse_variation_bound_reads_order_one_rows_and_modes():
     """The report equals one sampled and tail-certified on (A, b, c) apart
     from the context, as before it read C_1(A) = A and c_1 = c off it."""

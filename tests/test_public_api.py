@@ -3,6 +3,9 @@ parameters of its operator certifiers.  A removal or rename shows up here
 as one explicit diff."""
 
 import inspect
+import re
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +54,14 @@ def test_public_names():
 def test_certifier_parameters(name):
     params = list(inspect.signature(getattr(varsign, name)).parameters)
     assert params == CERTIFIER_PARAMETERS[name]
+
+
+def test_readme_library_example_runs():
+    """README's Library block runs with warnings as errors, so a removed
+    public name or a new warning it would meet fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme_library"})

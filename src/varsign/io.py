@@ -7,13 +7,24 @@ run with compound systems writes ``traces.csv`` too, and a run without any
 removes the one an earlier run left.  Exact values render as decimals
 whenever the denominator allows a finite expansion, and as ``p/q`` literals
 otherwise, so that exact-mode runs are reproducible bit for bit.
+
+Both files are rewritten in place (``_rewrite``): an existing file is
+overwritten and then cut to the new length, never cut to zero first.  On
+ext4, cutting a just-written file to zero and refilling it charges the
+writing process tens of microseconds of system time per file, and a user,
+like the benchmark, reuses one ``--out`` run after run.  This is no more
+atomic than the truncating write was: a crash mid-write can leave new bytes
+followed by old ones, where truncation could leave a partial file, and a
+rerun regenerates either.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,6 +254,22 @@ def _decimal_texts(nums, twos: int, fives: int, dtwos: int, dfives: int):
         fives += dfives
 
 
+def _open_in_place(name, flags: int) -> int:
+    """``open``'s default opener (mode 0o666, less the umask) without O_TRUNC."""
+    return os.open(name, flags & ~os.O_TRUNC, 0o666)
+
+
+def _rewrite(path: Path, text: str, newline: str | None = None) -> None:
+    """Write ``text`` to ``path`` as ``Path.write_text`` does, with the same
+    bytes, encoding and creation mode, but over the old contents and cut to
+    length after.  O_TRUNC cuts regular files only, and so does this: a
+    device such as /dev/null cannot be truncated."""
+    with open(path, "w", newline=newline, opener=_open_in_place) as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
+
+
 def write_traces(out_dir, per_system: list[SystemVerdict], targets: tuple[str, ...]) -> list[str]:
     """One ``target,r,beta,t,g`` CSV of the samples each system's analysis
     holds, written whole with ``\\r\\n`` lines, beta as ``1 2`` or ``full``;
@@ -259,7 +286,7 @@ def write_traces(out_dir, per_system: list[SystemVerdict], targets: tuple[str, .
         head = f"{target},{sv.r},{beta},"
         lines += (f"{head}{t},{text}\r\n"
                   for t, text in enumerate(_sample_texts(sv.verdict.samples), 1))
-    path.write_text("".join(lines), newline="")
+    _rewrite(path, "".join(lines), newline="")
     return [path.name]
 
 
@@ -301,5 +328,5 @@ def write_report(out_dir, payload: dict, environment: dict,
                           tuple(cert.target for cert in certs for _ in cert.per_system))
     report = {"certificate": payload, "environment": environment, "traces": traces}
     path = out_dir / "report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _rewrite(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path

@@ -416,6 +416,8 @@ def _tail_certificate(rho1, scale: float, modes: DominantModes,
     total modulus ``scale``, or the note of the gate it fails."""
     if not math.isfinite(scale):  # lam^shift overflowed, or c b did
         return None, "residues exceed float range; no eigen tail"
+    if rho1 == 0:  # an inactive mode: c or b has no component along it
+        return None, "dominant mode has zero residue"
     if abs(rho1) <= tol * max(1.0, scale):
         return None, "dominant mode has negligible residue (unobservable or uncontrollable)"
     rest = scale - abs(rho1)

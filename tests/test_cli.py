@@ -1,12 +1,16 @@
+import ast
 import csv
 import json
 import math
+import os
 import random
+import stat
 import sys
 import time
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -235,7 +239,7 @@ def test_inactive_mode_note_names_a_horizon_too_short_for_the_recurrence(tmp_pat
     assert main(argv + ["2"]) == 2
     system = json.loads((out / "report.json").read_text())["certificate"]["systems"][1]
     assert system["beta"] == [2] and system["notes"] == [
-        "dominant mode has negligible residue (unobservable or uncontrollable); no recurrence "
+        "dominant mode has zero residue; no recurrence "
         "fit: the horizon 2 is shorter than the n + L = 3 samples it needs"]
     assert main(argv + ["3"]) == 0
 
@@ -319,6 +323,113 @@ def test_reused_out_holds_only_the_current_run(tmp_path, capsys):
             assert sorted(trace_blocks(out / "traces.csv")) == sorted(labels), argv
         else:
             assert files == ["report.json"] and report["traces"] == [], argv
+
+
+def _out_files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_reused_out_matches_fresh_out_byte_for_byte(tmp_path, capsys):
+    """Long, short, none, long: each run into one reused --out leaves the
+    bytes a run into a fresh directory leaves, so a rewrite over a longer
+    file is cut to length and no old byte survives."""
+    example1 = str(fixture_path("example1"))
+    runs = [
+        ["certify", example1, "--property", "vd", "--k", "2"],
+        ["certify", example1, "--property", "svb", "--k", "1"],
+        ["check-matrix", example1, "--property", "sc", "--k", "1"],
+        ["certify", example1, "--property", "kpos", "--k", "2"],
+    ]
+    reused, sizes = tmp_path / "reused", []
+    for i, argv in enumerate(runs):
+        fresh = tmp_path / f"fresh{i}"
+        assert main(argv + ["--out", str(reused)]) == main(argv + ["--out", str(fresh)]), argv
+        want = _out_files(fresh)
+        assert _out_files(reused) == want, argv
+        assert sorted(want) == (["report.json", "traces.csv"] if i != 2 else ["report.json"])
+        sizes.append({name: len(data) for name, data in want.items()})
+    # the second run writes both files over longer ones
+    assert all(sizes[1][name] < sizes[0][name] for name in sizes[1])
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_report_gets_the_mode_write_text_gives(tmp_path, capsys, umask):
+    old = os.umask(umask)
+    try:
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        assert main(["certify", str(fixture_path("example1")), "--property", "svb", "--k", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(reference.stat().st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("report.json", "traces.csv"):
+        assert stat.S_IMODE((tmp_path / "out" / name).stat().st_mode) == want, name
+
+
+def test_report_symlink_is_written_through(tmp_path, capsys):
+    argv = ["certify", str(fixture_path("example1")), "--property", "svb", "--k", "1", "--out"]
+    assert main(argv + [str(tmp_path / "fresh")]) == 0
+    out, target = tmp_path / "out", tmp_path / "elsewhere.json"
+    out.mkdir()
+    target.write_text("x" * 5000)
+    (out / "report.json").symlink_to(target)
+    assert main(argv + [str(out)]) == 0
+    assert (out / "report.json").is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh" / "report.json").read_bytes()
+
+
+def test_report_symlink_to_a_device_is_written_through(tmp_path, capsys):
+    """O_TRUNC leaves a device alone, and so does the rewrite: /dev/null
+    takes the report and cannot be cut to length."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").symlink_to(os.devnull)
+    assert main(["check-matrix", str(fixture_path("pena")), "--property", "ssc", "--k", "2",
+                 "--out", str(out)]) == 0
+
+
+def test_directory_named_report_json_is_an_input_error(tmp_path, capsys):
+    # a read-only report.json would prove nothing here: the tests may run as
+    # root, whom file permissions do not stop
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    assert main(["check-matrix", str(fixture_path("pena")), "--property", "ssc", "--k", "2",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'report.json'}: ")
+    assert err.count("\n") == 1
+
+
+def test_outputs_are_opened_without_o_trunc(tmp_path, capsys, monkeypatch):
+    """Every output file is opened through ``os.open`` and none with O_TRUNC,
+    which would cut the file to zero before it is refilled."""
+    out, opened, real_open = tmp_path / "out", {}, os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        if Path(path).parent == out:
+            opened[Path(path).name] = flags
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for _ in range(2):  # files created, then rewritten
+        opened.clear()
+        assert main(["certify", str(fixture_path("example1")), "--property", "svb", "--k", "1",
+                     "--out", str(out)]) == 0
+        assert sorted(opened) == ["report.json", "traces.csv"]
+        assert not any(flags & os.O_TRUNC for flags in opened.values()), opened
+
+
+def test_no_truncating_path_writes_in_the_package():
+    """``Path.write_text`` and ``write_bytes`` truncate before they write; an
+    output file written with them would bring that cost back."""
+    package = Path(varsign.io.__file__).parent
+    calls = [f"{source.name}:{node.lineno}"
+             for source in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(source.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes")]
+    assert calls == []
 
 
 def test_oracle_cli_reproducible(tmp_path, capsys):

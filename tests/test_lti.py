@@ -894,6 +894,8 @@ def _eigen_tail_reference(sys: LtiSystem, tol: float = 1e-9, shift: int = 0):
     rho1 = residues[0]
     if not math.isfinite(scale):
         return None, "residues exceed float range; no eigen tail"
+    if rho1 == 0:
+        return None, "dominant mode has zero residue"
     if abs(rho1) <= tol * max(1.0, scale):
         return None, "dominant mode has negligible residue (unobservable or uncontrollable)"
     rest = scale - abs(rho1)
@@ -953,6 +955,20 @@ def test_residues_past_float_range_give_no_tail(A, backend):
     sys = LtiSystem(Matrix(A, backend), (1, 1, 1), (1, 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         assert dominant_tail(sys, shift=2) == (None, "residues exceed float range; no eigen tail")
+
+
+@pytest.mark.parametrize("b1, note", [
+    ("0", "dominant mode has zero residue"),
+    ("1e-12", "dominant mode has negligible residue (unobservable or uncontrollable)"),
+    ("-1e-10", "dominant mode has negligible residue (unobservable or uncontrollable)"),
+])
+@pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+def test_residue_gate_notes_tell_an_inactive_mode_from_a_small_residue(b1, note, backend):
+    """diag(1/2, 1/4): b = (b1, 1) gives the dominant mode 1/2 the residue
+    b1.  Zero says the mode is inactive; a nonzero residue under the gate
+    keeps the note that does not claim to know which."""
+    sys = LtiSystem(Matrix([["0.5", "0"], ["0", "0.25"]], backend), (b1, "1"), ("1", "1"))
+    assert dominant_tail(sys) == (None, note)
 
 
 def test_scalar_exact_systems_need_no_eigen_solve(monkeypatch):

@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--target", choices=("obsv", "ctrb", "hankel"), default="obsv")
     p_cert.add_argument("--nonstrict", action="store_true",
                         help="allow the non-strict top order for kpos")
-    p_cert.set_defaults(func=cmd_certify)
+    p_cert.set_defaults(func=cmd_certify, out=Path("varsign_out"))
 
     p_oracle = sub.add_parser("oracle", help="sampling falsification")
     common(p_oracle, horizon=True, seed=True)
@@ -266,8 +266,6 @@ def main(argv=None) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_INPUT
-    if getattr(args, "out", None) is None and args.command == "certify":
-        args.out = Path("varsign_out")
     try:
         return args.func(args)
     except InputFileError as exc:

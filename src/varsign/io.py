@@ -46,7 +46,6 @@ class SystemFile:
     b: tuple | None
     c: tuple | None
     matrix: Matrix | None
-    notes: str = ""
 
 
 _ECHO_CHARS = 40
@@ -164,7 +163,7 @@ def load_system_file(path, backend: Backend = Backend.EXACT) -> SystemFile:
             raise InputFileError("c length does not match A")
     if A is None and matrix is None:
         raise InputFileError("file carries neither a system (A, c) nor a bare matrix")
-    return SystemFile(str(name), A, b, c, matrix, str(raw.get("notes", "")))
+    return SystemFile(str(name), A, b, c, matrix)
 
 
 _LOG2_5 = math.log2(5)

@@ -425,10 +425,7 @@ def _tail_certificate(rho1, scale: float, modes: DominantModes,
     lam1, sub = modes.lam1, modes.sub
     # safety factor absorbs eigen-solver rounding in the bound itself
     guard = 1.0 + 1e-9
-    if sub == 0.0:
-        start = 1 if abs(rho1) > rest * guard else 2
-        return TailCertificate(start, sign, float(abs(lam1)), 0.0, abs(rho1), rest), ""
-    ratio = abs(lam1) / sub
+    ratio = abs(lam1) / sub if sub else math.inf
     if abs(rho1) > rest * guard:
         start = 1
     else:

@@ -41,7 +41,7 @@ certificates run the same engine on the transposed pair, and a Hankel
 operator inherits a sufficient certificate from its two factors.
 
 In exact arithmetic vb and vd first judge a finite section, O_(n+1), whose
-rows c A^(t-1), t = 1..n+1, are the order-1 output rows the context holds.
+rows c A^(t-1), t = 1..n+1, are the rows of the context's one ``Minors``.
 A violation by the section is one by the operator: for an input x0 with
 S-(x0) <= k-1 and S-(O_(n+1) x0) >= k, the output O x0 has O_(n+1) x0 as
 its prefix, and S- of a prefix never exceeds S- of the whole sequence.  (An
@@ -102,13 +102,14 @@ class BadIndicesError(LinalgError):
 
 class _OperatorContext:
     """Shared pieces for one observable pair (A, c) at one horizon: one
-    ``Minors`` of O_n, read off the first n order-1 output rows c A^(t-1) as
-    they are (integer rows over their ``dens`` when exact), which gives its
-    rank, its determinant and each c_r (the r-minors on rows 1..r); each
-    order's C_r(A); the output rows and the eigen-decomposition of each pair
-    (C_r(A), c_r), which all systems of that order share (the rows as far as
-    its analyses read, the decomposition once one needs a tail); and one
-    analysis per (k, r, beta) compound system."""
+    ``Minors`` of its order-1 output rows c A^(t-1), t = 1..n+1 when exact
+    (integer rows over their ``dens``: the section O_(n+1)) and 1..n in float,
+    which gives O_n's rank and determinant, each c_r (the r-minors on rows
+    1..r) and the section's minors; each order's C_r(A); the output rows and
+    the eigen-decomposition of each pair (C_r(A), c_r), which all systems of
+    that order share (the rows as far as its analyses read, the decomposition
+    once one needs a tail); and one analysis per (k, r, beta) compound
+    system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
@@ -116,8 +117,10 @@ class _OperatorContext:
             raise LinalgError("state matrix must be square")
         self.A, self.n, self.tol = A, A.rows, tol
         self.horizon = horizon if horizon is not None else default_horizon(self.n)
-        # C_1(A) = A and c_1 = c: the order-1 output rows are the rows of O
-        rows = output_rows(A, c, self.n)
+        exact = A.backend is Backend.EXACT
+        # the order-1 output rows (C_1(A) = A, c_1 = c) are the rows of O: n + 1
+        # exact ones, of O_n's rank (Cayley-Hamilton); a float rank could differ
+        rows = output_rows(A, c, self.n + 1 if exact else self.n)
         self._memo = {("rows", 1): rows}
         self._minors = minors = Minors.of_rows(rows.rows, rows.dens)
         obs_rank = minors.rank(tol)
@@ -125,7 +128,7 @@ class _OperatorContext:
             raise NotObservableError(f"observability matrix has rank {obs_rank} < {self.n}")
         full = tuple(range(1, self.n + 1))
         self.det_n = next(minors.row(full, [full]))
-        if A.backend is Backend.FLOAT and abs(self.det_n) <= tol:
+        if not exact and abs(self.det_n) <= tol:
             # full float rank, yet |det O_n| within tol: not decisively observable
             raise NotObservableError(f"observability matrix is singular: "
                                      f"|det| = {abs(self.det_n)} within tolerance {tol}")
@@ -355,20 +358,18 @@ def _certify(ctx: _OperatorContext, prop: str, k: int, strict: bool = True) -> C
 
 def _section_refutation(ctx: _OperatorContext, name: str, orders) -> Certificate | None:
     """The refuted certificate ``name`` when the section O_(n+1) is not
-    VB_(j-1) at one of ``orders``, tried in turn on one ``Minors`` of the
-    context's order-1 output rows; its note names the section, the rule and
+    VB_(j-1) at one of ``orders``, tried in turn on the context's ``Minors``,
+    whose n + 1 rows are the section; its note names the section, the rule and
     the witness minors.  None when every check is silent, and always in float
     arithmetic, whose minors are classed against an absolute tolerance."""
     if ctx.A.backend is not Backend.EXACT:
         return None
-    T = ctx.n + 1
-    rows = ctx.output_rows(1, T)
-    section = Minors.of_rows(rows.rows[:T], rows.dens[:T])
     for j in orders:
-        check = _vb_check(section, j, ctx.tol)
+        check = _vb_check(ctx._minors, j, ctx.tol)
         if check.status is Conclusion.REFUTED:
             return Certificate(name, "observability", Conclusion.REFUTED, None, [], ctx.horizon, [
-                f"section O_{T} is not {check.property_name} ({check.rule}): {check.detail}"])
+                f"section O_{ctx.n + 1} is not {check.property_name} ({check.rule}): "
+                f"{check.detail}"])
     return None
 
 

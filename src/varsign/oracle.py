@@ -16,10 +16,10 @@ or reuses the one it replayed last, and reads the row; a search always draws
 afresh.
 
 Both searches are one ``_search`` on a matrix M: the bare matrix X, or for
-the operator O_H = ``observability_matrix(A, c, horizon)``, whose rows
-c A^(t-1) are the ``output_rows`` of ``impulse_response``.  The outputs of a
-block are M u for every input u of the block at once (``_outputs``), each
-summed 0 + M[i][0] u_0 + M[i][1] u_1 + ... left to right with one numpy
+the operator O_H, whose rows c A^(t-1), t = 1..horizon, are the float
+``output_rows`` of (A, c), as ``impulse_response`` reads them.  The outputs
+of a block are M u for every input u of the block at once (``_outputs``),
+each summed 0 + M[i][0] u_0 + M[i][1] u_1 + ... left to right with one numpy
 operation per column of M.  Elementwise IEEE arithmetic in a fixed order gives
 the same floats on every BLAS build, and an operator output equals the
 sample ``impulse_response`` gives for that initial state; a matrix product
@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .linalg import DEFAULT_TOL, Matrix, NonSquareError
-from .lti import default_horizon, observability_matrix
+from .lti import default_horizon, output_rows
 # bound but not called: perfbench/tracing.py reports calls to this name from
 # this module as the oracle.propagate layer, which thus reads 0, not missing
 from .lti import impulse_response  # noqa: F401
@@ -209,8 +209,7 @@ def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int | None = No
     if not A.is_square():
         raise NonSquareError("state matrix must be square")
     # output_rows rejects a horizon below 1 and a c of the wrong length
-    obs = observability_matrix(A.to_float(), c, horizon)
-    return _search(np.array(obs.data, dtype=float), k, trials, seed, tol)
+    return _search(np.array(output_rows(A.to_float(), c, horizon).rows), k, trials, seed, tol)
 
 
 def replay_trial(m: int, k: int, seed: int, trial: int) -> tuple[float, ...]:

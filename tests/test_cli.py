@@ -263,6 +263,68 @@ def test_certify_nonstrict_is_input_error_outside_kpos(tmp_path, capsys):
         assert not (tmp_path / prop).exists()
 
 
+# case -> (system file payload, or a fixture name, or None for a missing
+# file; options after --property svb; the one stderr line, or its start)
+_MALFORMED_CERTIFY = {
+    "k 0": ("example1", ["--k", "0"], "error: need 1 <= k <= n, got k=0, n=3\n"),
+    "k past n": ("example1", ["--k", "4"], "error: need 1 <= k <= n, got k=4, n=3\n"),
+    "bare matrix": ({"matrix": [["1", "2"], ["3", "4"]]}, ["--k", "1"],
+                    "input error: certify needs a system file with A\n"),
+    "ctrb without b": ({"A": [["0.5", "0"], ["0", "0.25"]], "c": ["1", "1"]},
+                       ["--k", "1", "--target", "ctrb"],
+                       "input error: controllability target needs b\n"),
+    "non-square A": ({"A": [["1", "2", "3"], ["3", "4", "5"]], "c": ["1", "1"]}, ["--k", "1"],
+                     "input error: A must be square\n"),
+    "c too long": ({"A": [["1", "2"], ["3", "4"]], "c": ["1", "1", "1"]}, ["--k", "1"],
+                   "input error: c length does not match A\n"),
+    "b too short": ({"A": [["1", "2"], ["3", "4"]], "b": ["1"], "c": ["1", "1"]}, ["--k", "1"],
+                    "input error: b length does not match A\n"),
+    "empty row": ({"A": [["1", "2"], []], "c": ["1", "1"]}, ["--k", "1"],
+                  "input error: A has an empty row\n"),
+    "ragged rows": ({"A": [["1", "2"], ["3"]], "c": ["1", "1"]}, ["--k", "1"],
+                    "input error: bad A: ragged rows\n"),
+    "empty c": ({"A": [["1", "2"], ["3", "4"]], "c": []}, ["--k", "1"],
+                "input error: c must be a non-empty list\n"),
+    "top-level list": ([["1", "2"], ["3", "4"]], ["--k", "1"],
+                       "input error: top level must be an object\n"),
+    "unreadable path": (None, ["--k", "1"], "input error: cannot read "),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_CERTIFY)
+def test_malformed_certify_runs_exit_3_with_one_line_and_no_report(tmp_path, capsys, case):
+    system, options, message = _MALFORMED_CERTIFY[case]
+    if system is None:
+        f = tmp_path / "absent.json"
+    elif isinstance(system, str):
+        f = fixture_path(system)
+    else:
+        f = write_json(tmp_path, "system.json", system)
+    out = tmp_path / "out"
+    code = main(["certify", str(f), "--property", "svb", *options, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1, captured.err
+    assert not out.exists()
+
+
+def test_certify_without_out_writes_varsign_out(tmp_path, capsys, monkeypatch):
+    """certify's --out defaults to varsign_out in the working directory, and
+    the other commands write nothing without one."""
+    f = str(fixture_path("example1"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["check-matrix", f, "--property", "sc", "--k", "1"]) == 1
+    assert main(["oracle", f, "--k", "1", "--trials", "5"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert main(["certify", f, "--property", "kpos", "--k", "2"]) == 0
+    assert main(["certify", f, "--property", "kpos", "--k", "2", "--out", "explicit"]) == 0
+    default, explicit = tmp_path / "varsign_out", tmp_path / "explicit"
+    assert sorted(p.name for p in default.iterdir()) == ["report.json", "traces.csv"]
+    for name in ("report.json", "traces.csv"):
+        assert (default / name).read_bytes() == (explicit / name).read_bytes()
+
+
 def test_certify_hankel_target(tmp_path, capsys):
     f = write_json(tmp_path, "pos.json", {
         "A": [["0.5", "0"], ["0.25", "0.2"]], "b": ["1", "1"], "c": ["1", "1"]})

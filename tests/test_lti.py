@@ -358,6 +358,21 @@ def test_tail_bound_holds_and_grows():
     assert all(b > a for a, b in zip(margins, margins[1:]))
 
 
+@pytest.mark.parametrize("sub", [0.0, np.float64(0.0)])
+@pytest.mark.parametrize("rho1, scale, want", [
+    (2.0, 3.0, TailCertificate(1, 1, 0.5, 0.0, 2.0, 1.0)),
+    (-1.0 + 0j, 4.0, TailCertificate(2, -1, 0.5, 0.0, 1.0, 3.0)),
+])
+def test_tail_without_a_subdominant_mode_starts_at_1_or_2(rho1, scale, want, sub):
+    """With every other eigenvalue 0 the ratio is infinite: the tail starts at
+    1 when the dominant residue beats the rest, else at 2, with no warning."""
+    modes = lti.DominantModes("", lam1=0.5 + 0j, sub=sub)
+    with np.errstate(all="raise"):
+        tail, note = lti._tail_certificate(rho1, scale, modes, 1e-9)
+    assert (tail, note) == (want, "")
+    assert tail.margin(tail.start) > 0
+
+
 def test_minimal_recurrence_reduction_unblocks_inactive_dominant_mode():
     # only the smallest eigenvalue is active in this trace; the full-matrix
     # analysis sees a dominant mode with zero residue, the exact reduction

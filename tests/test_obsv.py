@@ -10,8 +10,10 @@ import varsign.lti as lti
 from varsign.linalg import (
     DEFAULT_TOL,
     Backend,
+    IndexOutOfRangeError,
     IndexTuple,
     Matrix,
+    RankOutOfRangeError,
     SizeMismatchError,
     compound,
     det,
@@ -33,6 +35,7 @@ from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file
 import varsign.obsv as obsv
 from varsign.obsv import (
+    BadIndicesError,
     Certificate,
     Conclusion,
     NotObservableError,
@@ -607,6 +610,26 @@ def test_not_observable_raises():
         compound_system(A, (1, 0), 1, 1, IndexTuple(2, (1,)))
 
 
+@pytest.mark.parametrize("k, r, beta, error", [
+    (2, 3, (1, 2), RankOutOfRangeError),
+    (4, 1, (1, 2), RankOutOfRangeError),
+    (0, 0, (1, 2), RankOutOfRangeError),
+    (2, 1, (2, 1), IndexOutOfRangeError),
+    (2, 1, (1, 4), IndexOutOfRangeError),
+    (2, 1, (1,), BadIndicesError),
+    (2, 1, IndexTuple(4, (1, 2)), BadIndicesError),
+])
+def test_compound_system_rejects_bad_orders_and_indices(k, r, beta, error):
+    A, c = example2()
+    with pytest.raises(error):
+        compound_system(A, c, k, r, beta)
+
+
+def test_compound_system_reads_a_plain_tuple_as_its_index_tuple():
+    A, c = example2()
+    assert compound_system(A, c, 2, 1, (1, 2)) == compound_system(A, c, 2, 1, IndexTuple(3, (1, 2)))
+
+
 def test_beta_family_examples():
     fam = beta_family(3, 2)
     assert [e.beta.elems for e in fam] == [(1, 2), (1, 3), (2, 3)]
@@ -665,6 +688,19 @@ def test_certify_vb_exempt_trace_touching_zero():
     relaxed = [sv for sv in cert.per_system if sv.relaxed]
     assert len(relaxed) == 1
     assert relaxed[0].verdict.status is ExtPosStatus.NONNEGATIVE
+
+
+@pytest.mark.parametrize("arith", ["exact", "float"])
+def test_certify_vb_relaxed_system_needs_its_first_k_samples_strict(arith):
+    """The relaxed system of column set {2} traces (0, 1, 9/10, ...):
+    nonnegative, yet its first sample is 0, so vb stays inconclusive on it."""
+    A = Matrix.exact([["0.5", "1", "0"], ["0", "0.4", "0"], ["0", "0", "0.3"]])
+    c = tuple(map(Fraction, ("1", "0", "1")))
+    if arith == "float":
+        A, c = A.to_float(), tuple(map(float, c))
+    cert = certify_vb(A, c, 1)
+    assert cert.conclusion is Conclusion.INCONCLUSIVE and cert.common_sign == 1
+    assert cert.notes == ["system (r=1, beta={2}): first 1 samples not strictly signed"]
 
 
 def test_certify_vb_refutes_only_by_its_exact_section():

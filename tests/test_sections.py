@@ -5,7 +5,8 @@ docstring).  These tests check each refutation on a seeded corpus against an
 explicit input, exactly; that no certified fixture case and no certifiable
 diagonal pair has a refuted section; that positive scalings leave the
 section's verdicts alone; and that the context reads O_n and the section off
-the integer output rows with the values the ``Fraction`` matrices gave.
+one ``Minors`` of its integer output rows, with the values the ``Fraction``
+matrices gave.
 """
 
 import json
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+import varsign.linalg as linalg
 import varsign.obsv as obsv
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file
@@ -254,8 +256,13 @@ def test_context_reads_o_n_and_the_section_off_the_integer_rows():
             for r in range(1, n + 1):
                 want = tuple(old.row(tuple(range(1, r + 1)), index_sets(n, r)))
                 assert ctx.c_compound(r) == want
-            rows = output_rows(*pair, n + 1)
-            section = Minors.of_rows(rows.rows, rows.dens)
+            if pair[0] is A:  # exact: the section is the context's own Minors
+                assert ctx._minors.shape == (n + 1, n)
+                section = ctx._minors
+            else:
+                assert ctx._minors.shape == (n, n)
+                rows = output_rows(*pair, n + 1)
+                section = Minors.of_rows(rows.rows, rows.dens)
             reference = Minors(observability_matrix(*pair, n + 1))
             for r in range(1, n + 1):
                 # the two lift their rows by different scales: compare values
@@ -264,3 +271,43 @@ def test_context_reads_o_n_and_the_section_off_the_integer_rows():
                 assert got == [(key, reference.value(key)) for key, _ in reference.stream(*sets)]
             checked += 1
     assert checked >= 20
+
+
+def test_each_exact_pair_reads_one_minors(monkeypatch):
+    """An exact context reads rank, det O_n, each c_r and the section off one
+    ``Minors`` of its n + 1 order-1 output rows: besides the one ``compound``
+    builds per C_r(A), certify_vb and certify_vd build one ``Minors`` per
+    context, whether the section refutes or not, and ``_section_refutation``
+    builds and extends no rows."""
+    fills, compounds, contexts = [], [], []
+    fill, compound, init = linalg.Minors._fill, obsv.compound, obsv._OperatorContext.__init__
+    monkeypatch.setattr(linalg.Minors, "_fill",
+                        lambda self, *args: (fills.append(self), fill(self, *args))[1])
+    monkeypatch.setattr(obsv, "compound",
+                        lambda *args: (compounds.append(args), compound(*args))[1])
+    monkeypatch.setattr(obsv._OperatorContext, "__init__",
+                        lambda self, *args: (contexts.append(self), init(self, *args))[1])
+    sf = load_system_file(fixture_path("example2"))
+    diagonal = Matrix.exact([["0.9", 0, 0], [0, "0.5", 0], [0, 0, "0.2"]])
+    pairs = [(sf.A, sf.c), (diagonal, (1, 1, 1)), observable_pair(random.Random(3105), 3)]
+    refuted = runs = 0
+    for A, c in pairs:
+        for k in (1, 2, 3):
+            for certify in (certify_vb, certify_vd):
+                del fills[:], compounds[:], contexts[:]
+                refuted += certify(A, c, k).conclusion is Conclusion.REFUTED
+                assert len(contexts) == 1
+                assert len(fills) == len(compounds) + 1, (A, c, k, certify)
+                runs += 1
+    assert runs == 18 and 0 < refuted < runs
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the section builds no rows and no Minors")
+
+    for A, c in pairs:
+        ctx = obsv._OperatorContext(A, c)
+        monkeypatch.setattr(ctx, "output_rows", unreachable)
+        monkeypatch.setattr(obsv, "output_rows", unreachable)
+        monkeypatch.setattr(linalg.Minors, "of_rows", unreachable)
+        obsv._section_refutation(ctx, "VD_2", [1, 2, 3])
+        monkeypatch.undo()

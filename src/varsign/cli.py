@@ -5,7 +5,8 @@
 check-matrix prints an inconclusive vb/vd check as "undecidable").  `oracle`
 exits 0 when its search is clean and 1 on a violation, since a clean search
 decides nothing.  Malformed input, a usage error among them, and an --out
-that cannot be written exit 3.
+that cannot be written exit 3; so does a kernel's refusal (a ``LinalgError``,
+such as a k outside 1..n), which ``main`` maps to one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .linalg import Backend, LinalgError, RankOutOfRangeError
+from .linalg import Backend, LinalgError
 from .lti import default_horizon
 from .io import (
     InputFileError,
@@ -37,7 +38,6 @@ from .obsv import (
 from .oracle import falsify_matrix_vb, falsify_operator_vb
 from .signcons import (
     Conclusion,
-    PreconditionError,
     k_positive,
     sign_conclusion,
     sign_consistent,
@@ -55,8 +55,10 @@ _EXIT = {Conclusion.CERTIFIED: EXIT_PASS,
          Conclusion.REFUTED: EXIT_FAIL,
          Conclusion.INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
-# --target -> the target named by the fallback certificate of an unobservable pair
-_TARGETS = {"obsv": "observability", "ctrb": "controllability", "hankel": "hankel"}
+# --target -> (certifier, the system-file vectors it takes after A, the target it names)
+_TARGETS = {"obsv": (certify_observability, ("c",), "observability"),
+            "ctrb": (certify_controllability, ("b",), "controllability"),
+            "hankel": (certify_hankel, ("b", "c"), "hankel")}
 
 
 def _backend(args) -> Backend:
@@ -89,26 +91,22 @@ def cmd_check_matrix(args) -> int:
     strict = args.strict or prop in ("ssc", "stp")
     out = {"file": str(args.file), "name": sf.name, "property": prop, "k": args.k,
            "strict": strict}
-    try:
-        if prop in ("sc", "ssc"):
-            summary = sign_consistent(X, args.k, args.tol)
-            out["verdict"] = summary.verdict.value
-            out["epsilon"] = summary.epsilon
-            conclusion = sign_conclusion(summary.passes(strict), [summary])
-        elif prop in ("sr", "tp", "stp"):
-            rep = (sign_regular if prop == "sr" else k_positive)(X, args.k, strict, args.tol)
-            out["orders"] = {j: s.verdict.value for j, s in rep.orders.items()}
-            conclusion = sign_conclusion(rep.passed, rep.orders.values())
-        else:
-            check = (vb_matrix_check if prop == "vb" else vd_matrix_check)(X, args.k, args.tol)
-            conclusion = check.status
-            out["verdict"] = ("undecidable" if conclusion is Conclusion.INCONCLUSIVE
-                              else conclusion.value)
-            out["rule"] = check.rule
-            out["detail"] = check.detail
-    except (RankOutOfRangeError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if prop in ("sc", "ssc"):
+        summary = sign_consistent(X, args.k, args.tol)
+        out["verdict"] = summary.verdict.value
+        out["epsilon"] = summary.epsilon
+        conclusion = sign_conclusion(summary.passes(strict), [summary])
+    elif prop in ("sr", "tp", "stp"):
+        rep = (sign_regular if prop == "sr" else k_positive)(X, args.k, strict, args.tol)
+        out["orders"] = {j: s.verdict.value for j, s in rep.orders.items()}
+        conclusion = sign_conclusion(rep.passed, rep.orders.values())
+    else:
+        check = (vb_matrix_check if prop == "vb" else vd_matrix_check)(X, args.k, args.tol)
+        conclusion = check.status
+        out["verdict"] = ("undecidable" if conclusion is Conclusion.INCONCLUSIVE
+                          else conclusion.value)
+        out["rule"] = check.rule
+        out["detail"] = check.detail
     if args.out:
         write_report(args.out, out, _environment(args))
     print(json.dumps(out))
@@ -122,30 +120,18 @@ def cmd_certify(args) -> int:
     if sf.A is None:
         raise InputFileError("certify needs a system file with A")
     strict = not args.nonstrict
+    certifier, names, target = _TARGETS[args.target]
+    vectors = [getattr(sf, name) for name in names]
+    if any(v is None for v in vectors):
+        raise InputFileError(f"{target} target needs {'both ' if len(names) > 1 else ''}"
+                             f"{' and '.join(names)}")
     try:
-        if args.target == "obsv":
-            if sf.c is None:
-                raise InputFileError("observability target needs c")
-            cert = certify_observability(sf.A, sf.c, args.k, args.property,
-                                         args.horizon, args.tol, strict)
-        elif args.target == "ctrb":
-            if sf.b is None:
-                raise InputFileError("controllability target needs b")
-            cert = certify_controllability(sf.A, sf.b, args.k, args.property,
-                                           args.horizon, args.tol, strict)
-        else:
-            if sf.b is None or sf.c is None:
-                raise InputFileError("hankel target needs both b and c")
-            cert = certify_hankel(sf.A, sf.b, sf.c, args.k, args.property,
-                                  args.horizon, args.tol, strict)
+        cert = certifier(sf.A, *vectors, args.k, args.property, args.horizon, args.tol, strict)
     except NotObservableError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
-        cert = Certificate(property_name(args.property, args.k, strict), _TARGETS[args.target],
+        cert = Certificate(property_name(args.property, args.k, strict), target,
                            Conclusion.INCONCLUSIVE, None, [],
                            args.horizon or default_horizon(sf.A.rows), [str(exc)])
-    except (RankOutOfRangeError, LinalgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
     env = _environment(args, property=args.property, target=args.target)
     write_report(args.out, certificate_dict(cert), env, cert)
@@ -160,9 +146,6 @@ def cmd_oracle(args) -> int:
     sf = load_system_file(args.file, Backend.FLOAT)
     operator = sf.A is not None and sf.c is not None
     X = sf.A if operator else _matrix_from_file(sf)
-    if not 1 <= args.k <= X.cols:
-        print(f"error: --k must lie in 1..{X.cols}, got {args.k}", file=sys.stderr)
-        return EXIT_INPUT
     if operator:
         horizon = args.horizon or default_horizon(X.rows)
         report = falsify_operator_vb(X, sf.c, args.k, horizon,
@@ -234,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certify an operator property")
     common(p_cert, horizon=True)
     p_cert.add_argument("--property", required=True, choices=("svb", "vb", "kpos", "vd"))
-    p_cert.add_argument("--target", choices=("obsv", "ctrb", "hankel"), default="obsv")
+    p_cert.add_argument("--target", choices=_TARGETS, default="obsv")
     p_cert.add_argument("--nonstrict", action="store_true",
                         help="allow the non-strict top order for kpos")
     p_cert.set_defaults(func=cmd_certify, out=Path("varsign_out"))
@@ -270,6 +253,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except LinalgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         if exc.filename is None:

@@ -123,11 +123,11 @@ class _OperatorContext:
         rows = output_rows(A, c, self.n + 1 if exact else self.n)
         self._memo = {("rows", 1): rows}
         self._minors = minors = Minors.of_rows(rows.rows, rows.dens)
-        obs_rank = minors.rank(tol)
-        if obs_rank < self.n:
-            raise NotObservableError(f"observability matrix has rank {obs_rank} < {self.n}")
         full = tuple(range(1, self.n + 1))
         self.det_n = next(minors.row(full, [full]))
+        # exact O_n has full rank exactly when det O_n != 0; float reads the rank under tol
+        if not (exact and self.det_n) and (obs_rank := minors.rank(tol)) < self.n:
+            raise NotObservableError(f"observability matrix has rank {obs_rank} < {self.n}")
         if not exact and abs(self.det_n) <= tol:
             # full float rank, yet |det O_n| within tol: not decisively observable
             raise NotObservableError(f"observability matrix is singular: "
@@ -365,7 +365,8 @@ def _section_refutation(ctx: _OperatorContext, name: str, orders) -> Certificate
     if ctx.A.backend is not Backend.EXACT:
         return None
     for j in orders:
-        check = _vb_check(ctx._minors, j, ctx.tol)
+        # the context checked that O_n, and so O_(n+1) (Cayley-Hamilton), has rank n
+        check = _vb_check(ctx._minors, j, ctx.n, ctx.tol)
         if check.status is Conclusion.REFUTED:
             return Certificate(name, "observability", Conclusion.REFUTED, None, [], ctx.horizon, [
                 f"section O_{ctx.n + 1} is not {check.property_name} ({check.rule}): "

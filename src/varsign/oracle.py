@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .linalg import DEFAULT_TOL, Matrix, NonSquareError
+from .linalg import DEFAULT_TOL, Matrix, NonSquareError, RankOutOfRangeError
 from .lti import default_horizon, output_rows
 # bound but not called: perfbench/tracing.py reports calls to this name from
 # this module as the oracle.propagate layer, which thus reads 0, not missing
@@ -189,7 +189,7 @@ def falsify_matrix_vb(X: Matrix, k: int, trials: int = 1000, seed: int = 0,
     import numpy as np
 
     if not 1 <= k <= X.cols:
-        raise ValueError(f"need 1 <= k <= cols, got k={k}")
+        raise RankOutOfRangeError(f"need 1 <= k <= cols, got k={k}, cols={X.cols}")
     return _search(np.array(X.to_float().data, dtype=float), k, trials, seed, tol)
 
 
@@ -205,7 +205,7 @@ def falsify_operator_vb(A: Matrix, c: Sequence, k: int, horizon: int | None = No
     if horizon is None:
         horizon = default_horizon(n)
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}")
+        raise RankOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not A.is_square():
         raise NonSquareError("state matrix must be square")
     # output_rows rejects a horizon below 1 and a c of the wrong length

@@ -419,15 +419,16 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     """
     if not (X.rows > X.cols >= k >= 1):
         raise RankOutOfRangeError(f"need rows > cols >= k >= 1, got shape {X.shape}, k={k}")
-    return _vb_check(Minors(X), k, tol)
+    minors = Minors(X)
+    return _vb_check(minors, k, minors.rank(tol), tol)
 
 
-def _vb_check(minors: Minors, k: int, tol: float = DEFAULT_TOL) -> MatrixPropertyCheck:
-    """``vb_matrix_check`` on the matrix of ``minors``, which must have more
-    rows than columns and at least k columns; reads share its minors."""
+def _vb_check(minors: Minors, k: int, rk: int, tol: float = DEFAULT_TOL) -> MatrixPropertyCheck:
+    """``vb_matrix_check`` on the matrix of ``minors``, of rank ``rk``, which
+    must have more rows than columns and at least k columns; reads share its
+    minors."""
     (n, m), backend = minors.shape, minors.backend
     name = f"VB_{k - 1}"
-    rk = minors.rank(tol)
     if rk < k < m:  # at k = m the full-width route reports a short rank itself
         return MatrixPropertyCheck(
             name, Conclusion.INCONCLUSIVE, "rank below tested order", f"rank={rk} < k={k}")
@@ -476,12 +477,8 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     name = f"VD_{k - 1}"
     minors = Minors(X)
     p = _fekete_order(minors, k)
-    orders = {}
-    for j in range(1, k + 1):
-        orders[j] = _order_summary(minors, j, p, tol)
-        if orders[j].verdict not in _POSITIVE_OK:
-            break
-    else:
+    orders = {j: _order_summary(minors, j, p, tol) for j in range(1, k + 1)}
+    if all(s.verdict in _POSITIVE_OK for s in orders.values()):
         return MatrixPropertyCheck(
             name, Conclusion.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
@@ -491,10 +488,7 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
             name, Conclusion.INCONCLUSIVE, "hypothesis not met",
             f"rank={rk}; need rank > k with every {k} columns independent, "
             "and the total-positivity route did not apply")
-    # sign regularity of orders 1..k: the orders the positivity route read, then the rest
     rule = "sign regularity with independent columns"
-    for j in range(len(orders) + 1, k + 1):
-        orders[j] = _order_summary(minors, j, p, tol)
     bad = next((j for j, s in orders.items() if s.verdict is SignVerdict.MIXED), None)
     if bad is not None:
         return MatrixPropertyCheck(

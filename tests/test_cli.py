@@ -16,11 +16,13 @@ from types import SimpleNamespace
 import pytest
 
 import varsign.io
+import varsign.obsv
+import varsign.oracle
 from varsign import cli
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file, render_value, write_traces
-from varsign.linalg import Backend, Matrix
+from varsign.linalg import Backend, LinalgError, Matrix
 from varsign.lti import ExactSamples, LtiSystem, impulse_response
 from varsign.obsv import certify_k_positive
 from varsign.oracle import falsify_matrix_vb, falsify_operator_vb
@@ -189,6 +191,30 @@ def test_certify_unobservable_pair_reports_inconclusive(tmp_path, capsys, target
     assert report["traces"] == [] and report["environment"]["target"] == target
 
 
+@pytest.mark.parametrize("target, name", [("obsv", "observability"),
+                                          ("ctrb", "controllability"), ("hankel", "hankel")])
+def test_unobservable_vector_of_the_target_falls_back_under_its_name(tmp_path, capsys,
+                                                                     target, name):
+    """Each --target reads its own vectors: a degenerate c leaves the pair
+    unobservable under obsv and hankel, a degenerate b under ctrb and hankel."""
+    A = [["0.5", "0"], ["0", "0.25"]]
+    degenerate, observable = ["1", "0"], ["1", "1"]
+    for vector in ("b", "c"):
+        other = "c" if vector == "b" else "b"
+        f = write_json(tmp_path, f"{vector}.json", {"A": A, vector: degenerate, other: observable})
+        out = tmp_path / vector
+        code = main(["certify", str(f), "--property", "kpos", "--k", "1", "--target", target,
+                     "--out", str(out)])
+        cert = json.loads((out / "report.json").read_text())["certificate"]
+        assert cert["target"] == name
+        if vector in {"obsv": ("c",), "ctrb": ("b",), "hankel": ("b", "c")}[target]:
+            assert code == 2 and cert["notes"] == ["observability matrix has rank 1 < 2"]
+            assert capsys.readouterr().err == "inconclusive: observability matrix has rank 1 < 2\n"
+        else:
+            assert code == 0 and cert["conclusion"] == "certified", cert
+            assert capsys.readouterr().err == ""
+
+
 def test_section_refuted_vb_report_lists_no_systems(tmp_path, capsys):
     """Exact vb refuted by its section O_4 reports no systems and removes the
     traces.csv of an earlier run; float mode judges no section."""
@@ -270,9 +296,15 @@ _MALFORMED_CERTIFY = {
     "k past n": ("example1", ["--k", "4"], "error: need 1 <= k <= n, got k=4, n=3\n"),
     "bare matrix": ({"matrix": [["1", "2"], ["3", "4"]]}, ["--k", "1"],
                     "input error: certify needs a system file with A\n"),
+    "obsv without c": ({"A": [["0.5", "0"], ["0", "0.25"]], "b": ["1", "1"]},
+                       ["--k", "1", "--target", "obsv"],
+                       "input error: observability target needs c\n"),
     "ctrb without b": ({"A": [["0.5", "0"], ["0", "0.25"]], "c": ["1", "1"]},
                        ["--k", "1", "--target", "ctrb"],
                        "input error: controllability target needs b\n"),
+    "hankel without b": ({"A": [["0.5", "0"], ["0", "0.25"]], "c": ["1", "1"]},
+                         ["--k", "1", "--target", "hankel"],
+                         "input error: hankel target needs both b and c\n"),
     "non-square A": ({"A": [["1", "2", "3"], ["3", "4", "5"]], "c": ["1", "1"]}, ["--k", "1"],
                      "input error: A must be square\n"),
     "c too long": ({"A": [["1", "2"], ["3", "4"]], "c": ["1", "1", "1"]}, ["--k", "1"],
@@ -614,6 +646,39 @@ def test_oracle_matrix_order_ranges_over_columns(tmp_path, capsys, k, code):
     f = write_json(tmp_path, "m.json",
                    {"matrix": [["1", "-1"], ["-1", "1"], ["1", "-1"]]})
     assert main(["oracle", str(f), "--k", str(k), "--trials", "50"]) == code
+
+
+@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("fixture, name, size", [("example1", "n", 3), ("pena", "cols", 2)])
+def test_oracle_order_outside_its_range_prints_the_kernel_line(tmp_path, capsys, fixture,
+                                                               name, size, k):
+    out = tmp_path / "out"
+    code = main(["oracle", str(fixture_path(fixture)), "--k", str(k), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: need 1 <= k <= {name}, got k={k}, {name}={size}\n"
+    assert not out.exists()
+
+
+def _refuse(*args, **kwargs):
+    raise LinalgError("kernel refused")
+
+
+@pytest.mark.parametrize("command, module, kernel, options", [
+    ("check-matrix", cli, "sign_consistent", ["--property", "sc"]),
+    ("certify", varsign.obsv, "_OperatorContext", ["--property", "svb"]),
+    ("oracle", varsign.oracle, "_search", []),
+])
+def test_kernel_refusal_exits_3_with_one_line_and_no_report(tmp_path, capsys, monkeypatch,
+                                                            command, module, kernel, options):
+    """``main`` maps a ``LinalgError`` from any command's kernel to exit 3."""
+    monkeypatch.setattr(module, kernel, _refuse)
+    out = tmp_path / "out"
+    code = main([command, str(fixture_path("example1")), "--k", "1", *options,
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", "error: kernel refused\n")
+    assert not out.exists()
 
 
 def test_float_entries_warn(tmp_path, capsys):

@@ -7,7 +7,14 @@ import pytest
 from varsign import oracle
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file
-from varsign.linalg import Backend, DEFAULT_TOL, Matrix, NonSquareError, SizeMismatchError
+from varsign.linalg import (
+    Backend,
+    DEFAULT_TOL,
+    Matrix,
+    NonSquareError,
+    RankOutOfRangeError,
+    SizeMismatchError,
+)
 from varsign.lti import LtiSystem, default_horizon, impulse_response, observability_matrix
 from varsign.oracle import (
     OracleReport,
@@ -175,6 +182,19 @@ def test_falsify_operator_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="horizon must be >= 1"):
         falsify_operator_vb(Matrix.floating([[0.5, 0.0], [0.0, 0.5]]), (1.0, 1.0), 1,
                             horizon=0, trials=5)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_falsify_order_outside_its_range_is_a_rank_error(k):
+    """Both searches refuse a k outside 1..cols (1..n) with a
+    ``RankOutOfRangeError`` naming k and its bound, still a ``ValueError``."""
+    with pytest.raises(RankOutOfRangeError) as exc:
+        falsify_matrix_vb(Matrix.floating([[1.0, 2.0]] * 3), k, trials=5)
+    assert str(exc.value) == f"need 1 <= k <= cols, got k={k}, cols=2"
+    A = Matrix.floating([[0.5, 0.0], [0.0, 0.25]])
+    with pytest.raises(ValueError, match=rf"^need 1 <= k <= n, got k={k}, n=2$") as exc:
+        falsify_operator_vb(A, (1.0, 1.0), k, trials=5)
+    assert isinstance(exc.value, RankOutOfRangeError)
 
 
 def test_nan_outputs_make_suspects_not_violations():

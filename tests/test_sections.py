@@ -17,6 +17,7 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import varsign.linalg as linalg
 import varsign.obsv as obsv
@@ -311,3 +312,32 @@ def test_each_exact_pair_reads_one_minors(monkeypatch):
         monkeypatch.setattr(linalg.Minors, "of_rows", unreachable)
         obsv._section_refutation(ctx, "VD_2", [1, 2, 3])
         monkeypatch.undo()
+
+
+def test_exact_pairs_eliminate_no_rank(monkeypatch):
+    """An exact context proves O_n full rank by det O_n != 0 and the section
+    takes rank n from it, so exact certify_vb and certify_vd eliminate no rank
+    on observable pairs; a float context runs one rank elimination, and an
+    unobservable exact pair one, for its rank r < n text."""
+    rng = random.Random(4021)
+    pairs = [pair for n in (3, 4, 5) for pair in [
+        (Matrix.exact([[Fraction(9 - 2 * i, 10) if i == j else 0 for j in range(n)]
+                       for i in range(n)]), (1,) * n),
+        observable_pair(rng, n)]]
+    shapes = []
+    rank = linalg.Minors.rank
+    monkeypatch.setattr(linalg.Minors, "rank",
+                        lambda self, *args: (shapes.append(self.shape), rank(self, *args))[1])
+    for A, c in pairs:
+        n = A.rows
+        for k in range(1, n + 1):
+            for certify in (certify_vb, certify_vd):
+                certify(A, c, k)
+                assert shapes == [], (A, c, k, certify)
+        obsv._OperatorContext(A.to_float(), tuple(map(float, c)))
+        assert shapes == [(n, n)]
+        del shapes[:]
+    A = Matrix.exact([["0.5", 0, 0], [0, "0.5", 0], [0, 0, "0.25"]])
+    with pytest.raises(obsv.NotObservableError, match=r"^observability matrix has rank 2 < 3$"):
+        certify_vd(A, (1, 1, 1), 2)
+    assert shapes == [(4, 3)]

@@ -77,6 +77,17 @@ def _environment(args, **extra) -> dict:
     return env
 
 
+def _vectors(sf: SystemFile, target: str) -> list[tuple]:
+    """The system-file vectors that ``target`` takes after A (``_TARGETS``),
+    or the input error naming those it lacks."""
+    _, names, name = _TARGETS[target]
+    vectors = [getattr(sf, v) for v in names]
+    if any(v is None for v in vectors):
+        raise InputFileError(f"{name} target needs {'both ' if len(names) > 1 else ''}"
+                             f"{' and '.join(names)}")
+    return vectors
+
+
 def _matrix_from_file(sf: SystemFile):
     """The bare matrix, else A; ``load_system_file`` rejects a file with neither."""
     return sf.matrix if sf.matrix is not None else sf.A
@@ -120,11 +131,8 @@ def cmd_certify(args) -> int:
     if sf.A is None:
         raise InputFileError("certify needs a system file with A")
     strict = not args.nonstrict
-    certifier, names, target = _TARGETS[args.target]
-    vectors = [getattr(sf, name) for name in names]
-    if any(v is None for v in vectors):
-        raise InputFileError(f"{target} target needs {'both ' if len(names) > 1 else ''}"
-                             f"{' and '.join(names)}")
+    certifier, _, target = _TARGETS[args.target]
+    vectors = _vectors(sf, args.target)
     try:
         cert = certifier(sf.A, *vectors, args.k, args.property, args.horizon, args.tol, strict)
     except NotObservableError as exc:
@@ -144,17 +152,16 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle(args) -> int:
     sf = load_system_file(args.file, Backend.FLOAT)
-    operator = sf.A is not None and sf.c is not None
-    X = sf.A if operator else _matrix_from_file(sf)
-    if operator:
-        horizon = args.horizon or default_horizon(X.rows)
-        report = falsify_operator_vb(X, sf.c, args.k, horizon,
-                                     args.trials, args.seed, args.tol)
-        kind = "operator"
-    else:
+    # a bare matrix is searched as one, unless the file also holds a pair (A, c)
+    if sf.matrix is not None and (sf.A is None or sf.c is None):
         horizon = None
-        report = falsify_matrix_vb(X, args.k, args.trials, args.seed, args.tol)
+        report = falsify_matrix_vb(sf.matrix, args.k, args.trials, args.seed, args.tol)
         kind = "matrix"
+    else:
+        (c,) = _vectors(sf, "obsv")
+        horizon = args.horizon or default_horizon(sf.A.rows)
+        report = falsify_operator_vb(sf.A, c, args.k, horizon, args.trials, args.seed, args.tol)
+        kind = "operator"
     payload = {
         "kind": kind,
         "k": args.k,

@@ -273,11 +273,15 @@ def write_traces(out_dir, per_system: list[SystemVerdict], targets: tuple[str, .
     """One ``target,r,beta,t,g`` CSV of the samples each system's analysis
     holds, written whole with ``\\r\\n`` lines, beta as ``1 2`` or ``full``;
     ``targets[i]`` is the target of ``per_system[i]``.  A block runs to the
-    horizon, or to t_bad for a system whose samples carry both strict signs
-    (``lti.analyse``).  With no systems, an earlier run's is removed."""
+    horizon, to t_bad for a system whose samples carry both strict signs, or
+    to T for a system its sign pattern proves (``lti.analyse``).  With no
+    systems, an earlier run's is removed."""
     path = Path(out_dir) / "traces.csv"
     if not per_system:
-        path.unlink(missing_ok=True)
+        # ``os.access`` answers without raising, where ``unlink(missing_ok=True)``
+        # raises and catches FileNotFoundError on every run that finds none
+        if os.access(path, os.F_OK, follow_symlinks=False):
+            path.unlink(missing_ok=True)
         return []
     lines = ["target,r,beta,t,g\r\n"]
     for target, sv in zip(targets, per_system, strict=True):
@@ -321,7 +325,8 @@ def write_report(out_dir, payload: dict, environment: dict,
                  certificate: Certificate | None = None) -> Path:
     """``report.json``, and the traces of the certificate's systems or its parts'."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not out_dir.is_dir():  # ``mkdir(exist_ok=True)`` raises and catches on a reused one
+        out_dir.mkdir(parents=True, exist_ok=True)
     certs = () if certificate is None else certificate.parts or (certificate,)
     traces = write_traces(out_dir, [sv for cert in certs for sv in cert.per_system],
                           tuple(cert.target for cert in certs for _ in cert.per_system))

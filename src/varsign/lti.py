@@ -25,9 +25,24 @@ strict or a non-strict verdict off the analysis.  Systems on one pair (A, c)
 that differ only in b can share the output rows, grown as far as their
 samples reach, and the eigen-decomposition (``dominant_modes``).
 
+An exact system can also be proved one-signed by the sign pattern of A
+alone (``_sign_pattern``, ``_pattern_proof``).  Let a signature
+S = diag(+-1) make P = S A S >= 0 entrywise.  Then g(t) = (c S) P^(t-1)
+(S b) is a sum of walk terms (c S)_i P_(i i1) .. P_(i(t-2) j) (S b)_j, and a
+walk stays in one connected block of the pattern.  If c S and S b each have
+one sign on every block that a walk joins, with one product sign over those
+blocks, every term has that sign: g(t) is 0 or of that sign for every t, and
+g(t) != 0 exactly when some walk of length t - 1 joins supp(c) to supp(b).
+The walk sets supp(c) P^m are eventually periodic, so one preperiod and one
+period decide every zero (Berman & Plemmons, Nonnegative Matrices in the
+Mathematical Sciences, 1994, ch. 2).  No sample and no eigen-solve enters
+the proof: ``analyse`` gives such a system a tail from t = 1 and takes only
+the samples its verdicts read.
+
 numpy is imported inside the eigen routes, so a run that takes none of them
 never loads it.  A 1 x 1 exact system takes none: its eigenvalue is its
-entry, with eigenvector [1] (``dominant_modes``).
+entry, with eigenvector [1] (``dominant_modes``).  Neither does a system
+proved by its sign pattern.
 """
 
 from __future__ import annotations
@@ -290,6 +305,8 @@ class TailCertificate:
     """For all t >= start: |rho| * (dominant/subdominant)^(t-1) > residual_sum,
     so the dominant mode fixes sign(g(t)) = sign.  The left side is monotone
     increasing in t, so checking the inequality at ``start`` settles the tail.
+    A sign-pattern tail (``_pattern_proof``) starts at 1 and rests on no
+    mode: every g(t) is 0 or has its sign, and its four moduli are 0.
     """
 
     start: int
@@ -494,6 +511,123 @@ def minimal_recurrence_system(sys: LtiSystem, samples: ExactSamples) -> LtiSyste
                      tuple(Fraction(i == 0) for i in range(L)))
 
 
+@dataclass(frozen=True)
+class _SignPattern:
+    """A signature S = diag(``signs``) of an exact A with S A S >= 0, the
+    connected block of each index in the off-diagonal pattern of A (named
+    by its first index), and the successors of each index i in the digraph
+    of S A S, as a bit mask of the j with A_ij != 0."""
+
+    signs: tuple[int, ...]
+    blocks: tuple[int, ...]
+    succ: tuple[int, ...]
+
+
+def _sign_pattern(A: Matrix) -> _SignPattern | None:
+    """The signature of an exact square A, or None when a diagonal entry is
+    negative or the off-diagonal pattern cannot be 2-coloured: S A S >= 0
+    asks s_i s_j = sign A_ij of each nonzero A_ij off the diagonal, and
+    A_ii >= 0.  Each block is coloured from its first index, which gets +1,
+    so S is unique up to the sign of each block."""
+    n = A.rows
+    sgn = [[sign_of(x, Backend.EXACT) for x in row] for row in A.data]
+    if any(sgn[i][i] < 0 for i in range(n)):
+        return None
+    edges = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and sgn[i][j]:
+                edges[i].append((j, sgn[i][j]))
+                edges[j].append((i, sgn[i][j]))
+    signs, blocks = [0] * n, [0] * n
+    for root in range(n):
+        if signs[root]:
+            continue
+        signs[root], blocks[root], stack = 1, root, [root]
+        while stack:
+            i = stack.pop()
+            for j, e in edges[i]:
+                if not signs[j]:
+                    signs[j], blocks[j] = signs[i] * e, root
+                    stack.append(j)
+                elif signs[j] != signs[i] * e:
+                    return None
+    succ = tuple(sum(1 << j for j in range(n) if sgn[i][j]) for i in range(n))
+    return _SignPattern(tuple(signs), tuple(blocks), succ)
+
+
+@dataclass(frozen=True)
+class _PatternProof:
+    """Every g(t) is 0 or has ``sign``; g(t) != 0 exactly when
+    ``nonzero[t-1]`` for t <= len(nonzero), and from t = pre + 1 on that
+    pattern repeats with period len(nonzero) - pre."""
+
+    sign: int
+    pre: int
+    nonzero: tuple[bool, ...]
+
+
+def _block_signs(x: Sequence[Num], pattern: _SignPattern) -> dict[int, int] | None:
+    """Block -> the one sign of the nonzero entries of S x on it, or None
+    when a block carries both signs."""
+    out = {}
+    for xi, si, block in zip(x, pattern.signs, pattern.blocks):
+        if xi:
+            e = sign_of(xi, Backend.EXACT) * si
+            if out.setdefault(block, e) != e:
+                return None
+    return out
+
+
+def _walk(reach: int, succ: tuple[int, ...]) -> int:
+    """The ends of the one-step walks from the set ``reach`` (bit masks)."""
+    out = 0
+    while reach:
+        low = reach & -reach
+        out |= succ[low.bit_length() - 1]
+        reach ^= low
+    return out
+
+
+def _pattern_proof(pattern: _SignPattern, sys: LtiSystem, shift: int,
+                   horizon: int) -> _PatternProof | None:
+    """The sign-pattern proof of the exact system (A, A^shift b, c), A with
+    the signature ``pattern``, or None.
+
+    With P = S A S >= 0, g(t) = (c S) P^m (S b), m = t - 1 + shift, is a sum
+    of walk terms (c S)_i P_(i i1) .. P_(i(m-1) j) (S b)_j, and a walk stays
+    in one block.  When c S and S b each have one sign on every block that a
+    walk from supp(c) to supp(b) joins, with one product sign over those
+    blocks, every nonzero term has that sign and none cancels another: g(t)
+    is 0 or of that sign, and g(t) != 0 exactly when some walk of length m
+    joins supp(c) to supp(b).  The walk sets supp(c) P^m are followed from
+    m = shift on until one repeats, which gives the zero pattern for every
+    t.  None when c S or S b has both signs on one block, the product signs
+    differ, no walk ever joins the supports (g = 0), or the walk sets do not
+    repeat within ``horizon`` steps.
+    """
+    c_signs, b_signs = _block_signs(sys.c, pattern), _block_signs(sys.b, pattern)
+    if c_signs is None or b_signs is None:
+        return None
+    reach = sum(1 << i for i, x in enumerate(sys.c) if x)
+    target = sum(1 << j for j, x in enumerate(sys.b) if x)
+    for _ in range(shift):
+        reach = _walk(reach, pattern.succ)
+    seen, nonzero, joined = {}, [], 0
+    while reach not in seen:
+        if len(nonzero) == horizon:
+            return None
+        seen[reach] = len(nonzero)
+        nonzero.append(bool(reach & target))
+        joined |= reach & target
+        reach = _walk(reach, pattern.succ)
+    blocks = {pattern.blocks[j] for j in range(len(sys.b)) if joined >> j & 1}
+    products = {c_signs[block] * b_signs[block] for block in blocks}
+    if len(products) != 1:
+        return None
+    return _PatternProof(products.pop(), seen[reach], tuple(nonzero))
+
+
 @dataclass
 class ExtPosVerdict:
     status: ExtPosStatus
@@ -518,12 +652,14 @@ class ExtPosAnalysis:
     """The costly, requirement-independent half of external positivity.
 
     Holds the samples g(1)..g(horizon), their sign classes (``sign_of``), the
-    tail certificate (eigen or minimal-recurrence route; dropped when its
-    sign disagrees with the decisive samples) and the notes explaining it.
-    Samples of both strict signs already refute every requirement, so such an
-    analysis stops at t_bad = max(first positive, first negative): it holds
-    g(1)..g(t_bad) and their signs, no tail and no notes.  ``judge`` turns
-    one analysis into a strict or a non-strict verdict.
+    tail certificate (sign-pattern, eigen or minimal-recurrence route;
+    dropped when its sign disagrees with the decisive samples) and the notes
+    explaining it.  Samples of both strict signs already refute every
+    requirement, so such an analysis stops at t_bad = max(first positive,
+    first negative): it holds g(1)..g(t_bad) and their signs, no tail and no
+    notes.  A system proved by its sign pattern holds g(1)..g(T), the
+    samples its verdicts read (``analyse``).  ``judge`` turns one analysis
+    into a strict or a non-strict verdict.
     """
 
     n: int
@@ -545,22 +681,34 @@ _BLOCK = 8
 def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL,
             rows: OutputRows | None = None,
             modes: Callable[[], DominantModes] | None = None,
-            shift: int = 0) -> ExtPosAnalysis:
+            shift: int = 0, pattern: _SignPattern | None = None,
+            lead: int = 0) -> ExtPosAnalysis:
     """Sample the impulse response and, unless the samples carry both strict
-    signs, certify its tail; ``rows`` and ``modes`` pass what the systems on
-    one pair (A, c) share.  ``modes`` is called, once, only when the tail is
-    needed, so samples that already refute build no eigen-decomposition.
-    With ``shift`` the system analysed is (A, A^shift b, c): its samples are
-    read from output row t + shift on (``impulse_response``) and its eigen
-    tail scales the residues of b by lam^shift (``dominant_tail``), so
-    A^shift b is never formed; the recurrence fit reads those same samples.
+    signs, certify its tail; ``rows``, ``modes`` and ``pattern`` pass what
+    the systems on one pair (A, c) share.  ``modes`` is called, once, only
+    when the tail is needed, so samples that already refute build no
+    eigen-decomposition.  With ``shift`` the system analysed is
+    (A, A^shift b, c): its samples are read from output row t + shift on
+    (``impulse_response``) and its eigen tail scales the residues of b by
+    lam^shift (``dominant_tail``), so A^shift b is never formed; the
+    recurrence fit reads those same samples.
 
-    Samples come in blocks ending at t = 8, 64, 512, ... or the horizon, one
-    ``impulse_response`` call each, and each sample is computed once.  Once
-    both strict signs have shown up the analysis stops at t_bad; every other
-    analysis (zero, identically zero or one-signed samples) runs to the
-    horizon, since its verdict depends on the requirement or on the tail.
-    The output rows are extended only as far as the samples taken.
+    ``pattern`` is the signature of an exact A (``_sign_pattern``).  When it
+    proves the system one-signed (``_pattern_proof``), the tail is its sign
+    from t = 1 on, with no eigen-solve and no recurrence fit, and the
+    samples stop at T = min(horizon, max(one period of the zero pattern,
+    ``lead``)): they show the first nonzero sample and, if there is one,
+    the first zero, and ``lead`` is the number of leading samples a
+    requirement on the system reads.  So no verdict read off the analysis
+    changes with the samples it leaves out.
+
+    Samples come in blocks ending at t = 8, 64, 512, ... or at the last
+    sample, one ``impulse_response`` call each, and each sample is computed
+    once.  Once both strict signs have shown up the analysis stops at t_bad;
+    every other unproved analysis (zero, identically zero or one-signed
+    samples) runs to the horizon, since its verdict depends on the
+    requirement or on the tail.  The output rows are extended only as far
+    as the samples taken.
     """
     horizon = horizon if horizon is not None else default_horizon(sys.n)
     if horizon < 1:
@@ -569,9 +717,11 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     exact = backend is Backend.EXACT
     if rows is None:
         rows = output_rows(sys.A, sys.c, 1)
+    proof = None if pattern is None else _pattern_proof(pattern, sys, shift, horizon)
+    last = horizon if proof is None else min(horizon, max(len(proof.nonzero), lead))
     values, signs, end, both = (), (), 0, False
-    while end < horizon and not both:
-        start, end = end, min(horizon, _BLOCK * end or _BLOCK)
+    while end < last and not both:
+        start, end = end, min(last, _BLOCK * end or _BLOCK)
         block = impulse_response(sys, end, rows, start, shift)
         block_values = block.nums if exact else block
         values += block_values
@@ -584,10 +734,30 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     if both:
         # samples of both strict signs settle every verdict; no tail is needed
         return ExtPosAnalysis(sys.n, backend, horizon, g, signs, None, ())
+    if proof is not None:
+        tail = TailCertificate(1, proof.sign, 0.0, 0.0, 0.0, 0.0)
+        zeros = ("no sample is 0" if all(proof.nonzero) else
+                 f"its zeros repeat with period {len(proof.nonzero) - proof.pre} "
+                 f"from t={proof.pre + 1}")
+        notes = [f"tail by sign pattern: every sample is 0 or of sign {proof.sign:+d}; {zeros}"]
+    else:
+        tail, notes = _sampled_tail(sys, g, horizon, tol, modes, shift)
     decisive = {s for s in signs if s}
+    if tail and len(decisive) == 1 and tail.sign not in decisive:
+        notes.append("tail certificate sign disagrees with decisive samples; tail discarded")
+        tail = None
+    return ExtPosAnalysis(sys.n, backend, horizon, g, signs, tail, tuple(notes))
+
+
+def _sampled_tail(sys: LtiSystem, g: Sequence[Num], horizon: int, tol: float,
+                  modes: Callable[[], DominantModes] | None,
+                  shift: int) -> tuple[TailCertificate | None, list[str]]:
+    """The eigen tail of the system, else in exact mode the eigen tail of its
+    minimal-recurrence reduction fitted to the samples ``g``, with the notes
+    that say which route gave it or why none did."""
     notes = []
     tail, tail_note = dominant_tail(sys, tol, modes() if modes is not None else None, shift)
-    if tail is None and backend is Backend.EXACT:
+    if tail is None and sys.backend is Backend.EXACT:
         reduced = minimal_recurrence_system(sys, g)
         if reduced is not None:
             tail, note2 = dominant_tail(reduced, tol)
@@ -603,10 +773,7 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
                          f"than the n + L = {sys.n + L} samples it needs")
     if tail_note:
         notes.append(tail_note)
-    if tail and len(decisive) == 1 and tail.sign not in decisive:
-        notes.append("tail certificate sign disagrees with decisive samples; tail discarded")
-        tail = None
-    return ExtPosAnalysis(sys.n, backend, horizon, g, signs, tail, tuple(notes))
+    return tail, notes
 
 
 def judge(analysis: ExtPosAnalysis, strict: bool = True) -> ExtPosVerdict:

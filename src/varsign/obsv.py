@@ -31,6 +31,15 @@ share, times w.  So each system is analysed as (C_r(A), w, c_r) read s rows
 late (``lti.analyse``), a full-order one with w / det O_n and s = n - r;
 only ``compound_system`` and ``full_compound_systems`` form b.
 
+In exact mode the sign pattern of C_r(A) may prove a system one-signed with
+no eigen-solve (``lti`` docstring): a signature S with S C_r(A) S >= 0 is
+sought once per order (``_OperatorContext.pattern``), and each system then
+checks the signs of c_r S and S w on the blocks that its walks join, from
+m = s on.  A proved system has a tail from t = 1 with its sign, and holds
+only the samples that its verdicts read: the lead samples that vb asks for
+(``_lead``), one period of its zero pattern (which shows its first nonzero
+sample and its first zero, if any), never more than the horizon.
+
 One engine serves every property: the pair's ``_OperatorContext`` analyses
 each compound system once (``lti.analyse``), and ``_certify`` judges the
 analyses under a property's requirement list (``_rules``), also across the
@@ -87,6 +96,8 @@ from .lti import (
     judge,
     output_rows,
     real_positive,
+    _SignPattern,
+    _sign_pattern,
 )
 from .signcons import Conclusion, _anchored_tuples, _is_consecutive_tail, _vb_check
 from .variation import v_minus
@@ -105,11 +116,11 @@ class _OperatorContext:
     ``Minors`` of its order-1 output rows c A^(t-1), t = 1..n+1 when exact
     (integer rows over their ``dens``: the section O_(n+1)) and 1..n in float,
     which gives O_n's rank and determinant, each c_r (the r-minors on rows
-    1..r) and the section's minors; each order's C_r(A); the output rows and
-    the eigen-decomposition of each pair (C_r(A), c_r), which all systems of
-    that order share (the rows as far as its analyses read, the decomposition
-    once one needs a tail); and one analysis per (k, r, beta) compound
-    system."""
+    1..r) and the section's minors; each order's C_r(A) and, when exact, its
+    signature; the output rows and the eigen-decomposition of each pair
+    (C_r(A), c_r), which all systems of that order share (the rows as far as
+    its analyses read, the decomposition once one needs a tail); and one
+    analysis per (k, r, beta) compound system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
@@ -169,13 +180,20 @@ class _OperatorContext:
         return self._cached(("modes", r), lambda: dominant_modes(
             self.a_compound(r), self.c_compound(r), self.tol))
 
+    def pattern(self, r: int) -> _SignPattern | None:
+        """The signature of an exact C_r(A) (``lti._sign_pattern``); None in
+        float, which takes no sign-pattern route."""
+        return self._cached(("pattern", r), lambda: _sign_pattern(self.a_compound(r))
+                            if self.A.backend is Backend.EXACT else None)
+
     def analysis(self, k: int, r: int, beta: IndexTuple | None) -> ExtPosAnalysis:
         """The analysis of the ``shifted`` system, read s rows late."""
         key = ("analysis", k, r, beta)
         if key not in self._memo:
             sys, s = self.shifted(k, r, beta)
             self._memo[key] = analyse(sys, self.horizon, self.tol, self.output_rows(r, 1),
-                                      lambda: self.modes(r), s)
+                                      lambda: self.modes(r), s, self.pattern(r),
+                                      _lead(self.n, k, r, beta))
         return self._memo[key]
 
 
@@ -281,6 +299,16 @@ def property_name(prop: str, k: int, strict: bool = True) -> str:
     return f"{prop.upper()}_{k - 1}"
 
 
+def _lead(n: int, k: int, r: int, beta: IndexTuple | None) -> int:
+    """The leading samples of the (k, r, beta) system that vb asks to carry
+    the family sign strictly: n - 1 of the full-order r = n system, k of an
+    r = k system on a fully consecutive set beyond k, none of the rest.  No
+    other requirement asks for any."""
+    if r != k:
+        return 0
+    return n - 1 if beta is None else k if _is_consecutive_tail(beta, k) else 0
+
+
 def _rules(prop: str, n: int, k: int, strict: bool = True):
     """(name, requirements, forced sign, may refute) of svb, vb or kpos at order k.
 
@@ -294,10 +322,11 @@ def _rules(prop: str, n: int, k: int, strict: bool = True):
         return property_name(prop, k, strict), requirements, 1, True
     name, relax = property_name(prop, k), prop == "vb"
     if k == n:
-        requirements = [(n, r, None, not (relax and r == n), n - 1 if relax and r == n else 0)
+        requirements = [(n, r, None, not (relax and r == n), _lead(n, n, r, None) if relax else 0)
                         for r in range(1, n + 1)]
         return name, requirements, 1, not relax
-    requirements = [(k, r, e.beta, not (r == k and e.relaxed), k if r == k and e.relaxed else 0)
+    requirements = [(k, r, e.beta, not (r == k and e.relaxed),
+                     _lead(n, k, r, e.beta) if relax else 0)
                     for r in range(1, k + 1) for e in beta_family(n, k, strict=not relax)]
     return name, requirements, None, not relax
 

@@ -255,19 +255,31 @@ def test_section_refuted_controllability_note_names_c_n_plus_1(tmp_path, capsys)
 
 
 def test_inactive_mode_note_names_a_horizon_too_short_for_the_recurrence(tmp_path, capsys):
-    """beta = {2} of diag(1/2, 1/4) traces (1/4)^(t-1): the dominant mode has
-    zero residue, and the recurrence fit needs n + L = 3 samples, which a
-    horizon of 2 does not give; a horizon of 3 certifies by the fit."""
-    f = write_json(tmp_path, "inactive.json", {"A": [["0.5", "0"], ["0", "0.25"]],
-                                               "c": ["1", "1"]})
+    """beta = {3} of this triangular A traces only its modes 1/4 and 1/8: the
+    dominant mode 1/2 has zero residue, and the recurrence fit needs
+    n + L = 5 samples, which a horizon of 4 does not give; a horizon of 5
+    certifies by the fit.  The signs of A_12, A_23 and A_13 form a cycle
+    that no signature makes nonnegative, so no sign-pattern proof steps in.
+    diag(1/2, 1/4), whose beta = {2} has the same inactive dominant mode,
+    is proved by its sign pattern at a horizon of 2."""
+    f = write_json(tmp_path, "inactive.json", {
+        "A": [["0.5", "0.25", "-0.25"], ["0", "0.25", "0.25"], ["0", "0", "0.125"]],
+        "c": ["0.5", "2", "2"]})
     out = tmp_path / "out"
     argv = ["certify", str(f), "--property", "svb", "--k", "1", "--out", str(out), "--horizon"]
-    assert main(argv + ["2"]) == 2
-    system = json.loads((out / "report.json").read_text())["certificate"]["systems"][1]
-    assert system["beta"] == [2] and system["notes"] == [
+    assert main(argv + ["4"]) == 2
+    system = json.loads((out / "report.json").read_text())["certificate"]["systems"][2]
+    assert system["beta"] == [3] and system["notes"] == [
         "dominant mode has zero residue; no recurrence "
-        "fit: the horizon 2 is shorter than the n + L = 3 samples it needs"]
-    assert main(argv + ["3"]) == 0
+        "fit: the horizon 4 is shorter than the n + L = 5 samples it needs"]
+    assert main(argv + ["5"]) == 0
+    diagonal = write_json(tmp_path, "diagonal.json", {"A": [["0.5", "0"], ["0", "0.25"]],
+                                                      "c": ["1", "1"]})
+    assert main(["certify", str(diagonal), "--property", "svb", "--k", "1", "--out", str(out),
+                 "--horizon", "2"]) == 0
+    system = json.loads((out / "report.json").read_text())["certificate"]["systems"][1]
+    assert system["beta"] == [2] and system["tail_start"] == 1 and system["notes"] == [
+        "tail by sign pattern: every sample is 0 or of sign +1; no sample is 0"]
 
 
 def test_certify_missing_vector_is_input_error(tmp_path, capsys):
@@ -444,6 +456,56 @@ def test_reused_out_matches_fresh_out_byte_for_byte(tmp_path, capsys):
         sizes.append({name: len(data) for name, data in want.items()})
     # the second run writes both files over longer ones
     assert all(sizes[1][name] < sizes[0][name] for name in sizes[1])
+
+
+def test_reused_out_makes_no_directory_and_removes_only_a_left_trace(tmp_path, capsys,
+                                                                    monkeypatch):
+    """A run into an existing --out calls no ``os.mkdir``, and ``os.unlink``
+    only to remove the traces.csv that an earlier certify left; both would
+    otherwise raise and catch inside pathlib on every reused --out."""
+    calls, real = [], {name: getattr(os, name) for name in ("mkdir", "unlink")}
+
+    def recording(name):
+        return lambda path, *args, **kwargs: (calls.append((name, Path(path).name))
+                                              or real[name](path, *args, **kwargs))
+
+    for name in real:
+        monkeypatch.setattr(os, name, recording(name))
+    out, example1 = tmp_path / "out", str(fixture_path("example1"))
+    check = ["check-matrix", example1, "--property", "sc", "--k", "1", "--out", str(out)]
+    assert main(check) == 1
+    assert calls == [("mkdir", "out")]
+    calls.clear()
+    assert main(check) == 1
+    assert calls == []
+    assert main(["certify", example1, "--property", "svb", "--k", "1", "--out", str(out)]) == 0
+    assert calls == [] and (out / "traces.csv").exists()
+    assert main(check) == 1
+    assert calls == [("unlink", "traces.csv")] and not (out / "traces.csv").exists()
+    calls.clear()
+    assert main(["oracle", example1, "--k", "1", "--trials", "20", "--out", str(out)]) == 0
+    assert calls == []
+
+
+def test_oracle_on_a_with_no_c_is_certifys_input_error(tmp_path, capsys):
+    """A file with A and b but no c is no operator the oracle can search: it
+    exits 3 with certify's one line and writes no --out; a bare matrix is
+    still searched as a matrix, also beside an A with no c."""
+    no_c = write_json(tmp_path, "no_c.json", {"A": [["0.5", "0"], ["0", "0.25"]],
+                                              "b": ["1", "1"]})
+    out = tmp_path / "out"
+    argv = ["--k", "1", "--trials", "5", "--out", str(out)]
+    assert main(["oracle", str(no_c), *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: observability target needs c\n"
+    assert not out.exists()
+    assert main(["certify", str(no_c), "--property", "svb", "--k", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == captured.err
+    matrix = [["1", "2"], ["3", "4"]]
+    for payload in ({"matrix": matrix}, {"matrix": matrix, "A": matrix, "b": ["1", "1"]}):
+        f = write_json(tmp_path, "bare.json", payload)
+        main(["oracle", str(f), *argv])
+        assert json.loads(capsys.readouterr().out)["kind"] == "matrix"
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

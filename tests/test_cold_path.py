@@ -1,7 +1,8 @@
 """A cold call loads numpy only where an eigen route or the oracle runs.
 
 One fresh interpreter, with ``src`` on ``PYTHONPATH``, imports varsign,
-resolves every public name and runs exact and float ``check-matrix``
+resolves every public name and runs exact and float ``check-matrix``, and
+an exact ``certify`` whose every system the sign pattern of C_r(A) proves,
 without loading numpy; the same process then runs an exact ``certify``
 that needs an eigen tail, and an ``oracle`` search, which load it and must
 give what they give in this process.
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
@@ -25,7 +28,12 @@ CHECK_MATRIX = [
     for name, props in (("pena", ("ssc", "vb", "vd")), ("example2", ("sc", "sr", "tp")))
     for prop in props for arith in ("exact", "float")
 ]
-# example2 certifies svb at k = 2 through eigen tails; the oracle refutes k = 1
+# the diagonal pair's order-1 systems at k = 1 are all pattern-proved
+DIAGONAL = {"A": [["0.5", "0", "0"], ["0", "0.25", "0"], ["0", "0", "0.125"]],
+            "c": ["1", "1", "1"]}
+PROVED = [["certify", "diagonal.json", "--property", prop, "--k", "1"] for prop in ("svb", "vd")]
+# example2 certifies svb at k = 2, three of its systems through eigen tails;
+# the oracle refutes k = 1
 LOADING = [
     ["certify", str(fixture_path("example2")), "--property", "svb", "--k", "2"],
     ["oracle", str(fixture_path("example2")), "--k", "1", "--trials", "1000", "--seed", "0"],
@@ -36,7 +44,7 @@ import io, json, sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-names, check_matrix, loading, out = json.loads(sys.argv[1])
+names, check_matrix, proved, loading, out = json.loads(sys.argv[1])
 loaded = {}
 
 def step(label):
@@ -59,9 +67,11 @@ import varsign.cli
 step("import varsign.cli")
 cold = [run(argv, i) for i, argv in enumerate(check_matrix)]
 step("check-matrix")
+cold += [run(argv, len(cold) + i) for i, argv in enumerate(proved)]
+step("proved certify")
 warm = []
 for i, argv in enumerate(loading):
-    warm.append(run(argv, len(check_matrix) + i))
+    warm.append(run(argv, len(cold) + i))
     step(argv[0])
 print(json.dumps({"loaded": loaded, "cold": cold, "warm": warm}))
 """
@@ -75,15 +85,24 @@ def _in_process(argv, out, capsys):
 
 def test_cold_path_loads_no_numpy(tmp_path, capsys):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    payload = json.dumps([PUBLIC_NAMES, CHECK_MATRIX, LOADING, str(tmp_path / "fresh")])
+    (tmp_path / "diagonal.json").write_text(json.dumps(DIAGONAL))
+    payload = json.dumps([PUBLIC_NAMES, CHECK_MATRIX, PROVED, LOADING, str(tmp_path / "fresh")])
     proc = subprocess.run([sys.executable, "-c", _SCRIPT, payload], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["loaded"] == {"import varsign": False, "public names": False,
                              "import varsign.cli": False, "check-matrix": False,
-                             "certify": True, "oracle": True}
-    runs = CHECK_MATRIX + LOADING
-    want = [_in_process(argv, tmp_path / "here" / str(i), capsys) for i, argv in enumerate(runs)]
+                             "proved certify": False, "certify": True, "oracle": True}
+    runs = CHECK_MATRIX + PROVED + LOADING
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)
+        want = [_in_process(argv, tmp_path / "here" / str(i), capsys)
+                for i, argv in enumerate(runs)]
     assert got["cold"] + got["warm"] == want
-    assert [code for code, _, _ in want[-2:]] == [0, 1]
+    assert [code for code, _, _ in want[-4:]] == [0, 0, 0, 1]
+    # every system of the proved runs rests on its sign pattern
+    for _, _, report in got["cold"][-len(PROVED):]:
+        systems = json.loads(report)["certificate"]["systems"]
+        assert systems and all(s["notes"][0].startswith("tail by sign pattern")
+                               for s in systems)

@@ -1009,3 +1009,121 @@ def test_scalar_exact_systems_need_no_eigen_solve(monkeypatch):
     assert _fields(dominant_tail(companion)) == companion_want
     with pytest.raises(AssertionError, match="eigen-solve"):
         lti.dominant_modes(Matrix.floating([[0.5]]), (1.0,))
+
+
+def _signature_brute_force(A):
+    """Every S = diag(+-1) with S A S >= 0 entrywise, by trying all 2^n."""
+    n, found = A.rows, []
+    for bits in range(2 ** n):
+        s = [1 - 2 * (bits >> i & 1) for i in range(n)]
+        if all(s[i] * A.data[i][j] * s[j] >= 0 for i in range(n) for j in range(n)):
+            found.append(tuple(s))
+    return found
+
+
+def test_sign_pattern_finds_a_signature_exactly_when_one_exists():
+    """``_sign_pattern`` gives an S with S A S >= 0 whenever one exists, and
+    None otherwise; S is +1 at each block's first index, its successor masks
+    are the nonzero entries of A, and an S exists only with diag A >= 0."""
+    rng = random.Random(4117)
+    found = rejected = 0
+    for i in range(400):
+        n = 1 + i % 5
+        p_zero = rng.choice((0.3, 0.6, 0.85))
+        A = Matrix.exact([[0 if rng.random() < p_zero else Fraction(rng.choice((-3, -1, 1, 2)), 4)
+                           for _ in range(n)] for _ in range(n)])
+        if rng.random() < 0.5:  # nonnegative diagonal, so that the off-diagonal colouring decides
+            A = Matrix.exact([[abs(x) if r == c else x for c, x in enumerate(row)]
+                              for r, row in enumerate(A.data)])
+        pattern, want = lti._sign_pattern(A), _signature_brute_force(A)
+        if pattern is None:
+            assert want == [], A.data
+            rejected += 1
+            continue
+        found += 1
+        assert pattern.signs in want, A.data
+        assert all(pattern.signs[pattern.blocks[j]] == 1 for j in range(n))
+        assert pattern.succ == tuple(sum(1 << j for j in range(n) if A.data[i][j])
+                                     for i in range(n))
+    assert found > 100 and rejected > 100
+
+
+def _rejected_systems():
+    """(A, b, c) whose sign pattern proves nothing: a negative diagonal entry;
+    A_12, A_23 > 0 > A_13, a cycle no signature makes nonnegative; and a
+    c S of both signs on A's one block."""
+    return [
+        (Matrix.exact([["0.5", "0.25"], ["0", "-0.25"]]), (1, 1), (1, 1)),
+        (Matrix.exact([["0.5", "0.25", "-0.25"], ["0", "0.25", "0.25"], ["0", "0", "0.125"]]),
+         (0, 0, 1), ("0.5", 2, 2)),
+        (Matrix.exact([["0.5", "0.25"], ["0.25", "0.5"]]), (1, 0), (1, -1)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["negative diagonal", "sign cycle", "mixed c S"])
+def test_rejected_sign_patterns_take_the_sampled_route(case):
+    """A system whose pattern proves nothing gets the analysis and the
+    verdicts it gets without a pattern, field for field."""
+    A, b, c = _rejected_systems()[case]
+    sys = LtiSystem(A, b, c)
+    pattern = lti._sign_pattern(A)
+    assert (pattern is None) == (case < 2)
+    if pattern is not None:
+        assert lti._pattern_proof(pattern, sys, 0, 50) is None
+    got, want = analyse(sys, 50, pattern=pattern, lead=3), analyse(sys, 50)
+    assert got == want and len(got.samples) == 50
+    assert not any(note.startswith("tail by sign pattern") for note in got.notes)
+    for strict in (True, False):
+        assert judge(got, strict) == judge(want, strict)
+    assert judge(want).status is ExtPosStatus.STRICT_POSITIVE
+
+
+def test_sign_pattern_route_samples_only_what_its_verdicts_read():
+    """diag(1/2, 1/4) with b = (0, 1) and c = (1, 1): g = (1/4)^(t-1), proved
+    positive by the pattern with no eigen-solve and no recurrence fit; the
+    samples run to max(one period, lead), never past the horizon.  A
+    nilpotent shift traces g = (0, 0, 1, 0, 0, ...), whose zeros the walk
+    sets give from t = 4 on with period 1."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("tail work on a pattern-proved system")
+
+    sys = LtiSystem(Matrix.exact([["0.5", "0"], ["0", "0.25"]]), (0, 1), (1, 1))
+    pattern = lti._sign_pattern(sys.A)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lti, "dominant_tail", refuse)
+        mp.setattr(lti, "minimal_recurrence_system", refuse)
+        for lead, horizon, want in ((0, 50, 1), (3, 50, 3), (3, 2, 2)):
+            analysis = analyse(sys, horizon, pattern=pattern, lead=lead)
+            assert len(analysis.samples) == want and analysis.horizon == horizon
+            assert analysis.tail == TailCertificate(1, 1, 0.0, 0.0, 0.0, 0.0)
+            assert analysis.notes == (
+                "tail by sign pattern: every sample is 0 or of sign +1; no sample is 0",)
+            verdict = judge(analysis)
+            assert verdict.status is ExtPosStatus.STRICT_POSITIVE and verdict.tail_start == 1
+    shift = LtiSystem(Matrix.exact([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), (1, 0, 0), (0, 0, 1))
+    proof = lti._pattern_proof(lti._sign_pattern(shift.A), shift, 0, 50)
+    assert (proof.sign, proof.pre, proof.nonzero) == (1, 3, (False, False, True, False))
+    analysis = analyse(shift, 50, pattern=lti._sign_pattern(shift.A))
+    assert analysis.samples == (0, 0, 1, 0)
+    assert analysis.notes[0].endswith("its zeros repeat with period 1 from t=4")
+    assert judge(analysis, strict=True).first_violation == (1, 0)
+    assert judge(analysis, strict=False).status is ExtPosStatus.NONNEGATIVE
+
+
+def test_walk_sets_that_do_not_repeat_within_the_horizon_prove_nothing():
+    """A nilpotent chain keeps g(1..4) positive and g(t) = 0 from t = 5 on.
+    At a horizon of 4 its walk sets have not repeated, so the zero at t = 5
+    is unknown to the samples: no proof, and the verdict stays at the
+    horizon instead of claiming strict positivity.  At a horizon of 5 the
+    proof shows that zero and every later one."""
+    A = Matrix.exact([[0, 0, 0, 0], ["1/2", 0, 0, 0], [0, "1/2", 0, 0], [0, 0, "1/2", 0]])
+    sys = LtiSystem(A, (1, 1, 1, 1), (0, 0, 0, 1))
+    pattern = lti._sign_pattern(A)
+    assert lti._pattern_proof(pattern, sys, 0, 4) is None
+    for strict in (True, False):
+        assert judge(analyse(sys, 4, pattern=pattern), strict).status is ExtPosStatus.HORIZON_ONLY
+    proof = lti._pattern_proof(pattern, sys, 0, 5)
+    assert (proof.sign, proof.pre, proof.nonzero) == (1, 4, (True,) * 4 + (False,))
+    analysis = analyse(sys, 5, pattern=pattern)
+    assert judge(analysis, strict=True).first_violation == (5, 0)
+    assert judge(analysis, strict=False).status is ExtPosStatus.NONNEGATIVE

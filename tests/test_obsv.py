@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -343,19 +344,19 @@ def _without_samples(cert):
 def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
     """Every analysis holds a prefix of the full-horizon samples of its
     shifted system, bit for bit: up to t_bad = max(first positive, first
-    negative) when both strict signs occur, else up to the horizon.  Exact
-    values and signs are those of the system with its input b formed.  Judged
-    strictly or not, and folded into every property at every order, it gives
-    what the full-horizon analysis gives; an order's shared rows end at the
-    block of the last sample taken, read s rows late."""
-    stopped = short_orders = 0
+    negative) when both strict signs occur, up to T = min(horizon,
+    max(one period of the zero pattern, lead)) when the sign pattern of
+    C_r(A) proves the system, else up to the horizon.  Exact values and
+    signs are those of the system with its input b formed.  Judged strictly
+    or not, and folded into every property at every order, it gives what the
+    full-horizon analysis gives; an order's shared rows end at the block of
+    the last sample taken, read s rows late."""
+    stopped = proved = short_orders = 0
     for A, c in _early_stop_pairs():
         n, exact = A.rows, A.backend is Backend.EXACT
         ctx, ref = (obsv._OperatorContext(A, c, horizon=horizon) for _ in range(2))
-        keys = [(k, r, e.beta) for k in range(1, n + 1) for r in range(1, k + 1)
-                for e in beta_family(n, k)] + [(n, r, None) for r in range(1, n + 1)]
-        taken = {}
-        for key in keys:
+        taken, unproved = {}, set()
+        for key in _all_keys(n):
             analysis, (sys, s) = ctx.analysis(*key), ctx.shifted(*key)
             full = impulse_response(sys, horizon, shift=s)
             signs = tuple(sign_of(x, A.backend, ctx.tol) for x in full)
@@ -367,24 +368,36 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
             else:
                 assert list(map(repr, analysis.samples)) == list(map(repr, full[:t]))
             assert analysis.signs == signs[:t] and analysis.horizon == horizon
+            pattern = ctx.pattern(key[1])
+            proof = pattern and lti._pattern_proof(pattern, sys, s, horizon)
+            last = horizon
             if 1 in signs and -1 in signs:
+                assert proof is None, (A, key)
                 assert t == max(signs.index(1), signs.index(-1)) + 1, (A, key)
                 assert analysis.tail is None and analysis.notes == ()
                 reference = replace(analysis, samples=full, signs=signs)
                 stopped += t < horizon
+            elif proof:
+                last = min(horizon, max(len(proof.nonzero), obsv._lead(n, *key)))
+                assert t == last and analysis.tail.start == 1, (A, key)
+                assert analysis.tail.sign == proof.sign and proof.sign in signs
+                reference = replace(analysis, samples=full, signs=signs)
+                proved += t < horizon
             else:
                 assert t == horizon, (A, key)
                 reference = analysis
+            if not proof:
+                unproved.add(key[1])
             for strict in (True, False):
                 got, want = lti.judge(analysis, strict), lti.judge(reference, strict)
                 assert replace(got, samples=None) == replace(want, samples=None)
                 assert got.samples == want.samples[:t]
             ref._memo[("analysis", *key)] = reference
-            taken.setdefault(key[1], []).append(_block_end(t, horizon) + s)
+            taken.setdefault(key[1], []).append(_block_end(t, last) + s)
         for r, ends in taken.items():
             rows = ctx.output_rows(r, 1).rows
             assert len(rows) == max(ends)
-            short_orders += len(rows) < horizon
+            short_orders += r in unproved and len(rows) < horizon
         for k in range(1, n + 1):
             for prop, strict in (("svb", True), ("vb", True), ("kpos", True), ("kpos", False)):
                 got, want = (obsv._certify(context, prop, k, strict) for context in (ctx, ref))
@@ -392,8 +405,9 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
             # vd folds the svb or vb certificate of every order j <= k
             got, want = (obsv._order_certificates(context, k) for context in (ctx, ref))
             assert list(map(_without_samples, got)) == list(map(_without_samples, want))
-    # a horizon inside the first block leaves no order's rows short of it
+    # a horizon inside the first block leaves no unproved order's rows short of it
     assert stopped > 250 and (short_orders > 10 if horizon > 8 else short_orders == 0)
+    assert proved > 10
 
 
 def _witness_full_scan(rows, forced_sign):
@@ -540,13 +554,15 @@ def test_shifted_analyses_match_the_systems_with_b_formed(arith):
     and beta and on the full-order family: equal tail route and
     ``tail_start``; exact, equal sample values, signs and notes; float,
     equal decisive signs and samples within 1e-12 of the system's largest
-    |g|."""
+    |g|.  ``analyse`` of a formed system takes no sign-pattern route, so
+    neither does this context; with the route, an exact context's analysis
+    holds a prefix of the same samples and signs."""
     systems = routes = 0
     for A, c in _shift_differential_pairs():
         if arith == "float":
             A, c = A.to_float(), tuple(map(float, c))
         n = A.rows
-        ctx = obsv._OperatorContext(A, c)
+        ctx, routed = _sampled_context(A, c), obsv._OperatorContext(A, c)
         H = ctx.horizon
         cases = [((k, r, beta), compound_system(A, c, k, r, beta)) for k in range(1, n + 1)
                  for r in range(1, k + 1) for beta in lex_tuples(n, k)]
@@ -558,6 +574,9 @@ def test_shifted_analyses_match_the_systems_with_b_formed(arith):
             if arith == "exact":
                 assert got.samples == want.samples == full[:t], (A, key)
                 assert got.signs == want.signs and got.notes == want.notes, (A, key)
+                proved = routed.analysis(*key)
+                head = len(proved.samples)
+                assert proved.samples == full[:head] and proved.signs == got.signs[:head], (A, key)
             else:
                 scale = max(map(abs, full)) or 1.0
                 assert max(abs(x - y) for x, y in zip(got.samples, full)) <= 1e-12 * scale
@@ -1121,3 +1140,182 @@ def test_certified_operators_survive_oracle_and_matrix_checks(rng):
                 if screen.diagonalizable:
                     assert screen.passed, (n, k, screen.reason)
     assert certified >= 10
+
+
+def _ldu_pair(rng, n):
+    """A = L D U / 4 with unit bidiagonal L, U (entries in {1/4, .., 1} off
+    the diagonal) and a positive diagonal D: a totally nonnegative A, so that
+    S = I at every order; c = 1."""
+    off = [Fraction(rng.randint(1, 4), 4) for _ in range(2 * (n - 1))]
+    L = Matrix.exact([[1 if i == j else off[j] if i == j + 1 else 0 for j in range(n)]
+                      for i in range(n)])
+    U = Matrix.exact([[1 if i == j else off[n - 1 + i] if j == i + 1 else 0 for j in range(n)]
+                      for i in range(n)])
+    D = Matrix.exact([[Fraction(rng.randint(1, 8), 2) if i == j else 0 for j in range(n)]
+                      for i in range(n)])
+    A = L @ D @ U
+    return Matrix.exact([[x / 4 for x in row] for row in A.data]), (Fraction(1),) * n
+
+
+def _sparse_pair(rng, n, upper):
+    """A with a positive diagonal and sparse off-diagonal entries of either
+    sign, upper-triangular when ``upper``, and a c with zeros, drawn until
+    the pair is observable: zeros in c and A leave walks that miss supp(w),
+    which gives shifted systems a proof and proofs zeros."""
+    while True:
+        A = Matrix.exact([[Fraction(rng.randint(1, 7), 8) if i == j
+                           else 0 if (upper and j < i) or rng.random() < 0.6
+                           else Fraction(rng.choice((-2, -1, 1, 2)), 4) for j in range(n)]
+                          for i in range(n)])
+        c = tuple(Fraction(rng.choice((0, 0, 1, -1, 2))) for _ in range(n))
+        if rank(observability_matrix(A, c, n)) == n:
+            return A, c
+
+
+def _pattern_families():
+    """Seeded exact pairs, n = 2..5: diagonal (a decreasing positive spectrum
+    with c = 1, as the benchmark draws, and a spectrum of either sign),
+    upper-triangular, L D U / 4, sparse, and random dense."""
+    rng = random.Random(4242)
+    pairs = []
+    for n in (2, 3, 3, 4, 4, 5):
+        positive = sorted(rng.sample(range(1, 10), n), reverse=True)
+        pairs.append((Matrix.exact([[Fraction(positive[i], 10) if i == j else 0
+                                     for j in range(n)] for i in range(n)]), (Fraction(1),) * n))
+        lam = rng.sample([Fraction(x, 8) for x in (-5, -2, 1, 2, 3, 4, 5, 6, 7)], n)
+        pairs.append((Matrix.exact([[lam[i] if i == j else 0 for j in range(n)]
+                                    for i in range(n)]),
+                      tuple(Fraction(rng.choice((-1, 1, 2, 3))) for _ in range(n))))
+        pairs += [_sparse_pair(rng, n, upper) for upper in (True, False, False)]
+        pairs += [_ldu_pair(rng, n), observable_pair(rng, n)]
+    return pairs
+
+
+def _sampled_context(A, c):
+    """A context that takes no sign-pattern route: the reference route."""
+    ctx = obsv._OperatorContext(A, c)
+    ctx._memo.update((("pattern", r), None) for r in range(1, A.rows + 1))
+    return ctx
+
+
+def _all_keys(n):
+    return [(k, r, e.beta) for k in range(1, n + 1) for r in range(1, k + 1)
+            for e in beta_family(n, k)] + [(n, r, None) for r in range(1, n + 1)]
+
+
+def _proved_nonzero(proof, t):
+    """Whether the proof says g(t) != 0, by its period past the samples it holds."""
+    held = len(proof.nonzero)
+    if t > held:
+        t = proof.pre + 1 + (t - 1 - proof.pre) % (held - proof.pre)
+    return proof.nonzero[t - 1]
+
+
+_DECISIVE = (Conclusion.CERTIFIED, Conclusion.REFUTED)
+
+
+def test_sign_pattern_proofs_agree_with_long_samples_and_the_sampled_route():
+    """Differential test against the sampled route on seeded diagonal,
+    triangular, totally nonnegative and dense pairs: every proof's sign and
+    zeros hold for exact samples to t = 400; an unproved system's analysis
+    is the sampled route's; every decisive verdict and conclusion of the
+    sampled route stands; and a refutation names a sample it holds."""
+    proved = shifted = full_order = with_zeros = upgraded = 0
+    for A, c in _pattern_families():
+        n = A.rows
+        ctx, ref = obsv._OperatorContext(A, c), _sampled_context(A, c)
+        for key in _all_keys(n):
+            k, r, beta = key
+            sys, s = ctx.shifted(*key)
+            got, want = ctx.analysis(*key), ref.analysis(*key)
+            pattern = ctx.pattern(r)
+            proof = pattern and lti._pattern_proof(pattern, sys, s, ctx.horizon)
+            if not proof:
+                assert got == want, (A, key)
+                continue
+            proved += 1
+            shifted += s > 0
+            full_order += beta is None
+            with_zeros += not all(proof.nonzero)
+            g = impulse_response(sys, 400, shift=s)
+            for t, num in enumerate(g.nums, 1):
+                assert sign_of(num, Backend.EXACT) == (proof.sign if _proved_nonzero(proof, t)
+                                                       else 0), (A, key, t)
+            assert got.samples == g[:len(got.samples)] and got.tail.sign == proof.sign
+            for strict in (True, False):
+                mine, theirs = lti.judge(got, strict), lti.judge(want, strict)
+                if theirs.status is ExtPosStatus.HORIZON_ONLY:
+                    upgraded += mine.status is not ExtPosStatus.HORIZON_ONLY
+                    continue
+                assert (mine.status, mine.first_violation, mine.sample_sign) == (
+                    theirs.status, theirs.first_violation, theirs.sample_sign), (A, key, strict)
+        runs = [(prop, k) for k in range(1, n + 1) for prop in ("svb", "vb", "kpos", "vd")]
+        mine = [certify_observability(A, c, k, prop) for prop, k in runs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(obsv._OperatorContext, "pattern", lambda self, r: None)
+            theirs = [certify_observability(A, c, k, prop) for prop, k in runs]
+        for run, got, want in zip(runs, mine, theirs):
+            if want.conclusion in _DECISIVE:
+                assert (got.conclusion, got.common_sign) == (
+                    want.conclusion, want.common_sign), (A, run)
+            if got.conclusion is Conclusion.REFUTED and got.per_system:
+                t = re.match(r"system .*?(?:g\((\d+)\) = |violated at t=(\d+))", got.notes[0])
+                assert 1 <= int(t[1] or t[2]) <= len(got.per_system[-1].verdict.samples), got.notes
+    assert proved > 200 and shifted > 5 and full_order > 20 and with_zeros > 5, (
+        proved, shifted, full_order, with_zeros)
+    assert upgraded > 0
+
+
+def _transforms(A, c):
+    """(alpha A, beta c) for two positive pairs (alpha, beta), and
+    (D^-1 A D, c D) with D = diag(1, 2, .., n)."""
+    n = A.rows
+    for alpha, beta in ((Fraction(2), Fraction(3)), (Fraction(1, 3), Fraction(1, 1000))):
+        yield (Matrix.exact([[alpha * x for x in row] for row in A.data]),
+               tuple(beta * x for x in c))
+    d = [Fraction(i + 1) for i in range(n)]
+    yield (Matrix.exact([[A.data[i][j] * d[j] / d[i] for j in range(n)] for i in range(n)]),
+           tuple(x * di for x, di in zip(c, d)))
+
+
+def test_sign_pattern_route_and_status_survive_scaling_and_diagonal_similarity():
+    """(alpha A, beta c) with alpha, beta > 0 and (D^-1 A D, c D) with D > 0
+    diagonal scale every compound entry, c_r and w by positive factors: each
+    system keeps its route, its sample signs and, when proved, its status."""
+    proved = 0
+    for A, c in _pattern_families():
+        n = A.rows
+        base = obsv._OperatorContext(A, c)
+        for A2, c2 in _transforms(A, c):
+            other = obsv._OperatorContext(A2, c2)
+            for key in _all_keys(n):
+                r = key[1]
+                routes = []
+                for ctx in (base, other):
+                    sys, s = ctx.shifted(*key)
+                    pattern = ctx.pattern(r)
+                    routes.append(bool(pattern and lti._pattern_proof(pattern, sys, s,
+                                                                       ctx.horizon)))
+                assert routes[0] == routes[1], (A, key)
+                one, two = base.analysis(*key), other.analysis(*key)
+                assert one.signs == two.signs, (A, key)
+                if routes[0]:
+                    proved += 1
+                    for strict in (True, False):
+                        assert lti.judge(one, strict).status is lti.judge(two, strict).status
+    assert proved > 400
+
+
+@pytest.mark.parametrize("certifier", [certify_svb, certify_vd], ids=["svb", "vd"])
+def test_exact_diagonal_n9_certifies_at_k4_by_sign_patterns(certifier):
+    """Exact diag(9/10, .., 1/10), c = 1, at k = 4 and the default horizon:
+    the systems the eigen route leaves at "verified up to horizon only" are
+    proved by the sign pattern of their C_r(A), so the operator certifies."""
+    n = 9
+    A = Matrix.exact([[Fraction(9 - i, 10) if i == j else 0 for j in range(n)] for i in range(n)])
+    cert = certifier(A, (1,) * n, 4)
+    assert cert.conclusion is Conclusion.CERTIFIED, cert.notes
+    assert cert.horizon == 90
+    proved = [sv for sv in cert.per_system if sv.verdict.tail_start == 1 and sv.verdict.notes
+              and sv.verdict.notes[0].startswith("tail by sign pattern")]
+    assert len(proved) >= 20

@@ -8,18 +8,19 @@ removes the one an earlier run left.  Exact values render as decimals
 whenever the denominator allows a finite expansion, and as ``p/q`` literals
 otherwise, so that exact-mode runs are reproducible bit for bit.
 
-Both files are rewritten in place (``_rewrite``): an existing file is
-overwritten and then cut to the new length, never cut to zero first.  On
-ext4, cutting a just-written file to zero and refilling it charges the
-writing process tens of microseconds of system time per file, and a user,
-like the benchmark, reuses one ``--out`` run after run.  This is no more
-atomic than the truncating write was: a crash mid-write can leave new bytes
-followed by old ones, where truncation could leave a partial file, and a
-rerun regenerates either.
+Both files are rewritten in place (``_rewrite``): the text is encoded once
+and written through one ``os.open`` descriptor without O_TRUNC, then a
+regular file (not a device such as /dev/null) is cut to the new length.  On
+ext4, cutting to zero first charged tens of microseconds of system time per
+file to every run into a reused ``--out``.  A crash mid-write can leave new
+bytes then old ones, where truncation left a partial file; a rerun mends
+either.  A system file is read as bytes and decoded as ``Path.read_text``
+did, and each distinct entry string of one file is parsed once (``_Entries``).
 """
 
 from __future__ import annotations
 
+import _locale
 import json
 import math
 import os
@@ -80,90 +81,91 @@ def _exponent_beyond(value: str, limit: int) -> bool:
     return len(digits) > len(str(limit)) or int(digits or "0") > limit
 
 
-def _parse_entry(value, backend: Backend, warned: list[bool]):
-    """A decimal string, int or finite float entry: its exact value as a
-    Fraction, or in float mode that value rounded to a float."""
-    if isinstance(value, str):
-        # the digits of a numerator or denominator are held to the int-string
-        # limit, and an exponent to ten times it, unless the limit is off (0)
-        bound = _EXPONENT_FACTOR * sys.get_int_max_str_digits()
-        if bound and _exponent_beyond(value, bound):
-            raise InputFileError(f"cannot parse entry {_echo(value)}: its decimal exponent "
-                                 f"exceeds {bound} in magnitude")
-        try:
-            x = Fraction(value)
-        except ValueError as exc:
-            raise InputFileError(f"cannot parse entry {_echo(value)} as a decimal") from exc
-        except ZeroDivisionError as exc:
-            raise InputFileError(f"cannot parse entry {_echo(value)}: zero denominator") from exc
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputFileError(f"entry {_echo(value)} is not a number or decimal string")
-    else:
-        if isinstance(value, float):
-            if not math.isfinite(value):  # json.loads accepts NaN and Infinity
-                raise InputFileError(f"entry {_echo(value)} is not a finite number")
-            if not warned[0]:
+class _Entries(dict):
+    """One file's entries, each a decimal string, int or finite float, parsed
+    to its exact value as a Fraction, or in float mode that value rounded to a
+    float.  A string is parsed at its first occurrence, a number each time."""
+
+    def __init__(self, backend: Backend):
+        self.backend, self.warned = backend, False
+
+    def __missing__(self, value):
+        if isinstance(value, str):
+            # the digits of a numerator or denominator are held to the int-string
+            # limit, and an exponent to ten times it, unless the limit is off (0)
+            bound = _EXPONENT_FACTOR * sys.get_int_max_str_digits()
+            if bound and _exponent_beyond(value, bound):
+                raise InputFileError(f"cannot parse entry {_echo(value)}: its decimal exponent "
+                                     f"exceeds {bound} in magnitude")
+            try:
+                x = Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                why = " as a decimal" if isinstance(exc, ValueError) else ": zero denominator"
+                raise InputFileError(f"cannot parse entry {_echo(value)}{why}") from exc
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputFileError(f"entry {_echo(value)} is not a number or decimal string")
+        elif isinstance(value, float) and not math.isfinite(value):  # json.loads takes NaN
+            raise InputFileError(f"entry {_echo(value)} is not a finite number")
+        else:
+            if isinstance(value, float) and not self.warned:
                 print("warning: float entries in input file; decimal strings are exact",
                       file=sys.stderr)
-                warned[0] = True
-        x = Fraction(value)
-    if backend is Backend.EXACT:
+                self.warned = True
+            x = Fraction(value)
+        if self.backend is not Backend.EXACT:
+            try:
+                # a float's Fraction rounds back to it, except that -0.0 loses its sign
+                x = value if type(value) is float else float(x)
+            except OverflowError as exc:  # a string or a bare JSON integer past the float range
+                raise InputFileError(f"entry {_echo(value)} is beyond float range") from exc
+        self[value] = x  # looked up again for a string only (``vector``)
         return x
-    try:
-        # a float's Fraction rounds back to it, except that -0.0 loses its sign
-        return value if type(value) is float else float(x)
-    except OverflowError as exc:  # a string or a bare JSON integer past the float range
-        raise InputFileError(f"entry {_echo(value)} is beyond float range") from exc
 
+    def vector(self, values, what: str) -> list:
+        if not isinstance(values, list) or not values:
+            raise InputFileError(f"{what} must be a non-empty list")
+        return [self[x] if type(x) is str else self.__missing__(x) for x in values]
 
-def _parse_matrix(rows, backend: Backend, warned, what: str) -> Matrix:
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise InputFileError(f"{what} must be a non-empty list of rows")
-    if any(not r for r in rows):
-        raise InputFileError(f"{what} has an empty row")
-    try:
-        return Matrix([[_parse_entry(x, backend, warned) for x in row] for row in rows], backend)
-    except InputFileError:
-        raise
-    except ValueError as exc:
-        raise InputFileError(f"bad {what}: {exc}") from exc
-
-
-def _parse_vector(entries, backend: Backend, warned, what: str) -> tuple:
-    if not isinstance(entries, list) or not entries:
-        raise InputFileError(f"{what} must be a non-empty list")
-    return tuple(_parse_entry(x, backend, warned) for x in entries)
+    def matrix(self, rows, what: str) -> Matrix:
+        if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+            raise InputFileError(f"{what} must be a non-empty list of rows")
+        if any(not r for r in rows):
+            raise InputFileError(f"{what} has an empty row")
+        rows = [self.vector(row, what) for row in rows]
+        try:
+            return Matrix(rows, self.backend)
+        except ValueError as exc:
+            raise InputFileError(f"bad {what}: {exc}") from exc
 
 
 def load_system_file(path, backend: Backend = Backend.EXACT) -> SystemFile:
     try:
-        raw = json.loads(Path(path).read_text())
+        with open(path, "rb", buffering=0) as f:  # fails at once on a directory, naming it
+            text = f.read().decode("utf-8" if sys.flags.utf8_mode else _locale.getencoding())
+        raw = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))  # universal newlines
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+    except ValueError as exc:  # a decode error, JSONDecodeError, or an int past the digit limit
         raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputFileError("top level must be an object")
-    warned = [False]
-    name = raw.get("name", Path(path).stem)
-    A = b = c = matrix = None
-    if "A" in raw:
-        A = _parse_matrix(raw["A"], backend, warned, "A")
-        if not A.is_square():
-            raise InputFileError("A must be square")
-    if "matrix" in raw:
-        matrix = _parse_matrix(raw["matrix"], backend, warned, "matrix")
-    if "b" in raw:
-        b = _parse_vector(raw["b"], backend, warned, "b")
-        if A is not None and len(b) != A.rows:
-            raise InputFileError("b length does not match A")
-    if "c" in raw:
-        c = _parse_vector(raw["c"], backend, warned, "c")
-        if A is not None and len(c) != A.rows:
-            raise InputFileError("c length does not match A")
+    entries = _Entries(backend)
+    A = entries.matrix(raw["A"], "A") if "A" in raw else None
+    if A is not None and not A.is_square():
+        raise InputFileError("A must be square")
+    matrix = entries.matrix(raw["matrix"], "matrix") if "matrix" in raw else None
+    vectors = {}
+    for v in ("b", "c"):
+        if v in raw:
+            vectors[v] = tuple(entries.vector(raw[v], v))
+            if A is not None and len(vectors[v]) != A.rows:
+                raise InputFileError(f"{v} length does not match A")
     if A is None and matrix is None:
         raise InputFileError("file carries neither a system (A, c) nor a bare matrix")
-    return SystemFile(str(name), A, b, c, matrix)
+    base = os.path.basename(path)  # of a file, as ``Path(path).name``; then its ``stem``
+    dot = base.rfind(".")
+    name = raw.get("name", base[:dot] if 0 < dot < len(base) - 1 else base)
+    return SystemFile(str(name), A, vectors.get("b"), vectors.get("c"), matrix)
 
 
 _LOG2_5 = math.log2(5)
@@ -253,20 +255,19 @@ def _decimal_texts(nums, twos: int, fives: int, dtwos: int, dfives: int):
         fives += dfives
 
 
-def _open_in_place(name, flags: int) -> int:
-    """``open``'s default opener (mode 0o666, less the umask) without O_TRUNC."""
-    return os.open(name, flags & ~os.O_TRUNC, 0o666)
-
-
-def _rewrite(path: Path, text: str, newline: str | None = None) -> None:
-    """Write ``text`` to ``path`` as ``Path.write_text`` does, with the same
-    bytes, encoding and creation mode, but over the old contents and cut to
-    length after.  O_TRUNC cuts regular files only, and so does this: a
-    device such as /dev/null cannot be truncated."""
-    with open(path, "w", newline=newline, opener=_open_in_place) as f:
-        f.write(text)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate()
+def _rewrite(path: str, text: str) -> None:
+    """Write ``text`` (ASCII) to ``path`` with the bytes, flags and mode
+    (0o666 less the umask) of ``Path.write_text``, but without O_TRUNC."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_CLOEXEC, 0o666)
+    try:
+        done = 0
+        while done < len(data):  # a write may take fewer bytes than it is given
+            done += os.write(fd, data[done:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # as O_TRUNC, never a device
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def write_traces(out_dir, per_system: list[SystemVerdict], targets: tuple[str, ...]) -> list[str]:
@@ -276,12 +277,12 @@ def write_traces(out_dir, per_system: list[SystemVerdict], targets: tuple[str, .
     horizon, to t_bad for a system whose samples carry both strict signs, or
     to T for a system its sign pattern proves (``lti.analyse``).  With no
     systems, an earlier run's is removed."""
-    path = Path(out_dir) / "traces.csv"
+    path = os.path.join(out_dir, "traces.csv")
     if not per_system:
         # ``os.access`` answers without raising, where ``unlink(missing_ok=True)``
         # raises and catches FileNotFoundError on every run that finds none
         if os.access(path, os.F_OK, follow_symlinks=False):
-            path.unlink(missing_ok=True)
+            Path(path).unlink(missing_ok=True)
         return []
     lines = ["target,r,beta,t,g\r\n"]
     for target, sv in zip(targets, per_system, strict=True):
@@ -289,8 +290,8 @@ def write_traces(out_dir, per_system: list[SystemVerdict], targets: tuple[str, .
         head = f"{target},{sv.r},{beta},"
         lines += (f"{head}{t},{text}\r\n"
                   for t, text in enumerate(_sample_texts(sv.verdict.samples), 1))
-    _rewrite(path, "".join(lines), newline="")
-    return [path.name]
+    _rewrite(path, "".join(lines))
+    return ["traces.csv"]
 
 
 def _verdict_dict(sv: SystemVerdict) -> dict:
@@ -324,13 +325,12 @@ def certificate_dict(cert: Certificate) -> dict:
 def write_report(out_dir, payload: dict, environment: dict,
                  certificate: Certificate | None = None) -> Path:
     """``report.json``, and the traces of the certificate's systems or its parts'."""
-    out_dir = Path(out_dir)
-    if not out_dir.is_dir():  # ``mkdir(exist_ok=True)`` raises and catches on a reused one
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if not os.path.isdir(out_dir):  # ``mkdir(exist_ok=True)`` raises and catches on a reused one
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     certs = () if certificate is None else certificate.parts or (certificate,)
     traces = write_traces(out_dir, [sv for cert in certs for sv in cert.per_system],
                           tuple(cert.target for cert in certs for _ in cert.per_system))
     report = {"certificate": payload, "environment": environment, "traces": traces}
-    path = out_dir / "report.json"
+    path = os.path.join(out_dir, "report.json")
     _rewrite(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
+    return Path(path)

@@ -1214,3 +1214,119 @@ def test_exact_mode_reports_bit_identical(tmp_path):
         outs.append(out)
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
     assert (outs[0] / "traces.csv").read_bytes() == (outs[1] / "traces.csv").read_bytes()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read {P}: [Errno 21] Is a directory: '{P}'"),
+    (b'\xef\xbb\xbf{"matrix": [["1"]]}',
+     "{P} is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    (b'{"matrix": [["\xff"]]}',
+     "{P} is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 14: "
+     "invalid start byte"),
+    (b"", "{P} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    # lines end as a text-mode read sees them: \r\n and a lone \r are one \n
+    (b'{"matrix": [["1"]],\r\n\r\n "c": ["1",]}',
+     "{P} is not valid JSON: Expecting value: line 3 column 12 (char 32)"),
+    (b'{"matrix": [["1"]],\r\r "c": ["1",]}',
+     "{P} is not valid JSON: Expecting value: line 3 column 12 (char 32)"),
+], ids=["directory", "bom", "invalid-utf8", "empty", "crlf", "cr"])
+def test_malformed_files_print_one_input_error_line(tmp_path, capsys, content, message):
+    f = tmp_path / "dir.json"
+    if content is None:
+        f.mkdir()
+    else:
+        f.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["certify", str(f), "--k", "1", "--property", "svb", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: " + message.format(P=f) + "\n"
+    assert not out.exists()
+
+
+def test_each_distinct_entry_string_is_parsed_once_per_file(tmp_path, capsys, monkeypatch):
+    """Within one file a repeated decimal string is parsed once; a second load
+    of the same file parses it again, so nothing is kept across files."""
+    parsed = []
+
+    def counting(value):
+        parsed.append(value)
+        return Fraction(value)
+
+    monkeypatch.setattr(varsign.io, "Fraction", counting)
+    A = [["1/3", "0.5", "1/3"], ["0.5", "1/3", "2"], ["2", "2", "0.5"]]
+    b, c = ["7", "7", "0.5"], ["2", "1/3", "7"]
+    f = write_json(tmp_path, "m.json", {"A": A, "b": b, "c": c})
+    for backend, value in ((Backend.EXACT, Fraction), (Backend.FLOAT,
+                                                       lambda s: float(Fraction(s)))):
+        for _ in range(2):
+            parsed.clear()
+            sf = load_system_file(f, backend)
+            assert sorted(parsed) == ["0.5", "1/3", "2", "7"]
+            assert sf.A.data == tuple(tuple(map(value, row)) for row in A)
+            assert (sf.b, sf.c) == (tuple(map(value, b)), tuple(map(value, c)))
+            assert {type(x) for x in sf.A.data[0] + sf.b + sf.c} == {type(value("1"))}
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_a_repeated_bad_entry_fails_at_its_first_occurrence(tmp_path, monkeypatch, backend):
+    parsed = []
+
+    def counting(value):
+        parsed.append(value)
+        return Fraction(value)
+
+    monkeypatch.setattr(varsign.io, "Fraction", counting)
+    f = write_json(tmp_path, "m.json", {"matrix": [["1", "0.1.2"], ["0.1.2", "1"]]})
+    with pytest.raises(varsign.io.InputFileError) as err:
+        load_system_file(f, backend)
+    assert str(err.value) == "cannot parse entry '0.1.2' as a decimal"
+    assert parsed == ["1", "0.1.2"]
+
+
+def test_repeated_float_entries_warn_once_per_file(tmp_path, capsys):
+    f = write_json(tmp_path, "m.json", {"A": [[0.5, 0.5], [0.25, "0.5"]], "c": [0.5, 1]})
+    for backend in Backend:
+        for _ in range(2):
+            sf = load_system_file(f, backend)
+            assert capsys.readouterr().err == _FLOAT_WARNING
+            assert sf.A.data[0] == (0.5, 0.5) and sf.c == (0.5, 1)
+
+
+def test_outputs_written_one_byte_per_call_keep_their_bytes(tmp_path, capsys, monkeypatch):
+    """A write may take fewer bytes than it is given: ``report.json`` and
+    ``traces.csv`` written one byte per ``os.write``, fresh and over longer
+    files, are the bytes of a normal run, with ``\\n`` and ``\\r\\n`` lines."""
+    argv = ["certify", str(fixture_path("example1")), "--property", "svb", "--k", "1", "--out"]
+    assert main(argv + [str(tmp_path / "whole")]) == 0
+    want = {name: (tmp_path / "whole" / name).read_bytes()
+            for name in ("report.json", "traces.csv")}
+    real_write, written = os.write, []
+
+    def one_byte(fd, data):
+        written.append(len(data))
+        return real_write(fd, bytes(data[:1]))
+
+    monkeypatch.setattr(os, "write", one_byte)
+    out = tmp_path / "out"
+    for _ in range(2):  # created, then written over longer files
+        written.clear()
+        assert main(argv + [str(out)]) == 0
+        assert {name: (out / name).read_bytes() for name in want} == want
+        assert len(written) == sum(map(len, want.values()))
+        for name in want:
+            (out / name).write_bytes(want[name] * 3)
+    report, traces = want["report.json"], want["traces.csv"]
+    assert b"\r" not in report and report.endswith(b"}\n")
+    assert traces.count(b"\n") == traces.count(b"\r\n") == len(traces.splitlines()) > 1
+
+
+@pytest.mark.parametrize("file_name", ["m.json", "m.b.json", "m.", ".json", "..json", "m..b",
+                                       "m", "m .json", "ünï.json"])
+def test_a_file_without_a_name_is_named_by_its_stem(tmp_path, file_name):
+    f = write_json(tmp_path, file_name, {"matrix": [["1"]]})
+    assert load_system_file(f).name == load_system_file(str(f)).name == f.stem
+    f = write_json(tmp_path, file_name, {"matrix": [["1"]], "name": 7})
+    assert load_system_file(f).name == "7"

@@ -4,16 +4,17 @@ Small matrices only (desk scale, a few hundred entries at most).  Two scalar
 backends are supported:
 
 * ``Backend.EXACT`` -- entries are ``fractions.Fraction``; every decimal
-  string parses with zero rounding error and all arithmetic is exact.
+  string parses with zero rounding error and all arithmetic is exact.  The
+  kernels read each row as ``lift`` gives it (``Matrix.ints``/``dens``).
 * ``Backend.FLOAT`` -- entries are ``float``; sign decisions use a global
   comparison tolerance and values inside the tolerance band are never
   silently treated as zero.
 
 Each backend has one elimination, which yields both rank and determinant:
-fraction-free Bareiss elimination on integer-lifted rows (``_bareiss``) and
+fraction-free Bareiss elimination on the integer rows (``_bareiss``) and
 partial pivoting on floats (``_partial_pivot``).  Determinants, minors,
-compounds and ranks all run it; ``inverse`` is the adjugate, read from the
-(n-1)-th compound, over the determinant.
+compounds and ranks all run it through ``Minors``; ``inverse`` is the
+adjugate, read from the (n-1)-th compound, over the determinant.
 
 Index tuples follow the 1-based mathematical convention; raw matrix element
 access via ``Matrix[i, j]`` is 0-based like everything else in Python.
@@ -172,9 +173,12 @@ def _as_indices(idx, n: int) -> tuple[int, ...]:
 
 
 class Matrix:
-    """Immutable dense matrix over one scalar backend."""
+    """Immutable dense matrix over one scalar backend.  An exact one also
+    holds row i as ``ints[i]`` over ``dens[i]``, ``lift`` of its entries
+    (None in float); built from integers (``_of_ints``), it derives its
+    ``Fraction`` entries, ``data``, on first read."""
 
-    __slots__ = ("rows", "cols", "data", "backend")
+    __slots__ = ("rows", "cols", "_data", "backend", "dens", "ints")
 
     def __init__(self, rows_of_entries: Iterable[Iterable], backend: Backend | None = None):
         data = tuple(tuple(row) for row in rows_of_entries)
@@ -190,13 +194,35 @@ class Matrix:
                 raise SizeMismatchError("mixed float/Fraction entries; pass an explicit backend")
             backend = Backend.FLOAT if has_float else Backend.EXACT
         data = tuple(tuple(parse_scalar(x, backend) for x in row) for row in data)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "backend", backend)
+        dens, ints = zip(*map(lift, data)) if backend is Backend.EXACT else (None, None)
+        self._set(data, backend, dens, ints)
+
+    @classmethod
+    def _of_ints(cls, dens: Sequence[int], ints: Sequence[Sequence[int]]) -> "Matrix":
+        """The exact matrix of rows ints[i] / dens[i], dens positive, with no
+        ``Fraction``: row i over gcd(dens[i], *ints[i]) is ``lift``'s form."""
+        gs = [math.gcd(d, *row) for d, row in zip(dens, ints)]
+        m = cls.__new__(cls)
+        m._set(None, Backend.EXACT, tuple(d // g for d, g in zip(dens, gs)),
+               tuple(tuple([x // g for x in row]) for g, row in zip(gs, ints)))
+        return m
+
+    def _set(self, data, backend: Backend, dens, ints) -> None:
+        rows = ints if data is None else data
+        for name, value in (("rows", len(rows)), ("cols", len(rows[0])), ("_data", data),
+                            ("backend", backend), ("dens", dens), ("ints", ints)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
+
+    @property
+    def data(self) -> tuple[tuple[Num, ...], ...]:
+        """The entries row by row, exact ones as reduced ``Fraction``s."""
+        if self._data is None:
+            object.__setattr__(self, "_data", tuple(
+                tuple([Fraction(x, d) for x in row]) for d, row in zip(self.dens, self.ints)))
+        return self._data
 
     @classmethod
     def exact(cls, rows_of_entries) -> "Matrix":
@@ -273,9 +299,12 @@ class Matrix:
         return tuple(_dot(v, col) for col in zip(*self.data))
 
     def to_float(self) -> "Matrix":
+        """Nearest doubles: int / den rounds as ``float`` of a ``Fraction``
+        does, and raises ``OverflowError`` past float range."""
         if self.backend is Backend.FLOAT:
             return self
-        return Matrix([[float(x) for x in row] for row in self.data], Backend.FLOAT)
+        return Matrix([[x / d for x in row] for d, row in zip(self.dens, self.ints)],
+                      Backend.FLOAT)
 
 
 def _dot(a: Sequence[Num], b: Sequence[Num]) -> Num:
@@ -288,11 +317,11 @@ def _dot(a: Sequence[Num], b: Sequence[Num]) -> Num:
 
 def det(X: Matrix) -> Num:
     """Determinant: the full-size minor read from ``Minors`` (exact: integer
-    Bareiss on the lifted rows over the product of their scales)."""
+    Bareiss on the integer rows over the product of their scales)."""
     if not X.is_square():
         raise NonSquareError(f"determinant of non-square {X.shape}")
     full = tuple(range(1, X.rows + 1))
-    return next(Minors(X).row(full, [full]))
+    return Minors(X).value((full, full))
 
 
 def lift(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -391,46 +420,30 @@ _ZERO = Fraction(0)
 class Minors:
     """The minors of one matrix, each computed when first read.
 
-    Index sets are 1-based tuples.  Exact rows are lifted to integers once,
-    each by ``lift`` (``of_rows`` takes integer rows and their scales as they
-    are); each exact minor is one integer Bareiss on its lifted rows, except
-    that a minor with a row that has no nonzero entry in its columns is 0
-    without one.  That test is armed only on row sets with a zero entry; the
-    others run Bareiss alone.  The Bareiss integer is the minor times the
-    positive product of its row scales, so it has the minor's sign: ``stream``
-    yields it as it is, and ``value`` and ``row`` divide it by that product,
-    so a ``Fraction`` is built only for a minor whose value is wanted.  Float
-    minors run partial pivoting on the rows as they are, and are their own
-    values.  Every minor is computed by the reader of its row set, built once
-    per instance, so reads may come in any order, from any number of streams
-    at once; a minor that ``stream`` has read is computed once per instance
-    and kept.  ``rank`` runs the same elimination on all the rows.
+    Index sets are 1-based tuples.  Exact minors read the integer rows and
+    scales of the one ``Matrix`` given (``ints``, ``dens``) as they are: each
+    is one integer Bareiss on its rows, except that a minor with a row that
+    has no nonzero entry in its columns is 0 without one.  That test is armed
+    only on row sets with a zero entry; the others run Bareiss alone.  The
+    Bareiss integer is the minor times the positive product of its row
+    scales, so it has the minor's sign: ``stream`` yields it as it is, and
+    ``value`` divides it by that product, so a ``Fraction`` is built only for
+    a minor whose value is wanted.  Float minors run partial pivoting on the
+    rows as they are, and are their own values.  Every minor is computed by
+    the reader of its row set, built once per instance, so reads may come in
+    any order, from any number of streams at once; a minor that ``stream``
+    or ``value`` has read is computed once per instance and kept.  ``rank``
+    runs the same elimination on all the rows.
     """
 
     __slots__ = ("shape", "backend", "_rows", "_scales", "_known", "_readers")
 
     def __init__(self, X: Matrix):
-        if X.backend is Backend.EXACT:
-            scales, rows = zip(*map(lift, X.data))
-        else:
-            rows, scales = X.data, None
-        self._fill(rows, scales)
-
-    @classmethod
-    def of_rows(cls, rows, dens) -> "Minors":
-        """The minors of the matrix whose i-th row is rows[i] / dens[i], read
-        without building it: integer rows over positive integers, or float
-        rows when ``dens`` is None (the form of ``lti.OutputRows``)."""
-        minors = cls.__new__(cls)
-        minors._fill(rows, dens)
-        return minors
-
-    def _fill(self, rows, scales) -> None:
-        self.shape = (len(rows), len(rows[0]))
-        self.backend = Backend.FLOAT if scales is None else Backend.EXACT
+        self.shape, self.backend = X.shape, X.backend
+        exact = X.backend is Backend.EXACT
         # a leading placeholder row and column make 1-based indices direct
-        self._rows = [None, *([None, *row] for row in rows)]
-        self._scales = None if scales is None else [1, *scales]
+        self._rows = [None, *([None, *row] for row in (X.ints if exact else X.data))]
+        self._scales = [1, *X.dens] if exact else None
         self._known: dict = {}
         self._readers: dict = {}
 
@@ -459,28 +472,21 @@ class Minors:
         """The product of the scales of the rows I (exact only)."""
         return math.prod([self._scales[i] for i in I])
 
-    def row(self, I, col_sets):
-        """The value of the minor on rows I and each column set of
-        ``col_sets`` in turn, each computed as it is read; nothing is kept."""
-        read = self._reader(I)
-        if self._scales is None:
-            return map(read, col_sets)
-        scale = self._scale(I)
-        return (Fraction(v, scale) if v else _ZERO for v in map(read, col_sets))
-
     def value(self, key) -> Num:
-        """The value of the minor ``key`` = (I, J) that ``stream`` yielded,
-        from what ``stream`` kept, without a second elimination: exact, its
-        integer over the product of the row scales of I."""
-        v = self._known[key]
+        """The value of the minor ``key`` = (I, J), computed and kept as
+        ``stream`` computes and keeps it unless a read already has: exact,
+        its integer over the product of the row scales of I."""
+        v = self._known.get(key)
+        if v is None:
+            v = self._known[key] = self._reader(key[0])(key[1])
         if self._scales is None:
             return v
         return Fraction(v, self._scale(key[0])) if v else _ZERO
 
     def rank(self, tol: float = DEFAULT_TOL, cols=None) -> int:
         """Rank of the matrix, or of its columns ``cols``; float pivots must
-        exceed ``tol``.  Exact rows are eliminated as lifted, which leaves the
-        rank unchanged."""
+        exceed ``tol``.  Exact rows are eliminated as integers, which leaves
+        the rank unchanged."""
         if cols is None:
             rows = [row[1:] for row in self._rows[1:]]
         else:
@@ -507,9 +513,10 @@ class Minors:
 def compound(X: Matrix, r: int) -> Matrix:
     """r-th multiplicative compound: all r-minors in lexicographic order.
 
-    Computed minor by minor by ``Minors.row``, through the row reader that
-    the lazy sign checks read as well; at desk scale C(n,r)^2 small
-    determinants are cheap and there is no need for a fast compound algorithm.
+    Computed minor by minor, nothing kept, by the row readers of ``Minors``
+    that the lazy sign checks read as well; at desk scale C(n,r)^2 small
+    determinants are cheap.  Exact row I is its Bareiss integers over the
+    product of I's row scales (``Matrix._of_ints``): no ``Fraction`` is built.
     An exact minor with a row that is zero on its columns is 0 without an
     elimination (``Minors``): C_r(A) of a diagonal A runs C(n, r)
     eliminations, one per diagonal entry.
@@ -517,8 +524,11 @@ def compound(X: Matrix, r: int) -> Matrix:
     if not 1 <= r <= min(X.rows, X.cols):
         raise RankOutOfRangeError(f"compound order {r} invalid for shape {X.shape}")
     minors = Minors(X)
-    col_sets = index_sets(X.cols, r)
-    return Matrix([list(minors.row(I, col_sets)) for I in index_sets(X.rows, r)], X.backend)
+    col_sets, row_sets = index_sets(X.cols, r), index_sets(X.rows, r)
+    rows = [list(map(minors._reader(I), col_sets)) for I in row_sets]
+    if X.backend is Backend.FLOAT:
+        return Matrix(rows, Backend.FLOAT)
+    return Matrix._of_ints([minors._scale(I) for I in row_sets], rows)
 
 
 def inverse(X: Matrix, tol: float = DEFAULT_TOL) -> Matrix:

@@ -3,9 +3,11 @@ ordered spectra, and external-positivity verdicts with a dominant-mode tail
 certificate.  Both backends sample g(t) = c A^(t-1) b as one dot product of
 b with the output row c A^(t-1) (``output_rows``); with a shift s, the
 response of (A, A^s b, c) is read from row t + s on, so A^s b is never
-formed (``impulse_response``, ``analyse``).  A (as one block), b and c are
-each lifted to integers over the lcm of their denominators (``linalg.lift``),
-so exact samples stay integer numerators over the known denominators
+formed (``impulse_response``, ``analyse``).  An exact A holds its rows as
+integers over their scales (``Matrix.ints``, ``Matrix.dens``), which are
+brought to the lcm D_A of those scales; b and c are each lifted to integers
+over the lcm of their denominators (``linalg.lift``).  So exact samples stay
+integer numerators over the known denominators
 D_b D_c D_A^(t-1) (``ExactSamples``): signs and the recurrence fit read the
 numerators, and a ``Fraction`` is built only to show a value.  Exact sums
 run over the nonzero products only: each output row is the one before times
@@ -40,9 +42,9 @@ the proof: ``analyse`` gives such a system a tail from t = 1 and takes only
 the samples its verdicts read.
 
 numpy is imported inside the eigen routes, so a run that takes none of them
-never loads it.  A 1 x 1 exact system takes none: its eigenvalue is its
-entry, with eigenvector [1] (``dominant_modes``).  Neither does a system
-proved by its sign pattern.
+never loads it: a system proved by its sign pattern takes none, nor does one
+whose samples carry both strict signs.  Every eigen tail, a 1 x 1 system's
+included, comes from one numpy ``eig`` (``dominant_modes``).
 """
 
 from __future__ import annotations
@@ -132,12 +134,13 @@ _SQUARE = "c must have the state dimension of a square A"
 class OutputRows:
     """Output rows of one pair (A, c), shared by every input b and grown on
     demand: ``extend`` appends rows in place, and never rebuilds the earlier
-    ones nor lifts A again.
+    ones nor scales A again.
 
     Each row is the one before times A.  Float rows are c A^(t-1), each entry
     summed left to right from 0 over every product, as a float sample is
     (``impulse_response``), and ``dens`` is None.  Exact rows are integer:
-    with D_A and D_c the lcm of the denominators of A and c (``lift``),
+    with D_A the lcm of the row scales of A (``Matrix.dens``), which is that
+    of the denominators of its entries, and D_c that of c (``lift``),
     ``rows[t-1]`` is w_t = (D_c c)(D_A A)^(t-1) and ``dens[t-1]`` is
     D_c D_A^(t-1), so that c A^(t-1) = w_t / dens[t-1].  An exact entry sums
     only the products with the nonzero entries of its column of D_A A, which
@@ -177,7 +180,8 @@ def output_rows(A: Matrix, c: Sequence[Num], N: int) -> OutputRows:
     if A.backend is Backend.FLOAT:
         cols, w, dc, dA = list(zip(*A.data)), tuple(c), None, 1
     else:
-        dA, M = lift([x for row in A.data for x in row])  # D_A A, row-major
+        dA = math.lcm(*A.dens)
+        M = [x * (dA // d) for d, row in zip(A.dens, A.ints) for x in row]  # D_A A, row-major
         dc, w = lift(c)
         cols = [_sparse_dot(M[j::A.cols]) for j in range(A.cols)]
     return OutputRows(w, cols if A.is_square() else None, dc, dA).extend(N)
@@ -238,12 +242,12 @@ def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None,
 
 
 def observability_matrix(A: Matrix, c: Sequence[Num], t: int) -> Matrix:
-    """t x n matrix whose i-th row is c A^(i-1): the ``output_rows`` of (A, c)."""
+    """t x n matrix whose i-th row is c A^(i-1): the ``output_rows`` of (A, c),
+    exact ones kept as integer rows over their denominators."""
     out = output_rows(A, c, t)
     if out.dens is None:
         return Matrix(out.rows, A.backend)
-    return Matrix([[Fraction(x, den) for x in w] for w, den in zip(out.rows, out.dens)],
-                  A.backend)
+    return Matrix._of_ints(out.dens, out.rows)
 
 
 def _order_spectrum(values, tie_tol: float) -> list[int]:
@@ -329,35 +333,28 @@ class DominantModes:
     ``note`` is set when no input can have an eigen tail and says why;
     otherwise ``V`` holds the eigenvectors, ``y`` = c V, ``lam`` the
     eigenvalues, ``lead`` the index of the dominant eigenvalue ``lam1`` and
-    ``sub`` the largest modulus below it.  A 1 x 1 exact A has ``V`` None:
-    its eigenvector is [1], so ``y`` and ``lam`` are its c and its entry, as
-    Python floats.
+    ``sub`` the largest modulus below it, at every order, 1 x 1 included.
     """
 
     note: str
     V: np.ndarray | None = None
-    y: np.ndarray | tuple[float] | None = None
-    lam: np.ndarray | tuple[float] | None = None
+    y: np.ndarray | None = None
+    lam: np.ndarray | None = None
     lead: int = 0
     lam1: complex = 0j
     sub: float = 0.0
 
 
 def dominant_modes(A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL) -> DominantModes:
-    """The decomposition ``dominant_tail`` needs, up to the input vector.
-
-    A 1 x 1 exact A needs no eigen-solve (its eigenvalue is its entry, its
-    eigenvector [1]) and loads no numpy; every other A runs numpy's ``eig``.
-    Both pass the same gates: a decisively real positive dominant eigenvalue
-    and a modulus gap below it.
-    """
+    """The decomposition ``dominant_tail`` needs, up to the input vector:
+    numpy's ``eig`` of A, gated by a decisively real positive dominant
+    eigenvalue and a modulus gap below it, or the note of the first gate
+    that fails."""
     try:
         Af = A.to_float().data
         cf = [float(x) for x in c]
     except OverflowError:
         return DominantModes("state matrix or output row exceeds float range; no eigen tail")
-    if A.backend is Backend.EXACT and A.rows == 1:
-        return _gated_modes(Af[0], None, tuple(cf), tol)
     import numpy as np
 
     try:
@@ -366,12 +363,6 @@ def dominant_modes(A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL) -> Dom
         return DominantModes(f"eigen-decomposition failed: {exc}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan reach the gates' notes
         y = np.array(cf, dtype=complex) @ V
-    return _gated_modes(lam, V, y, tol)
-
-
-def _gated_modes(lam, V, y, tol: float) -> DominantModes:
-    """The modes of eigenvalues ``lam``, eigenvectors ``V`` and ``y`` = c V,
-    or the note of the first gate they fail."""
     order = _order_spectrum(lam, 0.0)
     lam1 = lam[order[0]]
     if not real_positive(lam1, tol):
@@ -394,9 +385,7 @@ def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL,
     so that only the residues are solved for here.  With ``shift`` the
     certificate is that of (A, A^shift b, c), whose samples
     ``impulse_response(sys, N, shift=shift)`` reads: the residues of b are
-    scaled by lam^shift, which gives the residues of A^shift b.  A 1 x 1
-    exact system without a shift solves nothing: its one residue is c b, on
-    Python floats.
+    scaled by lam^shift, which gives the residues of A^shift b.
     """
     if modes is None:
         modes = dominant_modes(sys.A, sys.c, tol)
@@ -406,24 +395,18 @@ def dominant_tail(sys: LtiSystem, tol: float = DEFAULT_TOL,
         bf = [float(x) for x in sys.b]
     except OverflowError:
         return None, "input vector exceeds float range; no eigen tail"
-    if modes.V is None and not shift:
-        rho1 = modes.y[0] * bf[0]
-        return _tail_certificate(rho1, abs(rho1), modes, tol)
     import numpy as np
 
-    V, y, lam = modes.V, modes.y, modes.lam
-    if V is None:  # a shifted 1 x 1 system: lam^shift is numpy's, as at every other order
-        V, y, lam = np.ones((1, 1)), np.array(y, dtype=complex), np.array(lam)
     try:
-        x = np.linalg.solve(V, np.array(bf, dtype=complex))
+        x = np.linalg.solve(modes.V, np.array(bf, dtype=complex))
     except np.linalg.LinAlgError:
         return None, "eigenvector matrix is singular to working precision"
     if shift:
         # lam^shift past the float range gives inf and nan residues, which
         # ``_tail_certificate`` turns into its note
         with np.errstate(over="ignore", invalid="ignore"):
-            x = x * lam ** shift
-    residues = y * x
+            x = x * modes.lam ** shift
+    residues = modes.y * x
     return _tail_certificate(residues[modes.lead], float(np.abs(residues).sum()), modes, tol)
 
 
@@ -528,9 +511,10 @@ def _sign_pattern(A: Matrix) -> _SignPattern | None:
     negative or the off-diagonal pattern cannot be 2-coloured: S A S >= 0
     asks s_i s_j = sign A_ij of each nonzero A_ij off the diagonal, and
     A_ii >= 0.  Each block is coloured from its first index, which gets +1,
-    so S is unique up to the sign of each block."""
+    so S is unique up to the sign of each block.  The signs are read off the
+    integer rows of A, whose scales are positive."""
     n = A.rows
-    sgn = [[sign_of(x, Backend.EXACT) for x in row] for row in A.data]
+    sgn = [[sign_of(x, Backend.EXACT) for x in row] for row in A.ints]
     if any(sgn[i][i] < 0 for i in range(n)):
         return None
     edges = [[] for _ in range(n)]

@@ -133,9 +133,10 @@ class _OperatorContext:
         # exact ones, of O_n's rank (Cayley-Hamilton); a float rank could differ
         rows = output_rows(A, c, self.n + 1 if exact else self.n)
         self._memo = {("rows", 1): rows}
-        self._minors = minors = Minors.of_rows(rows.rows, rows.dens)
+        section = Matrix._of_ints(rows.dens, rows.rows) if exact else Matrix.floating(rows.rows)
+        self._minors = minors = Minors(section)
         full = tuple(range(1, self.n + 1))
-        self.det_n = next(minors.row(full, [full]))
+        self.det_n = minors.value((full, full))
         # exact O_n has full rank exactly when det O_n != 0; float reads the rank under tol
         if not (exact and self.det_n) and (obs_rank := minors.rank(tol)) < self.n:
             raise NotObservableError(f"observability matrix has rank {obs_rank} < {self.n}")
@@ -153,8 +154,9 @@ class _OperatorContext:
         return self._cached(("C_r(A)", r), lambda: compound(self.A, r))
 
     def c_compound(self, r: int) -> tuple[Num, ...]:
-        return self._cached(("c_r", r), lambda: tuple(self._minors.row(
-            tuple(range(1, r + 1)), index_sets(self.n, r))))
+        first = tuple(range(1, r + 1))
+        return self._cached(("c_r", r), lambda: tuple(
+            self._minors.value((first, J)) for J in index_sets(self.n, r)))
 
     def shifted(self, k: int, r: int, beta: IndexTuple | None) -> tuple[LtiSystem, int]:
         """(C_r(A), w, c_r) and the shift s of the (k, r, beta) system, beta None

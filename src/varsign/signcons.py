@@ -7,7 +7,7 @@ variation-diminishing (VD) matrices.
 
 The checks compute only the minors that decide a verdict.  Each check reads
 its minors, and the VB and VD checks their rank, from one ``linalg.Minors``,
-in any order: its exact rows are lifted once, and no minor is computed twice.
+in any order, on the matrix's integer rows: no minor is computed twice.
 Signs are read off the streamed minors, which in exact arithmetic are Bareiss
 integers with the minors' signs; only a witness minor that a result returns or
 reports is turned into its value (``Minors.value``).

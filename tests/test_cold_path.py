@@ -3,7 +3,8 @@
 One fresh interpreter, with ``src`` on ``PYTHONPATH``, imports varsign,
 resolves every public name and runs exact and float ``check-matrix``, and
 an exact ``certify`` whose every system the sign pattern of C_r(A) proves,
-without loading numpy; the same process then runs an exact ``certify``
+and exact ``certify`` runs on 1 x 1 pairs, without loading numpy; the same
+process then runs an exact ``certify``
 that needs an eigen tail, and an ``oracle`` search, which load it and must
 give what they give in this process.
 """
@@ -32,6 +33,12 @@ CHECK_MATRIX = [
 DIAGONAL = {"A": [["0.5", "0", "0"], ["0", "0.25", "0"], ["0", "0", "0.125"]],
             "c": ["1", "1", "1"]}
 PROVED = [["certify", "diagonal.json", "--property", prop, "--k", "1"] for prop in ("svb", "vd")]
+# 1 x 1 pairs: the sign pattern of A = [1/2] proves its system, and the
+# samples of A = [-1/2] alternate by t = 2, so neither takes an eigen tail
+SCALARS = {"half.json": {"A": [["1/2"]], "c": ["1"]},
+           "minus_half.json": {"A": [["-1/2"]], "c": ["1"]}}
+SCALAR = [["certify", name, "--property", prop, "--k", "1"]
+          for name in SCALARS for prop in ("svb", "vb", "kpos", "vd")]
 # example2 certifies svb at k = 2, three of its systems through eigen tails;
 # the oracle refutes k = 1
 LOADING = [
@@ -44,7 +51,7 @@ import io, json, sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-names, check_matrix, proved, loading, out = json.loads(sys.argv[1])
+names, check_matrix, proved, scalar, loading, out = json.loads(sys.argv[1])
 loaded = {}
 
 def step(label):
@@ -69,6 +76,8 @@ cold = [run(argv, i) for i, argv in enumerate(check_matrix)]
 step("check-matrix")
 cold += [run(argv, len(cold) + i) for i, argv in enumerate(proved)]
 step("proved certify")
+cold += [run(argv, len(cold) + i) for i, argv in enumerate(scalar)]
+step("1 x 1 certify")
 warm = []
 for i, argv in enumerate(loading):
     warm.append(run(argv, len(cold) + i))
@@ -86,23 +95,28 @@ def _in_process(argv, out, capsys):
 def test_cold_path_loads_no_numpy(tmp_path, capsys):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     (tmp_path / "diagonal.json").write_text(json.dumps(DIAGONAL))
-    payload = json.dumps([PUBLIC_NAMES, CHECK_MATRIX, PROVED, LOADING, str(tmp_path / "fresh")])
+    for name, pair in SCALARS.items():
+        (tmp_path / name).write_text(json.dumps(pair))
+    payload = json.dumps([PUBLIC_NAMES, CHECK_MATRIX, PROVED, SCALAR, LOADING,
+                          str(tmp_path / "fresh")])
     proc = subprocess.run([sys.executable, "-c", _SCRIPT, payload], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["loaded"] == {"import varsign": False, "public names": False,
                              "import varsign.cli": False, "check-matrix": False,
-                             "proved certify": False, "certify": True, "oracle": True}
-    runs = CHECK_MATRIX + PROVED + LOADING
+                             "proved certify": False, "1 x 1 certify": False,
+                             "certify": True, "oracle": True}
+    runs = CHECK_MATRIX + PROVED + SCALAR + LOADING
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp_path)
         want = [_in_process(argv, tmp_path / "here" / str(i), capsys)
                 for i, argv in enumerate(runs)]
     assert got["cold"] + got["warm"] == want
-    assert [code for code, _, _ in want[-4:]] == [0, 0, 0, 1]
+    assert [code for code, _, _ in want[-12:]] == [0, 0] + [0] * 4 + [1] * 4 + [0, 1]
     # every system of the proved runs rests on its sign pattern
-    for _, _, report in got["cold"][-len(PROVED):]:
+    proved = len(CHECK_MATRIX)
+    for _, _, report in got["cold"][proved:proved + len(PROVED)]:
         systems = json.loads(report)["certificate"]["systems"]
         assert systems and all(s["notes"][0].startswith("tail by sign pattern")
                                for s in systems)

@@ -20,7 +20,8 @@ import pytest
 import varsign.signcons as signcons
 from varsign import linalg
 from varsign.cli import main
-from varsign.linalg import Matrix, Minors, index_sets, minor, scalar_text
+from varsign.linalg import Matrix, Minors, compound, index_sets, lift, minor, scalar_text
+from varsign.lti import observability_matrix
 from varsign.signcons import (
     _witness_text,
     consecutive_certificate,
@@ -93,9 +94,9 @@ def test_corpus_holds_minors_past_the_int_string_limit():
 
 @pytest.mark.parametrize("kind, X", CORPUS, ids=IDS)
 def test_exact_stream_reads_are_minors_times_row_scales(kind, X):
-    """Two streams and a ``row`` call read in turn on one ``Minors``: every
+    """Two streams and ``value`` reads in turn on one ``Minors``: every
     streamed read is an int, the minor times the product of the row scales
-    of I; every ``row`` read is the minor as a ``Fraction``."""
+    of I; every ``value`` read is the minor as a ``Fraction``."""
     minors = Minors(X)
     for r in range(1, min(X.shape) + 1):
         rows, cols = index_sets(X.rows, r), index_sets(X.cols, r)
@@ -104,7 +105,7 @@ def test_exact_stream_reads_are_minors_times_row_scales(kind, X):
             for (I, J), v in filter(None, pair):
                 assert type(v) is int and v == streamed_minor(X, I, J), (I, J)
             I = rows[n % len(rows)]
-            got = list(minors.row(I, cols[::-1]))
+            got = [minors.value((I, J)) for J in cols[::-1]]
             assert got == [minor(X, I, J) for J in cols[::-1]]
             assert all(type(x) is Fraction for x in got)
 
@@ -123,6 +124,90 @@ def test_value_of_a_streamed_minor_runs_no_elimination(monkeypatch, kind, X):
         got = minors.value(key)
         assert got == value and type(got) is Fraction, key
     assert calls == []
+
+
+def _floats(xs):
+    """Each entry as the hex of its nearest double, or None past float range."""
+    out = []
+    for x in xs:
+        try:
+            out.append(float(x).hex())
+        except OverflowError:
+            out.append(None)
+    return out
+
+
+def _repr(M):
+    """``repr(M)``, or the error of an entry past the int-string digit limit."""
+    try:
+        return repr(M)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_one_form(build):
+    """The exact matrix ``build()`` is built with no ``Fraction`` and no call
+    of ``linalg.parse_scalar``, and holds each row as ``lift`` of its entries
+    gives it; it equals, hashes and reprs like the matrix of its entries, and
+    rounds to floats as ``float`` of each entry does."""
+    built, parsed = [], []
+    new, parse = Fraction.__new__, linalg.parse_scalar
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__",
+                      lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+        patch.setattr(linalg, "parse_scalar", lambda *args: parsed.append(args) or parse(*args))
+        M = build()
+    assert (built, parsed) == ([], [])
+    assert all((M.dens[i], M.ints[i]) == lift(row) for i, row in enumerate(M.data))
+    twin = Matrix.exact(M.data)
+    assert M == twin and hash(M) == hash(twin) and _repr(M) == _repr(twin)
+    want = [_floats(row) for row in M.data]
+    if any(None in row for row in want):
+        with pytest.raises(OverflowError):
+            M.to_float()
+    else:
+        assert [[x.hex() for x in row] for row in M.to_float().data] == want
+
+
+@pytest.mark.parametrize("kind, X", CORPUS, ids=IDS)
+def test_compound_keeps_the_one_integer_form(kind, X):
+    for r in range(1, min(X.shape) + 1):
+        _assert_one_form(lambda: compound(X, r))
+
+
+def test_observability_matrix_keeps_the_one_integer_form():
+    rng = random.Random(4301)
+    pairs = [(X, tuple(X.data[0])) for kind, X in CORPUS if X.rows == X.cols]
+    pairs += [(random_exact(rng, n, n, -5, 5, 9),
+               tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(n)))
+              for n in (1, 2, 3, 4, 5) for _ in range(3)]
+    pairs.append((Matrix.exact([["1e400", 0], [0, "1/2"]]), (Fraction(1), Fraction(1))))
+    assert any(kind == "huge" and X.rows == X.cols for kind, X in CORPUS)
+    for A, c in pairs:
+        for t in (1, A.rows, A.rows + 2):
+            _assert_one_form(lambda: observability_matrix(A, c, t))
+
+
+@pytest.mark.parametrize("kind, X", CORPUS, ids=IDS)
+def test_value_of_an_unstreamed_minor_is_kept_for_stream(monkeypatch, kind, X):
+    """``value`` of a minor no read has computed runs one elimination, none
+    when a row of it is zero on its columns; a later ``stream`` or ``value``
+    of that minor runs none."""
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    minors = Minors(X)
+    for r in range(1, min(X.shape) + 1):
+        for I in index_sets(X.rows, r):
+            for J in index_sets(X.cols, r):
+                want, read = minor(X, I, J), streamed_minor(X, I, J)
+                zero_row = any(not any(X.data[i - 1][j - 1] for j in J) for i in I)
+                calls.clear()
+                assert minors.value((I, J)) == want
+                assert calls == ([] if zero_row else [r]), (I, J)
+                calls.clear()
+                assert list(minors.stream([I], [J])) == [((I, J), read)]
+                assert minors.value((I, J)) == want and calls == [], (I, J)
 
 
 def _bareiss_reference(m):
@@ -267,8 +352,10 @@ def test_checks_value_only_the_witness_minors_they_render(monkeypatch):
                     continue
                 if result.status is signcons.Conclusion.REFUTED:
                     refuted += 1
-                    witness = tuple((key, minor(X, *key)) for key in keys)
-                    assert len(keys) == 2 and result.detail.endswith(_witness_text(witness))
+                    # ``minor`` reads through ``Minors.value`` too: copy the keys first
+                    recorded = list(keys)
+                    witness = tuple((key, minor(X, *key)) for key in recorded)
+                    assert len(recorded) == 2 and result.detail.endswith(_witness_text(witness))
                 else:
                     assert keys == [], (kind, k, check.__name__)
     assert refuted >= 10

@@ -142,9 +142,9 @@ def test_lex_tuples_examples():
 
 
 def test_minor_reads_may_interleave_in_any_order():
-    """Two streams read in turn, with a ``row`` call after each pair of reads,
-    all on one ``Minors``: each ``row`` read and the ``value`` of each streamed
-    read is the minor as ``minor`` gives it, and each streamed read is what
+    """Two streams read in turn, with ``value`` reads after each pair of
+    reads, all on one ``Minors``: each ``value`` read, of a streamed minor or
+    not, is the minor as ``minor`` gives it, and each streamed read is what
     ``streamed_minor`` gives (exact: an int), exact and float."""
     X = Matrix.exact([[1, 2, 3], [4, 5, 7], [2, 9, 1], [3, 1, 8]])
     minors = Minors(X)
@@ -165,7 +165,7 @@ def test_minor_reads_may_interleave_in_any_order():
             for n, pair in enumerate(both):
                 streamed += [read for read in pair if read is not None]
                 I, some = rows[n % len(rows)], cols[n % 2::2]
-                valued += [((I, J), v) for J, v in zip(some, minors.row(I, some))]
+                valued += [((I, J), minors.value((I, J))) for J in some]
             assert len(streamed) + len(valued) > len(rows) * len(cols)
             for (I, J), v in streamed:
                 assert v == streamed_minor(Y, I, J), (Y, I, J)

@@ -562,15 +562,16 @@ def test_exact_input_is_lifted_once_per_system(monkeypatch):
     """Samples taken in blocks hold the numerators, D_b and denominators of one
     call's samples, and a system lifts b to D_b b once however many blocks
     sample it: here two blocks by hand, then ``analyse``, whose one-signed
-    samples run to the horizon in blocks ending at t = 8 and 50."""
+    samples run to the horizon in blocks ending at t = 8 and 50.  The output
+    rows lift c only: A was lifted when it was built."""
     A, c = Matrix.exact([["1/2", "1/10"], ["0", "1/4"]]), ("1/3", 1)
     inputs = [("1/3", "2/7"), ("5/6", "1/9"), (1, 0)]
     want = [impulse_response(LtiSystem(A, b, c), 50) for b in inputs]
     lifts, lift = [], lti.lift
     monkeypatch.setattr(lti, "lift", lambda xs: lifts.append(tuple(xs)) or lift(xs))
     rows = output_rows(A, c, 1)
-    # A as one block, then c, once for the pair
-    assert lifts == [tuple(x for row in A.data for x in row), (Fraction(1, 3), 1)]
+    # c, once for the pair
+    assert lifts == [(Fraction(1, 3), 1)]
     lifts.clear()
     for b, one in zip(inputs, want):
         sys = LtiSystem(A, b, c)
@@ -939,12 +940,11 @@ def _fields(result):
 def test_scalar_exact_tail_matches_the_eigen_route(a, g1, c):
     """A 1 x 1 exact system (an order-1 recurrence companion when c = 1, or
     C_n(A) = [det A]) gives the certificate and note of the eigen route,
-    field for field, without an eigen-solve."""
+    field for field."""
     sys = _scalar_system(a, g1, c)
     want = _fields(_eigen_tail_reference(sys))
     assert _fields(dominant_tail(sys)) == want
     modes = lti.dominant_modes(sys.A, sys.c)
-    assert modes.V is None or modes.note
     assert _fields(dominant_tail(sys, modes=modes)) == want
 
 
@@ -984,31 +984,6 @@ def test_residue_gate_notes_tell_an_inactive_mode_from_a_small_residue(b1, note,
     keeps the note that does not claim to know which."""
     sys = LtiSystem(Matrix([["0.5", "0"], ["0", "0.25"]], backend), (b1, "1"), ("1", "1"))
     assert dominant_tail(sys) == (None, note)
-
-
-def test_scalar_exact_systems_need_no_eigen_solve(monkeypatch):
-    """With numpy's ``eig`` and ``solve`` refusing, every 1 x 1 exact tail,
-    that of an order-1 recurrence companion included, comes out as before;
-    a float 1 x 1 system still runs ``eig``."""
-    want = {case: _fields(_eigen_tail_reference(_scalar_system(*case))) for case in _SCALAR_GRID}
-    # the only active mode (1/5) of this diagonal system is not its dominant one
-    A = Matrix.exact([[Fraction(6 - i, 5) if i == j else 0 for j in range(5)] for i in range(5)])
-    sys = LtiSystem(A, (0, 0, 0, 0, 1), (1,) * 5)
-    companion = minimal_recurrence_system(sys, impulse_response(sys, 40))
-    assert companion.n == 1
-    companion_want = _fields(_eigen_tail_reference(companion))
-    assert companion_want[0] is not None
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigen-solve called")
-
-    monkeypatch.setattr(np.linalg, "eig", refuse)
-    monkeypatch.setattr(np.linalg, "solve", refuse)
-    for case, result in want.items():
-        assert _fields(dominant_tail(_scalar_system(*case))) == result, case
-    assert _fields(dominant_tail(companion)) == companion_want
-    with pytest.raises(AssertionError, match="eigen-solve"):
-        lti.dominant_modes(Matrix.floating([[0.5]]), (1.0,))
 
 
 def _signature_brute_force(A):

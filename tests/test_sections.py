@@ -253,9 +253,9 @@ def test_context_reads_o_n_and_the_section_off_the_integer_rows():
             ctx = obsv._OperatorContext(*pair)
             full = tuple(range(1, n + 1))
             assert ctx._minors.rank() == n
-            assert ctx.det_n == next(old.row(full, [full]))
+            assert ctx.det_n == old.value((full, full))
             for r in range(1, n + 1):
-                want = tuple(old.row(tuple(range(1, r + 1)), index_sets(n, r)))
+                want = tuple(old.value((tuple(range(1, r + 1)), J)) for J in index_sets(n, r))
                 assert ctx.c_compound(r) == want
             if pair[0] is A:  # exact: the section is the context's own Minors
                 assert ctx._minors.shape == (n + 1, n)
@@ -263,7 +263,7 @@ def test_context_reads_o_n_and_the_section_off_the_integer_rows():
             else:
                 assert ctx._minors.shape == (n, n)
                 rows = output_rows(*pair, n + 1)
-                section = Minors.of_rows(rows.rows, rows.dens)
+                section = Minors(Matrix.floating(rows.rows))
             reference = Minors(observability_matrix(*pair, n + 1))
             for r in range(1, n + 1):
                 # the two lift their rows by different scales: compare values
@@ -280,10 +280,10 @@ def test_each_exact_pair_reads_one_minors(monkeypatch):
     builds per C_r(A), certify_vb and certify_vd build one ``Minors`` per
     context, whether the section refutes or not, and ``_section_refutation``
     builds and extends no rows."""
-    fills, compounds, contexts = [], [], []
-    fill, compound, init = linalg.Minors._fill, obsv.compound, obsv._OperatorContext.__init__
-    monkeypatch.setattr(linalg.Minors, "_fill",
-                        lambda self, *args: (fills.append(self), fill(self, *args))[1])
+    built, compounds, contexts = [], [], []
+    new, compound, init = linalg.Minors.__init__, obsv.compound, obsv._OperatorContext.__init__
+    monkeypatch.setattr(linalg.Minors, "__init__",
+                        lambda self, *args: (built.append(self), new(self, *args))[1])
     monkeypatch.setattr(obsv, "compound",
                         lambda *args: (compounds.append(args), compound(*args))[1])
     monkeypatch.setattr(obsv._OperatorContext, "__init__",
@@ -295,10 +295,10 @@ def test_each_exact_pair_reads_one_minors(monkeypatch):
     for A, c in pairs:
         for k in (1, 2, 3):
             for certify in (certify_vb, certify_vd):
-                del fills[:], compounds[:], contexts[:]
+                del built[:], compounds[:], contexts[:]
                 refuted += certify(A, c, k).conclusion is Conclusion.REFUTED
                 assert len(contexts) == 1
-                assert len(fills) == len(compounds) + 1, (A, c, k, certify)
+                assert len(built) == len(compounds) + 1, (A, c, k, certify)
                 runs += 1
     assert runs == 18 and 0 < refuted < runs
 
@@ -309,7 +309,7 @@ def test_each_exact_pair_reads_one_minors(monkeypatch):
         ctx = obsv._OperatorContext(A, c)
         monkeypatch.setattr(ctx, "output_rows", unreachable)
         monkeypatch.setattr(obsv, "output_rows", unreachable)
-        monkeypatch.setattr(linalg.Minors, "of_rows", unreachable)
+        monkeypatch.setattr(linalg.Minors, "__init__", unreachable)
         obsv._section_refutation(ctx, "VD_2", [1, 2, 3])
         monkeypatch.undo()
 

@@ -126,11 +126,11 @@ def test_exact_compound_matches_per_minor_bareiss(A, c, inputs):
 
 @pytest.mark.parametrize("A, c, inputs", CASES)
 def test_exact_minor_reads_interleave_with_structural_zeros(A, c, inputs):
-    """``row`` and ``stream`` calls on one ``Minors`` of A stacked on its
+    """``value`` and ``stream`` calls on one ``Minors`` of A stacked on its
     first two output rows (zero rows and zero columns included) read in turn
     give the per-minor Bareiss values, whichever call reads a minor first:
-    ``row`` and ``value`` as ``Fraction``s, ``stream`` as ints, each the
-    value times the product of its row scales."""
+    ``value`` as ``Fraction``s, ``stream`` as ints, each the value times the
+    product of its row scales."""
     rows, dens = _dense_rows(A, c, 2)
     X = Matrix.exact([*A.data, *([Fraction(x, d) for x in w] for w, d in zip(rows, dens))])
     orders = [(index_sets(X.rows, r), index_sets(X.cols, r)) for r in range(1, A.rows + 1)]
@@ -149,7 +149,8 @@ def test_exact_minor_reads_interleave_with_structural_zeros(A, c, inputs):
                     assert v == want[I, J] * math.prod(scales[i - 1] for i in I)
                     assert minors.value((I, J)) == want[I, J]
             I = row_sets[k % len(row_sets)]
-            assert list(minors.row(I, col_sets[::-1])) == [want[I, J] for J in col_sets[::-1]]
+            for J in col_sets[::-1]:
+                assert minors.value((I, J)) == want[I, J]
 
 
 def test_compound_of_a_diagonal_eliminates_only_its_diagonal(monkeypatch):
@@ -170,7 +171,8 @@ def test_compound_of_a_diagonal_eliminates_only_its_diagonal(monkeypatch):
                    for a, I in enumerate(sets) for b in range(len(sets)))
     first = compound(D, 2).data[0]
     calls.clear()
-    assert tuple(Minors(D).row((1, 2), index_sets(n, 2))) == first
+    minors = Minors(D)
+    assert tuple(minors.value(((1, 2), J)) for J in index_sets(n, 2)) == first
     assert calls == [2]  # the one nonzero minor of rows {1, 2}, on columns {1, 2}
 
 
@@ -209,7 +211,7 @@ def test_lift_scales_by_the_lcm_of_the_denominators():
 
 def test_float_minors_keep_their_signed_zeros():
     X = Matrix.floating([[-0.0, 0.0], [0.0, -0.0]])
-    minors = list(Minors(X).row((1,), [(1,), (2,)]))
+    minors = [Minors(X).value(((1,), J)) for J in [(1,), (2,)]]
     assert [math.copysign(1.0, x) for x in minors] == [-1.0, 1.0]
     assert all(x == 0.0 for x in compound(X, 1).data[1])
 

@@ -56,13 +56,14 @@ S-(x0) <= k-1 and S-(O_(n+1) x0) >= k, the output O x0 has O_(n+1) x0 as
 its prefix, and S- of a prefix never exceeds S- of the whole sequence.  (An
 input of a section of an operator on sequences, such as a Hankel operator,
 is the operator's input cut off, and zero-padding it back keeps its S-.)
-So ``signcons``' VB check refuting the section refutes the operator, before
+So ``signcons``' VB fold refuting the section refutes the operator, before
 any system is analysed.  A silent check leaves the engine to decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import combinations, islice
 from typing import Sequence
 
@@ -77,7 +78,6 @@ from .linalg import (
     RankOutOfRangeError,
     compound,
     index_sets,
-    parse_scalar,
     scalar_text,
 )
 from .lti import (
@@ -99,8 +99,10 @@ from .lti import (
     _SignPattern,
     _sign_pattern,
 )
-from .signcons import Conclusion, _anchored_tuples, _is_consecutive_tail, _vb_check
+from .signcons import Conclusion, _anchored_tuples, _is_consecutive_tail, _vb_fold
 from .variation import v_minus
+
+_ZERO_ONE = {Backend.EXACT: (Fraction(0), Fraction(1)), Backend.FLOAT: (0.0, 1.0)}
 
 
 class NotObservableError(LinalgError):
@@ -220,7 +222,7 @@ def full_compound_systems(A: Matrix, c: Sequence[Num],
 def _minor_trace_input(ctx: _OperatorContext, k: int, r: int, beta: IndexTuple) -> tuple[Num, ...]:
     """Input w of the (k, r, beta) system, read k - r rows late (module docstring)."""
     n, a, elems = ctx.n, k - r, beta.elems
-    zero, one = (parse_scalar(x, ctx.A.backend) for x in (0, 1))
+    zero, one = _ZERO_ONE[ctx.A.backend]
     anchors = dict(zip(index_sets(n, a), ctx.c_compound(a) if a else [one]))
     terms = {}
     for pos in combinations(range(k), r):
@@ -388,21 +390,16 @@ def _certify(ctx: _OperatorContext, prop: str, k: int, strict: bool = True) -> C
 
 
 def _section_refutation(ctx: _OperatorContext, name: str, orders) -> Certificate | None:
-    """The refuted certificate ``name`` when the section O_(n+1) is not
-    VB_(j-1) at one of ``orders``, tried in turn on the context's ``Minors``,
-    whose n + 1 rows are the section; its note names the section, the rule and
-    the witness minors.  None when every check is silent, and always in float
-    arithmetic, whose minors are classed against an absolute tolerance."""
-    if ctx.A.backend is not Backend.EXACT:
+    """The refuted certificate ``name`` when the section O_(n+1), the rows of
+    the context's ``Minors``, is not VB_(j-1) at one of ``orders`` (``_vb_fold``);
+    its note names the section, the rule and the witness minors.  None otherwise,
+    and always in float arithmetic, whose minors are classed against an absolute tolerance."""
+    # the context checked that O_n, and so O_(n+1) (Cayley-Hamilton), has rank n
+    check = ctx.A.backend is Backend.EXACT and _vb_fold(ctx._minors, orders, ctx.n, ctx.tol)
+    if not check or check.status is not Conclusion.REFUTED:
         return None
-    for j in orders:
-        # the context checked that O_n, and so O_(n+1) (Cayley-Hamilton), has rank n
-        check = _vb_check(ctx._minors, j, ctx.n, ctx.tol)
-        if check.status is Conclusion.REFUTED:
-            return Certificate(name, "observability", Conclusion.REFUTED, None, [], ctx.horizon, [
-                f"section O_{ctx.n + 1} is not {check.property_name} ({check.rule}): "
-                f"{check.detail}"])
-    return None
+    return Certificate(name, "observability", Conclusion.REFUTED, None, [], ctx.horizon, [
+        f"section O_{ctx.n + 1} is not {check.property_name} ({check.rule}): {check.detail}"])
 
 
 def _context(A: Matrix, c: Sequence[Num], k: int, horizon: int | None,

@@ -3,7 +3,8 @@
 Implements the sign checks over all minors of an order, the polynomial-size
 reduced minor families (strict and non-strict variants), the consecutive
 minor certificate, and decision procedures for variation-bounding (VB) and
-variation-diminishing (VD) matrices.
+variation-diminishing (VD) matrices; VD_(k-1) is VB_(j-1) at every j <= k,
+decided by one fold of the VB check (``_vb_fold``), which ``obsv`` reads too.
 
 The checks compute only the minors that decide a verdict.  Each check reads
 its minors, and the VB and VD checks their rank, from one ``linalg.Minors``,
@@ -16,10 +17,10 @@ opposite signs.  In exact arithmetic Fekete's criterion comes first: when
 every consecutive minor of orders 1..p is positive, every minor of order
 <= p is (Fallat & Johnson, *Totally Nonnegative Matrices*, 2011, ch. 3), and
 those orders are judged strictly positive without reading any other minor.
-Float mode skips that scan, since a rounded minor proves nothing.  The VB and
-VD checks return at the first route that decides, and a sign-consistency
-route certifies a one-signed summary, refutes a mixed one by its witness, and
-is otherwise inside tolerance.
+Float mode skips that scan, since a rounded minor proves nothing.  The VB
+check returns at the first route that decides, and a sign-consistency route
+certifies a one-signed summary, refutes a mixed one by its witness, and is
+otherwise inside tolerance.
 """
 
 from __future__ import annotations
@@ -424,9 +425,9 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
 
 
 def _vb_check(minors: Minors, k: int, rk: int, tol: float = DEFAULT_TOL) -> MatrixPropertyCheck:
-    """``vb_matrix_check`` on the matrix of ``minors``, of rank ``rk``, which
-    must have more rows than columns and at least k columns; reads share its
-    minors."""
+    """``vb_matrix_check`` on X, the matrix of ``minors``, of rank ``rk``, rows >= cols >= k;
+    reads share its minors.  A square X has the VB verdicts of [X; 0] (a zero row adds no
+    sign change), and in exact arithmetic each route gives it the conclusion it gives [X; 0]."""
     (n, m), backend = minors.shape, minors.backend
     name = f"VB_{k - 1}"
     if rk < k < m:  # at k = m the full-width route reports a short rank itself
@@ -469,31 +470,33 @@ def _vb_check(minors: Minors, k: int, rk: int, tol: float = DEFAULT_TOL) -> Matr
                           f"epsilon={s.epsilon:+d}" if s.epsilon else "")
 
 
+def _vb_fold(minors: Minors, orders, rk: int, tol: float) -> MatrixPropertyCheck | None:
+    """The first ``_vb_check`` of ``minors``, of rank ``rk``, over ``orders``
+    that refutes, else the first inconclusive one; None when every order
+    certifies.  Stops at the first refutation."""
+    first = None
+    for check in (_vb_check(minors, j, rk, tol) for j in orders):
+        if check.status is Conclusion.REFUTED:
+            return check
+        if first is None and check.status is Conclusion.INCONCLUSIVE:
+            first = check
+    return first
+
+
 def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixPropertyCheck:
-    """Decide whether X is (k-1)-variation diminishing where a characterization applies."""
+    """Decide whether X is (k-1)-variation diminishing where a characterization applies:
+    total positivity up to order k certifies; else X is VD_(k-1) exactly when it is
+    VB_(j-1) at every j <= k (``_vb_fold``), and a failing order names itself in the rule."""
     if X.rows < X.cols:
         raise RankOutOfRangeError(f"need rows >= cols, got shape {X.shape}")
     _check_order(X, k)
     name = f"VD_{k - 1}"
     minors = Minors(X)
     p = _fekete_order(minors, k)
-    orders = {j: _order_summary(minors, j, p, tol) for j in range(1, k + 1)}
-    if all(s.verdict in _POSITIVE_OK for s in orders.values()):
-        return MatrixPropertyCheck(
-            name, Conclusion.CERTIFIED, "total positivity",
-            f"order-preserving VD_{k - 1} established")
-    rk = minors.rank(tol)
-    if rk <= k or not _all_k_columns_independent(minors, k, tol):
-        return MatrixPropertyCheck(
-            name, Conclusion.INCONCLUSIVE, "hypothesis not met",
-            f"rank={rk}; need rank > k with every {k} columns independent, "
-            "and the total-positivity route did not apply")
-    rule = "sign regularity with independent columns"
-    bad = next((j for j, s in orders.items() if s.verdict is SignVerdict.MIXED), None)
-    if bad is not None:
-        return MatrixPropertyCheck(
-            name, Conclusion.REFUTED, rule,
-            f"order {bad} minors are mixed: {_shown(minors, orders[bad].witness)}")
-    if all(s.passes(strict=False) for s in orders.values()):
-        return MatrixPropertyCheck(name, Conclusion.CERTIFIED, rule)
-    return MatrixPropertyCheck(name, Conclusion.INCONCLUSIVE, rule, "minor signs inside tolerance")
+    if all(_order_summary(minors, j, p, tol).verdict in _POSITIVE_OK for j in range(1, k + 1)):
+        return MatrixPropertyCheck(name, Conclusion.CERTIFIED, "total positivity",
+                                   f"order-preserving VD_{k - 1} established")
+    if check := _vb_fold(minors, range(1, k + 1), minors.rank(tol), tol):
+        return MatrixPropertyCheck(name, check.status, f"{check.property_name}: {check.rule}",
+                                   check.detail)
+    return MatrixPropertyCheck(name, Conclusion.CERTIFIED, "VB_(j-1) at every order j <= k")

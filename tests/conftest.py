@@ -7,6 +7,7 @@ import pytest
 
 from varsign.linalg import Backend, Matrix, minor, rank
 from varsign.lti import observability_matrix
+from varsign.signcons import Conclusion, MatrixPropertyCheck
 
 
 def cofactor_det(rows):
@@ -88,6 +89,21 @@ def observable_pair(rng, n, lo=-3, hi=3, max_den=2):
         c = tuple(Fraction(rng.randint(lo, hi)) for _ in range(n))
         if rank(observability_matrix(A, c, n)) == n:
             return A, c
+
+
+def vd_of_vb(k, vb_checks):
+    """The VD_(k-1) check that the VB_(j-1) checks of j = 1..k (an iterable,
+    read whole) fold to, past the total-positivity route: the first refuted,
+    else the first inconclusive, under a rule that names its order; certified
+    when every order is."""
+    checks = list(vb_checks)
+    failed = (next((c for c in checks if c.status is Conclusion.REFUTED), None)
+              or next((c for c in checks if c.status is Conclusion.INCONCLUSIVE), None))
+    if failed is None:
+        return MatrixPropertyCheck(f"VD_{k - 1}", Conclusion.CERTIFIED,
+                                   "VB_(j-1) at every order j <= k")
+    return MatrixPropertyCheck(f"VD_{k - 1}", failed.status,
+                               f"{failed.property_name}: {failed.rule}", failed.detail)
 
 
 def trace_blocks(path) -> dict:

@@ -25,6 +25,9 @@ import pytest
 
 from varsign.cli import main
 from varsign.fixtures import path as fixture_path
+from varsign.linalg import Matrix
+from varsign.oracle import falsify_matrix_vb
+from varsign.variation import v_minus
 
 TABLE = Path(__file__).with_name("golden_check_matrix.json")
 PROPERTIES = ("sc", "ssc", "sr", "tp", "stp", "vb", "vd")
@@ -109,6 +112,38 @@ def run_group(tmp: Path, name: str, arith: str) -> dict:
 def test_check_matrix_matches_golden(tmp_path, name, arith):
     expected = json.loads(TABLE.read_text())[f"{name}/{arith}"]
     assert run_group(tmp_path, name, arith) == expected
+
+
+# The vd runs that the VB fold moved from "undecidable" to refuted: the
+# sign-regularity route they took before needed rank > k with every k columns
+# independent, which these runs do not have (twelve of them are on the square
+# example1, example2, example3, mixed33 and random44).
+FOLD_REFUTED = [
+    (name, arith, case) for name, cases in [
+        ("cauchy43", ["vd/k3"]), ("cauchy52", ["vd/k2"]), ("example1", ["vd/k3"]),
+        ("example2", ["vd/k3"]), ("example3", ["vd/k5"]), ("mixed33", ["vd/k3"]),
+        ("random32", ["vd/k2"]), ("random43", ["vd/k3"]), ("random44", ["vd/k3", "vd/k4"]),
+        ("random53", ["vd/k3"]), ("rank2_43", ["vd/k2", "vd/k3"]),
+        ("zerocol43", ["vd/k2", "vd/k3"])]
+    for arith in ("exact", "float") for case in cases
+    if (name, arith) != ("zerocol43", "float")]
+
+
+@pytest.mark.parametrize("name,arith,case", FOLD_REFUTED,
+                         ids=[f"{n}/{a}/{c}" for n, a, c in FOLD_REFUTED])
+def test_fold_refutations_replay_an_exact_witness(name, arith, case):
+    """The order j that a refuted vd run's rule names (VB_(j-1)) has a
+    sampled input u, its doubles read as Fractions, with v-(u) <= j - 1 and
+    v-(X u) >= j in exact arithmetic on the exact X: X is not VB_(j-1), so
+    not VD_(k-1)."""
+    line = json.loads(json.loads(TABLE.read_text())[f"{name}/{arith}"][case]["stdout"])
+    assert line["verdict"] == "refuted"
+    j = int(line["rule"].removeprefix("VB_").partition(":")[0]) + 1
+    X = Matrix.exact(MATRICES[name])
+    report = falsify_matrix_vb(X, j, trials=2000, seed=0)
+    witnesses = [u for u in (tuple(map(Fraction, v.u)) for v in report.violations)
+                 if v_minus(u) <= j - 1 and v_minus(X.matvec(u)) >= j]
+    assert witnesses, (name, j, len(report.violations))
 
 
 def test_golden_table_covers_every_outcome():

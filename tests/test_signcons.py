@@ -28,7 +28,8 @@ from varsign.signcons import (
     vd_matrix_check,
 )
 
-from conftest import cauchy_exact, random_exact, reverse_columns, tn_band
+from conftest import cauchy_exact, random_exact, reverse_columns, tn_band, vd_of_vb
+from test_check_matrix_golden import MATRICES
 
 PENA = Matrix.exact([[1, 1], [1, 2], [1, 3], [1, 4]])
 
@@ -250,66 +251,93 @@ def test_vd_matrix_check_examples(rng):
     res = vd_matrix_check(PENA, 2)
     assert res.status is Conclusion.CERTIFIED
     assert res.rule == "total positivity"
-    # mixed entries refute VD_0 through the sign-regularity route
+    # mixed entries refute VD_0 as they refute VB_0
     mixed = Matrix.exact([[1, 2], [-1, 1], [2, 1]])
     res = vd_matrix_check(mixed, 1)
     assert res.status is Conclusion.REFUTED
-    # sign-regular but not positive: certified through the equivalence route
+    assert res.rule == "VB_0: sign consistency with independent columns"
+    # sign-regular but not positive: certified as VB_0 and VB_1
     X = reverse_columns(cauchy_exact(rng, 6, 4))
     res = vd_matrix_check(X, 2)
     assert res.status is Conclusion.CERTIFIED
-    assert res.rule == "sign regularity with independent columns"
+    assert res.rule == "VB_(j-1) at every order j <= k"
+    # square: example2's state matrix has entries of both signs, so it is not
+    # VB_0 and not VD_2 (an order the old route left undecided)
+    res = vd_matrix_check(Matrix.exact([["0.7", "0.6", "-2"], ["0.15", "0.15", "-0.25"],
+                                        ["0", "0.03", "0.1"]]), 3)
+    assert res.status is Conclusion.REFUTED
+    assert res.rule == "VB_0: sign consistency with independent columns"
 
 
-def _vd_reference(X, k, tol=1e-9):
-    """vd_matrix_check as it was when it recomputed sign regularity via sign_regular."""
-    name = f"VD_{k - 1}"
-    kp = k_positive(X, k, strict=False, tol=tol)
-    if kp.passed:
-        return MatrixPropertyCheck(
-            name, Conclusion.CERTIFIED, "total positivity",
-            f"order-preserving VD_{k - 1} established")
-    rk = rank(X, tol)
-    if rk > k and _ref_columns_independent(X, compound(X, k), k, tol):
-        sr = sign_regular(X, k, strict=False, tol=tol)
-        if sr.passed:
-            return MatrixPropertyCheck(
-                name, Conclusion.CERTIFIED, "sign regularity with independent columns")
-        bad = next((j for j, s in sr.orders.items() if s.verdict is SignVerdict.MIXED), None)
-        if bad is not None:
-            return MatrixPropertyCheck(
-                name, Conclusion.REFUTED, "sign regularity with independent columns",
-                f"order {bad} minors are mixed: {sr.orders[bad].witness}")
-        return MatrixPropertyCheck(
-            name, Conclusion.INCONCLUSIVE, "sign regularity with independent columns",
-            "minor signs inside tolerance")
-    return MatrixPropertyCheck(
-        name, Conclusion.INCONCLUSIVE, "hypothesis not met",
-        f"rank={rk}; need rank > k with every {k} columns independent, "
-        "and the total-positivity route did not apply")
-
-
-def test_vd_matrix_check_matches_sign_regular_reference():
+def test_vd_matrix_check_is_the_vb_fold_on_tall_matrices():
+    """On seeded tall matrices, exact and float: vd_matrix_check is total
+    positivity (k_positive, non-strict), else the fold of vb_matrix_check over
+    the orders j <= k, field for field.  So a decisive vd refutes exactly when
+    some order refutes, and certifies past total positivity only when every
+    order certifies; a totally positive X has no refuting order."""
     rng = random.Random(8101)
     corpus = []
-    for n, m in [(5, 3), (6, 4), (7, 5)]:
-        corpus += [random_exact(rng, n, m), random_exact(rng, n, m, 0, 3, 2),
-                   cauchy_exact(rng, n, m), reverse_columns(cauchy_exact(rng, n, m)),
-                   reverse_columns(tn_band(rng, n, m))]
-    corpus += [X.to_float() for X in corpus[:6]]
+    for n, m in [(3, 2), (4, 2), (4, 3), (5, 3), (6, 4), (7, 5)]:
+        for _ in range(6):
+            corpus += [random_exact(rng, n, m), random_exact(rng, n, m, 0, 3, 2),
+                       cauchy_exact(rng, n, m), reverse_columns(cauchy_exact(rng, n, m)),
+                       reverse_columns(tn_band(rng, n, m))]
+    corpus += [X.to_float() for X in corpus[::3]]
+    assert len(corpus) >= 200
     outcomes = set()
     for X in corpus:
         for k in range(1, X.cols + 1):
             got = vd_matrix_check(X, k)
-            assert got == _vd_reference(X, k), (X, k)
-            outcomes.add((got.status, got.rule))
-    assert (Conclusion.CERTIFIED, "total positivity") in outcomes
-    assert (Conclusion.CERTIFIED, "sign regularity with independent columns") in outcomes
-    assert (Conclusion.REFUTED, "sign regularity with independent columns") in outcomes
+            vbs = [vb_matrix_check(X, j) for j in range(1, k + 1)]
+            if k_positive(X, k, strict=False).passed:
+                assert got == MatrixPropertyCheck(
+                    f"VD_{k - 1}", Conclusion.CERTIFIED, "total positivity",
+                    f"order-preserving VD_{k - 1} established"), (X, k)
+            else:
+                assert got == vd_of_vb(k, vbs), (X, k)
+            statuses = {c.status for c in vbs}
+            if got.status is not Conclusion.INCONCLUSIVE:
+                assert (got.status is Conclusion.REFUTED) == (Conclusion.REFUTED in statuses)
+            if got.rule == "VB_(j-1) at every order j <= k":
+                assert statuses == {Conclusion.CERTIFIED}
+            outcomes.add((got.status, got.rule.partition(":")[0]))
+    for outcome in [(Conclusion.CERTIFIED, "total positivity"),
+                    (Conclusion.CERTIFIED, "VB_(j-1) at every order j <= k"),
+                    (Conclusion.REFUTED, "VB_0"), (Conclusion.REFUTED, "VB_1"),
+                    (Conclusion.INCONCLUSIVE, "VB_0")]:
+        assert outcome in outcomes, outcome
     # sign regular with exact zero minors: certified only under the non-strict judgement
     banded = reverse_columns(tn_band(rng, 5, 3))
-    assert vd_matrix_check(banded, 2).rule == "sign regularity with independent columns"
-    assert vd_matrix_check(banded, 2).status is Conclusion.CERTIFIED
+    assert vd_matrix_check(banded, 2) == MatrixPropertyCheck(
+        "VD_1", Conclusion.CERTIFIED, "VB_(j-1) at every order j <= k")
+
+
+def test_vb_check_decides_square_x_as_x_over_a_zero_row():
+    """In exact arithmetic ``_vb_check`` gives a square X, at every order j,
+    the conclusion that ``vb_matrix_check`` gives [X; 0]: a zero row adds no
+    sign change to any output, so both have the same VB verdicts, and [X; 0]
+    has the shape that the check's routes are proven for.  On the golden
+    table's square matrices and seeded random, rank-deficient, Cauchy,
+    column-reversed and banded ones."""
+    rng = random.Random(4404)
+    square = [Matrix.exact(rows) for rows in MATRICES.values() if len(rows) == len(rows[0])]
+    assert len(square) >= 5
+    for n in (2, 3, 4, 5):
+        for _ in range(2):
+            two = random_exact(rng, n, 2)
+            square += [random_exact(rng, n, n), random_exact(rng, n, n, 0, 3, 2),
+                       cauchy_exact(rng, n, n), reverse_columns(cauchy_exact(rng, n, n)),
+                       reverse_columns(tn_band(rng, n, n)),
+                       Matrix.exact([list(r) + [r[0] - r[1]] * (n - 2) for r in two.data])]
+    assert len(square) >= 35
+    conclusions = set()
+    for X in square:
+        padded = Matrix.exact([*X.data, [0] * X.cols])
+        for j in range(1, X.cols + 1):
+            got = signcons._vb_check(Minors(X), j, rank(X))
+            assert got.status is vb_matrix_check(padded, j).status, (X, j)
+            conclusions.add(got.status)
+    assert conclusions == set(Conclusion)
 
 
 @pytest.mark.parametrize("check", [vb_matrix_check, vd_matrix_check])
@@ -337,7 +365,10 @@ def test_vb_and_vd_checks_evaluate_each_minor_once(monkeypatch, check):
         rules.append(res.rule)
         assert evaluated and len(evaluated) == len(set(evaluated)), (check.__name__, evaluated)
     # the first two have every k columns independent and are not totally positive
-    assert all("independent columns" in rule for rule in rules[:2])
+    assert rules[:2] == (["sign consistency with independent columns"] * 2
+                         if check is vb_matrix_check else
+                         ["VB_0: sign consistency with independent columns",
+                          "VB_(j-1) at every order j <= k"])
     # the Cauchy matrix is strictly totally positive: only consecutive minors are read
     assert rules[2] in ("sign consistency with independent columns", "total positivity")
     assert all(I[-1] - I[0] == J[-1] - J[0] == r - 1 for r, I, J in evaluated)
@@ -541,23 +572,7 @@ def _ref_vd(X, k, tol=1e-9):
         return MatrixPropertyCheck(
             name, Conclusion.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
-    rk = rank(X, tol)
-    if rk > k and _ref_columns_independent(X, compound(X, k), k, tol):
-        if all(s.passes(strict=False) for s in orders.values()):
-            return MatrixPropertyCheck(
-                name, Conclusion.CERTIFIED, "sign regularity with independent columns")
-        bad = next((j for j, s in orders.items() if s.verdict is SignVerdict.MIXED), None)
-        if bad is not None:
-            return MatrixPropertyCheck(
-                name, Conclusion.REFUTED, "sign regularity with independent columns",
-                f"order {bad} minors are mixed: {signcons._witness_text(orders[bad].witness)}")
-        return MatrixPropertyCheck(
-            name, Conclusion.INCONCLUSIVE, "sign regularity with independent columns",
-            "minor signs inside tolerance")
-    return MatrixPropertyCheck(
-        name, Conclusion.INCONCLUSIVE, "hypothesis not met",
-        f"rank={rk}; need rank > k with every {k} columns independent, "
-        "and the total-positivity route did not apply")
+    return vd_of_vb(k, (_ref_vb(X, j, tol) for j in range(1, k + 1)))
 
 
 def _consecutive_positive(X, r):
@@ -649,6 +664,9 @@ def test_lazy_checks_match_the_full_compound_reference():
                      "sign consistency with independent columns"),
                     ("vb_matrix_check", Conclusion.INCONCLUSIVE, "dependent k-column subset"),
                     ("vd_matrix_check", Conclusion.CERTIFIED, "total positivity"),
+                    ("vd_matrix_check", Conclusion.CERTIFIED, "VB_(j-1) at every order j <= k"),
                     ("vd_matrix_check", Conclusion.REFUTED,
-                     "sign regularity with independent columns")]:
+                     "VB_1: sign consistency with independent columns"),
+                    ("vd_matrix_check", Conclusion.REFUTED,
+                     "VB_2: full-width sign consistency at full column rank")]:
         assert outcome in outcomes, outcome

@@ -6,7 +6,10 @@ they stood before that rule, one branch per (route, verdict) pair, kept
 verbatim; every field of every result must agree on seeded exact and float
 matrices at every valid order.  The references read each minor's value
 (``Minors.value``) as it is streamed, as the checks did before they read signs
-off the streamed Bareiss integers, so their witnesses hold values.
+off the streamed Bareiss integers, so their witnesses hold values.  VD is
+total positivity, else the fold of the VB decision over the orders j <= k
+(``conftest.vd_of_vb``), so its reference folds the VB reference's routes,
+which take square matrices too.
 """
 
 import random
@@ -33,7 +36,7 @@ from varsign.signcons import (
     vd_matrix_check,
 )
 
-from conftest import cauchy_exact, random_exact, reverse_columns, tn_band
+from conftest import cauchy_exact, random_exact, reverse_columns, tn_band, vd_of_vb
 
 _SIGNS_SEEN = {
     SignVerdict.MIXED: {1, -1},
@@ -84,9 +87,15 @@ def _reference_reduced(X, k, strict=True, tol=DEFAULT_TOL):
 
 
 def _reference_vb(X, k, tol=DEFAULT_TOL):
-    n, m = X.rows, X.cols
-    if not (n > m >= k >= 1):
+    if not (X.rows > X.cols >= k >= 1):
         raise RankOutOfRangeError(f"need rows > cols >= k >= 1, got shape {X.shape}, k={k}")
+    return _reference_vb_routes(X, k, tol)
+
+
+def _reference_vb_routes(X, k, tol=DEFAULT_TOL):
+    """The VB decision past the shape guard, which ``vd_matrix_check`` also
+    takes on square X."""
+    n, m = X.rows, X.cols
     name = f"VB_{k - 1}"
     minors = Minors(X)
     rk = minors.rank(tol)
@@ -167,25 +176,7 @@ def _reference_vd(X, k, tol=DEFAULT_TOL):
         return MatrixPropertyCheck(
             name, Conclusion.CERTIFIED, "total positivity",
             f"order-preserving VD_{k - 1} established")
-    rk = minors.rank(tol)
-    if rk > k and _all_k_columns_independent(minors, k, tol):
-        for j in range(len(orders) + 1, k + 1):
-            orders[j] = _order_summary(minors, j, p, tol)
-        if all(s.passes(strict=False) for s in orders.values()):
-            return MatrixPropertyCheck(
-                name, Conclusion.CERTIFIED, "sign regularity with independent columns")
-        bad = next((j for j, s in orders.items() if s.verdict is SignVerdict.MIXED), None)
-        if bad is not None:
-            return MatrixPropertyCheck(
-                name, Conclusion.REFUTED, "sign regularity with independent columns",
-                f"order {bad} minors are mixed: {_witness_text(orders[bad].witness)}")
-        return MatrixPropertyCheck(
-            name, Conclusion.INCONCLUSIVE, "sign regularity with independent columns",
-            "minor signs inside tolerance")
-    return MatrixPropertyCheck(
-        name, Conclusion.INCONCLUSIVE, "hypothesis not met",
-        f"rank={rk}; need rank > k with every {k} columns independent, "
-        "and the total-positivity route did not apply")
+    return vd_of_vb(k, (_reference_vb_routes(X, j, tol) for j in range(1, k + 1)))
 
 
 _NEAR_TOL = (5e-10, -5e-10, 1e-12, 2e-9, -2e-9)
@@ -274,7 +265,10 @@ def test_checks_match_their_branch_by_branch_references():
             ("vb_matrix_check", Conclusion.INCONCLUSIVE, "sign consistency with independent columns"),
             ("vb_matrix_check", Conclusion.INCONCLUSIVE, "rank below tested order"),
             ("vb_matrix_check", Conclusion.INCONCLUSIVE, "full-width test needs full column rank"),
-            ("vd_matrix_check", Conclusion.CERTIFIED, "sign regularity with independent columns"),
-            ("vd_matrix_check", Conclusion.INCONCLUSIVE, "sign regularity with independent columns"),
+            ("vd_matrix_check", Conclusion.CERTIFIED, "VB_(j-1) at every order j <= k"),
+            ("vd_matrix_check", Conclusion.REFUTED,
+             "VB_1: sign consistency with independent columns"),
+            ("vd_matrix_check", Conclusion.INCONCLUSIVE,
+             "VB_2: sign consistency with independent columns"),
             ("relaxed", "zero"), ("relaxed", "opposite"), ("relaxed", "inconclusive")]:
         assert outcome in outcomes, outcome

@@ -17,12 +17,12 @@ cost one product per nonzero entry.  Float sums keep every product
 (``OutputRows``).
 
 A verdict separates two kinds of evidence: the sampled impulse response over
-a finite horizon, and an analytic tail bound derived from a floating-point
-eigen-decomposition.  The bound establishes the sign of every sample beyond
-``tail_start``, which makes a finite sample check conclusive.  ``analyse``
-gathers both once per system; samples that carry both strict signs refute
-every requirement, so they end the sampling at the later of their first
-positive and first negative sample and need no tail.  ``judge`` reads a
+a finite horizon, and an analytic tail bound, in general derived from a
+floating-point eigen-decomposition.  The bound establishes the sign of
+every sample beyond ``tail_start``, which makes a finite sample check
+conclusive.  ``analyse`` gathers both once per system; samples that carry
+both strict signs refute every requirement, so they end the sampling at the
+later of their first positive and first negative sample and need no tail.  ``judge`` reads a
 strict or a non-strict verdict off the analysis.  Systems on one pair (A, c)
 that differ only in b can share the output rows, grown as far as their
 samples reach, and the eigen-decomposition (``dominant_modes``).
@@ -41,10 +41,22 @@ Mathematical Sciences, 1994, ch. 2).  No sample and no eigen-solve enters
 the proof: ``analyse`` gives such a system a tail from t = 1 and takes only
 the samples its verdicts read.
 
+An exact system whose A is diagonal, which ``_diagonal`` reads off the
+integer rows whatever the signs, may take an exact modal tail instead
+(``_modal_tail``, tried only when the sign pattern proves nothing): its
+modes mu_i are the diagonal entries and its residues rho_i = c_i b_i
+mu_i^shift, those of equal modes merged and the zero ones dropped.  With one
+positive dominant mode M and -M inactive, the dominant-root bound (Ouaknine
+& Worrell, SODA 2014) becomes the integer inequality
+sum_(i != 1) |rho_i| |mu_i|^(t-1) < |rho_1| M^(t-1), whose least solution is
+the tail start; ``analyse`` then holds the samples up to that start, or the
+lead samples, and no more.
+
 numpy is imported inside the eigen routes, so a run that takes none of them
-never loads it: a system proved by its sign pattern takes none, nor does one
-whose samples carry both strict signs.  Every eigen tail, a 1 x 1 system's
-included, comes from one numpy ``eig`` (``dominant_modes``).
+never loads it: a system proved by its sign pattern or given an exact modal
+tail takes none, nor does one whose samples carry both strict signs.  Every
+eigen tail, a 1 x 1 system's included, comes from one numpy ``eig``
+(``dominant_modes``).
 """
 
 from __future__ import annotations
@@ -310,7 +322,9 @@ class TailCertificate:
     so the dominant mode fixes sign(g(t)) = sign.  The left side is monotone
     increasing in t, so checking the inequality at ``start`` settles the tail.
     A sign-pattern tail (``_pattern_proof``) starts at 1 and rests on no
-    mode: every g(t) is 0 or has its sign, and its four moduli are 0.
+    mode: every g(t) is 0 or has its sign, and its four moduli are 0.  An
+    exact modal tail (``_modal_tail``) rests on its own integer inequality,
+    which holds from ``start`` on, and its four moduli are 0 too.
     """
 
     start: int
@@ -612,6 +626,49 @@ def _pattern_proof(pattern: _SignPattern, sys: LtiSystem, shift: int,
     return _PatternProof(products.pop(), seen[reach], tuple(nonzero))
 
 
+def _diagonal(A: Matrix) -> tuple[int, ...] | None:
+    """The diagonal m of D_A A, D_A the lcm of the row scales of an exact A,
+    when A is diagonal, whatever the signs of m; else None.  Read off the
+    integer rows of A: its modes are mu_i = m_i / D_A."""
+    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(A.ints)):
+        return None
+    dA = math.lcm(*A.dens)
+    return tuple(row[i] * (dA // d) for i, (d, row) in enumerate(zip(A.dens, A.ints)))
+
+
+def _modal_tail(m: tuple[int, ...], sys: LtiSystem, shift: int,
+                horizon: int) -> TailCertificate | None:
+    """The exact modal tail of (A, A^shift b, c), A diagonal with D_A A =
+    diag(m) (``_diagonal``), or None.
+
+    g(t) = sum_i rho_i mu_i^(t-1), rho_i = c_i b_i mu_i^shift, mu_i = m_i / D_A.
+    Up to one positive factor, rho_i is the integer (D_c c)_i (D_b b)_i m_i^shift;
+    the residues of equal modes are merged and the zero ones dropped.  When
+    one positive mode M has the largest modulus among the rest and -M is
+    inactive, the tail starts at the least t <= horizon with
+    sum_(i != 1) |rho_i| |m_i|^(t-1) < |rho_1| M^(t-1), in integers: from then
+    on g(t) has the sign of rho_1, as the left side's ratio to the right only
+    falls as t grows.  None without an active mode, with a dominant negative
+    or +-M mode, or without a start within ``horizon``."""
+    (_, c), (_, b) = lift(sys.c), lift(sys.b)
+    residues = {}
+    for mi, ci, bi in zip(m, c, b):
+        if ci and bi:
+            residues[mi] = residues.get(mi, 0) + ci * bi * mi ** shift
+    active = {mi: rho for mi, rho in residues.items() if rho}
+    top = max(map(abs, active), default=0)
+    if not top or top not in active or -top in active:
+        return None
+    rho1 = active.pop(top)
+    mods, terms, lead = list(map(abs, active)), list(map(abs, active.values())), abs(rho1)
+    for t in range(1, horizon + 1):
+        if sum(terms) < lead:
+            return TailCertificate(t, 1 if rho1 > 0 else -1, 0.0, 0.0, 0.0, 0.0)
+        terms = [x * mi for x, mi in zip(terms, mods)]
+        lead *= top
+    return None
+
+
 @dataclass
 class ExtPosVerdict:
     status: ExtPosStatus
@@ -666,7 +723,7 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
             rows: OutputRows | None = None,
             modes: Callable[[], DominantModes] | None = None,
             shift: int = 0, pattern: _SignPattern | None = None,
-            lead: int = 0) -> ExtPosAnalysis:
+            lead: int = 0, diagonal: tuple[int, ...] | None = None) -> ExtPosAnalysis:
     """Sample the impulse response and, unless the samples carry both strict
     signs, certify its tail; ``rows``, ``modes`` and ``pattern`` pass what
     the systems on one pair (A, c) share.  ``modes`` is called, once, only
@@ -686,6 +743,13 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     requirement on the system reads.  So no verdict read off the analysis
     changes with the samples it leaves out.
 
+    ``diagonal`` is the diagonal of D_A A when an exact A is diagonal
+    (``_diagonal``).  When the sign pattern does not prove the system and
+    its exact modes give a tail (``_modal_tail``), that tail is taken with
+    no eigen-solve and no recurrence fit, and the samples stop at
+    T = min(horizon, max(the tail start, ``lead``)): from the start on every
+    sample is nonzero with the tail's sign, so again no verdict changes.
+
     Samples come in blocks ending at t = 8, 64, 512, ... or at the last
     sample, one ``impulse_response`` call each, and each sample is computed
     once.  Once both strict signs have shown up the analysis stops at t_bad;
@@ -702,7 +766,10 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     if rows is None:
         rows = output_rows(sys.A, sys.c, 1)
     proof = None if pattern is None else _pattern_proof(pattern, sys, shift, horizon)
-    last = horizon if proof is None else min(horizon, max(len(proof.nonzero), lead))
+    modal = (None if proof is not None or diagonal is None
+             else _modal_tail(diagonal, sys, shift, horizon))
+    proved = len(proof.nonzero) if proof else modal.start if modal else horizon
+    last = min(horizon, max(proved, lead))
     values, signs, end, both = (), (), 0, False
     while end < last and not both:
         start, end = end, min(last, _BLOCK * end or _BLOCK)
@@ -724,6 +791,10 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
                  f"its zeros repeat with period {len(proof.nonzero) - proof.pre} "
                  f"from t={proof.pre + 1}")
         notes = [f"tail by sign pattern: every sample is 0 or of sign {proof.sign:+d}; {zeros}"]
+    elif modal is not None:
+        tail = modal
+        notes = [f"tail by exact diagonal modes: every sample from t={modal.start} on "
+                 f"has sign {modal.sign:+d}"]
     else:
         tail, notes = _sampled_tail(sys, g, horizon, tol, modes, shift)
     decisive = {s for s in signs if s}

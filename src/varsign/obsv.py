@@ -38,7 +38,13 @@ checks the signs of c_r S and S w on the blocks that its walks join, from
 m = s on.  A proved system has a tail from t = 1 with its sign, and holds
 only the samples that its verdicts read: the lead samples that vb asks for
 (``_lead``), one period of its zero pattern (which shows its first nonzero
-sample and its first zero, if any), never more than the horizon.
+sample and its first zero, if any), never more than the horizon.  A system
+that its sign pattern does not prove, of an order whose exact C_r(A) is
+diagonal (``_OperatorContext.diagonal``, as for every order of a diagonal
+A), may instead take an exact modal tail (``lti._modal_tail``): it then
+holds its samples up to the tail start or its lead samples, with no
+eigen-solve.  ``impulse_variation_bound`` reads the same tail of (A, b, c)
+on a diagonal A.
 
 One engine serves every property: the pair's ``_OperatorContext`` analyses
 each compound system once (``lti.analyse``), and ``_certify`` judges the
@@ -97,6 +103,8 @@ from .lti import (
     output_rows,
     real_positive,
     _SignPattern,
+    _diagonal,
+    _modal_tail,
     _sign_pattern,
 )
 from .signcons import Conclusion, _anchored_tuples, _is_consecutive_tail, _vb_fold
@@ -190,6 +198,12 @@ class _OperatorContext:
         return self._cached(("pattern", r), lambda: _sign_pattern(self.a_compound(r))
                             if self.A.backend is Backend.EXACT else None)
 
+    def diagonal(self, r: int) -> tuple[int, ...] | None:
+        """The integer diagonal of an exact C_r(A) that is diagonal, as it
+        always is when A is (``lti._diagonal``); None otherwise and in float."""
+        return self._cached(("diagonal", r), lambda: _diagonal(self.a_compound(r))
+                            if self.A.backend is Backend.EXACT else None)
+
     def analysis(self, k: int, r: int, beta: IndexTuple | None) -> ExtPosAnalysis:
         """The analysis of the ``shifted`` system, read s rows late."""
         key = ("analysis", k, r, beta)
@@ -197,7 +211,7 @@ class _OperatorContext:
             sys, s = self.shifted(k, r, beta)
             self._memo[key] = analyse(sys, self.horizon, self.tol, self.output_rows(r, 1),
                                       lambda: self.modes(r), s, self.pattern(r),
-                                      _lead(self.n, k, r, beta))
+                                      _lead(self.n, k, r, beta), self.diagonal(r))
         return self._memo[key]
 
 
@@ -560,7 +574,8 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     the input direction b has at most L sign changes; the report also
     measures the variation of the sampled response, with a completeness flag
     from the dominant-mode tail (no further sign changes can occur once the
-    tail bound holds).
+    tail bound holds): the exact modal tail on an exact diagonal A, else the
+    eigen tail.
     """
     ctx = _OperatorContext(A, c, tol, horizon)
     horizon = ctx.horizon
@@ -575,7 +590,11 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     g = impulse_response(sys, horizon, ctx.output_rows(1, horizon))
     # exact samples carry their signs in their numerators (``ExactSamples``)
     measured = v_minus(g, tol) if A.backend is Backend.FLOAT else v_minus(g.nums)
-    tail, _ = dominant_tail(sys, tol, ctx.modes(1))
+    # a diagonal A's exact modal tail, else the eigen tail (``lti.analyse``)
+    diagonal = ctx.diagonal(1)
+    tail = None if diagonal is None else _modal_tail(diagonal, sys, 0, horizon)
+    if tail is None:
+        tail, _ = dominant_tail(sys, tol, ctx.modes(1))
     complete = tail is not None and tail.start <= horizon
     notes = ["no certified level covers the input variation"] if bound is None else []
     return VariationBoundReport(vb_in, levels, bound, measured, complete, horizon, notes)

@@ -116,6 +116,13 @@ def _check_order(X: Matrix, k: int) -> None:
         raise RankOutOfRangeError(f"k={k} lies outside 1..{top} for shape {X.shape}")
 
 
+def _check_tall(X: Matrix, k: int) -> None:
+    """The shape guard of the VB and VD checks: rows >= cols, 1 <= k <= cols."""
+    if X.rows < X.cols:
+        raise RankOutOfRangeError(f"need rows >= cols, got shape {X.shape}")
+    _check_order(X, k)
+
+
 def _consecutive_minors(minors: Minors, r: int):
     """The consecutive r-minors, labelled by (I, J), rows outermost."""
     rows, cols = minors.shape
@@ -416,10 +423,10 @@ def vb_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     sign consistency when k < rank(X) and every k columns are independent.
     Returns INCONCLUSIVE when no hypothesis holds.  In exact arithmetic a
     Fekete order of k (every k-minor positive) decides the last two paths
-    without reading any further minor.
+    without reading any further minor.  A square X is decided as [X; 0]
+    (``_vb_check``), as ``vd_matrix_check`` decides it.
     """
-    if not (X.rows > X.cols >= k >= 1):
-        raise RankOutOfRangeError(f"need rows > cols >= k >= 1, got shape {X.shape}, k={k}")
+    _check_tall(X, k)
     minors = Minors(X)
     return _vb_check(minors, k, minors.rank(tol), tol)
 
@@ -487,9 +494,7 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     """Decide whether X is (k-1)-variation diminishing where a characterization applies:
     total positivity up to order k certifies; else X is VD_(k-1) exactly when it is
     VB_(j-1) at every j <= k (``_vb_fold``), and a failing order names itself in the rule."""
-    if X.rows < X.cols:
-        raise RankOutOfRangeError(f"need rows >= cols, got shape {X.shape}")
-    _check_order(X, k)
+    _check_tall(X, k)
     name = f"VD_{k - 1}"
     minors = Minors(X)
     p = _fekete_order(minors, k)

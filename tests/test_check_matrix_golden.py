@@ -129,21 +129,53 @@ FOLD_REFUTED = [
     if (name, arith) != ("zerocol43", "float")]
 
 
-@pytest.mark.parametrize("name,arith,case", FOLD_REFUTED,
-                         ids=[f"{n}/{a}/{c}" for n, a, c in FOLD_REFUTED])
-def test_fold_refutations_replay_an_exact_witness(name, arith, case):
-    """The order j that a refuted vd run's rule names (VB_(j-1)) has a
-    sampled input u, its doubles read as Fractions, with v-(u) <= j - 1 and
-    v-(X u) >= j in exact arithmetic on the exact X: X is not VB_(j-1), so
-    not VD_(k-1)."""
-    line = json.loads(json.loads(TABLE.read_text())[f"{name}/{arith}"][case]["stdout"])
-    assert line["verdict"] == "refuted"
-    j = int(line["rule"].removeprefix("VB_").partition(":")[0]) + 1
+# The vb runs on square matrices that went from exit 3 (the old rows > cols
+# guard) to refuted, deciding X as [X; 0] as vd does.
+SQUARE_VB_REFUTED = [
+    (name, arith, f"vb/k{k}") for name, orders in [
+        ("example1", (1, 2)), ("example2", (1,)), ("example3", (1, 2, 3, 4)), ("mixed33", (1,)),
+        ("random44", (1, 2, 3))]
+    for arith in ("exact", "float") for k in orders]
+
+
+def _replay_exact_witness(name, j):
+    """Whether a ``falsify_matrix_vb`` input u of the exact X, its doubles read
+    as Fractions, has v-(u) <= j - 1 and v-(X u) >= j in exact arithmetic:
+    then X is not VB_(j-1)."""
     X = Matrix.exact(MATRICES[name])
     report = falsify_matrix_vb(X, j, trials=2000, seed=0)
     witnesses = [u for u in (tuple(map(Fraction, v.u)) for v in report.violations)
                  if v_minus(u) <= j - 1 and v_minus(X.matvec(u)) >= j]
     assert witnesses, (name, j, len(report.violations))
+
+
+@pytest.mark.parametrize("name,arith,case", FOLD_REFUTED,
+                         ids=[f"{n}/{a}/{c}" for n, a, c in FOLD_REFUTED])
+def test_fold_refutations_replay_an_exact_witness(name, arith, case):
+    """The order j that a refuted vd run's rule names (VB_(j-1)) has an exact
+    witness (``_replay_exact_witness``): X is not VB_(j-1), so not VD_(k-1)."""
+    line = json.loads(json.loads(TABLE.read_text())[f"{name}/{arith}"][case]["stdout"])
+    assert line["verdict"] == "refuted"
+    _replay_exact_witness(name, int(line["rule"].removeprefix("VB_").partition(":")[0]) + 1)
+
+
+@pytest.mark.parametrize("name,arith,case", SQUARE_VB_REFUTED,
+                         ids=[f"{n}/{a}/{c}" for n, a, c in SQUARE_VB_REFUTED])
+def test_square_vb_refutations_replay_an_exact_witness(name, arith, case):
+    """A square matrix's refuted vb run at order k has an exact witness
+    (``_replay_exact_witness``) at j = k: X is not VB_(k-1)."""
+    line = json.loads(json.loads(TABLE.read_text())[f"{name}/{arith}"][case]["stdout"])
+    assert line["verdict"] == "refuted" and len(MATRICES[name]) == len(MATRICES[name][0])
+    _replay_exact_witness(name, int(case.removeprefix("vb/k")))
+
+
+def test_every_square_vb_refutation_is_replayed():
+    table = json.loads(TABLE.read_text())
+    refuted = {(name, arith, case) for name, arith in GROUPS
+               if len(MATRICES[name]) == len(MATRICES[name][0])
+               for case, rec in table[f"{name}/{arith}"].items()
+               if case.startswith("vb/") and rec["exit"] == 1}
+    assert refuted == set(SQUARE_VB_REFUTED)
 
 
 def test_golden_table_covers_every_outcome():

@@ -1118,6 +1118,11 @@ def test_exact_mode_handles_entries_beyond_float_range(tmp_path, capsys, where, 
 
 _OVERFLOW_SYSTEM = {"A": [["1e200", "0", "0"], ["0", "1e100", "0"], ["0", "0", "1"]],
                     "c": ["1", "1", "1"]}
+# the diagonal system's non-diagonal twin: A_12 = 1 keeps C_1(A) off the exact
+# modal route, and its eigen residues overflow as the diagonal one's do in float
+_OVERFLOW_TWIN = {"A": [["1e200", "1", "0"], ["0", "1e100", "0"], ["0", "0", "1"]],
+                  "c": ["1", "1", "1"]}
+_OVERFLOW = {"exact": _OVERFLOW_TWIN, "float": _OVERFLOW_SYSTEM}
 
 
 @pytest.mark.parametrize("arith", ["exact", "float"])
@@ -1126,8 +1131,9 @@ def test_residues_past_float_range_leave_the_tail_unproved(tmp_path, capsys, ari
     """At k = 3 the order-1 systems are read s = 2 rows late, so their eigen
     residues are scaled by (1e200)^2, past the float range: those systems
     have no eigen tail and the certificate is inconclusive (exit 2), in both
-    modes; kpos is refuted by its samples (exit 1)."""
-    f = write_json(tmp_path, "overflow.json", _OVERFLOW_SYSTEM)
+    modes; kpos is refuted by its samples (exit 1).  Exact mode runs the
+    non-diagonal twin, which no exact modal tail proves."""
+    f = write_json(tmp_path, "overflow.json", _OVERFLOW[arith])
     out = tmp_path / "o"
     code = main(["certify", str(f), "--property", prop, "--k", "3", "--arith", arith,
                  "--out", str(out)])
@@ -1146,7 +1152,7 @@ def test_residues_past_float_range_raise_no_warning(tmp_path, capsys, arith):
     """The overflowing residues and the nan they leave in c V are notes, not
     numpy ``RuntimeWarning``s: with every warning an error, svb, vb and vd
     at k = 3 still exit 2 and kpos 1, and stderr names no warning."""
-    f = write_json(tmp_path, "overflow.json", _OVERFLOW_SYSTEM)
+    f = write_json(tmp_path, "overflow.json", _OVERFLOW[arith])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for prop, want in [("svb", 2), ("vb", 2), ("vd", 2), ("kpos", 1)]:
@@ -1154,6 +1160,30 @@ def test_residues_past_float_range_raise_no_warning(tmp_path, capsys, arith):
                          "--out", str(tmp_path / prop)])
             assert code == want, prop
     assert "Warning" not in capsys.readouterr().err
+
+
+_BIG_ENTRY_DIAGONAL = {"A": [["1e400", "0"], ["0", "0.5"]], "c": ["1", "1"]}
+
+
+@pytest.mark.parametrize("system, k", [(_OVERFLOW_SYSTEM, 3), (_BIG_ENTRY_DIAGONAL, 2)],
+                         ids=["residues", "entries"])
+def test_exact_diagonal_pairs_past_float_range_certify_by_exact_modes(tmp_path, capsys, system, k):
+    """The diagonal pairs whose eigen residues or entries are past the float
+    range certify svb, vb and vd exactly at k, with every system that no sign
+    pattern proves taking an exact modal tail and none an eigen note; kpos
+    is still refuted by its samples (exit 1)."""
+    f = write_json(tmp_path, "diagonal.json", system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for prop, want in [("svb", 0), ("vb", 0), ("vd", 0), ("kpos", 1)]:
+            out = tmp_path / prop
+            code = main(["certify", str(f), "--property", prop, "--k", str(k), "--out", str(out)])
+            assert code == want, prop
+            systems = json.loads((out / "report.json").read_text())["certificate"]["systems"]
+            if want == 0:
+                routes = {system["notes"][0].partition(":")[0] for system in systems}
+                assert routes == {"tail by sign pattern", "tail by exact diagonal modes"}, routes
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _big_diagonal(exponent):

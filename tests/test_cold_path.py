@@ -3,7 +3,9 @@
 One fresh interpreter, with ``src`` on ``PYTHONPATH``, imports varsign,
 resolves every public name and runs exact and float ``check-matrix``, and
 an exact ``certify`` whose every system the sign pattern of C_r(A) proves,
-and exact ``certify`` runs on 1 x 1 pairs, without loading numpy; the same
+exact ``certify`` runs of a diagonal pair at k = 2..n, whose systems that no
+sign pattern proves take an exact modal tail, and exact ``certify`` runs on
+1 x 1 pairs, without loading numpy; the same
 process then runs an exact ``certify``
 that needs an eigen tail, and an ``oracle`` search, which load it and must
 give what they give in this process.
@@ -33,6 +35,12 @@ CHECK_MATRIX = [
 DIAGONAL = {"A": [["0.5", "0", "0"], ["0", "0.25", "0"], ["0", "0", "0.125"]],
             "c": ["1", "1", "1"]}
 PROVED = [["certify", "diagonal.json", "--property", prop, "--k", "1"] for prop in ("svb", "vd")]
+# at k = 2..4 the shifted systems of this diagonal pair escape the sign
+# pattern, and its diagonal C_r(A) give them exact modal tails
+DIAGONAL4 = {"A": [["0.9", "0", "0", "0"], ["0", "0.7", "0", "0"], ["0", "0", "0.5", "0"],
+                   ["0", "0", "0", "0.3"]], "c": ["1", "1", "1", "1"]}
+MODAL = [["certify", "diagonal4.json", "--property", prop, "--k", str(k)]
+         for prop in ("svb", "vb", "vd", "kpos") for k in (2, 3, 4)]
 # 1 x 1 pairs: the sign pattern of A = [1/2] proves its system, and the
 # samples of A = [-1/2] alternate by t = 2, so neither takes an eigen tail
 SCALARS = {"half.json": {"A": [["1/2"]], "c": ["1"]},
@@ -51,7 +59,7 @@ import io, json, sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-names, check_matrix, proved, scalar, loading, out = json.loads(sys.argv[1])
+names, check_matrix, proved, modal, scalar, loading, out = json.loads(sys.argv[1])
 loaded = {}
 
 def step(label):
@@ -76,6 +84,8 @@ cold = [run(argv, i) for i, argv in enumerate(check_matrix)]
 step("check-matrix")
 cold += [run(argv, len(cold) + i) for i, argv in enumerate(proved)]
 step("proved certify")
+cold += [run(argv, len(cold) + i) for i, argv in enumerate(modal)]
+step("modal certify")
 cold += [run(argv, len(cold) + i) for i, argv in enumerate(scalar)]
 step("1 x 1 certify")
 warm = []
@@ -95,9 +105,10 @@ def _in_process(argv, out, capsys):
 def test_cold_path_loads_no_numpy(tmp_path, capsys):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     (tmp_path / "diagonal.json").write_text(json.dumps(DIAGONAL))
+    (tmp_path / "diagonal4.json").write_text(json.dumps(DIAGONAL4))
     for name, pair in SCALARS.items():
         (tmp_path / name).write_text(json.dumps(pair))
-    payload = json.dumps([PUBLIC_NAMES, CHECK_MATRIX, PROVED, SCALAR, LOADING,
+    payload = json.dumps([PUBLIC_NAMES, CHECK_MATRIX, PROVED, MODAL, SCALAR, LOADING,
                           str(tmp_path / "fresh")])
     proc = subprocess.run([sys.executable, "-c", _SCRIPT, payload], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
@@ -105,18 +116,28 @@ def test_cold_path_loads_no_numpy(tmp_path, capsys):
     got = json.loads(proc.stdout)
     assert got["loaded"] == {"import varsign": False, "public names": False,
                              "import varsign.cli": False, "check-matrix": False,
-                             "proved certify": False, "1 x 1 certify": False,
+                             "proved certify": False, "modal certify": False,
+                             "1 x 1 certify": False,
                              "certify": True, "oracle": True}
-    runs = CHECK_MATRIX + PROVED + SCALAR + LOADING
+    runs = CHECK_MATRIX + PROVED + MODAL + SCALAR + LOADING
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp_path)
         want = [_in_process(argv, tmp_path / "here" / str(i), capsys)
                 for i, argv in enumerate(runs)]
     assert got["cold"] + got["warm"] == want
-    assert [code for code, _, _ in want[-12:]] == [0, 0] + [0] * 4 + [1] * 4 + [0, 1]
+    codes = [code for code, _, _ in want[len(CHECK_MATRIX):]]
+    # svb, vb and vd certify the diagonal pair at k = 2..4, and kpos is refuted
+    assert codes == [0, 0] + [0] * 9 + [1] * 3 + [0] * 4 + [1] * 4 + [0, 1]
     # every system of the proved runs rests on its sign pattern
     proved = len(CHECK_MATRIX)
     for _, _, report in got["cold"][proved:proved + len(PROVED)]:
         systems = json.loads(report)["certificate"]["systems"]
         assert systems and all(s["notes"][0].startswith("tail by sign pattern")
                                for s in systems)
+    # every system of the certified modal runs rests on one of the exact routes
+    modal = proved + len(PROVED)
+    for _, _, report in got["cold"][modal:modal + 9]:
+        notes = [s["notes"][0] for s in json.loads(report)["certificate"]["systems"]]
+        assert any(note.startswith("tail by exact diagonal modes") for note in notes)
+        assert all(note.startswith(("tail by sign pattern", "tail by exact diagonal modes"))
+                   for note in notes), notes

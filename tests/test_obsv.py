@@ -1045,6 +1045,25 @@ def test_impulse_variation_bound_reads_order_one_rows_and_modes():
     assert complete > 0
 
 
+def test_impulse_variation_bound_reads_the_exact_modal_tail_of_a_diagonal_a():
+    """On an exact diagonal A the measurement is complete when the exact
+    modal tail of (A, b, c) starts within the horizon, else when the eigen
+    tail does: never less often than by the eigen tail alone, and also past
+    the float range, where the eigen route gives no tail."""
+    A = Matrix.exact([["1e400", "0"], ["0", "0.5"]])
+    report = impulse_variation_bound(A, (1, -1), (1, 1))
+    assert dominant_tail(LtiSystem(A, (1, -1), (1, 1)))[0] is None
+    assert report.measurement_complete and report.measured == 0
+    for A, c in _modal_families():
+        for b in ((1,) * A.rows, tuple((-1) ** i for i in range(A.rows))):
+            report = impulse_variation_bound(A, b, c)
+            sys = LtiSystem(A, b, c)
+            modal = lti._modal_tail(lti._diagonal(A), sys, 0, report.horizon)
+            eigen, _ = dominant_tail(sys)
+            by_eigen = eigen is not None and eigen.start <= report.horizon
+            assert report.measurement_complete == (modal is not None or by_eigen), (A, b)
+
+
 def test_controllability_transpose_symmetry():
     # symmetric A with b = c makes both operators identical
     A = Matrix.exact([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 3)]])
@@ -1191,10 +1210,11 @@ def _pattern_families():
     return pairs
 
 
-def _sampled_context(A, c):
-    """A context that takes no sign-pattern route: the reference route."""
+def _sampled_context(A, c, routes=("pattern", "diagonal")):
+    """A context that takes none of the exact ``routes`` (the sign-pattern
+    and the exact modal route): with both off, the reference route."""
     ctx = obsv._OperatorContext(A, c)
-    ctx._memo.update((("pattern", r), None) for r in range(1, A.rows + 1))
+    ctx._memo.update(((route, r), None) for route in routes for r in range(1, A.rows + 1))
     return ctx
 
 
@@ -1214,6 +1234,18 @@ def _proved_nonzero(proof, t):
 _DECISIVE = (Conclusion.CERTIFIED, Conclusion.REFUTED)
 
 
+def _assert_decisive_conclusions_stand(A, runs, mine, theirs):
+    """Every decisive conclusion and family sign of the sampled route
+    (``theirs``) stands, and a refutation names a sample it holds."""
+    for run, got, want in zip(runs, mine, theirs):
+        if want.conclusion in _DECISIVE:
+            assert (got.conclusion, got.common_sign) == (
+                want.conclusion, want.common_sign), (A, run)
+        if got.conclusion is Conclusion.REFUTED and got.per_system:
+            t = re.match(r"system .*?(?:g\((\d+)\) = |violated at t=(\d+))", got.notes[0])
+            assert 1 <= int(t[1] or t[2]) <= len(got.per_system[-1].verdict.samples), got.notes
+
+
 def test_sign_pattern_proofs_agree_with_long_samples_and_the_sampled_route():
     """Differential test against the sampled route on seeded diagonal,
     triangular, totally nonnegative and dense pairs: every proof's sign and
@@ -1223,7 +1255,7 @@ def test_sign_pattern_proofs_agree_with_long_samples_and_the_sampled_route():
     proved = shifted = full_order = with_zeros = upgraded = 0
     for A, c in _pattern_families():
         n = A.rows
-        ctx, ref = obsv._OperatorContext(A, c), _sampled_context(A, c)
+        ctx, ref = _sampled_context(A, c, ("diagonal",)), _sampled_context(A, c)
         for key in _all_keys(n):
             k, r, beta = key
             sys, s = ctx.shifted(*key)
@@ -1252,18 +1284,150 @@ def test_sign_pattern_proofs_agree_with_long_samples_and_the_sampled_route():
         runs = [(prop, k) for k in range(1, n + 1) for prop in ("svb", "vb", "kpos", "vd")]
         mine = [certify_observability(A, c, k, prop) for prop, k in runs]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(obsv._OperatorContext, "pattern", lambda self, r: None)
+            for route in ("pattern", "diagonal"):
+                mp.setattr(obsv._OperatorContext, route, lambda self, r: None)
             theirs = [certify_observability(A, c, k, prop) for prop, k in runs]
-        for run, got, want in zip(runs, mine, theirs):
-            if want.conclusion in _DECISIVE:
-                assert (got.conclusion, got.common_sign) == (
-                    want.conclusion, want.common_sign), (A, run)
-            if got.conclusion is Conclusion.REFUTED and got.per_system:
-                t = re.match(r"system .*?(?:g\((\d+)\) = |violated at t=(\d+))", got.notes[0])
-                assert 1 <= int(t[1] or t[2]) <= len(got.per_system[-1].verdict.samples), got.notes
+        _assert_decisive_conclusions_stand(A, runs, mine, theirs)
     assert proved > 200 and shifted > 5 and full_order > 20 and with_zeros > 5, (
         proved, shifted, full_order, with_zeros)
     assert upgraded > 0
+
+
+def _diagonal_matrix(entries):
+    n = len(entries)
+    return Matrix.exact([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def _modal_families():
+    """Seeded exact diagonal pairs, n = 2..6: a decreasing positive spectrum
+    with c = 1 (as the benchmark draws), spectra with repeated products
+    (6/10 * 2/10 = 4/10 * 3/10) or with a zero and a negative entry, and c
+    of mixed signs (c has no zero: a diagonal pair with one is not
+    observable)."""
+    rng = random.Random(4545)
+    pairs = []
+    for n in (2, 3, 4, 5, 6):
+        spectra = [sorted(rng.sample(range(1, 10), n), reverse=True),
+                   rng.sample([6, 4, 3, 2, 1, 8][:n] if n >= 4 else [6, 4, 3, 2], n),
+                   [0, -rng.choice((3, 5, 7))] + rng.sample([1, 2, 4, 6, 8, 9], n - 2)]
+        for i, lam in enumerate(spectra):
+            c = ((Fraction(1),) * n if i == 0
+                 else tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(n)))
+            pairs.append((_diagonal_matrix([Fraction(x, 10) for x in lam]), c))
+    return pairs
+
+
+def _modal_systems():
+    """Seeded diagonal systems (A, b, c) with zeros and mixed signs in b and
+    c, and repeated, zero and negative modes, each with a shift of 0..2."""
+    rng = random.Random(4546)
+    out = []
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(12):
+            lam = [Fraction(rng.choice((-6, -3, 0, 1, 2, 3, 4, 6, 6, 8, 9)), 10) for _ in range(n)]
+            vec = lambda: tuple(Fraction(rng.choice((0, 0, -2, -1, 1, 2, 3))) for _ in range(n))
+            out.append((LtiSystem(_diagonal_matrix(lam), vec(), vec()), rng.randint(0, 2)))
+    return out
+
+
+def _check_modal_analysis(sys, s, got, want):
+    """Checks one analysis that took the exact modal route against the
+    sampled route's ``want``; returns (upgraded verdicts, earlier start)."""
+    tail = got.tail
+    g = impulse_response(sys, 400, shift=s)
+    assert all(sign_of(num, Backend.EXACT) == tail.sign for num in g.nums[tail.start - 1:]), (
+        sys, s, tail)
+    held = len(got.samples)
+    assert got.samples == want.samples[:held] and got.signs == want.signs[:held], (sys, s)
+    upgraded = 0
+    for strict in (True, False):
+        mine, theirs = lti.judge(got, strict), lti.judge(want, strict)
+        if theirs.status is ExtPosStatus.HORIZON_ONLY:
+            upgraded += mine.status is not ExtPosStatus.HORIZON_ONLY
+            continue
+        assert (mine.status, mine.first_violation, mine.sample_sign) == (
+            theirs.status, theirs.first_violation, theirs.sample_sign), (sys, s, strict)
+    route, start = _tail_route(want)
+    if route == "eigen":
+        assert tail.start <= start, (sys, s, tail.start, start)
+    return upgraded, route == "eigen" and tail.start < start
+
+
+def test_exact_modal_tails_agree_with_long_samples_and_the_sampled_route():
+    """Differential test of the exact modal route against the sampled route
+    (both exact routes off) on seeded diagonal pairs and systems: every
+    modal tail's sign holds for exact samples from its start to t = 400; the
+    held samples are a prefix of the sampled route's; every decisive
+    verdict, ``first_violation`` and ``sample_sign`` of the sampled route
+    stands, and so does every decisive conclusion of the certifiers; no
+    start is later than the eigen route's; a system neither route proves
+    gets the sampled route's analysis.  Contexts run with and without the
+    sign-pattern route, which goes first when on."""
+    modal = shifted = full_order = upgraded = earlier = 0
+    for A, c in _modal_families():
+        n = A.rows
+        ref = _sampled_context(A, c)
+        for off in ((), ("pattern",)):
+            ctx = _sampled_context(A, c, off)
+            for key in _all_keys(n):
+                k, r, beta = key
+                sys, s = ctx.shifted(*key)
+                got, want = ctx.analysis(*key), ref.analysis(*key)
+                if got.notes and got.notes[0].startswith("tail by sign pattern"):
+                    continue
+                if not (got.notes and got.notes[0].startswith("tail by exact diagonal modes")):
+                    assert got == want, (A, key)
+                    continue
+                modal += 1
+                shifted += s > 0 and beta is not None
+                full_order += beta is None
+                up, moved = _check_modal_analysis(sys, s, got, want)
+                upgraded, earlier = upgraded + up, earlier + moved
+        runs = [(prop, k) for k in range(1, n + 1) for prop in ("svb", "vb", "kpos", "vd")]
+        mine = [certify_observability(A, c, k, prop) for prop, k in runs]
+        with pytest.MonkeyPatch.context() as mp:
+            for route in ("pattern", "diagonal"):
+                mp.setattr(obsv._OperatorContext, route, lambda self, r: None)
+            theirs = [certify_observability(A, c, k, prop) for prop, k in runs]
+        _assert_decisive_conclusions_stand(A, runs, mine, theirs)
+    for sys, s in _modal_systems():
+        diagonal = lti._diagonal(sys.A)
+        got = lti.analyse(sys, 50, shift=s, diagonal=diagonal)
+        want = lti.analyse(sys, 50, shift=s)
+        if got.tail is None or not got.notes[0].startswith("tail by exact diagonal modes"):
+            assert got == want, (sys, s)
+            continue
+        modal += 1
+        up, moved = _check_modal_analysis(sys, s, got, want)
+        upgraded, earlier = upgraded + up, earlier + moved
+    assert modal > 1000 and shifted > 600 and full_order > 60, (modal, shifted, full_order)
+    assert upgraded > 0 and earlier > 200, (upgraded, earlier)
+
+
+def test_exact_modal_tails_fall_back_to_the_sampled_route():
+    """No active mode, a dominant negative mode, a dominant +-M pair, and a
+    start past the horizon each leave the system to the sampled route."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [(_diagonal_matrix([half, third]), (1, 1), (0, 0), 50),
+             (_diagonal_matrix([-half, third]), (1, 1), (1, 1), 50),
+             (_diagonal_matrix([half, -half, third]), (1, 1, 1), (1, 1, 5), 50),
+             (_diagonal_matrix([half, Fraction(49, 100)]), (1, 1), (1, -100), 3)]
+    for A, b, c, horizon in cases:
+        sys = LtiSystem(A, b, c)
+        assert lti._modal_tail(lti._diagonal(A), sys, 0, horizon) is None
+        got = lti.analyse(sys, horizon, diagonal=lti._diagonal(A))
+        assert got == lti.analyse(sys, horizon), (A, b, c)
+    # repeated modes merge (6/10 * 2/10 = 4/10 * 3/10): a merged residue of 0
+    # leaves 1/10 the one active mode, so g(t) = -(1/10)^(t-1)
+    A = _diagonal_matrix([Fraction(12, 100), Fraction(12, 100), Fraction(1, 10)])
+    sys = LtiSystem(A, (1, 1, 1), (1, -1, -1))
+    tail = lti._modal_tail(lti._diagonal(A), sys, 0, 50)
+    assert (tail.start, tail.sign) == (1, -1)
+    sys = LtiSystem(A, (1, 2, 1), (1, -1, -3))
+    tail = lti._modal_tail(lti._diagonal(A), sys, 0, 50)
+    # the merged residue -1 of 12/100 outweighs 3 (10/12)^(t-1) from t = 8
+    assert (tail.start, tail.sign) == (8, -1)
+    assert lti._diagonal(Matrix.exact([[1, 0], [1, 1]])) is None
 
 
 def _transforms(A, c):

@@ -313,12 +313,13 @@ def test_vd_matrix_check_is_the_vb_fold_on_tall_matrices():
 
 
 def test_vb_check_decides_square_x_as_x_over_a_zero_row():
-    """In exact arithmetic ``_vb_check`` gives a square X, at every order j,
-    the conclusion that ``vb_matrix_check`` gives [X; 0]: a zero row adds no
-    sign change to any output, so both have the same VB verdicts, and [X; 0]
-    has the shape that the check's routes are proven for.  On the golden
-    table's square matrices and seeded random, rank-deficient, Cauchy,
-    column-reversed and banded ones."""
+    """In exact arithmetic ``_vb_check``, and so ``vb_matrix_check``, gives a
+    square X, at every order j, the conclusion that ``vb_matrix_check`` gives
+    [X; 0]: a zero row adds no sign change to any output, so both have the
+    same VB verdicts, and [X; 0] has a shape with more rows than columns,
+    which the check's routes are proven for.  On the golden table's square
+    matrices and seeded random, rank-deficient, Cauchy, column-reversed and
+    banded ones."""
     rng = random.Random(4404)
     square = [Matrix.exact(rows) for rows in MATRICES.values() if len(rows) == len(rows[0])]
     assert len(square) >= 5
@@ -336,8 +337,20 @@ def test_vb_check_decides_square_x_as_x_over_a_zero_row():
         for j in range(1, X.cols + 1):
             got = signcons._vb_check(Minors(X), j, rank(X))
             assert got.status is vb_matrix_check(padded, j).status, (X, j)
+            assert vb_matrix_check(X, j) == got, (X, j)
             conclusions.add(got.status)
     assert conclusions == set(Conclusion)
+
+
+@pytest.mark.parametrize("check", [vb_matrix_check, vd_matrix_check])
+def test_vb_and_vd_checks_share_one_shape_guard(check):
+    """Both checks take rows >= cols and 1 <= k <= cols, with one message."""
+    wide = Matrix.exact([[1, 2, 3], [1, 3, 5]])
+    with pytest.raises(RankOutOfRangeError, match=r"need rows >= cols, got shape \(2, 3\)"):
+        check(wide, 1)
+    for k in (0, 3):
+        with pytest.raises(RankOutOfRangeError, match=f"k={k} lies outside 1..2"):
+            check(Matrix.exact([[1, 2], [3, 4]]), k)
 
 
 @pytest.mark.parametrize("check", [vb_matrix_check, vd_matrix_check])

@@ -87,8 +87,10 @@ def _reference_reduced(X, k, strict=True, tol=DEFAULT_TOL):
 
 
 def _reference_vb(X, k, tol=DEFAULT_TOL):
-    if not (X.rows > X.cols >= k >= 1):
-        raise RankOutOfRangeError(f"need rows > cols >= k >= 1, got shape {X.shape}, k={k}")
+    if X.rows < X.cols:
+        raise RankOutOfRangeError(f"need rows >= cols, got shape {X.shape}")
+    if not 1 <= k <= X.cols:
+        raise RankOutOfRangeError(f"order {k} invalid for {X.shape}")
     return _reference_vb_routes(X, k, tol)
 
 

@@ -17,26 +17,33 @@ cost one product per nonzero entry.  Float sums keep every product
 (``OutputRows``).
 
 A verdict separates two kinds of evidence: the sampled impulse response over
-a finite horizon, and an analytic tail bound, in general derived from a
-floating-point eigen-decomposition.  The bound establishes the sign of
-every sample beyond ``tail_start``, which makes a finite sample check
-conclusive.  ``analyse`` gathers both once per system; samples that carry
-both strict signs refute every requirement, so they end the sampling at the
-later of their first positive and first negative sample and need no tail.  ``judge`` reads a
-strict or a non-strict verdict off the analysis.  Systems on one pair (A, c)
-that differ only in b can share the output rows, grown as far as their
-samples reach, and the eigen-decomposition (``dominant_modes``).
+a finite horizon, and an analytic tail bound.  The bound establishes the
+sign of every sample beyond ``tail_start``, which makes a finite sample
+check conclusive.  ``analyse`` gathers both once per system; samples that
+carry both strict signs refute every requirement, so they end the sampling
+at the later of their first positive and first negative sample and need no
+tail.  ``judge`` reads a strict or a non-strict verdict off the analysis.
+The systems on one pair (A, c) differ only in b and share one ``Pair``: the
+output rows, grown as far as their samples reach, the sign pattern and the
+diagonal of an exact A, and the eigen-decomposition (``dominant_modes``).
 
-An exact system can also be proved one-signed by the sign pattern of A
-alone (``_sign_pattern``, ``_pattern_proof``).  Let a signature
-S = diag(+-1) make P = S A S >= 0 entrywise.  Then g(t) = (c S) P^(t-1)
-(S b) is a sum of walk terms (c S)_i P_(i i1) .. P_(i(t-2) j) (S b)_j, and a
-walk stays in one connected block of the pattern.  If c S and S b each have
-one sign on every block that a walk joins, with one product sign over those
-blocks, every term has that sign: g(t) is 0 or of that sign for every t, and
-g(t) != 0 exactly when some walk of length t - 1 joins supp(c) to supp(b).
-The walk sets supp(c) P^m are eventually periodic, so one preperiod and one
-period decide every zero (Berman & Plemmons, Nonnegative Matrices in the
+The tail comes from one ladder.  A proof needs no sample (``_proved_tail``):
+the sign pattern of an exact A, else its exact diagonal modes.  Otherwise
+the tail rests on the samples (``_sampled_tail``): the floating-point eigen
+tail, else in exact mode the eigen tail of the minimal-recurrence reduction
+that the samples fit.  A standalone ``analyse`` and an operator's context
+take the same ladder.
+
+An exact system can be proved one-signed by the sign pattern of A alone
+(``_sign_pattern``, ``_pattern_proof``).  Let a signature S = diag(+-1)
+make P = S A S >= 0 entrywise.  Then g(t) = (c S) P^(t-1) (S b) is a sum of
+walk terms (c S)_i P_(i i1) .. P_(i(t-2) j) (S b)_j, and a walk stays in one
+connected block of the pattern.  If c S and S b each have one sign on every
+block that a walk joins, with one product sign over those blocks, every
+term has that sign: g(t) is 0 or of that sign for every t, and g(t) != 0
+exactly when some walk of length t - 1 joins supp(c) to supp(b).  The walk
+sets supp(c) P^m are eventually periodic, so one preperiod and one period
+decide every zero (Berman & Plemmons, Nonnegative Matrices in the
 Mathematical Sciences, 1994, ch. 2).  No sample and no eigen-solve enters
 the proof: ``analyse`` gives such a system a tail from t = 1 and takes only
 the samples its verdicts read.
@@ -53,10 +60,10 @@ the tail start; ``analyse`` then holds the samples up to that start, or the
 lead samples, and no more.
 
 numpy is imported inside the eigen routes, so a run that takes none of them
-never loads it: a system proved by its sign pattern or given an exact modal
-tail takes none, nor does one whose samples carry both strict signs.  Every
-eigen tail, a 1 x 1 system's included, comes from one numpy ``eig``
-(``dominant_modes``).
+never loads it: an exact system that the ladder proves takes none, a
+standalone ``external_positivity`` included, nor does one whose samples
+carry both strict signs.  Every eigen tail, a 1 x 1 system's included, comes
+from one numpy ``eig`` (``dominant_modes``).
 """
 
 from __future__ import annotations
@@ -318,23 +325,27 @@ _STATUS_SIGN = {
 
 @dataclass(frozen=True)
 class TailCertificate:
-    """For all t >= start: |rho| * (dominant/subdominant)^(t-1) > residual_sum,
-    so the dominant mode fixes sign(g(t)) = sign.  The left side is monotone
-    increasing in t, so checking the inequality at ``start`` settles the tail.
-    A sign-pattern tail (``_pattern_proof``) starts at 1 and rests on no
-    mode: every g(t) is 0 or has its sign, and its four moduli are 0.  An
-    exact modal tail (``_modal_tail``) rests on its own integer inequality,
-    which holds from ``start`` on, and its four moduli are 0 too.
+    """Every g(t), t >= start, has the sign ``sign``.  An eigen tail
+    (``dominant_tail``, the minimal-recurrence route's included) carries the
+    moduli of its bound: |rho| * (dominant/subdominant)^(t-1) > residual_sum
+    for all t >= start, the left side increasing in t, so checking the
+    inequality at ``start`` settles the tail.  A sign-pattern tail
+    (``_pattern_proof``: every g(t) is 0 or has its sign, from 1 on) and an
+    exact modal tail (``_modal_tail``: its own integer inequality) rest on
+    no modulus and carry none.
     """
 
     start: int
     sign: int
-    dominant: float
-    subdominant: float
-    residue: float
-    residual_sum: float
+    dominant: float | None = None
+    subdominant: float | None = None
+    residue: float | None = None
+    residual_sum: float | None = None
 
-    def margin(self, t: int) -> float:
+    def margin(self, t: int) -> float | None:
+        """The eigen bound's slack at t, or None for a tail without moduli."""
+        if self.dominant is None:
+            return None
         ratio = self.dominant / self.subdominant if self.subdominant > 0 else math.inf
         return abs(self.residue) * ratio ** (t - 1) - self.residual_sum
 
@@ -663,7 +674,7 @@ def _modal_tail(m: tuple[int, ...], sys: LtiSystem, shift: int,
     mods, terms, lead = list(map(abs, active)), list(map(abs, active.values())), abs(rho1)
     for t in range(1, horizon + 1):
         if sum(terms) < lead:
-            return TailCertificate(t, 1 if rho1 > 0 else -1, 0.0, 0.0, 0.0, 0.0)
+            return TailCertificate(t, 1 if rho1 > 0 else -1)
         terms = [x * mi for x, mi in zip(terms, mods)]
         lead *= top
     return None
@@ -693,14 +704,14 @@ class ExtPosAnalysis:
     """The costly, requirement-independent half of external positivity.
 
     Holds the samples g(1)..g(horizon), their sign classes (``sign_of``), the
-    tail certificate (sign-pattern, eigen or minimal-recurrence route;
-    dropped when its sign disagrees with the decisive samples) and the notes
-    explaining it.  Samples of both strict signs already refute every
-    requirement, so such an analysis stops at t_bad = max(first positive,
-    first negative): it holds g(1)..g(t_bad) and their signs, no tail and no
-    notes.  A system proved by its sign pattern holds g(1)..g(T), the
-    samples its verdicts read (``analyse``).  ``judge`` turns one analysis
-    into a strict or a non-strict verdict.
+    tail certificate (the route ``analyse`` takes; dropped when its sign
+    disagrees with the decisive samples) and the notes explaining it.
+    Samples of both strict signs already refute every requirement, so such
+    an analysis stops at t_bad = max(first positive, first negative): it
+    holds g(1)..g(t_bad) and their signs, no tail and no notes.  A system
+    whose tail is proved holds g(1)..g(T), the samples its verdicts read
+    (``analyse``).  ``judge`` turns one analysis into a strict or a
+    non-strict verdict.
     """
 
     n: int
@@ -719,61 +730,71 @@ class ExtPosAnalysis:
 _BLOCK = 8
 
 
+class Pair:
+    """What the systems on one pair (A, c) share, each part built the first
+    time it is read: the output rows (``rows``), grown as far as the samples
+    of its systems reach; the signature of an exact A (``pattern``,
+    ``_sign_pattern``) and its integer diagonal when A is diagonal
+    (``diagonal``, ``_diagonal``), both None in float; and the
+    eigen-decomposition under ``tol`` (``modes``, ``dominant_modes``)."""
+
+    def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL):
+        self.A, self.c, self.tol = A, tuple(parse_scalar(x, A.backend) for x in c), tol
+
+    @cached_property
+    def rows(self) -> OutputRows:
+        return output_rows(self.A, self.c, 1)
+
+    @cached_property
+    def pattern(self) -> _SignPattern | None:
+        return _sign_pattern(self.A) if self.A.backend is Backend.EXACT else None
+
+    @cached_property
+    def diagonal(self) -> tuple[int, ...] | None:
+        return _diagonal(self.A) if self.A.backend is Backend.EXACT else None
+
+    @cached_property
+    def modes(self) -> DominantModes:
+        return dominant_modes(self.A, self.c, self.tol)
+
+
 def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL,
-            rows: OutputRows | None = None,
-            modes: Callable[[], DominantModes] | None = None,
-            shift: int = 0, pattern: _SignPattern | None = None,
-            lead: int = 0, diagonal: tuple[int, ...] | None = None) -> ExtPosAnalysis:
+            pair: Pair | None = None, shift: int = 0, lead: int = 0) -> ExtPosAnalysis:
     """Sample the impulse response and, unless the samples carry both strict
-    signs, certify its tail; ``rows``, ``modes`` and ``pattern`` pass what
-    the systems on one pair (A, c) share.  ``modes`` is called, once, only
-    when the tail is needed, so samples that already refute build no
-    eigen-decomposition.  With ``shift`` the system analysed is
-    (A, A^shift b, c): its samples are read from output row t + shift on
-    (``impulse_response``) and its eigen tail scales the residues of b by
-    lam^shift (``dominant_tail``), so A^shift b is never formed; the
-    recurrence fit reads those same samples.
+    signs, certify its tail by the one ladder (module docstring).  ``pair``
+    passes what the systems on (A, c) share, and is built when None.  With
+    ``shift`` the system analysed is (A, A^shift b, c): its samples are read
+    from output row t + shift on (``impulse_response``), every route's tail
+    is that system's, and A^shift b is never formed.
 
-    ``pattern`` is the signature of an exact A (``_sign_pattern``).  When it
-    proves the system one-signed (``_pattern_proof``), the tail is its sign
-    from t = 1 on, with no eigen-solve and no recurrence fit, and the
-    samples stop at T = min(horizon, max(one period of the zero pattern,
-    ``lead``)): they show the first nonzero sample and, if there is one,
-    the first zero, and ``lead`` is the number of leading samples a
-    requirement on the system reads.  So no verdict read off the analysis
-    changes with the samples it leaves out.
-
-    ``diagonal`` is the diagonal of D_A A when an exact A is diagonal
-    (``_diagonal``).  When the sign pattern does not prove the system and
-    its exact modes give a tail (``_modal_tail``), that tail is taken with
-    no eigen-solve and no recurrence fit, and the samples stop at
-    T = min(horizon, max(the tail start, ``lead``)): from the start on every
-    sample is nonzero with the tail's sign, so again no verdict changes.
+    A proved tail (``_proved_tail``) needs no sample, so the samples stop at
+    T = min(horizon, max(the samples the proof names, ``lead``)): one period
+    of a sign pattern's zero pattern, which shows the first nonzero sample
+    and the first zero, if any, or a modal tail's start, from which every
+    sample is nonzero with its sign.  ``lead`` is the number of leading
+    samples a requirement on the system reads, so no verdict read off the
+    analysis changes with the samples it leaves out.
 
     Samples come in blocks ending at t = 8, 64, 512, ... or at the last
     sample, one ``impulse_response`` call each, and each sample is computed
     once.  Once both strict signs have shown up the analysis stops at t_bad;
     every other unproved analysis (zero, identically zero or one-signed
     samples) runs to the horizon, since its verdict depends on the
-    requirement or on the tail.  The output rows are extended only as far
-    as the samples taken.
+    requirement or on the tail (``_sampled_tail``).  The output rows are
+    extended only as far as the samples taken.
     """
     horizon = horizon if horizon is not None else default_horizon(sys.n)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     backend = sys.backend
     exact = backend is Backend.EXACT
-    if rows is None:
-        rows = output_rows(sys.A, sys.c, 1)
-    proof = None if pattern is None else _pattern_proof(pattern, sys, shift, horizon)
-    modal = (None if proof is not None or diagonal is None
-             else _modal_tail(diagonal, sys, shift, horizon))
-    proved = len(proof.nonzero) if proof else modal.start if modal else horizon
-    last = min(horizon, max(proved, lead))
+    pair = pair or Pair(sys.A, sys.c, tol)
+    proved = _proved_tail(sys, pair, shift, horizon)
+    last = min(horizon, max(proved[2], lead)) if proved else horizon
     values, signs, end, both = (), (), 0, False
     while end < last and not both:
         start, end = end, min(last, _BLOCK * end or _BLOCK)
-        block = impulse_response(sys, end, rows, start, shift)
+        block = impulse_response(sys, end, pair.rows, start, shift)
         block_values = block.nums if exact else block
         values += block_values
         signs += tuple(sign_of(x, backend, tol) for x in block_values)
@@ -781,22 +802,11 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     if both:
         t_bad = max(signs.index(1), signs.index(-1)) + 1
         values, signs = values[:t_bad], signs[:t_bad]
-    g = ExactSamples(values, block.db, rows.dens[shift:]) if exact else values
+    g = ExactSamples(values, block.db, pair.rows.dens[shift:]) if exact else values
     if both:
         # samples of both strict signs settle every verdict; no tail is needed
         return ExtPosAnalysis(sys.n, backend, horizon, g, signs, None, ())
-    if proof is not None:
-        tail = TailCertificate(1, proof.sign, 0.0, 0.0, 0.0, 0.0)
-        zeros = ("no sample is 0" if all(proof.nonzero) else
-                 f"its zeros repeat with period {len(proof.nonzero) - proof.pre} "
-                 f"from t={proof.pre + 1}")
-        notes = [f"tail by sign pattern: every sample is 0 or of sign {proof.sign:+d}; {zeros}"]
-    elif modal is not None:
-        tail = modal
-        notes = [f"tail by exact diagonal modes: every sample from t={modal.start} on "
-                 f"has sign {modal.sign:+d}"]
-    else:
-        tail, notes = _sampled_tail(sys, g, horizon, tol, modes, shift)
+    tail, notes = proved[:2] if proved else _sampled_tail(sys, g, horizon, pair, shift)
     decisive = {s for s in signs if s}
     if tail and len(decisive) == 1 and tail.sign not in decisive:
         notes.append("tail certificate sign disagrees with decisive samples; tail discarded")
@@ -804,18 +814,35 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     return ExtPosAnalysis(sys.n, backend, horizon, g, signs, tail, tuple(notes))
 
 
-def _sampled_tail(sys: LtiSystem, g: Sequence[Num], horizon: int, tol: float,
-                  modes: Callable[[], DominantModes] | None,
+def _proved_tail(sys: LtiSystem, pair: Pair, shift: int,
+                 horizon: int) -> tuple[TailCertificate, list[str], int] | None:
+    """The tail of (A, A^shift b, c) that the sign pattern of A proves, else
+    its exact diagonal modes, with its note and the samples the proof names
+    (``analyse``); None when neither proves one."""
+    if pair.pattern is not None and (proof := _pattern_proof(pair.pattern, sys, shift, horizon)):
+        zeros = ("no sample is 0" if all(proof.nonzero) else
+                 f"its zeros repeat with period {len(proof.nonzero) - proof.pre} "
+                 f"from t={proof.pre + 1}")
+        note = f"tail by sign pattern: every sample is 0 or of sign {proof.sign:+d}; {zeros}"
+        return TailCertificate(1, proof.sign), [note], len(proof.nonzero)
+    if pair.diagonal is not None and (tail := _modal_tail(pair.diagonal, sys, shift, horizon)):
+        note = (f"tail by exact diagonal modes: every sample from t={tail.start} on "
+                f"has sign {tail.sign:+d}")
+        return tail, [note], tail.start
+    return None
+
+
+def _sampled_tail(sys: LtiSystem, g: Sequence[Num], horizon: int, pair: Pair,
                   shift: int) -> tuple[TailCertificate | None, list[str]]:
     """The eigen tail of the system, else in exact mode the eigen tail of its
     minimal-recurrence reduction fitted to the samples ``g``, with the notes
     that say which route gave it or why none did."""
     notes = []
-    tail, tail_note = dominant_tail(sys, tol, modes() if modes is not None else None, shift)
+    tail, tail_note = dominant_tail(sys, pair.tol, pair.modes, shift)
     if tail is None and sys.backend is Backend.EXACT:
         reduced = minimal_recurrence_system(sys, g)
         if reduced is not None:
-            tail, note2 = dominant_tail(reduced, tol)
+            tail, note2 = dominant_tail(reduced, pair.tol)
             if tail is not None:
                 tail_note = ""
                 notes.append(

@@ -31,20 +31,18 @@ share, times w.  So each system is analysed as (C_r(A), w, c_r) read s rows
 late (``lti.analyse``), a full-order one with w / det O_n and s = n - r;
 only ``compound_system`` and ``full_compound_systems`` form b.
 
-In exact mode the sign pattern of C_r(A) may prove a system one-signed with
-no eigen-solve (``lti`` docstring): a signature S with S C_r(A) S >= 0 is
-sought once per order (``_OperatorContext.pattern``), and each system then
-checks the signs of c_r S and S w on the blocks that its walks join, from
-m = s on.  A proved system has a tail from t = 1 with its sign, and holds
-only the samples that its verdicts read: the lead samples that vb asks for
-(``_lead``), one period of its zero pattern (which shows its first nonzero
-sample and its first zero, if any), never more than the horizon.  A system
-that its sign pattern does not prove, of an order whose exact C_r(A) is
-diagonal (``_OperatorContext.diagonal``, as for every order of a diagonal
-A), may instead take an exact modal tail (``lti._modal_tail``): it then
-holds its samples up to the tail start or its lead samples, with no
-eigen-solve.  ``impulse_variation_bound`` reads the same tail of (A, b, c)
-on a diagonal A.
+The systems of order r share one ``lti.Pair`` (C_r(A), c_r)
+(``_OperatorContext.order``): its output rows, the sign pattern and the
+diagonal of an exact C_r(A), and its eigen-decomposition, each built once,
+when a system first reads it.  Each system takes the one tail ladder of
+``lti.analyse``, as a standalone ``lti.external_positivity`` does: in
+exact mode the sign pattern of C_r(A) may prove it one-signed, else the
+exact modes of a diagonal C_r(A) (as every order of a diagonal A has) may
+give its tail, with no eigen-solve either way; such a system holds only the
+samples that its verdicts read, the lead samples that vb asks for
+(``_lead``) included.  Otherwise the tail is the eigen or the
+minimal-recurrence one.  ``impulse_variation_bound`` reads the same ladder
+on the order-1 pair (A, c).
 
 One engine serves every property: the pair's ``_OperatorContext`` analyses
 each compound system once (``lti.analyse``), and ``_certify`` judges the
@@ -87,25 +85,19 @@ from .linalg import (
     scalar_text,
 )
 from .lti import (
-    DominantModes,
     ExtPosAnalysis,
     ExtPosStatus,
     ExtPosVerdict,
     LtiSystem,
-    OutputRows,
+    Pair,
     analyse,
     default_horizon,
-    dominant_modes,
-    dominant_tail,
     eigen_sorted,
     impulse_response,
     judge,
-    output_rows,
     real_positive,
-    _SignPattern,
-    _diagonal,
-    _modal_tail,
-    _sign_pattern,
+    _proved_tail,
+    _sampled_tail,
 )
 from .signcons import Conclusion, _anchored_tuples, _is_consecutive_tail, _vb_fold
 from .variation import v_minus
@@ -126,11 +118,10 @@ class _OperatorContext:
     ``Minors`` of its order-1 output rows c A^(t-1), t = 1..n+1 when exact
     (integer rows over their ``dens``: the section O_(n+1)) and 1..n in float,
     which gives O_n's rank and determinant, each c_r (the r-minors on rows
-    1..r) and the section's minors; each order's C_r(A) and, when exact, its
-    signature; the output rows and the eigen-decomposition of each pair
-    (C_r(A), c_r), which all systems of that order share (the rows as far as
-    its analyses read, the decomposition once one needs a tail); and one
-    analysis per (k, r, beta) compound system."""
+    1..r) and the section's minors; the ``lti.Pair`` (C_r(A), c_r) of each
+    order r (``order``), which all systems of that order share, its parts
+    built as its analyses first read them; and one analysis per (k, r, beta)
+    compound system."""
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
@@ -139,10 +130,10 @@ class _OperatorContext:
         self.A, self.n, self.tol = A, A.rows, tol
         self.horizon = horizon if horizon is not None else default_horizon(self.n)
         exact = A.backend is Backend.EXACT
-        # the order-1 output rows (C_1(A) = A, c_1 = c) are the rows of O: n + 1
-        # exact ones, of O_n's rank (Cayley-Hamilton); a float rank could differ
-        rows = output_rows(A, c, self.n + 1 if exact else self.n)
-        self._memo = {("rows", 1): rows}
+        # C_1(A) = A and c_1 = c; its output rows are the rows of O: n + 1 exact
+        # ones, of O_n's rank (Cayley-Hamilton); a float rank could differ
+        self._pairs, self._c, self._analyses = {1: Pair(A, c, tol)}, {}, {}
+        rows = self._pairs[1].rows.extend(self.n + 1 if exact else self.n)
         section = Matrix._of_ints(rows.dens, rows.rows) if exact else Matrix.floating(rows.rows)
         self._minors = minors = Minors(section)
         full = tuple(range(1, self.n + 1))
@@ -155,25 +146,25 @@ class _OperatorContext:
             raise NotObservableError(f"observability matrix is singular: "
                                      f"|det| = {abs(self.det_n)} within tolerance {tol}")
 
-    def _cached(self, key, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
-    def a_compound(self, r: int) -> Matrix:
-        return self._cached(("C_r(A)", r), lambda: compound(self.A, r))
-
     def c_compound(self, r: int) -> tuple[Num, ...]:
-        first = tuple(range(1, r + 1))
-        return self._cached(("c_r", r), lambda: tuple(
-            self._minors.value((first, J)) for J in index_sets(self.n, r)))
+        if r not in self._c:
+            first = tuple(range(1, r + 1))
+            self._c[r] = tuple(self._minors.value((first, J)) for J in index_sets(self.n, r))
+        return self._c[r]
+
+    def order(self, r: int) -> Pair:
+        """The pair (C_r(A), c_r) of the systems of order r."""
+        if r not in self._pairs:
+            self._pairs[r] = Pair(compound(self.A, r), self.c_compound(r), self.tol)
+        return self._pairs[r]
 
     def shifted(self, k: int, r: int, beta: IndexTuple | None) -> tuple[LtiSystem, int]:
         """(C_r(A), w, c_r) and the shift s of the (k, r, beta) system, beta None
         for the full-order family: s = k - r, or n - r with w / det O_n."""
         w, s = ((_full_order_input(self, r), self.n - r) if beta is None
                 else (_minor_trace_input(self, k, r, beta), k - r))
-        return LtiSystem(self.a_compound(r), w, self.c_compound(r)), s
+        pair = self.order(r)
+        return LtiSystem(pair.A, w, pair.c), s
 
     def system(self, k: int, r: int, beta: IndexTuple | None) -> LtiSystem:
         """The (k, r, beta) system with its input b = C_r(A)^s w formed, which
@@ -183,36 +174,14 @@ class _OperatorContext:
             sys = replace(sys, b=sys.A.matvec(sys.b))
         return sys
 
-    def output_rows(self, r: int, N: int) -> OutputRows:
-        """At least N output rows of (C_r(A), c_r), extended in place."""
-        return self._cached(("rows", r), lambda: output_rows(
-            self.a_compound(r), self.c_compound(r), N)).extend(N)
-
-    def modes(self, r: int) -> DominantModes:
-        return self._cached(("modes", r), lambda: dominant_modes(
-            self.a_compound(r), self.c_compound(r), self.tol))
-
-    def pattern(self, r: int) -> _SignPattern | None:
-        """The signature of an exact C_r(A) (``lti._sign_pattern``); None in
-        float, which takes no sign-pattern route."""
-        return self._cached(("pattern", r), lambda: _sign_pattern(self.a_compound(r))
-                            if self.A.backend is Backend.EXACT else None)
-
-    def diagonal(self, r: int) -> tuple[int, ...] | None:
-        """The integer diagonal of an exact C_r(A) that is diagonal, as it
-        always is when A is (``lti._diagonal``); None otherwise and in float."""
-        return self._cached(("diagonal", r), lambda: _diagonal(self.a_compound(r))
-                            if self.A.backend is Backend.EXACT else None)
-
     def analysis(self, k: int, r: int, beta: IndexTuple | None) -> ExtPosAnalysis:
         """The analysis of the ``shifted`` system, read s rows late."""
-        key = ("analysis", k, r, beta)
-        if key not in self._memo:
+        key = (k, r, beta)
+        if key not in self._analyses:
             sys, s = self.shifted(k, r, beta)
-            self._memo[key] = analyse(sys, self.horizon, self.tol, self.output_rows(r, 1),
-                                      lambda: self.modes(r), s, self.pattern(r),
-                                      _lead(self.n, k, r, beta), self.diagonal(r))
-        return self._memo[key]
+            self._analyses[key] = analyse(sys, self.horizon, self.tol, self.order(r), s,
+                                          _lead(self.n, k, r, beta))
+        return self._analyses[key]
 
 
 def _full_order_input(ctx: _OperatorContext, r: int) -> tuple[Num, ...]:
@@ -573,9 +542,8 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     A certified level L (the operator bounds variation at L) applies when
     the input direction b has at most L sign changes; the report also
     measures the variation of the sampled response, with a completeness flag
-    from the dominant-mode tail (no further sign changes can occur once the
-    tail bound holds): the exact modal tail on an exact diagonal A, else the
-    eigen tail.
+    from the tail that ``lti.analyse``'s ladder gives (no further sign
+    changes can occur from the tail start on).
     """
     ctx = _OperatorContext(A, c, tol, horizon)
     horizon = ctx.horizon
@@ -586,15 +554,12 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
               for j, cert in enumerate(_order_certificates(ctx, ctx.n), 1)
               if cert.passed()}
     bound = min((level for level in levels if level >= vb_in), default=None)
-    # C_1(A) = A and c_1 = c, so the order-1 rows and modes serve (A, b, c)
-    g = impulse_response(sys, horizon, ctx.output_rows(1, horizon))
+    # C_1(A) = A and c_1 = c, so the order-1 pair serves (A, b, c)
+    pair = ctx.order(1)
+    g = impulse_response(sys, horizon, pair.rows)
     # exact samples carry their signs in their numerators (``ExactSamples``)
     measured = v_minus(g, tol) if A.backend is Backend.FLOAT else v_minus(g.nums)
-    # a diagonal A's exact modal tail, else the eigen tail (``lti.analyse``)
-    diagonal = ctx.diagonal(1)
-    tail = None if diagonal is None else _modal_tail(diagonal, sys, 0, horizon)
-    if tail is None:
-        tail, _ = dominant_tail(sys, tol, ctx.modes(1))
+    tail = (_proved_tail(sys, pair, 0, horizon) or _sampled_tail(sys, g, horizon, pair, 0))[0]
     complete = tail is not None and tail.start <= horizon
     notes = ["no certified level covers the input variation"] if bound is None else []
     return VariationBoundReport(vb_in, levels, bound, measured, complete, horizon, notes)

@@ -8,7 +8,9 @@ sign pattern proves take an exact modal tail, and exact ``certify`` runs on
 1 x 1 pairs, without loading numpy; the same
 process then runs an exact ``certify``
 that needs an eigen tail, and an ``oracle`` search, which load it and must
-give what they give in this process.
+give what they give in this process.  A library ``external_positivity``
+takes the tail routes ``certify`` takes, so on a system that its sign
+pattern or its exact diagonal modes prove it loads no numpy either.
 """
 
 import json
@@ -141,3 +143,38 @@ def test_cold_path_loads_no_numpy(tmp_path, capsys):
         assert any(note.startswith("tail by exact diagonal modes") for note in notes)
         assert all(note.startswith(("tail by sign pattern", "tail by exact diagonal modes"))
                    for note in notes), notes
+
+
+# (A, the note of its tail) with b = c = 1: the sign pattern of a nonnegative
+# A, and the exact modes of diag(1/2, -1/4), whose negative entry leaves no
+# signature; g(t) = (1/2)^(t-1) + (-1/4)^(t-1) is positive from t = 1
+LIBRARY = [
+    ([["1/2", "1/10"], ["0", "1/4"]],
+     "tail by sign pattern: every sample is 0 or of sign +1; no sample is 0"),
+    ([["1/2", "0"], ["0", "-1/4"]],
+     "tail by exact diagonal modes: every sample from t=2 on has sign +1"),
+]
+
+_LIBRARY_SCRIPT = """
+import json, sys
+from varsign.linalg import Matrix
+from varsign.lti import LtiSystem, external_positivity
+
+got = []
+for A in json.loads(sys.argv[1]):
+    v = external_positivity(LtiSystem(Matrix.exact(A), ("1", "1"), ("1", "1")))
+    got.append([v.status.value, v.notes, len(v.samples)])
+print(json.dumps({"verdicts": got, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_library_external_positivity_takes_the_proved_routes(tmp_path):
+    """A fresh exact ``external_positivity`` proves both systems with no
+    eigen-solve, and holds only the samples up to its tail start."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    payload = json.dumps([A for A, _ in LIBRARY])
+    proc = subprocess.run([sys.executable, "-c", _LIBRARY_SCRIPT, payload], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = [["strictly positive", [note], held] for (_, note), held in zip(LIBRARY, (1, 2))]
+    assert json.loads(proc.stdout) == {"verdicts": verdicts, "numpy": False}

@@ -329,16 +329,19 @@ def test_external_positivity_strict_negative():
     assert v.sign == -1
 
 
-def test_external_positivity_exact_zero_sample_strict_vs_nonstrict():
-    # g = (1, 0, 0, ...) exactly
+def test_external_positivity_exact_zero_sample_strict_vs_nonstrict(monkeypatch):
+    # g = (1, 0, 0, ...) exactly: the sign pattern proves every zero from t = 2
+    # on, and the sampled route reads them off the n trailing zero samples
     A = Matrix.exact([[Fraction(1, 2), 0], [0, 0]])
     sys = LtiSystem(A, (Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))
-    strict = external_positivity(sys, strict=True)
-    assert strict.status is ExtPosStatus.VIOLATED
-    assert strict.first_violation[0] == 2
-    relaxed = external_positivity(sys, strict=False)
-    assert relaxed.status is ExtPosStatus.NONNEGATIVE
-    assert any("trailing zeros" in n for n in relaxed.notes)
+    for note in ("its zeros repeat with period 1 from t=2", "trailing zeros"):
+        strict = external_positivity(sys, strict=True)
+        assert strict.status is ExtPosStatus.VIOLATED
+        assert strict.first_violation[0] == 2
+        relaxed = external_positivity(sys, strict=False)
+        assert relaxed.status is ExtPosStatus.NONNEGATIVE
+        assert any(note in n for n in relaxed.notes)
+        monkeypatch.setattr(lti, "_proved_tail", lambda *args: None)
 
 
 def test_external_positivity_identically_zero():
@@ -373,6 +376,29 @@ def test_tail_without_a_subdominant_mode_starts_at_1_or_2(rho1, scale, want, sub
     assert tail.margin(tail.start) > 0
 
 
+@pytest.mark.parametrize("A, b, c, note", [
+    ([["0.5", "0.1"], ["0", "0.25"]], (1, 1), (1, 1), "tail by sign pattern"),
+    ([["0.5", "0"], ["0", "-0.25"]], (1, 1), (1, 1), "tail by exact diagonal modes"),
+    ([["0.5", "0.25"], ["0", "-0.25"]], (1, 1), (1, 1), None),
+    ([["-0.5", "1"], ["-1", "1.5"]], (-2, -2), (0, -1),
+     "tail bound via exact minimal-recurrence reduction"),
+], ids=["pattern", "modal", "eigen", "recurrence"])
+def test_tail_margin_is_none_or_finite_and_positive_on_every_route(A, b, c, note):
+    """Sign-pattern and exact modal tails carry no moduli, so no margin; an
+    eigen tail, the minimal-recurrence route's included, has a finite
+    positive margin at its start.  No route's margin is nan."""
+    analysis = analyse(LtiSystem(Matrix.exact(A), b, c))
+    tail = analysis.tail
+    assert tail is not None
+    assert analysis.notes[0].startswith(note) if note else analysis.notes == ()
+    margin = tail.margin(tail.start)
+    if note and note.startswith("tail by"):
+        assert margin is None and (tail.dominant, tail.residual_sum) == (None, None)
+    else:
+        assert math.isfinite(margin) and margin > 0
+    assert TailCertificate(3, 1).margin(3) is None
+
+
 def test_minimal_recurrence_reduction_unblocks_inactive_dominant_mode():
     # only the smallest eigenvalue is active in this trace; the full-matrix
     # analysis sees a dominant mode with zero residue, the exact reduction
@@ -383,7 +409,13 @@ def test_minimal_recurrence_reduction_unblocks_inactive_dominant_mode():
     red = minimal_recurrence_system(sys, g)
     assert red is not None and red.n == 1
     assert impulse_response(red, 12) == g[:12]
+    # the sign pattern of the diagonal A proves the system first
     v = external_positivity(sys, strict=True)
+    assert v.status is ExtPosStatus.STRICT_POSITIVE
+    assert v.notes[0].startswith("tail by sign pattern")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lti, "_proved_tail", lambda *args: None)
+        v = external_positivity(sys, strict=True)
     assert v.status is ExtPosStatus.STRICT_POSITIVE
     assert any("reduction" in n for n in v.notes)
 
@@ -426,7 +458,12 @@ def test_one_signed_samples_still_reach_the_tail(monkeypatch):
 
     monkeypatch.setattr(lti, "dominant_tail", counting_tail)
     sys = LtiSystem(Matrix.exact([["0.5", "0.1"], ["0", "0.25"]]), (1, 1), (1, 1))
-    analysis = analyse(sys, 12)
+    # the sign pattern proves the system with no eigen tail; without it the
+    # one-signed samples reach the eigen route
+    assert analyse(sys, 12).tail == TailCertificate(1, 1) and calls == []
+    pair = lti.Pair(sys.A, sys.c)
+    pair.__dict__["pattern"] = None
+    analysis = analyse(sys, 12, pair=pair)
     assert calls == [sys]
     assert analysis.tail is not None
     v = judge(analysis)
@@ -533,7 +570,9 @@ def _fraction_samples_reference(sys, N):
 ])
 def test_exact_samples_equal_the_fraction_construction(A, b, c, N):
     sys = LtiSystem(Matrix.exact(A), b, c)
-    for rows in (None, output_rows(sys.A, sys.c, N + 4)):  # shared rows may run past N
+    for shared in (False, True):
+        pair = lti.Pair(sys.A, sys.c)
+        rows = pair.rows.extend(N + 4) if shared else None  # shared rows may run past N
         g = impulse_response(sys, N, rows)
         want = _fraction_samples_reference(sys, N)
         assert len(g) == N and g == want and want == g and tuple(g) == want
@@ -554,22 +593,24 @@ def test_exact_samples_equal_the_fraction_construction(A, b, c, N):
         # the analysis keeps a prefix: up to t_bad when both strict signs occur
         both = 1 in signs and -1 in signs
         stop = max(signs.index(1), signs.index(-1)) + 1 if both else N
-        analysis = analyse(sys, N, rows=rows)
+        analysis = analyse(sys, N, pair=pair)
         assert analysis.signs == signs[:stop] and analysis.samples == want[:stop]
 
 
 def test_exact_input_is_lifted_once_per_system(monkeypatch):
     """Samples taken in blocks hold the numerators, D_b and denominators of one
     call's samples, and a system lifts b to D_b b once however many blocks
-    sample it: here two blocks by hand, then ``analyse``, whose one-signed
-    samples run to the horizon in blocks ending at t = 8 and 50.  The output
-    rows lift c only: A was lifted when it was built."""
+    sample it: here two blocks by hand, then ``analyse`` on the sampled route,
+    whose one-signed samples run to the horizon in blocks ending at t = 8 and
+    50.  The output rows lift c only: A was lifted when it was built."""
     A, c = Matrix.exact([["1/2", "1/10"], ["0", "1/4"]]), ("1/3", 1)
     inputs = [("1/3", "2/7"), ("5/6", "1/9"), (1, 0)]
     want = [impulse_response(LtiSystem(A, b, c), 50) for b in inputs]
     lifts, lift = [], lti.lift
     monkeypatch.setattr(lti, "lift", lambda xs: lifts.append(tuple(xs)) or lift(xs))
-    rows = output_rows(A, c, 1)
+    pair = lti.Pair(A, c)
+    pair.__dict__["pattern"] = None  # the pattern would prove each system from one sample
+    rows = pair.rows
     # c, once for the pair
     assert lifts == [(Fraction(1, 3), 1)]
     lifts.clear()
@@ -579,7 +620,7 @@ def test_exact_input_is_lifted_once_per_system(monkeypatch):
         assert tuple(x for block in blocks for x in block.nums) == one.nums
         assert [block.db for block in blocks] == [one.db] * 2
         assert [d for block in blocks for d in block.dens] == one.dens
-        g = analyse(LtiSystem(A, b, c), 50, rows=rows).samples
+        g = analyse(LtiSystem(A, b, c), 50, pair=pair).samples
         assert len(g) == 50 and (g.nums, g.db, g.dens) == (one.nums, one.db, one.dens)
     assert lifts == [LtiSystem(A, b, c).b for b in inputs for _ in range(2)]
 
@@ -1045,7 +1086,9 @@ def test_rejected_sign_patterns_take_the_sampled_route(case):
     assert (pattern is None) == (case < 2)
     if pattern is not None:
         assert lti._pattern_proof(pattern, sys, 0, 50) is None
-    got, want = analyse(sys, 50, pattern=pattern, lead=3), analyse(sys, 50)
+    sampled = lti.Pair(A, c)
+    sampled.__dict__["pattern"] = None
+    got, want = analyse(sys, 50, lead=3), analyse(sys, 50, pair=sampled)
     assert got == want and len(got.samples) == 50
     assert not any(note.startswith("tail by sign pattern") for note in got.notes)
     for strict in (True, False):
@@ -1063,14 +1106,13 @@ def test_sign_pattern_route_samples_only_what_its_verdicts_read():
         raise AssertionError("tail work on a pattern-proved system")
 
     sys = LtiSystem(Matrix.exact([["0.5", "0"], ["0", "0.25"]]), (0, 1), (1, 1))
-    pattern = lti._sign_pattern(sys.A)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lti, "dominant_tail", refuse)
         mp.setattr(lti, "minimal_recurrence_system", refuse)
         for lead, horizon, want in ((0, 50, 1), (3, 50, 3), (3, 2, 2)):
-            analysis = analyse(sys, horizon, pattern=pattern, lead=lead)
+            analysis = analyse(sys, horizon, lead=lead)
             assert len(analysis.samples) == want and analysis.horizon == horizon
-            assert analysis.tail == TailCertificate(1, 1, 0.0, 0.0, 0.0, 0.0)
+            assert analysis.tail == TailCertificate(1, 1)
             assert analysis.notes == (
                 "tail by sign pattern: every sample is 0 or of sign +1; no sample is 0",)
             verdict = judge(analysis)
@@ -1078,7 +1120,7 @@ def test_sign_pattern_route_samples_only_what_its_verdicts_read():
     shift = LtiSystem(Matrix.exact([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), (1, 0, 0), (0, 0, 1))
     proof = lti._pattern_proof(lti._sign_pattern(shift.A), shift, 0, 50)
     assert (proof.sign, proof.pre, proof.nonzero) == (1, 3, (False, False, True, False))
-    analysis = analyse(shift, 50, pattern=lti._sign_pattern(shift.A))
+    analysis = analyse(shift, 50)
     assert analysis.samples == (0, 0, 1, 0)
     assert analysis.notes[0].endswith("its zeros repeat with period 1 from t=4")
     assert judge(analysis, strict=True).first_violation == (1, 0)
@@ -1096,9 +1138,9 @@ def test_walk_sets_that_do_not_repeat_within_the_horizon_prove_nothing():
     pattern = lti._sign_pattern(A)
     assert lti._pattern_proof(pattern, sys, 0, 4) is None
     for strict in (True, False):
-        assert judge(analyse(sys, 4, pattern=pattern), strict).status is ExtPosStatus.HORIZON_ONLY
+        assert judge(analyse(sys, 4), strict).status is ExtPosStatus.HORIZON_ONLY
     proof = lti._pattern_proof(pattern, sys, 0, 5)
     assert (proof.sign, proof.pre, proof.nonzero) == (1, 4, (True,) * 4 + (False,))
-    analysis = analyse(sys, 5, pattern=pattern)
+    analysis = analyse(sys, 5)
     assert judge(analysis, strict=True).first_violation == (5, 0)
     assert judge(analysis, strict=False).status is ExtPosStatus.NONNEGATIVE

@@ -295,18 +295,18 @@ def test_shared_sampling_matches_per_system_reference():
             sys = ctx.system(*key)
             want = _propagated_impulse_reference(sys, 50)
             for horizon in (1, n, 50):
-                rows = (ctx.output_rows(r, 50) if horizon == 50 else
-                        output_rows(ctx.a_compound(r), ctx.c_compound(r), horizon))
+                rows = (ctx.order(r).rows.extend(50) if horizon == 50 else
+                        output_rows(ctx.order(r).A, ctx.c_compound(r), horizon))
                 got = impulse_response(sys, horizon, rows)
                 assert got == want[:horizon], (n, horizon, key)
                 assert all(type(x) is Fraction for x in got)
                 assert impulse_response(sys, horizon) == got
             # float samples read off the order's shared rows, bit for bit
             fsys = fctx.system(*key)
-            shared = impulse_response(fsys, 50, fctx.output_rows(r, 50))
+            shared = impulse_response(fsys, 50, fctx.order(r).rows.extend(50))
             assert [repr(x) for x in shared] == [repr(x) for x in impulse_response(fsys, 50)]
             for context, system in ((ctx, sys), (fctx, fsys)):
-                tail = dominant_tail(system, context.tol, context.modes(r))
+                tail = dominant_tail(system, context.tol, context.order(r).modes)
                 assert tail == dominant_tail(system, context.tol), (n, key)
                 tails += tail[0] is not None
             systems += 1
@@ -368,7 +368,7 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
             else:
                 assert list(map(repr, analysis.samples)) == list(map(repr, full[:t]))
             assert analysis.signs == signs[:t] and analysis.horizon == horizon
-            pattern = ctx.pattern(key[1])
+            pattern = ctx.order(key[1]).pattern
             proof = pattern and lti._pattern_proof(pattern, sys, s, horizon)
             last = horizon
             if 1 in signs and -1 in signs:
@@ -392,10 +392,10 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
                 got, want = lti.judge(analysis, strict), lti.judge(reference, strict)
                 assert replace(got, samples=None) == replace(want, samples=None)
                 assert got.samples == want.samples[:t]
-            ref._memo[("analysis", *key)] = reference
+            ref._analyses[key] = reference
             taken.setdefault(key[1], []).append(_block_end(t, last) + s)
         for r, ends in taken.items():
-            rows = ctx.output_rows(r, 1).rows
+            rows = ctx.order(r).rows.rows
             assert len(rows) == max(ends)
             short_orders += r in unproved and len(rows) < horizon
         for k in range(1, n + 1):
@@ -528,7 +528,7 @@ def test_shared_eigen_note_lands_on_every_system():
         ctx = obsv._OperatorContext(A, (Fraction(1), Fraction(1)), horizon=4)
         for key in [(1, 1, e.beta) for e in beta_family(2, 1)] + [(2, 1, None)]:
             system = ctx.system(*key)
-            assert note in dominant_tail(system, ctx.tol, ctx.modes(1))[1], (A, key)
+            assert note in dominant_tail(system, ctx.tol, ctx.order(1).modes)[1], (A, key)
             assert note in dominant_tail(system, ctx.tol)[1], (A, key)
 
 
@@ -554,9 +554,9 @@ def test_shifted_analyses_match_the_systems_with_b_formed(arith):
     and beta and on the full-order family: equal tail route and
     ``tail_start``; exact, equal sample values, signs and notes; float,
     equal decisive signs and samples within 1e-12 of the system's largest
-    |g|.  ``analyse`` of a formed system takes no sign-pattern route, so
-    neither does this context; with the route, an exact context's analysis
-    holds a prefix of the same samples and signs."""
+    |g|.  Both take the sampled route, the formed system's ``Pair`` and the
+    context's with their proof routes off; with the proof routes, an exact
+    context's analysis holds a prefix of the same samples and signs."""
     systems = routes = 0
     for A, c in _shift_differential_pairs():
         if arith == "float":
@@ -568,7 +568,7 @@ def test_shifted_analyses_match_the_systems_with_b_formed(arith):
                  for r in range(1, k + 1) for beta in lex_tuples(n, k)]
         cases += [((n, r, None), sys) for r, sys in enumerate(full_compound_systems(A, c), 1)]
         for key, sys in cases:
-            got, want = ctx.analysis(*key), lti.analyse(sys, H)
+            got, want = ctx.analysis(*key), lti.analyse(sys, H, pair=_sampled_pair(sys))
             full = impulse_response(sys, H)
             t = len(got.samples)
             if arith == "exact":
@@ -833,13 +833,13 @@ def test_engine_analyses_each_system_once(monkeypatch):
 def _count_modes(monkeypatch):
     """The state matrices of every eigen-decomposition the engine builds."""
     built = []
-    dominant_modes = obsv.dominant_modes
+    dominant_modes = lti.dominant_modes
 
     def counting(A, c, tol=DEFAULT_TOL):
         built.append(A.data)
         return dominant_modes(A, c, tol)
 
-    monkeypatch.setattr(obsv, "dominant_modes", counting)
+    monkeypatch.setattr(lti, "dominant_modes", counting)
     return built
 
 
@@ -1064,6 +1064,27 @@ def test_impulse_variation_bound_reads_the_exact_modal_tail_of_a_diagonal_a():
             assert report.measurement_complete == (modal is not None or by_eigen), (A, b)
 
 
+@pytest.mark.parametrize("A, b, c, route, levels", [
+    ([["1/2", "1/10"], ["0", "1/2"]], (1, 1), (1, 1), "tail by sign pattern", {0: "strict"}),
+    ([["-1/2", "1"], ["-1", "3/2"]], (-2, -2), (0, -1),
+     "tail bound via exact minimal-recurrence reduction", {}),
+], ids=["sign pattern", "recurrence"])
+def test_impulse_variation_bound_reads_the_tail_ladder(A, b, c, route, levels):
+    """Each A is defective (a double eigenvalue 1/2), so the eigen route of
+    (A, b, c) gives no tail; the measurement is complete all the same, by the
+    route that ``lti.analyse`` takes: the sign pattern of a nonnegative A, or
+    the exact minimal-recurrence reduction.  The certified levels and the
+    bound are the operator's."""
+    A = Matrix.exact(A)
+    sys = LtiSystem(A, b, c)
+    assert dominant_tail(sys)[0] is None
+    assert lti.analyse(sys).notes[0].startswith(route)
+    report = impulse_variation_bound(A, b, c)
+    assert report.measurement_complete and report.measured == 0
+    assert report.certified_levels == levels
+    assert report.bound == (0 if levels else None)
+
+
 def test_controllability_transpose_symmetry():
     # symmetric A with b = c makes both operators identical
     A = Matrix.exact([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 3)]])
@@ -1214,8 +1235,16 @@ def _sampled_context(A, c, routes=("pattern", "diagonal")):
     """A context that takes none of the exact ``routes`` (the sign-pattern
     and the exact modal route): with both off, the reference route."""
     ctx = obsv._OperatorContext(A, c)
-    ctx._memo.update(((route, r), None) for route in routes for r in range(1, A.rows + 1))
+    for r in range(1, A.rows + 1):
+        ctx.order(r).__dict__.update(dict.fromkeys(routes))
     return ctx
+
+
+def _sampled_pair(sys, routes=("pattern", "diagonal")):
+    """The ``lti.Pair`` of one system with the exact ``routes`` off."""
+    pair = lti.Pair(sys.A, sys.c)
+    pair.__dict__.update(dict.fromkeys(routes))
+    return pair
 
 
 def _all_keys(n):
@@ -1260,7 +1289,7 @@ def test_sign_pattern_proofs_agree_with_long_samples_and_the_sampled_route():
             k, r, beta = key
             sys, s = ctx.shifted(*key)
             got, want = ctx.analysis(*key), ref.analysis(*key)
-            pattern = ctx.pattern(r)
+            pattern = ctx.order(r).pattern
             proof = pattern and lti._pattern_proof(pattern, sys, s, ctx.horizon)
             if not proof:
                 assert got == want, (A, key)
@@ -1284,8 +1313,7 @@ def test_sign_pattern_proofs_agree_with_long_samples_and_the_sampled_route():
         runs = [(prop, k) for k in range(1, n + 1) for prop in ("svb", "vb", "kpos", "vd")]
         mine = [certify_observability(A, c, k, prop) for prop, k in runs]
         with pytest.MonkeyPatch.context() as mp:
-            for route in ("pattern", "diagonal"):
-                mp.setattr(obsv._OperatorContext, route, lambda self, r: None)
+            mp.setattr(lti, "_proved_tail", lambda *args: None)
             theirs = [certify_observability(A, c, k, prop) for prop, k in runs]
         _assert_decisive_conclusions_stand(A, runs, mine, theirs)
     assert proved > 200 and shifted > 5 and full_order > 20 and with_zeros > 5, (
@@ -1386,14 +1414,14 @@ def test_exact_modal_tails_agree_with_long_samples_and_the_sampled_route():
         runs = [(prop, k) for k in range(1, n + 1) for prop in ("svb", "vb", "kpos", "vd")]
         mine = [certify_observability(A, c, k, prop) for prop, k in runs]
         with pytest.MonkeyPatch.context() as mp:
-            for route in ("pattern", "diagonal"):
-                mp.setattr(obsv._OperatorContext, route, lambda self, r: None)
+            mp.setattr(lti, "_proved_tail", lambda *args: None)
             theirs = [certify_observability(A, c, k, prop) for prop, k in runs]
         _assert_decisive_conclusions_stand(A, runs, mine, theirs)
     for sys, s in _modal_systems():
-        diagonal = lti._diagonal(sys.A)
-        got = lti.analyse(sys, 50, shift=s, diagonal=diagonal)
-        want = lti.analyse(sys, 50, shift=s)
+        modal_only = _sampled_pair(sys, ("pattern",))
+        assert modal_only.diagonal == lti._diagonal(sys.A) is not None
+        got = lti.analyse(sys, 50, pair=modal_only, shift=s)
+        want = lti.analyse(sys, 50, pair=_sampled_pair(sys), shift=s)
         if got.tail is None or not got.notes[0].startswith("tail by exact diagonal modes"):
             assert got == want, (sys, s)
             continue
@@ -1415,8 +1443,8 @@ def test_exact_modal_tails_fall_back_to_the_sampled_route():
     for A, b, c, horizon in cases:
         sys = LtiSystem(A, b, c)
         assert lti._modal_tail(lti._diagonal(A), sys, 0, horizon) is None
-        got = lti.analyse(sys, horizon, diagonal=lti._diagonal(A))
-        assert got == lti.analyse(sys, horizon), (A, b, c)
+        got = lti.analyse(sys, horizon)
+        assert got == lti.analyse(sys, horizon, pair=_sampled_pair(sys)), (A, b, c)
     # repeated modes merge (6/10 * 2/10 = 4/10 * 3/10): a merged residue of 0
     # leaves 1/10 the one active mode, so g(t) = -(1/10)^(t-1)
     A = _diagonal_matrix([Fraction(12, 100), Fraction(12, 100), Fraction(1, 10)])
@@ -1457,7 +1485,7 @@ def test_sign_pattern_route_and_status_survive_scaling_and_diagonal_similarity()
                 routes = []
                 for ctx in (base, other):
                     sys, s = ctx.shifted(*key)
-                    pattern = ctx.pattern(r)
+                    pattern = ctx.order(r).pattern
                     routes.append(bool(pattern and lti._pattern_proof(pattern, sys, s,
                                                                        ctx.horizon)))
                 assert routes[0] == routes[1], (A, key)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import varsign.linalg as linalg
+import varsign.lti as lti
 import varsign.obsv as obsv
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file
@@ -307,8 +308,8 @@ def test_each_exact_pair_reads_one_minors(monkeypatch):
 
     for A, c in pairs:
         ctx = obsv._OperatorContext(A, c)
-        monkeypatch.setattr(ctx, "output_rows", unreachable)
-        monkeypatch.setattr(obsv, "output_rows", unreachable)
+        monkeypatch.setattr(lti.OutputRows, "extend", unreachable)
+        monkeypatch.setattr(lti, "output_rows", unreachable)
         monkeypatch.setattr(linalg.Minors, "__init__", unreachable)
         obsv._section_refutation(ctx, "VD_2", [1, 2, 3])
         monkeypatch.undo()

@@ -1,7 +1,7 @@
 """Discrete-time LTI systems: impulse responses, observability matrices,
 ordered spectra, and external-positivity verdicts with a dominant-mode tail
 certificate.  Both backends sample g(t) = c A^(t-1) b as one dot product of
-b with the output row c A^(t-1) (``output_rows``); with a shift s, the
+b with the output row c A^(t-1) (``Pair``); with a shift s, the
 response of (A, A^s b, c) is read from row t + s on, so A^s b is never
 formed (``impulse_response``, ``analyse``).  An exact A holds its rows as
 integers over their scales (``Matrix.ints``, ``Matrix.dens``), which are
@@ -14,7 +14,7 @@ run over the nonzero products only: each output row is the one before times
 the nonzero entries of each column of D_A A, and each sample its row times
 the nonzero entries of D_b b, so a diagonal or sparse A and a sparse input
 cost one product per nonzero entry.  Float sums keep every product
-(``OutputRows``).
+(``Pair``).
 
 A verdict separates two kinds of evidence: the sampled impulse response over
 a finite horizon, and an analytic tail bound.  The bound establishes the
@@ -122,11 +122,11 @@ class LtiSystem:
         return self.A.backend
 
     @cached_property
-    def _lifted_b(self) -> tuple[int, Callable[[Sequence[int]], int]]:
-        """(D_b, w -> w (D_b b)) of an exact system (``_sparse_dot``), lifted
-        once however many blocks ``impulse_response`` samples it in."""
+    def _lifted_b(self) -> tuple[int, tuple[int, ...], Callable[[Sequence[int]], int]]:
+        """(D_b, D_b b, w -> w (D_b b)) of an exact system (``_sparse_dot``),
+        lifted once however many blocks ``impulse_response`` samples it in."""
         db, b = lift(self.b)
-        return db, _sparse_dot(b)
+        return db, b, _sparse_dot(b)
 
 
 def _sparse_dot(x: Sequence[int]) -> Callable[[Sequence[int]], int]:
@@ -150,13 +150,13 @@ def default_horizon(n: int) -> int:
 _SQUARE = "c must have the state dimension of a square A"
 
 
-class OutputRows:
-    """Output rows of one pair (A, c), shared by every input b and grown on
-    demand: ``extend`` appends rows in place, and never rebuilds the earlier
-    ones nor scales A again.
+class Pair:
+    """What the systems on one pair (A, c) share, whatever their input b.
 
-    Each row is the one before times A.  Float rows are c A^(t-1), each entry
-    summed left to right from 0 over every product, as a float sample is
+    The output rows ``rows``, grown on demand: ``extend`` appends rows in
+    place, and never rebuilds the earlier ones nor scales A again.  Each row
+    is the one before times A.  Float rows are c A^(t-1), each entry summed
+    left to right from 0 over every product, as a float sample is
     (``impulse_response``), and ``dens`` is None.  Exact rows are integer:
     with D_A the lcm of the row scales of A (``Matrix.dens``), which is that
     of the denominators of its entries, and D_c that of c (``lift``),
@@ -164,17 +164,31 @@ class OutputRows:
     D_c D_A^(t-1), so that c A^(t-1) = w_t / dens[t-1].  An exact entry sums
     only the products with the nonzero entries of its column of D_A A, which
     integer sums allow: a diagonal A costs one product per entry.
+
+    The other parts are built the first time they are read: the signature
+    of an exact A (``pattern``, ``_sign_pattern``) and its integer diagonal
+    when A is diagonal (``diagonal``, ``_diagonal``), both None in float; and
+    the eigen-decomposition under ``tol`` (``modes``, ``dominant_modes``).
     """
 
-    __slots__ = ("rows", "dens", "_cols", "_step")
-
-    def __init__(self, w: tuple[Num, ...], cols: list | None, dc: int | None, dA: int):
-        # cols: the columns of A, or when exact the products with those of
+    def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL):
+        c = tuple(parse_scalar(x, A.backend) for x in c)
+        if len(c) != A.cols:
+            raise SizeMismatchError(_SQUARE)
+        self.A, self.c, self.tol = A, c, tol
+        # _cols: the columns of A, or when exact the products with those of
         # D_A A (``_sparse_dot``); None when A is not square
-        self.rows, self._cols, self._step = [w], cols, dA
-        self.dens = None if dc is None else [dc]
+        if A.backend is Backend.FLOAT:
+            cols, w, self.dens = list(zip(*A.data)), c, None
+        else:
+            self._step = dA = math.lcm(*A.dens)
+            M = [x * (dA // d) for d, row in zip(A.dens, A.ints) for x in row]  # D_A A, row-major
+            dc, w = lift(c)
+            cols = [_sparse_dot(M[j::A.cols]) for j in range(A.cols)]
+            self.dens = [dc]
+        self.rows, self._cols = [w], cols if A.is_square() else None
 
-    def extend(self, N: int) -> OutputRows:
+    def extend(self, N: int) -> Pair:
         """Grow to at least N rows; the one place c A^(t-1) is computed."""
         rows, cols, dens = self.rows, self._cols, self.dens
         if len(rows) < N and cols is None:
@@ -188,28 +202,30 @@ class OutputRows:
                 dens.append(dens[-1] * self._step)
         return self
 
+    @cached_property
+    def pattern(self) -> _SignPattern | None:
+        return _sign_pattern(self.A) if self.A.backend is Backend.EXACT else None
 
-def output_rows(A: Matrix, c: Sequence[Num], N: int) -> OutputRows:
-    """The rows w_1..w_N of a pair (A, c), extendable past N (``OutputRows``)."""
+    @cached_property
+    def diagonal(self) -> tuple[int, ...] | None:
+        return _diagonal(self.A) if self.A.backend is Backend.EXACT else None
+
+    @cached_property
+    def modes(self) -> DominantModes:
+        return dominant_modes(self.A, self.c, self.tol)
+
+
+def output_rows(A: Matrix, c: Sequence[Num], N: int) -> Pair:
+    """The pair (A, c) with its rows w_1..w_N, extendable past N (``Pair``)."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    c = [parse_scalar(x, A.backend) for x in c]
-    if len(c) != A.cols:
-        raise SizeMismatchError(_SQUARE)
-    if A.backend is Backend.FLOAT:
-        cols, w, dc, dA = list(zip(*A.data)), tuple(c), None, 1
-    else:
-        dA = math.lcm(*A.dens)
-        M = [x * (dA // d) for d, row in zip(A.dens, A.ints) for x in row]  # D_A A, row-major
-        dc, w = lift(c)
-        cols = [_sparse_dot(M[j::A.cols]) for j in range(A.cols)]
-    return OutputRows(w, cols if A.is_square() else None, dc, dA).extend(N)
+    return Pair(A, c).extend(N)
 
 
 class ExactSamples(Sequence):
     """Samples g(t) = nums[t-1] / (D_b dens[t-1]), nums[t-1] = w_(t+s) (D_b b)
     and dens[t-1] = D_c D_A^(t-1+s) for samples read s rows late
-    (``OutputRows``, ``impulse_response``; ``dens`` may run past nums),
+    (``Pair``, ``impulse_response``; ``dens`` may run past nums),
     so each numerator has its sample's sign.  Items, slices and iteration
     give the reduced Fractions, and the sequence equals the tuple of them."""
 
@@ -233,12 +249,12 @@ class ExactSamples(Sequence):
         return tuple(self) == (tuple(other) if isinstance(other, ExactSamples) else other)
 
 
-def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None,
+def impulse_response(sys: LtiSystem, N: int, pair: Pair | None = None,
                      start: int = 0, shift: int = 0) -> ExactSamples | tuple[float, ...]:
     """Samples g(start+1)..g(N) of g(t) = c A^(t-1+shift) b, the impulse
     response of (A, A^shift b, c): sample t is one dot product of b with
-    output row t + shift of (A, c) (``output_rows``; ``rows`` passes ones
-    built earlier for the same A, c, which are extended to N + shift rows in
+    output row t + shift of (A, c) (``Pair``; ``pair`` passes one built
+    earlier for the same A, c, whose rows are extended to N + shift in
     place).  So A^shift b is never formed.
 
     A float sample is summed left to right from integer 0 over every product
@@ -252,12 +268,12 @@ def impulse_response(sys: LtiSystem, N: int, rows: OutputRows | None = None,
     if N < 1:
         raise ValueError("horizon must be >= 1")
     end = N + shift
-    rows = output_rows(sys.A, sys.c, end) if rows is None else rows.extend(end)
-    window = rows.rows[start + shift:end]
+    pair = (pair or Pair(sys.A, sys.c)).extend(end)
+    window = pair.rows[start + shift:end]
     if sys.backend is Backend.FLOAT:
         return tuple(reduce(add, map(mul, w, sys.b), 0) for w in window)
-    db, dot = sys._lifted_b
-    return ExactSamples(tuple(map(dot, window)), db, rows.dens[start + shift:end])
+    db, _, dot = sys._lifted_b
+    return ExactSamples(tuple(map(dot, window)), db, pair.dens[start + shift:end])
 
 
 def observability_matrix(A: Matrix, c: Sequence[Num], t: int) -> Matrix:
@@ -343,11 +359,12 @@ class TailCertificate:
     residual_sum: float | None = None
 
     def margin(self, t: int) -> float | None:
-        """The eigen bound's slack at t, or None for a tail without moduli."""
+        """The eigen bound's slack at t over (dominant/subdominant)^(t-1),
+        |rho| - residual_sum (subdominant/dominant)^(t-1): of the slack's sign,
+        finite and rising in t.  None for a tail without moduli."""
         if self.dominant is None:
             return None
-        ratio = self.dominant / self.subdominant if self.subdominant > 0 else math.inf
-        return abs(self.residue) * ratio ** (t - 1) - self.residual_sum
+        return abs(self.residue) - self.residual_sum * (self.subdominant / self.dominant) ** (t - 1)
 
 
 @dataclass(frozen=True)
@@ -647,10 +664,10 @@ def _diagonal(A: Matrix) -> tuple[int, ...] | None:
     return tuple(row[i] * (dA // d) for i, (d, row) in enumerate(zip(A.dens, A.ints)))
 
 
-def _modal_tail(m: tuple[int, ...], sys: LtiSystem, shift: int,
+def _modal_tail(pair: Pair, sys: LtiSystem, shift: int,
                 horizon: int) -> TailCertificate | None:
-    """The exact modal tail of (A, A^shift b, c), A diagonal with D_A A =
-    diag(m) (``_diagonal``), or None.
+    """The exact modal tail of (A, A^shift b, c) on the ``pair`` (A, c), A
+    diagonal with D_A A = diag(m) (``pair.diagonal``), or None.
 
     g(t) = sum_i rho_i mu_i^(t-1), rho_i = c_i b_i mu_i^shift, mu_i = m_i / D_A.
     Up to one positive factor, rho_i is the integer (D_c c)_i (D_b b)_i m_i^shift;
@@ -660,8 +677,9 @@ def _modal_tail(m: tuple[int, ...], sys: LtiSystem, shift: int,
     sum_(i != 1) |rho_i| |m_i|^(t-1) < |rho_1| M^(t-1), in integers: from then
     on g(t) has the sign of rho_1, as the left side's ratio to the right only
     falls as t grows.  None without an active mode, with a dominant negative
-    or +-M mode, or without a start within ``horizon``."""
-    (_, c), (_, b) = lift(sys.c), lift(sys.b)
+    or +-M mode, or without a start within ``horizon``.  D_c c is the pair's
+    first row and D_b b the system's lift."""
+    m, c, b = pair.diagonal, pair.rows[0], sys._lifted_b[1]
     residues = {}
     for mi, ci, bi in zip(m, c, b):
         if ci and bi:
@@ -730,34 +748,6 @@ class ExtPosAnalysis:
 _BLOCK = 8
 
 
-class Pair:
-    """What the systems on one pair (A, c) share, each part built the first
-    time it is read: the output rows (``rows``), grown as far as the samples
-    of its systems reach; the signature of an exact A (``pattern``,
-    ``_sign_pattern``) and its integer diagonal when A is diagonal
-    (``diagonal``, ``_diagonal``), both None in float; and the
-    eigen-decomposition under ``tol`` (``modes``, ``dominant_modes``)."""
-
-    def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL):
-        self.A, self.c, self.tol = A, tuple(parse_scalar(x, A.backend) for x in c), tol
-
-    @cached_property
-    def rows(self) -> OutputRows:
-        return output_rows(self.A, self.c, 1)
-
-    @cached_property
-    def pattern(self) -> _SignPattern | None:
-        return _sign_pattern(self.A) if self.A.backend is Backend.EXACT else None
-
-    @cached_property
-    def diagonal(self) -> tuple[int, ...] | None:
-        return _diagonal(self.A) if self.A.backend is Backend.EXACT else None
-
-    @cached_property
-    def modes(self) -> DominantModes:
-        return dominant_modes(self.A, self.c, self.tol)
-
-
 def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL,
             pair: Pair | None = None, shift: int = 0, lead: int = 0) -> ExtPosAnalysis:
     """Sample the impulse response and, unless the samples carry both strict
@@ -794,7 +784,7 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     values, signs, end, both = (), (), 0, False
     while end < last and not both:
         start, end = end, min(last, _BLOCK * end or _BLOCK)
-        block = impulse_response(sys, end, pair.rows, start, shift)
+        block = impulse_response(sys, end, pair, start, shift)
         block_values = block.nums if exact else block
         values += block_values
         signs += tuple(sign_of(x, backend, tol) for x in block_values)
@@ -802,7 +792,7 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     if both:
         t_bad = max(signs.index(1), signs.index(-1)) + 1
         values, signs = values[:t_bad], signs[:t_bad]
-    g = ExactSamples(values, block.db, pair.rows.dens[shift:]) if exact else values
+    g = ExactSamples(values, block.db, pair.dens[shift:]) if exact else values
     if both:
         # samples of both strict signs settle every verdict; no tail is needed
         return ExtPosAnalysis(sys.n, backend, horizon, g, signs, None, ())
@@ -825,7 +815,7 @@ def _proved_tail(sys: LtiSystem, pair: Pair, shift: int,
                  f"from t={proof.pre + 1}")
         note = f"tail by sign pattern: every sample is 0 or of sign {proof.sign:+d}; {zeros}"
         return TailCertificate(1, proof.sign), [note], len(proof.nonzero)
-    if pair.diagonal is not None and (tail := _modal_tail(pair.diagonal, sys, shift, horizon)):
+    if pair.diagonal is not None and (tail := _modal_tail(pair, sys, shift, horizon)):
         note = (f"tail by exact diagonal modes: every sample from t={tail.start} on "
                 f"has sign {tail.sign:+d}")
         return tail, [note], tail.start

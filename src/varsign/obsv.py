@@ -32,17 +32,17 @@ late (``lti.analyse``), a full-order one with w / det O_n and s = n - r;
 only ``compound_system`` and ``full_compound_systems`` form b.
 
 The systems of order r share one ``lti.Pair`` (C_r(A), c_r)
-(``_OperatorContext.order``): its output rows, the sign pattern and the
-diagonal of an exact C_r(A), and its eigen-decomposition, each built once,
-when a system first reads it.  Each system takes the one tail ladder of
-``lti.analyse``, as a standalone ``lti.external_positivity`` does: in
-exact mode the sign pattern of C_r(A) may prove it one-signed, else the
-exact modes of a diagonal C_r(A) (as every order of a diagonal A has) may
-give its tail, with no eigen-solve either way; such a system holds only the
-samples that its verdicts read, the lead samples that vb asks for
-(``_lead``) included.  Otherwise the tail is the eigen or the
-minimal-recurrence one.  ``impulse_variation_bound`` reads the same ladder
-on the order-1 pair (A, c).
+(``_OperatorContext.order``): it holds their output rows, grown as far as
+their samples reach, and builds the sign pattern and the diagonal of an
+exact C_r(A) and its eigen-decomposition once, when a system first reads
+them.  Each system takes the one tail ladder of ``lti.analyse``, as a
+standalone ``lti.external_positivity`` does: in exact mode the sign pattern
+of C_r(A) may prove it one-signed, else the exact modes of a diagonal
+C_r(A) (as every order of a diagonal A has) may give its tail, with no
+eigen-solve either way; such a system holds only the samples that its
+verdicts read, the lead samples that vb asks for (``_lead``) included.
+Otherwise the tail is the eigen or the minimal-recurrence one.
+``impulse_variation_bound`` reads the same ladder on the order-1 pair (A, c).
 
 One engine serves every property: the pair's ``_OperatorContext`` analyses
 each compound system once (``lti.analyse``), and ``_certify`` judges the
@@ -133,8 +133,8 @@ class _OperatorContext:
         # C_1(A) = A and c_1 = c; its output rows are the rows of O: n + 1 exact
         # ones, of O_n's rank (Cayley-Hamilton); a float rank could differ
         self._pairs, self._c, self._analyses = {1: Pair(A, c, tol)}, {}, {}
-        rows = self._pairs[1].rows.extend(self.n + 1 if exact else self.n)
-        section = Matrix._of_ints(rows.dens, rows.rows) if exact else Matrix.floating(rows.rows)
+        first = self._pairs[1].extend(self.n + 1 if exact else self.n)
+        section = Matrix._of_ints(first.dens, first.rows) if exact else Matrix.floating(first.rows)
         self._minors = minors = Minors(section)
         full = tuple(range(1, self.n + 1))
         self.det_n = minors.value((full, full))
@@ -556,7 +556,7 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     bound = min((level for level in levels if level >= vb_in), default=None)
     # C_1(A) = A and c_1 = c, so the order-1 pair serves (A, b, c)
     pair = ctx.order(1)
-    g = impulse_response(sys, horizon, pair.rows)
+    g = impulse_response(sys, horizon, pair)
     # exact samples carry their signs in their numerators (``ExactSamples``)
     measured = v_minus(g, tol) if A.backend is Backend.FLOAT else v_minus(g.nums)
     tail = (_proved_tail(sys, pair, 0, horizon) or _sampled_tail(sys, g, horizon, pair, 0))[0]

@@ -368,12 +368,14 @@ def test_tail_bound_holds_and_grows():
 ])
 def test_tail_without_a_subdominant_mode_starts_at_1_or_2(rho1, scale, want, sub):
     """With every other eigenvalue 0 the ratio is infinite: the tail starts at
-    1 when the dominant residue beats the rest, else at 2, with no warning."""
+    1 when the dominant residue beats the rest, else at 2, with no warning,
+    and its margin is finite."""
     modes = lti.DominantModes("", lam1=0.5 + 0j, sub=sub)
     with np.errstate(all="raise"):
         tail, note = lti._tail_certificate(rho1, scale, modes, 1e-9)
     assert (tail, note) == (want, "")
     assert tail.margin(tail.start) > 0
+    assert all(math.isfinite(tail.margin(t)) for t in range(1, tail.start + 3))
 
 
 @pytest.mark.parametrize("A, b, c, note", [
@@ -469,6 +471,34 @@ def test_one_signed_samples_still_reach_the_tail(monkeypatch):
     v = judge(analysis)
     assert v.status is ExtPosStatus.STRICT_POSITIVE
     assert v.tail_start is not None
+
+
+@pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+def test_tail_of_the_wrong_sign_is_discarded(monkeypatch, backend):
+    """A tail whose sign disagrees with one-signed samples is dropped with a
+    note, and the verdict rests on the samples alone.  The off-diagonal signs
+    of A cannot be 2-coloured and A is not diagonal, so no proof route
+    settles the system and the (flipped) eigen tail is the one offered."""
+    A = Matrix.exact([["0.5", "0.1"], ["-0.1", "0.2"]])
+    if backend is Backend.FLOAT:
+        A = A.to_float()
+    sys = LtiSystem(A, (1, 0), (1, 0))
+    true_tail, _ = dominant_tail(sys)
+    assert true_tail is not None and true_tail.sign == 1
+
+    def flipped(*args, **kwargs):
+        tail, note = dominant_tail(*args, **kwargs)
+        return TailCertificate(tail.start, -tail.sign), note
+
+    monkeypatch.setattr(lti, "dominant_tail", flipped)
+    pair = lti.Pair(sys.A, sys.c)
+    assert pair.pattern is None and pair.diagonal is None
+    analysis = analyse(sys, 12, pair=pair)
+    assert set(analysis.signs) == {1}
+    assert analysis.tail is None
+    assert "tail certificate sign disagrees with decisive samples; tail discarded" in analysis.notes
+    for strict in (True, False):
+        assert judge(analysis, strict).status is ExtPosStatus.HORIZON_ONLY
 
 
 def test_lti_system_validation():
@@ -572,7 +602,7 @@ def test_exact_samples_equal_the_fraction_construction(A, b, c, N):
     sys = LtiSystem(Matrix.exact(A), b, c)
     for shared in (False, True):
         pair = lti.Pair(sys.A, sys.c)
-        rows = pair.rows.extend(N + 4) if shared else None  # shared rows may run past N
+        rows = pair.extend(N + 4) if shared else None  # shared rows may run past N
         g = impulse_response(sys, N, rows)
         want = _fraction_samples_reference(sys, N)
         assert len(g) == N and g == want and want == g and tuple(g) == want
@@ -610,13 +640,12 @@ def test_exact_input_is_lifted_once_per_system(monkeypatch):
     monkeypatch.setattr(lti, "lift", lambda xs: lifts.append(tuple(xs)) or lift(xs))
     pair = lti.Pair(A, c)
     pair.__dict__["pattern"] = None  # the pattern would prove each system from one sample
-    rows = pair.rows
     # c, once for the pair
     assert lifts == [(Fraction(1, 3), 1)]
     lifts.clear()
     for b, one in zip(inputs, want):
         sys = LtiSystem(A, b, c)
-        blocks = [impulse_response(sys, end, rows, start) for start, end in ((0, 8), (8, 50))]
+        blocks = [impulse_response(sys, end, pair, start) for start, end in ((0, 8), (8, 50))]
         assert tuple(x for block in blocks for x in block.nums) == one.nums
         assert [block.db for block in blocks] == [one.db] * 2
         assert [d for block in blocks for d in block.dens] == one.dens

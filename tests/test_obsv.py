@@ -295,7 +295,7 @@ def test_shared_sampling_matches_per_system_reference():
             sys = ctx.system(*key)
             want = _propagated_impulse_reference(sys, 50)
             for horizon in (1, n, 50):
-                rows = (ctx.order(r).rows.extend(50) if horizon == 50 else
+                rows = (ctx.order(r).extend(50) if horizon == 50 else
                         output_rows(ctx.order(r).A, ctx.c_compound(r), horizon))
                 got = impulse_response(sys, horizon, rows)
                 assert got == want[:horizon], (n, horizon, key)
@@ -303,7 +303,7 @@ def test_shared_sampling_matches_per_system_reference():
                 assert impulse_response(sys, horizon) == got
             # float samples read off the order's shared rows, bit for bit
             fsys = fctx.system(*key)
-            shared = impulse_response(fsys, 50, fctx.order(r).rows.extend(50))
+            shared = impulse_response(fsys, 50, fctx.order(r).extend(50))
             assert [repr(x) for x in shared] == [repr(x) for x in impulse_response(fsys, 50)]
             for context, system in ((ctx, sys), (fctx, fsys)):
                 tail = dominant_tail(system, context.tol, context.order(r).modes)
@@ -395,7 +395,7 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
             ref._analyses[key] = reference
             taken.setdefault(key[1], []).append(_block_end(t, last) + s)
         for r, ends in taken.items():
-            rows = ctx.order(r).rows.rows
+            rows = ctx.order(r).rows
             assert len(rows) == max(ends)
             short_orders += r in unproved and len(rows) < horizon
         for k in range(1, n + 1):
@@ -1058,7 +1058,7 @@ def test_impulse_variation_bound_reads_the_exact_modal_tail_of_a_diagonal_a():
         for b in ((1,) * A.rows, tuple((-1) ** i for i in range(A.rows))):
             report = impulse_variation_bound(A, b, c)
             sys = LtiSystem(A, b, c)
-            modal = lti._modal_tail(lti._diagonal(A), sys, 0, report.horizon)
+            modal = lti._modal_tail(lti.Pair(A, sys.c), sys, 0, report.horizon)
             eigen, _ = dominant_tail(sys)
             by_eigen = eigen is not None and eigen.start <= report.horizon
             assert report.measurement_complete == (modal is not None or by_eigen), (A, b)
@@ -1442,17 +1442,17 @@ def test_exact_modal_tails_fall_back_to_the_sampled_route():
              (_diagonal_matrix([half, Fraction(49, 100)]), (1, 1), (1, -100), 3)]
     for A, b, c, horizon in cases:
         sys = LtiSystem(A, b, c)
-        assert lti._modal_tail(lti._diagonal(A), sys, 0, horizon) is None
+        assert lti._modal_tail(lti.Pair(A, sys.c), sys, 0, horizon) is None
         got = lti.analyse(sys, horizon)
         assert got == lti.analyse(sys, horizon, pair=_sampled_pair(sys)), (A, b, c)
     # repeated modes merge (6/10 * 2/10 = 4/10 * 3/10): a merged residue of 0
     # leaves 1/10 the one active mode, so g(t) = -(1/10)^(t-1)
     A = _diagonal_matrix([Fraction(12, 100), Fraction(12, 100), Fraction(1, 10)])
     sys = LtiSystem(A, (1, 1, 1), (1, -1, -1))
-    tail = lti._modal_tail(lti._diagonal(A), sys, 0, 50)
+    tail = lti._modal_tail(lti.Pair(A, sys.c), sys, 0, 50)
     assert (tail.start, tail.sign) == (1, -1)
     sys = LtiSystem(A, (1, 2, 1), (1, -1, -3))
-    tail = lti._modal_tail(lti._diagonal(A), sys, 0, 50)
+    tail = lti._modal_tail(lti.Pair(A, sys.c), sys, 0, 50)
     # the merged residue -1 of 12/100 outweighs 3 (10/12)^(t-1) from t = 8
     assert (tail.start, tail.sign) == (8, -1)
     assert lti._diagonal(Matrix.exact([[1, 0], [1, 1]])) is None

@@ -308,7 +308,8 @@ def test_each_exact_pair_reads_one_minors(monkeypatch):
 
     for A, c in pairs:
         ctx = obsv._OperatorContext(A, c)
-        monkeypatch.setattr(lti.OutputRows, "extend", unreachable)
+        monkeypatch.setattr(lti.Pair, "__init__", unreachable)
+        monkeypatch.setattr(lti.Pair, "extend", unreachable)
         monkeypatch.setattr(lti, "output_rows", unreachable)
         monkeypatch.setattr(linalg.Minors, "__init__", unreachable)
         obsv._section_refutation(ctx, "VD_2", [1, 2, 3])

@@ -12,9 +12,9 @@ backends are supported:
 
 Each backend has one elimination, which yields both rank and determinant:
 fraction-free Bareiss elimination on the integer rows (``_bareiss``) and
-partial pivoting on floats (``_partial_pivot``).  Determinants, minors,
-compounds and ranks all run it through ``Minors``; ``inverse`` is the
-adjugate, read from the (n-1)-th compound, over the determinant.
+partial pivoting on floats (``_partial_pivot``), run once per minor and
+rank by ``Minors``; an exact diagonal matrix's compounds are read off its
+diagonal.  ``inverse`` is the adjugate, from the (n-1)-th compound, over det.
 
 Index tuples follow the 1-based mathematical convention; raw matrix element
 access via ``Matrix[i, j]`` is 0-based like everything else in Python.
@@ -405,6 +405,12 @@ def _partial_pivot(m: list[list[float]], tol: float = 0.0) -> tuple[int, float]:
     return r, detval if r == nr == nc else 0.0
 
 
+def _is_diagonal(X: Matrix) -> bool:
+    """Whether X is exact and square with no nonzero entry off its diagonal."""
+    return X.backend is Backend.EXACT and X.is_square() and not any(
+        any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(X.ints))
+
+
 def minor(X: Matrix, rows, cols) -> Num:
     """Determinant of the submatrix selected by 1-based row/column tuples."""
     ri = _as_indices(rows, X.rows)
@@ -422,18 +428,15 @@ class Minors:
 
     Index sets are 1-based tuples.  Exact minors read the integer rows and
     scales of the one ``Matrix`` given (``ints``, ``dens``) as they are: each
-    is one integer Bareiss on its rows, except that a minor with a row that
-    has no nonzero entry in its columns is 0 without one.  That test is armed
-    only on row sets with a zero entry; the others run Bareiss alone.  The
-    Bareiss integer is the minor times the positive product of its row
-    scales, so it has the minor's sign: ``stream`` yields it as it is, and
-    ``value`` divides it by that product, so a ``Fraction`` is built only for
-    a minor whose value is wanted.  Float minors run partial pivoting on the
-    rows as they are, and are their own values.  Every minor is computed by
-    the reader of its row set, built once per instance, so reads may come in
-    any order, from any number of streams at once; a minor that ``stream``
-    or ``value`` has read is computed once per instance and kept.  ``rank``
-    runs the same elimination on all the rows.
+    is one integer Bareiss on its rows, whose integer is the minor times the
+    positive product of its row scales, so it has the minor's sign:
+    ``stream`` yields it as it is, and ``value`` divides it by that product,
+    so a ``Fraction`` is built only for a minor whose value is wanted.  Float
+    minors are one partial pivoting each and are their own values.  Every
+    minor is computed by the reader of its row set, built once per instance,
+    so reads may come in any order, from any number of streams at once; a
+    minor that ``stream`` or ``value`` has read is computed once per
+    instance and kept.  ``rank`` runs the same elimination on all the rows.
     """
 
     __slots__ = ("shape", "backend", "_rows", "_scales", "_known", "_readers")
@@ -452,25 +455,11 @@ class Minors:
         ``stream`` yields (the Bareiss integer when exact); the row block is
         built once per row set and instance."""
         read = self._readers.get(I)
-        if read is not None:
-            return read
-        block = [self._rows[i] for i in I]
-        if self._scales is None:
-            read = lambda J: _partial_pivot([[row[j] for j in J] for row in block])[1]
-        else:
-            bareiss = lambda J: _bareiss([[row[j] for j in J] for row in block])[1]
-            # the nonzero columns of each row of the block that has a zero: a
-            # row with none in J makes the minor 0 (a float 1 x 1 minor keeps
-            # its signed zero, so only exact minors skip the elimination)
-            nonzero = [{j for j, x in enumerate(row) if x} for row in block if 0 in row]
-            read = bareiss if not nonzero else (
-                lambda J: 0 if any(nz.isdisjoint(J) for nz in nonzero) else bareiss(J))
-        self._readers[I] = read
+        if read is None:
+            block = [self._rows[i] for i in I]
+            eliminate = _partial_pivot if self._scales is None else _bareiss
+            read = self._readers[I] = lambda J: eliminate([[row[j] for j in J] for row in block])[1]
         return read
-
-    def _scale(self, I) -> int:
-        """The product of the scales of the rows I (exact only)."""
-        return math.prod([self._scales[i] for i in I])
 
     def value(self, key) -> Num:
         """The value of the minor ``key`` = (I, J), computed and kept as
@@ -481,7 +470,7 @@ class Minors:
             v = self._known[key] = self._reader(key[0])(key[1])
         if self._scales is None:
             return v
-        return Fraction(v, self._scale(key[0])) if v else _ZERO
+        return Fraction(v, math.prod([self._scales[i] for i in key[0]])) if v else _ZERO
 
     def rank(self, tol: float = DEFAULT_TOL, cols=None) -> int:
         """Rank of the matrix, or of its columns ``cols``; float pivots must
@@ -517,18 +506,24 @@ def compound(X: Matrix, r: int) -> Matrix:
     that the lazy sign checks read as well; at desk scale C(n,r)^2 small
     determinants are cheap.  Exact row I is its Bareiss integers over the
     product of I's row scales (``Matrix._of_ints``): no ``Fraction`` is built.
-    An exact minor with a row that is zero on its columns is 0 without an
-    elimination (``Minors``): C_r(A) of a diagonal A runs C(n, r)
-    eliminations, one per diagonal entry.
+    An exact diagonal X runs no elimination: row I of C_r(X) is
+    prod(ints[i][i]) at column I over prod(dens[i]), i in I, the integers
+    Bareiss gives.  A float diagonal is eliminated: a float product and a
+    pivoted determinant may differ in the sign of a zero.
     """
     if not 1 <= r <= min(X.rows, X.cols):
         raise RankOutOfRangeError(f"compound order {r} invalid for shape {X.shape}")
-    minors = Minors(X)
     col_sets, row_sets = index_sets(X.cols, r), index_sets(X.rows, r)
-    rows = [list(map(minors._reader(I), col_sets)) for I in row_sets]
-    if X.backend is Backend.FLOAT:
-        return Matrix(rows, Backend.FLOAT)
-    return Matrix._of_ints([minors._scale(I) for I in row_sets], rows)
+    if _is_diagonal(X):
+        rows = [[0] * len(row_sets) for _ in row_sets]
+        for k, I in enumerate(row_sets):
+            rows[k][k] = math.prod([X.ints[i - 1][i - 1] for i in I])
+    else:
+        minors = Minors(X)
+        rows = [list(map(minors._reader(I), col_sets)) for I in row_sets]
+        if X.backend is Backend.FLOAT:
+            return Matrix(rows, Backend.FLOAT)
+    return Matrix._of_ints([math.prod([X.dens[i - 1] for i in I]) for I in row_sets], rows)
 
 
 def inverse(X: Matrix, tol: float = DEFAULT_TOL) -> Matrix:

@@ -48,8 +48,8 @@ Mathematical Sciences, 1994, ch. 2).  No sample and no eigen-solve enters
 the proof: ``analyse`` gives such a system a tail from t = 1 and takes only
 the samples its verdicts read.
 
-An exact system whose A is diagonal, which ``_diagonal`` reads off the
-integer rows whatever the signs, may take an exact modal tail instead
+An exact system whose A is diagonal, whose integer diagonal ``_diagonal``
+scales to D_A whatever its signs, may take an exact modal tail instead
 (``_modal_tail``, tried only when the sign pattern proves nothing): its
 modes mu_i are the diagonal entries and its residues rho_i = c_i b_i
 mu_i^shift, those of equal modes merged and the zero ones dropped.  With one
@@ -84,6 +84,7 @@ from .linalg import (
     Num,
     NonSquareError,
     SizeMismatchError,
+    _is_diagonal,
     lift,
     parse_scalar,
     sign_of,
@@ -208,7 +209,7 @@ class Pair:
 
     @cached_property
     def diagonal(self) -> tuple[int, ...] | None:
-        return _diagonal(self.A) if self.A.backend is Backend.EXACT else None
+        return _diagonal(self.A)
 
     @cached_property
     def modes(self) -> DominantModes:
@@ -655,10 +656,10 @@ def _pattern_proof(pattern: _SignPattern, sys: LtiSystem, shift: int,
 
 
 def _diagonal(A: Matrix) -> tuple[int, ...] | None:
-    """The diagonal m of D_A A, D_A the lcm of the row scales of an exact A,
-    when A is diagonal, whatever the signs of m; else None.  Read off the
-    integer rows of A: its modes are mu_i = m_i / D_A."""
-    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(A.ints)):
+    """The diagonal m of D_A A, D_A the lcm of the row scales of A, when A is
+    exact and diagonal (``linalg._is_diagonal``), whatever the signs of m;
+    else None.  Its modes are mu_i = m_i / D_A."""
+    if not _is_diagonal(A):
         return None
     dA = math.lcm(*A.dens)
     return tuple(row[i] * (dA // d) for i, (d, row) in enumerate(zip(A.dens, A.ints)))
@@ -797,10 +798,6 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
         # samples of both strict signs settle every verdict; no tail is needed
         return ExtPosAnalysis(sys.n, backend, horizon, g, signs, None, ())
     tail, notes = proved[:2] if proved else _sampled_tail(sys, g, horizon, pair, shift)
-    decisive = {s for s in signs if s}
-    if tail and len(decisive) == 1 and tail.sign not in decisive:
-        notes.append("tail certificate sign disagrees with decisive samples; tail discarded")
-        tail = None
     return ExtPosAnalysis(sys.n, backend, horizon, g, signs, tail, tuple(notes))
 
 
@@ -826,10 +823,12 @@ def _sampled_tail(sys: LtiSystem, g: Sequence[Num], horizon: int, pair: Pair,
                   shift: int) -> tuple[TailCertificate | None, list[str]]:
     """The eigen tail of the system, else in exact mode the eigen tail of its
     minimal-recurrence reduction fitted to the samples ``g``, with the notes
-    that say which route gave it or why none did."""
-    notes = []
+    that say which route gave it or why none did.  The decisive samples
+    drop the tail, with a note, when they carry one sign, other than the
+    tail's, or when one at or after the tail's start has the other sign."""
+    notes, exact = [], sys.backend is Backend.EXACT
     tail, tail_note = dominant_tail(sys, pair.tol, pair.modes, shift)
-    if tail is None and sys.backend is Backend.EXACT:
+    if tail is None and exact:
         reduced = minimal_recurrence_system(sys, g)
         if reduced is not None:
             tail, note2 = dominant_tail(reduced, pair.tol)
@@ -845,6 +844,11 @@ def _sampled_tail(sys: LtiSystem, g: Sequence[Num], horizon: int, pair: Pair,
                          f"than the n + L = {sys.n + L} samples it needs")
     if tail_note:
         notes.append(tail_note)
+    if tail:
+        signs = [sign_of(x, sys.backend, pair.tol) for x in (g.nums if exact else g)]
+        if {s for s in signs if s} == {-tail.sign} or -tail.sign in signs[tail.start - 1:]:
+            notes.append("tail certificate sign disagrees with decisive samples; tail discarded")
+            tail = None
     return tail, notes
 
 

@@ -78,6 +78,7 @@ from .linalg import (
     LinalgError,
     Matrix,
     Minors,
+    NonSquareError,
     Num,
     RankOutOfRangeError,
     compound,
@@ -126,7 +127,7 @@ class _OperatorContext:
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL,
                  horizon: int | None = None):
         if not A.is_square():
-            raise LinalgError("state matrix must be square")
+            raise NonSquareError("state matrix must be square")
         self.A, self.n, self.tol = A, A.rows, tol
         self.horizon = horizon if horizon is not None else default_horizon(self.n)
         exact = A.backend is Backend.EXACT

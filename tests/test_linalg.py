@@ -475,6 +475,11 @@ def test_float_det_compound_and_rank_are_bit_identical_to_reference():
         corpus.append(Matrix.floating([[rng.choice(special) if rng.random() < 0.6
                                         else rng.uniform(-3, 3) for _ in range(m)]
                                        for _ in range(n)]))
+    # float diagonals, signed zeros on and off the diagonal: eliminated as any other
+    corpus += [Matrix.floating([[d if i == j else z for j in range(len(ds))]
+                                for i, d in enumerate(ds)])
+               for ds, z in [((-0.0,), 0.0), ((-0.0, -2.5, 3.0), 0.0),
+                             ((-1.0, 0.5, -0.0, -3.0), -0.0), ((-2.0, -2.0, 1e-200, -0.5), 0.0)]]
     negative_zeros = 0
     for X in corpus:
         assert rank(X) == _float_rank_reference(X.data)

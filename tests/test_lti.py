@@ -501,6 +501,30 @@ def test_tail_of_the_wrong_sign_is_discarded(monkeypatch, backend):
         assert judge(analysis, strict).status is ExtPosStatus.HORIZON_ONLY
 
 
+@pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+def test_sampled_tail_that_a_later_sample_contradicts_is_discarded(monkeypatch, backend):
+    """Samples of both signs drop a sampled tail when one at or after its
+    start has the other sign, and keep it when only earlier ones do or none
+    reaches its start.  The samples of (A, b, c) are -, +, -, then + from
+    t = 4 on; A has a negative diagonal entry and is not diagonal, so no
+    proof route settles the system."""
+    A = Matrix.exact([["1/2", "1/10"], ["-1/10", "-1/4"]])
+    if backend is Backend.FLOAT:
+        A = A.to_float()
+    sys = LtiSystem(A, (1, -3), (1, 1))
+    pair = lti.Pair(sys.A, sys.c)
+    assert pair.pattern is None and pair.diagonal is None
+    g = impulse_response(sys, 12, pair)
+    assert [sign_of(x, backend) for x in g] == [-1, 1, -1] + [1] * 9
+    note = "tail certificate sign disagrees with decisive samples; tail discarded"
+    for offered, kept in [(TailCertificate(4, 1), True), (TailCertificate(3, 1), False),
+                          (TailCertificate(4, -1), False), (TailCertificate(13, -1), True)]:
+        monkeypatch.setattr(lti, "dominant_tail", lambda *args, **kwargs: (offered, ""))
+        tail, notes = lti._sampled_tail(sys, g, 12, pair, 0)
+        assert tail == (offered if kept else None), offered
+        assert (note in notes) is not kept, offered
+
+
 def test_lti_system_validation():
     with pytest.raises(NonSquareError):
         LtiSystem(Matrix.exact([[1, 2]]), (1,), (1,))

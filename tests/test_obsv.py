@@ -14,6 +14,7 @@ from varsign.linalg import (
     IndexOutOfRangeError,
     IndexTuple,
     Matrix,
+    NonSquareError,
     RankOutOfRangeError,
     SizeMismatchError,
     compound,
@@ -1062,6 +1063,40 @@ def test_impulse_variation_bound_reads_the_exact_modal_tail_of_a_diagonal_a():
             eigen, _ = dominant_tail(sys)
             by_eigen = eigen is not None and eigen.start <= report.horizon
             assert report.measurement_complete == (modal is not None or by_eigen), (A, b)
+
+
+@pytest.mark.parametrize("A, b, c", [
+    (example1()[0], (1, 0, 0), example1()[1]),
+    (Matrix.exact([["1/2", "1/10"], ["-1/10", "-1/4"]]), (1, -3), (1, 1)),
+], ids=["one-signed", "both signs"])
+def test_impulse_variation_bound_drops_a_tail_its_samples_contradict(monkeypatch, A, b, c):
+    """A sampled tail whose sign the decisive samples contradict leaves the
+    measurement incomplete.  Neither A has a proved tail, so the flipped
+    eigen tail is the one offered.  Example1's samples along b = (1, 0, 0)
+    carry one sign; the second system's are -, +, -, then + from t = 4, the
+    eigen tail's start, on."""
+
+    def flipped(*args, **kwargs):
+        tail, note = dominant_tail(*args, **kwargs)
+        return lti.TailCertificate(tail.start, -tail.sign), note
+
+    assert impulse_variation_bound(A, b, c).measurement_complete
+    monkeypatch.setattr(lti, "dominant_tail", flipped)
+    assert not impulse_variation_bound(A, b, c).measurement_complete
+
+
+@pytest.mark.parametrize("entry", [
+    lambda A, c: certify_svb(A, c, 1), lambda A, c: certify_vb(A, c, 1),
+    lambda A, c: certify_k_positive(A, c, 1), lambda A, c: certify_vd(A, c, 1),
+    lambda A, c: impulse_variation_bound(A, c, c),
+    lambda A, c: compound_system(A, c, 1, 1, (1,)),
+    lambda A, c: full_compound_systems(A, c),
+], ids=["svb", "vb", "kpos", "vd", "impulse_variation_bound", "compound_system",
+        "full_compound_systems"])
+def test_non_square_state_matrix_is_a_non_square_error(entry):
+    """The operator entry points refuse a non-square A as ``LtiSystem`` does."""
+    with pytest.raises(NonSquareError, match="state matrix must be square"):
+        entry(Matrix.exact([[1, 2, 3], [4, 5, 6]]), (1, 1, 1))
 
 
 @pytest.mark.parametrize("A, b, c, route, levels", [

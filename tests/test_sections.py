@@ -278,9 +278,10 @@ def test_context_reads_o_n_and_the_section_off_the_integer_rows():
 def test_each_exact_pair_reads_one_minors(monkeypatch):
     """An exact context reads rank, det O_n, each c_r and the section off one
     ``Minors`` of its n + 1 order-1 output rows: besides the one ``compound``
-    builds per C_r(A), certify_vb and certify_vd build one ``Minors`` per
-    context, whether the section refutes or not, and ``_section_refutation``
-    builds and extends no rows."""
+    builds per C_r(A) of a non-diagonal A (a diagonal A's compounds build
+    none), certify_vb and certify_vd build one ``Minors`` per context,
+    whether the section refutes or not, and ``_section_refutation`` builds
+    and extends no rows."""
     built, compounds, contexts = [], [], []
     new, compound, init = linalg.Minors.__init__, obsv.compound, obsv._OperatorContext.__init__
     monkeypatch.setattr(linalg.Minors, "__init__",
@@ -299,7 +300,8 @@ def test_each_exact_pair_reads_one_minors(monkeypatch):
                 del built[:], compounds[:], contexts[:]
                 refuted += certify(A, c, k).conclusion is Conclusion.REFUTED
                 assert len(contexts) == 1
-                assert len(built) == len(compounds) + 1, (A, c, k, certify)
+                eliminated = sum(X is not diagonal for X, _ in compounds)
+                assert len(built) == eliminated + 1, (A, c, k, certify)
                 runs += 1
     assert runs == 18 and 0 < refuted < runs
 

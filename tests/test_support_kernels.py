@@ -1,6 +1,6 @@
 """The exact kernels that sum over nonzero entries only (output rows, samples)
-or skip a minor with a zero row in its columns (``Minors``) against dense
-test-local references, on pairs whose zeros sit in every pattern the
+or read a diagonal matrix's compounds off its diagonal (``compound``) against
+dense test-local references, on pairs whose zeros sit in every pattern the
 certifiers meet: dense random, diagonal, upper-triangular, companion and
 example3's block form (a Jordan chain beside a rotation), n = 2..6."""
 
@@ -153,10 +153,10 @@ def test_exact_minor_reads_interleave_with_structural_zeros(A, c, inputs):
                 assert minors.value((I, J)) == want[I, J]
 
 
-def test_compound_of_a_diagonal_eliminates_only_its_diagonal(monkeypatch):
-    """Every off-diagonal minor of a diagonal matrix has a row with no
-    nonzero entry in its columns, so ``compound`` reads it as 0 without an
-    elimination, and so does a plain ``Minors``."""
+def test_compound_of_a_diagonal_runs_no_elimination(monkeypatch):
+    """``compound`` reads C_r of an exact diagonal matrix off its diagonal,
+    with no elimination at any order; a plain ``Minors`` of it runs one
+    elimination per minor read, the off-diagonal ones included."""
     calls = []
     bareiss = linalg._bareiss
     monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
@@ -165,7 +165,7 @@ def test_compound_of_a_diagonal_eliminates_only_its_diagonal(monkeypatch):
     for r in range(1, n + 1):
         calls.clear()
         C = compound(D, r).data
-        assert calls == [r] * math.comb(n, r)
+        assert calls == []
         sets = index_sets(n, r)
         assert all(C[a][b] == (math.prod(Fraction(i, 7) for i in I) if a == b else 0)
                    for a, I in enumerate(sets) for b in range(len(sets)))
@@ -173,12 +173,56 @@ def test_compound_of_a_diagonal_eliminates_only_its_diagonal(monkeypatch):
     calls.clear()
     minors = Minors(D)
     assert tuple(minors.value(((1, 2), J)) for J in index_sets(n, 2)) == first
-    assert calls == [2]  # the one nonzero minor of rows {1, 2}, on columns {1, 2}
+    assert calls == [2] * math.comb(n, 2)
+
+
+def _diagonals():
+    """Exact diagonal matrices: a 1 x 1, zeros on the diagonal, negative and
+    repeated entries, and the mixed denominators 1/3, 2/7 and 5/6."""
+    F = Fraction
+    rng = random.Random(4811)
+    pool = [F(0), F(1, 3), F(-2, 7), F(5, 6), F(-1), F(3), F(-5, 6)]
+    diagonals = [[F(-2, 7)], [F(0)], [F(1, 3), F(2, 7), F(5, 6)], [F(0), F(-5, 6), F(0), F(1, 3)],
+                 [F(2, 7)] * 5, [F(-1, 3), F(-1, 3), F(5, 6), F(-5, 6), F(0), F(2, 7)]]
+    diagonals += [[rng.choice(pool) for _ in range(n)] for n in range(1, 8) for _ in range(2)]
+    diagonals.append([F(1, 3), F(2, 7), F(5, 6), F(-1), F(0), F(2, 7), F(-5, 6)])
+    return [[[d if i == j else F(0) for j in range(len(ds))] for i, d in enumerate(ds)]
+            for ds in diagonals]
+
+
+def test_compound_of_a_diagonal_matches_its_minors(monkeypatch):
+    """C_r of an exact diagonal matrix, up to 7 x 7 and at every order, holds
+    the ``ints`` and ``dens`` of the matrix of its minors, as ``minor`` reads
+    them, with no elimination; one nonzero entry off the diagonal brings the
+    elimination back."""
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    rows = _diagonals()
+    assert {len(D) for D in rows} == set(range(1, 8))
+    for entries in rows:
+        D, n = Matrix.exact(entries), len(entries)
+        for r in range(1, n + 1):
+            sets = index_sets(n, r)
+            want = Matrix.exact([[linalg.minor(D, I, J) for J in sets] for I in sets])
+            calls.clear()
+            C = compound(D, r)
+            assert calls == [], (entries, r)
+            assert (C.ints, C.dens) == (want.ints, want.dens), (entries, r)
+        if n > 1:
+            entries[n - 1][0] = Fraction(1, 3)
+            X = Matrix.exact(entries)
+            for r in range(1, n + 1):
+                sets = index_sets(n, r)
+                calls.clear()
+                C = compound(X, r)
+                assert calls == [r] * len(sets) ** 2, (entries, r)
+                assert C.data == tuple(tuple(linalg.minor(X, I, J) for J in sets) for I in sets)
 
 
 def test_minors_without_zero_entries_eliminate_every_minor_once(monkeypatch):
-    """The zero-row test arms only on a row set with a zero entry: on an
-    exact matrix without one, every minor read runs one elimination."""
+    """On an exact matrix without a zero entry, as on any other, every minor
+    read runs one elimination."""
     calls = []
     bareiss = linalg._bareiss
     monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))

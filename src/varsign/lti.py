@@ -24,15 +24,16 @@ carry both strict signs refute every requirement, so they end the sampling
 at the later of their first positive and first negative sample and need no
 tail.  ``judge`` reads a strict or a non-strict verdict off the analysis.
 The systems on one pair (A, c) differ only in b and share one ``Pair``: the
-output rows, grown as far as their samples reach, the sign pattern and the
-diagonal of an exact A, and the eigen-decomposition (``dominant_modes``).
+output rows, grown as far as their samples reach, the sign pattern, the
+diagonal and the real simple spectrum of an exact A, and the
+eigen-decomposition (``dominant_modes``).
 
-The tail comes from one ladder.  A proof needs no sample (``_proved_tail``):
-the sign pattern of an exact A, else its exact diagonal modes.  Otherwise
-the tail rests on the samples (``_sampled_tail``): the floating-point eigen
-tail, else in exact mode the eigen tail of the minimal-recurrence reduction
-that the samples fit.  A standalone ``analyse`` and an operator's context
-take the same ladder.
+The tail comes from one ladder.  A proof (``_proved_tail``) rests on the
+sign pattern of an exact A, else its exact diagonal modes, else its exact
+real modes.  Otherwise the tail rests on the samples (``_sampled_tail``):
+the floating-point eigen tail, else in exact mode the eigen tail of the
+minimal-recurrence reduction that the samples fit.  A standalone
+``analyse`` and an operator's context take the same ladder.
 
 An exact system can be proved one-signed by the sign pattern of A alone
 (``_sign_pattern``, ``_pattern_proof``).  Let a signature S = diag(+-1)
@@ -58,6 +59,21 @@ positive dominant mode M and -M inactive, the dominant-root bound (Ouaknine
 sum_(i != 1) |rho_i| |mu_i|^(t-1) < |rho_1| M^(t-1), whose least solution is
 the tail start; ``analyse`` then holds the samples up to that start, or the
 lead samples, and no more.
+
+An exact system on any other A whose M = D_A A has N real simple
+eigenvalues may take an exact real-mode tail (``_real_mode_tail``), the
+same inequality decided on enclosures.  Once per pair,
+``realroots.real_spectrum`` finds the characteristic polynomial p of M
+division-free, shows that its N roots are real and simple, and isolates
+each in a dyadic interval: Newton's float approximations propose the
+intervals, and exact signs of p at their ends prove them (where they do
+not, the rung proves nothing).  Per system, the first N
+sample numerators give the numerator q of the response's generating
+function; the roots of gcd(p, q) are the inactive modes, and interval
+Horner at the intervals' integer ends encloses each residue
+q(mu_i) / p'(mu_i).  The intervals are bisected until the enclosures prove
+the least start, all in integers.  Such an analysis holds the samples up
+to its start, the lead samples or the first ten, whichever is last.
 
 numpy is imported inside the eigen routes, so a run that takes none of them
 never loads it: an exact system that the ladder proves takes none, a
@@ -89,6 +105,7 @@ from .linalg import (
     parse_scalar,
     sign_of,
 )
+from .realroots import RealSpectrum, abs_bounds, enclose, poly_gcd, real_spectrum
 
 
 class EigenSolveFailedError(LinalgError):
@@ -167,9 +184,12 @@ class Pair:
     integer sums allow: a diagonal A costs one product per entry.
 
     The other parts are built the first time they are read: the signature
-    of an exact A (``pattern``, ``_sign_pattern``) and its integer diagonal
-    when A is diagonal (``diagonal``, ``_diagonal``), both None in float; and
-    the eigen-decomposition under ``tol`` (``modes``, ``dominant_modes``).
+    of an exact A (``pattern``, ``_sign_pattern``), its integer diagonal
+    when A is diagonal (``diagonal``, ``_diagonal``) and the real simple
+    spectrum of D_A A with its root intervals (``real_spectrum``,
+    ``realroots.real_spectrum``), each None in float or where A has none;
+    and the eigen-decomposition under ``tol`` (``modes``,
+    ``dominant_modes``).
     """
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL):
@@ -210,6 +230,10 @@ class Pair:
     @cached_property
     def diagonal(self) -> tuple[int, ...] | None:
         return _diagonal(self.A)
+
+    @cached_property
+    def real_spectrum(self) -> RealSpectrum | None:
+        return real_spectrum(self.A) if self.A.backend is Backend.EXACT else None
 
     @cached_property
     def modes(self) -> DominantModes:
@@ -699,6 +723,105 @@ def _modal_tail(pair: Pair, sys: LtiSystem, shift: int,
     return None
 
 
+# The most levels a real-mode tail takes, one more bisection of every root
+# interval each, and the levels past the first that proves a start at which
+# it stops; the leading samples its analysis holds at least; and the most
+# modes N it is tried on: the characteristic polynomial costs N^4/4 integer
+# products, which past N = 20 (every order of n <= 6) outgrows sampling the
+# order to the horizon (n = 7, r = 3: 0.17 s against about 0.02 s).
+_LEVELS, _PAST_FIRST, _SHOWN, _MAX_MODES = 64, 20, 10, 20
+
+
+def _real_mode_tail(pair: Pair, sys: LtiSystem, shift: int,
+                    horizon: int) -> TailCertificate | None:
+    """The exact real-mode tail of (A, A^shift b, c) on the exact ``pair``
+    (A, c), or None.  M = D_A A must have a real simple spectrum
+    (``pair.real_spectrum``).
+
+    The first N numerators h_t (``ExactSamples``) are the impulse response of
+    the integer system (M, M^shift D_b b, D_c c): each is its sample times
+    the positive D_b D_c D_A^(t-1+shift).  So h_t = sum_j rho_j mu_j^(t-1)
+    with rho_j = q(mu_j) / p'(mu_j), where q, the first N coefficients of p
+    times h_1 + h_2 z + .., reads h_1..h_N only, and the roots of gcd(p, q)
+    are the inactive modes (found only when one may dominate: any other
+    keeps an enclosure of its residue 0 that only shrinks).  Interval Horner
+    at the dyadic ends of a level's intervals encloses every rho_j, and
+    ``_modal_tail``'s inequality
+    sum_(j != 1) |rho_j| |mu_j|^(t-1) < |rho_1| mu_1^(t-1) is decided on the
+    bounds, the common scales of both sides cancelling, once every other
+    active |mu_j| is shown below the positive mu_1: from then on the left
+    side's ratio to the right only falls.  The least t <= horizon that the
+    bounds prove is the start once they show the inequality false at t - 1,
+    or ``_PAST_FIRST`` levels after the first that proved one.  None when
+    h_1..h_N carry both strict signs (the samples then end the analysis) or
+    are all 0, when the spectrum is not real and simple, without a positive
+    dominant active mode, with -mu_1 active, or without a start within
+    ``horizon``.
+    """
+    N = sys.n
+    h = impulse_response(sys, N, pair, 0, shift).nums
+    if not any(h) or (max(h) > 0 and min(h) < 0) or (spec := pair.real_spectrum) is None:
+        return None
+    p = spec.p
+    q = [sum(map(mul, p[:m + 1], h[m::-1])) for m in range(N)]
+    K, roots = spec.level(0)
+    qs = dict(enumerate(enclose(q, lo, hi, K) for lo, hi in roots))
+    active, reduced, first = list(range(N)), False, None
+    for L in range(_LEVELS):
+        if L:
+            K, roots = spec.level(L)
+            qs = {j: enclose(q, *roots[j], K) for j in active}
+        mods, dps = spec.bounds(L)
+        one, rest = active[0], active[1:]
+        lo1, hi1 = roots[one]
+        if hi1 <= 0 or any(mods[j][0] >= hi1 for j in rest) or qs[one][0] <= 0 <= qs[one][1]:
+            if not reduced:
+                # inactive modes, the roots of gcd(p, q), may stand in the way;
+                # any other stays with a residue bound that only shrinks
+                zeros, reduced = spec.zeros_of(poly_gcd(p, q)), True
+                active = [j for j in active if j not in zeros]
+                one, rest = active[0], active[1:]
+                lo1, hi1 = roots[one]
+            if hi1 <= 0 or any(mods[j][0] >= hi1 for j in rest):
+                return None  # a zero, negative or -mu_1 mode dominates, or ties mu_1
+        if (lo1 <= 0 or any(mods[j][1] >= lo1 for j in rest) or qs[one][0] <= 0 <= qs[one][1]
+                or any(not dps[j][0] for j in active)):
+            continue
+        # |rho_j| lies in [Q_lo / P_hi, Q_hi / P_lo]; each bound is rounded
+        # outward to a multiple of 2^-e, keeping 40 bits or more, so that both
+        # sides are sums of terms (integer coefficient, |mu| bound)
+        Q = {j: abs_bounds(*qs[j]) for j in active}
+        e = max([40 + dps[j][1].bit_length() - Q[j][1].bit_length() for j in active] + [0])
+        R = {j: _outward(*Q[j], *dps[j], e) for j in active}
+        rest_hi = [(R[j][1], mods[j][1]) for j in rest]
+        rest_lo = [(R[j][0], mods[j][0]) for j in rest]
+        one_lo, one_hi = [(R[one][0], lo1)], [(R[one][1], hi1)]
+        start = next((t for t in range(1, horizon + 1)
+                      if _side(rest_hi, t) < _side(one_lo, t)), None)
+        # the inequality shown false at t is false at every earlier t
+        if start is None:
+            if _side(rest_lo, horizon) >= _side(one_hi, horizon):
+                return None
+            continue
+        first = L if first is None else first
+        if (start == 1 or _side(rest_lo, start - 1) >= _side(one_hi, start - 1)
+                or L >= first + _PAST_FIRST):
+            # p' has the sign (-1)^(j-1) at mu_j, the j-th largest root
+            return TailCertificate(start, 1 if (qs[one][0] > 0) == (one % 2 == 0) else -1)
+    return None
+
+
+def _outward(q_lo: int, q_hi: int, p_lo: int, p_hi: int, e: int) -> tuple[int, int]:
+    """Integers l <= 2^e q_lo / p_hi and h >= 2^e q_hi / p_lo (p_lo > 0):
+    the bounds of a quotient q / p, scaled by 2^e and rounded outward."""
+    return (q_lo << e) // p_hi, -((-q_hi << e) // p_lo)
+
+
+def _side(terms: list[tuple[int, int]], t: int) -> int:
+    """sum u m^(t-1) over the (u, m) of ``terms``."""
+    return sum(u * m ** (t - 1) for u, m in terms)
+
+
 @dataclass
 class ExtPosVerdict:
     status: ExtPosStatus
@@ -758,17 +881,19 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     from output row t + shift on (``impulse_response``), every route's tail
     is that system's, and A^shift b is never formed.
 
-    A proved tail (``_proved_tail``) needs no sample, so the samples stop at
-    T = min(horizon, max(the samples the proof names, ``lead``)): one period
-    of a sign pattern's zero pattern, which shows the first nonzero sample
-    and the first zero, if any, or a modal tail's start, from which every
-    sample is nonzero with its sign.  ``lead`` is the number of leading
-    samples a requirement on the system reads, so no verdict read off the
-    analysis changes with the samples it leaves out.
+    A proved tail (``_proved_tail``) needs no further sample, so the samples
+    stop at T = min(horizon, max(the samples the proof names, ``lead``)): one
+    period of a sign pattern's zero pattern, which shows the first nonzero
+    sample and the first zero, if any, a modal tail's start, from which
+    every sample is nonzero with its sign, or a real-mode tail's start or
+    its first ten samples, whichever is later.  ``lead`` is the number of
+    leading samples a requirement on the system reads, so no verdict read
+    off the analysis changes with the samples it leaves out.
 
     Samples come in blocks ending at t = 8, 64, 512, ... or at the last
     sample, one ``impulse_response`` call each, and each sample is computed
-    once.  Once both strict signs have shown up the analysis stops at t_bad;
+    once here (the real-mode rung reads the first N before).  Once both
+    strict signs have shown up the analysis stops at t_bad;
     every other unproved analysis (zero, identically zero or one-signed
     samples) runs to the horizon, since its verdict depends on the
     requirement or on the tail (``_sampled_tail``).  The output rows are
@@ -804,18 +929,30 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
 def _proved_tail(sys: LtiSystem, pair: Pair, shift: int,
                  horizon: int) -> tuple[TailCertificate, list[str], int] | None:
     """The tail of (A, A^shift b, c) that the sign pattern of A proves, else
-    its exact diagonal modes, with its note and the samples the proof names
-    (``analyse``); None when neither proves one."""
+    its exact diagonal modes, else its exact real modes, with its note and
+    the samples the proof names (``analyse``); None when none proves one.
+    A real-mode tail names its start or the first ``_SHOWN`` samples,
+    whichever is later: its proof rests on root enclosures that no sample
+    shows, so its trace keeps the leading stretch of the response that
+    acceptance criterion 2 reads off example1.  The real-mode rung is not
+    tried on a diagonal A, whose modal tail decides the same inequality, nor
+    when A has more rows than the horizon has samples or ``_MAX_MODES``."""
     if pair.pattern is not None and (proof := _pattern_proof(pair.pattern, sys, shift, horizon)):
         zeros = ("no sample is 0" if all(proof.nonzero) else
                  f"its zeros repeat with period {len(proof.nonzero) - proof.pre} "
                  f"from t={proof.pre + 1}")
         note = f"tail by sign pattern: every sample is 0 or of sign {proof.sign:+d}; {zeros}"
         return TailCertificate(1, proof.sign), [note], len(proof.nonzero)
-    if pair.diagonal is not None and (tail := _modal_tail(pair, sys, shift, horizon)):
-        note = (f"tail by exact diagonal modes: every sample from t={tail.start} on "
+    if pair.diagonal is not None:
+        if tail := _modal_tail(pair, sys, shift, horizon):
+            note = (f"tail by exact diagonal modes: every sample from t={tail.start} on "
+                    f"has sign {tail.sign:+d}")
+            return tail, [note], tail.start
+    elif sys.backend is Backend.EXACT and sys.n <= min(horizon, _MAX_MODES) and (
+            tail := _real_mode_tail(pair, sys, shift, horizon)):
+        note = (f"tail by exact real modes: every sample from t={tail.start} on "
                 f"has sign {tail.sign:+d}")
-        return tail, [note], tail.start
+        return tail, [note], max(tail.start, _SHOWN)
     return None
 
 

@@ -33,14 +33,17 @@ only ``compound_system`` and ``full_compound_systems`` form b.
 
 The systems of order r share one ``lti.Pair`` (C_r(A), c_r)
 (``_OperatorContext.order``): it holds their output rows, grown as far as
-their samples reach, and builds the sign pattern and the diagonal of an
-exact C_r(A) and its eigen-decomposition once, when a system first reads
-them.  Each system takes the one tail ladder of ``lti.analyse``, as a
-standalone ``lti.external_positivity`` does: in exact mode the sign pattern
-of C_r(A) may prove it one-signed, else the exact modes of a diagonal
-C_r(A) (as every order of a diagonal A has) may give its tail, with no
-eigen-solve either way; such a system holds only the samples that its
-verdicts read, the lead samples that vb asks for (``_lead``) included.
+their samples reach, and builds the sign pattern, the diagonal and the real
+simple spectrum (with its root intervals) of an exact C_r(A) and its
+eigen-decomposition once, when a system first reads them.  Each system
+takes the one tail ladder of ``lti.analyse``, as a standalone
+``lti.external_positivity`` does: in exact mode the sign pattern of C_r(A)
+may prove it one-signed, else the exact modes of a diagonal C_r(A) (as
+every order of a diagonal A has) may give its tail, else the exact real
+modes of a C_r(A) with a real simple spectrum (as example1's and
+example2's orders have), with no eigen-solve in any case; such a system
+holds only the samples that its verdicts read, the lead samples that vb
+asks for (``_lead``) included, and a real-mode one at least its first ten.
 Otherwise the tail is the eigen or the minimal-recurrence one.
 ``impulse_variation_bound`` reads the same ladder on the order-1 pair (A, c).
 

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import varsign.io
+import varsign.lti
 import varsign.obsv
 import varsign.oracle
 from varsign import cli
@@ -254,25 +255,34 @@ def test_section_refuted_controllability_note_names_c_n_plus_1(tmp_path, capsys)
     assert cert["observability"]["notes"][0].startswith("section O_6 is not VB_0 ")
 
 
-def test_inactive_mode_note_names_a_horizon_too_short_for_the_recurrence(tmp_path, capsys):
+def test_inactive_mode_note_names_a_horizon_too_short_for_the_recurrence(tmp_path, capsys,
+                                                                           monkeypatch):
     """beta = {3} of this triangular A traces only its modes 1/4 and 1/8: the
-    dominant mode 1/2 has zero residue, and the recurrence fit needs
-    n + L = 5 samples, which a horizon of 4 does not give; a horizon of 5
-    certifies by the fit.  The signs of A_12, A_23 and A_13 form a cycle
-    that no signature makes nonnegative, so no sign-pattern proof steps in.
-    diag(1/2, 1/4), whose beta = {2} has the same inactive dominant mode,
-    is proved by its sign pattern at a horizon of 2."""
+    dominant mode 1/2 has zero residue.  The exact real modes of A's simple
+    spectrum drop that mode (a root of gcd(p, q)) and certify at a horizon
+    of 4.  With that rung off, the recurrence fit needs n + L = 5 samples,
+    which a horizon of 4 does not give; a horizon of 5 certifies by the fit.
+    The signs of A_12, A_23 and A_13 form a cycle that no signature makes
+    nonnegative, so no sign-pattern proof steps in.  diag(1/2, 1/4), whose
+    beta = {2} has the same inactive dominant mode, is proved by its sign
+    pattern at a horizon of 2."""
     f = write_json(tmp_path, "inactive.json", {
         "A": [["0.5", "0.25", "-0.25"], ["0", "0.25", "0.25"], ["0", "0", "0.125"]],
         "c": ["0.5", "2", "2"]})
     out = tmp_path / "out"
     argv = ["certify", str(f), "--property", "svb", "--k", "1", "--out", str(out), "--horizon"]
+    assert main(argv + ["4"]) == 0
+    system = json.loads((out / "report.json").read_text())["certificate"]["systems"][2]
+    assert system["beta"] == [3] and system["notes"] == [
+        "tail by exact real modes: every sample from t=1 on has sign +1"]
+    monkeypatch.setattr(varsign.lti, "_real_mode_tail", lambda *args: None)
     assert main(argv + ["4"]) == 2
     system = json.loads((out / "report.json").read_text())["certificate"]["systems"][2]
     assert system["beta"] == [3] and system["notes"] == [
         "dominant mode has zero residue; no recurrence "
         "fit: the horizon 4 is shorter than the n + L = 5 samples it needs"]
     assert main(argv + ["5"]) == 0
+    monkeypatch.undo()
     diagonal = write_json(tmp_path, "diagonal.json", {"A": [["0.5", "0"], ["0", "0.25"]],
                                                       "c": ["1", "1"]})
     assert main(["certify", str(diagonal), "--property", "svb", "--k", "1", "--out", str(out),

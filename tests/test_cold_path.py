@@ -4,13 +4,16 @@ One fresh interpreter, with ``src`` on ``PYTHONPATH``, imports varsign,
 resolves every public name and runs exact and float ``check-matrix``, and
 an exact ``certify`` whose every system the sign pattern of C_r(A) proves,
 exact ``certify`` runs of a diagonal pair at k = 2..n, whose systems that no
-sign pattern proves take an exact modal tail, and exact ``certify`` runs on
-1 x 1 pairs, without loading numpy; the same
-process then runs an exact ``certify``
-that needs an eigen tail, and an ``oracle`` search, which load it and must
-give what they give in this process.  A library ``external_positivity``
-takes the tail routes ``certify`` takes, so on a system that its sign
-pattern or its exact diagonal modes prove it loads no numpy either.
+sign pattern proves take an exact modal tail, exact ``certify`` runs on
+1 x 1 pairs, and every exact ``certify`` of example1 and example2 at
+k = 1..3, whose systems that no sign pattern proves take exact real-mode
+tails or end at samples of both signs, without loading numpy; the same
+process then runs an exact ``certify`` of example3's controllability
+operator, whose rotation block leaves its systems to the eigen route, and
+an ``oracle`` search, which load it and must give what they give in this
+process.  A library ``external_positivity`` takes the tail routes
+``certify`` takes, so on a system that its sign pattern or its exact
+diagonal modes prove it loads no numpy either.
 """
 
 import json
@@ -49,10 +52,15 @@ SCALARS = {"half.json": {"A": [["1/2"]], "c": ["1"]},
            "minus_half.json": {"A": [["-1/2"]], "c": ["1"]}}
 SCALAR = [["certify", name, "--property", prop, "--k", "1"]
           for name in SCALARS for prop in ("svb", "vb", "kpos", "vd")]
-# example2 certifies svb at k = 2, three of its systems through eigen tails;
-# the oracle refutes k = 1
+# example1 and example2 with every property at k = 1..3
+REAL = [["certify", str(fixture_path(name)), "--property", prop, "--k", str(k)]
+        for name in ("example1", "example2") for k in (1, 2, 3)
+        for prop in ("svb", "vb", "kpos", "vd")]
+# example3's ctrb svb at k = 1 is refuted after eigen and recurrence tails on
+# the complex spectrum of its rotation block; the oracle refutes example2 at k = 1
 LOADING = [
-    ["certify", str(fixture_path("example2")), "--property", "svb", "--k", "2"],
+    ["certify", str(fixture_path("example3")), "--target", "ctrb", "--property", "svb",
+     "--k", "1"],
     ["oracle", str(fixture_path("example2")), "--k", "1", "--trials", "1000", "--seed", "0"],
 ]
 
@@ -61,7 +69,7 @@ import io, json, sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-names, check_matrix, proved, modal, scalar, loading, out = json.loads(sys.argv[1])
+names, check_matrix, proved, modal, scalar, real, loading, out = json.loads(sys.argv[1])
 loaded = {}
 
 def step(label):
@@ -90,6 +98,8 @@ cold += [run(argv, len(cold) + i) for i, argv in enumerate(modal)]
 step("modal certify")
 cold += [run(argv, len(cold) + i) for i, argv in enumerate(scalar)]
 step("1 x 1 certify")
+cold += [run(argv, len(cold) + i) for i, argv in enumerate(real)]
+step("real-mode certify")
 warm = []
 for i, argv in enumerate(loading):
     warm.append(run(argv, len(cold) + i))
@@ -110,7 +120,7 @@ def test_cold_path_loads_no_numpy(tmp_path, capsys):
     (tmp_path / "diagonal4.json").write_text(json.dumps(DIAGONAL4))
     for name, pair in SCALARS.items():
         (tmp_path / name).write_text(json.dumps(pair))
-    payload = json.dumps([PUBLIC_NAMES, CHECK_MATRIX, PROVED, MODAL, SCALAR, LOADING,
+    payload = json.dumps([PUBLIC_NAMES, CHECK_MATRIX, PROVED, MODAL, SCALAR, REAL, LOADING,
                           str(tmp_path / "fresh")])
     proc = subprocess.run([sys.executable, "-c", _SCRIPT, payload], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
@@ -119,17 +129,19 @@ def test_cold_path_loads_no_numpy(tmp_path, capsys):
     assert got["loaded"] == {"import varsign": False, "public names": False,
                              "import varsign.cli": False, "check-matrix": False,
                              "proved certify": False, "modal certify": False,
-                             "1 x 1 certify": False,
+                             "1 x 1 certify": False, "real-mode certify": False,
                              "certify": True, "oracle": True}
-    runs = CHECK_MATRIX + PROVED + MODAL + SCALAR + LOADING
+    runs = CHECK_MATRIX + PROVED + MODAL + SCALAR + REAL + LOADING
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp_path)
         want = [_in_process(argv, tmp_path / "here" / str(i), capsys)
                 for i, argv in enumerate(runs)]
     assert got["cold"] + got["warm"] == want
     codes = [code for code, _, _ in want[len(CHECK_MATRIX):]]
-    # svb, vb and vd certify the diagonal pair at k = 2..4, and kpos is refuted
-    assert codes == [0, 0] + [0] * 9 + [1] * 3 + [0] * 4 + [1] * 4 + [0, 1]
+    # svb, vb and vd certify the diagonal pair at k = 2..4, and kpos is refuted;
+    # example1 certifies every property at k = 1, 2, example2 svb and vb at k = 2
+    assert codes == ([0, 0] + [0] * 9 + [1] * 3 + [0] * 4 + [1] * 4
+                     + [0] * 8 + [1] * 4 + [1] * 4 + [0, 0, 1, 1] + [1] * 4 + [1, 1])
     # every system of the proved runs rests on its sign pattern
     proved = len(CHECK_MATRIX)
     for _, _, report in got["cold"][proved:proved + len(PROVED)]:
@@ -143,6 +155,14 @@ def test_cold_path_loads_no_numpy(tmp_path, capsys):
         assert any(note.startswith("tail by exact diagonal modes") for note in notes)
         assert all(note.startswith(("tail by sign pattern", "tail by exact diagonal modes"))
                    for note in notes), notes
+    # every system of the certified real-mode runs rests on one of the exact routes
+    real = modal + len(MODAL) + len(SCALAR)
+    for (code, _, report), argv in zip(got["cold"][real:real + len(REAL)], REAL):
+        notes = [s["notes"][0] for s in json.loads(report)["certificate"]["systems"]]
+        if code == 0:
+            assert any(note.startswith("tail by exact real modes") for note in notes), argv
+            assert all(note.startswith(("tail by sign pattern", "tail by exact real modes"))
+                       for note in notes), (argv, notes)
 
 
 # (A, the note of its tail) with b = c = 1: the sign pattern of a nonnegative

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import varsign.lti as lti
-from varsign.linalg import Backend, Matrix, NonSquareError, SizeMismatchError, sign_of
+from varsign.linalg import Backend, Matrix, NonSquareError, SizeMismatchError, inverse, sign_of
 from varsign.lti import (
     ExtPosAnalysis,
     ExtPosStatus,
@@ -381,14 +381,17 @@ def test_tail_without_a_subdominant_mode_starts_at_1_or_2(rho1, scale, want, sub
 @pytest.mark.parametrize("A, b, c, note", [
     ([["0.5", "0.1"], ["0", "0.25"]], (1, 1), (1, 1), "tail by sign pattern"),
     ([["0.5", "0"], ["0", "-0.25"]], (1, 1), (1, 1), "tail by exact diagonal modes"),
-    ([["0.5", "0.25"], ["0", "-0.25"]], (1, 1), (1, 1), None),
+    ([["0.5", "0.25"], ["0", "-0.25"]], (1, 1), (1, 1), "tail by exact real modes"),
+    ([["0.5", 0, 0], [0, "0.1", "-0.2"], [0, "0.2", "0.1"]], (1, 1, 1), (1, 1, 1), None),
     ([["-0.5", "1"], ["-1", "1.5"]], (-2, -2), (0, -1),
      "tail bound via exact minimal-recurrence reduction"),
-], ids=["pattern", "modal", "eigen", "recurrence"])
+], ids=["pattern", "modal", "real modes", "eigen", "recurrence"])
 def test_tail_margin_is_none_or_finite_and_positive_on_every_route(A, b, c, note):
-    """Sign-pattern and exact modal tails carry no moduli, so no margin; an
-    eigen tail, the minimal-recurrence route's included, has a finite
-    positive margin at its start.  No route's margin is nan."""
+    """Sign-pattern, exact modal and exact real-mode tails carry no moduli,
+    so no margin; an eigen tail, the minimal-recurrence route's included,
+    has a finite positive margin at its start.  No route's margin is nan.
+    The eigen case's rotation block gives it a complex pair, which no
+    real-mode tail takes."""
     analysis = analyse(LtiSystem(Matrix.exact(A), b, c))
     tail = analysis.tail
     assert tail is not None
@@ -460,11 +463,17 @@ def test_one_signed_samples_still_reach_the_tail(monkeypatch):
 
     monkeypatch.setattr(lti, "dominant_tail", counting_tail)
     sys = LtiSystem(Matrix.exact([["0.5", "0.1"], ["0", "0.25"]]), (1, 1), (1, 1))
-    # the sign pattern proves the system with no eigen tail; without it the
-    # one-signed samples reach the eigen route
+    # the sign pattern proves the system with no eigen tail, and so do its
+    # exact real modes without it; without both the one-signed samples reach
+    # the eigen route
     assert analyse(sys, 12).tail == TailCertificate(1, 1) and calls == []
     pair = lti.Pair(sys.A, sys.c)
     pair.__dict__["pattern"] = None
+    analysis = analyse(sys, 12, pair=pair)
+    assert analysis.tail == TailCertificate(1, 1) and calls == []
+    assert analysis.notes == ("tail by exact real modes: every sample from t=1 on has sign +1",)
+    pair = lti.Pair(sys.A, sys.c)
+    pair.__dict__.update(pattern=None, real_spectrum=None)
     analysis = analyse(sys, 12, pair=pair)
     assert calls == [sys]
     assert analysis.tail is not None
@@ -477,8 +486,9 @@ def test_one_signed_samples_still_reach_the_tail(monkeypatch):
 def test_tail_of_the_wrong_sign_is_discarded(monkeypatch, backend):
     """A tail whose sign disagrees with one-signed samples is dropped with a
     note, and the verdict rests on the samples alone.  The off-diagonal signs
-    of A cannot be 2-coloured and A is not diagonal, so no proof route
-    settles the system and the (flipped) eigen tail is the one offered."""
+    of A cannot be 2-coloured and A is not diagonal, and with the real-mode
+    rung off no proof route settles the system, so the (flipped) eigen tail
+    is the one offered."""
     A = Matrix.exact([["0.5", "0.1"], ["-0.1", "0.2"]])
     if backend is Backend.FLOAT:
         A = A.to_float()
@@ -493,6 +503,7 @@ def test_tail_of_the_wrong_sign_is_discarded(monkeypatch, backend):
     monkeypatch.setattr(lti, "dominant_tail", flipped)
     pair = lti.Pair(sys.A, sys.c)
     assert pair.pattern is None and pair.diagonal is None
+    pair.__dict__["real_spectrum"] = None
     analysis = analyse(sys, 12, pair=pair)
     assert set(analysis.signs) == {1}
     assert analysis.tail is None
@@ -644,10 +655,13 @@ def test_exact_samples_equal_the_fraction_construction(A, b, c, N):
             g[-N - 1]
         signs = tuple(sign_of(x, Backend.EXACT) for x in want)
         assert [sign_of(u, Backend.EXACT) for u in g.nums] == list(signs)
-        # the analysis keeps a prefix: up to t_bad when both strict signs occur
+        # the analysis keeps a prefix: up to t_bad when both strict signs
+        # occur, up to its start or t = 10 when exact real modes prove its tail
         both = 1 in signs and -1 in signs
         stop = max(signs.index(1), signs.index(-1)) + 1 if both else N
         analysis = analyse(sys, N, pair=pair)
+        if analysis.notes[:1] and analysis.notes[0].startswith("tail by exact real modes"):
+            stop = min(N, max(analysis.tail.start, lti._SHOWN))
         assert analysis.signs == signs[:stop] and analysis.samples == want[:stop]
 
 
@@ -663,7 +677,8 @@ def test_exact_input_is_lifted_once_per_system(monkeypatch):
     lifts, lift = [], lti.lift
     monkeypatch.setattr(lti, "lift", lambda xs: lifts.append(tuple(xs)) or lift(xs))
     pair = lti.Pair(A, c)
-    pair.__dict__["pattern"] = None  # the pattern would prove each system from one sample
+    # the pattern would prove each system from one sample, the real modes from ten
+    pair.__dict__.update(pattern=None, real_spectrum=None)
     # c, once for the pair
     assert lifts == [(Fraction(1, 3), 1)]
     lifts.clear()
@@ -1132,21 +1147,29 @@ def _rejected_systems():
 @pytest.mark.parametrize("case", range(3), ids=["negative diagonal", "sign cycle", "mixed c S"])
 def test_rejected_sign_patterns_take_the_sampled_route(case):
     """A system whose pattern proves nothing gets the analysis and the
-    verdicts it gets without a pattern, field for field."""
+    verdicts it gets without a pattern, field for field: with the real-mode
+    rung off both take the sampled route, and with it on both take the
+    real-mode tail, which each A's real simple spectrum gives."""
     A, b, c = _rejected_systems()[case]
     sys = LtiSystem(A, b, c)
     pattern = lti._sign_pattern(A)
     assert (pattern is None) == (case < 2)
     if pattern is not None:
         assert lti._pattern_proof(pattern, sys, 0, 50) is None
-    sampled = lti.Pair(A, c)
-    sampled.__dict__["pattern"] = None
-    got, want = analyse(sys, 50, lead=3), analyse(sys, 50, pair=sampled)
+    real = lti.Pair(A, c)
+    real.__dict__["pattern"] = None
+    routed, proved = analyse(sys, 50, lead=3), analyse(sys, 50, pair=real)
+    assert routed == proved and proved.notes[0].startswith("tail by exact real modes")
+    rejected, sampled = lti.Pair(A, c), lti.Pair(A, c)
+    rejected.__dict__["real_spectrum"] = None
+    sampled.__dict__.update(pattern=None, real_spectrum=None)
+    got, want = analyse(sys, 50, pair=rejected, lead=3), analyse(sys, 50, pair=sampled)
     assert got == want and len(got.samples) == 50
     assert not any(note.startswith("tail by sign pattern") for note in got.notes)
     for strict in (True, False):
         assert judge(got, strict) == judge(want, strict)
-    assert judge(want).status is ExtPosStatus.STRICT_POSITIVE
+        assert judge(routed, strict) == judge(proved, strict)
+    assert judge(want).status is judge(proved).status is ExtPosStatus.STRICT_POSITIVE
 
 
 def test_sign_pattern_route_samples_only_what_its_verdicts_read():
@@ -1197,3 +1220,154 @@ def test_walk_sets_that_do_not_repeat_within_the_horizon_prove_nothing():
     analysis = analyse(sys, 5)
     assert judge(analysis, strict=True).first_violation == (5, 0)
     assert judge(analysis, strict=False).status is ExtPosStatus.NONNEGATIVE
+
+
+
+def _unimodular(rng, n):
+    """An integer matrix of determinant 1: a product of unit triangular ones."""
+    L = [[1 if i == j else rng.randint(-2, 2) if i > j else 0 for j in range(n)]
+         for i in range(n)]
+    U = [[1 if i == j else rng.randint(-2, 2) if i < j else 0 for j in range(n)]
+         for i in range(n)]
+    return Matrix.exact(L) @ Matrix.exact(U)
+
+
+def _real_spectrum_matrices(rng, n):
+    """Three exact n x n matrices, none diagonal, each with a real simple
+    spectrum: upper triangular with distinct diagonal entries, L D U / 4
+    with unit bidiagonal L, U (entries in {1/4, .., 1}) and a positive
+    diagonal D, and an integer twin T^-1 D T of a diagonal pair (T
+    unimodular, so T^-1 is integer)."""
+    spectrum = rng.sample(range(-9, 10), n)
+    tri = [[Fraction(spectrum[i], 10) if i == j else
+            Fraction(rng.choice((-3, -2, -1, 1, 2, 3)) if j == i + 1 else rng.randint(-3, 3), 4)
+            if i < j else 0 for j in range(n)] for i in range(n)]
+    off = [Fraction(rng.randint(1, 4), 4) for _ in range(2 * (n - 1))]
+    L = Matrix.exact([[1 if i == j else off[j] if i == j + 1 else 0 for j in range(n)]
+                      for i in range(n)])
+    U = Matrix.exact([[1 if i == j else off[n - 1 + i] if j == i + 1 else 0 for j in range(n)]
+                      for i in range(n)])
+    D = Matrix.exact([[Fraction(x, 4) if i == j else 0 for j, x in enumerate(row)]
+                      for i, row in enumerate(_diagonal_rows(rng.sample(range(1, 9), n)))])
+    T = _unimodular(rng, n)
+    lam = Matrix.exact(_diagonal_rows([Fraction(x, 10) for x in rng.sample(range(1, 10), n)]))
+    twin = inverse(T) @ lam @ T
+    return [Matrix.exact(tri), L @ D @ U, twin]
+
+
+def _diagonal_rows(entries):
+    return [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+def _real_spectrum_systems():
+    """Seeded exact systems (A, b, c) on ``_real_spectrum_matrices``, n = 2..4,
+    with zeros and mixed signs in b and c, each read 0..2 rows late."""
+    rng = random.Random(4923)
+    systems = []
+    for n in (2, 3, 4):
+        for _ in range(8):
+            for A in _real_spectrum_matrices(rng, n):
+                if lti._diagonal(A) is not None:
+                    continue  # T = I leaves the twin diagonal
+                for _ in range(3):
+                    vec = [tuple(Fraction(rng.choice((-2, -1, 0, 1, 1, 2, 3))) for _ in range(n))
+                           for _ in range(2)]
+                    systems.append((LtiSystem(A, *vec), rng.randint(0, 2)))
+    return systems
+
+
+def _route_pair(sys, off):
+    """The ``Pair`` of sys with the parts named in ``off`` switched off."""
+    pair = lti.Pair(sys.A, sys.c)
+    pair.__dict__.update(dict.fromkeys(off))
+    return pair
+
+
+def test_exact_real_mode_tails_agree_with_long_samples_and_the_eigen_route():
+    """Differential test of the exact real-mode route against today's sampled
+    route on seeded exact systems with real simple spectra: every real-mode
+    tail's sign holds for the exact samples from its start to t = 400; no
+    start is later than the eigen route's; the analysis holds the samples up
+    to its start or t = 10, a prefix of the sampled route's; every decisive
+    verdict of the sampled route stands; a system the rung does not prove
+    gets the sampled route's analysis.  The sign pattern is off, so the
+    rung also sees the systems the pattern would prove first."""
+    proved = shifted = earlier = upgraded = 0
+    for sys, s in _real_spectrum_systems():
+        pair = _route_pair(sys, ("pattern",))
+        assert pair.diagonal is None and pair.real_spectrum is not None
+        got = analyse(sys, 50, pair=pair, shift=s)
+        want = analyse(sys, 50, pair=_route_pair(sys, ("pattern", "real_spectrum")), shift=s)
+        if not (got.notes and got.notes[0].startswith("tail by exact real modes")):
+            assert got == want, (sys, s)
+            continue
+        proved += 1
+        shifted += s > 0
+        tail = got.tail
+        assert got.notes == (f"tail by exact real modes: every sample from t={tail.start} "
+                             f"on has sign {tail.sign:+d}",)
+        g = impulse_response(sys, 400, shift=s)
+        assert all(sign_of(x, Backend.EXACT) == tail.sign for x in g.nums[tail.start - 1:]), (
+            sys, s, tail)
+        held = len(got.samples)
+        assert held == min(50, max(tail.start, lti._SHOWN))
+        assert got.samples == want.samples[:held] and got.signs == want.signs[:held]
+        eigen, _ = dominant_tail(sys, shift=s)
+        if eigen is not None:
+            assert tail.start <= eigen.start, (sys, s, tail, eigen)
+            earlier += tail.start < eigen.start
+        for strict in (True, False):
+            mine, theirs = judge(got, strict), judge(want, strict)
+            if theirs.status is ExtPosStatus.HORIZON_ONLY:
+                upgraded += mine.status is not ExtPosStatus.HORIZON_ONLY
+                continue
+            assert (mine.status, mine.first_violation, mine.sample_sign) == (
+                theirs.status, theirs.first_violation, theirs.sample_sign), (sys, s, strict)
+    assert proved > 100 and shifted > 60 and earlier > 5, (proved, shifted, earlier, upgraded)
+
+
+@pytest.mark.parametrize("A, b, c", [
+    ([["1/2", 0, 0], [1, "-1/3", 0], [0, 1, "1/4"]], (0, 1, 1), (1, 1, 1)),
+    ([["1/2", 0, 0], [0, "1/10", "-1/5"], [0, "1/5", "1/10"]], (1, 1, 1), (1, 1, 1)),
+    ([["1/2", 1, 0], [0, "1/2", 0], [1, 0, "1/4"]], (1, -1, 1), (1, 1, 1)),
+], ids=["inactive dominant", "complex pair", "repeated root"])
+def test_exact_real_modes_fall_back_to_the_sampled_route(A, b, c):
+    """A system whose exact real modes prove no tail gets the analysis of
+    the sampled route, field for field.  A complex pair and a repeated root
+    leave no real simple spectrum.  The first A is lower triangular, so
+    e_1 is its left eigenvector for 1/2 and b_1 = 0 makes that mode
+    inactive, a root of gcd(p, q): the active -1/3 then dominates."""
+    sys = LtiSystem(Matrix.exact(A), b, c)
+    pair = _route_pair(sys, ("pattern",))
+    assert pair.diagonal is None
+    assert (pair.real_spectrum is None) == (A[0][1] != 0 or A[1][2] != 0)
+    assert lti._real_mode_tail(pair, sys, 0, 50) is None
+    got = analyse(sys, 50, pair=pair)
+    assert got == analyse(sys, 50, pair=_route_pair(sys, ("pattern", "real_spectrum")))
+    assert not any(note.startswith("tail by") for note in got.notes)
+
+
+def test_exact_real_modes_drop_an_inactive_dominant_mode():
+    """b_1 = 0 makes the mode 1/2 of this lower triangular A inactive (e_1 is
+    its left eigenvector), a root of gcd(p, q), so the active 1/3 dominates
+    and g(t) = 13 (1/3)^(t-1) - 11 (1/4)^(t-1) is positive from t = 1: the
+    rung proves what the eigen route, whose dominant residue is 0, cannot."""
+    sys = LtiSystem(Matrix.exact([["1/2", 0, 0], [1, "1/3", 0], [0, 1, "1/4"]]), (0, 1, 1),
+                    (0, 1, 1))
+    pair = _route_pair(sys, ("pattern",))
+    assert lti._real_mode_tail(pair, sys, 0, 50) == TailCertificate(1, 1)
+    assert dominant_tail(sys) == (None, "dominant mode has zero residue")
+    g = impulse_response(sys, 400)
+    assert g[:3] == (2, Fraction(13, 3) - Fraction(11, 4), Fraction(13, 9) - Fraction(11, 16))
+    assert all(x > 0 for x in g.nums)
+
+
+@pytest.mark.parametrize("q_lo, q_hi, p_lo, p_hi, e", [
+    (7, 7, 5, 5, 3), (0, 9, 4, 6, 0), (10, 12, 3, 3, 5), (2 ** 80 + 1, 2 ** 81, 3, 7, 40),
+])
+def test_residue_bounds_round_outward(q_lo, q_hi, p_lo, p_hi, e):
+    """A real-mode tail's residue bounds, scaled by 2^e, contain
+    [q_lo / p_hi, q_hi / p_lo] and lie within one unit of it."""
+    lo, hi = lti._outward(q_lo, q_hi, p_lo, p_hi, e)
+    want_lo, want_hi = Fraction(q_lo << e, p_hi), Fraction(q_hi << e, p_lo)
+    assert want_lo - 1 < lo <= want_lo and want_hi <= hi < want_hi + 1

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import varsign.lti as lti
 from varsign.linalg import (
@@ -347,12 +349,14 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
     shifted system, bit for bit: up to t_bad = max(first positive, first
     negative) when both strict signs occur, up to T = min(horizon,
     max(one period of the zero pattern, lead)) when the sign pattern of
-    C_r(A) proves the system, else up to the horizon.  Exact values and
+    C_r(A) proves the system, up to min(horizon, max(tail start, 10, lead))
+    when its exact real modes prove the tail, whose sign every later sample
+    has, else up to the horizon.  Exact values and
     signs are those of the system with its input b formed.  Judged strictly
     or not, and folded into every property at every order, it gives what the
     full-horizon analysis gives; an order's shared rows end at the block of
     the last sample taken, read s rows late."""
-    stopped = proved = short_orders = 0
+    stopped = proved = real_modes = short_orders = 0
     for A, c in _early_stop_pairs():
         n, exact = A.rows, A.backend is Backend.EXACT
         ctx, ref = (obsv._OperatorContext(A, c, horizon=horizon) for _ in range(2))
@@ -371,6 +375,7 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
             assert analysis.signs == signs[:t] and analysis.horizon == horizon
             pattern = ctx.order(key[1]).pattern
             proof = pattern and lti._pattern_proof(pattern, sys, s, horizon)
+            real = analysis.notes[:1] and analysis.notes[0].startswith("tail by exact real modes")
             last = horizon
             if 1 in signs and -1 in signs:
                 assert proof is None, (A, key)
@@ -384,10 +389,16 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
                 assert analysis.tail.sign == proof.sign and proof.sign in signs
                 reference = replace(analysis, samples=full, signs=signs)
                 proved += t < horizon
+            elif real:
+                tail = analysis.tail
+                last = min(horizon, max(tail.start, lti._SHOWN, obsv._lead(n, *key)))
+                assert t == last and set(signs[tail.start - 1:]) == {tail.sign}, (A, key)
+                reference = replace(analysis, samples=full, signs=signs)
+                real_modes += t < horizon
             else:
                 assert t == horizon, (A, key)
                 reference = analysis
-            if not proof:
+            if not (proof or real):
                 unproved.add(key[1])
             for strict in (True, False):
                 got, want = lti.judge(analysis, strict), lti.judge(reference, strict)
@@ -408,7 +419,7 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
             assert list(map(_without_samples, got)) == list(map(_without_samples, want))
     # a horizon inside the first block leaves no unproved order's rows short of it
     assert stopped > 250 and (short_orders > 10 if horizon > 8 else short_orders == 0)
-    assert proved > 10
+    assert proved > 10 and (real_modes > 10 if horizon > lti._SHOWN else real_modes == 0)
 
 
 def _witness_full_scan(rows, forced_sign):
@@ -859,8 +870,13 @@ def test_samples_of_both_signs_build_no_eigen_modes(monkeypatch, prop):
 
 
 def test_eigen_modes_are_built_at_most_once_per_order(monkeypatch):
+    """Example2's exact real modes prove every system of svb at k = 2 with no
+    eigen-decomposition; with that rung off, its systems take the eigen
+    route, which builds each order's decomposition at most once."""
     built = _count_modes(monkeypatch)
     A, c = example2()
+    assert certify_svb(A, c, 2).passed() and built == []
+    monkeypatch.setattr(lti, "_real_mode_tail", lambda *args: None)
     assert certify_svb(A, c, 2).passed()
     assert 0 < len(built) == len(set(built)) <= 2
 
@@ -876,13 +892,20 @@ def _mixed(samples):
 
 
 def _count_tail_work(monkeypatch):
-    """The systems given a tail, and the samples given a recurrence fit."""
+    """The systems given a tail (an exact real-mode one, or an eigen-tail
+    attempt), and the samples given a recurrence fit."""
     tail_calls, fitted = [], []
-    tail, fit = lti.dominant_tail, lti.minimal_recurrence_system
+    tail, fit, real = lti.dominant_tail, lti.minimal_recurrence_system, lti._real_mode_tail
 
     def counting_tail(*args, **kwargs):
         tail_calls.append(args[0])
         return tail(*args, **kwargs)
+
+    def counting_real(pair, sys, *args):
+        proved = real(pair, sys, *args)
+        if proved:
+            tail_calls.append(sys)
+        return proved
 
     def counting_fit(sys, samples):
         fitted.append(samples)
@@ -890,6 +913,7 @@ def _count_tail_work(monkeypatch):
 
     monkeypatch.setattr(lti, "dominant_tail", counting_tail)
     monkeypatch.setattr(lti, "minimal_recurrence_system", counting_fit)
+    monkeypatch.setattr(lti, "_real_mode_tail", counting_real)
     return tail_calls, fitted
 
 
@@ -1066,19 +1090,22 @@ def test_impulse_variation_bound_reads_the_exact_modal_tail_of_a_diagonal_a():
 
 
 @pytest.mark.parametrize("A, b, c", [
-    (example1()[0], (1, 0, 0), example1()[1]),
+    (Matrix.exact([["1/2", 0, 0], [0, "1/10", "-1/5"], [0, "1/5", "1/10"]]), (1, 0, 0),
+     (1, 1, 1)),
     (Matrix.exact([["1/2", "1/10"], ["-1/10", "-1/4"]]), (1, -3), (1, 1)),
 ], ids=["one-signed", "both signs"])
 def test_impulse_variation_bound_drops_a_tail_its_samples_contradict(monkeypatch, A, b, c):
     """A sampled tail whose sign the decisive samples contradict leaves the
-    measurement incomplete.  Neither A has a proved tail, so the flipped
-    eigen tail is the one offered.  Example1's samples along b = (1, 0, 0)
-    carry one sign; the second system's are -, +, -, then + from t = 4, the
-    eigen tail's start, on."""
+    measurement incomplete.  Neither system has a proved tail, so the
+    flipped eigen tail is the one offered.  The first A has no signature,
+    is not diagonal, and its rotation block gives it a complex pair, which
+    no real-mode tail takes: its samples along b = (1, 0, 0), (1/2)^(t-1),
+    carry one sign.  The second system's are -, +, -, then + from t = 4,
+    the eigen tail's start, on."""
 
     def flipped(*args, **kwargs):
         tail, note = dominant_tail(*args, **kwargs)
-        return lti.TailCertificate(tail.start, -tail.sign), note
+        return (tail and lti.TailCertificate(tail.start, -tail.sign)), note
 
     assert impulse_variation_bound(A, b, c).measurement_complete
     monkeypatch.setattr(lti, "dominant_tail", flipped)
@@ -1266,16 +1293,17 @@ def _pattern_families():
     return pairs
 
 
-def _sampled_context(A, c, routes=("pattern", "diagonal")):
-    """A context that takes none of the exact ``routes`` (the sign-pattern
-    and the exact modal route): with both off, the reference route."""
+def _sampled_context(A, c, routes=("pattern", "diagonal", "real_spectrum")):
+    """A context that takes none of the exact ``routes`` (the sign-pattern,
+    the exact modal and the exact real-mode route): with all three off, the
+    reference route."""
     ctx = obsv._OperatorContext(A, c)
     for r in range(1, A.rows + 1):
         ctx.order(r).__dict__.update(dict.fromkeys(routes))
     return ctx
 
 
-def _sampled_pair(sys, routes=("pattern", "diagonal")):
+def _sampled_pair(sys, routes=("pattern", "diagonal", "real_spectrum")):
     """The ``lti.Pair`` of one system with the exact ``routes`` off."""
     pair = lti.Pair(sys.A, sys.c)
     pair.__dict__.update(dict.fromkeys(routes))
@@ -1319,7 +1347,7 @@ def test_sign_pattern_proofs_agree_with_long_samples_and_the_sampled_route():
     proved = shifted = full_order = with_zeros = upgraded = 0
     for A, c in _pattern_families():
         n = A.rows
-        ctx, ref = _sampled_context(A, c, ("diagonal",)), _sampled_context(A, c)
+        ctx, ref = _sampled_context(A, c, ("diagonal", "real_spectrum")), _sampled_context(A, c)
         for key in _all_keys(n):
             k, r, beta = key
             sys, s = ctx.shifted(*key)
@@ -1546,3 +1574,59 @@ def test_exact_diagonal_n9_certifies_at_k4_by_sign_patterns(certifier):
     proved = [sv for sv in cert.per_system if sv.verdict.tail_start == 1 and sv.verdict.notes
               and sv.verdict.notes[0].startswith("tail by sign pattern")]
     assert len(proved) >= 20
+
+
+def _real_spectrum_pairs():
+    """Seeded observable exact pairs (T^-1 L T, c), n = 3: L diagonal with a
+    positive spectrum whose pairwise products differ, so that C_1(A) and
+    C_2(A) have real simple spectra, and T unimodular (integer T^-1)."""
+    rng = random.Random(2049)
+    pairs = []
+    while len(pairs) < 4:
+        lam = rng.sample(range(1, 10), 3)
+        if len({lam[0] * lam[1], lam[0] * lam[2], lam[1] * lam[2]}) < 3:
+            continue
+        T = Matrix.exact([[1, 0, 0], [rng.randint(-2, 2), 1, 0], [rng.randint(-2, 2), 1, 1]]) @ \
+            Matrix.exact([[1, rng.randint(-2, 2), rng.randint(-1, 1)], [0, 1, 1], [0, 0, 1]])
+        L = Matrix.exact([[Fraction(lam[i], 10) if i == j else 0 for j in range(3)]
+                          for i in range(3)])
+        A = inverse(T) @ L @ T
+        c = tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(3))
+        if lti._diagonal(A) is None and rank(observability_matrix(A, c, 3)) == 3:
+            pairs.append((A, c))
+    return pairs
+
+
+_METAMORPHIC_PAIRS = [example1(), example2()] + _real_spectrum_pairs()
+
+
+@settings(max_examples=20, deadline=None)
+@given(index=st.integers(0, len(_METAMORPHIC_PAIRS) - 1), k=st.integers(1, 3),
+       alpha=st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=16),
+       beta=st.one_of(st.just(Fraction(1, 10**6)),
+                      st.fractions(min_value=Fraction(1, 1000), max_value=1000,
+                                   max_denominator=1000)),
+       d=st.lists(st.integers(1, 12), min_size=3, max_size=3))
+@example(index=0, k=2, alpha=Fraction(1), beta=Fraction(1, 10**6), d=[1, 2, 3])
+@example(index=1, k=2, alpha=Fraction(1), beta=Fraction(1, 10**6), d=[1, 2, 3])
+@example(index=0, k=2, alpha=Fraction(97, 9), beta=Fraction(1, 10**6), d=[1, 1, 1])
+def test_exact_conclusions_survive_positive_scaling_and_diagonal_similarity(index, k, alpha,
+                                                                            beta, d):
+    """Exact svb, vb, kpos and vd conclusions and family signs on example1,
+    example2 and seeded real-spectrum pairs do not change under (alpha A,
+    beta c) with rational alpha, beta > 0 (beta = 10^-6 included), nor under
+    (D^-1 A D, c D) with a positive integer diagonal D: each scales every
+    sample of every system by a positive factor, and the exact routes decide
+    in integers, with no absolute gate."""
+    A, c = _METAMORPHIC_PAIRS[index]
+    n = A.rows
+    twins = [(Matrix.exact([[alpha * x for x in row] for row in A.data]),
+              tuple(beta * x for x in c)),
+             (Matrix.exact([[A.data[i][j] * d[j] / d[i] for j in range(n)] for i in range(n)]),
+              tuple(x * di for x, di in zip(c, d)))]
+    for prop in ("svb", "vb", "kpos", "vd"):
+        want = certify_observability(A, c, k, prop)
+        for A2, c2 in twins:
+            got = certify_observability(A2, c2, k, prop)
+            assert (got.conclusion, got.common_sign) == (want.conclusion, want.common_sign), (
+                index, k, prop, alpha, beta, d)

@@ -2,7 +2,12 @@
 
 Matrix entries in system files are decimal strings, which parse losslessly
 into the exact backend; bare JSON numbers are accepted with a warning since
-binary floats are not exact decimals.  Every run writes ``report.json``; a
+binary floats are not exact decimals.  An exact entry is parsed once, as
+``Fraction`` reads it, straight to a numerator and a denominator
+(``linalg.parse_ratio``), and the entries of ``A`` or of a bare matrix are
+lifted into their integer rows without a ``Fraction``
+(``Matrix._of_ratios``); ``Matrix.data`` and the vectors ``b`` and ``c`` of
+a ``SystemFile`` stay ``Fraction``s.  Every run writes ``report.json``; a
 run with compound systems writes ``traces.csv`` too, and a run without any
 removes the one an earlier run left.  Exact values render as decimals
 whenever the denominator allows a finite expansion, and as ``p/q`` literals
@@ -24,14 +29,13 @@ import _locale
 import json
 import math
 import os
-import re
 import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .linalg import Backend, Matrix, int_text
+from .linalg import Backend, ExponentRangeError, Matrix, int_text, parse_ratio
 from .lti import ExactSamples
 from .obsv import Certificate, SystemVerdict
 
@@ -61,44 +65,21 @@ def _echo(value) -> str:
     return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
 
 
-# the digits of the exponent of a decimal string as ``Fraction`` reads it: e
-# or E, an optional sign and digits, possibly grouped by underscores, at the end
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
-# An exponent may reach this many times the int-string digit limit: values
-# of 10^5000 and more, whose samples and minors ``linalg.int_text`` renders,
-# stay readable, while 10^43000 (at the default limit of 4300) takes about
-# a second to check and print, and 10^(10^9) would not finish in minutes.
-_EXPONENT_FACTOR = 10
-
-
-def _exponent_beyond(value: str, limit: int) -> bool:
-    """Whether the decimal exponent of ``value`` exceeds ``limit`` in
-    magnitude; ``Fraction`` would raise 10 to it."""
-    match = _EXPONENT.search(value)
-    if match is None:
-        return False
-    digits = match[1].replace("_", "").lstrip("0")
-    return len(digits) > len(str(limit)) or int(digits or "0") > limit
-
-
 class _Entries(dict):
     """One file's entries, each a decimal string, int or finite float, parsed
-    to its exact value as a Fraction, or in float mode that value rounded to a
-    float.  A string is parsed at its first occurrence, a number each time."""
+    to its exact value as a pair of integers (``linalg.parse_ratio``), or in
+    float mode that value rounded to a float.  A string is parsed at its
+    first occurrence, a number each time."""
 
     def __init__(self, backend: Backend):
-        self.backend, self.warned = backend, False
+        self.exact, self.warned = backend is Backend.EXACT, False
 
     def __missing__(self, value):
         if isinstance(value, str):
-            # the digits of a numerator or denominator are held to the int-string
-            # limit, and an exponent to ten times it, unless the limit is off (0)
-            bound = _EXPONENT_FACTOR * sys.get_int_max_str_digits()
-            if bound and _exponent_beyond(value, bound):
-                raise InputFileError(f"cannot parse entry {_echo(value)}: its decimal exponent "
-                                     f"exceeds {bound} in magnitude")
             try:
-                x = Fraction(value)
+                x = parse_ratio(value)
+            except ExponentRangeError as exc:
+                raise InputFileError(f"cannot parse entry {_echo(value)}: {exc}") from exc
             except (ValueError, ZeroDivisionError) as exc:
                 why = " as a decimal" if isinstance(exc, ValueError) else ": zero denominator"
                 raise InputFileError(f"cannot parse entry {_echo(value)}{why}") from exc
@@ -111,29 +92,37 @@ class _Entries(dict):
                 print("warning: float entries in input file; decimal strings are exact",
                       file=sys.stderr)
                 self.warned = True
-            x = Fraction(value)
-        if self.backend is not Backend.EXACT:
+            x = value.as_integer_ratio()
+        if not self.exact:
             try:
-                # a float's Fraction rounds back to it, except that -0.0 loses its sign
-                x = value if type(value) is float else float(x)
+                # p / q rounds once, as ``float`` of a Fraction does; a float
+                # is kept, so that -0.0 keeps its sign
+                x = value if type(value) is float else x[0] / x[1]
             except OverflowError as exc:  # a string or a bare JSON integer past the float range
                 raise InputFileError(f"entry {_echo(value)} is beyond float range") from exc
-        self[value] = x  # looked up again for a string only (``vector``)
+        self[value] = x  # looked up again for a string only (``parsed``)
         return x
 
-    def vector(self, values, what: str) -> list:
+    def parsed(self, values, what: str) -> list:
+        """The entries of a list: pairs (p, q) in exact mode, else floats."""
         if not isinstance(values, list) or not values:
             raise InputFileError(f"{what} must be a non-empty list")
         return [self[x] if type(x) is str else self.__missing__(x) for x in values]
 
+    def vector(self, values, what: str) -> tuple:
+        xs = self.parsed(values, what)
+        return tuple([Fraction(*x) for x in xs] if self.exact else xs)
+
     def matrix(self, rows, what: str) -> Matrix:
+        """The exact matrix of the rows' pairs, lifted row by row with no
+        ``Fraction`` (``Matrix._of_ratios``), or the float matrix."""
         if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
             raise InputFileError(f"{what} must be a non-empty list of rows")
         if any(not r for r in rows):
             raise InputFileError(f"{what} has an empty row")
-        rows = [self.vector(row, what) for row in rows]
+        rows = [self.parsed(row, what) for row in rows]
         try:
-            return Matrix(rows, self.backend)
+            return Matrix._of_ratios(rows) if self.exact else Matrix(rows, Backend.FLOAT)
         except ValueError as exc:
             raise InputFileError(f"bad {what}: {exc}") from exc
 
@@ -157,7 +146,7 @@ def load_system_file(path, backend: Backend = Backend.EXACT) -> SystemFile:
     vectors = {}
     for v in ("b", "c"):
         if v in raw:
-            vectors[v] = tuple(entries.vector(raw[v], v))
+            vectors[v] = entries.vector(raw[v], v)
             if A is not None and len(vectors[v]) != A.rows:
                 raise InputFileError(f"{v} length does not match A")
     if A is None and matrix is None:

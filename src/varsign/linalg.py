@@ -5,7 +5,11 @@ backends are supported:
 
 * ``Backend.EXACT`` -- entries are ``fractions.Fraction``; every decimal
   string parses with zero rounding error and all arithmetic is exact.  The
-  kernels read each row as ``lift`` gives it (``Matrix.ints``/``dens``).
+  kernels read each row as ``lift`` gives it (``Matrix.ints``/``dens``).  A
+  decimal string parses once, straight to a pair of integers
+  (``parse_ratio``, ``Fraction``'s grammar and errors), and a row of such
+  pairs lifts to that form with no ``Fraction`` (``Matrix._of_ratios``);
+  ``Matrix.data`` derives the ``Fraction`` entries when read.
 * ``Backend.FLOAT`` -- entries are ``float``; sign decisions use a global
   comparison tolerance and values inside the tolerance band are never
   silently treated as zero.
@@ -23,6 +27,8 @@ access via ``Matrix[i, j]`` is 0-based like everything else in Python.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -62,6 +68,10 @@ class RankOutOfRangeError(LinalgError):
 
 class SingularMatrixError(LinalgError):
     pass
+
+
+class ExponentRangeError(LinalgError):
+    """A decimal exponent past the bound ``parse_ratio`` holds it to."""
 
 
 def parse_scalar(value, backend: Backend) -> Num:
@@ -182,11 +192,7 @@ class Matrix:
 
     def __init__(self, rows_of_entries: Iterable[Iterable], backend: Backend | None = None):
         data = tuple(tuple(row) for row in rows_of_entries)
-        if not data or not data[0]:
-            raise SizeMismatchError("matrix must have at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise SizeMismatchError("ragged rows")
+        _check_shape(data)
         if backend is None:
             has_float = any(isinstance(x, float) for row in data for x in row)
             has_frac = any(isinstance(x, Fraction) for row in data for x in row)
@@ -204,8 +210,18 @@ class Matrix:
         gs = [math.gcd(d, *row) for d, row in zip(dens, ints)]
         m = cls.__new__(cls)
         m._set(None, Backend.EXACT, tuple(d // g for d, g in zip(dens, gs)),
-               tuple(tuple([x // g for x in row]) for g, row in zip(gs, ints)))
+               tuple(tuple(row) if g == 1 else tuple([x // g for x in row])
+                     for g, row in zip(gs, ints)))
         return m
+
+    @classmethod
+    def _of_ratios(cls, rows: Sequence[Sequence[tuple[int, int]]]) -> "Matrix":
+        """The exact matrix of rows of pairs (p, q), q > 0, each the value
+        p / q (``parse_ratio``), with no ``Fraction``: row i is lifted over
+        the lcm of its q, which ``_of_ints`` brings to ``lift``'s form."""
+        _check_shape(rows)
+        dens = [math.lcm(*[q for _, q in row]) for row in rows]
+        return cls._of_ints(dens, [[p * (d // q) for p, q in row] for d, row in zip(dens, rows)])
 
     def _set(self, data, backend: Backend, dens, ints) -> None:
         rows = ints if data is None else data
@@ -307,6 +323,14 @@ class Matrix:
                       Backend.FLOAT)
 
 
+def _check_shape(rows: Sequence[Sequence]) -> None:
+    if not rows or not rows[0]:
+        raise SizeMismatchError("matrix must have at least one row and one column")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise SizeMismatchError("ragged rows")
+
+
 def _dot(a: Sequence[Num], b: Sequence[Num]) -> Num:
     total = None
     for x, y in zip(a, b):
@@ -329,6 +353,82 @@ def lift(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     the integer form of every exact row, block and vector."""
     d = math.lcm(*[x.denominator for x in xs])
     return d, tuple([x.numerator * (d // x.denominator) for x in xs])
+
+
+# ``Fraction``'s string grammar in the pattern Python 3.11's ``fractions``
+# compiles, character for character, so that ``re`` returns it from its cache
+# rather than compiling it again at import.  ``\d`` and ``\s`` are Unicode
+# classes, which ``int`` reads alike; the fractional part may be letters d
+# (``d*``), which ``int`` refuses.
+_RATIONAL = re.compile(r"""
+    \A\s*                                 # optional whitespace at the start,
+    (?P<sign>[-+]?)                       # an optional sign, then
+    (?=\d|\.\d)                           # lookahead for digit or .digit
+    (?P<num>\d*|\d+(_\d+)*)               # numerator (possibly empty)
+    (?:                                   # followed by
+       (?:/(?P<denom>\d+(_\d+)*))?        # an optional denominator
+    |                                     # or
+       (?:\.(?P<decimal>d*|\d+(_\d+)*))?  # an optional fractional part
+       (?:E(?P<exp>[-+]?\d+(_\d+)*))?     # and optional exponent
+    )
+    \s*\Z                                 # and optional whitespace to finish
+""", re.VERBOSE | re.IGNORECASE)
+# An exponent may reach this many times the int-string digit limit: values
+# of 10^5000 and more, whose samples and minors ``int_text`` renders, stay
+# readable, while 10^43000 (at the default limit of 4300) takes about a
+# second to check and print, and 10^(10^9) would not finish in minutes.
+_EXPONENT_FACTOR = 10
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The value ``Fraction(text)`` reads from a string, as integers (p, q),
+    q > 0, not reduced, with its errors: ValueError outside its grammar or
+    for digits past the int-string limit, ZeroDivisionError for a zero
+    denominator.  An exponent is bounded (``_bound_exponent``) before any
+    other check and before 10 is raised to it."""
+    m = _RATIONAL.match(text)
+    if m is None:
+        _bound_exponent(text)
+        raise ValueError("invalid literal for a decimal")
+    sign, num, den, decimal, exp = m.group("sign", "num", "denom", "decimal", "exp")
+    if exp:
+        _bound_exponent(text)
+    num = int(num or "0")
+    if den:
+        den = int(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+    else:
+        den = 1
+        if decimal:
+            decimal = decimal.replace("_", "")
+            den = 10 ** len(decimal)
+            num = num * den + int(decimal)
+        if exp:
+            exp = int(exp)
+            if exp >= 0:
+                num *= 10 ** exp
+            else:
+                den *= 10 ** -exp
+    return -num if sign == "-" else num, den
+
+
+def _bound_exponent(text: str) -> None:
+    """ExponentRangeError when ``text`` ends in an exponent, e or E, a sign
+    or none and ``_``-grouped digits, then spaces, past ``_EXPONENT_FACTOR``
+    times the int-string digit limit in magnitude, unless the limit is off
+    (0): ``Fraction`` would raise 10 to it.  A string outside the grammar is
+    held to the bound too, and fails on it first."""
+    bound = _EXPONENT_FACTOR * sys.get_int_max_str_digits()
+    body = text.rstrip()
+    at = max(body.rfind("e"), body.rfind("E"))
+    tail = body[at + 1:]
+    digits = (tail[1:] if tail[:1] in ("+", "-") else tail).replace("_", "")
+    if at < 0 or not bound or not digits.isdecimal():
+        return
+    digits = digits.lstrip("0")
+    if len(digits) > len(str(bound)) or int(digits or "0") > bound:
+        raise ExponentRangeError(f"its decimal exponent exceeds {bound} in magnitude")
 
 
 def _bareiss(m: list[list[int]]) -> tuple[int, int]:

@@ -732,8 +732,8 @@ def _modal_tail(pair: Pair, sys: LtiSystem, shift: int,
 _LEVELS, _PAST_FIRST, _SHOWN, _MAX_MODES = 64, 20, 10, 20
 
 
-def _real_mode_tail(pair: Pair, sys: LtiSystem, shift: int,
-                    horizon: int) -> TailCertificate | None:
+def _real_mode_tail(pair: Pair, sys: LtiSystem, shift: int, horizon: int,
+                    h: Sequence[int]) -> TailCertificate | None:
     """The exact real-mode tail of (A, A^shift b, c) on the exact ``pair``
     (A, c), or None.  M = D_A A must have a real simple spectrum
     (``pair.real_spectrum``).
@@ -759,7 +759,6 @@ def _real_mode_tail(pair: Pair, sys: LtiSystem, shift: int,
     ``horizon``.
     """
     N = sys.n
-    h = impulse_response(sys, N, pair, 0, shift).nums
     if not any(h) or (max(h) > 0 and min(h) < 0) or (spec := pair.real_spectrum) is None:
         return None
     p = spec.p
@@ -891,12 +890,12 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     off the analysis changes with the samples it leaves out.
 
     Samples come in blocks ending at t = 8, 64, 512, ... or at the last
-    sample, one ``impulse_response`` call each, and each sample is computed
-    once here (the real-mode rung reads the first N before).  Once both
-    strict signs have shown up the analysis stops at t_bad;
-    every other unproved analysis (zero, identically zero or one-signed
-    samples) runs to the horizon, since its verdict depends on the
-    requirement or on the tail (``_sampled_tail``).  The output rows are
+    sample, one ``impulse_response`` call each, past the first n samples
+    when the real-mode rung has read them (``take``): each sample is
+    computed once.  Once both strict signs have shown up the analysis stops
+    at t_bad; every other unproved analysis (zero, identically zero or
+    one-signed samples) runs to the horizon, since its verdict depends on
+    the requirement or on the tail (``_sampled_tail``).  The output rows are
     extended only as far as the samples taken.
     """
     horizon = horizon if horizon is not None else default_horizon(sys.n)
@@ -905,20 +904,28 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     backend = sys.backend
     exact = backend is Backend.EXACT
     pair = pair or Pair(sys.A, sys.c, tol)
-    proved = _proved_tail(sys, pair, shift, horizon)
+    values, signs = [], []
+
+    def take(end: int) -> list[Num]:
+        """g(1)..g(end), exact ones as numerators, sampling only past the last taken."""
+        if end > len(values):
+            block = impulse_response(sys, end, pair, len(values), shift)
+            block = block.nums if exact else block
+            values.extend(block)
+            signs.extend([sign_of(x, backend, tol) for x in block])
+        return values[:end]
+
+    proved = _proved_tail(sys, pair, shift, horizon, take)
     last = min(horizon, max(proved[2], lead)) if proved else horizon
-    values, signs, end, both = (), (), 0, False
+    end, both = 0, False
     while end < last and not both:
-        start, end = end, min(last, _BLOCK * end or _BLOCK)
-        block = impulse_response(sys, end, pair, start, shift)
-        block_values = block.nums if exact else block
-        values += block_values
-        signs += tuple(sign_of(x, backend, tol) for x in block_values)
+        end = min(last, _BLOCK * end or _BLOCK)
+        take(end)
         both = 1 in signs and -1 in signs
     if both:
-        t_bad = max(signs.index(1), signs.index(-1)) + 1
-        values, signs = values[:t_bad], signs[:t_bad]
-    g = ExactSamples(values, block.db, pair.dens[shift:]) if exact else values
+        last = max(signs.index(1), signs.index(-1)) + 1  # t_bad
+    values, signs = tuple(values[:last]), tuple(signs[:last])
+    g = ExactSamples(values, sys._lifted_b[0], pair.dens[shift:]) if exact else values
     if both:
         # samples of both strict signs settle every verdict; no tail is needed
         return ExtPosAnalysis(sys.n, backend, horizon, g, signs, None, ())
@@ -926,11 +933,14 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
     return ExtPosAnalysis(sys.n, backend, horizon, g, signs, tail, tuple(notes))
 
 
-def _proved_tail(sys: LtiSystem, pair: Pair, shift: int,
-                 horizon: int) -> tuple[TailCertificate, list[str], int] | None:
+def _proved_tail(sys: LtiSystem, pair: Pair, shift: int, horizon: int,
+                 head: Callable[[int], Sequence[int]],
+                 ) -> tuple[TailCertificate, list[str], int] | None:
     """The tail of (A, A^shift b, c) that the sign pattern of A proves, else
     its exact diagonal modes, else its exact real modes, with its note and
     the samples the proof names (``analyse``); None when none proves one.
+    ``head(N)`` gives the first N sample numerators, which the real-mode
+    rung reads.
     A real-mode tail names its start or the first ``_SHOWN`` samples,
     whichever is later: its proof rests on root enclosures that no sample
     shows, so its trace keeps the leading stretch of the response that
@@ -949,7 +959,7 @@ def _proved_tail(sys: LtiSystem, pair: Pair, shift: int,
                     f"has sign {tail.sign:+d}")
             return tail, [note], tail.start
     elif sys.backend is Backend.EXACT and sys.n <= min(horizon, _MAX_MODES) and (
-            tail := _real_mode_tail(pair, sys, shift, horizon)):
+            tail := _real_mode_tail(pair, sys, shift, horizon, head(sys.n))):
         note = (f"tail by exact real modes: every sample from t={tail.start} on "
                 f"has sign {tail.sign:+d}")
         return tail, [note], max(tail.start, _SHOWN)

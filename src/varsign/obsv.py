@@ -563,7 +563,9 @@ def impulse_variation_bound(A: Matrix, b: Sequence[Num], c: Sequence[Num],
     g = impulse_response(sys, horizon, pair)
     # exact samples carry their signs in their numerators (``ExactSamples``)
     measured = v_minus(g, tol) if A.backend is Backend.FLOAT else v_minus(g.nums)
-    tail = (_proved_tail(sys, pair, 0, horizon) or _sampled_tail(sys, g, horizon, pair, 0))[0]
+    # the real-mode rung reads its first samples from g
+    tail = (_proved_tail(sys, pair, 0, horizon, lambda N: g.nums[:N])
+            or _sampled_tail(sys, g, horizon, pair, 0))[0]
     complete = tail is not None and tail.start <= horizon
     notes = ["no certified level covers the input variation"] if bound is None else []
     return VariationBoundReport(vb_in, levels, bound, measured, complete, horizon, notes)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import sys
 import time
@@ -14,6 +15,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import varsign.io
 import varsign.lti
@@ -804,6 +807,112 @@ def test_entry_errors_name_the_entry(tmp_path, capsys, entry, backend, message):
     assert capsys.readouterr().err == ""
 
 
+# The rule that read a decimal-string entry before ``linalg.parse_ratio``: the
+# exponent that the string ends in is held to ten times the int-string limit,
+# then ``Fraction`` parses it, and float mode rounds that value.
+_REFERENCE_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _reference_entry(value: str, backend: Backend):
+    """The exact value or float of ``value`` by the old rule, or the text of
+    the InputFileError it raised."""
+    echo = varsign.io._echo(value)
+    bound = 10 * sys.get_int_max_str_digits()
+    match = _REFERENCE_EXPONENT.search(value)
+    if bound and match:
+        digits = match[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(bound)) or int(digits or "0") > bound:
+            return (f"cannot parse entry {echo}: its decimal exponent exceeds {bound} "
+                    "in magnitude")
+    try:
+        x = Fraction(value)
+    except ValueError:
+        return f"cannot parse entry {echo} as a decimal"
+    except ZeroDivisionError:
+        return f"cannot parse entry {echo}: zero denominator"
+    if backend is Backend.EXACT:
+        return x
+    try:
+        return float(x)
+    except OverflowError:
+        return f"entry {echo} is beyond float range"
+
+
+_DIGITS = ["0", "1", "7", "12", "99999", "\u0661", "\u0669\u0660"]
+_SPACES = [" ", "\t", "\u2003", "\u3000"]
+_ENTRY_TOKENS = _DIGITS + _SPACES + ["_", ".", "/", "e", "E", "+", "-", "d"]
+# strings in the shape of the grammar, so that most of them parse: spaces, a
+# sign, _-grouped digits, then /digits, or .digits and an exponent, each part
+# possibly left out
+_GROUPED = st.lists(st.lists(st.sampled_from(_DIGITS), min_size=1, max_size=3).map("".join),
+                    min_size=1, max_size=3).map("_".join)
+_SPACE, _SIGN = st.sampled_from(["", *_SPACES]), st.sampled_from(["", "+", "-"])
+_OPTIONAL_GROUPED = st.one_of(st.just(""), _GROUPED)
+_SHAPED_ENTRIES = st.tuples(
+    _SPACE, _SIGN, _OPTIONAL_GROUPED,
+    st.one_of(st.just(""), _GROUPED.map("/".__add__),
+              st.tuples(st.one_of(st.just(""), _OPTIONAL_GROUPED.map(".".__add__)),
+                        st.one_of(st.just(""), st.tuples(st.sampled_from("eE"), _SIGN, _GROUPED)
+                                  .map("".join))).map("".join)),
+    _SPACE).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(value=st.one_of(st.lists(st.sampled_from(_ENTRY_TOKENS), max_size=10).map("".join),
+                       _SHAPED_ENTRIES))
+@example(value="1.")
+@example(value=".5")
+@example(value="1.dd")
+@example(value="1_/2")
+@example(value="1 / 2")
+@example(value="1/0")
+@example(value="-1e-999999999")
+@example(value="\u0661/\u0662")
+@example(value=" -1_0.2_5E-0_3\u2003")
+@example(value="1/2e99999")
+@example(value="9" * 5000 + "/7")
+@example(value="1e" + "\u0660" * 9 + "1")
+@example(value="5e-400")
+def test_entry_strings_parse_as_fraction_did(value):
+    """Each string gives the exact value and the float bits that the old rule
+    gave, or the same InputFileError text."""
+    for backend in Backend:
+        want = _reference_entry(value, backend)
+        try:
+            got = varsign.io._Entries(backend)[value]
+        except varsign.io.InputFileError as exc:
+            got = str(exc)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, (value, backend)
+        elif backend is Backend.EXACT:
+            assert Fraction(*got) == want and got[1] > 0, value
+        else:
+            assert got.hex() == want.hex(), value
+
+
+def test_loading_builds_no_fraction_for_matrix_entries(tmp_path, capsys, monkeypatch):
+    """The entries of A and of a bare matrix parse to integer pairs and lift
+    into their rows with no ``Fraction``, in both backends; b and c are
+    ``Fraction``s in exact mode, one per entry."""
+    built, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    rows = [["1/3", "-0.25", "2e-3"], ["7", 3, "1_000"], [0.5, "\u0661/\u0662", "0"]]
+    f = write_json(tmp_path, "m.json", {"A": rows, "matrix": rows[:2]})
+    g = write_json(tmp_path, "s.json", {"A": rows, "b": ["1", "0.5", "1/3"], "c": ["2", "7", 1]})
+    for backend in Backend:
+        built.clear()
+        sf = load_system_file(f, backend)
+        assert built == []
+        assert (sf.A.shape, sf.matrix.shape) == ((3, 3), (2, 3))
+        load_system_file(g, backend)
+        assert len(built) == (6 if backend is Backend.EXACT else 0)
+    assert capsys.readouterr().err == 4 * _FLOAT_WARNING
+    monkeypatch.undo()
+    want = [[Fraction(x) for x in row] for row in rows]
+    assert [list(row) for row in load_system_file(f).A.data] == want
+
+
 def test_render_value_decimals():
     assert render_value(Fraction(157, 200)) == "0.785"
     assert render_value(Fraction(-79, 40)) == "-1.975"
@@ -1288,13 +1397,13 @@ def test_malformed_files_print_one_input_error_line(tmp_path, capsys, content, m
 def test_each_distinct_entry_string_is_parsed_once_per_file(tmp_path, capsys, monkeypatch):
     """Within one file a repeated decimal string is parsed once; a second load
     of the same file parses it again, so nothing is kept across files."""
-    parsed = []
+    parsed, parse = [], varsign.io.parse_ratio
 
     def counting(value):
         parsed.append(value)
-        return Fraction(value)
+        return parse(value)
 
-    monkeypatch.setattr(varsign.io, "Fraction", counting)
+    monkeypatch.setattr(varsign.io, "parse_ratio", counting)
     A = [["1/3", "0.5", "1/3"], ["0.5", "1/3", "2"], ["2", "2", "0.5"]]
     b, c = ["7", "7", "0.5"], ["2", "1/3", "7"]
     f = write_json(tmp_path, "m.json", {"A": A, "b": b, "c": c})
@@ -1312,13 +1421,13 @@ def test_each_distinct_entry_string_is_parsed_once_per_file(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_a_repeated_bad_entry_fails_at_its_first_occurrence(tmp_path, monkeypatch, backend):
-    parsed = []
+    parsed, parse = [], varsign.io.parse_ratio
 
     def counting(value):
         parsed.append(value)
-        return Fraction(value)
+        return parse(value)
 
-    monkeypatch.setattr(varsign.io, "Fraction", counting)
+    monkeypatch.setattr(varsign.io, "parse_ratio", counting)
     f = write_json(tmp_path, "m.json", {"matrix": [["1", "0.1.2"], ["0.1.2", "1"]]})
     with pytest.raises(varsign.io.InputFileError) as err:
         load_system_file(f, backend)

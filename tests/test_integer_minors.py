@@ -188,6 +188,33 @@ def test_observability_matrix_keeps_the_one_integer_form():
             _assert_one_form(lambda: observability_matrix(A, c, t))
 
 
+def _entry_texts(rng, x):
+    """``x`` in one of the forms a file may give it: p/q, p/q scaled by k,
+    p followed by k zeros then e-k, or a bare JSON integer."""
+    p, q = x.numerator, x.denominator
+    k = rng.randint(1, 9)
+    forms = [f"{p}/{q}", f" {k * p}/{k * q} "]
+    if q == 1:
+        forms += [f"{p}{'0' * k}e-{k}", f"{p}.{'0' * k}", p]
+    return rng.choice(forms)
+
+
+def test_loaded_matrices_keep_the_one_integer_form(tmp_path):
+    """A bare matrix read from a file, each entry written as p/q, as an
+    unreduced multiple of it, or for an integer with an exponent, a
+    fractional part or bare, holds each row as ``lift`` gives it, with no
+    ``Fraction`` built and no ``parse_scalar`` call."""
+    from varsign.io import load_system_file
+
+    rng = random.Random(5002)
+    for i, (kind, X) in enumerate(CORPUS):
+        f = tmp_path / f"m{i}.json"
+        f.write_text(json.dumps({"matrix": [[_entry_texts(rng, x) for x in row]
+                                            for row in X.data]}))
+        _assert_one_form(lambda: load_system_file(f).matrix)
+        assert load_system_file(f).matrix == X, kind
+
+
 @pytest.mark.parametrize("kind, X", CORPUS, ids=IDS)
 def test_value_of_an_unstreamed_minor_is_kept_for_stream(monkeypatch, kind, X):
     """``value`` of a minor no read has computed runs one elimination, zero

@@ -1341,7 +1341,7 @@ def test_exact_real_modes_fall_back_to_the_sampled_route(A, b, c):
     pair = _route_pair(sys, ("pattern",))
     assert pair.diagonal is None
     assert (pair.real_spectrum is None) == (A[0][1] != 0 or A[1][2] != 0)
-    assert lti._real_mode_tail(pair, sys, 0, 50) is None
+    assert lti._real_mode_tail(pair, sys, 0, 50, impulse_response(sys, 3, pair).nums) is None
     got = analyse(sys, 50, pair=pair)
     assert got == analyse(sys, 50, pair=_route_pair(sys, ("pattern", "real_spectrum")))
     assert not any(note.startswith("tail by") for note in got.notes)
@@ -1355,11 +1355,37 @@ def test_exact_real_modes_drop_an_inactive_dominant_mode():
     sys = LtiSystem(Matrix.exact([["1/2", 0, 0], [1, "1/3", 0], [0, 1, "1/4"]]), (0, 1, 1),
                     (0, 1, 1))
     pair = _route_pair(sys, ("pattern",))
-    assert lti._real_mode_tail(pair, sys, 0, 50) == TailCertificate(1, 1)
+    h = impulse_response(sys, 3, pair).nums
+    assert lti._real_mode_tail(pair, sys, 0, 50, h) == TailCertificate(1, 1)
     assert dominant_tail(sys) == (None, "dominant mode has zero residue")
     g = impulse_response(sys, 400)
     assert g[:3] == (2, Fraction(13, 3) - Fraction(11, 4), Fraction(13, 9) - Fraction(11, 16))
     assert all(x > 0 for x in g.nums)
+
+
+@pytest.mark.parametrize("shift", [0, 2])
+def test_real_mode_analysis_computes_each_sample_once(monkeypatch, shift):
+    """example1's (A, c) with b = c: the real-mode rung reads g(1)..g(3),
+    which ``analyse`` keeps, so the analysis computes each numerator it holds
+    once and no other, and holds what it held when it sampled them again."""
+    A = Matrix.exact([["-1.20", "-1.50", "-1.88"], ["1.51", "1.75", "1.88"],
+                      ["-0.16", "-0.01", "0.40"]])
+    c = tuple(map(Fraction, ("1.16", "1.8", "3")))
+    sys = LtiSystem(A, c, c)
+    computed, sample = [], lti.impulse_response
+
+    def counting(sys, N, pair=None, start=0, shift=0):
+        computed.append((start, N))
+        return sample(sys, N, pair, start, shift)
+
+    monkeypatch.setattr(lti, "impulse_response", counting)
+    analysis = analyse(sys, 50, shift=shift)
+    assert analysis.notes[0].startswith("tail by exact real modes")
+    assert computed[0] == (0, A.rows) and len(computed) > 1
+    assert sum(N - start for start, N in computed) == len(analysis.samples)
+    monkeypatch.setattr(lti, "impulse_response", sample)
+    assert analysis.samples == impulse_response(sys, len(analysis.samples), shift=shift)
+    assert analysis.samples.nums == impulse_response(sys, 50, shift=shift).nums[:len(analysis.samples)]
 
 
 @pytest.mark.parametrize("q_lo, q_hi, p_lo, p_hi, e", [

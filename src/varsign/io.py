@@ -264,10 +264,12 @@ def write_traces(out_dir, per_system: list[SystemVerdict], targets: tuple[str, .
     holds, written whole with ``\\r\\n`` lines, beta as ``1 2`` or ``full``;
     ``targets[i]`` is the target of ``per_system[i]``.  A block runs to the
     horizon, to t_bad for a system whose samples carry both strict signs, or
-    to T for a system whose tail is proved: past one period of its sign
-    pattern's zeros or at its exact modal tail's start, or at its lead
-    samples (``lti.analyse``).  With no systems, an earlier run's is
-    removed."""
+    to T, never past the horizon, for a system whose tail is proved
+    (``lti.analyse``): past one period of its sign pattern's zeros or at its
+    lead samples, whichever is later; at its exact modal tail's start or its
+    lead samples, whichever is later; or at its exact real-mode tail's
+    start, its lead samples or its first ten samples, whichever is last.
+    With no systems, an earlier run's is removed."""
     path = os.path.join(out_dir, "traces.csv")
     if not per_system:
         # ``os.access`` answers without raising, where ``unlink(missing_ok=True)``

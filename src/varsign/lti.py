@@ -3,18 +3,19 @@ ordered spectra, and external-positivity verdicts with a dominant-mode tail
 certificate.  Both backends sample g(t) = c A^(t-1) b as one dot product of
 b with the output row c A^(t-1) (``Pair``); with a shift s, the
 response of (A, A^s b, c) is read from row t + s on, so A^s b is never
-formed (``impulse_response``, ``analyse``).  An exact A holds its rows as
-integers over their scales (``Matrix.ints``, ``Matrix.dens``), which are
-brought to the lcm D_A of those scales; b and c are each lifted to integers
-over the lcm of their denominators (``linalg.lift``).  So exact samples stay
+formed (``impulse_response``, ``analyse``).  An exact pair (A, c) becomes
+integers in one place, ``Pair``: the integer rows of A (``Matrix.ints``
+over ``Matrix.dens``) are brought once to the lcm D_A of their scales,
+M = D_A A, and c is lifted to D_c c over the lcm of its denominators
+(``linalg.lift``), as b is to D_b b once per system.  So exact samples stay
 integer numerators over the known denominators
 D_b D_c D_A^(t-1) (``ExactSamples``): signs and the recurrence fit read the
-numerators, and a ``Fraction`` is built only to show a value.  Exact sums
-run over the nonzero products only: each output row is the one before times
-the nonzero entries of each column of D_A A, and each sample its row times
-the nonzero entries of D_b b, so a diagonal or sparse A and a sparse input
-cost one product per nonzero entry.  Float sums keep every product
-(``Pair``).
+numerators, and a ``Fraction`` is built only to show a value.  Every exact
+tail rung reads M, D_c c and D_b b only.  Exact sums run over the nonzero
+products only: each output row is the one before times the nonzero entries
+of each column of M, and each sample its row times the nonzero entries of
+D_b b, so a diagonal or sparse A and a sparse input cost one product per
+nonzero entry.  Float sums keep every product (``Pair``).
 
 A verdict separates two kinds of evidence: the sampled impulse response over
 a finite horizon, and an analytic tail bound.  The bound establishes the
@@ -49,31 +50,31 @@ Mathematical Sciences, 1994, ch. 2).  No sample and no eigen-solve enters
 the proof: ``analyse`` gives such a system a tail from t = 1 and takes only
 the samples its verdicts read.
 
-An exact system whose A is diagonal, whose integer diagonal ``_diagonal``
-scales to D_A whatever its signs, may take an exact modal tail instead
-(``_modal_tail``, tried only when the sign pattern proves nothing): its
-modes mu_i are the diagonal entries and its residues rho_i = c_i b_i
-mu_i^shift, those of equal modes merged and the zero ones dropped.  With one
-positive dominant mode M and -M inactive, the dominant-root bound (Ouaknine
-& Worrell, SODA 2014) becomes the integer inequality
+An exact system whose A is diagonal, M = diag(m) whatever the signs of m
+(``Pair.diagonal``), may take an exact modal tail instead (``_modal_tail``,
+tried only when the sign pattern proves nothing): its modes mu_i are the
+diagonal entries m_i / D_A and its residues rho_i = c_i b_i mu_i^shift,
+those of equal modes merged and the zero ones dropped.  With one positive
+dominant mode M and -M inactive, the dominant-root bound (Ouaknine &
+Worrell, SODA 2014) becomes the integer inequality
 sum_(i != 1) |rho_i| |mu_i|^(t-1) < |rho_1| M^(t-1), whose least solution is
 the tail start; ``analyse`` then holds the samples up to that start, or the
 lead samples, and no more.
 
-An exact system on any other A whose M = D_A A has N real simple
-eigenvalues may take an exact real-mode tail (``_real_mode_tail``), the
-same inequality decided on enclosures.  Once per pair,
+An exact system on any other A whose M = D_A A has N real simple eigenvalues
+may take an exact real-mode tail (``_real_mode_tail``), the same inequality
+decided on enclosures.  Once per pair (``Pair.real_spectrum``),
 ``realroots.real_spectrum`` finds the characteristic polynomial p of M
-division-free, shows that its N roots are real and simple, and isolates
-each in a dyadic interval: Newton's float approximations propose the
-intervals, and exact signs of p at their ends prove them (where they do
-not, the rung proves nothing).  Per system, the first N
-sample numerators give the numerator q of the response's generating
-function; the roots of gcd(p, q) are the inactive modes, and interval
-Horner at the intervals' integer ends encloses each residue
-q(mu_i) / p'(mu_i).  The intervals are bisected until the enclosures prove
-the least start, all in integers.  Such an analysis holds the samples up
-to its start, the lead samples or the first ten, whichever is last.
+division-free, shows that its N roots are real and simple, and isolates each
+in a dyadic interval: Newton's float approximations propose the intervals,
+and exact signs of p at their ends prove them (where they do not, the rung
+proves nothing).  Per system, the first N sample numerators give the
+numerator q of the response's generating function; the roots of gcd(p, q)
+are the inactive modes, and interval Horner at the intervals' integer ends
+encloses each residue q(mu_i) / p'(mu_i).  The intervals are bisected until
+the enclosures prove the least start, all in integers.  Such an analysis
+holds the samples up to its start, the lead samples or the first ten,
+whichever is last.
 
 numpy is imported inside the eigen routes, so a run that takes none of them
 never loads it: an exact system that the ladder proves takes none, a
@@ -175,18 +176,20 @@ class Pair:
     place, and never rebuilds the earlier ones nor scales A again.  Each row
     is the one before times A.  Float rows are c A^(t-1), each entry summed
     left to right from 0 over every product, as a float sample is
-    (``impulse_response``), and ``dens`` is None.  Exact rows are integer:
-    with D_A the lcm of the row scales of A (``Matrix.dens``), which is that
-    of the denominators of its entries, and D_c that of c (``lift``),
-    ``rows[t-1]`` is w_t = (D_c c)(D_A A)^(t-1) and ``dens[t-1]`` is
-    D_c D_A^(t-1), so that c A^(t-1) = w_t / dens[t-1].  An exact entry sums
-    only the products with the nonzero entries of its column of D_A A, which
-    integer sums allow: a diagonal A costs one product per entry.
+    (``impulse_response``), and ``dens`` is None.  An exact pair becomes
+    integers here and nowhere else: with D_A the lcm of the row scales of A
+    (``Matrix.dens``), which is that of the denominators of its entries, the
+    constructor builds the integer rows of M = D_A A once (``_M``), and with
+    D_c that of c (``lift``), ``rows[t-1]`` is w_t = (D_c c) M^(t-1) and
+    ``dens[t-1]`` is D_c D_A^(t-1), so that c A^(t-1) = w_t / dens[t-1].  An
+    exact entry sums only the products with the nonzero entries of its
+    column of M, which integer sums allow: a diagonal A costs one product
+    per entry.
 
-    The other parts are built the first time they are read: the signature
-    of an exact A (``pattern``, ``_sign_pattern``), its integer diagonal
-    when A is diagonal (``diagonal``, ``_diagonal``) and the real simple
-    spectrum of D_A A with its root intervals (``real_spectrum``,
+    The other parts are built from M the first time they are read: the
+    signature of an exact A (``pattern``, ``_sign_pattern``), the diagonal
+    of M when A is diagonal (``diagonal``) and the real simple spectrum of
+    M with its root intervals (``real_spectrum``,
     ``realroots.real_spectrum``), each None in float or where A has none;
     and the eigen-decomposition under ``tol`` (``modes``,
     ``dominant_modes``).
@@ -198,14 +201,14 @@ class Pair:
             raise SizeMismatchError(_SQUARE)
         self.A, self.c, self.tol = A, c, tol
         # _cols: the columns of A, or when exact the products with those of
-        # D_A A (``_sparse_dot``); None when A is not square
+        # M (``_sparse_dot``); None when A is not square
         if A.backend is Backend.FLOAT:
             cols, w, self.dens = list(zip(*A.data)), c, None
         else:
             self._step = dA = math.lcm(*A.dens)
-            M = [x * (dA // d) for d, row in zip(A.dens, A.ints) for x in row]  # D_A A, row-major
+            self._M = [[x * (dA // d) for x in row] for d, row in zip(A.dens, A.ints)]
             dc, w = lift(c)
-            cols = [_sparse_dot(M[j::A.cols]) for j in range(A.cols)]
+            cols = [_sparse_dot(col) for col in zip(*self._M)]
             self.dens = [dc]
         self.rows, self._cols = [w], cols if A.is_square() else None
 
@@ -225,15 +228,15 @@ class Pair:
 
     @cached_property
     def pattern(self) -> _SignPattern | None:
-        return _sign_pattern(self.A) if self.A.backend is Backend.EXACT else None
+        return _sign_pattern(self._M) if self.A.backend is Backend.EXACT else None
 
     @cached_property
     def diagonal(self) -> tuple[int, ...] | None:
-        return _diagonal(self.A)
+        return tuple(row[i] for i, row in enumerate(self._M)) if _is_diagonal(self.A) else None
 
     @cached_property
     def real_spectrum(self) -> RealSpectrum | None:
-        return real_spectrum(self.A) if self.A.backend is Backend.EXACT else None
+        return real_spectrum(self._M) if self.A.backend is Backend.EXACT else None
 
     @cached_property
     def modes(self) -> DominantModes:
@@ -573,15 +576,15 @@ class _SignPattern:
     succ: tuple[int, ...]
 
 
-def _sign_pattern(A: Matrix) -> _SignPattern | None:
-    """The signature of an exact square A, or None when a diagonal entry is
-    negative or the off-diagonal pattern cannot be 2-coloured: S A S >= 0
-    asks s_i s_j = sign A_ij of each nonzero A_ij off the diagonal, and
-    A_ii >= 0.  Each block is coloured from its first index, which gets +1,
-    so S is unique up to the sign of each block.  The signs are read off the
-    integer rows of A, whose scales are positive."""
-    n = A.rows
-    sgn = [[sign_of(x, Backend.EXACT) for x in row] for row in A.ints]
+def _sign_pattern(M: list[list[int]]) -> _SignPattern | None:
+    """The signature of an exact square A, read off M = D_A A (``Pair``),
+    whose signs are those of A, or None when a diagonal entry is negative or
+    the off-diagonal pattern cannot be 2-coloured: S A S >= 0 asks
+    s_i s_j = sign A_ij of each nonzero A_ij off the diagonal, and A_ii >= 0.
+    Each block is coloured from its first index, which gets +1, so S is
+    unique up to the sign of each block."""
+    n = len(M)
+    sgn = [[(x > 0) - (x < 0) for x in row] for row in M]
     if any(sgn[i][i] < 0 for i in range(n)):
         return None
     edges = [[] for _ in range(n)]
@@ -618,13 +621,13 @@ class _PatternProof:
     nonzero: tuple[bool, ...]
 
 
-def _block_signs(x: Sequence[Num], pattern: _SignPattern) -> dict[int, int] | None:
-    """Block -> the one sign of the nonzero entries of S x on it, or None
-    when a block carries both signs."""
+def _block_signs(x: Sequence[int], pattern: _SignPattern) -> dict[int, int] | None:
+    """Block -> the one sign of the nonzero entries of S x on it, x integer,
+    or None when a block carries both signs."""
     out = {}
     for xi, si, block in zip(x, pattern.signs, pattern.blocks):
         if xi:
-            e = sign_of(xi, Backend.EXACT) * si
+            e = si if xi > 0 else -si
             if out.setdefault(block, e) != e:
                 return None
     return out
@@ -640,10 +643,10 @@ def _walk(reach: int, succ: tuple[int, ...]) -> int:
     return out
 
 
-def _pattern_proof(pattern: _SignPattern, sys: LtiSystem, shift: int,
+def _pattern_proof(pair: Pair, sys: LtiSystem, shift: int,
                    horizon: int) -> _PatternProof | None:
-    """The sign-pattern proof of the exact system (A, A^shift b, c), A with
-    the signature ``pattern``, or None.
+    """The sign-pattern proof of the exact system (A, A^shift b, c) on the
+    ``pair`` (A, c), A with the signature ``pair.pattern``, or None.
 
     With P = S A S >= 0, g(t) = (c S) P^m (S b), m = t - 1 + shift, is a sum
     of walk terms (c S)_i P_(i i1) .. P_(i(m-1) j) (S b)_j, and a walk stays
@@ -655,13 +658,15 @@ def _pattern_proof(pattern: _SignPattern, sys: LtiSystem, shift: int,
     m = shift on until one repeats, which gives the zero pattern for every
     t.  None when c S or S b has both signs on one block, the product signs
     differ, no walk ever joins the supports (g = 0), or the walk sets do not
-    repeat within ``horizon`` steps.
+    repeat within ``horizon`` steps.  D_c c is the pair's first row and D_b b
+    the system's lift, of the signs of c and b.
     """
-    c_signs, b_signs = _block_signs(sys.c, pattern), _block_signs(sys.b, pattern)
+    pattern, c, b = pair.pattern, pair.rows[0], sys._lifted_b[1]
+    c_signs, b_signs = _block_signs(c, pattern), _block_signs(b, pattern)
     if c_signs is None or b_signs is None:
         return None
-    reach = sum(1 << i for i, x in enumerate(sys.c) if x)
-    target = sum(1 << j for j, x in enumerate(sys.b) if x)
+    reach = sum(1 << i for i, x in enumerate(c) if x)
+    target = sum(1 << j for j, x in enumerate(b) if x)
     for _ in range(shift):
         reach = _walk(reach, pattern.succ)
     seen, nonzero, joined = {}, [], 0
@@ -672,21 +677,11 @@ def _pattern_proof(pattern: _SignPattern, sys: LtiSystem, shift: int,
         nonzero.append(bool(reach & target))
         joined |= reach & target
         reach = _walk(reach, pattern.succ)
-    blocks = {pattern.blocks[j] for j in range(len(sys.b)) if joined >> j & 1}
+    blocks = {pattern.blocks[j] for j in range(len(b)) if joined >> j & 1}
     products = {c_signs[block] * b_signs[block] for block in blocks}
     if len(products) != 1:
         return None
     return _PatternProof(products.pop(), seen[reach], tuple(nonzero))
-
-
-def _diagonal(A: Matrix) -> tuple[int, ...] | None:
-    """The diagonal m of D_A A, D_A the lcm of the row scales of A, when A is
-    exact and diagonal (``linalg._is_diagonal``), whatever the signs of m;
-    else None.  Its modes are mu_i = m_i / D_A."""
-    if not _is_diagonal(A):
-        return None
-    dA = math.lcm(*A.dens)
-    return tuple(row[i] * (dA // d) for i, (d, row) in enumerate(zip(A.dens, A.ints)))
 
 
 def _modal_tail(pair: Pair, sys: LtiSystem, shift: int,
@@ -699,10 +694,11 @@ def _modal_tail(pair: Pair, sys: LtiSystem, shift: int,
     the residues of equal modes are merged and the zero ones dropped.  When
     one positive mode M has the largest modulus among the rest and -M is
     inactive, the tail starts at the least t <= horizon with
-    sum_(i != 1) |rho_i| |m_i|^(t-1) < |rho_1| M^(t-1), in integers: from then
-    on g(t) has the sign of rho_1, as the left side's ratio to the right only
-    falls as t grows.  None without an active mode, with a dominant negative
-    or +-M mode, or without a start within ``horizon``.  D_c c is the pair's
+    sum_(i != 1) |rho_i| |m_i|^(t-1) < |rho_1| M^(t-1), in integers
+    (``_least_start``, the real-mode tail's search too): from then on g(t)
+    has the sign of rho_1, as the left side's ratio to the right only falls
+    as t grows.  None without an active mode, with a dominant negative or
+    +-M mode, or without a start within ``horizon``.  D_c c is the pair's
     first row and D_b b the system's lift."""
     m, c, b = pair.diagonal, pair.rows[0], sys._lifted_b[1]
     residues = {}
@@ -714,13 +710,9 @@ def _modal_tail(pair: Pair, sys: LtiSystem, shift: int,
     if not top or top not in active or -top in active:
         return None
     rho1 = active.pop(top)
-    mods, terms, lead = list(map(abs, active)), list(map(abs, active.values())), abs(rho1)
-    for t in range(1, horizon + 1):
-        if sum(terms) < lead:
-            return TailCertificate(t, 1 if rho1 > 0 else -1)
-        terms = [x * mi for x, mi in zip(terms, mods)]
-        lead *= top
-    return None
+    start = _least_start([(abs(rho), abs(mi)) for mi, rho in active.items()],
+                         [(abs(rho1), top)], horizon)
+    return start and TailCertificate(start, 1 if rho1 > 0 else -1)
 
 
 # The most levels a real-mode tail takes, one more bisection of every root
@@ -795,8 +787,7 @@ def _real_mode_tail(pair: Pair, sys: LtiSystem, shift: int, horizon: int,
         rest_hi = [(R[j][1], mods[j][1]) for j in rest]
         rest_lo = [(R[j][0], mods[j][0]) for j in rest]
         one_lo, one_hi = [(R[one][0], lo1)], [(R[one][1], hi1)]
-        start = next((t for t in range(1, horizon + 1)
-                      if _side(rest_hi, t) < _side(one_lo, t)), None)
+        start = _least_start(rest_hi, one_lo, horizon)
         # the inequality shown false at t is false at every earlier t
         if start is None:
             if _side(rest_lo, horizon) >= _side(one_hi, horizon):
@@ -819,6 +810,13 @@ def _outward(q_lo: int, q_hi: int, p_lo: int, p_hi: int, e: int) -> tuple[int, i
 def _side(terms: list[tuple[int, int]], t: int) -> int:
     """sum u m^(t-1) over the (u, m) of ``terms``."""
     return sum(u * m ** (t - 1) for u, m in terms)
+
+
+def _least_start(rest: list[tuple[int, int]], one: list[tuple[int, int]],
+                 horizon: int) -> int | None:
+    """The least t <= horizon at which the dominant-root inequality
+    ``_side(rest, t) < _side(one, t)`` holds, or None."""
+    return next((t for t in range(1, horizon + 1) if _side(rest, t) < _side(one, t)), None)
 
 
 @dataclass
@@ -947,7 +945,7 @@ def _proved_tail(sys: LtiSystem, pair: Pair, shift: int, horizon: int,
     acceptance criterion 2 reads off example1.  The real-mode rung is not
     tried on a diagonal A, whose modal tail decides the same inequality, nor
     when A has more rows than the horizon has samples or ``_MAX_MODES``."""
-    if pair.pattern is not None and (proof := _pattern_proof(pair.pattern, sys, shift, horizon)):
+    if pair.pattern is not None and (proof := _pattern_proof(pair, sys, shift, horizon)):
         zeros = ("no sample is 0" if all(proof.nonzero) else
                  f"its zeros repeat with period {len(proof.nonzero) - proof.pre} "
                  f"from t={proof.pre + 1}")

@@ -4,7 +4,9 @@ isolation of their roots when all are real and simple, from Newton's
 approximations that exact signs check, and interval Horner enclosures at
 dyadic points.  Every decision reads the sign of an integer; floats only
 propose, so a spectrum they miss is reported as none, which no proof needs.
-Nothing runs at import.
+Matrices and polynomials are plain integer lists: an exact pair becomes
+integers in ``lti.Pair``, the one place that scales A to M = D_A A, so this
+module imports nothing but the standard library.  Nothing runs at import.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from operator import mul
-
-from .linalg import Matrix
 
 # Integer polynomials are coefficient lists, highest degree first.
 
@@ -240,15 +240,15 @@ def _certified_cells(p: list[int], m: int,
     return K, cells
 
 
-def real_spectrum(A: Matrix) -> RealSpectrum | None:
-    """The real simple spectrum of the exact square A as that of the integer
-    M = D_A A (``lti.Pair``), when p = det(zI - M), computed division-free
+def real_spectrum(M: list[list[int]]) -> RealSpectrum | None:
+    """The real simple spectrum of the square integer matrix M, the
+    M = D_A A of an exact A that ``lti.Pair`` builds, the one place an exact
+    pair becomes integers: when p = det(zI - M), computed division-free
     (``_charpoly``), has N real simple roots that Newton's method resolves
     in floats (``_newton_roots``) and exact signs bear out
     (``_certified_cells``); else None.  The roots' intervals are then
     bisected to a relative width of 2^-BITS."""
-    dA = math.lcm(*A.dens)
-    p = _charpoly([[x * (dA // d) for x in row] for d, row in zip(A.dens, A.ints)])
+    p = _charpoly(M)
     approx = _newton_roots(p)
     cells = approx and _certified_cells(p, *approx)
     return cells and RealSpectrum(p, *_bisect(p, *cells, BITS, False))

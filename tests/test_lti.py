@@ -1,15 +1,28 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import matmul, mul
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import varsign.lti as lti
-from varsign.linalg import Backend, Matrix, NonSquareError, SizeMismatchError, inverse, sign_of
+from varsign import realroots
+from varsign.linalg import (
+    Backend,
+    Matrix,
+    NonSquareError,
+    SizeMismatchError,
+    _is_diagonal,
+    inverse,
+    lift,
+    sign_of,
+)
 from varsign.lti import (
     ExtPosAnalysis,
     ExtPosStatus,
@@ -1119,7 +1132,7 @@ def test_sign_pattern_finds_a_signature_exactly_when_one_exists():
         if rng.random() < 0.5:  # nonnegative diagonal, so that the off-diagonal colouring decides
             A = Matrix.exact([[abs(x) if r == c else x for c, x in enumerate(row)]
                               for r, row in enumerate(A.data)])
-        pattern, want = lti._sign_pattern(A), _signature_brute_force(A)
+        pattern, want = lti.Pair(A, (0,) * n).pattern, _signature_brute_force(A)
         if pattern is None:
             assert want == [], A.data
             rejected += 1
@@ -1152,10 +1165,10 @@ def test_rejected_sign_patterns_take_the_sampled_route(case):
     real-mode tail, which each A's real simple spectrum gives."""
     A, b, c = _rejected_systems()[case]
     sys = LtiSystem(A, b, c)
-    pattern = lti._sign_pattern(A)
-    assert (pattern is None) == (case < 2)
-    if pattern is not None:
-        assert lti._pattern_proof(pattern, sys, 0, 50) is None
+    pair = lti.Pair(A, c)
+    assert (pair.pattern is None) == (case < 2)
+    if pair.pattern is not None:
+        assert lti._pattern_proof(pair, sys, 0, 50) is None
     real = lti.Pair(A, c)
     real.__dict__["pattern"] = None
     routed, proved = analyse(sys, 50, lead=3), analyse(sys, 50, pair=real)
@@ -1194,7 +1207,7 @@ def test_sign_pattern_route_samples_only_what_its_verdicts_read():
             verdict = judge(analysis)
             assert verdict.status is ExtPosStatus.STRICT_POSITIVE and verdict.tail_start == 1
     shift = LtiSystem(Matrix.exact([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), (1, 0, 0), (0, 0, 1))
-    proof = lti._pattern_proof(lti._sign_pattern(shift.A), shift, 0, 50)
+    proof = lti._pattern_proof(lti.Pair(shift.A, shift.c), shift, 0, 50)
     assert (proof.sign, proof.pre, proof.nonzero) == (1, 3, (False, False, True, False))
     analysis = analyse(shift, 50)
     assert analysis.samples == (0, 0, 1, 0)
@@ -1211,11 +1224,11 @@ def test_walk_sets_that_do_not_repeat_within_the_horizon_prove_nothing():
     proof shows that zero and every later one."""
     A = Matrix.exact([[0, 0, 0, 0], ["1/2", 0, 0, 0], [0, "1/2", 0, 0], [0, 0, "1/2", 0]])
     sys = LtiSystem(A, (1, 1, 1, 1), (0, 0, 0, 1))
-    pattern = lti._sign_pattern(A)
-    assert lti._pattern_proof(pattern, sys, 0, 4) is None
+    pair = lti.Pair(A, sys.c)
+    assert lti._pattern_proof(pair, sys, 0, 4) is None
     for strict in (True, False):
         assert judge(analyse(sys, 4), strict).status is ExtPosStatus.HORIZON_ONLY
-    proof = lti._pattern_proof(pattern, sys, 0, 5)
+    proof = lti._pattern_proof(pair, sys, 0, 5)
     assert (proof.sign, proof.pre, proof.nonzero) == (1, 4, (True,) * 4 + (False,))
     analysis = analyse(sys, 5)
     assert judge(analysis, strict=True).first_violation == (5, 0)
@@ -1267,7 +1280,7 @@ def _real_spectrum_systems():
     for n in (2, 3, 4):
         for _ in range(8):
             for A in _real_spectrum_matrices(rng, n):
-                if lti._diagonal(A) is not None:
+                if lti.Pair(A, (0,) * n).diagonal is not None:
                     continue  # T = I leaves the twin diagonal
                 for _ in range(3):
                     vec = [tuple(Fraction(rng.choice((-2, -1, 0, 1, 1, 2, 3))) for _ in range(n))
@@ -1397,3 +1410,153 @@ def test_residue_bounds_round_outward(q_lo, q_hi, p_lo, p_hi, e):
     lo, hi = lti._outward(q_lo, q_hi, p_lo, p_hi, e)
     want_lo, want_hi = Fraction(q_lo << e, p_hi), Fraction(q_hi << e, p_lo)
     assert want_lo - 1 < lo <= want_lo and want_hi <= hi < want_hi + 1
+
+
+# The integer parts of an exact pair as each was built from A itself before
+# ``Pair`` built M = D_A A once: the references for ``Pair``'s, kept here.
+
+def _reference_diagonal(A):
+    """The diagonal of D_A A, D_A the lcm of the row scales of A, when A is
+    exact and diagonal, whatever its signs; else None."""
+    if not _is_diagonal(A):
+        return None
+    dA = math.lcm(*A.dens)
+    return tuple(row[i] * (dA // d) for i, (d, row) in enumerate(zip(A.dens, A.ints)))
+
+
+def _reference_sign_pattern(A):
+    """The signature of the exact square A, with its blocks and successor
+    masks, from the signs ``sign_of`` reads off A's integer rows; None when a
+    diagonal entry is negative or the off-diagonal pattern cannot be
+    2-coloured."""
+    n = A.rows
+    sgn = [[sign_of(x, Backend.EXACT) for x in row] for row in A.ints]
+    if any(sgn[i][i] < 0 for i in range(n)):
+        return None
+    edges = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and sgn[i][j]:
+                edges[i].append((j, sgn[i][j]))
+                edges[j].append((i, sgn[i][j]))
+    signs, blocks = [0] * n, [0] * n
+    for root in range(n):
+        if signs[root]:
+            continue
+        signs[root], blocks[root], stack = 1, root, [root]
+        while stack:
+            i = stack.pop()
+            for j, e in edges[i]:
+                if not signs[j]:
+                    signs[j], blocks[j] = signs[i] * e, root
+                    stack.append(j)
+                elif signs[j] != signs[i] * e:
+                    return None
+    succ = tuple(sum(1 << j for j in range(n) if sgn[i][j]) for i in range(n))
+    return lti._SignPattern(tuple(signs), tuple(blocks), succ)
+
+
+def _reference_real_spectrum(A):
+    """The real simple spectrum of D_A A, with A's integer rows scaled here."""
+    dA = math.lcm(*A.dens)
+    p = realroots._charpoly([[x * (dA // d) for x in row] for d, row in zip(A.dens, A.ints)])
+    approx = realroots._newton_roots(p)
+    cells = approx and realroots._certified_cells(p, *approx)
+    return cells and realroots.RealSpectrum(p, *realroots._bisect(p, *cells, realroots.BITS,
+                                                                  False))
+
+
+# small rationals of both signs, zeros, and entries past the float range
+# either way, whose D_A and integer rows run to hundreds of digits
+_PAIR_ENTRIES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/4", "-7/10", "1e400", "-1e400",
+                     "1e-300", "-1e-300"]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12))
+_SHAPES = {"diagonal": lambda i, j: i == j, "upper": lambda i, j: i <= j,
+           "lower": lambda i, j: i >= j, "dense": lambda i, j: True}
+
+
+@st.composite
+def _exact_matrices(draw):
+    """An exact n x n A, n = 1..4: diagonal, with entries drawn from a pool of
+    at most three so that they repeat, triangular or dense."""
+    n, shape = draw(st.integers(1, 4)), draw(st.sampled_from(sorted(_SHAPES)))
+    entries = _PAIR_ENTRIES
+    if shape == "diagonal":
+        entries = st.sampled_from(draw(st.lists(_PAIR_ENTRIES, min_size=1, max_size=3)))
+    keep = _SHAPES[shape]
+    return Matrix.exact([[draw(entries) if keep(i, j) else 0 for j in range(n)]
+                         for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=_exact_matrices())
+@example(A=Matrix.exact([["1/2", 0, 0, 0], [0, "-1/3", 0, 0], [0, 0, "1/2", 0], [0, 0, 0, 0]]))
+@example(A=Matrix.exact([["1e400", 0], [0, "1e-300"]]))
+@example(A=Matrix.exact([["1e400", 1], [0, "1/2"]]))
+@example(A=Matrix.exact([["1e-300", "-1/3", 0], [0, "1/2", "1e400"], [0, 0, "-1/4"]]))
+@example(A=Matrix.exact([["1/2", "-1/4", "1/8"], ["1/3", "1e-300", "-2"], ["1e400", 1, "3/4"]]))
+def test_pair_integer_parts_match_the_reference(A):
+    """``Pair``'s diagonal, signature and real spectrum, all read off its one
+    M = D_A A, are those built from A itself: the same integer diagonal,
+    the same signature, blocks and successors, and the same characteristic
+    polynomial with the same root intervals, or None alike."""
+    pair = lti.Pair(A, (0,) * A.rows)
+    assert pair.diagonal == _reference_diagonal(A)
+    assert pair.pattern == _reference_sign_pattern(A)
+    got, want = pair.real_spectrum, _reference_real_spectrum(A)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.p == want.p and got.level(0) == want.level(0)
+
+
+def _reference_modal_tail(sys, shift, horizon, seen):
+    """The exact modal tail of the diagonal exact sys by the incremental loop
+    that multiplies each side by its moduli once per step, with the diagonal
+    and the lifts of b and c built from sys itself; ``seen`` counts the
+    cases met."""
+    m, c, b = _reference_diagonal(sys.A), lift(sys.c)[1], lift(sys.b)[1]
+    residues, merged = {}, Counter()
+    for mi, ci, bi in zip(m, c, b):
+        if ci and bi:
+            residues[mi] = residues.get(mi, 0) + ci * bi * mi ** shift
+            merged[mi] += 1
+    active = {mi: rho for mi, rho in residues.items() if rho}
+    seen["merged modes"] += max(merged.values(), default=0) > 1
+    seen["zero residue"] += len(active) < len(residues)
+    top = max(map(abs, active), default=0)
+    if not top or top not in active or -top in active:
+        seen["+-M tie"] += top in active and -top in active
+        return None
+    rho1 = active.pop(top)
+    mods, terms, lead = list(map(abs, active)), list(map(abs, active.values())), abs(rho1)
+    for t in range(1, horizon + 1):
+        if sum(terms) < lead:
+            seen["start"] += 1
+            return TailCertificate(t, 1 if rho1 > 0 else -1)
+        terms = [x * mi for x, mi in zip(terms, mods)]
+        lead *= top
+    seen["no start within the horizon"] += 1
+    return None
+
+
+_DIAGONAL_MODES = [Fraction(1, 2), Fraction(-1, 2), Fraction(49, 100), Fraction(1, 3),
+                   Fraction(-1, 3), Fraction(0), Fraction(12, 100), Fraction(1, 10), Fraction(2),
+                   Fraction(10) ** 400, Fraction(1, 10 ** 300)]
+
+
+def test_modal_tail_starts_match_the_incremental_loop():
+    """On seeded diagonal pairs, ``_modal_tail``'s one search finds the tail,
+    or none, that the incremental loop finds: with equal modes that merge,
+    residues that are or merge to 0, +-M ties and no start within the
+    horizon among them."""
+    rng, seen = random.Random(5101), Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        A = Matrix.exact(_diagonal_rows([rng.choice(_DIAGONAL_MODES) for _ in range(n)]))
+        b, c = ([rng.choice((-100, -3, -1, 0, 1, 1, 2, 5)) for _ in range(n)] for _ in range(2))
+        sys, shift, horizon = LtiSystem(A, b, c), rng.randint(0, 2), rng.choice((1, 2, 3, 5, 50))
+        got = lti._modal_tail(lti.Pair(A, c), sys, shift, horizon)
+        assert got == _reference_modal_tail(sys, shift, horizon, seen), (A.data, b, c, shift,
+                                                                         horizon)
+    assert len(seen) == 5 and min(seen.values()) > 30, seen

@@ -61,6 +61,7 @@ from varsign.signcons import vd_matrix_check
 from varsign.variation import v_minus
 
 from conftest import observable_pair
+from test_lti import _reference_diagonal
 
 
 def example1():
@@ -373,8 +374,8 @@ def test_analyses_stop_at_the_first_pair_of_opposite_strict_signs(horizon):
             else:
                 assert list(map(repr, analysis.samples)) == list(map(repr, full[:t]))
             assert analysis.signs == signs[:t] and analysis.horizon == horizon
-            pattern = ctx.order(key[1]).pattern
-            proof = pattern and lti._pattern_proof(pattern, sys, s, horizon)
+            pair = ctx.order(key[1])
+            proof = pair.pattern and lti._pattern_proof(pair, sys, s, horizon)
             real = analysis.notes[:1] and analysis.notes[0].startswith("tail by exact real modes")
             last = horizon
             if 1 in signs and -1 in signs:
@@ -1352,8 +1353,8 @@ def test_sign_pattern_proofs_agree_with_long_samples_and_the_sampled_route():
             k, r, beta = key
             sys, s = ctx.shifted(*key)
             got, want = ctx.analysis(*key), ref.analysis(*key)
-            pattern = ctx.order(r).pattern
-            proof = pattern and lti._pattern_proof(pattern, sys, s, ctx.horizon)
+            pair = ctx.order(r)
+            proof = pair.pattern and lti._pattern_proof(pair, sys, s, ctx.horizon)
             if not proof:
                 assert got == want, (A, key)
                 continue
@@ -1482,7 +1483,7 @@ def test_exact_modal_tails_agree_with_long_samples_and_the_sampled_route():
         _assert_decisive_conclusions_stand(A, runs, mine, theirs)
     for sys, s in _modal_systems():
         modal_only = _sampled_pair(sys, ("pattern",))
-        assert modal_only.diagonal == lti._diagonal(sys.A) is not None
+        assert modal_only.diagonal == _reference_diagonal(sys.A) is not None
         got = lti.analyse(sys, 50, pair=modal_only, shift=s)
         want = lti.analyse(sys, 50, pair=_sampled_pair(sys), shift=s)
         if got.tail is None or not got.notes[0].startswith("tail by exact diagonal modes"):
@@ -1518,7 +1519,7 @@ def test_exact_modal_tails_fall_back_to_the_sampled_route():
     tail = lti._modal_tail(lti.Pair(A, sys.c), sys, 0, 50)
     # the merged residue -1 of 12/100 outweighs 3 (10/12)^(t-1) from t = 8
     assert (tail.start, tail.sign) == (8, -1)
-    assert lti._diagonal(Matrix.exact([[1, 0], [1, 1]])) is None
+    assert lti.Pair(Matrix.exact([[1, 0], [1, 1]]), (1, 1)).diagonal is None
 
 
 def _transforms(A, c):
@@ -1548,9 +1549,9 @@ def test_sign_pattern_route_and_status_survive_scaling_and_diagonal_similarity()
                 routes = []
                 for ctx in (base, other):
                     sys, s = ctx.shifted(*key)
-                    pattern = ctx.order(r).pattern
-                    routes.append(bool(pattern and lti._pattern_proof(pattern, sys, s,
-                                                                       ctx.horizon)))
+                    pair = ctx.order(r)
+                    routes.append(bool(pair.pattern and lti._pattern_proof(pair, sys, s,
+                                                                           ctx.horizon)))
                 assert routes[0] == routes[1], (A, key)
                 one, two = base.analysis(*key), other.analysis(*key)
                 assert one.signs == two.signs, (A, key)
@@ -1592,7 +1593,7 @@ def _real_spectrum_pairs():
                           for i in range(3)])
         A = inverse(T) @ L @ T
         c = tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(3))
-        if lti._diagonal(A) is None and rank(observability_matrix(A, c, 3)) == 3:
+        if lti.Pair(A, c).diagonal is None and rank(observability_matrix(A, c, 3)) == 3:
             pairs.append((A, c))
     return pairs
 

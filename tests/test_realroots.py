@@ -3,14 +3,17 @@ characteristic polynomial against exact determinants, and root intervals
 from Newton's cells whose end signs, nesting and relative widths are
 checked exactly."""
 
+import ast
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from varsign import realroots
+from varsign import lti, realroots
 from varsign.linalg import Matrix, det
 
 from test_lti import _real_spectrum_matrices
@@ -60,7 +63,7 @@ def test_real_spectra_are_isolated_exactly(scale):
     rng = random.Random(7)
     for n in (2, 3, 4, 5):
         A = _scaled(rng, n, scale)
-        spec = realroots.real_spectrum(A)
+        spec = lti.Pair(A, (0,) * n).real_spectrum
         assert spec is not None
         p = spec.p
         previous = None
@@ -89,7 +92,7 @@ def test_real_spectra_are_isolated_exactly(scale):
     [[3, 0], [0, 3]],                        # diagonal, repeated
 ])
 def test_no_real_simple_spectrum(rows):
-    assert realroots.real_spectrum(Matrix.exact(rows)) is None
+    assert realroots.real_spectrum(rows) is None
 
 
 @pytest.mark.parametrize("p, xs", [
@@ -112,3 +115,17 @@ def test_right_approximations_are_certified():
     assert [hi - lo for lo, hi in cells] == [1, 1] and K == 16
     K, cells = realroots._certified_cells([1, -6, 11, -6], 2, [0.75000001, 0.4999999, 0.25])
     assert cells == [(3 << K, 3 << K), (2 << K, 2 << K), (1 << K, 1 << K)]
+
+
+def test_realroots_imports_the_standard_library_only():
+    """``realroots`` works on plain integer lists, which ``lti.Pair`` builds:
+    each module it imports is of the standard library, and no import is
+    relative, so it reads nothing of ``varsign``."""
+    names = []
+    for node in ast.walk(ast.parse(Path(realroots.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, node.module
+            names.append(node.module)
+    assert names and all(name.split(".")[0] in sys.stdlib_module_names for name in names), names

@@ -7,6 +7,12 @@ exits 0 when its search is clean and 1 on a violation, since a clean search
 decides nothing.  Malformed input, a usage error among them, and an --out
 that cannot be written exit 3; so does a kernel's refusal (a ``LinalgError``,
 such as a k outside 1..n), which ``main`` maps to one ``error:`` line.
+
+``build_parser`` declares the grammar once.  A spelled-out argv (CMD FILE,
+then exact option names, each followed by a value that is neither empty nor
+starts with "-") is read straight from the actions it declares
+(``_read_spelled_out``) into the Namespace argparse would build; every other
+argv goes to argparse, the one source of help and usage text.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .linalg import Backend, LinalgError
 from .lti import default_horizon
@@ -189,50 +196,123 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+class _Command(NamedTuple):
+    """What a spelled-out argv of one subcommand may hold, read off the
+    actions its subparser declares (``_read_spelled_out``)."""
+    file: argparse.Action
+    options: dict        # each option string -> its action
+    required: frozenset  # the dests of the required options
+    defaults: dict       # dest -> the Namespace value argparse starts from
+
+
+def _command(parser, actions, name: str, command_dest: str) -> _Command:
+    """The ``_Command`` of subparser ``parser``, whose ``add_argument`` calls
+    returned ``actions``: the positional FILE, then options that each store
+    one value or, taking none (``nargs`` 0), their ``const``.  Defaults are
+    ``get_default``'s, ``func`` among them; ``command_dest`` holds the
+    subcommand's name."""
+    (file,) = [a for a in actions if not a.option_strings]
+    defaults = {a.dest: parser.get_default(a.dest) for a in actions}
+    defaults.update({"func": parser.get_default("func"), command_dest: name})
+    return _Command(file, {s: a for a in actions for s in a.option_strings},
+                    frozenset(a.dest for a in actions if a.option_strings and a.required),
+                    defaults)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built at the first call and reused by every later
-    one in the process: parsing leaves it unchanged."""
+    one in the process: parsing leaves it unchanged.  Its ``commands`` maps
+    each subcommand to its ``_Command``, built from the same actions."""
     parser = _Parser(
         prog="varsign",
         description="Certify variation-bounding properties of matrices and "
                     "LTI observability/controllability operators.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, horizon=False, seed=False):
-        p.add_argument("file", type=Path, help="JSON system or matrix file")
-        p.add_argument("--k", type=int, required=True, help="property order")
-        p.add_argument("--arith", choices=("exact", "float"), default="exact")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="float comparison tolerance (default 1e-9)")
-        p.add_argument("--out", type=Path, default=None, help="report directory")
+    def common(p, horizon=False, seed=False) -> list:
+        actions = [
+            p.add_argument("file", type=Path, help="JSON system or matrix file"),
+            p.add_argument("--k", type=int, required=True, help="property order"),
+            p.add_argument("--arith", choices=("exact", "float"), default="exact"),
+            p.add_argument("--tol", type=float, default=1e-9,
+                           help="float comparison tolerance (default 1e-9)"),
+            p.add_argument("--out", type=Path, default=None, help="report directory"),
+        ]
         if horizon:
-            p.add_argument("--horizon", type=int, default=None,
-                           help="sample horizon (default max(50, 10n))")
+            actions.append(p.add_argument("--horizon", type=int, default=None,
+                                          help="sample horizon (default max(50, 10n))"))
         if seed:
-            p.add_argument("--trials", type=int, default=1000)
-            p.add_argument("--seed", type=int, default=0)
+            actions += [p.add_argument("--trials", type=int, default=1000),
+                        p.add_argument("--seed", type=int, default=0)]
+        return actions
 
     p_check = sub.add_parser("check-matrix", help="check a matrix property")
-    common(p_check)
-    p_check.add_argument("--property", required=True,
-                         choices=("sc", "ssc", "sr", "tp", "stp", "vb", "vd"))
-    p_check.add_argument("--strict", action="store_true",
-                         help="require strict signs (implied by ssc/stp)")
+    check = common(p_check) + [
+        p_check.add_argument("--property", required=True,
+                             choices=("sc", "ssc", "sr", "tp", "stp", "vb", "vd")),
+        p_check.add_argument("--strict", action="store_true",
+                             help="require strict signs (implied by ssc/stp)")]
     p_check.set_defaults(func=cmd_check_matrix)
 
     p_cert = sub.add_parser("certify", help="certify an operator property")
-    common(p_cert, horizon=True)
-    p_cert.add_argument("--property", required=True, choices=("svb", "vb", "kpos", "vd"))
-    p_cert.add_argument("--target", choices=_TARGETS, default="obsv")
-    p_cert.add_argument("--nonstrict", action="store_true",
-                        help="allow the non-strict top order for kpos")
+    cert = common(p_cert, horizon=True) + [
+        p_cert.add_argument("--property", required=True, choices=("svb", "vb", "kpos", "vd")),
+        p_cert.add_argument("--target", choices=_TARGETS, default="obsv"),
+        p_cert.add_argument("--nonstrict", action="store_true",
+                            help="allow the non-strict top order for kpos")]
     p_cert.set_defaults(func=cmd_certify, out=Path("varsign_out"))
 
     p_oracle = sub.add_parser("oracle", help="sampling falsification")
-    common(p_oracle, horizon=True, seed=True)
+    oracle = common(p_oracle, horizon=True, seed=True)
     p_oracle.set_defaults(func=cmd_oracle)
+
+    parser.commands = {name: _command(p, actions, name, sub.dest) for name, p, actions in
+                       (("check-matrix", p_check, check), ("certify", p_cert, cert),
+                        ("oracle", p_oracle, oracle))}
     return parser
+
+
+def _value(action: argparse.Action, text: str):
+    """``text`` converted by ``action.type`` and checked against its
+    ``choices``, or None when argparse would not read it as a value (empty,
+    or starting with "-") or would reject it."""
+    if not text or text[0] == "-":
+        return None
+    try:
+        value = text if action.type is None else action.type(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return value if action.choices is None or value in action.choices else None
+
+
+def _read_spelled_out(argv) -> argparse.Namespace | None:
+    """The Namespace ``build_parser().parse_args(argv)`` returns, for a
+    spelled-out argv: CMD FILE, then exact option names, each followed by a
+    value (``_value``) unless it takes none, with every required option
+    given.  None for any other argv, which argparse then reads: help,
+    abbreviations, ``--opt=value``, ``--``, negative numbers, a misplaced
+    FILE and every usage error among them."""
+    command = build_parser().commands.get(argv[0]) if len(argv) > 1 else None
+    if command is None or (file := _value(command.file, argv[1])) is None:
+        return None
+    values = command.defaults.copy()
+    values[command.file.dest] = file
+    seen = set()
+    i = 2
+    while i < len(argv):
+        action = command.options.get(argv[i])
+        if action is None:
+            return None
+        if action.nargs == 0:
+            value, i = action.const, i + 1
+        elif i + 1 == len(argv) or (value := _value(action, argv[i + 1])) is None:
+            return None
+        else:
+            i += 2
+        values[action.dest] = value
+        seen.add(action.dest)
+    return argparse.Namespace(**values) if command.required <= seen else None
 
 
 def _argument_error(args) -> str | None:
@@ -250,8 +330,10 @@ def _argument_error(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_spelled_out(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     problem = _argument_error(args)
     if problem:
         print(f"error: {problem}", file=sys.stderr)

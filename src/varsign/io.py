@@ -21,6 +21,9 @@ file to every run into a reused ``--out``.  A crash mid-write can leave new
 bytes then old ones, where truncation left a partial file; a rerun mends
 either.  A system file is read as bytes and decoded as ``Path.read_text``
 did, and each distinct entry string of one file is parsed once (``_Entries``).
+``report.json`` holds the bytes of ``json.dumps(report, indent=2,
+sort_keys=True)`` and a newline, written by a one-pass encoder
+(``_json_text``): with an indent, ``json`` skips its C encoder.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .linalg import Backend, ExponentRangeError, Matrix, int_text, parse_ratio
@@ -315,6 +319,56 @@ def certificate_dict(cert: Certificate) -> dict:
     return out
 
 
+def _float_text(x: float) -> str:
+    """A float as ``json`` writes it: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    return "Infinity" if x == math.inf else "-Infinity" if x == -math.inf else float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` converts it to a string before quoting it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return _json_text(key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in one pass:
+    with an indent, ``json`` takes its pure-Python encoder, whose generators
+    cost more than this recursion.  ``indent`` starts the lines of ``obj``'s
+    items' enclosing level.  Dict items are sorted before their keys are
+    converted, as ``json`` sorts them; what ``json`` cannot encode raises
+    its ``TypeError``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_json_text(x, inner) for x in obj]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(_key_text(k))}: {_json_text(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def write_report(out_dir, payload: dict, environment: dict,
                  certificate: Certificate | None = None) -> Path:
     """``report.json``, and the traces of the certificate's systems or its parts'."""
@@ -325,5 +379,5 @@ def write_report(out_dir, payload: dict, environment: dict,
                           tuple(cert.target for cert in certs for _ in cert.per_system))
     report = {"certificate": payload, "environment": environment, "traces": traces}
     path = os.path.join(out_dir, "report.json")
-    _rewrite(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _rewrite(path, _json_text(report) + "\n")
     return Path(path)

@@ -1,10 +1,13 @@
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import random
 import re
+import shlex
 import stat
 import sys
 import time
@@ -129,6 +132,151 @@ def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
     assert shared == fresh
     codes = [code for code, _ in shared]
     assert codes[:7] == [1, 0, 2, "SystemExit(3)", 0, "SystemExit(0)", 2]
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_FILE = str(fixture_path("example2"))
+# every option string, prefixes of some, "=" spellings, help, "--" and values
+# that argparse reads otherwise or rejects
+_OPTIONS = sorted({s for c in cli.build_parser().commands.values() for s in c.options})
+_OPTION_TOKENS = _OPTIONS + ["--prop", "--pro", "--t", "--tar", "--ar", "--nonstr", "--stri",
+                             "--tr", "--hor", "--s", "--o", "-k", "-h", "--help", "--",
+                             "--k=2", "--property=svb", "--tol=1e-3", "--strict=1", "--out="]
+_VALUES = ["1", "2", "3", "0", "-1", "1.5", "abc", "-inf", "inf", "nan", "1e-3", "",
+           " 2", "２", "2 ", "svb", "vb", "kpos", "vd", "sc", "ssc", "sr", "tp", "stp",
+           "zz", "exact", "float", "quad", "obsv", "ctrb", "hankel", "out", "x=y", _FILE,
+           "certify"]
+_COMMANDS = ["certify", "check-matrix", "oracle", "cert", "check", "-h", "--help", "nope"]
+
+
+def _nan_safe(ns):
+    return {k: "nan" if isinstance(v, float) and math.isnan(v) else v
+            for k, v in vars(ns).items()}
+
+
+def _argparse_reads(argv):
+    """What argparse makes of ``argv``: its Namespace, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+# values each option reads without error
+_GOOD = {"--k": ["1", "2", " 2", "２"], "--arith": ["exact", "float"],
+         "--tol": ["1e-3", "0", "inf", "nan"], "--out": ["out", "x=y"], "--horizon": ["5", "0"],
+         "--trials": ["10"], "--seed": ["0", "3"], "--target": ["obsv", "ctrb", "hankel"],
+         "--property": ["svb", "vb", "kpos", "vd", "sc", "ssc", "sr", "tp", "stp"]}
+
+
+def _mostly(draw, good: list, bad: list):
+    """A draw from ``good``, or one time in eight from ``bad``."""
+    return draw(st.sampled_from(good if draw(st.integers(0, 7)) else bad))
+
+
+@st.composite
+def _near_spelled_out(draw):
+    """CMD FILE and the command's options in any order, the required ones
+    usually among them; now and then a FILE, option or value that is off,
+    or a second positional."""
+    name = draw(st.sampled_from(["certify", "check-matrix", "oracle"]))
+    options = cli.build_parser().commands[name].options
+    chosen = draw(st.permutations(sorted(options)))[:draw(st.integers(0, len(options)))]
+    chosen = [o for o in ("--k", "--property") if o in options and draw(st.integers(0, 7))] + chosen
+    argv = [name, _mostly(draw, [_FILE], ["-", "", "a b", "--k", "-1"])]
+    for option in chosen:
+        argv.append(_mostly(draw, [option], _OPTION_TOKENS))
+        if option not in options or options[option].nargs != 0:
+            argv.append(_mostly(draw, _GOOD.get(option, _VALUES), _VALUES))
+    return argv + _mostly(draw, [[]], [["extra"], [_FILE]])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argv=st.one_of(
+    st.tuples(st.sampled_from(_COMMANDS), st.lists(st.sampled_from(_OPTION_TOKENS + _VALUES),
+                                                   max_size=10)).map(lambda t: [t[0], *t[1]]),
+    _near_spelled_out()))
+@example(argv=["certify", _FILE, "--property", "svb", "--k", "2"])
+@example(argv=["certify", _FILE, "--property", "zz", "--k", "2"])
+@example(argv=["check-matrix", _FILE, "--property", "sc", "--k", "2", "--arith", "quad"])
+@example(argv=["certify", _FILE, "--property", "svb"])
+@example(argv=["oracle", _FILE, "--trials", "5"])
+@example(argv=["check-matrix", _FILE, "--k", "1", "--property", "tp", "--strict",
+               "--tol", "nan"])
+@example(argv=["oracle", _FILE, "--k", "1", "--seed", "２", "--trials", " 2"])
+def test_spelled_out_argv_reads_as_argparse_reads_it(argv):
+    """The reader gives argparse's Namespace or None; where argparse exits,
+    None.  ``--tol nan`` is read by both, hence the NaN-safe comparison."""
+    ours = cli._read_spelled_out(argv)
+    if ours is not None:
+        theirs = _argparse_reads(argv)
+        assert theirs is not None, argv
+        assert _nan_safe(ours) == _nan_safe(theirs), argv
+
+
+def _readme_cli_argvs():
+    block = (_ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.split("```", 1)[0].splitlines() if line.startswith("varsign ")]
+
+
+def _bench_job_argvs(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    import workloads
+    argvs = {}
+    for planner in workloads.PLANNERS.values():
+        for job in planner(1, 3).jobs:
+            if job.kind != "ivb":
+                argv = job.argv(tmp_path, tmp_path / "out")
+                argvs.setdefault((job.kind, job.arith, job.target, job.prop), argv)
+    return list(argvs.values())
+
+
+def test_readme_and_bench_argvs_take_the_reader(tmp_path, monkeypatch):
+    """README's CLI examples and every shape of the benchmark's job argv are
+    spelled out: the reader, not argparse, reads them, and reads them as
+    argparse does."""
+    readme, bench = _readme_cli_argvs(), _bench_job_argvs(tmp_path, monkeypatch)
+    assert len(readme) == 8
+    assert {argv[0] for argv in bench} == {"certify", "check-matrix", "oracle"}
+    for argv in readme + bench:
+        ours = cli._read_spelled_out(argv)
+        assert ours is not None, argv
+        assert ours == cli.build_parser().parse_args(argv), argv
+
+
+def test_every_spelling_of_one_call_gives_the_same_run(tmp_path, capsys):
+    """Spelled out, abbreviated, with "=" and reordered, one certify call
+    gives one exit code, stdout and report; only the first takes the reader.
+    Help and usage errors are argparse's own."""
+    spellings = [
+        ["certify", _FILE, "--property", "svb", "--k", "2"],
+        ["certify", _FILE, "--prop", "svb", "--k", "2"],
+        ["certify", _FILE, "--property", "svb", "--k=2"],
+        ["certify", "--k", "2", "--property", "svb", _FILE],
+        ["certify", "--prop=svb", _FILE, "--k", "2"],
+    ]
+    assert [cli._read_spelled_out(argv) is None for argv in spellings] == [False] + [True] * 4
+    runs = []
+    for i, argv in enumerate(spellings):
+        out = tmp_path / str(i)
+        code = main([*argv, "--out", str(out)])
+        runs.append((code, capsys.readouterr().out, (out / "report.json").read_bytes(),
+                     (out / "traces.csv").read_bytes()))
+    assert runs[0][0] == 0 and runs == [runs[0]] * len(runs)
+
+    fresh = cli.build_parser.__wrapped__()  # argparse's text, from a parser main never saw
+    for argv, code in ((["certify", "--help"], 0),
+                       (["certify", _FILE, "--property", "svb", "--k", "abc"], 3)):
+        texts = []
+        for parse in (main, fresh.parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == code
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+    assert texts[0].err.startswith("usage: varsign certify")
 
 
 def test_certify_example1_kpos_traces(tmp_path, capsys):
@@ -1091,6 +1239,39 @@ def test_sample_texts_match_render_value(step, base):
     # a factor 3 in D_A falls back to render_value, p/q literals included
     odd = ExactSamples(tuple(nums), 1, tuple(3 ** t * d for t, d in enumerate(dens)))
     assert list(varsign.io._sample_texts(odd)) == [render_value(x) for x in odd]
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-10 ** 600, max_value=10 ** 600),
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.text(max_size=6), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ", "\U0001f600"]))
+_json_keys = st.one_of(st.text(max_size=4), st.none(), st.booleans(),
+                       st.one_of(st.integers(), st.floats(), st.booleans()))
+
+
+def _json_outcome(encode, x):
+    try:
+        return encode(x)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_json_keys, inner, max_size=4)),
+    max_leaves=20))
+@example(x={"a": [], "b": {}, "c": (), 1.5: None})
+@example(x={1: "x", "a": "y"})
+@example(x=[Fraction(1, 2)])
+@example(x={Fraction(1, 2): 1})
+@example(x={"s": {1, 2}})
+def test_report_encoder_matches_json_dumps(x):
+    """``io``'s encoder writes ``json.dumps(x, indent=2, sort_keys=True)``'s
+    text, and raises its TypeError where it raises one."""
+    want = _json_outcome(lambda y: json.dumps(y, indent=2, sort_keys=True), x)
+    assert _json_outcome(varsign.io._json_text, x) == want
 
 
 def test_sample_texts_of_floats_are_their_repr():

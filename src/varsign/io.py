@@ -206,7 +206,7 @@ def render_value(x) -> str:
         exponents = _decimal_exponents(x.denominator)
         if exponents is None:
             return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
-        return next(_decimal_texts((x.numerator,), *exponents, 0, 0))
+        return _decimal_step(x.numerator, *exponents, 1, 0)[0]
     return repr(x)
 
 
@@ -226,24 +226,31 @@ def _sample_texts(samples):
     return _decimal_texts(samples.nums, *base, *step)
 
 
+def _decimal_step(num: int, twos: int, fives: int, power: int, have: int):
+    """(text, 5^need, need): the shortest decimal of num / (2^twos 5^fives).
+
+    With d = max of the two exponents and need = d - fives, the value is the
+    integer num 5^need 2^(d-twos) over 10^d (``_scaled_text``); 5^need is
+    made from ``power`` = 5^have, so that a caller carries it from value to
+    value instead of raising it afresh.
+    """
+    digits = max(twos, fives)
+    need = digits - fives
+    if need > have:
+        power *= 5 ** (need - have)
+    elif need < have:
+        power //= 5 ** (have - need)
+    return _scaled_text(num * power << (digits - twos), digits), power, need
+
+
 def _decimal_texts(nums, twos: int, fives: int, dtwos: int, dfives: int):
     """The shortest decimal of num / (2^(twos + t dtwos) 5^(fives + t dfives))
-    for the t-th numerator (from t = 0).
-
-    With d = max of the two exponents, the value is the integer
-    num 5^(d-fives) 2^(d-twos) over 10^d (``_scaled_text``); the power of 5
-    is carried from row to row instead of raised afresh.
-    """
+    for the t-th numerator (from t = 0), one ``_decimal_step`` each, the
+    power of 5 carried from row to row."""
     power, have = 1, 0  # power = 5^have
     for num in nums:
-        digits = max(twos, fives)
-        need = digits - fives
-        if need > have:
-            power *= 5 ** (need - have)
-        elif need < have:
-            power //= 5 ** (have - need)
-        have = need
-        yield _scaled_text(num * power << (digits - twos), digits)
+        text, power, have = _decimal_step(num, twos, fives, power, have)
+        yield text
         twos += dtwos
         fives += dfives
 

@@ -18,7 +18,9 @@ Each backend has one elimination, which yields both rank and determinant:
 fraction-free Bareiss elimination on the integer rows (``_bareiss``) and
 partial pivoting on floats (``_partial_pivot``), run once per minor and
 rank by ``Minors``; an exact diagonal matrix's compounds are read off its
-diagonal.  ``inverse`` is the adjugate, from the (n-1)-th compound, over det.
+diagonal, and the exact consecutive minors of a positive scan are condensed
+order by order, with no elimination (``Minors.positive_order``).
+``inverse`` is the adjugate, from the (n-1)-th compound, over det.
 
 Index tuples follow the 1-based mathematical convention; raw matrix element
 access via ``Matrix[i, j]`` is 0-based like everything else in Python.
@@ -528,18 +530,23 @@ class Minors:
 
     Index sets are 1-based tuples.  Exact minors read the integer rows and
     scales of the one ``Matrix`` given (``ints``, ``dens``) as they are: each
-    is one integer Bareiss on its rows, whose integer is the minor times the
-    positive product of its row scales, so it has the minor's sign:
-    ``stream`` yields it as it is, and ``value`` divides it by that product,
-    so a ``Fraction`` is built only for a minor whose value is wanted.  Float
-    minors are one partial pivoting each and are their own values.  Every
-    minor is computed by the reader of its row set, built once per instance,
-    so reads may come in any order, from any number of streams at once; a
-    minor that ``stream`` or ``value`` has read is computed once per
-    instance and kept.  ``rank`` runs the same elimination on all the rows.
+    is an integer, the minor times the positive product of its row scales,
+    so it has the minor's sign: ``stream`` yields it as it is, and ``value``
+    divides it by that product, so a ``Fraction`` is built only for a minor
+    whose value is wanted.  The exact consecutive minors come in layers, one
+    per order, each condensed from the two below it (``positive_order``);
+    any other minor is one integer Bareiss on its rows, computed by the
+    reader of its row set, built once per instance.  Both give the
+    determinant of the same integer block, so both give the same integer.
+    Float minors are one partial pivoting each and are their own values.
+    Reads may come in any order, from any number of streams at once; a minor
+    that ``stream`` or ``value`` has read is computed once per instance and
+    kept, and one that a layer holds is read off it.  ``rank`` runs the same
+    elimination on all the rows.
     """
 
-    __slots__ = ("shape", "backend", "_rows", "_scales", "_known", "_readers")
+    __slots__ = ("shape", "backend", "_rows", "_scales", "_known", "_readers",
+                 "_layers", "_positive")
 
     def __init__(self, X: Matrix):
         self.shape, self.backend = X.shape, X.backend
@@ -549,6 +556,10 @@ class Minors:
         self._scales = [1, *X.dens] if exact else None
         self._known: dict = {}
         self._readers: dict = {}
+        # layer r: the consecutive r-minors (``positive_order``); the first
+        # ``_positive`` layers after layer 0 are positive
+        self._layers: list = []
+        self._positive = 0
 
     def _reader(self, I):
         """The minor on rows I as a function of the column set J, in the form
@@ -561,16 +572,60 @@ class Minors:
             read = self._readers[I] = lambda J: eliminate([[row[j] for j in J] for row in block])[1]
         return read
 
+    def _minor(self, read, I, J):
+        """The minor (I, J), in the form ``stream`` yields: off its layer when
+        I and J are consecutive and the layer of their order is condensed,
+        else ``read(J)``, ``read`` the reader of I."""
+        r = len(I)
+        if r < len(self._layers) and I[-1] - I[0] == r - 1 == J[-1] - J[0]:
+            return self._layers[r][I[0] - 1][J[0] - 1]
+        return read(J)
+
     def value(self, key) -> Num:
         """The value of the minor ``key`` = (I, J), computed and kept as
         ``stream`` computes and keeps it unless a read already has: exact,
         its integer over the product of the row scales of I."""
         v = self._known.get(key)
         if v is None:
-            v = self._known[key] = self._reader(key[0])(key[1])
+            I, J = key
+            v = self._known[key] = self._minor(self._reader(I), I, J)
         if self._scales is None:
             return v
         return Fraction(v, math.prod([self._scales[i] for i in key[0]])) if v else _ZERO
+
+    def positive_order(self, k: int) -> int:
+        """The largest p <= k such that every exact consecutive minor of
+        orders 1..p is positive.  Layer r holds the consecutive r-minors, row
+        i - 1 at column j - 1 the one on rows i.., columns j..: layer 1 is
+        the integer entries, and past it, with M_0 = 1 (Desnanot-Jacobi;
+        Dodgson 1866),
+
+            M_r[i][j] = (M_(r-1)[i][j] M_(r-1)[i+1][j+1]
+                         - M_(r-1)[i+1][j] M_(r-1)[i][j+1]) / M_(r-2)[i+1][j+1].
+
+        Layer r is condensed only when every layer below it is positive, so
+        each division is exact and by a positive minor.  The scan stops at
+        the first layer that holds a minor <= 0, which stays condensed; a
+        later call to a larger k resumes from the last layer."""
+        layers = self._layers
+        if not layers:
+            rows, cols = self.shape
+            layers.append([[1] * (cols + 1)] * (rows + 1))
+        while len(layers) - 1 == self._positive < k:
+            if len(layers) == 1:
+                layer = [row[1:] for row in self._rows[1:]]
+            else:
+                layer = _condense(layers[-1], layers[-2])
+            layers.append(layer)
+            if min(map(min, layer)) > 0:
+                self._positive += 1
+        return min(self._positive, k)
+
+    def consecutive(self, r: int) -> list[list[int]]:
+        """Layer r of the exact consecutive minors (``positive_order``),
+        which is condensed once every layer below it is positive."""
+        self.positive_order(r)
+        return self._layers[r]
 
     def rank(self, tol: float = DEFAULT_TOL, cols=None) -> int:
         """Rank of the matrix, or of its columns ``cols``; float pivots must
@@ -595,8 +650,17 @@ class Minors:
                 key = (I, J)
                 value = known.get(key)
                 if value is None:
-                    value = known[key] = read(J)
+                    value = known[key] = self._minor(read, I, J)
                 yield key, value
+
+
+def _condense(above: list[list[int]], below: list[list[int]]) -> list[list[int]]:
+    """The layer of consecutive r-minors from ``above``, the (r-1)-minors,
+    and ``below``, the (r-2)-minors, by Desnanot-Jacobi
+    (``Minors.positive_order``); every divisor, an interior entry of
+    ``below``, must be nonzero."""
+    return [[(a * d - b * c) // e for a, b, c, d, e in zip(top, top[1:], nxt, nxt[1:], mid[1:])]
+            for top, nxt, mid in zip(above, above[1:], below[1:])]
 
 
 def compound(X: Matrix, r: int) -> Matrix:

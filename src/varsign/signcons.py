@@ -17,10 +17,15 @@ opposite signs.  In exact arithmetic Fekete's criterion comes first: when
 every consecutive minor of orders 1..p is positive, every minor of order
 <= p is (Fallat & Johnson, *Totally Nonnegative Matrices*, 2011, ch. 3), and
 those orders are judged strictly positive without reading any other minor.
-Float mode skips that scan, since a rounded minor proves nothing.  The VB
-check returns at the first route that decides, and a sign-consistency route
-certifies a one-signed summary, refutes a mixed one by its witness, and is
-otherwise inside tolerance.
+The scan condenses the consecutive minors one order at a time, each from the
+two orders below it (Desnanot-Jacobi; Dodgson 1866; ``Minors.positive_order``):
+it reaches an order only when every lower one is positive, so each division
+is exact and by a positive minor, and no minor of the scan is an elimination.
+The consecutive-minor certificate reads the same layers.  Float mode skips
+the scan, since a rounded minor proves nothing.  The VB check returns at the
+first route that decides, and a sign-consistency route certifies a
+one-signed summary, refutes a mixed one by its witness, and is otherwise
+inside tolerance.
 """
 
 from __future__ import annotations
@@ -124,22 +129,28 @@ def _check_tall(X: Matrix, k: int) -> None:
 
 
 def _consecutive_minors(minors: Minors, r: int):
-    """The consecutive r-minors, labelled by (I, J), rows outermost."""
+    """The consecutive r-minors, labelled by (I, J), rows outermost: exact,
+    off their condensed layer (``Minors.consecutive``), which needs every
+    consecutive minor of order below r positive; float, streamed."""
     rows, cols = minors.shape
-    return minors.stream(consecutive_sets(rows, r), consecutive_sets(cols, r))
+    row_sets, col_sets = consecutive_sets(rows, r), consecutive_sets(cols, r)
+    if minors.backend is not Backend.EXACT:
+        return minors.stream(row_sets, col_sets)
+    return (((I, J), v) for I, layer_row in zip(row_sets, minors.consecutive(r))
+            for J, v in zip(col_sets, layer_row))
 
 
 def _fekete_order(minors: Minors, k: int) -> int:
     """The largest p <= k such that every consecutive minor of orders 1..p is
-    positive, and with it every minor of order <= p (Fekete); the scan stops
-    at the first consecutive minor <= 0.  Always 0 in float arithmetic."""
+    positive, and with it every minor of order <= p (Fekete).  The exact
+    consecutive minors are condensed layer by layer, each order from the two
+    below it (``Minors.positive_order``, Dodgson 1866); the scan reaches an
+    order only when every lower one is positive, so each division is exact
+    and by a positive minor, and it stops at the first layer with a minor
+    <= 0.  Always 0 in float arithmetic."""
     if minors.backend is not Backend.EXACT:
         return 0
-    for r in range(1, k + 1):
-        # each exact minor streams as an integer with the minor's sign
-        if any(v <= 0 for _, v in _consecutive_minors(minors, r)):
-            return r - 1
-    return k
+    return minors.positive_order(k)
 
 
 def _valued(minors: Minors, witness: tuple) -> tuple:
@@ -230,11 +241,13 @@ def consecutive_certificate(X: Matrix, k: int, strict_top: bool = True,
 
     Orders 1..k-1 must have strictly positive consecutive minors; order k
     nonnegative, or positive when ``strict_top``.  Passing certifies that X
-    is (strictly) k-positive.
+    is (strictly) k-positive.  In exact arithmetic the orders up to the
+    Fekete order pass, and the first order past it is read off its condensed
+    layer: the orders below it are positive.
     """
     _check_order(X, k)
     minors = Minors(X)
-    for r in range(1, k + 1):
+    for r in range(_fekete_order(minors, k) + 1, k + 1):
         summary = classify_family(_consecutive_minors(minors, r), X.backend, tol)
         want_strict = strict_top or r < k
         ok = {SignVerdict.STRICTLY_POSITIVE} if want_strict else _POSITIVE_OK

@@ -3,10 +3,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varsign.linalg import (
-    Backend, Matrix, Minors, RankOutOfRangeError, compound, lex_tuples, minor, rank,
-    sign_of,
+    Backend, Matrix, Minors, RankOutOfRangeError, _bareiss, compound, consecutive_sets,
+    lex_tuples, minor, rank, sign_of,
 )
 from varsign.lti import observability_matrix
 import varsign.signcons as signcons
@@ -356,7 +358,8 @@ def test_vb_and_vd_checks_share_one_shape_guard(check):
 @pytest.mark.parametrize("check", [vb_matrix_check, vd_matrix_check])
 def test_vb_and_vd_checks_evaluate_each_minor_once(monkeypatch, check):
     evaluated = []
-    reader = Minors._reader  # the one place a minor is computed
+    # a minor is computed by the reader of its row set or in a condensed layer
+    reader, positive_order = Minors._reader, Minors.positive_order
 
     def counting_reader(self, I):
         read = reader(self, I)
@@ -366,7 +369,16 @@ def test_vb_and_vd_checks_evaluate_each_minor_once(monkeypatch, check):
             return read(J)
         return counted
 
+    def counting_order(self, k):
+        done = len(self._layers)
+        p = positive_order(self, k)
+        rows, cols = self.shape
+        evaluated.extend((r, I, J) for r in range(max(done, 1), len(self._layers))
+                         for I in consecutive_sets(rows, r) for J in consecutive_sets(cols, r))
+        return p
+
     monkeypatch.setattr(Minors, "_reader", counting_reader)
+    monkeypatch.setattr(Minors, "positive_order", counting_order)
     rng = random.Random(3)
     cases = [(random_exact(rng, 8, 6), 3), (reverse_columns(cauchy_exact(rng, 6, 4)), 2),
              (cauchy_exact(rng, 7, 5), 3)]
@@ -683,3 +695,165 @@ def test_lazy_checks_match_the_full_compound_reference():
                     ("vd_matrix_check", Conclusion.REFUTED,
                      "VB_2: full-width sign consistency at full column rank")]:
         assert outcome in outcomes, outcome
+
+
+# ---- Fekete's scan by condensation ----------------------------------------
+
+def _block(X, r, i, j):
+    """The integer block of the consecutive r-minor at rows i.., columns j..
+    (0-based) of X's integer rows, a fresh list for ``_bareiss``."""
+    return [list(row[j:j + r]) for row in X.ints[i:i + r]]
+
+
+def _reference_fekete(X, k):
+    """Fekete's scan as one Bareiss elimination per consecutive minor, up to
+    the first minor <= 0."""
+    for r in range(1, k + 1):
+        for i in range(X.rows - r + 1):
+            for j in range(X.cols - r + 1):
+                if _bareiss(_block(X, r, i, j))[1] <= 0:
+                    return r - 1
+    return k
+
+
+def _reference_certificate(X, k, strict_top):
+    """``consecutive_certificate`` reading each order's consecutive minors
+    from a stream of a ``Minors`` that never scans, so each is a Bareiss."""
+    minors = Minors(X)
+    for r in range(1, k + 1):
+        family = minors.stream(consecutive_sets(X.rows, r), consecutive_sets(X.cols, r))
+        summary = classify_family(family, X.backend)
+        want_strict = strict_top or r < k
+        ok = {SignVerdict.STRICTLY_POSITIVE} if want_strict else signcons._POSITIVE_OK
+        if summary.verdict not in ok:
+            return signcons.CertificateResult(
+                False,
+                f"consecutive {r}-minors are not {'positive' if want_strict else 'nonnegative'}",
+                signcons._valued(minors, summary.witness))
+    qualifier = "strictly " if strict_top else ""
+    return signcons.CertificateResult(True, f"{qualifier}{k}-positive via consecutive minors")
+
+
+def _assert_scan_matches_bareiss(X):
+    """At every k the condensed order equals the reference, a scan resumed
+    order by order gives the same, every stored layer holds the Bareiss
+    integers of its blocks, and the certificate equals its reference."""
+    top = min(X.shape)
+    resumed = Minors(X)
+    for k in range(1, top + 1):
+        minors = Minors(X)
+        p = signcons._fekete_order(minors, k)
+        assert p == _reference_fekete(X, k) == signcons._fekete_order(resumed, k), (X, k)
+        for strict_top in (True, False):
+            assert (consecutive_certificate(X, k, strict_top)
+                    == _reference_certificate(X, k, strict_top)), (X, k, strict_top)
+    for minors in (Minors(X), resumed):
+        p = signcons._fekete_order(minors, top)
+        layers = minors._layers
+        # every layer past the Fekete order's, up to the first with a minor <= 0
+        assert len(layers) == min(p + 1, top) + 1, (X, p)
+        for r, layer in enumerate(layers[1:], 1):
+            assert len(layer) == X.rows - r + 1 and len(layer[0]) == X.cols - r + 1
+            for i, row in enumerate(layer):
+                for j, v in enumerate(row):
+                    assert v == _bareiss(_block(X, r, i, j))[1], (X, r, i, j)
+    return _reference_fekete(X, top)
+
+
+def _vandermonde(nodes, powers):
+    """x_i^a_j: strictly totally positive for increasing positive nodes and
+    increasing powers."""
+    return Matrix.exact([[x ** a for a in powers] for x in nodes])
+
+
+def _lowered_corner(X, by):
+    """Square X with its last entry lowered by (1 + ``by``) det(X) / (its
+    leading (n-1)-minor): det(X) is affine in that entry with that minor for
+    slope, so the determinant becomes -``by`` det(X)."""
+    n = X.rows
+    lead = minor(X, range(1, n), range(1, n)) if n > 1 else 1
+    rows = [list(row) for row in X.data]
+    rows[-1][-1] -= minor(X, range(1, n + 1), range(1, n + 1)) / lead * (1 + by)
+    return Matrix.exact(rows)
+
+
+def _pinned_scans():
+    rng = random.Random(5301)
+    big = 10 ** 200
+    yield "cauchy 6x4", cauchy_exact(rng, 6, 4), 4
+    yield "cauchy 5x5", cauchy_exact(rng, 5, 5), 5
+    yield "vandermonde 5x5", _vandermonde([1, 2, 3, 5, 7], range(5)), 5
+    yield "vandermonde 4x6", _vandermonde([Fraction(1, 2), 1, 3, 4], range(6)), 4
+    for n in (2, 3, 4, 5):
+        V = _vandermonde([Fraction(i + 1, 2) for i in range(n)], range(n))
+        C = cauchy_exact(rng, n, n)
+        yield f"vandermonde {n}x{n}, top minor zero", _lowered_corner(V, 0), n - 1
+        yield f"cauchy {n}x{n}, top minor negative", _lowered_corner(C, Fraction(1, 7)), n - 1
+    yield "row 1x5", Matrix.exact([[1, 2, Fraction(1, 3), 4, 5]]), 1
+    yield "row 1x4 with a zero", Matrix.exact([[1, 2, 0, 4]]), 0
+    yield "column 5x1", Matrix.exact([[3], [1], [Fraction(2, 5)], [4], [9]]), 1
+    yield "column 3x1 negative", Matrix.exact([[3], [-1], [2]]), 0
+    yield "cauchy 5x4 times 1e200", Matrix.exact(
+        [[x * big for x in row] for row in cauchy_exact(rng, 5, 4).data]), 4
+    yield "vandermonde at 1e200 + i", _vandermonde([big + i for i in range(4)], range(4)), 4
+    yield "1e200 + small", Matrix.exact(
+        [[big + rng.randint(-9, 9) for _ in range(4)] for _ in range(5)]), None
+    yield "1e200 over 10^k", Matrix.exact(
+        [[Fraction(f"1e200") / 10 ** (i * j) for j in range(4)] for i in range(4)]), None
+
+
+@pytest.mark.parametrize("name, X, order", list(_pinned_scans()), ids=lambda x: x
+                         if isinstance(x, str) else "")
+def test_condensed_fekete_scan_matches_a_bareiss_scan(name, X, order):
+    p = _assert_scan_matches_bareiss(X)
+    if order is not None:
+        assert p == order, name
+
+
+@st.composite
+def _stp_or_perturbed(draw):
+    """A Vandermonde matrix of increasing positive rational nodes and
+    increasing powers, strictly totally positive, most often with the last
+    entry of one consecutive r-block lowered until that r-minor is zero or
+    negative (``_lowered_corner``), so that scans end at every order; or,
+    one time in three, a random small exact matrix."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.integers(0, 2)) == 0:
+        entries = st.fractions(-3, 3, max_denominator=3)
+        return Matrix.exact([[draw(entries) for _ in range(m)] for _ in range(n)])
+    nodes = st.fractions(Fraction(1, 5), 4, max_denominator=5)
+    xs = sorted(draw(st.lists(nodes, min_size=n, max_size=n, unique=True)))
+    powers = sorted(draw(st.lists(st.integers(0, 7), min_size=m, max_size=m, unique=True)))
+    rows = [[x ** a for a in powers] for x in xs]
+    if draw(st.integers(0, 3)):
+        r = draw(st.integers(1, min(n, m)).map(lambda r: min(n, m) + 1 - r))  # high first
+        i, j = draw(st.integers(0, n - r)), draw(st.integers(0, m - r))
+        block = _lowered_corner(Matrix.exact([row[j:j + r] for row in rows[i:i + r]]),
+                                draw(st.sampled_from([0, Fraction(1, 64)])))
+        rows[i + r - 1][j + r - 1] = block[r - 1, r - 1]
+    return Matrix.exact(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stp_or_perturbed())
+def test_condensed_fekete_scan_matches_a_bareiss_scan_on_drawn_matrices(X):
+    _assert_scan_matches_bareiss(X)
+
+
+def test_fekete_scan_of_a_strictly_totally_positive_12x10_runs_no_elimination(monkeypatch):
+    X = cauchy_exact(random.Random(1210), 12, 10)
+
+    def no_elimination(self, I):
+        raise AssertionError(f"an elimination on rows {I}")
+
+    monkeypatch.setattr(Minors, "_reader", no_elimination)
+    assert signcons._fekete_order(Minors(X), 10) == 10
+    check = vd_matrix_check(X, 10)
+    assert (check.status, check.rule) == (Conclusion.CERTIFIED, "total positivity")
+    assert consecutive_certificate(X, 10).passed
+
+
+def test_float_scan_stays_empty():
+    X = cauchy_exact(random.Random(7), 5, 4).to_float()
+    minors = Minors(X)
+    assert signcons._fekete_order(minors, 4) == 0 and minors._layers == []

@@ -750,7 +750,7 @@ def _assert_scan_matches_bareiss(X):
     for minors in (Minors(X), resumed):
         p = signcons._fekete_order(minors, top)
         layers = minors._layers
-        # every layer past the Fekete order's, up to the first with a minor <= 0
+        # layers 0..p, and layer p + 1, the first with a minor <= 0, when p < top
         assert len(layers) == min(p + 1, top) + 1, (X, p)
         for r, layer in enumerate(layers[1:], 1):
             assert len(layer) == X.rows - r + 1 and len(layer[0]) == X.cols - r + 1
@@ -799,11 +799,13 @@ def _pinned_scans():
     yield "1e200 + small", Matrix.exact(
         [[big + rng.randint(-9, 9) for _ in range(4)] for _ in range(5)]), None
     yield "1e200 over 10^k", Matrix.exact(
-        [[Fraction(f"1e200") / 10 ** (i * j) for j in range(4)] for i in range(4)]), None
+        [[Fraction("1e200") / 10 ** (i * j) for j in range(4)] for i in range(4)]), None
 
 
-@pytest.mark.parametrize("name, X, order", list(_pinned_scans()), ids=lambda x: x
-                         if isinstance(x, str) else "")
+_PINNED_SCANS = list(_pinned_scans())
+
+
+@pytest.mark.parametrize("name, X, order", _PINNED_SCANS, ids=[c[0] for c in _PINNED_SCANS])
 def test_condensed_fekete_scan_matches_a_bareiss_scan(name, X, order):
     p = _assert_scan_matches_bareiss(X)
     if order is not None:

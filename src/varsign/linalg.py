@@ -541,7 +541,8 @@ class Minors:
     Float minors are one partial pivoting each and are their own values.
     Reads may come in any order, from any number of streams at once; a minor
     that ``stream`` or ``value`` has read is computed once per instance and
-    kept, and one that a layer holds is read off it.  ``rank`` runs the same
+    kept, one that a layer holds is read off it, and a layer takes one that
+    a read has already computed.  ``rank`` runs the same
     elimination on all the rows.
     """
 
@@ -604,28 +605,27 @@ class Minors:
                          - M_(r-1)[i+1][j] M_(r-1)[i][j+1]) / M_(r-2)[i+1][j+1].
 
         Layer r is condensed only when every layer below it is positive, so
-        each division is exact and by a positive minor.  The scan stops at
-        the first layer that holds a minor <= 0, which stays condensed; a
-        later call to a larger k resumes from the last layer."""
+        each division is exact and by a positive minor.  A minor of the layer
+        that ``stream`` or ``value`` has already computed is taken as it is.
+        The scan stops at the first layer that holds a minor <= 0, which
+        stays condensed; a later call to a larger k resumes from the last
+        layer."""
         layers = self._layers
         if not layers:
             rows, cols = self.shape
             layers.append([[1] * (cols + 1)] * (rows + 1))
         while len(layers) - 1 == self._positive < k:
-            if len(layers) == 1:
+            r = len(layers)
+            if r == 1:
                 layer = [row[1:] for row in self._rows[1:]]
             else:
-                layer = _condense(layers[-1], layers[-2])
+                kept = {(I[0] - 1, J[0] - 1): v for (I, J), v in self._known.items()
+                        if len(I) == r and I[-1] - I[0] == r - 1 == J[-1] - J[0]}
+                layer = _condense(layers[-1], layers[-2], kept)
             layers.append(layer)
             if min(map(min, layer)) > 0:
                 self._positive += 1
         return min(self._positive, k)
-
-    def consecutive(self, r: int) -> list[list[int]]:
-        """Layer r of the exact consecutive minors (``positive_order``),
-        which is condensed once every layer below it is positive."""
-        self.positive_order(r)
-        return self._layers[r]
 
     def rank(self, tol: float = DEFAULT_TOL, cols=None) -> int:
         """Rank of the matrix, or of its columns ``cols``; float pivots must
@@ -654,13 +654,19 @@ class Minors:
                 yield key, value
 
 
-def _condense(above: list[list[int]], below: list[list[int]]) -> list[list[int]]:
+def _condense(above: list[list[int]], below: list[list[int]], kept: dict) -> list[list[int]]:
     """The layer of consecutive r-minors from ``above``, the (r-1)-minors,
     and ``below``, the (r-2)-minors, by Desnanot-Jacobi
     (``Minors.positive_order``); every divisor, an interior entry of
-    ``below``, must be nonzero."""
-    return [[(a * d - b * c) // e for a, b, c, d, e in zip(top, top[1:], nxt, nxt[1:], mid[1:])]
-            for top, nxt, mid in zip(above, above[1:], below[1:])]
+    ``below``, must be nonzero.  The entry at (i, j) of ``kept`` is taken,
+    not computed."""
+    rows = zip(above, above[1:], below[1:])
+    if not kept:
+        return [[(a * d - b * c) // e for a, b, c, d, e in zip(top, top[1:], nxt, nxt[1:], mid[1:])]
+                for top, nxt, mid in rows]
+    return [[kept[i, j] if (i, j) in kept else (a * d - b * c) // e
+             for j, (a, b, c, d, e) in enumerate(zip(top, top[1:], nxt, nxt[1:], mid[1:]))]
+            for i, (top, nxt, mid) in enumerate(rows)]
 
 
 def compound(X: Matrix, r: int) -> Matrix:

@@ -21,11 +21,11 @@ The scan condenses the consecutive minors one order at a time, each from the
 two orders below it (Desnanot-Jacobi; Dodgson 1866; ``Minors.positive_order``):
 it reaches an order only when every lower one is positive, so each division
 is exact and by a positive minor, and no minor of the scan is an elimination.
-The consecutive-minor certificate reads the same layers.  Float mode skips
-the scan, since a rounded minor proves nothing.  The VB check returns at the
-first route that decides, and a sign-consistency route certifies a
-one-signed summary, refutes a mixed one by its witness, and is otherwise
-inside tolerance.
+The consecutive-minor certificate streams the first order past the scan,
+which ``Minors`` reads off its layer.  Float mode skips the scan, since a
+rounded minor proves nothing.  The VB check returns at the first route that
+decides, and a sign-consistency route certifies a one-signed summary,
+refutes a mixed one by its witness, and is otherwise inside tolerance.
 """
 
 from __future__ import annotations
@@ -129,15 +129,9 @@ def _check_tall(X: Matrix, k: int) -> None:
 
 
 def _consecutive_minors(minors: Minors, r: int):
-    """The consecutive r-minors, labelled by (I, J), rows outermost: exact,
-    off their condensed layer (``Minors.consecutive``), which needs every
-    consecutive minor of order below r positive; float, streamed."""
+    """The consecutive r-minors, labelled by (I, J), rows outermost."""
     rows, cols = minors.shape
-    row_sets, col_sets = consecutive_sets(rows, r), consecutive_sets(cols, r)
-    if minors.backend is not Backend.EXACT:
-        return minors.stream(row_sets, col_sets)
-    return (((I, J), v) for I, layer_row in zip(row_sets, minors.consecutive(r))
-            for J, v in zip(col_sets, layer_row))
+    return minors.stream(consecutive_sets(rows, r), consecutive_sets(cols, r))
 
 
 def _fekete_order(minors: Minors, k: int) -> int:

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varsign.linalg as linalg
 from varsign.linalg import (
     Backend, Matrix, Minors, RankOutOfRangeError, _bareiss, compound, consecutive_sets,
     lex_tuples, minor, rank, sign_of,
 )
+from varsign.fixtures import path as fixture_path
+from varsign.io import load_system_file
 from varsign.lti import observability_matrix
+from varsign.obsv import certify_observability
 import varsign.signcons as signcons
 from varsign.signcons import (
     Conclusion,
@@ -355,30 +359,66 @@ def test_vb_and_vd_checks_share_one_shape_guard(check):
             check(Matrix.exact([[1, 2], [3, 4]]), k)
 
 
-@pytest.mark.parametrize("check", [vb_matrix_check, vd_matrix_check])
-def test_vb_and_vd_checks_evaluate_each_minor_once(monkeypatch, check):
+class _Divisor(int):
+    """A divisor of ``linalg._condense`` that notes, in ``quotients``, the
+    place of each minor divided by it."""
+
+    def __new__(cls, value, place, quotients):
+        self = super().__new__(cls, value)
+        self.place, self.quotients = place, quotients
+        return self
+
+    def __rfloordiv__(self, other):
+        self.quotients.append(self.place)
+        return int(other) // int(self)
+
+
+def _count_computed_minors(monkeypatch) -> list:
+    """A list that gets (instance, r, I, J) for every minor a ``Minors``
+    computes from now on: by the reader of its row set, as an entry of
+    layer 1, or by a division in a condensed layer."""
     evaluated = []
-    # a minor is computed by the reader of its row set or in a condensed layer
-    reader, positive_order = Minors._reader, Minors.positive_order
+    reader, positive_order, condense = Minors._reader, Minors.positive_order, linalg._condense
+    condensed = []  # per condensed layer, the places (i, j) of its divisions, 0-based
 
     def counting_reader(self, I):
         read = reader(self, I)
 
         def counted(J):
-            evaluated.append((len(I), I, J))
+            evaluated.append((self, len(I), I, J))
             return read(J)
         return counted
+
+    def counting_condense(above, below, kept):
+        places = []
+        condensed.append(places)
+        # below[i][j] divides the minor at (i - 1, j - 1) of the new layer
+        marked = [[_Divisor(v, (i - 1, j - 1), places) for j, v in enumerate(row)]
+                  for i, row in enumerate(below)]
+        return condense(above, marked, kept)
 
     def counting_order(self, k):
         done = len(self._layers)
         p = positive_order(self, k)
-        rows, cols = self.shape
-        evaluated.extend((r, I, J) for r in range(max(done, 1), len(self._layers))
-                         for I in consecutive_sets(rows, r) for J in consecutive_sets(cols, r))
+        if done <= 1 < len(self._layers):  # layer 1, the entries
+            rows, cols = self.shape
+            evaluated.extend((self, 1, (i,), (j,)) for i in range(1, rows + 1)
+                             for j in range(1, cols + 1))
+        for r, places in zip(range(max(done, 2), len(self._layers)), condensed):
+            evaluated.extend((self, r, tuple(range(i + 1, i + r + 1)),
+                              tuple(range(j + 1, j + r + 1))) for i, j in places)
+        condensed.clear()
         return p
 
     monkeypatch.setattr(Minors, "_reader", counting_reader)
     monkeypatch.setattr(Minors, "positive_order", counting_order)
+    monkeypatch.setattr(linalg, "_condense", counting_condense)
+    return evaluated
+
+
+@pytest.mark.parametrize("check", [vb_matrix_check, vd_matrix_check])
+def test_vb_and_vd_checks_evaluate_each_minor_once(monkeypatch, check):
+    evaluated = _count_computed_minors(monkeypatch)
     rng = random.Random(3)
     cases = [(random_exact(rng, 8, 6), 3), (reverse_columns(cauchy_exact(rng, 6, 4)), 2),
              (cauchy_exact(rng, 7, 5), 3)]
@@ -396,7 +436,29 @@ def test_vb_and_vd_checks_evaluate_each_minor_once(monkeypatch, check):
                           "VB_(j-1) at every order j <= k"])
     # the Cauchy matrix is strictly totally positive: only consecutive minors are read
     assert rules[2] in ("sign consistency with independent columns", "total positivity")
-    assert all(I[-1] - I[0] == J[-1] - J[0] == r - 1 for r, I, J in evaluated)
+    assert all(I[-1] - I[0] == J[-1] - J[0] == r - 1 for _, r, I, J in evaluated)
+
+
+def test_certify_computes_each_minor_once(monkeypatch):
+    """Over ``certify`` of example1 and example2 at svb, vb and vd, k = 1..3,
+    each ``Minors`` computes each minor once.  The operator context reads
+    det O_n, the leading consecutive n-minor of the section, before the
+    section's Fekete scan; on example1 the scan reaches order n and takes
+    it into layer n."""
+    evaluated = _count_computed_minors(monkeypatch)
+    took_det = set()
+    for name in ("example1", "example2"):
+        system = load_system_file(fixture_path(name))
+        n = system.A.rows
+        full = tuple(range(1, n + 1))
+        for prop in ("svb", "vb", "vd"):
+            for k in (1, 2, 3):
+                evaluated.clear()
+                certify_observability(system.A, system.c, k, prop)
+                assert len(evaluated) == len(set(evaluated)), (name, prop, k)
+                if any(len(m._layers) > n and (full, full) in m._known for m, *_ in evaluated):
+                    took_det.add(name)
+    assert took_det == {"example1"}
 
 
 def test_vb_and_vd_checks_build_one_reader_per_row_set(monkeypatch):

@@ -7,8 +7,9 @@ backends are supported:
   string parses with zero rounding error and all arithmetic is exact.  The
   kernels read each row as ``lift`` gives it (``Matrix.ints``/``dens``).  A
   decimal string parses once, straight to a pair of integers
-  (``parse_ratio``, ``Fraction``'s grammar and errors), and a row of such
-  pairs lifts to that form with no ``Fraction`` (``Matrix._of_ratios``);
+  (``parse_ratio``, ``Fraction``'s grammar and errors, its exponent
+  bounded), whether the CLI reads it or ``parse_scalar`` does, and a row of
+  such pairs lifts to that form with no ``Fraction`` (``Matrix._of_ratios``);
   ``Matrix.data`` derives the ``Fraction`` entries when read.
 * ``Backend.FLOAT`` -- entries are ``float``; sign decisions use a global
   comparison tolerance and values inside the tolerance band are never
@@ -18,8 +19,8 @@ Each backend has one elimination, which yields both rank and determinant:
 fraction-free Bareiss elimination on the integer rows (``_bareiss``) and
 partial pivoting on floats (``_partial_pivot``), run once per minor and
 rank by ``Minors``; an exact diagonal matrix's compounds are read off its
-diagonal, and the exact consecutive minors of a positive scan are condensed
-order by order, with no elimination (``Minors.positive_order``).
+diagonal, and Fekete's scan condenses the exact consecutive minors order by
+order, with no elimination (``Minors.positive_order``).
 ``inverse`` is the adjugate, from the (n-1)-th compound, over det.
 
 Index tuples follow the 1-based mathematical convention; raw matrix element
@@ -81,8 +82,8 @@ def parse_scalar(value, backend: Backend) -> Num:
     if backend is Backend.EXACT:
         if type(value) is Fraction:
             return value
-        # a float converts to its exact binary value; decimal strings are the lossless path
-        return Fraction(value)
+        # a float converts to its exact binary value; a string is read as the CLI reads it
+        return Fraction(*parse_ratio(value)) if isinstance(value, str) else Fraction(value)
     return float(value)
 
 
@@ -514,12 +515,12 @@ def _is_diagonal(X: Matrix) -> bool:
 
 
 def minor(X: Matrix, rows, cols) -> Num:
-    """Determinant of the submatrix selected by 1-based row/column tuples."""
+    """Determinant of the submatrix on 1-based row/column tuples, read from ``Minors``."""
     ri = _as_indices(rows, X.rows)
     ci = _as_indices(cols, X.cols)
-    if len(ri) != len(ci):
-        raise SizeMismatchError(f"minor needs equally many rows and columns, got {len(ri)}x{len(ci)}")
-    return det(X.submatrix(ri, ci))
+    if not ri or len(ri) != len(ci):
+        raise SizeMismatchError(f"minor needs k rows and k columns, k > 0, got {len(ri)}x{len(ci)}")
+    return Minors(X).value((ri, ci))
 
 
 _ZERO = Fraction(0)
@@ -538,12 +539,13 @@ class Minors:
     any other minor is one integer Bareiss on its rows, computed by the
     reader of its row set, built once per instance.  Both give the
     determinant of the same integer block, so both give the same integer.
-    Float minors are one partial pivoting each and are their own values.
-    Reads may come in any order, from any number of streams at once; a minor
-    that ``stream`` or ``value`` has read is computed once per instance and
-    kept, one that a layer holds is read off it, and a layer takes one that
-    a read has already computed.  ``rank`` runs the same
-    elimination on all the rows.
+    Float minors are one partial pivoting each and are their own values, and
+    a float instance has no layers.  Reads may come in any order, from any
+    number of streams at once; a minor that ``stream`` or ``value`` has read
+    is computed once per instance and kept, and one that a layer holds is
+    read off it.  A layer computes all its minors, so a caller scans to an
+    order before it reads a minor of that order, and no minor is computed
+    twice.  ``rank`` runs the same elimination on all the rows.
     """
 
     __slots__ = ("shape", "backend", "_rows", "_scales", "_known", "_readers",
@@ -596,7 +598,9 @@ class Minors:
 
     def positive_order(self, k: int) -> int:
         """The largest p <= k such that every exact consecutive minor of
-        orders 1..p is positive.  Layer r holds the consecutive r-minors, row
+        orders 1..p is positive, and with it every minor of order <= p
+        (Fekete); 0 in float, where a rounded minor proves nothing, with no
+        layer built.  Layer r holds the consecutive r-minors, row
         i - 1 at column j - 1 the one on rows i.., columns j..: layer 1 is
         the integer entries, and past it, with M_0 = 1 (Desnanot-Jacobi;
         Dodgson 1866),
@@ -605,23 +609,18 @@ class Minors:
                          - M_(r-1)[i+1][j] M_(r-1)[i][j+1]) / M_(r-2)[i+1][j+1].
 
         Layer r is condensed only when every layer below it is positive, so
-        each division is exact and by a positive minor.  A minor of the layer
-        that ``stream`` or ``value`` has already computed is taken as it is.
-        The scan stops at the first layer that holds a minor <= 0, which
-        stays condensed; a later call to a larger k resumes from the last
-        layer."""
+        each division is exact and by a positive minor.  The scan stops at
+        the first layer that holds a minor <= 0, which stays condensed; a
+        later call to a larger k resumes from the last layer."""
+        if self._scales is None:
+            return 0
         layers = self._layers
         if not layers:
             rows, cols = self.shape
             layers.append([[1] * (cols + 1)] * (rows + 1))
         while len(layers) - 1 == self._positive < k:
-            r = len(layers)
-            if r == 1:
-                layer = [row[1:] for row in self._rows[1:]]
-            else:
-                kept = {(I[0] - 1, J[0] - 1): v for (I, J), v in self._known.items()
-                        if len(I) == r and I[-1] - I[0] == r - 1 == J[-1] - J[0]}
-                layer = _condense(layers[-1], layers[-2], kept)
+            layer = ([row[1:] for row in self._rows[1:]] if len(layers) == 1
+                     else _condense(layers[-1], layers[-2]))
             layers.append(layer)
             if min(map(min, layer)) > 0:
                 self._positive += 1
@@ -654,19 +653,13 @@ class Minors:
                 yield key, value
 
 
-def _condense(above: list[list[int]], below: list[list[int]], kept: dict) -> list[list[int]]:
+def _condense(above: list[list[int]], below: list[list[int]]) -> list[list[int]]:
     """The layer of consecutive r-minors from ``above``, the (r-1)-minors,
     and ``below``, the (r-2)-minors, by Desnanot-Jacobi
     (``Minors.positive_order``); every divisor, an interior entry of
-    ``below``, must be nonzero.  The entry at (i, j) of ``kept`` is taken,
-    not computed."""
-    rows = zip(above, above[1:], below[1:])
-    if not kept:
-        return [[(a * d - b * c) // e for a, b, c, d, e in zip(top, top[1:], nxt, nxt[1:], mid[1:])]
-                for top, nxt, mid in rows]
-    return [[kept[i, j] if (i, j) in kept else (a * d - b * c) // e
-             for j, (a, b, c, d, e) in enumerate(zip(top, top[1:], nxt, nxt[1:], mid[1:]))]
-            for i, (top, nxt, mid) in enumerate(rows)]
+    ``below``, must be nonzero."""
+    return [[(a * d - b * c) // e for a, b, c, d, e in zip(top, top[1:], nxt, nxt[1:], mid[1:])]
+            for top, nxt, mid in zip(above, above[1:], below[1:])]
 
 
 def compound(X: Matrix, r: int) -> Matrix:

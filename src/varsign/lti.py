@@ -192,7 +192,8 @@ class Pair:
     M with its root intervals (``real_spectrum``,
     ``realroots.real_spectrum``), each None in float or where A has none;
     and the eigen-decomposition under ``tol`` (``modes``,
-    ``dominant_modes``).
+    ``dominant_modes``), which also classes the float samples of every
+    system on the pair (``analyse``).
     """
 
     def __init__(self, A: Matrix, c: Sequence[Num], tol: float = DEFAULT_TOL):
@@ -869,11 +870,12 @@ class ExtPosAnalysis:
 _BLOCK = 8
 
 
-def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL,
-            pair: Pair | None = None, shift: int = 0, lead: int = 0) -> ExtPosAnalysis:
+def analyse(sys: LtiSystem, horizon: int | None = None, pair: Pair | None = None,
+            shift: int = 0, lead: int = 0) -> ExtPosAnalysis:
     """Sample the impulse response and, unless the samples carry both strict
     signs, certify its tail by the one ladder (module docstring).  ``pair``
-    passes what the systems on (A, c) share, and is built when None.  With
+    passes what the systems on (A, c) share, the tolerance that classes
+    float samples included, and is built at the default one when None.  With
     ``shift`` the system analysed is (A, A^shift b, c): its samples are read
     from output row t + shift on (``impulse_response``), every route's tail
     is that system's, and A^shift b is never formed.
@@ -901,7 +903,7 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
         raise ValueError("horizon must be >= 1")
     backend = sys.backend
     exact = backend is Backend.EXACT
-    pair = pair or Pair(sys.A, sys.c, tol)
+    pair = pair or Pair(sys.A, sys.c)
     values, signs = [], []
 
     def take(end: int) -> list[Num]:
@@ -910,7 +912,7 @@ def analyse(sys: LtiSystem, horizon: int | None = None, tol: float = DEFAULT_TOL
             block = impulse_response(sys, end, pair, len(values), shift)
             block = block.nums if exact else block
             values.extend(block)
-            signs.extend([sign_of(x, backend, tol) for x in block])
+            signs.extend([sign_of(x, backend, pair.tol) for x in block])
         return values[:end]
 
     proved = _proved_tail(sys, pair, shift, horizon, take)
@@ -1059,4 +1061,4 @@ def judge(analysis: ExtPosAnalysis, strict: bool = True) -> ExtPosVerdict:
 def external_positivity(sys: LtiSystem, strict: bool = True, horizon: int | None = None,
                         tol: float = DEFAULT_TOL) -> ExtPosVerdict:
     """Strict or non-strict external-positivity verdict of one system."""
-    return judge(analyse(sys, horizon, tol), strict)
+    return judge(analyse(sys, horizon, Pair(sys.A, sys.c, tol)), strict)

@@ -140,6 +140,9 @@ class _OperatorContext:
         first = self._pairs[1].extend(self.n + 1 if exact else self.n)
         section = Matrix._of_ints(first.dens, first.rows) if exact else Matrix.floating(first.rows)
         self._minors = minors = Minors(section)
+        # Fekete's scan runs before any read, so det O_n and each consecutive
+        # entry of c_r come off its layers as far as they reach
+        minors.positive_order(self.n)
         full = tuple(range(1, self.n + 1))
         self.det_n = minors.value((full, full))
         # exact O_n has full rank exactly when det O_n != 0; float reads the rank under tol
@@ -183,7 +186,7 @@ class _OperatorContext:
         key = (k, r, beta)
         if key not in self._analyses:
             sys, s = self.shifted(k, r, beta)
-            self._analyses[key] = analyse(sys, self.horizon, self.tol, self.order(r), s,
+            self._analyses[key] = analyse(sys, self.horizon, self.order(r), s,
                                           _lead(self.n, k, r, beta))
         return self._analyses[key]
 

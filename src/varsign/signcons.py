@@ -21,11 +21,14 @@ The scan condenses the consecutive minors one order at a time, each from the
 two orders below it (Desnanot-Jacobi; Dodgson 1866; ``Minors.positive_order``):
 it reaches an order only when every lower one is positive, so each division
 is exact and by a positive minor, and no minor of the scan is an elimination.
-The consecutive-minor certificate streams the first order past the scan,
-which ``Minors`` reads off its layer.  Float mode skips the scan, since a
-rounded minor proves nothing.  The VB check returns at the first route that
-decides, and a sign-consistency route certifies a one-signed summary,
-refutes a mixed one by its witness, and is otherwise inside tolerance.
+Each check scans to an order before it reads a minor of that order, so no
+consecutive minor is computed both by a reader and in a layer.  The
+consecutive-minor certificate streams the first order past the scan, which
+``Minors`` reads off its layer.  A float scan is empty and gives order 0,
+since a rounded minor proves nothing.  The VB check returns at the first
+route that decides, and a sign-consistency route certifies a one-signed
+summary, refutes a mixed one by its witness, and is otherwise inside
+tolerance.
 """
 
 from __future__ import annotations
@@ -134,19 +137,6 @@ def _consecutive_minors(minors: Minors, r: int):
     return minors.stream(consecutive_sets(rows, r), consecutive_sets(cols, r))
 
 
-def _fekete_order(minors: Minors, k: int) -> int:
-    """The largest p <= k such that every consecutive minor of orders 1..p is
-    positive, and with it every minor of order <= p (Fekete).  The exact
-    consecutive minors are condensed layer by layer, each order from the two
-    below it (``Minors.positive_order``, Dodgson 1866); the scan reaches an
-    order only when every lower one is positive, so each division is exact
-    and by a positive minor, and it stops at the first layer with a minor
-    <= 0.  Always 0 in float arithmetic."""
-    if minors.backend is not Backend.EXACT:
-        return 0
-    return minors.positive_order(k)
-
-
 def _valued(minors: Minors, witness: tuple) -> tuple:
     """The (label, minor) pairs of a streamed ``witness`` with each minor
     turned into its value."""
@@ -179,7 +169,7 @@ def sign_consistent(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> SignSummary:
     """
     _check_order(X, k)
     minors = Minors(X)
-    return _with_values(minors, _order_summary(minors, k, _fekete_order(minors, k), tol))
+    return _with_values(minors, _order_summary(minors, k, minors.positive_order(k), tol))
 
 
 @dataclass
@@ -204,7 +194,7 @@ def _orders(X: Matrix, k: int, tol: float) -> dict[int, SignSummary]:
     order are strictly positive without further minors."""
     _check_order(X, k)
     minors = Minors(X)
-    p = _fekete_order(minors, k)
+    p = minors.positive_order(k)
     return {j: _with_values(minors, _order_summary(minors, j, p, tol)) for j in range(1, k + 1)}
 
 
@@ -241,7 +231,7 @@ def consecutive_certificate(X: Matrix, k: int, strict_top: bool = True,
     """
     _check_order(X, k)
     minors = Minors(X)
-    for r in range(_fekete_order(minors, k) + 1, k + 1):
+    for r in range(minors.positive_order(k) + 1, k + 1):
         summary = classify_family(_consecutive_minors(minors, r), X.backend, tol)
         want_strict = strict_top or r < k
         ok = {SignVerdict.STRICTLY_POSITIVE} if want_strict else _POSITIVE_OK
@@ -447,7 +437,7 @@ def _vb_check(minors: Minors, k: int, rk: int, tol: float = DEFAULT_TOL) -> Matr
     if rk < k < m:  # at k = m the full-width route reports a short rank itself
         return MatrixPropertyCheck(
             name, Conclusion.INCONCLUSIVE, "rank below tested order", f"rank={rk} < k={k}")
-    p = _fekete_order(minors, k)
+    p = minors.positive_order(k)
     if k == m:
         s = _order_summary(minors, m, p, tol)
         if s.verdict in _STRICT_OK:
@@ -504,7 +494,7 @@ def vd_matrix_check(X: Matrix, k: int, tol: float = DEFAULT_TOL) -> MatrixProper
     _check_tall(X, k)
     name = f"VD_{k - 1}"
     minors = Minors(X)
-    p = _fekete_order(minors, k)
+    p = minors.positive_order(k)
     if all(_order_summary(minors, j, p, tol).verdict in _POSITIVE_OK for j in range(1, k + 1)):
         return MatrixPropertyCheck(name, Conclusion.CERTIFIED, "total positivity",
                                    f"order-preserving VD_{k - 1} established")

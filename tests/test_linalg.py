@@ -8,6 +8,7 @@ import pytest
 
 from varsign.linalg import (
     Backend,
+    ExponentRangeError,
     IndexOutOfRangeError,
     IndexTuple,
     Matrix,
@@ -26,7 +27,8 @@ from varsign.linalg import (
     rank,
     sign_of,
 )
-from varsign.lti import observability_matrix
+from varsign.lti import LtiSystem, observability_matrix
+from varsign.obsv import certify_svb
 
 from conftest import cauchy_exact, cofactor_det, minor_by_cofactor, random_exact, streamed_minor
 
@@ -39,6 +41,23 @@ def test_parse_scalar_passes_exact_fraction_through():
     assert parse_scalar("0.25", Backend.EXACT) == Fraction(1, 4)
     assert parse_scalar(3, Backend.EXACT) == 3 and type(parse_scalar(3, Backend.EXACT)) is Fraction
     assert parse_scalar(x, Backend.FLOAT) == -5 / 6
+
+
+def test_exact_strings_hold_the_exponent_bound_of_the_cli():
+    """A library string is read as the CLI reads it (``parse_ratio``): an
+    exponent past ten times the int-string digit limit (43000 by default)
+    raises before 10 is raised to it, in a matrix entry, an input and an
+    output vector alike."""
+    big = "1e50000"
+    A = Matrix.exact([["1/2", "0"], ["0", "1/4"]])
+    with pytest.raises(ExponentRangeError):
+        Matrix.exact([[big]])
+    with pytest.raises(ExponentRangeError):
+        LtiSystem(A, (big, "1"), ("1", "1"))
+    with pytest.raises(ExponentRangeError):
+        certify_svb(A, ("1", big), 1)
+    row = Matrix.exact([["1e3", " -2.5E-1 ", "1_0/4"]]).data[0]
+    assert row == (1000, Fraction(-1, 4), Fraction(5, 2))
 
 
 def test_exact_sign_of_reads_the_numerator():

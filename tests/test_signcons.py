@@ -14,7 +14,7 @@ from varsign.linalg import (
 from varsign.fixtures import path as fixture_path
 from varsign.io import load_system_file
 from varsign.lti import observability_matrix
-from varsign.obsv import certify_observability
+from varsign.obsv import _OperatorContext, certify_observability
 import varsign.signcons as signcons
 from varsign.signcons import (
     Conclusion,
@@ -389,13 +389,13 @@ def _count_computed_minors(monkeypatch) -> list:
             return read(J)
         return counted
 
-    def counting_condense(above, below, kept):
+    def counting_condense(above, below):
         places = []
         condensed.append(places)
         # below[i][j] divides the minor at (i - 1, j - 1) of the new layer
         marked = [[_Divisor(v, (i - 1, j - 1), places) for j, v in enumerate(row)]
                   for i, row in enumerate(below)]
-        return condense(above, marked, kept)
+        return condense(above, marked)
 
     def counting_order(self, k):
         done = len(self._layers)
@@ -441,10 +441,9 @@ def test_vb_and_vd_checks_evaluate_each_minor_once(monkeypatch, check):
 
 def test_certify_computes_each_minor_once(monkeypatch):
     """Over ``certify`` of example1 and example2 at svb, vb and vd, k = 1..3,
-    each ``Minors`` computes each minor once.  The operator context reads
-    det O_n, the leading consecutive n-minor of the section, before the
-    section's Fekete scan; on example1 the scan reaches order n and takes
-    it into layer n."""
+    each ``Minors`` computes each minor once.  The operator context scans
+    its section before it reads det O_n, the leading consecutive n-minor;
+    on example1 the scan reaches order n and det O_n is read off layer n."""
     evaluated = _count_computed_minors(monkeypatch)
     took_det = set()
     for name in ("example1", "example2"):
@@ -459,6 +458,36 @@ def test_certify_computes_each_minor_once(monkeypatch):
                 if any(len(m._layers) > n and (full, full) in m._known for m, *_ in evaluated):
                     took_det.add(name)
     assert took_det == {"example1"}
+
+
+def test_operator_context_reads_its_section_off_the_layers(monkeypatch):
+    """The section O_4 of diag(1/2, 7/10, 9/10) with c = 1, rows c A^(t-1),
+    is strictly totally positive up to order n = 3.  The context scans it
+    before it reads, so det O_n and each consecutive entry of every c_r come
+    off the layers: the consecutive minors computed are the layers' entries,
+    each once, and a row reader computes only c_2's one non-consecutive
+    entry.  A float context builds no layer."""
+    evaluated = _count_computed_minors(monkeypatch)
+    n, lams = 3, (Fraction(1, 2), Fraction(7, 10), Fraction(9, 10))
+    A = Matrix.exact([[lam if i == j else 0 for j, _ in enumerate(lams)]
+                      for i, lam in enumerate(lams)])
+    ctx = _OperatorContext(A, (1,) * n)
+    c_r = [ctx.c_compound(r) for r in range(1, n + 1)]
+    assert ctx._minors.positive_order(n) == n
+    computed = [(r, I, J) for _, r, I, J in evaluated]
+    consecutive = sorted((r, I, J) for r, I, J in computed
+                         if I[-1] - I[0] == r - 1 == J[-1] - J[0])
+    assert consecutive == sorted((r, I, J) for r in range(1, n + 1)
+                                 for I in consecutive_sets(n + 1, r)
+                                 for J in consecutive_sets(n, r))
+    assert [m for m in computed if m not in consecutive] == [(2, (1, 2), (1, 3))]
+    # the Vandermonde determinant prod_(i < j) (lam_j - lam_i)
+    assert ctx.det_n == Fraction(2, 125)
+    section = observability_matrix(A, (1,) * n, n + 1)
+    assert c_r == [tuple(minor(section, range(1, r + 1), J) for J in lex_tuples(n, r))
+                   for r in range(1, n + 1)]
+    floating = _OperatorContext(A.to_float(), (1.0,) * n)
+    assert floating._minors.positive_order(n) == 0 and floating._minors._layers == []
 
 
 def test_vb_and_vd_checks_build_one_reader_per_row_set(monkeypatch):
@@ -804,13 +833,13 @@ def _assert_scan_matches_bareiss(X):
     resumed = Minors(X)
     for k in range(1, top + 1):
         minors = Minors(X)
-        p = signcons._fekete_order(minors, k)
-        assert p == _reference_fekete(X, k) == signcons._fekete_order(resumed, k), (X, k)
+        p = minors.positive_order(k)
+        assert p == _reference_fekete(X, k) == resumed.positive_order(k), (X, k)
         for strict_top in (True, False):
             assert (consecutive_certificate(X, k, strict_top)
                     == _reference_certificate(X, k, strict_top)), (X, k, strict_top)
     for minors in (Minors(X), resumed):
-        p = signcons._fekete_order(minors, top)
+        p = minors.positive_order(top)
         layers = minors._layers
         # layers 0..p, and layer p + 1, the first with a minor <= 0, when p < top
         assert len(layers) == min(p + 1, top) + 1, (X, p)
@@ -911,7 +940,7 @@ def test_fekete_scan_of_a_strictly_totally_positive_12x10_runs_no_elimination(mo
         raise AssertionError(f"an elimination on rows {I}")
 
     monkeypatch.setattr(Minors, "_reader", no_elimination)
-    assert signcons._fekete_order(Minors(X), 10) == 10
+    assert Minors(X).positive_order(10) == 10
     check = vd_matrix_check(X, 10)
     assert (check.status, check.rule) == (Conclusion.CERTIFIED, "total positivity")
     assert consecutive_certificate(X, 10).passed
@@ -920,4 +949,4 @@ def test_fekete_scan_of_a_strictly_totally_positive_12x10_runs_no_elimination(mo
 def test_float_scan_stays_empty():
     X = cauchy_exact(random.Random(7), 5, 4).to_float()
     minors = Minors(X)
-    assert signcons._fekete_order(minors, 4) == 0 and minors._layers == []
+    assert minors.positive_order(4) == 0 and minors._layers == []

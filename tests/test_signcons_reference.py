@@ -27,7 +27,6 @@ from varsign.signcons import (
     SignVerdict,
     _all_k_columns_independent,
     _anchored_tuples,
-    _fekete_order,
     _witness_text,
     classify_family,
     reduced_check,
@@ -101,7 +100,7 @@ def _reference_vb_routes(X, k, tol=DEFAULT_TOL):
     name = f"VB_{k - 1}"
     minors = Minors(X)
     rk = minors.rank(tol)
-    p = _fekete_order(minors, k)
+    p = minors.positive_order(k)
     if k == m:
         s = _order_summary(minors, m, p, tol)
         if s.verdict in _STRICT_OK:
@@ -168,7 +167,7 @@ def _reference_vd(X, k, tol=DEFAULT_TOL):
         raise RankOutOfRangeError(f"order {k} invalid for {X.shape}")
     name = f"VD_{k - 1}"
     minors = Minors(X)
-    p = _fekete_order(minors, k)
+    p = minors.positive_order(k)
     orders = {}
     for j in range(1, k + 1):
         orders[j] = _order_summary(minors, j, p, tol)
